@@ -5,12 +5,16 @@
 // for any similarity threshold τ. `Estimate` is const and takes the RNG by
 // reference, so one estimator instance supports repeated independent trials,
 // matching how a query optimizer would hold a long-lived statistics object.
+// `EstimateSweep` asks for many τ at once, the optimizer's plan-costing
+// pattern.
 
 #ifndef VSJ_CORE_ESTIMATOR_H_
 #define VSJ_CORE_ESTIMATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "vsj/util/rng.h"
 
@@ -43,6 +47,18 @@ class JoinSizeEstimator {
 
   /// Estimates J(τ). Implementations must clamp to [0, M].
   virtual EstimationResult Estimate(double tau, Rng& rng) const = 0;
+
+  /// Estimates J(τ) for every τ of a sweep from one RNG state: result j is
+  /// bit-identical to Estimate(taus[j], copy of rng). The default does
+  /// exactly that, one τ at a time; estimators whose SharesSweeps() is
+  /// true override it to draw and evaluate each sampled pair once for the
+  /// whole sweep.
+  virtual std::vector<EstimationResult> EstimateSweep(
+      std::span<const double> taus, const Rng& rng) const;
+
+  /// True when EstimateSweep shares sampling work across τ, so grouping
+  /// requests that differ only in τ saves work (the LSH-SS family).
+  virtual bool SharesSweeps() const { return false; }
 
   /// Display name, e.g. "LSH-SS", "RS(pop)".
   virtual std::string name() const = 0;

@@ -36,26 +36,30 @@ std::string LshSsEstimator::name() const {
 }
 
 EstimationResult LshSsEstimator::Estimate(double tau, Rng& rng) const {
-  EstimationResult result;
-  const uint64_t total_pairs = dataset_.NumPairs();
-  if (tau <= 0.0) {
-    result.estimate = static_cast<double>(total_pairs);
-    return result;
-  }
-  bool reliable = true;
-  result.stratum_h_estimate = SampleStratumH(
-      dataset_, measure_, tau, table_->NumSameBucketPairs(), sample_size_h_,
-      [&](Rng& r) { return table_->SampleSameBucketPair(r); }, rng,
-      &result.pairs_evaluated);
-  result.stratum_l_estimate = SampleStratumL(
-      dataset_, measure_, tau, table_->NumCrossBucketPairs(), sample_size_l_,
-      delta_, dampening_, dampening_factor_,
-      [&](Rng& r) { return table_->SampleCrossBucketPair(r); }, rng,
-      &result.pairs_evaluated, &reliable);
-  result.guaranteed = reliable;
-  result.estimate = ClampEstimate(
-      result.stratum_h_estimate + result.stratum_l_estimate, total_pairs);
-  return result;
+  return Sweep({&tau, 1}, rng).front();
+}
+
+std::vector<EstimationResult> LshSsEstimator::EstimateSweep(
+    std::span<const double> taus, const Rng& rng) const {
+  Rng copy = rng;
+  return Sweep(taus, copy);
+}
+
+std::vector<EstimationResult> LshSsEstimator::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  StratifiedPlan plan;
+  plan.total_pairs = dataset_.NumPairs();
+  plan.num_pairs_h = table_->NumSameBucketPairs();
+  plan.num_pairs_l = table_->NumCrossBucketPairs();
+  plan.m_h = sample_size_h_;
+  plan.m_l = sample_size_l_;
+  plan.delta = delta_;
+  plan.dampening = dampening_;
+  plan.dampening_factor = dampening_factor_;
+  return EstimateStratified(
+      dataset_, measure_, plan, taus,
+      [&](Rng& r) { return table_->SampleSameBucketPair(r); },
+      [&](Rng& r) { return table_->SampleCrossBucketPair(r); }, rng);
 }
 
 }  // namespace vsj

@@ -50,6 +50,10 @@ class LshSsEstimator final : public JoinSizeEstimator {
                  SimilarityMeasure measure, LshSsOptions options = {});
 
   EstimationResult Estimate(double tau, Rng& rng) const override;
+  /// One shared SampleH/SampleL pass answers every τ (stratified_sampling.h).
+  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
+                                              const Rng& rng) const override;
+  bool SharesSweeps() const override { return true; }
   std::string name() const override;
 
   uint64_t sample_size_h() const { return sample_size_h_; }
@@ -57,6 +61,10 @@ class LshSsEstimator final : public JoinSizeEstimator {
   uint64_t delta() const { return delta_; }
 
  private:
+  /// Algorithm 1 over `taus`, advancing `rng` past the shared pass.
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const;
+
   DatasetView dataset_;
   const LshTable* table_;
   SimilarityMeasure measure_;

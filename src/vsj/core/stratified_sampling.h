@@ -1,21 +1,27 @@
 // The shared SampleH / SampleL loops of Algorithm 1 (paper §5).
 //
-// Before the DatasetView refactor the static LshSsEstimator and the
-// streaming StreamingLshSsEstimator each carried a private copy of the
-// stratum-sampling loops, differing only in where pairs come from (static
-// alias-table samplers vs. the dynamic index's live-id rejection sampler)
-// and in the dampening policy. These templates are that single
-// implementation: both estimators bind a pair source and get bit-identical
-// behavior to their pre-refactor selves (same RNG draw order, same
-// accumulation order).
+// The static LshSsEstimator and the streaming StreamingLshSsEstimator
+// differ only in where pairs come from (static alias-table samplers vs.
+// the dynamic index's live-id rejection sampler) and in the dampening
+// policy. These templates are the single implementation of the sampling
+// loops: both estimators bind a pair source and an EstimateStratified
+// plan.
+//
+// Every loop is multi-τ: a sampled pair's similarity does not depend on τ,
+// so one draw-and-evaluate pass thresholds each pair against a whole
+// τ-sweep, and each τ keeps its own hit count, SampleL stopping point,
+// dampening and guarantee. A single-τ estimate is a sweep of one (same RNG
+// draw order, same accumulation order).
 
 #ifndef VSJ_CORE_STRATIFIED_SAMPLING_H_
 #define VSJ_CORE_STRATIFIED_SAMPLING_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <type_traits>
+#include <span>
+#include <vector>
 
+#include "vsj/core/estimator.h"
 #include "vsj/obs/obs.h"
 #include "vsj/util/check.h"
 #include "vsj/util/rng.h"
@@ -37,31 +43,34 @@ enum class DampeningMode {
   kAdaptiveNlOverDelta,
 };
 
-// kPairEvalBatch / kPairPrefetchDistance moved to vector/pair_eval.h with
-// the batch evaluator; both templates below use them unchanged.
-
-/// SampleH of Algorithm 1: draw m_h same-bucket pairs through `sample_pair`
-/// (any callable Rng& -> VectorPair-like with .first/.second positions into
-/// `dataset`), count hits against τ, scale by N_H / m_h.
+/// SampleH of Algorithm 1 for every τ of a sweep at once: draw m_h
+/// same-bucket pairs through `sample_pair` (any callable Rng& ->
+/// VectorPair-like with .first/.second positions into `dataset`), evaluate
+/// each pair's similarity once, and count its hits against every τ. τ j
+/// gets Ĵ_H = n_H(τ_j) · N_H / m_h in results[j].stratum_h_estimate and
+/// m_h added to results[j].pairs_evaluated — the sample it would have
+/// drawn alone, since the m_h draws never depend on τ.
 ///
 /// Evaluation is batched: each round draws up to kPairEvalBatch pairs
 /// first, then evaluates them through the locality-ordered SIMD batch
 /// kernel (vector/pair_eval.h). Bit-identity is preserved because
 /// stratum-H draws never depend on evaluation results: the RNG consumes
-/// exactly the same sequence as the draw-evaluate-draw loop, and the hit
+/// exactly the same sequence as the draw-evaluate-draw loop, and each hit
 /// count is an order-insensitive sum.
 template <typename SamplePairFn>
-double SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
-                      double tau, uint64_t num_pairs_h, uint64_t m_h,
-                      SamplePairFn&& sample_pair, Rng& rng,
-                      uint64_t* evaluated) {
-  if (num_pairs_h == 0) return 0.0;
+void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
+                    std::span<const double> taus, uint64_t num_pairs_h,
+                    uint64_t m_h, SamplePairFn&& sample_pair, Rng& rng,
+                    std::span<EstimationResult> results) {
+  VSJ_CHECK(results.size() == taus.size());
+  if (num_pairs_h == 0) return;
   // Zero sample budget: the loop would never run and the N_H/m_h scale-up
   // would be 0/0. An unsampled stratum contributes nothing.
-  if (m_h == 0) return 0.0;
+  if (m_h == 0) return;
   VectorId firsts[kPairEvalBatch];
   VectorId seconds[kPairEvalBatch];
-  uint64_t hits = 0;
+  double similarities[kPairEvalBatch];
+  std::vector<uint64_t> hits(taus.size(), 0);
   for (uint64_t done = 0; done < m_h;) {
     const uint64_t count = std::min(kPairEvalBatch, m_h - done);
     for (uint64_t i = 0; i < count; ++i) {
@@ -69,33 +78,55 @@ double SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
       firsts[i] = pair.first;
       seconds[i] = pair.second;
     }
-    hits += CountPairsAtOrAbove(measure, dataset, firsts, seconds, count,
-                                tau, kPairPrefetchDistance);
+    EvaluatePairSimilarities(measure, dataset, firsts, seconds, count,
+                             kPairPrefetchDistance, similarities);
+    for (size_t j = 0; j < taus.size(); ++j) {
+      hits[j] += static_cast<uint64_t>(__builtin_popcountll(
+          SimilarityHitMask(similarities, count, taus[j])));
+    }
     done += count;
   }
-  *evaluated += m_h;
   // Bulk post-loop adds: the pair loop itself stays instrumentation-free.
+  // The counter is physical work — one shared draw serves every τ.
   VSJ_COUNTER_ADD("estimate.pairs_h", m_h);
-  return static_cast<double>(hits) * static_cast<double>(num_pairs_h) /
-         static_cast<double>(m_h);
+  for (size_t j = 0; j < taus.size(); ++j) {
+    results[j].pairs_evaluated += m_h;
+    results[j].stratum_h_estimate = static_cast<double>(hits[j]) *
+                                    static_cast<double>(num_pairs_h) /
+                                    static_cast<double>(m_h);
+  }
 }
 
-/// SampleL of Algorithm 1: adaptive sampling of cross-bucket pairs until δ
-/// true pairs are found (reliable: Ĵ_L = hits · N_L / i) or the budget m_l
-/// is exhausted, in which case `*reliable` is cleared and the dampening
-/// policy decides between the safe lower bound and a dampened scale-up.
+/// Index of the n-th (1-based) set bit of `mask`; requires popcount >= n.
+inline uint64_t NthSetBit(uint64_t mask, uint64_t n) {
+  for (; n > 1; --n) mask &= mask - 1;
+  return static_cast<uint64_t>(__builtin_ctzll(mask));
+}
+
+/// SampleL of Algorithm 1 for every τ of a sweep at once: adaptive
+/// sampling of cross-bucket pairs until δ true pairs are found (reliable:
+/// Ĵ_L = hits · N_L / i) or the budget m_l is exhausted, in which case the
+/// τ's `guaranteed` flag is cleared and the dampening policy decides
+/// between the safe lower bound and a dampened scale-up. τ j's Ĵ_L goes to
+/// results[j].stratum_l_estimate and its own sample count i_j is added to
+/// results[j].pairs_evaluated.
+///
+/// The draws form one stream that does not depend on τ; each τ consumes a
+/// prefix of it and stops on its own δ-th hit (or at m_l). The stream runs
+/// until the last τ still active stops, so every τ sees exactly the draws,
+/// hits and stopping point it would see alone, and a sweep of one is the
+/// single-τ algorithm.
 ///
 /// Unlike stratum H, how many pairs this loop draws depends on each
 /// evaluation (the hits-vs-δ race), so drawing a batch ahead consumes RNG
-/// state the unbatched loop never would. The batched form below stays
+/// state the unbatched loop never would. The batched form stays
 /// bit-identical anyway by *rewinding*: the RNG state is checkpointed
-/// before every draw, and when the per-pair hit mask shows δ was reached
-/// at draw i of the batch, the RNG is restored to its post-draw-i
-/// checkpoint — exactly where the draw-evaluate-draw loop would have left
-/// it — and the evaluations past i are discarded. hits, samples, the RNG
-/// stream, and therefore every estimate are unchanged; only wasted
-/// evaluations (bounded by one batch per call, counted by
-/// `estimate.pairs_l_discarded`) differ.
+/// before every draw, and when the last active τ reaches δ at draw i of the
+/// batch, the RNG is restored to its post-draw-i checkpoint — exactly where
+/// the draw-evaluate-draw loop would have left it — and the evaluations
+/// past i are discarded. Hits, samples, the RNG stream, and therefore every
+/// estimate are unchanged; only wasted evaluations (bounded by one batch
+/// per call, counted by `estimate.pairs_l_discarded`) differ.
 ///
 /// Contract note for `sample_pair`: within one batch it may be invoked up
 /// to kPairEvalBatch times even when the unbatched loop would have stopped
@@ -104,94 +135,173 @@ double SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
 /// scripted test sources are safe because a script of length m_l is never
 /// over-consumed: batches never draw past the m_l budget).
 template <typename SamplePairFn>
-double SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
-                      double tau, uint64_t num_pairs_l, uint64_t m_l,
-                      uint64_t delta, DampeningMode dampening,
-                      double dampening_factor, SamplePairFn&& sample_pair,
-                      Rng& rng, uint64_t* evaluated, bool* reliable) {
-  if (num_pairs_l == 0) return 0.0;
+void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
+                    std::span<const double> taus, uint64_t num_pairs_l,
+                    uint64_t m_l, uint64_t delta, DampeningMode dampening,
+                    double dampening_factor, SamplePairFn&& sample_pair,
+                    Rng& rng, std::span<EstimationResult> results) {
+  VSJ_CHECK(results.size() == taus.size());
+  if (num_pairs_l == 0) return;
   // Degenerate budgets: with δ = 0 the adaptive loop never draws (hits < 0
   // is unsatisfiable), with m_L = 0 it never may, and either way the
   // "reliable" scale-up n_L · N_L / i would be 0 · N_L / 0 = NaN. Nothing
-  // was sampled, so nothing is known about stratum L: return the empty
-  // safe lower bound (0) with *reliable cleared — the caller sees an
+  // was sampled, so nothing is known about stratum L: the empty safe lower
+  // bound (0) stands with `guaranteed` cleared — the caller sees an
   // unguaranteed conservative answer, never a NaN. Service engines reject
   // these values at the EstimateRequest validation layer; this guard
   // covers direct template callers.
   if (m_l == 0 || delta == 0) {
-    *reliable = false;
-    return 0.0;
+    for (EstimationResult& result : results) result.guaranteed = false;
+    return;
   }
 
-  uint64_t hits = 0;     // n_L in Algorithm 1
-  uint64_t samples = 0;  // i in Algorithm 1
+  // Per τ: n_L and i of Algorithm 1. A τ is active until it reaches δ;
+  // every active τ has consumed the whole stream drawn so far.
+  std::vector<uint64_t> hits(taus.size(), 0);
+  std::vector<uint64_t> samples(taus.size(), 0);
+  std::vector<size_t> active(taus.size());
+  for (size_t j = 0; j < active.size(); ++j) active[j] = j;
+  uint64_t drawn = 0;
+  uint64_t discarded = 0;
   VectorId firsts[kPairEvalBatch];
   VectorId seconds[kPairEvalBatch];
+  double similarities[kPairEvalBatch];
   Rng checkpoints[kPairEvalBatch];
-  uint64_t discarded = 0;
-  while (hits < delta && samples < m_l) {
-    const uint64_t want = std::min(kPairEvalBatch, m_l - samples);
+  while (!active.empty() && drawn < m_l) {
+    const uint64_t want = std::min(kPairEvalBatch, m_l - drawn);
     for (uint64_t i = 0; i < want; ++i) {
       checkpoints[i] = rng;
       const auto pair = sample_pair(rng);
       firsts[i] = pair.first;
       seconds[i] = pair.second;
     }
-    uint64_t hit_bits = 0;
-    const uint64_t batch_hits =
-        EvaluatePairBatch(measure, dataset, firsts, seconds, want, tau,
-                          kPairPrefetchDistance, &hit_bits);
-    if (hits + batch_hits >= delta) {
-      // δ reached inside the batch: find the exact draw the unbatched loop
-      // would have stopped on and rewind the RNG to just after it.
-      uint64_t need = delta - hits;
-      uint64_t stop = 0;
-      for (uint64_t i = 0; i < want; ++i) {
-        if ((hit_bits >> i) & 1u) {
-          if (--need == 0) {
-            stop = i;
-            break;
-          }
-        }
+    EvaluatePairSimilarities(measure, dataset, firsts, seconds, want,
+                             kPairPrefetchDistance, similarities);
+    uint64_t used = 0;  // draws of this batch some τ consumed
+    size_t still_active = 0;
+    for (const size_t j : active) {
+      const uint64_t mask = SimilarityHitMask(similarities, want, taus[j]);
+      const auto batch_hits =
+          static_cast<uint64_t>(__builtin_popcountll(mask));
+      if (hits[j] + batch_hits >= delta) {
+        // δ reached inside the batch: the draw the unbatched loop would
+        // have stopped on is this τ's (δ − hits)-th hit of the batch.
+        const uint64_t stop = NthSetBit(mask, delta - hits[j]);
+        hits[j] = delta;
+        samples[j] = drawn + stop + 1;
+        used = std::max(used, stop + 1);
+      } else {
+        hits[j] += batch_hits;
+        used = want;
+        active[still_active++] = j;
       }
-      hits = delta;
-      samples += stop + 1;
-      discarded += want - (stop + 1);
-      if (stop + 1 < want) rng = checkpoints[stop + 1];
-      break;
     }
-    hits += batch_hits;
-    samples += want;
+    active.resize(still_active);
+    if (used < want) {
+      // Every τ stopped inside this batch: rewind to just after the last
+      // stopping draw.
+      rng = checkpoints[used];
+      discarded += want - used;
+    }
+    drawn += used;
   }
-  *evaluated += samples;
-  VSJ_COUNTER_ADD("estimate.pairs_l", samples);
-  if (discarded > 0) VSJ_COUNTER_ADD("estimate.pairs_l_discarded", discarded);
-  if (hits >= delta) VSJ_COUNTER_ADD("estimate.sample_l_early_exit", 1);
+  for (const size_t j : active) samples[j] = drawn;  // m_l spent
 
-  if (samples >= m_l && hits < delta) {
-    VSJ_COUNTER_ADD("estimate.sample_l_dampened", 1);
+  // The counters are physical work — one shared draw serves every τ.
+  VSJ_COUNTER_ADD("estimate.pairs_l", drawn);
+  if (discarded > 0) VSJ_COUNTER_ADD("estimate.pairs_l_discarded", discarded);
+  const uint64_t num_dampened = active.size();
+  if (taus.size() > num_dampened) {
+    VSJ_COUNTER_ADD("estimate.sample_l_early_exit",
+                    taus.size() - num_dampened);
+  }
+  if (num_dampened > 0) {
+    VSJ_COUNTER_ADD("estimate.sample_l_dampened", num_dampened);
+  }
+
+  for (size_t j = 0; j < taus.size(); ++j) {
+    EstimationResult& result = results[j];
+    result.pairs_evaluated += samples[j];
+    const auto n_l = static_cast<double>(hits[j]);
+    if (hits[j] >= delta) {
+      // Reliable path: the adaptive bound of Lipton et al. applies.
+      result.stratum_l_estimate = n_l * static_cast<double>(num_pairs_l) /
+                                  static_cast<double>(samples[j]);
+      continue;
+    }
     // The answer-size threshold was not met: scaling up by N_L/i carries no
     // guarantee (Example 1 of the paper). Return the safe lower bound n_L,
     // or the dampened scale-up of Theorem 2.
-    *reliable = false;
+    result.guaranteed = false;
     switch (dampening) {
       case DampeningMode::kSafeLowerBound:
-        return static_cast<double>(hits);
+        result.stratum_l_estimate = n_l;
+        break;
       case DampeningMode::kFixedFactor:
-        return static_cast<double>(hits) * dampening_factor *
-               static_cast<double>(num_pairs_l) / static_cast<double>(m_l);
+        result.stratum_l_estimate = n_l * dampening_factor *
+                                    static_cast<double>(num_pairs_l) /
+                                    static_cast<double>(m_l);
+        break;
       case DampeningMode::kAdaptiveNlOverDelta: {
-        const double cs =
-            static_cast<double>(hits) / static_cast<double>(delta);
-        return static_cast<double>(hits) * cs *
-               static_cast<double>(num_pairs_l) / static_cast<double>(m_l);
+        const double cs = n_l / static_cast<double>(delta);
+        result.stratum_l_estimate = n_l * cs *
+                                    static_cast<double>(num_pairs_l) /
+                                    static_cast<double>(m_l);
+        break;
       }
     }
-    VSJ_CHECK(false);
   }
-  // Reliable path: the adaptive bound of Lipton et al. applies.
-  return static_cast<double>(hits) * static_cast<double>(num_pairs_l) /
-         static_cast<double>(samples);
+}
+
+/// The stratification and budgets of one Algorithm 1 call.
+struct StratifiedPlan {
+  uint64_t total_pairs = 0;  ///< M: every estimate is clamped to [0, M]
+  uint64_t num_pairs_h = 0;  ///< N_H
+  uint64_t num_pairs_l = 0;  ///< N_L
+  uint64_t m_h = 0;
+  uint64_t m_l = 0;
+  uint64_t delta = 0;
+  DampeningMode dampening = DampeningMode::kSafeLowerBound;
+  double dampening_factor = 1.0;
+};
+
+/// Algorithm 1 for every τ of `taus` from one pass: SampleH then SampleL
+/// on `rng`, Ĵ = Ĵ_H + Ĵ_L clamped to [0, M] (Eq. 7). Result j is
+/// bit-identical to a sweep of taus[j] alone on the same `rng` state. A
+/// τ <= 0 admits every pair: it is answered M without sampling and stays
+/// out of the shared pass, so it never changes what the other τ draw.
+template <typename SampleHFn, typename SampleLFn>
+std::vector<EstimationResult> EstimateStratified(
+    DatasetView dataset, SimilarityMeasure measure,
+    const StratifiedPlan& plan, std::span<const double> taus,
+    SampleHFn&& sample_h, SampleLFn&& sample_l, Rng& rng) {
+  std::vector<EstimationResult> results(taus.size());
+  std::vector<double> sampled_taus;
+  std::vector<size_t> slot_of;  // sampled index -> results index
+  for (size_t j = 0; j < taus.size(); ++j) {
+    if (taus[j] <= 0.0) {
+      results[j].estimate = static_cast<double>(plan.total_pairs);
+    } else {
+      sampled_taus.push_back(taus[j]);
+      slot_of.push_back(j);
+    }
+  }
+  if (sampled_taus.empty()) return results;
+
+  std::vector<EstimationResult> sampled(sampled_taus.size());
+  SampleStratumH(dataset, measure, sampled_taus, plan.num_pairs_h, plan.m_h,
+                 sample_h, rng, sampled);
+  SampleStratumL(dataset, measure, sampled_taus, plan.num_pairs_l, plan.m_l,
+                 plan.delta, plan.dampening, plan.dampening_factor, sample_l,
+                 rng, sampled);
+  for (size_t k = 0; k < sampled.size(); ++k) {
+    sampled[k].estimate =
+        ClampEstimate(sampled[k].stratum_h_estimate +
+                          sampled[k].stratum_l_estimate,
+                      plan.total_pairs);
+    results[slot_of[k]] = sampled[k];
+  }
+  return results;
 }
 
 }  // namespace vsj

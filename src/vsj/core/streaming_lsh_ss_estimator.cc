@@ -28,43 +28,52 @@ void StreamingSampleContext::Build(const DynamicLshIndex& index,
 EstimationResult StreamingLshSsEstimator::EstimateWithTable(
     double tau, uint32_t t, Rng& rng, const StreamingSampleContext* context,
     const StreamingLshSsOptions* override_options) const {
+  return Sweep({&tau, 1}, t, rng, context, override_options).front();
+}
+
+std::vector<EstimationResult> StreamingLshSsEstimator::EstimateSweepWithTable(
+    std::span<const double> taus, uint32_t t, const Rng& rng,
+    const StreamingSampleContext* context,
+    const StreamingLshSsOptions* override_options) const {
+  Rng copy = rng;
+  return Sweep(taus, t, copy, context, override_options);
+}
+
+std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
+    std::span<const double> taus, uint32_t t, Rng& rng,
+    const StreamingSampleContext* context,
+    const StreamingLshSsOptions* override_options) const {
   VSJ_CHECK(t < index_->num_tables());
   const StreamingLshSsOptions& opts =
       override_options != nullptr ? *override_options : options_;
-  EstimationResult result;
   const uint64_t n = index_->num_vectors();
-  if (n < 2) return result;
-  const uint64_t total_pairs = n * (n - 1) / 2;
-  if (tau <= 0.0) {
-    result.estimate = static_cast<double>(total_pairs);
-    return result;
-  }
-
-  const uint64_t m_h = opts.sample_size_h != 0 ? opts.sample_size_h : n;
-  const uint64_t m_l = opts.sample_size_l != 0 ? opts.sample_size_l : n;
-  const uint64_t delta =
-      opts.delta != 0
-          ? opts.delta
-          : static_cast<uint64_t>(
-                std::max(1.0, std::log2(static_cast<double>(n))));
+  if (n < 2) return std::vector<EstimationResult>(taus.size());
 
   const DynamicLshTable& table = index_->table(t);
+  StratifiedPlan plan;
+  plan.total_pairs = n * (n - 1) / 2;
+  plan.num_pairs_h = table.NumSameBucketPairs();
+  plan.num_pairs_l = table.NumCrossBucketPairs();
+  plan.m_h = opts.sample_size_h != 0 ? opts.sample_size_h : n;
+  plan.m_l = opts.sample_size_l != 0 ? opts.sample_size_l : n;
+  plan.delta = opts.delta != 0
+                   ? opts.delta
+                   : static_cast<uint64_t>(
+                         std::max(1.0, std::log2(static_cast<double>(n))));
+  // The streaming engine always uses the safe lower bound (Theorem 1) when
+  // the answer-size threshold is missed.
+  plan.dampening = DampeningMode::kSafeLowerBound;
+
   const uint32_t* bucket_of = context != nullptr && !context->empty()
                                   ? context->bucket_of[t].data()
                                   : nullptr;
-  bool reliable = true;
-  result.stratum_h_estimate = SampleStratumH(
-      dataset_, measure_, tau, table.NumSameBucketPairs(), m_h,
-      [&](Rng& r) { return table.SampleSameBucketPair(r); }, rng,
-      &result.pairs_evaluated);
   // SampleL draws uniform live pairs through the index's live-id list,
   // rejecting same-bucket pairs of the chosen table. Termination: N_L > 0
   // guarantees an accepting pair exists; the expected number of rejections
-  // per draw is N_H / N_L. The streaming engine always uses the safe lower
-  // bound (Theorem 1) when the answer-size threshold is missed.
-  result.stratum_l_estimate = SampleStratumL(
-      dataset_, measure_, tau, table.NumCrossBucketPairs(), m_l, delta,
-      DampeningMode::kSafeLowerBound, 1.0,
+  // per draw is N_H / N_L.
+  return EstimateStratified(
+      dataset_, measure_, plan, taus,
+      [&](Rng& r) { return table.SampleSameBucketPair(r); },
       [&](Rng& r) {
         VectorId u, v;
         do {
@@ -75,16 +84,17 @@ EstimationResult StreamingLshSsEstimator::EstimateWithTable(
                                 : table.SameBucket(u, v)));
         return VectorPair{u, v};
       },
-      rng, &result.pairs_evaluated, &reliable);
-  result.guaranteed = reliable;
-  result.estimate = ClampEstimate(
-      result.stratum_h_estimate + result.stratum_l_estimate, total_pairs);
-  return result;
+      rng);
 }
 
 EstimationResult StreamingLshSsEstimator::Estimate(double tau,
                                                    Rng& rng) const {
   return EstimateWithTable(tau, 0, rng);
+}
+
+std::vector<EstimationResult> StreamingLshSsEstimator::EstimateSweep(
+    std::span<const double> taus, const Rng& rng) const {
+  return EstimateSweepWithTable(taus, 0, rng);
 }
 
 }  // namespace vsj

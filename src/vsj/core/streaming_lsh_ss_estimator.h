@@ -21,6 +21,7 @@
 #define VSJ_CORE_STREAMING_LSH_SS_ESTIMATOR_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vsj/core/estimator.h"
@@ -94,9 +95,29 @@ class StreamingLshSsEstimator final : public JoinSizeEstimator {
       const StreamingSampleContext* context = nullptr,
       const StreamingLshSsOptions* override_options = nullptr) const;
 
+  /// EstimateSweep over table 0.
+  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
+                                              const Rng& rng) const override;
+  bool SharesSweeps() const override { return true; }
+
+  /// The sweep form of EstimateWithTable: one shared SampleH/SampleL pass
+  /// answers every τ; result j is bit-identical to
+  /// EstimateWithTable(taus[j], t, copy of rng, context, override_options).
+  std::vector<EstimationResult> EstimateSweepWithTable(
+      std::span<const double> taus, uint32_t t, const Rng& rng,
+      const StreamingSampleContext* context = nullptr,
+      const StreamingLshSsOptions* override_options = nullptr) const;
+
   std::string name() const override;
 
  private:
+  /// Algorithm 1 over `taus` on table `t`, advancing `rng` past the shared
+  /// pass.
+  std::vector<EstimationResult> Sweep(
+      std::span<const double> taus, uint32_t t, Rng& rng,
+      const StreamingSampleContext* context,
+      const StreamingLshSsOptions* override_options) const;
+
   DatasetView dataset_;
   const DynamicLshIndex* index_;
   SimilarityMeasure measure_;

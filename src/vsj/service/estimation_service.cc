@@ -1,5 +1,6 @@
 #include "vsj/service/estimation_service.h"
 
+#include <span>
 #include <utility>
 
 #include "vsj/obs/obs.h"
@@ -73,14 +74,19 @@ std::vector<EstimateResponse> EstimationService::EstimateBatchImpl(
     VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest: %s", error);
   }
   // The miss pre-pass makes sure every requested estimator instance exists
-  // before workers start, so they only ever read.
+  // before workers start, so they only ever read. Members of a sweep group
+  // share the leader's estimator (same name, same overrides).
   std::vector<const JoinSizeEstimator*> estimators(requests.size(), nullptr);
   return RunCachedBatch(
       requests, options_.enable_cache ? &cache_ : nullptr, fingerprint_,
-      pool_,
-      [&](size_t i) { estimators[i] = &EstimatorFor(requests[i]); },
+      pool_, shared_stream,
       [&](size_t i) {
-        return Compute(requests[i], shared_stream ? 0 : i, *estimators[i]);
+        estimators[i] = &EstimatorFor(requests[i]);
+        return estimators[i]->SharesSweeps();
+      },
+      [&](size_t leader, size_t, std::span<const double> taus,
+          const Rng& rng) {
+        return estimators[leader]->EstimateSweep(taus, rng);
       });
 }
 
@@ -117,15 +123,6 @@ const JoinSizeEstimator& EstimationService::EstimatorFor(
              .first;
   }
   return *it->second;
-}
-
-EstimateResponse EstimationService::Compute(
-    const EstimateRequest& request, size_t request_index,
-    const JoinSizeEstimator& estimator) const {
-  return RunDeterministicTrials(
-      request, request_index, [&](size_t, Rng& rng) {
-        return estimator.Estimate(request.tau, rng);
-      });
 }
 
 }  // namespace vsj

@@ -7,10 +7,15 @@
 // EstimateCache for optimizer-style repeated probing.
 //
 // Determinism: batch results are a pure function of the request list — not
-// of the thread count or the scheduling order. Request i of a batch draws
-// every trial t from the stream Rng(request.seed).Fork(i).Fork(t), which is
+// of the thread count or the scheduling order. Request i of an EstimateBatch
+// draws every trial t from the stream Rng(request.seed).Fork(i).Fork(t); in
+// EstimateBatchShared every request draws from Fork(0).Fork(t). Both are
 // computed from values only, so running the same batch at 1 or 8 threads is
 // bit-identical (tests/service/estimation_service_test.cc pins this down).
+// Requests that share a stream and differ only in τ form a sweep group that
+// evaluates each drawn pair once for all its τ (trial_runner.h); each
+// response stays bit-identical to computing that τ alone
+// (tests/service/sweep_sharing_test.cc).
 
 #ifndef VSJ_SERVICE_ESTIMATION_SERVICE_H_
 #define VSJ_SERVICE_ESTIMATION_SERVICE_H_
@@ -108,7 +113,8 @@ class EstimationService {
   /// the contract the network server needs: a request batched with 63
   /// strangers answers bit-identically to the same request served alone.
   /// Duplicate requests still compute once (miss grouping dedups them
-  /// before any stream index is assigned).
+  /// before any stream index is assigned), and LSH-SS requests that differ
+  /// only in τ share one sampling pass per trial (τ-sweep sharing).
   std::vector<EstimateResponse> EstimateBatchShared(
       const std::vector<EstimateRequest>& requests);
 
@@ -127,12 +133,6 @@ class EstimationService {
   /// Estimate() is const on estimators, so one instance serves all
   /// threads.
   const JoinSizeEstimator& EstimatorFor(const EstimateRequest& request);
-
-  /// Runs the trials of `request` with the deterministic stream of batch
-  /// position `request_index`.
-  EstimateResponse Compute(const EstimateRequest& request,
-                           size_t request_index,
-                           const JoinSizeEstimator& estimator) const;
 
   EstimationServiceOptions options_;
   VectorDataset dataset_;  // empty in the non-owning flavor

@@ -1,5 +1,7 @@
 #include "vsj/service/streaming_estimation_service.h"
 
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "vsj/lsh/gaussian_projection_cache.h"
@@ -112,46 +114,40 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatchImpl(
   // read. Mutations are externally synchronized against EstimateBatch, so
   // the arrays stay valid for the whole batch.
   StreamingSampleContext context;
+  // Per-leader sampling overrides, folded over the engine's options in the
+  // pre-pass (nullopt: none engaged). Sweep-group members share them.
+  std::vector<std::optional<StreamingLshSsOptions>> overrides(
+      requests.size());
+  const uint32_t num_tables = index_.num_tables();
   return RunCachedBatch(
       requests, options_.enable_cache ? &cache_ : nullptr,
-      effective_fingerprint(), pool_,
+      effective_fingerprint(), pool_, shared_stream,
       [&](size_t i) {
-        VSJ_CHECK_MSG(requests[i].estimator_name == "LSH-SS",
+        const EstimateRequest& request = requests[i];
+        VSJ_CHECK_MSG(request.estimator_name == "LSH-SS",
                       "streaming engine only serves LSH-SS");
         if (context.empty()) context.Build(index_, dataset().size());
+        if (request.HasSamplingOverrides()) {
+          StreamingLshSsOptions folded = options_.lsh_ss;
+          if (request.sample_size_h.has_value()) {
+            folded.sample_size_h = *request.sample_size_h;
+          }
+          if (request.sample_size_l.has_value()) {
+            folded.sample_size_l = *request.sample_size_l;
+          }
+          if (request.delta.has_value()) folded.delta = *request.delta;
+          overrides[i] = folded;
+        }
+        return estimator_.SharesSweeps();
       },
-      [&](size_t i) {
-        return Compute(requests[i], shared_stream ? 0 : i, context);
-      });
-}
-
-EstimateResponse StreamingEstimationService::Compute(
-    const EstimateRequest& request, size_t request_index,
-    const StreamingSampleContext& context) const {
-  const uint32_t num_tables = index_.num_tables();
-  StreamingLshSsOptions override_storage;
-  const StreamingLshSsOptions* overrides = nullptr;
-  if (request.HasSamplingOverrides()) {
-    override_storage = options_.lsh_ss;
-    if (request.sample_size_h.has_value()) {
-      override_storage.sample_size_h = *request.sample_size_h;
-    }
-    if (request.sample_size_l.has_value()) {
-      override_storage.sample_size_l = *request.sample_size_l;
-    }
-    if (request.delta.has_value()) {
-      override_storage.delta = *request.delta;
-    }
-    overrides = &override_storage;
-  }
-  // Spread trials round-robin across the ℓ tables: each table is an
-  // independent stratification of the same pair set, so averaging across
-  // them decorrelates the estimate at no extra cost.
-  return RunDeterministicTrials(
-      request, request_index, [&](size_t t, Rng& rng) {
-        return estimator_.EstimateWithTable(
-            request.tau, static_cast<uint32_t>(t % num_tables), rng,
-            &context, overrides);
+      // Spread trials round-robin across the ℓ tables: each table is an
+      // independent stratification of the same pair set, so averaging
+      // across them decorrelates the estimate at no extra cost.
+      [&](size_t leader, size_t t, std::span<const double> taus,
+          const Rng& rng) {
+        return estimator_.EstimateSweepWithTable(
+            taus, static_cast<uint32_t>(t % num_tables), rng, &context,
+            overrides[leader] ? &*overrides[leader] : nullptr);
       });
 }
 

@@ -18,8 +18,11 @@
 //
 // Determinism: for batches executed between mutations the contract of
 // EstimationService carries over — request i draws trial t from the
-// value-derived stream Rng(seed).Fork(i).Fork(t), and trial t runs against
-// table (t mod ℓ), so batch results are bit-identical at any thread count.
+// value-derived stream Rng(seed).Fork(s).Fork(t) (s = i for EstimateBatch,
+// 0 for EstimateBatchShared), and trial t runs against table (t mod ℓ), so
+// batch results are bit-identical at any thread count. Requests sharing a
+// stream and differing only in τ run as one sweep group (trial_runner.h),
+// each response bit-identical to computing that τ alone.
 
 #ifndef VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
 #define VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
@@ -180,12 +183,6 @@ class StreamingEstimationService {
   /// the batch position for group leaders.
   std::vector<EstimateResponse> EstimateBatchImpl(
       const std::vector<EstimateRequest>& requests, bool shared_stream);
-
-  /// `context` holds the batch's flat bucket-of arrays (built once in the
-  /// sequential pre-pass of EstimateBatch; workers only read it).
-  EstimateResponse Compute(const EstimateRequest& request,
-                           size_t request_index,
-                           const StreamingSampleContext& context) const;
 
   /// Builds and attaches the sealed Gaussian projection cache over the
   /// current backing store (ℓ·k functions), so every index mutation hashes

@@ -10,9 +10,10 @@
 //    `sum += wa * wb` can never contract into an FMA on targets that have
 //    one — the scalar and SIMD paths must round identically everywhere,
 //    including -march=native builds.
-//  * The cosine threshold test reproduces CosineSimilarity() term for term
-//    (same denominator order, same clamp, same unit snap): the batch path
-//    must count exactly what the unbatched Similarity loop counts.
+//  * The batch cosine reproduces CosineSimilarity() term for term (same
+//    denominator order, same clamp, same unit snap): the batch path must
+//    return exactly what the unbatched Similarity loop returns, so every
+//    threshold test on it counts the same hits.
 
 #include "vsj/vector/pair_eval.h"
 
@@ -358,13 +359,12 @@ struct BatchStats {
 };
 
 // The cosine batch loop, templated on the kernel: dispatch resolved by the
-// caller, per-pair work is just prefetch + traversal + threshold test.
+// caller, per-pair work is just prefetch + traversal + CosineFromDot.
 template <typename KernelFn>
-inline uint64_t RunCosineBatch(const VectorRef* u, const VectorRef* v,
-                               const uint8_t* order, size_t count, double tau,
-                               size_t prefetch_distance, KernelFn kernel,
-                               BatchStats* stats) {
-  uint64_t mask = 0;
+inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
+                           const uint8_t* order, size_t count,
+                           size_t prefetch_distance, KernelFn kernel,
+                           double* similarities, BatchStats* stats) {
   for (size_t k = 0; k < count; ++k) {
     if (k + prefetch_distance < count) {
       PrefetchFeatures(u[order[k + prefetch_distance]]);
@@ -374,9 +374,8 @@ inline uint64_t RunCosineBatch(const VectorRef* u, const VectorRef* v,
     const PairDotResult r = PairDotCountWith(u[i], v[i], kernel);
     stats->matches += r.matches;
     stats->min_len += std::min(u[i].size(), v[i].size());
-    if (CosineFromDot(r.dot, u[i], v[i]) >= tau) mask |= uint64_t{1} << i;
+    similarities[i] = CosineFromDot(r.dot, u[i], v[i]);
   }
-  return mask;
 }
 
 }  // namespace
@@ -399,15 +398,12 @@ PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   }
 }
 
-uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
-                           const VectorId* firsts, const VectorId* seconds,
-                           size_t count, double tau, size_t prefetch_distance,
-                           uint64_t* hit_mask) {
+void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
+                              const VectorId* firsts, const VectorId* seconds,
+                              size_t count, size_t prefetch_distance,
+                              double* similarities) {
   VSJ_CHECK(count <= kPairEvalBatch);
-  if (count == 0) {
-    if (hit_mask != nullptr) *hit_mask = 0;
-    return 0;
-  }
+  if (count == 0) return;
 
   // Materialize every VectorRef once. The storage indirection (DatasetView's
   // ref_fn_) used to run three times per side per pair — prefetch lead,
@@ -466,26 +462,28 @@ uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
   // order-sensitive FP accumulation that the dot traversal cannot reproduce,
   // so that measure keeps the scalar Similarity routine per pair.
   const SimdLevel level = ActiveSimdLevel();
-  uint64_t mask = 0;
   BatchStats stats;
   if (measure == SimilarityMeasure::kCosine) {
     switch (level) {
 #if VSJ_PAIR_EVAL_X86
       case SimdLevel::kAvx2:
-        mask = RunCosineBatch(
-            u, v, order, count, tau, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotAvx2(s, l); }, &stats);
+        RunCosineBatch(
+            u, v, order, count, prefetch_distance,
+            [](VectorRef s, VectorRef l) { return DotAvx2(s, l); },
+            similarities, &stats);
         break;
       case SimdLevel::kSse2:
-        mask = RunCosineBatch(
-            u, v, order, count, tau, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotSse2(s, l); }, &stats);
+        RunCosineBatch(
+            u, v, order, count, prefetch_distance,
+            [](VectorRef s, VectorRef l) { return DotSse2(s, l); },
+            similarities, &stats);
         break;
 #endif
       default:
-        mask = RunCosineBatch(
-            u, v, order, count, tau, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotScalar(s, l); }, &stats);
+        RunCosineBatch(
+            u, v, order, count, prefetch_distance,
+            [](VectorRef s, VectorRef l) { return DotScalar(s, l); },
+            similarities, &stats);
         break;
     }
   } else {
@@ -495,7 +493,7 @@ uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
         PrefetchFeatures(v[order[k + prefetch_distance]]);
       }
       const size_t i = order[k];
-      if (JaccardSimilarity(u[i], v[i]) >= tau) mask |= uint64_t{1} << i;
+      similarities[i] = JaccardSimilarity(u[i], v[i]);
     }
   }
 
@@ -521,7 +519,25 @@ uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
     VSJ_HIST_RECORD("pair_eval.intersection_density_pct",
                     stats.matches * 100 / stats.min_len);
   }
+}
 
+uint64_t SimilarityHitMask(const double* similarities, size_t count,
+                           double tau) {
+  uint64_t mask = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (similarities[i] >= tau) mask |= uint64_t{1} << i;
+  }
+  return mask;
+}
+
+uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
+                           const VectorId* firsts, const VectorId* seconds,
+                           size_t count, double tau, size_t prefetch_distance,
+                           uint64_t* hit_mask) {
+  double similarities[kPairEvalBatch];
+  EvaluatePairSimilarities(measure, dataset, firsts, seconds, count,
+                           prefetch_distance, similarities);
+  const uint64_t mask = SimilarityHitMask(similarities, count, tau);
   if (hit_mask != nullptr) *hit_mask = mask;
   return static_cast<uint64_t>(__builtin_popcountll(mask));
 }

@@ -14,15 +14,16 @@
 //    increasing-dimension order, so every width returns bit-identical
 //    doubles (DESIGN.md "Batch pair evaluation").
 //
-//  * EvaluatePairBatch / CountPairsAtOrAbove: up to kPairEvalBatch pairs at
-//    once. The batch form materializes every VectorRef once (instead of
-//    re-deriving it per prefetch and per evaluation), then evaluates in
-//    *locality order* — sorted by the arena offset of the pair's feature
-//    columns, NeedleTail-style — with the feature columns of the pair
-//    kPairPrefetchDistance ahead prefetched. Reordering is legal because a
-//    hit count is an order-insensitive sum and each pair's hit bit is keyed
-//    by its original batch index; draws are never reordered, so the sample
-//    set is bit-identical to the unbatched loop.
+//  * EvaluatePairSimilarities, with EvaluatePairBatch / CountPairsAtOrAbove
+//    as its thresholded forms: up to kPairEvalBatch pairs at once. The
+//    batch form materializes every VectorRef once (instead of re-deriving
+//    it per prefetch and per evaluation), then evaluates in *locality
+//    order* — sorted by the arena offset of the pair's feature columns,
+//    NeedleTail-style — with the feature columns of the pair
+//    kPairPrefetchDistance ahead prefetched. Reordering is legal because
+//    each pair's similarity (and hit bit) is keyed by its original batch
+//    index and a hit count is an order-insensitive sum; draws are never
+//    reordered, so the sample set is bit-identical to the unbatched loop.
 
 #ifndef VSJ_VECTOR_PAIR_EVAL_H_
 #define VSJ_VECTOR_PAIR_EVAL_H_
@@ -75,14 +76,28 @@ inline size_t PairOverlap(VectorRef a, VectorRef b) {
   return PairDotCount(a, b).matches;
 }
 
-/// Evaluates up to kPairEvalBatch pairs (firsts[i], seconds[i]) against
-/// `tau` under `measure` and returns the hit count. The per-pair arithmetic
-/// is exactly Similarity() — same kernel, same unit snap — so a hit here is
-/// a hit in the unbatched loop and vice versa. Evaluation runs in locality
-/// order (see file comment) with prefetching; when `hit_mask` is non-null,
-/// bit i of *hit_mask reports pair i's result in the *original* order, which
-/// is what lets SampleL reconstruct the exact draw its unbatched loop would
-/// have stopped on. Requires count <= kPairEvalBatch.
+/// Evaluates up to kPairEvalBatch pairs (firsts[i], seconds[i]) under
+/// `measure` and writes pair i's similarity to similarities[i], in the
+/// *original* order. The per-pair arithmetic is exactly Similarity() — same
+/// kernel, same unit snap — so a threshold test on these values decides
+/// every τ exactly as the unbatched loop would. Evaluation runs in locality
+/// order (see file comment) with prefetching. A similarity does not depend
+/// on τ, which is what lets one evaluation answer a whole τ-sweep.
+/// Requires count <= kPairEvalBatch.
+void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
+                              const VectorId* firsts, const VectorId* seconds,
+                              size_t count, size_t prefetch_distance,
+                              double* similarities);
+
+/// Bit i set iff similarities[i] >= tau: one τ's hits over a batch of
+/// EvaluatePairSimilarities output. Requires count <= kPairEvalBatch.
+uint64_t SimilarityHitMask(const double* similarities, size_t count,
+                           double tau);
+
+/// EvaluatePairSimilarities thresholded at `tau`: returns the hit count and,
+/// when `hit_mask` is non-null, stores SimilarityHitMask in *hit_mask — bit
+/// i is pair i in the *original* order, which is what lets SampleL
+/// reconstruct the exact draw its unbatched loop would have stopped on.
 uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
                            const VectorId* firsts, const VectorId* seconds,
                            size_t count, double tau, size_t prefetch_distance,

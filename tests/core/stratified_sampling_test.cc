@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,9 @@ VectorDataset ScriptedCorpus() {
   return dataset;
 }
 
+/// A sweep of one τ (the templates take a span of thresholds).
+std::span<const double> OneTau(const double& tau) { return {&tau, 1}; }
+
 /// A pair source replaying a fixed script; ignores the RNG (legal for a
 /// direct template caller — the RNG contract is the engines' concern).
 struct ScriptedPairs {
@@ -44,47 +48,44 @@ TEST(StratifiedSamplingTest, SampleLZeroDeltaIsGuardedNotNaN) {
   // "reliable" scale-up used to compute 0 · N_L / 0 = NaN.
   const VectorDataset dataset = ScriptedCorpus();
   Rng rng(1);
-  uint64_t evaluated = 0;
-  bool reliable = true;
+  EstimationResult result;
   ScriptedPairs pairs;  // never consulted
-  const double estimate = SampleStratumL(
-      DatasetView(dataset), SimilarityMeasure::kCosine, 0.5,
-      /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/0,
-      DampeningMode::kSafeLowerBound, 1.0, pairs, rng, &evaluated, &reliable);
-  EXPECT_FALSE(std::isnan(estimate));
-  EXPECT_EQ(estimate, 0.0);
-  EXPECT_FALSE(reliable);
-  EXPECT_EQ(evaluated, 0u);
+  SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
+                 OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/0,
+                 DampeningMode::kSafeLowerBound, 1.0, pairs, rng,
+                 {&result, 1});
+  EXPECT_FALSE(std::isnan(result.stratum_l_estimate));
+  EXPECT_EQ(result.stratum_l_estimate, 0.0);
+  EXPECT_FALSE(result.guaranteed);
+  EXPECT_EQ(result.pairs_evaluated, 0u);
 }
 
 TEST(StratifiedSamplingTest, SampleLZeroBudgetIsGuardedNotNaN) {
   const VectorDataset dataset = ScriptedCorpus();
   Rng rng(1);
-  uint64_t evaluated = 0;
-  bool reliable = true;
+  EstimationResult result;
   ScriptedPairs pairs;
-  const double estimate = SampleStratumL(
-      DatasetView(dataset), SimilarityMeasure::kCosine, 0.5,
-      /*num_pairs_l=*/6, /*m_l=*/0, /*delta=*/2,
-      DampeningMode::kAdaptiveNlOverDelta, 1.0, pairs, rng, &evaluated,
-      &reliable);
-  EXPECT_FALSE(std::isnan(estimate));
-  EXPECT_EQ(estimate, 0.0);
-  EXPECT_FALSE(reliable);
+  SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
+                 OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/0, /*delta=*/2,
+                 DampeningMode::kAdaptiveNlOverDelta, 1.0, pairs, rng,
+                 {&result, 1});
+  EXPECT_FALSE(std::isnan(result.stratum_l_estimate));
+  EXPECT_EQ(result.stratum_l_estimate, 0.0);
+  EXPECT_FALSE(result.guaranteed);
 }
 
 TEST(StratifiedSamplingTest, SampleHZeroBudgetIsGuardedNotNaN) {
   // Regression: m_h == 0 used to scale 0 hits by N_H / 0 = NaN.
   const VectorDataset dataset = ScriptedCorpus();
   Rng rng(1);
-  uint64_t evaluated = 0;
+  EstimationResult result;
   ScriptedPairs pairs;
-  const double estimate = SampleStratumH(
-      DatasetView(dataset), SimilarityMeasure::kCosine, 0.5,
-      /*num_pairs_h=*/3, /*m_h=*/0, pairs, rng, &evaluated);
-  EXPECT_FALSE(std::isnan(estimate));
-  EXPECT_EQ(estimate, 0.0);
-  EXPECT_EQ(evaluated, 0u);
+  SampleStratumH(DatasetView(dataset), SimilarityMeasure::kCosine,
+                 OneTau(0.5), /*num_pairs_h=*/3, /*m_h=*/0, pairs, rng,
+                 {&result, 1});
+  EXPECT_FALSE(std::isnan(result.stratum_h_estimate));
+  EXPECT_EQ(result.stratum_h_estimate, 0.0);
+  EXPECT_EQ(result.pairs_evaluated, 0u);
 }
 
 TEST(StratifiedSamplingTest, DeltaReachedOnFinalDrawStaysReliable) {
@@ -97,17 +98,16 @@ TEST(StratifiedSamplingTest, DeltaReachedOnFinalDrawStaysReliable) {
        {DampeningMode::kSafeLowerBound, DampeningMode::kFixedFactor,
         DampeningMode::kAdaptiveNlOverDelta}) {
     Rng rng(1);
-    uint64_t evaluated = 0;
-    bool reliable = true;  // callers initialize true; SampleL only clears
+    EstimationResult result;  // guaranteed starts true; SampleL only clears
     // miss, miss, hit, hit: the 2nd hit (δ = 2) arrives on draw 4 (= m_l).
     ScriptedPairs pairs{{{2, 3}, {2, 3}, {0, 1}, {0, 1}}};
-    const double estimate = SampleStratumL(
-        DatasetView(dataset), SimilarityMeasure::kCosine, 0.5,
-        /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2, mode,
-        /*dampening_factor=*/0.5, pairs, rng, &evaluated, &reliable);
-    EXPECT_DOUBLE_EQ(estimate, 2.0 * 6.0 / 4.0) << static_cast<int>(mode);
-    EXPECT_TRUE(reliable) << static_cast<int>(mode);
-    EXPECT_EQ(evaluated, 4u) << static_cast<int>(mode);
+    SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
+                   OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2,
+                   mode, /*dampening_factor=*/0.5, pairs, rng, {&result, 1});
+    EXPECT_DOUBLE_EQ(result.stratum_l_estimate, 2.0 * 6.0 / 4.0)
+        << static_cast<int>(mode);
+    EXPECT_TRUE(result.guaranteed) << static_cast<int>(mode);
+    EXPECT_EQ(result.pairs_evaluated, 4u) << static_cast<int>(mode);
   }
 }
 
@@ -131,15 +131,15 @@ TEST(StratifiedSamplingTest, DeltaMissedAtBudgetAppliesEachDampening) {
   };
   for (const Case& c : cases) {
     Rng rng(1);
-    uint64_t evaluated = 0;
-    bool reliable = true;
+    EstimationResult result;
     ScriptedPairs pairs{script};
-    const double estimate = SampleStratumL(
-        DatasetView(dataset), SimilarityMeasure::kCosine, 0.5,
-        /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2, c.mode,
-        /*dampening_factor=*/0.5, pairs, rng, &evaluated, &reliable);
-    EXPECT_DOUBLE_EQ(estimate, c.expected) << static_cast<int>(c.mode);
-    EXPECT_FALSE(reliable) << static_cast<int>(c.mode);
+    SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
+                   OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2,
+                   c.mode, /*dampening_factor=*/0.5, pairs, rng,
+                   {&result, 1});
+    EXPECT_DOUBLE_EQ(result.stratum_l_estimate, c.expected)
+        << static_cast<int>(c.mode);
+    EXPECT_FALSE(result.guaranteed) << static_cast<int>(c.mode);
   }
 }
 

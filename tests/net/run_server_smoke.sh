@@ -66,10 +66,11 @@ EOF
   fail "building churn.vsjs failed"
 
 # ---- 2. In-process goldens --------------------------------------------
-# One CLI run per tau: a --batch-taus batch shares its trial draws across
-# the taus, while the server answers every request with single-Estimate
-# semantics (the shared-stream leader contract), so only per-tau runs are
-# the right golden.
+# One CLI run per tau: a --batch-taus batch draws positional streams
+# (request i uses Fork(i)), while the server answers every request on
+# stream 0 (the shared-stream leader contract) — its pipelined taus share
+# one sweep group, each tau answering exactly as if asked alone — so only
+# per-tau runs are the right golden.
 : > "$work/golden_wiki.jsonl"
 for tau in 0.6 0.8; do
   "$estimate" --dataset "$root/wiki.vsjb" --mmap --k 8 --tables 1 --seed 7 \

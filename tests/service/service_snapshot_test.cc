@@ -172,6 +172,23 @@ TEST_F(ServiceSnapshotTest, RuntimeOptionsComeFromCallerFormatFromFile) {
   std::remove(path.c_str());
 }
 
+TEST_F(ServiceSnapshotTest, RestoreHonorsCacheShardCount) {
+  // Regression: the restore constructor built its cache without
+  // cache_num_shards, so every restored engine ran the default shard count.
+  const std::string path = SnapshotPath("vsj_snapshot_shards.vsjs");
+  const auto original = MakeChurned(EngineOptions());
+  ASSERT_TRUE(original->Checkpoint(path).ok());
+
+  StreamingEstimationServiceOptions runtime = EngineOptions();
+  runtime.cache_num_shards = EstimateCache::kDefaultNumShards + 5;
+  std::unique_ptr<StreamingEstimationService> restored;
+  ASSERT_TRUE(
+      StreamingEstimationService::Restore(path, &restored, runtime).ok());
+  EXPECT_EQ(restored->cache().num_shards(),
+            EstimateCache::kDefaultNumShards + 5);
+  std::remove(path.c_str());
+}
+
 TEST_F(ServiceSnapshotTest, ColdCacheRecomputesIdenticalAnswers) {
   const std::string path = SnapshotPath("vsj_snapshot_cache.vsjs");
   const auto original = MakeChurned(EngineOptions());

@@ -1,0 +1,362 @@
+// τ-sweep sharing: requests that differ only in τ and share an RNG stream
+// run as one sweep group — each drawn pair is evaluated once for every τ —
+// and every response must stay byte-identical to computing that τ alone.
+// The reference is always a batch of one on a cache-less engine, compared
+// through the wire serializer (net::MakeEstimatePayload), so "identical"
+// means the bytes a client would see. Covered: static LSH-SS and
+// LSH-SS(D), streaming LSH-SS after a seeded churn history, sampling
+// overrides, error-bound early exit at different trials per τ, duplicate
+// τ, τ = 1.0, a sweep split over two batches, a mixed batch with a
+// non-sharing estimator, 1 vs N pool threads, the estimator-level sweep
+// entry points (cosine and Jaccard), and the obs counters that make
+// sharing visible.
+
+#include <cstddef>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "test_util.h"
+#include "vsj/core/estimator_registry.h"
+#include "vsj/core/streaming_lsh_ss_estimator.h"
+#include "vsj/eval/ground_truth.h"
+#include "vsj/net/protocol.h"
+#include "vsj/obs/metrics.h"
+#include "vsj/obs/obs.h"
+#include "vsj/service/estimation_service.h"
+#include "vsj/service/streaming_estimation_service.h"
+
+namespace vsj {
+namespace {
+
+std::string Bytes(const EstimateResponse& response) {
+  return net::MakeEstimatePayload(0, response);
+}
+
+EstimateRequest Request(const char* estimator, double tau, size_t trials = 4,
+                        uint64_t seed = 42) {
+  EstimateRequest request;
+  request.estimator_name = estimator;
+  request.tau = tau;
+  request.trials = trials;
+  request.seed = seed;
+  return request;
+}
+
+std::vector<EstimateRequest> Sweep(const char* estimator,
+                                   const std::vector<double>& taus,
+                                   size_t trials = 4, uint64_t seed = 42) {
+  std::vector<EstimateRequest> sweep;
+  for (double tau : taus) {
+    sweep.push_back(Request(estimator, tau, trials, seed));
+  }
+  return sweep;
+}
+
+EstimationServiceOptions StaticOptions(size_t threads) {
+  EstimationServiceOptions options;
+  options.k = 8;
+  options.num_tables = 1;
+  options.num_threads = threads;
+  options.family_seed = 0x5eed;
+  options.enable_cache = false;
+  return options;
+}
+
+StreamingEstimationServiceOptions StreamOptions(size_t threads) {
+  StreamingEstimationServiceOptions options;
+  options.k = 8;
+  options.num_tables = 2;  // trials alternate tables
+  options.num_threads = threads;
+  options.family_seed = 0xfeed;
+  options.enable_cache = false;
+  return options;
+}
+
+/// A seeded churn history: inserts, removals, re-inserts and erasures, so
+/// the live set, bucket orders and id space differ from a fresh build.
+std::unique_ptr<StreamingEstimationService> ChurnedStream(size_t threads) {
+  auto service = std::make_unique<StreamingEstimationService>(
+      testing::SmallClusteredCorpus(500, 31), StreamOptions(threads));
+  Rng rng(2024);
+  for (VectorId id = 0; id < 420; ++id) service->Insert(id);
+  for (int step = 0; step < 300; ++step) {
+    const auto id = static_cast<VectorId>(rng.Below(420));
+    if (service->Contains(id)) {
+      service->Remove(id);
+    } else {
+      service->Insert(id);
+    }
+  }
+  for (VectorId id = 420; id < 440; ++id) service->Erase(id);
+  return service;
+}
+
+/// Answers `batch` through EstimateBatchShared and checks every response
+/// against the same request answered alone.
+template <typename Engine>
+void ExpectMatchesSingles(Engine& engine,
+                          const std::vector<EstimateRequest>& batch) {
+  const std::vector<EstimateResponse> shared =
+      engine.EstimateBatchShared(batch);
+  ASSERT_EQ(shared.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const EstimateResponse alone =
+        engine.EstimateBatchShared({batch[i]}).front();
+    EXPECT_EQ(Bytes(shared[i]), Bytes(alone))
+        << batch[i].estimator_name << " tau=" << batch[i].tau;
+  }
+}
+
+class SweepSharingTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  size_t threads() const { return GetParam(); }
+};
+
+TEST_P(SweepSharingTest, StaticLshSsMatchesPerTauAnswers) {
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  for (const char* name : {"LSH-SS", "LSH-SS(D)"}) {
+    ExpectMatchesSingles(service, Sweep(name, StandardThresholds()));
+  }
+}
+
+TEST_P(SweepSharingTest, StreamingLshSsAfterChurnMatchesPerTauAnswers) {
+  const auto service = ChurnedStream(threads());
+  ExpectMatchesSingles(*service, Sweep("LSH-SS", StandardThresholds()));
+}
+
+TEST_P(SweepSharingTest, SamplingOverridesMatchPerTauAnswers) {
+  std::vector<EstimateRequest> sweep = Sweep("LSH-SS", StandardThresholds());
+  for (EstimateRequest& request : sweep) {
+    request.sample_size_h = 50;
+    request.sample_size_l = 90;
+    request.delta = 3;
+  }
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  ExpectMatchesSingles(service, sweep);
+  const auto stream = ChurnedStream(threads());
+  ExpectMatchesSingles(*stream, sweep);
+}
+
+TEST_P(SweepSharingTest, ErrorBoundExitsEachTauAtItsOwnTrial) {
+  std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", StandardThresholds(), /*trials=*/16);
+  for (EstimateRequest& request : sweep) request.max_rel_error = 0.1;
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  ExpectMatchesSingles(service, sweep);
+  const auto stream = ChurnedStream(threads());
+  ExpectMatchesSingles(*stream, sweep);
+
+  // The case must actually exercise per-τ exits: some τ stop early, and
+  // not all at the same trial.
+  std::set<size_t> trial_counts;
+  for (const EstimateResponse& r : service.EstimateBatchShared(sweep)) {
+    trial_counts.insert(r.trials);
+  }
+  EXPECT_GE(trial_counts.size(), 2u);
+  EXPECT_LT(*trial_counts.begin(), 16u);
+}
+
+TEST_P(SweepSharingTest, DuplicateAndUnitTauMatchPerTauAnswers) {
+  // τ = 0.5 twice (the second is an exact-τ follower) and τ = 1.0, where
+  // only identical vectors qualify.
+  const std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", {0.5, 0.9, 0.5, 1.0, 0.3});
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  ExpectMatchesSingles(service, sweep);
+  const auto stream = ChurnedStream(threads());
+  ExpectMatchesSingles(*stream, sweep);
+  const auto responses = service.EstimateBatchShared(sweep);
+  EXPECT_EQ(Bytes(responses[0]), Bytes(responses[2]));
+}
+
+TEST_P(SweepSharingTest, SweepSplitAcrossBatchesMatchesPerTauAnswers) {
+  const std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", StandardThresholds());
+  const std::vector<EstimateRequest> first(sweep.begin(), sweep.begin() + 4);
+  const std::vector<EstimateRequest> second(sweep.begin() + 4, sweep.end());
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  ExpectMatchesSingles(service, first);
+  ExpectMatchesSingles(service, second);
+  const auto stream = ChurnedStream(threads());
+  ExpectMatchesSingles(*stream, first);
+  ExpectMatchesSingles(*stream, second);
+}
+
+TEST_P(SweepSharingTest, MixedBatchKeepsPerTauComputeForOtherEstimators) {
+  // RS(pop) interleaved with two LSH-SS sweeps of different seeds: the
+  // sweeps group by seed, RS(pop) runs one τ at a time.
+  std::vector<EstimateRequest> batch;
+  for (double tau : {0.4, 0.6, 0.8}) {
+    batch.push_back(Request("LSH-SS", tau, 3, 42));
+    batch.push_back(Request("RS(pop)", tau, 3, 42));
+    batch.push_back(Request("LSH-SS", tau, 3, 43));
+    batch.push_back(Request("LSH-SS(D)", tau, 3, 42));
+  }
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  ExpectMatchesSingles(service, batch);
+}
+
+TEST_P(SweepSharingTest, PositionalBatchesAreUnchanged) {
+  // EstimateBatch keeps positional streams: every leader is a group of
+  // one, so request i answers exactly as Fork(i) always did.
+  const std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", StandardThresholds());
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  const auto batch = service.EstimateBatch(sweep);
+  EstimatorContext context;
+  context.dataset = service.dataset();
+  context.index = &service.index();
+  const auto estimator = CreateEstimator("LSH-SS", context);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    double sum = 0.0;
+    for (size_t t = 0; t < sweep[i].trials; ++t) {
+      Rng rng = Rng(sweep[i].seed).Fork(i).Fork(t);
+      sum += estimator->Estimate(sweep[i].tau, rng).estimate;
+    }
+    EXPECT_EQ(batch[i].mean_estimate,
+              sum / static_cast<double>(sweep[i].trials));
+  }
+}
+
+TEST_P(SweepSharingTest, ThreadCountNeverChangesSharedBatches) {
+  std::vector<EstimateRequest> batch = Sweep("LSH-SS", StandardThresholds());
+  const std::vector<EstimateRequest> other =
+      Sweep("LSH-SS", StandardThresholds(), 4, /*seed=*/77);
+  batch.insert(batch.end(), other.begin(), other.end());
+  EstimationService one(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(1));
+  EstimationService many(testing::SmallClusteredCorpus(600, 7),
+                         StaticOptions(threads()));
+  const auto a = one.EstimateBatchShared(batch);
+  const auto b = many.EstimateBatchShared(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << i;
+  }
+  const auto stream_one = ChurnedStream(1);
+  const auto stream_many = ChurnedStream(threads());
+  const auto c = stream_one->EstimateBatchShared(batch);
+  const auto d = stream_many->EstimateBatchShared(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolThreads, SweepSharingTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+bool SameResult(const EstimationResult& a, const EstimationResult& b) {
+  return a.estimate == b.estimate && a.pairs_evaluated == b.pairs_evaluated &&
+         a.guaranteed == b.guaranteed &&
+         a.stratum_h_estimate == b.stratum_h_estimate &&
+         a.stratum_l_estimate == b.stratum_l_estimate;
+}
+
+/// Every registry estimator over `context`: result j of EstimateSweep is
+/// Estimate(τ_j) on a copy of the stream, including τ <= 0 (answered M
+/// without sampling). LSH-SS and LSH-SS(D) override EstimateSweep with the
+/// shared pass; the rest take the default.
+void ExpectRegistrySweepsLikeSingleCalls(const EstimatorContext& context) {
+  std::vector<double> taus = StandardThresholds();
+  taus.push_back(1.0);
+  taus.push_back(0.0);
+  for (const std::string& name : AllEstimatorNames()) {
+    const auto estimator = CreateEstimator(name, context);
+    const Rng stream = Rng(9).Fork(3);
+    const std::vector<EstimationResult> swept =
+        estimator->EstimateSweep(taus, stream);
+    ASSERT_EQ(swept.size(), taus.size());
+    for (size_t j = 0; j < taus.size(); ++j) {
+      Rng copy = stream;
+      EXPECT_TRUE(SameResult(swept[j], estimator->Estimate(taus[j], copy)))
+          << name << " tau=" << taus[j];
+    }
+    EXPECT_EQ(estimator->SharesSweeps(),
+              name == "LSH-SS" || name == "LSH-SS(D)")
+        << name;
+  }
+}
+
+TEST(SweepSharingEstimatorTest, RegistryEstimatorsSweepLikeSingleCalls) {
+  const testing::CosineSetup cosine = testing::MakeCosineSetup(500, 8, 1, 5);
+  EstimatorContext context;
+  context.dataset = DatasetView(cosine.dataset);
+  context.index = cosine.index.get();
+  ExpectRegistrySweepsLikeSingleCalls(context);
+
+  const testing::JaccardSetup jaccard = testing::MakeJaccardSetup(500, 6, 1, 6);
+  context.dataset = DatasetView(jaccard.dataset);
+  context.index = jaccard.index.get();
+  context.measure = SimilarityMeasure::kJaccard;
+  ExpectRegistrySweepsLikeSingleCalls(context);
+}
+
+TEST(SweepSharingEstimatorTest, StreamingSweepWithTableMatchesSingleCalls) {
+  const auto service = ChurnedStream(1);
+  const StreamingLshSsEstimator estimator(service->dataset(),
+                                          service->index(),
+                                          service->options().measure);
+  StreamingSampleContext context;
+  context.Build(service->index(), service->dataset().size());
+  StreamingLshSsOptions overrides;
+  overrides.sample_size_l = 70;
+  overrides.delta = 5;
+  const std::vector<double> taus = StandardThresholds();
+  for (uint32_t t = 0; t < service->index().num_tables(); ++t) {
+    const StreamingLshSsOptions* variants[] = {nullptr, &overrides};
+    for (const StreamingLshSsOptions* opts : variants) {
+      const Rng stream = Rng(5).Fork(t);
+      const auto swept =
+          estimator.EstimateSweepWithTable(taus, t, stream, &context, opts);
+      for (size_t j = 0; j < taus.size(); ++j) {
+        Rng copy = stream;
+        EXPECT_TRUE(SameResult(
+            swept[j],
+            estimator.EstimateWithTable(taus[j], t, copy, &context, opts)))
+            << "t=" << t << " tau=" << taus[j];
+      }
+    }
+  }
+}
+
+#if VSJ_METRICS_COMPILED
+TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(1));
+  std::vector<EstimateRequest> batch = Sweep("LSH-SS", StandardThresholds());
+  batch.push_back(Request("RS(pop)", 0.5));
+  batch.push_back(Request("RS(pop)", 0.7));
+  obs::EnableMetrics(true);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.ResetValues();
+  const auto responses = service.EstimateBatchShared(batch);
+  const uint64_t groups = registry.GetCounter("estimate.sweep_groups").Value();
+  const uint64_t taus = registry.GetCounter("estimate.sweep_taus").Value();
+  const uint64_t physical = registry.GetCounter("estimate.pairs_h").Value() +
+                            registry.GetCounter("estimate.pairs_l").Value();
+  obs::EnableMetrics(false);
+  EXPECT_EQ(groups, 1u);  // the LSH-SS sweep; RS(pop) is not grouped
+  EXPECT_EQ(taus, StandardThresholds().size());
+  // pairs_evaluated stays the per-τ sample count; the stratum counters
+  // count each shared draw once, so they sum to far less.
+  uint64_t logical = 0;
+  for (size_t i = 0; i < StandardThresholds().size(); ++i) {
+    logical += responses[i].pairs_evaluated;
+  }
+  EXPECT_GT(physical, 0u);
+  EXPECT_LT(physical, logical);
+}
+#endif
+
+}  // namespace
+}  // namespace vsj
