@@ -2,7 +2,7 @@
 //
 // Not a paper figure: this bench measures the serving stack end to end —
 // epoll loop, length-prefixed JSON protocol, per-tenant queues and
-// cross-connection EstimateBatchShared batching — against an in-process
+// cross-connection batching — against an in-process
 // vsj::net::Server on an ephemeral loopback port. The workload is the
 // serving sweet spot the layer is built for: many connections issuing
 // estimate RPCs against one churn-style streaming tenant with a small set
@@ -14,7 +14,7 @@
 // client-observed p50/p99 latency and the server's mean cross-connection
 // batch size, and cross-checks that two connections asking the same
 // question get byte-identical payloads (the packing-independence
-// contract of EstimateBatchShared).
+// contract of EstimateBatch).
 //
 // Scale knobs (see bench_common.h): VSJ_N (corpus size, default 4000),
 // VSJ_K, VSJ_TRIALS (trials per request, default 3), VSJ_SEED; plus

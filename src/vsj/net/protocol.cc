@@ -329,12 +329,9 @@ std::string MakeErrorPayload(uint64_t id, RpcError error,
   return out;
 }
 
-std::string MakeEstimatePayload(uint64_t id,
-                                const EstimateResponse& response) {
-  // Layout mirrors vsjoin_estimate's AppendResponseJson, with the RPC
-  // envelope (id, ok) in front: the CI smoke test strips the envelope and
-  // diffs the rest against the CLI's golden output byte-for-byte.
-  const auto g17 = [](std::string* out, double v) {
+void AppendEstimateFields(std::string* out,
+                          const EstimateResponse& response) {
+  const auto g17 = [out](double v) {
     if (!std::isfinite(v)) {
       out->append("null");
       return;
@@ -343,25 +340,33 @@ std::string MakeEstimatePayload(uint64_t id,
     std::snprintf(buffer, sizeof(buffer), "%.17g", v);
     out->append(buffer);
   };
+  out->append("\"estimator\":");
+  JsonValue::AppendQuoted(out, response.estimator_name);
+  out->append(",\"tau\":");
+  g17(response.tau);
+  out->append(",\"trials\":" + std::to_string(response.trials));
+  out->append(",\"estimate\":");
+  g17(response.mean_estimate);
+  if (response.trials >= 2) {
+    out->append(",\"std_dev\":");
+    g17(response.std_dev);
+    out->append(",\"std_error\":");
+    g17(response.std_error);
+  }
+  out->append(",\"pairs_evaluated\":" +
+              std::to_string(response.pairs_evaluated));
+  out->append(",\"num_unguaranteed\":" +
+              std::to_string(response.num_unguaranteed));
+  out->append(",\"from_cache\":");
+  out->append(response.from_cache ? "true" : "false");
+}
+
+std::string MakeEstimatePayload(uint64_t id,
+                                const EstimateResponse& response) {
   std::string out = "{\"id\":";
   JsonValue::AppendNumber(&out, static_cast<double>(id));
-  out += ",\"ok\":true,\"estimator\":";
-  JsonValue::AppendQuoted(&out, response.estimator_name);
-  out += ",\"tau\":";
-  g17(&out, response.tau);
-  out += ",\"trials\":" + std::to_string(response.trials);
-  out += ",\"estimate\":";
-  g17(&out, response.mean_estimate);
-  if (response.trials >= 2) {
-    out += ",\"std_dev\":";
-    g17(&out, response.std_dev);
-    out += ",\"std_error\":";
-    g17(&out, response.std_error);
-  }
-  out += ",\"pairs_evaluated\":" + std::to_string(response.pairs_evaluated);
-  out += ",\"num_unguaranteed\":" + std::to_string(response.num_unguaranteed);
-  out += ",\"from_cache\":";
-  out += response.from_cache ? "true" : "false";
+  out += ",\"ok\":true,";
+  AppendEstimateFields(&out, response);
   out += "}";
   return out;
 }

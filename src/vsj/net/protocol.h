@@ -123,9 +123,16 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
 std::string MakeErrorPayload(uint64_t id, RpcError error,
                              const std::string& message);
 
-/// Builds the "ok":true payload for an estimate response. Field layout
-/// matches vsjoin_estimate --json: std_dev/std_error appear only when the
-/// response aggregated at least two trials; doubles print as %.17g.
+/// Appends the estimate fields of `response` — "estimator" through
+/// "from_cache", comma-separated, no enclosing braces — to `*out`. The one
+/// serializer of an estimate: the wire payload and vsjoin_estimate --json
+/// both wrap it. std_dev/std_error appear only when the response
+/// aggregated at least two trials (one draw has no measurable spread);
+/// doubles print as %.17g (non-finite as null).
+void AppendEstimateFields(std::string* out, const EstimateResponse& response);
+
+/// Builds the "ok":true payload for an estimate response: the RPC envelope
+/// (id, ok) followed by AppendEstimateFields.
 std::string MakeEstimatePayload(uint64_t id, const EstimateResponse& response);
 
 /// Starts an "ok":true response object with the correlation id set; the

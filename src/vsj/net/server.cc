@@ -546,8 +546,8 @@ void Server::ProcessRun(const std::string& tenant_name,
   }
 
   // Cross-connection batching: consecutive estimate requests of the run
-  // become one shared-stream batch — one cache pre-pass, one round of
-  // miss-grouping — while mutations flush the pending batch so per-tenant
+  // become one batch — one cache pre-pass, one round of miss-grouping —
+  // while mutations flush the pending batch so per-tenant
   // mutation/estimate order is preserved.
   std::vector<EstimateRequest> batch;
   std::vector<const Pending*> owners;

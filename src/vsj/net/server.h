@@ -20,10 +20,10 @@
 // onto a completion queue. An eventfd wake hands them back to the loop
 // thread, which frames and writes them.
 //
-// Because the batch call is the *shared-stream* flavor, every response
-// is bit-identical to an in-process Estimate() call with the same
-// parameters — how the server happened to pack concurrent connections
-// into batches is unobservable in the results.
+// Because a batched request draws from the same RNG stream as a solo
+// one, every response is bit-identical to an in-process Estimate() call
+// with the same parameters — how the server happened to pack concurrent
+// connections into batches is unobservable in the results.
 //
 // Admission control: at most max_inflight requests may be queued or
 // executing; beyond that requests are refused immediately with

@@ -12,6 +12,9 @@ namespace vsj {
 
 namespace {
 
+/// Width of the τ slices that pick a shard (placement only, not the key).
+constexpr double kShardTauWidth = 0.01;
+
 /// The exact bit pattern of `value` — the key must distinguish every
 /// distinct double (0.70 vs 0.72 vs the next representable neighbor), which
 /// decimal formatting cannot guarantee.
@@ -32,19 +35,12 @@ void AppendOverride(std::string& key, const std::optional<uint64_t>& value) {
 
 }  // namespace
 
-EstimateCache::EstimateCache(double tau_bucket_width, size_t capacity,
-                             size_t num_shards)
-    : tau_bucket_width_(tau_bucket_width),
-      capacity_(capacity),
+EstimateCache::EstimateCache(size_t capacity, size_t num_shards)
+    : capacity_(capacity),
       shard_capacity_((capacity + num_shards - 1) / num_shards),
       shards_(num_shards) {
-  VSJ_CHECK(tau_bucket_width > 0.0);
   VSJ_CHECK(capacity > 0);
   VSJ_CHECK(num_shards > 0);
-}
-
-int64_t EstimateCache::TauBucket(double tau) const {
-  return static_cast<int64_t>(std::floor(tau / tau_bucket_width_));
 }
 
 std::string EstimateCache::MakeKey(const EstimateRequest& request,
@@ -69,13 +65,15 @@ std::string EstimateCache::MakeKey(const EstimateRequest& request,
 }
 
 EstimateCache::Shard& EstimateCache::ShardFor(const EstimateRequest& request) {
-  // The shard hint: estimator × τ-bucket, so an optimizer's sweep of
-  // nearby thresholds lands in one shard and competes only with itself
-  // for eviction. Exact τ bits stay out of the hint on purpose — they are
-  // the key's job.
+  // The shard hint: estimator × τ rounded down to kShardTauWidth, so an
+  // optimizer's sweep of nearby thresholds lands in one shard and competes
+  // only with itself for eviction. Exact τ bits stay out of the hint on
+  // purpose — they are the key's job.
+  const auto tau_bucket =
+      static_cast<int64_t>(std::floor(request.tau / kShardTauWidth));
   const uint64_t hint =
       HashCombine(std::hash<std::string>{}(request.estimator_name),
-                  static_cast<uint64_t>(TauBucket(request.tau)));
+                  static_cast<uint64_t>(tau_bucket));
   return shards_[hint % shards_.size()];
 }
 

@@ -20,9 +20,9 @@
 //
 //   * Storage is sharded. Entries spread over `num_shards` independent
 //     LRU maps, each behind its own mutex, so concurrent workers of a
-//     batch don't serialize on one global lock. The τ-bucket
-//     (floor(τ / tau_bucket_width)) survives as the *shard hint*: it picks
-//     the shard (together with the estimator name), colocating an
+//     batch don't serialize on one global lock. The shard is picked from
+//     the estimator name and τ rounded down to a multiple of 0.01 (a
+//     fixed placement hint, never part of the key), colocating an
 //     optimizer's sweep of nearby thresholds so one plan-costing session
 //     evicts its own history before anyone else's. LRU order is exact per
 //     shard, approximate globally — capacity splits evenly across shards.
@@ -74,17 +74,11 @@ class EstimateCache {
  public:
   static constexpr size_t kDefaultNumShards = 8;
 
-  /// `tau_bucket_width` controls how nearby thresholds colocate in one
-  /// shard (a hint — never part of the key); `capacity` bounds the total
-  /// number of cached responses across shards (> 0); `num_shards` is the
-  /// lock-splitting factor (> 0; 1 gives a single exact global LRU).
-  explicit EstimateCache(double tau_bucket_width = 0.01,
-                         size_t capacity = 1024,
+  /// `capacity` bounds the total number of cached responses across shards
+  /// (> 0); `num_shards` is the lock-splitting factor (> 0; 1 gives a
+  /// single exact global LRU).
+  explicit EstimateCache(size_t capacity = 1024,
                          size_t num_shards = kDefaultNumShards);
-
-  /// The bucket index of `tau` (floor(tau / width)) — the shard/eviction
-  /// hint, not a key component.
-  int64_t TauBucket(double tau) const;
 
   /// Returns the cached response for `request`'s key over the dataset with
   /// `fingerprint`, refreshing its LRU position, or nullopt. Counts a hit
@@ -114,7 +108,6 @@ class EstimateCache {
   size_t size() const;
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
-  double tau_bucket_width() const { return tau_bucket_width_; }
   EstimateCacheStats stats() const;
 
  private:
@@ -135,7 +128,6 @@ class EstimateCache {
                       uint64_t fingerprint) const;
   Shard& ShardFor(const EstimateRequest& request);
 
-  double tau_bucket_width_;
   size_t capacity_;        // nominal total across shards
   size_t shard_capacity_;  // per-shard bound, ceil(capacity / num_shards)
 

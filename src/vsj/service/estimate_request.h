@@ -22,9 +22,10 @@ struct EstimateRequest {
   std::string estimator_name = "LSH-SS";
   double tau = 0.8;
   size_t trials = 1;
-  /// Base seed of this request's RNG streams. Two requests with the same
-  /// seed and the same position in a batch produce identical results
-  /// regardless of thread count (see EstimationService).
+  /// Base seed of this request's RNG streams: trial t draws from
+  /// Rng(seed).Fork(0).Fork(t). Equal requests over the same dataset state
+  /// produce identical results wherever they sit in a batch and at any
+  /// thread count (see trial_runner.h).
   uint64_t seed = 1;
 
   /// Any-τ early exit: when > 0, the service stops running trials as soon

@@ -19,8 +19,7 @@ EstimationService::EstimationService(VectorDataset dataset,
       fingerprint_(DatasetFingerprint(view_)),
       family_(MakeLshFamily(options.measure, options.family_seed)),
       pool_(options.num_threads),
-      cache_(options.cache_tau_bucket_width, options.cache_capacity,
-             options.cache_num_shards) {
+      cache_(options.cache_capacity, options.cache_num_shards) {
   BuildIndexAndContext();
 }
 
@@ -31,8 +30,7 @@ EstimationService::EstimationService(DatasetView dataset,
       fingerprint_(DatasetFingerprint(view_)),
       family_(MakeLshFamily(options.measure, options.family_seed)),
       pool_(options.num_threads),
-      cache_(options.cache_tau_bucket_width, options.cache_capacity,
-             options.cache_num_shards) {
+      cache_(options.cache_capacity, options.cache_num_shards) {
   BuildIndexAndContext();
 }
 
@@ -59,27 +57,13 @@ EstimateResponse EstimationService::Estimate(const EstimateRequest& request) {
 
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
-  return EstimateBatchImpl(requests, /*shared_stream=*/false);
-}
-
-std::vector<EstimateResponse> EstimationService::EstimateBatchShared(
-    const std::vector<EstimateRequest>& requests) {
-  return EstimateBatchImpl(requests, /*shared_stream=*/true);
-}
-
-std::vector<EstimateResponse> EstimationService::EstimateBatchImpl(
-    const std::vector<EstimateRequest>& requests, bool shared_stream) {
-  for (const EstimateRequest& request : requests) {
-    const char* error = ValidateEstimateRequest(request);
-    VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest: %s", error);
-  }
   // The miss pre-pass makes sure every requested estimator instance exists
   // before workers start, so they only ever read. Members of a sweep group
   // share the leader's estimator (same name, same overrides).
   std::vector<const JoinSizeEstimator*> estimators(requests.size(), nullptr);
   return RunCachedBatch(
       requests, options_.enable_cache ? &cache_ : nullptr, fingerprint_,
-      pool_, shared_stream,
+      pool_,
       [&](size_t i) {
         estimators[i] = &EstimatorFor(requests[i]);
         return estimators[i]->SharesSweeps();

@@ -6,16 +6,15 @@
 // *batches* of questions across a thread pool, and memoizes answers in an
 // EstimateCache for optimizer-style repeated probing.
 //
-// Determinism: batch results are a pure function of the request list — not
-// of the thread count or the scheduling order. Request i of an EstimateBatch
-// draws every trial t from the stream Rng(request.seed).Fork(i).Fork(t); in
-// EstimateBatchShared every request draws from Fork(0).Fork(t). Both are
-// computed from values only, so running the same batch at 1 or 8 threads is
-// bit-identical (tests/service/estimation_service_test.cc pins this down).
-// Requests that share a stream and differ only in τ form a sweep group that
-// evaluates each drawn pair once for all its τ (trial_runner.h); each
-// response stays bit-identical to computing that τ alone
-// (tests/service/sweep_sharing_test.cc).
+// Determinism: a response is a pure function of (request, dataset) — not
+// of the thread count, the scheduling order, the batch it arrived in or
+// the cache history. Every request draws trial t from the value-derived
+// stream Rng(request.seed).Fork(0).Fork(t) (trial_runner.h), so the same
+// request answers bit-identically at 1 or 8 threads, alone or batched
+// (tests/service/estimation_service_test.cc pins this down). Requests that
+// differ only in τ form a sweep group that evaluates each drawn pair once
+// for all its τ; each response stays bit-identical to computing that τ
+// alone (tests/service/sweep_sharing_test.cc).
 
 #ifndef VSJ_SERVICE_ESTIMATION_SERVICE_H_
 #define VSJ_SERVICE_ESTIMATION_SERVICE_H_
@@ -59,7 +58,6 @@ struct EstimationServiceOptions {
 
   /// Response cache; see EstimateCache for key semantics.
   bool enable_cache = true;
-  double cache_tau_bucket_width = 0.01;
   size_t cache_capacity = 1024;
   size_t cache_num_shards = EstimateCache::kDefaultNumShards;
 };
@@ -95,34 +93,21 @@ class EstimationService {
   EstimateCache& cache() { return cache_; }
   const EstimateCache& cache() const { return cache_; }
 
-  /// Answers one request; equivalent to a batch of size one (the request
-  /// gets stream index 0).
+  /// Answers one request; equivalent to a batch of size one.
   EstimateResponse Estimate(const EstimateRequest& request);
 
   /// Answers every request of the batch. Cache lookups and insertions
   /// happen sequentially in request order; cache misses are computed across
-  /// the thread pool. Results are deterministic given (requests, cache
-  /// state) — independent of num_threads.
+  /// the thread pool. Each response is what Estimate() would answer for
+  /// that request: how requests are packed into batches — by a CLI sweep,
+  /// an optimizer or the network server coalescing 64 connections — is
+  /// unobservable in the results. Duplicate requests compute once, and
+  /// LSH-SS requests that differ only in τ share one sampling pass per
+  /// trial (τ-sweep sharing).
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests);
 
-  /// The cross-connection batching flavor: every group leader draws from
-  /// RNG stream index 0 — exactly what a batch of size one (Estimate())
-  /// uses — instead of its batch position. Responses therefore do not
-  /// depend on how requests happened to be packed into the batch, which is
-  /// the contract the network server needs: a request batched with 63
-  /// strangers answers bit-identically to the same request served alone.
-  /// Duplicate requests still compute once (miss grouping dedups them
-  /// before any stream index is assigned), and LSH-SS requests that differ
-  /// only in τ share one sampling pass per trial (τ-sweep sharing).
-  std::vector<EstimateResponse> EstimateBatchShared(
-      const std::vector<EstimateRequest>& requests);
-
  private:
-  /// Common batch body; `shared_stream` picks stream index 0 (shared) or
-  /// the batch position (legacy positional decorrelation) for leaders.
-  std::vector<EstimateResponse> EstimateBatchImpl(
-      const std::vector<EstimateRequest>& requests, bool shared_stream);
   /// Shared tail of both constructors: index build + estimator context.
   void BuildIndexAndContext();
 

@@ -121,8 +121,7 @@ StreamingEstimationService::StreamingEstimationService(
       estimator_(DatasetView::IdAddressed(store_), index_, options.measure,
                  options.lsh_ss),
       pool_(options.num_threads),
-      cache_(options.cache_tau_bucket_width, options.cache_capacity,
-             options.cache_num_shards) {
+      cache_(options.cache_capacity, options.cache_num_shards) {
   cache_.RestoreEpoch(epoch_);
   // Replay (RestoreReplay, called right after construction) re-hashes
   // every live vector; attach the memoized hyperplane components first.

@@ -37,8 +37,7 @@ StreamingEstimationService::StreamingEstimationService(
       estimator_(DatasetView::IdAddressed(store_), index_, options.measure,
                  options.lsh_ss),
       pool_(options.num_threads),
-      cache_(options.cache_tau_bucket_width, options.cache_capacity,
-             options.cache_num_shards) {
+      cache_(options.cache_capacity, options.cache_num_shards) {
   BuildProjectionCache();
 }
 
@@ -93,20 +92,6 @@ EstimateResponse StreamingEstimationService::Estimate(
 
 std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
-  return EstimateBatchImpl(requests, /*shared_stream=*/false);
-}
-
-std::vector<EstimateResponse> StreamingEstimationService::EstimateBatchShared(
-    const std::vector<EstimateRequest>& requests) {
-  return EstimateBatchImpl(requests, /*shared_stream=*/true);
-}
-
-std::vector<EstimateResponse> StreamingEstimationService::EstimateBatchImpl(
-    const std::vector<EstimateRequest>& requests, bool shared_stream) {
-  for (const EstimateRequest& request : requests) {
-    const char* error = ValidateEstimateRequest(request);
-    VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest: %s", error);
-  }
   // The batch's sample context: flat bucket-of arrays amortizing the
   // SampleL rejection test across every trial of every miss. Built lazily
   // on the first miss — still in the sequential pre-pass, so a fully
@@ -121,7 +106,7 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatchImpl(
   const uint32_t num_tables = index_.num_tables();
   return RunCachedBatch(
       requests, options_.enable_cache ? &cache_ : nullptr,
-      effective_fingerprint(), pool_, shared_stream,
+      effective_fingerprint(), pool_,
       [&](size_t i) {
         const EstimateRequest& request = requests[i];
         VSJ_CHECK_MSG(request.estimator_name == "LSH-SS",

@@ -16,12 +16,12 @@
 // answers are unreachable (not eagerly erased; LRU eviction reclaims them),
 // and the cache's stats().epoch counter exposes the invalidations.
 //
-// Determinism: for batches executed between mutations the contract of
-// EstimationService carries over — request i draws trial t from the
-// value-derived stream Rng(seed).Fork(s).Fork(t) (s = i for EstimateBatch,
-// 0 for EstimateBatchShared), and trial t runs against table (t mod ℓ), so
-// batch results are bit-identical at any thread count. Requests sharing a
-// stream and differing only in τ run as one sweep group (trial_runner.h),
+// Determinism: the contract of EstimationService carries over, with the
+// epoch as part of the dataset state — every request draws trial t from
+// the value-derived stream Rng(seed).Fork(0).Fork(t) and runs it against
+// table (t mod ℓ), so a response is a pure function of (request, live
+// set, epoch): bit-identical at any thread count and in any batch.
+// Requests differing only in τ run as one sweep group (trial_runner.h),
 // each response bit-identical to computing that τ alone.
 
 #ifndef VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
@@ -67,7 +67,6 @@ struct StreamingEstimationServiceOptions {
 
   /// Response cache; see EstimateCache for key semantics.
   bool enable_cache = true;
-  double cache_tau_bucket_width = 0.01;
   size_t cache_capacity = 1024;
   size_t cache_num_shards = EstimateCache::kDefaultNumShards;
 
@@ -136,15 +135,9 @@ class StreamingEstimationService {
   /// Answers every request of the batch over the current live set with
   /// streaming LSH-SS (request.estimator_name must be "LSH-SS"). Cache
   /// hits resolve sequentially in request order; misses compute across the
-  /// thread pool. Deterministic given (requests, epoch, cache state).
+  /// thread pool. Each response is what Estimate() would answer for that
+  /// request at the current epoch. See EstimationService::EstimateBatch.
   std::vector<EstimateResponse> EstimateBatch(
-      const std::vector<EstimateRequest>& requests);
-
-  /// Cross-connection batching flavor: group leaders draw from RNG stream
-  /// index 0 (what Estimate() uses) instead of their batch position, so
-  /// responses are independent of how the network server packed requests
-  /// into the batch. See EstimationService::EstimateBatchShared.
-  std::vector<EstimateResponse> EstimateBatchShared(
       const std::vector<EstimateRequest>& requests);
 
   /// Serializes the engine to a VSJS snapshot at `path`: the backing store
@@ -178,11 +171,6 @@ class StreamingEstimationService {
   /// answer via the fingerprint fold) and bumps the cache's epoch stat so
   /// the two counters stay in lockstep. Every mutating method ends here.
   void BumpEpoch();
-
-  /// Common batch body; `shared_stream` picks stream index 0 (shared) or
-  /// the batch position for group leaders.
-  std::vector<EstimateResponse> EstimateBatchImpl(
-      const std::vector<EstimateRequest>& requests, bool shared_stream);
 
   /// Builds and attaches the sealed Gaussian projection cache over the
   /// current backing store (ℓ·k functions), so every index mutation hashes

@@ -63,8 +63,8 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
 std::vector<EstimateResponse> Tenant::EstimateBatchShared(
     const std::vector<EstimateRequest>& requests) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ != nullptr) return streaming_->EstimateBatchShared(requests);
-  return static_->EstimateBatchShared(requests);
+  if (streaming_ != nullptr) return streaming_->EstimateBatch(requests);
+  return static_->EstimateBatch(requests);
 }
 
 TenantOpResult Tenant::Insert(VectorId id) {

@@ -127,11 +127,10 @@ class Tenant {
   /// request must not reach EstimateBatchShared.
   TenantOpResult ValidateEstimate(const EstimateRequest& request) const;
 
-  /// Answers a batch with the shared-stream contract (every group leader
-  /// draws from RNG stream 0), so responses are bit-identical to
-  /// in-process Estimate() calls regardless of how the server packed
-  /// concurrent connections into the batch. Every request must have
-  /// passed ValidateEstimate.
+  /// Forwards to the engine's EstimateBatch, so responses are
+  /// bit-identical to in-process Estimate() calls regardless of how the
+  /// server packed concurrent connections into the batch. Every request
+  /// must have passed ValidateEstimate.
   std::vector<EstimateResponse> EstimateBatchShared(
       const std::vector<EstimateRequest>& requests);
 

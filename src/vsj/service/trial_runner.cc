@@ -66,10 +66,9 @@ bool WithinErrorBound(const EstimateRequest& request,
 }
 
 /// The sweep key of a request: every field the computed response depends
-/// on except τ and the batch position. Requests with equal sweep keys and
-/// equal stream indices draw identical pair streams, so they can share one
-/// sampling pass. The dataset fingerprint is constant across a batch and
-/// stays out.
+/// on except τ. Requests with equal sweep keys draw identical pair streams,
+/// so they can share one sampling pass. The dataset fingerprint is
+/// constant across a batch and stays out.
 std::string SweepKey(const EstimateRequest& request) {
   std::string key;
   key.reserve(request.estimator_name.size() + 88);
@@ -93,10 +92,9 @@ std::string SweepKey(const EstimateRequest& request) {
 }
 
 /// The duplicate-compute key of a request within one batch: the sweep key
-/// plus the exact τ bits — everything the response depends on *except* the
-/// batch position (whose forgiveness is the point of grouping — the cache
-/// key has no batch position either, so a follower served its leader's
-/// response sees exactly what a cache hit would have shown it).
+/// plus the exact τ bits — everything the response depends on, exactly
+/// like the cache key, so a follower served its leader's response sees
+/// what a cache hit would have shown it.
 std::string GroupKey(const EstimateRequest& request) {
   std::string key = SweepKey(request);
   key.push_back('|');
@@ -108,8 +106,7 @@ std::string GroupKey(const EstimateRequest& request) {
 
 std::vector<EstimateResponse> RunDeterministicTrials(
     const std::vector<EstimateRequest>& requests,
-    std::span<const size_t> group, size_t stream_index,
-    const SweepTrialFn& run_trial) {
+    std::span<const size_t> group, const SweepTrialFn& run_trial) {
   const EstimateRequest& first = requests[group.front()];
   VSJ_CHECK(first.trials > 0);
   const uint64_t start_ns = obs::MonotonicNowNs();
@@ -141,7 +138,8 @@ std::vector<EstimateResponse> RunDeterministicTrials(
   std::vector<size_t> running(group.size());
   for (size_t m = 0; m < running.size(); ++m) running[m] = m;
   std::vector<double> taus;
-  const Rng request_stream = Rng(first.seed).Fork(stream_index);
+  // The one stream convention (trial_runner.h): Rng(seed).Fork(0).Fork(t).
+  const Rng request_stream = Rng(first.seed).Fork(0);
   for (size_t t = 0; t < first.trials && !running.empty(); ++t) {
     taus.clear();
     for (const size_t m : running) taus.push_back(requests[group[m]].tau);
@@ -171,19 +169,22 @@ std::vector<EstimateResponse> RunDeterministicTrials(
 
 std::vector<EstimateResponse> RunCachedBatch(
     const std::vector<EstimateRequest>& requests, EstimateCache* cache,
-    uint64_t fingerprint, ThreadPool& pool, bool shared_stream,
+    uint64_t fingerprint, ThreadPool& pool,
     const std::function<bool(size_t)>& on_miss,
     const SweepTrialFn& run_trial) {
+  for (const EstimateRequest& request : requests) {
+    const char* error = ValidateEstimateRequest(request);
+    VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest: %s", error);
+  }
   std::vector<EstimateResponse> responses(requests.size());
 
   // Misses holds the group leaders — the requests actually computed. A
   // later miss whose GroupKey matches an earlier one becomes a follower:
   // it skips dispatch and copies its leader's response after the pool
   // drains, exactly what a cache hit on the leader's entry would have
-  // produced (the cache key carries no batch position either). No
-  // relabeling happens on hits or followers: with the exact-τ cache key
-  // and the exact GroupKey, a served response already describes precisely
-  // the τ/estimator/policy that was asked.
+  // produced. No relabeling happens on hits or followers: with the exact-τ
+  // cache key and the exact GroupKey, a served response already describes
+  // precisely the τ/estimator/policy that was asked.
   std::vector<size_t> misses;
   misses.reserve(requests.size());
   std::vector<bool> shares_sweeps(requests.size(), false);
@@ -206,17 +207,14 @@ std::vector<EstimateResponse> RunCachedBatch(
   }
 
   // Sweep groups: leaders whose estimator shares work across τ and that
-  // match in everything but τ *and* in stream index draw the same pairs,
-  // so one pass answers them all. Positional streams (the batch position)
-  // are distinct per leader, so those leaders stay groups of one.
-  const auto stream_of = [&](size_t i) { return shared_stream ? 0 : i; };
+  // match in everything but τ draw the same pairs, so one pass answers
+  // them all.
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<std::string, size_t> group_of;
   for (const size_t i : misses) {
     if (shares_sweeps[i]) {
-      const auto [it, inserted] = group_of.emplace(
-          SweepKey(requests[i]) + '|' + std::to_string(stream_of(i)),
-          groups.size());
+      const auto [it, inserted] =
+          group_of.emplace(SweepKey(requests[i]), groups.size());
       if (!inserted) {
         groups[it->second].push_back(i);
         continue;
@@ -243,8 +241,8 @@ std::vector<EstimateResponse> RunCachedBatch(
                     obs::MonotonicNowNs() - dispatch_ns);
     VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
     const std::vector<size_t>& group = groups[g];
-    std::vector<EstimateResponse> computed = RunDeterministicTrials(
-        requests, group, stream_of(group.front()), run_trial);
+    std::vector<EstimateResponse> computed =
+        RunDeterministicTrials(requests, group, run_trial);
     for (size_t m = 0; m < group.size(); ++m) {
       responses[group[m]] = std::move(computed[m]);
     }

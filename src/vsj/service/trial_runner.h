@@ -3,16 +3,16 @@
 // Both EstimationService and StreamingEstimationService answer a request by
 // running `trials` independent estimator draws and aggregating them into an
 // EstimateResponse (mean, sample std-dev, standard error, sampling cost).
-// The determinism contract lives here in one place: trial t of a request
-// draws from the value-derived stream Rng(seed).Fork(s).Fork(t), where the
-// stream index s is the request's batch position (EstimateBatch) or 0
-// (EstimateBatchShared) — never scheduling order — so batch results are
-// bit-identical at any thread count.
+// The determinism contract lives here in one place: trial t of every
+// request draws from the value-derived stream Rng(seed).Fork(0).Fork(t) —
+// never from its batch position or the scheduling order — so a response
+// is a pure function of (request, dataset state): bit-identical at any
+// thread count, in any batch, and to the same request asked alone.
 //
-// τ-sweep sharing: leaders that match in everything but τ, stream index
-// included, draw the very same streams, so they run as one *sweep group* —
-// trial t evaluates each drawn pair once for every τ still running — and
-// each τ's response is bit-identical to computing it alone.
+// τ-sweep sharing: leaders that match in everything but τ draw the very
+// same streams, so they run as one *sweep group* — trial t evaluates each
+// drawn pair once for every τ still running — and each τ's response is
+// bit-identical to computing it alone.
 
 #ifndef VSJ_SERVICE_TRIAL_RUNNER_H_
 #define VSJ_SERVICE_TRIAL_RUNNER_H_
@@ -30,7 +30,7 @@
 
 namespace vsj {
 
-/// Trial t of a sweep group on `rng`, the stream Rng(seed).Fork(s).Fork(t):
+/// Trial t of a sweep group on `rng`, the stream Rng(seed).Fork(0).Fork(t):
 /// one EstimationResult per τ of `taus`, result j bit-identical to a
 /// single-τ trial of taus[j] on the same stream. `leader` is the batch
 /// index of the group's first request (it names the estimator and the
@@ -39,31 +39,28 @@ using SweepTrialFn = std::function<std::vector<EstimationResult>(
     size_t leader, size_t t, std::span<const double> taus, const Rng& rng)>;
 
 /// Runs the trials of one sweep group — `group` indexes `requests` and its
-/// members match in everything but τ — drawing from stream index
-/// `stream_index`, and aggregates one response per member (in `group`
-/// order). Every request must have trials > 0. Trial t asks `run_trial`
-/// for every τ still running. With max_rel_error > 0 a τ drops out once
-/// at least two of its trials have run and its running standard error of
-/// the mean is inside the requested relative band (see
+/// members match in everything but τ — and aggregates one response per
+/// member (in `group` order). Every request must have trials > 0. Trial t
+/// asks `run_trial` for every τ still running. With max_rel_error > 0 a τ
+/// drops out once at least two of its trials have run and its running
+/// standard error of the mean is inside the requested relative band (see
 /// EstimateRequest::max_rel_error); its response's `trials` reports the
 /// count actually run.
 std::vector<EstimateResponse> RunDeterministicTrials(
     const std::vector<EstimateRequest>& requests,
-    std::span<const size_t> group, size_t stream_index,
-    const SweepTrialFn& run_trial);
+    std::span<const size_t> group, const SweepTrialFn& run_trial);
 
 /// The cached-batch protocol shared by the service engines:
+///   0. every request must pass ValidateEstimateRequest (VSJ_CHECK);
 ///   1. sequential pre-pass in request order — resolve hits from `cache`,
 ///      group the remaining misses by compute key (estimator, exact τ
-///      bits, trials, seed, error bound, sampling overrides — everything
-///      but the batch position) so each key computes once, and call
+///      bits, trials, seed, error bound, sampling overrides — the cache
+///      key minus the fingerprint) so each key computes once, and call
 ///      `on_miss(i)` once per leader so engine state (estimator instances,
 ///      sample contexts) is settled before workers start; on_miss returns
 ///      whether the leader's estimator shares work across τ;
-///   2. sweep grouping — leaders whose estimator shares work, which match
-///      in everything but τ and which share a stream index (0 with
-///      `shared_stream`, else the batch position, so positional leaders
-///      stay groups of one) form one sweep group;
+///   2. sweep grouping — leaders whose estimator shares work and which
+///      match in everything but τ form one sweep group;
 ///   3. parallel compute of the groups across `pool` through
 ///      RunDeterministicTrials and `run_trial`;
 ///   4. sequential post-pass — followers copy their leader's response
@@ -72,7 +69,7 @@ std::vector<EstimateResponse> RunDeterministicTrials(
 /// Pass `cache == nullptr` to disable caching (grouping still applies).
 std::vector<EstimateResponse> RunCachedBatch(
     const std::vector<EstimateRequest>& requests, EstimateCache* cache,
-    uint64_t fingerprint, ThreadPool& pool, bool shared_stream,
+    uint64_t fingerprint, ThreadPool& pool,
     const std::function<bool(size_t)>& on_miss,
     const SweepTrialFn& run_trial);
 

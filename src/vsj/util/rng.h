@@ -93,8 +93,9 @@ class Rng {
   /// *without* advancing it: Fork(i) is a pure function of (state, i), so a
   /// parent can hand out any number of streams in any order — or from
   /// several threads — and stream i is always the same generator. This is
-  /// the facility behind deterministic parallel batch estimation: request i
-  /// of a batch draws from Fork(i) regardless of which thread runs it.
+  /// the facility behind deterministic parallel batch estimation: trial t
+  /// of a request draws from Fork(0).Fork(t) regardless of which thread
+  /// runs it or where the request sits in its batch.
   Rng Fork(uint64_t stream_id) const;
 
  private:

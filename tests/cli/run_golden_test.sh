@@ -23,15 +23,19 @@
 #               unparsable, negative --max-rel-error) — captures the first
 #               stderr diagnostic of each, which must name the offending
 #               token
+#   sweep-vs-single  no fixture: the --json lines of one --batch-taus
+#               sweep must equal those of one --tau run per τ (a request
+#               answers the same alone or in a batch)
 #
 # Runs the tool on the checked-in tiny dataset (data/tiny.vsjd /
 # data/tiny.vsjb, 120 vectors) and diffs stdout against golden/<mode>.out
 # (the batch-v2/batch-mmap modes share golden/batch.out). Output is
 # deterministic: the Rng is fully specified (xoshiro256**, no std::random
-# involvement), batch results are bit-identical at any --threads count,
-# estimates are bit-identical across storage backings and across a
-# checkpoint/restore cycle, and timings go to stderr, which is discarded.
-# Regenerate fixtures after an intentional output change with:
+# involvement), every request draws from Rng(seed).Fork(0).Fork(t) whatever
+# its batch position, so results are bit-identical at any --threads count
+# and in any batch, estimates are bit-identical across storage backings and
+# across a checkpoint/restore cycle, and timings go to stderr, which is
+# discarded. Regenerate fixtures after an intentional output change with:
 #
 #   tests/cli/run_golden_test.sh <binary> <mode> <cli dir> --regenerate
 set -e
@@ -92,6 +96,24 @@ case "$mode" in
       cat cli_early_exit.json
       rm -f cli_single_trial.json cli_early_exit.json
     }
+    ;;
+  sweep-vs-single)
+    json_of() {
+      rm -f cli_sweep.json
+      "$bin" --dataset "$data/tiny.vsjd" --k 6 --threads 2 --trials 2 \
+             --seed 7 --json cli_sweep.json "$@" >/dev/null 2>&1
+      cat cli_sweep.json
+      rm -f cli_sweep.json
+    }
+    json_of --batch-taus 0.3,0.6,0.9 > cli_sweep_batch.json
+    for tau in 0.3 0.6 0.9; do json_of --tau "$tau"; done |
+      diff -u - cli_sweep_batch.json || {
+        rm -f cli_sweep_batch.json
+        echo "--batch-taus answers diverged from single --tau runs" >&2
+        exit 1
+      }
+    rm -f cli_sweep_batch.json
+    exit 0
     ;;
   reject)
     run() {

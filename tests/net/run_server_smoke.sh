@@ -66,22 +66,14 @@ EOF
   fail "building churn.vsjs failed"
 
 # ---- 2. In-process goldens --------------------------------------------
-# One CLI run per tau: a --batch-taus batch draws positional streams
-# (request i uses Fork(i)), while the server answers every request on
-# stream 0 (the shared-stream leader contract) — its pipelined taus share
-# one sweep group, each tau answering exactly as if asked alone — so only
-# per-tau runs are the right golden.
-: > "$work/golden_wiki.jsonl"
-for tau in 0.6 0.8; do
-  "$estimate" --dataset "$root/wiki.vsjb" --mmap --k 8 --tables 1 --seed 7 \
-    --trials 3 --tau "$tau" --json "$work/golden_tau.jsonl" \
-    >/dev/null 2>&1 || fail "wiki golden run failed (tau $tau)"
-  cat "$work/golden_tau.jsonl" >> "$work/golden_wiki.jsonl"
-done
+# One τ sweep per tenant: --batch-taus for the static tenant, one
+# 'estimate 0.6 0.8' op for the streaming one.
+"$estimate" --dataset "$root/wiki.vsjb" --mmap --k 8 --tables 1 --seed 7 \
+  --trials 3 --batch-taus 0.6,0.8 --json "$work/golden_wiki.jsonl" \
+  >/dev/null 2>&1 || fail "wiki golden run failed"
 
 cat > "$work/golden_ops.txt" <<EOF
-estimate 0.6
-estimate 0.8
+estimate 0.6 0.8
 EOF
 "$estimate" --load-snapshot "$root/churn.vsjs" --trials 3 --seed 3 \
   --stream "$work/golden_ops.txt" --json "$work/golden_churn.jsonl" \

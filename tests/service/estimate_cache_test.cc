@@ -25,7 +25,7 @@ EstimateResponse MakeResponse(double tau, double estimate) {
 }
 
 TEST(EstimateCacheTest, MissThenHit) {
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.805);
   EXPECT_FALSE(cache.Lookup(request, 111).has_value());
   cache.Insert(request, 111, MakeResponse(0.805, 1234.0));
@@ -40,7 +40,7 @@ TEST(EstimateCacheTest, NearbyTauNeverAliases) {
   // 0.802 and 0.808 fall into bucket 80 at width 0.01 — an earlier
   // bucket-keyed cache served one's response for the other, silently
   // mislabeling the estimate, its error bar, and its sampling cost.
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   cache.Insert(MakeRequest("LSH-SS", 0.802), 111, MakeResponse(0.802, 500.0));
   EXPECT_FALSE(cache.Lookup(MakeRequest("LSH-SS", 0.808), 111).has_value());
   const auto hit = cache.Lookup(MakeRequest("LSH-SS", 0.802), 111);
@@ -50,7 +50,7 @@ TEST(EstimateCacheTest, NearbyTauNeverAliases) {
 }
 
 TEST(EstimateCacheTest, KeyIncludesErrorBoundAndOverrides) {
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   const EstimateRequest base = MakeRequest("LSH-SS", 0.805);
   cache.Insert(base, 111, MakeResponse(0.805, 500.0));
 
@@ -73,7 +73,7 @@ TEST(EstimateCacheTest, ShardedCacheBoundsTotalSize) {
   // Capacity splits across shards (ceil(8/4) = 2 each); no matter how the
   // shard hints distribute, the total footprint never exceeds capacity and
   // every overflow is an accounted eviction.
-  EstimateCache cache(0.01, 8, 4);
+  EstimateCache cache(8, 4);
   EXPECT_EQ(cache.num_shards(), 4u);
   const int kInserted = 32;
   for (int i = 0; i < kInserted; ++i) {
@@ -86,7 +86,7 @@ TEST(EstimateCacheTest, ShardedCacheBoundsTotalSize) {
 }
 
 TEST(EstimateCacheTest, KeyIncludesEstimatorAndFingerprint) {
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   cache.Insert(MakeRequest("LSH-SS", 0.805), 111, MakeResponse(0.805, 500.0));
   EXPECT_FALSE(cache.Lookup(MakeRequest("RS(pop)", 0.805), 111).has_value());
   EXPECT_FALSE(cache.Lookup(MakeRequest("LSH-SS", 0.805), 222).has_value());
@@ -94,7 +94,7 @@ TEST(EstimateCacheTest, KeyIncludesEstimatorAndFingerprint) {
 }
 
 TEST(EstimateCacheTest, KeyIncludesTrialsAndSeed) {
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   cache.Insert(MakeRequest("LSH-SS", 0.805, /*trials=*/1, /*seed=*/1), 111,
                MakeResponse(0.805, 500.0));
   // A request for an 8-trial error bar must not be served the single-trial
@@ -108,7 +108,7 @@ TEST(EstimateCacheTest, KeyIncludesTrialsAndSeed) {
 }
 
 TEST(EstimateCacheTest, HitMissAccounting) {
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
   cache.Lookup(request, 1);                            // miss
   cache.Insert(request, 1, MakeResponse(0.5, 10.0));
@@ -126,7 +126,7 @@ TEST(EstimateCacheTest, HitMissAccounting) {
 TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
   // One shard pins the exact global LRU order (with several shards the
   // order is exact only per shard).
-  EstimateCache cache(0.01, 2, /*num_shards=*/1);
+  EstimateCache cache(2, /*num_shards=*/1);
   cache.Insert(MakeRequest("A", 0.5), 1, MakeResponse(0.5, 1.0));
   cache.Insert(MakeRequest("B", 0.5), 1, MakeResponse(0.5, 2.0));
   // Touch A so B becomes the LRU entry.
@@ -140,7 +140,7 @@ TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(EstimateCacheTest, InsertOverwritesSameKey) {
-  EstimateCache cache(0.01, 4);
+  EstimateCache cache(4);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
   cache.Insert(request, 1, MakeResponse(0.5, 1.0));
   cache.Insert(request, 1, MakeResponse(0.5, 2.0));
@@ -151,7 +151,7 @@ TEST(EstimateCacheTest, InsertOverwritesSameKey) {
 }
 
 TEST(EstimateCacheTest, ClearEmptiesButKeepsStats) {
-  EstimateCache cache(0.01, 4);
+  EstimateCache cache(4);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
   cache.Insert(request, 1, MakeResponse(0.5, 1.0));
   cache.Lookup(request, 1);
@@ -162,7 +162,7 @@ TEST(EstimateCacheTest, ClearEmptiesButKeepsStats) {
 }
 
 TEST(EstimateCacheTest, NoteInvalidationBumpsEpochStat) {
-  EstimateCache cache(0.01, 4);
+  EstimateCache cache(4);
   EXPECT_EQ(cache.stats().epoch, 0u);
   cache.NoteInvalidation();
   cache.NoteInvalidation();
@@ -183,17 +183,11 @@ TEST(EstimateCacheTest, EpochFoldedFingerprintsNeverCollide) {
   // The streaming service folds its epoch into the fingerprint; entries
   // written under epoch e must miss under epoch e+1 even for identical
   // requests.
-  EstimateCache cache(0.01, 16);
+  EstimateCache cache(16);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.805);
   cache.Insert(request, /*fingerprint=*/1001, MakeResponse(0.805, 1.0));
   EXPECT_FALSE(cache.Lookup(request, /*fingerprint=*/1002).has_value());
   EXPECT_TRUE(cache.Lookup(request, /*fingerprint=*/1001).has_value());
-}
-
-TEST(EstimateCacheTest, TauBucketIsFloorDivision) {
-  EstimateCache cache(0.05, 4);
-  EXPECT_EQ(cache.TauBucket(0.52), cache.TauBucket(0.54));
-  EXPECT_NE(cache.TauBucket(0.52), cache.TauBucket(0.58));
 }
 
 }  // namespace

@@ -152,9 +152,7 @@ TEST(EstimationServiceTest, NearbyTauNeverAliasesCachedEstimate) {
   // probe relabelled with the asked τ — an estimate, error bar, and
   // sampling cost computed at a different threshold. The exact-τ key must
   // recompute, and the exact same τ must still hit.
-  EstimationServiceOptions options = SmallOptions(1, true);
-  options.cache_tau_bucket_width = 0.01;
-  EstimationService service(TestCorpus(), options);
+  EstimationService service(TestCorpus(), SmallOptions(1, true));
 
   EstimateRequest request;
   request.estimator_name = "LSH-SS";
@@ -173,8 +171,8 @@ TEST(EstimationServiceTest, NearbyTauNeverAliasesCachedEstimate) {
 
 TEST(EstimationServiceTest, DuplicateRequestsComputeOnceAndAgree) {
   // Cross-request grouping: identical requests in one batch compute once
-  // (the leader's batch position feeds the RNG stream) and every follower
-  // is served the leader's response — what a cache hit on it would show.
+  // and every follower is served the leader's response — what a cache hit
+  // on it would show.
   EstimationService service(TestCorpus(), SmallOptions(2, true));
   EstimateRequest request;
   request.estimator_name = "LSH-SS";
@@ -192,7 +190,7 @@ TEST(EstimationServiceTest, DuplicateRequestsComputeOnceAndAgree) {
   }
   EXPECT_EQ(service.cache().stats().insertions, 1u);
 
-  // The group's single compute matches a singleton batch (leader index 0).
+  // The group's single compute matches a singleton batch.
   EstimationService fresh(TestCorpus(), SmallOptions(1, false));
   EXPECT_EQ(fresh.Estimate(request).mean_estimate,
             responses[0].mean_estimate);

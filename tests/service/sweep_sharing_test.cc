@@ -1,15 +1,15 @@
-// τ-sweep sharing: requests that differ only in τ and share an RNG stream
-// run as one sweep group — each drawn pair is evaluated once for every τ —
-// and every response must stay byte-identical to computing that τ alone.
-// The reference is always a batch of one on a cache-less engine, compared
-// through the wire serializer (net::MakeEstimatePayload), so "identical"
-// means the bytes a client would see. Covered: static LSH-SS and
-// LSH-SS(D), streaming LSH-SS after a seeded churn history, sampling
-// overrides, error-bound early exit at different trials per τ, duplicate
-// τ, τ = 1.0, a sweep split over two batches, a mixed batch with a
-// non-sharing estimator, 1 vs N pool threads, the estimator-level sweep
-// entry points (cosine and Jaccard), and the obs counters that make
-// sharing visible.
+// τ-sweep sharing: requests that differ only in τ run as one sweep group
+// — each drawn pair is evaluated once for every τ — and every response
+// must stay byte-identical to computing that τ alone. The reference is
+// always a batch of one on a cache-less engine, compared through the wire
+// serializer (net::MakeEstimatePayload), so "identical" means the bytes a
+// client would see. Covered: static LSH-SS and LSH-SS(D), streaming LSH-SS
+// after a seeded churn history, sampling overrides, error-bound early exit
+// at different trials per τ, duplicate τ, τ = 1.0, a sweep split over two
+// batches, a mixed batch with a non-sharing estimator, a cached answer
+// that must not depend on the batch that filled the cache, 1 vs N pool
+// threads, the estimator-level sweep entry points (cosine and Jaccard),
+// and the obs counters that make sharing visible.
 
 #include <cstddef>
 #include <memory>
@@ -66,21 +66,23 @@ EstimationServiceOptions StaticOptions(size_t threads) {
   return options;
 }
 
-StreamingEstimationServiceOptions StreamOptions(size_t threads) {
+StreamingEstimationServiceOptions StreamOptions(size_t threads,
+                                                bool cache) {
   StreamingEstimationServiceOptions options;
   options.k = 8;
   options.num_tables = 2;  // trials alternate tables
   options.num_threads = threads;
   options.family_seed = 0xfeed;
-  options.enable_cache = false;
+  options.enable_cache = cache;
   return options;
 }
 
 /// A seeded churn history: inserts, removals, re-inserts and erasures, so
 /// the live set, bucket orders and id space differ from a fresh build.
-std::unique_ptr<StreamingEstimationService> ChurnedStream(size_t threads) {
+std::unique_ptr<StreamingEstimationService> ChurnedStream(size_t threads,
+                                                          bool cache = false) {
   auto service = std::make_unique<StreamingEstimationService>(
-      testing::SmallClusteredCorpus(500, 31), StreamOptions(threads));
+      testing::SmallClusteredCorpus(500, 31), StreamOptions(threads, cache));
   Rng rng(2024);
   for (VectorId id = 0; id < 420; ++id) service->Insert(id);
   for (int step = 0; step < 300; ++step) {
@@ -95,17 +97,15 @@ std::unique_ptr<StreamingEstimationService> ChurnedStream(size_t threads) {
   return service;
 }
 
-/// Answers `batch` through EstimateBatchShared and checks every response
-/// against the same request answered alone.
+/// Answers `batch` through EstimateBatch and checks every response against
+/// the same request answered alone.
 template <typename Engine>
 void ExpectMatchesSingles(Engine& engine,
                           const std::vector<EstimateRequest>& batch) {
-  const std::vector<EstimateResponse> shared =
-      engine.EstimateBatchShared(batch);
+  const std::vector<EstimateResponse> shared = engine.EstimateBatch(batch);
   ASSERT_EQ(shared.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    const EstimateResponse alone =
-        engine.EstimateBatchShared({batch[i]}).front();
+    const EstimateResponse alone = engine.Estimate(batch[i]);
     EXPECT_EQ(Bytes(shared[i]), Bytes(alone))
         << batch[i].estimator_name << " tau=" << batch[i].tau;
   }
@@ -156,7 +156,7 @@ TEST_P(SweepSharingTest, ErrorBoundExitsEachTauAtItsOwnTrial) {
   // The case must actually exercise per-τ exits: some τ stop early, and
   // not all at the same trial.
   std::set<size_t> trial_counts;
-  for (const EstimateResponse& r : service.EstimateBatchShared(sweep)) {
+  for (const EstimateResponse& r : service.EstimateBatch(sweep)) {
     trial_counts.insert(r.trials);
   }
   EXPECT_GE(trial_counts.size(), 2u);
@@ -173,7 +173,7 @@ TEST_P(SweepSharingTest, DuplicateAndUnitTauMatchPerTauAnswers) {
   ExpectMatchesSingles(service, sweep);
   const auto stream = ChurnedStream(threads());
   ExpectMatchesSingles(*stream, sweep);
-  const auto responses = service.EstimateBatchShared(sweep);
+  const auto responses = service.EstimateBatch(sweep);
   EXPECT_EQ(Bytes(responses[0]), Bytes(responses[2]));
 }
 
@@ -206,27 +206,38 @@ TEST_P(SweepSharingTest, MixedBatchKeepsPerTauComputeForOtherEstimators) {
   ExpectMatchesSingles(service, batch);
 }
 
-TEST_P(SweepSharingTest, PositionalBatchesAreUnchanged) {
-  // EstimateBatch keeps positional streams: every leader is a group of
-  // one, so request i answers exactly as Fork(i) always did.
-  const std::vector<EstimateRequest> sweep =
-      Sweep("LSH-SS", StandardThresholds());
-  EstimationService service(testing::SmallClusteredCorpus(600, 7),
-                            StaticOptions(threads()));
-  const auto batch = service.EstimateBatch(sweep);
-  EstimatorContext context;
-  context.dataset = service.dataset();
-  context.index = &service.index();
-  const auto estimator = CreateEstimator("LSH-SS", context);
-  for (size_t i = 0; i < sweep.size(); ++i) {
-    double sum = 0.0;
-    for (size_t t = 0; t < sweep[i].trials; ++t) {
-      Rng rng = Rng(sweep[i].seed).Fork(i).Fork(t);
-      sum += estimator->Estimate(sweep[i].tau, rng).estimate;
-    }
-    EXPECT_EQ(batch[i].mean_estimate,
-              sum / static_cast<double>(sweep[i].trials));
+/// Asks `b` after a batch {a, b} on `warm` (cache on) and checks that the
+/// cached answer is byte-identical to `b` computed by `cold` (cache off):
+/// a cached response must not depend on the batch that filled the cache.
+template <typename Engine>
+void ExpectCacheHistoryIrrelevant(Engine& warm, Engine& cold,
+                                  const EstimateRequest& a,
+                                  const EstimateRequest& b) {
+  warm.EstimateBatch({a, b});
+  const EstimateResponse served = warm.Estimate(b);
+  EXPECT_TRUE(served.from_cache);
+  EstimateResponse fresh = cold.Estimate(b);
+  EXPECT_FALSE(fresh.from_cache);
+  fresh.from_cache = true;  // the one field a cache hit may change
+  EXPECT_EQ(Bytes(served), Bytes(fresh))
+      << b.estimator_name << " tau=" << b.tau;
+}
+
+TEST_P(SweepSharingTest, CachedAnswerDoesNotDependOnBatchHistory) {
+  EstimationServiceOptions cached = StaticOptions(threads());
+  cached.enable_cache = true;
+  for (const char* name : {"LSH-SS", "RS(pop)"}) {
+    EstimationService warm(testing::SmallClusteredCorpus(600, 7), cached);
+    EstimationService cold(testing::SmallClusteredCorpus(600, 7),
+                           StaticOptions(threads()));
+    ExpectCacheHistoryIrrelevant(warm, cold, Request(name, 0.3),
+                                 Request(name, 0.6));
   }
+  const auto warm_stream = ChurnedStream(threads(), /*cache=*/true);
+  const auto cold_stream = ChurnedStream(threads());
+  ExpectCacheHistoryIrrelevant(*warm_stream, *cold_stream,
+                               Request("LSH-SS", 0.3),
+                               Request("LSH-SS", 0.6));
 }
 
 TEST_P(SweepSharingTest, ThreadCountNeverChangesSharedBatches) {
@@ -238,15 +249,15 @@ TEST_P(SweepSharingTest, ThreadCountNeverChangesSharedBatches) {
                         StaticOptions(1));
   EstimationService many(testing::SmallClusteredCorpus(600, 7),
                          StaticOptions(threads()));
-  const auto a = one.EstimateBatchShared(batch);
-  const auto b = many.EstimateBatchShared(batch);
+  const auto a = one.EstimateBatch(batch);
+  const auto b = many.EstimateBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << i;
   }
   const auto stream_one = ChurnedStream(1);
   const auto stream_many = ChurnedStream(threads());
-  const auto c = stream_one->EstimateBatchShared(batch);
-  const auto d = stream_many->EstimateBatchShared(batch);
+  const auto c = stream_one->EstimateBatch(batch);
+  const auto d = stream_many->EstimateBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << i;
   }
@@ -339,7 +350,7 @@ TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
   obs::EnableMetrics(true);
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.ResetValues();
-  const auto responses = service.EstimateBatchShared(batch);
+  const auto responses = service.EstimateBatch(batch);
   const uint64_t groups = registry.GetCounter("estimate.sweep_groups").Value();
   const uint64_t taus = registry.GetCounter("estimate.sweep_taus").Value();
   const uint64_t physical = registry.GetCounter("estimate.pairs_h").Value() +

@@ -63,7 +63,6 @@
 //                         the --metrics table (0 scalar, 1 sse2, 2 avx2).
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -79,6 +78,7 @@
 #include "vsj/vector/mapped_csr_storage.h"
 #include "vsj/gen/workloads.h"
 #include "vsj/join/brute_force_join.h"
+#include "vsj/net/protocol.h"
 #include "vsj/obs/obs.h"
 #include "vsj/obs/stat_reporter.h"
 #include "vsj/service/estimation_service.h"
@@ -399,29 +399,14 @@ std::string FmtStdError(const vsj::EstimateResponse& response) {
   return vsj::TablePrinter::Fmt(response.std_error, 1);
 }
 
-/// One response as a JSON-lines object for --json. std_dev / std_error are
-/// omitted below two trials — with a single draw the spread is unknown,
-/// not zero (the report table prints "n/a" for the same reason).
+/// One response as a JSON-lines object for --json: the row prefix `extra`
+/// and the fields of the wire payload (net::AppendEstimateFields), so the
+/// server smoke test can diff served bytes against these lines.
 void AppendResponseJson(std::ostream& out, const std::string& extra,
                         const vsj::EstimateResponse& response) {
-  const auto number = [](double v) -> std::string {
-    if (!std::isfinite(v)) return "null";
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    return buffer;
-  };
-  out << "{" << extra << "\"estimator\":\"" << response.estimator_name
-      << "\",\"tau\":" << number(response.tau)
-      << ",\"trials\":" << response.trials
-      << ",\"estimate\":" << number(response.mean_estimate);
-  if (response.trials >= 2) {
-    out << ",\"std_dev\":" << number(response.std_dev)
-        << ",\"std_error\":" << number(response.std_error);
-  }
-  out << ",\"pairs_evaluated\":" << response.pairs_evaluated
-      << ",\"num_unguaranteed\":" << response.num_unguaranteed
-      << ",\"from_cache\":" << (response.from_cache ? "true" : "false")
-      << "}\n";
+  std::string line = "{" + extra;
+  vsj::net::AppendEstimateFields(&line, response);
+  out << line << "}\n";
 }
 
 /// Flips the runtime observability switches requested on the command line
