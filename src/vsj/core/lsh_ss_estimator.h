@@ -29,14 +29,9 @@
 
 namespace vsj {
 
-/// Options of LSH-SS (DampeningMode lives in stratified_sampling.h).
-struct LshSsOptions {
-  /// Sample size m_H for stratum H; 0 means n.
-  uint64_t sample_size_h = 0;
-  /// Maximum sample size m_L for stratum L; 0 means n.
-  uint64_t sample_size_l = 0;
-  /// Answer-size threshold δ; 0 means log₂ n.
-  uint64_t delta = 0;
+/// Options of LSH-SS: the sampling budgets plus the dampening policy
+/// (SamplingBudget and DampeningMode live in stratified_sampling.h).
+struct LshSsOptions : SamplingBudget {
   DampeningMode dampening = DampeningMode::kSafeLowerBound;
   /// c_s for DampeningMode::kFixedFactor (must be in (0, 1]).
   double dampening_factor = 1.0;

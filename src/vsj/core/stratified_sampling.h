@@ -32,6 +32,14 @@
 
 namespace vsj {
 
+/// The sampling budgets of Algorithm 1, which a request may override per
+/// call. Zero means "derive from n": m_H = m_L = n, δ = log₂ n (§5.1).
+struct SamplingBudget {
+  uint64_t sample_size_h = 0;  ///< m_H, the stratum-H sample size.
+  uint64_t sample_size_l = 0;  ///< m_L, the stratum-L sample budget.
+  uint64_t delta = 0;          ///< δ, the answer-size threshold.
+};
+
 /// How SampleL scales its count when the answer-size threshold δ was not
 /// reached within the sample budget m_L.
 enum class DampeningMode {

@@ -32,13 +32,9 @@
 
 namespace vsj {
 
-/// Options of streaming LSH-SS; zero means "derive from the live count n
-/// at call time" (m_H = m_L = n, δ = log₂ n), matching §5.1.
-struct StreamingLshSsOptions {
-  uint64_t sample_size_h = 0;
-  uint64_t sample_size_l = 0;
-  uint64_t delta = 0;
-};
+/// Options of streaming LSH-SS: the sampling budgets alone, with zero
+/// meaning "derive from the live count n at call time".
+using StreamingLshSsOptions = SamplingBudget;
 
 /// Flat per-table bucket-of arrays amortizing the SampleL index walk across
 /// every trial of a batch. The rejection test `table.SameBucket(u, v)` costs

@@ -1,7 +1,6 @@
 #include "vsj/service/estimate_cache.h"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 
 #include "vsj/obs/obs.h"
@@ -15,24 +14,6 @@ namespace {
 /// Width of the τ slices that pick a shard (placement only, not the key).
 constexpr double kShardTauWidth = 0.01;
 
-/// The exact bit pattern of `value` — the key must distinguish every
-/// distinct double (0.70 vs 0.72 vs the next representable neighbor), which
-/// decimal formatting cannot guarantee.
-uint64_t DoubleBits(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-void AppendOverride(std::string& key, const std::optional<uint64_t>& value) {
-  key.push_back('|');
-  if (value.has_value()) {
-    key.append(std::to_string(*value));
-  } else {
-    key.push_back('-');
-  }
-}
-
 }  // namespace
 
 EstimateCache::EstimateCache(size_t capacity, size_t num_shards)
@@ -45,22 +26,9 @@ EstimateCache::EstimateCache(size_t capacity, size_t num_shards)
 
 std::string EstimateCache::MakeKey(const EstimateRequest& request,
                                    uint64_t fingerprint) const {
-  std::string key;
-  key.reserve(request.estimator_name.size() + 104);
-  key.append(request.estimator_name);
-  key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.tau)));
+  std::string key = ExactKey(request);
   key.push_back('|');
   key.append(std::to_string(fingerprint));
-  key.push_back('|');
-  key.append(std::to_string(request.trials));
-  key.push_back('|');
-  key.append(std::to_string(request.seed));
-  key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.max_rel_error)));
-  AppendOverride(key, request.sample_size_h);
-  AppendOverride(key, request.sample_size_l);
-  AppendOverride(key, request.delta);
   return key;
 }
 

@@ -6,14 +6,14 @@
 // and the batched pipeline drives the cache from every pool worker at
 // once. Two design points follow:
 //
-//   * The key is exact. It is (estimator name, exact τ bits, dataset
-//     fingerprint, trials, seed, max_rel_error bits, sampling overrides):
-//     an estimate is a statement about one specific threshold under one
-//     specific statistical policy, and serving a τ=0.72 probe a response
-//     sampled at τ=0.70 silently mislabels the estimate, its error bar and
-//     its sampling cost. (Earlier versions keyed on a τ-bucket and did
-//     exactly that; tests/service/estimate_cache_test.cc now pins the
-//     never-alias behavior.) Keying on trials and seed keeps two further
+//   * The key is exact: ExactKey(request) (estimate_request.h) plus the
+//     dataset fingerprint. An estimate is a statement about one specific
+//     threshold under one specific statistical policy, and serving a
+//     τ=0.72 probe a response sampled at τ=0.70 silently mislabels the
+//     estimate, its error bar and its sampling cost. (Earlier versions
+//     keyed on a τ-bucket and did exactly that;
+//     tests/service/estimate_cache_test.cc now pins the never-alias
+//     behavior.) Keying on trials and seed keeps two further
 //     invariants: a request for an 8-trial error bar is never served a
 //     cached single-trial response, and changing the seed really draws a
 //     fresh sample.

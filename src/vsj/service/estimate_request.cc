@@ -1,8 +1,20 @@
 #include "vsj/service/estimate_request.h"
 
+#include <bit>
 #include <cmath>
 
+#include "vsj/core/stratified_sampling.h"
+
 namespace vsj {
+
+namespace {
+
+/// The exact bit pattern of `value`: keys must distinguish every distinct
+/// double (0.70 vs 0.72 vs the next representable neighbor), which decimal
+/// formatting cannot guarantee.
+uint64_t DoubleBits(double value) { return std::bit_cast<uint64_t>(value); }
+
+}  // namespace
 
 const char* ValidateEstimateRequest(const EstimateRequest& request) {
   if (request.trials == 0) {
@@ -38,6 +50,42 @@ const char* ValidateEstimateRequest(const EstimateRequest& request) {
     return "delta override must be > 0";
   }
   return nullptr;
+}
+
+void ApplySamplingOverrides(const EstimateRequest& request,
+                            SamplingBudget* budget) {
+  if (request.sample_size_h) budget->sample_size_h = *request.sample_size_h;
+  if (request.sample_size_l) budget->sample_size_l = *request.sample_size_l;
+  if (request.delta) budget->delta = *request.delta;
+}
+
+std::string SweepKey(const EstimateRequest& request) {
+  std::string key;
+  key.reserve(request.estimator_name.size() + 104);
+  key.append(request.estimator_name);
+  key.push_back('|');
+  key.append(std::to_string(request.trials));
+  key.push_back('|');
+  key.append(std::to_string(request.seed));
+  key.push_back('|');
+  key.append(std::to_string(DoubleBits(request.max_rel_error)));
+  for (const auto& field : {request.sample_size_h, request.sample_size_l,
+                            request.delta}) {
+    key.push_back('|');
+    if (field.has_value()) {
+      key.append(std::to_string(*field));
+    } else {
+      key.push_back('-');
+    }
+  }
+  return key;
+}
+
+std::string ExactKey(const EstimateRequest& request) {
+  std::string key = SweepKey(request);
+  key.push_back('|');
+  key.append(std::to_string(DoubleBits(request.tau)));
+  return key;
 }
 
 }  // namespace vsj

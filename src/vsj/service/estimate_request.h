@@ -16,6 +16,8 @@
 
 namespace vsj {
 
+struct SamplingBudget;
+
 /// One batched estimation question: "what is J(tau) according to
 /// `estimator_name`, averaged over `trials` independent runs?"
 struct EstimateRequest {
@@ -64,6 +66,18 @@ struct EstimateRequest {
 /// sampling templates; engines refuse them up front instead of serving an
 /// unguaranteed 0).
 const char* ValidateEstimateRequest(const EstimateRequest& request);
+
+/// The one override fold of both engines: each engaged sampling override
+/// of `request` replaces the matching field of `*budget`.
+void ApplySamplingOverrides(const EstimateRequest& request,
+                            SamplingBudget* budget);
+
+/// Request identity for the cache and batch grouping. The sweep key holds
+/// every field a response depends on except τ and the dataset state
+/// (estimator, trials, seed, error-bound bits, overrides), so equal sweep
+/// keys draw identical pair streams; the exact key adds the exact τ bits.
+std::string SweepKey(const EstimateRequest& request);
+std::string ExactKey(const EstimateRequest& request);
 
 /// Aggregated outcome of one request.
 struct EstimateResponse {

@@ -1,0 +1,121 @@
+// The engine core shared by the static and streaming estimation engines.
+//
+// Algorithm 1 runs the same way over a one-shot LSH index and over one
+// maintained under churn; only the source of the SampleH/SampleL pairs
+// differs. So the serving plumbing lives here once — the common options,
+// the LSH family they select, the thread pool, the estimate cache and the
+// cached-batch protocol — and
+// each engine (EstimationService: static index, any registered estimator;
+// StreamingEstimationService: dynamic index, LSH-SS only) supplies its
+// dataset fingerprint, a pre-pass hook settling per-leader state, the trial
+// function, and its estimator-name rule.
+
+#ifndef VSJ_SERVICE_ESTIMATION_ENGINE_H_
+#define VSJ_SERVICE_ESTIMATION_ENGINE_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "vsj/lsh/lsh_family.h"
+#include "vsj/service/estimate_cache.h"
+#include "vsj/service/estimate_request.h"
+#include "vsj/service/trial_runner.h"
+#include "vsj/util/thread_pool.h"
+#include "vsj/vector/similarity.h"
+
+namespace vsj {
+
+/// Construction-time configuration common to both engines.
+struct EstimationEngineOptions {
+  /// LSH functions per table and number ℓ of tables of the engine's index.
+  uint32_t k = 20;
+  uint32_t num_tables = 1;
+
+  /// Total concurrency (1 = single-threaded): batch execution, and the
+  /// static engine's parallel index build.
+  size_t num_threads = 1;
+
+  SimilarityMeasure measure = SimilarityMeasure::kCosine;
+
+  /// Seed of the LSH family; equal seeds give both engines identical hash
+  /// functions.
+  uint64_t family_seed = 0x5eedULL;
+
+  /// Response cache; see EstimateCache for key semantics.
+  bool enable_cache = true;
+  size_t cache_capacity = 1024;
+  size_t cache_num_shards = EstimateCache::kDefaultNumShards;
+};
+
+/// Owns the LSH family, the pool, the cache and the batch protocol;
+/// subclasses supply the pair source.
+class EstimationEngine {
+ public:
+  virtual ~EstimationEngine() = default;
+
+  EstimationEngine(const EstimationEngine&) = delete;
+  EstimationEngine& operator=(const EstimationEngine&) = delete;
+
+  /// Answers one request; equivalent to a batch of size one.
+  EstimateResponse Estimate(const EstimateRequest& request);
+
+  /// Answers every request of the batch through RunCachedBatch. Each
+  /// response is what Estimate() would answer for that request: how
+  /// requests are packed into batches — by a CLI sweep, an optimizer or the
+  /// network server coalescing 64 connections — is unobservable in the
+  /// results.
+  virtual std::vector<EstimateResponse> EstimateBatch(
+      const std::vector<EstimateRequest>& requests) = 0;
+
+  /// The engine's estimator-name rule, asked by the batch pre-pass and by
+  /// Tenant::ValidateEstimate: nullptr when this engine serves estimator
+  /// `name`, else a static description of why not.
+  virtual const char* CheckEstimator(const std::string& name) const = 0;
+
+  const LshFamily& family() const { return *family_; }
+
+  EstimateCache& cache() { return cache_; }
+  const EstimateCache& cache() const { return cache_; }
+
+  size_t num_threads() const { return num_threads_; }
+
+ protected:
+  explicit EstimationEngine(const EstimationEngineOptions& options);
+
+  ThreadPool& pool() { return pool_; }
+
+  /// The cached-batch protocol:
+  ///   0. every request must pass ValidateEstimateRequest and
+  ///      CheckEstimator (VSJ_CHECK);
+  ///   1. sequential pre-pass in request order — resolve cache hits, group
+  ///      the misses by ExactKey so each key computes once, and call
+  ///      `on_miss(i)` once per leader so engine state is settled before
+  ///      workers start; it returns whether the leader's estimator shares
+  ///      work across τ;
+  ///   2. sharing leaders with equal SweepKeys form one sweep group;
+  ///   3. the groups compute in parallel on the pool through
+  ///      RunDeterministicTrials and `run_trial`;
+  ///   4. sequential post-pass — followers copy their leader's response
+  ///      (what a cache hit on it would serve), leaders publish to the
+  ///      cache.
+  /// With enable_cache off, steps 1 and 4 skip the cache.
+  std::vector<EstimateResponse> RunCachedBatch(
+      const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
+      const std::function<bool(size_t)>& on_miss,
+      const SweepTrialFn& run_trial);
+
+ private:
+  const size_t num_threads_;
+  const bool enable_cache_;
+  std::unique_ptr<LshFamily> family_;
+  ThreadPool pool_;
+  EstimateCache cache_;
+};
+
+}  // namespace vsj
+
+#endif  // VSJ_SERVICE_ESTIMATION_ENGINE_H_

@@ -1,11 +1,11 @@
 #include "vsj/service/estimation_service.h"
 
+#include <algorithm>
 #include <span>
 #include <utility>
 
 #include "vsj/obs/obs.h"
 #include "vsj/service/dataset_fingerprint.h"
-#include "vsj/service/trial_runner.h"
 #include "vsj/util/check.h"
 #include "vsj/util/timer.h"
 
@@ -13,24 +13,20 @@ namespace vsj {
 
 EstimationService::EstimationService(VectorDataset dataset,
                                      EstimationServiceOptions options)
-    : options_(options),
+    : EstimationEngine(options),
+      options_(options),
       dataset_(std::move(dataset)),
       view_(dataset_),
-      fingerprint_(DatasetFingerprint(view_)),
-      family_(MakeLshFamily(options.measure, options.family_seed)),
-      pool_(options.num_threads),
-      cache_(options.cache_capacity, options.cache_num_shards) {
+      fingerprint_(DatasetFingerprint(view_)) {
   BuildIndexAndContext();
 }
 
 EstimationService::EstimationService(DatasetView dataset,
                                      EstimationServiceOptions options)
-    : options_(options),
+    : EstimationEngine(options),
+      options_(options),
       view_(dataset),
-      fingerprint_(DatasetFingerprint(view_)),
-      family_(MakeLshFamily(options.measure, options.family_seed)),
-      pool_(options.num_threads),
-      cache_(options.cache_capacity, options.cache_num_shards) {
+      fingerprint_(DatasetFingerprint(view_)) {
   BuildIndexAndContext();
 }
 
@@ -40,8 +36,8 @@ void EstimationService::BuildIndexAndContext() {
   Timer timer;
   {
     VSJ_TRACE_SPAN(build_span, "service.index_build_ns");
-    index_ = std::make_unique<LshIndex>(*family_, view_, options_.k,
-                                        options_.num_tables, &pool_);
+    index_ = std::make_unique<LshIndex>(family(), view_, options_.k,
+                                        options_.num_tables, &pool());
   }
   index_build_seconds_ = timer.ElapsedSeconds();
 
@@ -51,21 +47,27 @@ void EstimationService::BuildIndexAndContext() {
   context_.measure = options_.measure;
 }
 
-EstimateResponse EstimationService::Estimate(const EstimateRequest& request) {
-  return EstimateBatch({request}).front();
-}
-
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
-  // The miss pre-pass makes sure every requested estimator instance exists
-  // before workers start, so they only ever read. Members of a sweep group
-  // share the leader's estimator (same name, same overrides).
+  // The pre-pass settles every leader's estimator before workers start, so
+  // they only read. An overridden leader gets an instance local to this
+  // batch, so the shared memo stays bounded by the registry however many
+  // distinct overrides clients send. A sweep group shares its leader's.
   std::vector<const JoinSizeEstimator*> estimators(requests.size(), nullptr);
+  std::vector<std::unique_ptr<JoinSizeEstimator>> overridden;
   return RunCachedBatch(
-      requests, options_.enable_cache ? &cache_ : nullptr, fingerprint_,
-      pool_,
+      requests, fingerprint_,
       [&](size_t i) {
-        estimators[i] = &EstimatorFor(requests[i]);
+        const EstimateRequest& request = requests[i];
+        if (request.HasSamplingOverrides()) {
+          EstimatorContext context = context_;
+          ApplySamplingOverrides(request, &context.lsh_ss);
+          overridden.push_back(
+              CreateEstimator(request.estimator_name, context));
+          estimators[i] = overridden.back().get();
+        } else {
+          estimators[i] = &SharedEstimator(request.estimator_name);
+        }
         return estimators[i]->SharesSweeps();
       },
       [&](size_t leader, size_t, std::span<const double> taus,
@@ -74,39 +76,19 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
       });
 }
 
-const JoinSizeEstimator& EstimationService::EstimatorFor(
-    const EstimateRequest& request) {
-  std::string key = request.estimator_name;
-  if (request.HasSamplingOverrides()) {
-    for (const auto& field : {request.sample_size_h, request.sample_size_l,
-                              request.delta}) {
-      key.push_back('|');
-      if (field.has_value()) {
-        key.append(std::to_string(*field));
-      } else {
-        key.push_back('-');
-      }
-    }
-  }
+const char* EstimationService::CheckEstimator(const std::string& name) const {
+  static const std::vector<std::string> kKnown = AllEstimatorNames();
+  return std::find(kKnown.begin(), kKnown.end(), name) == kKnown.end()
+             ? "unknown estimator"
+             : nullptr;
+}
+
+const JoinSizeEstimator& EstimationService::SharedEstimator(
+    const std::string& name) {
   std::lock_guard<std::mutex> lock(estimators_mutex_);
-  auto it = estimators_.find(key);
-  if (it == estimators_.end()) {
-    EstimatorContext context = context_;
-    if (request.sample_size_h.has_value()) {
-      context.lsh_ss.sample_size_h = *request.sample_size_h;
-    }
-    if (request.sample_size_l.has_value()) {
-      context.lsh_ss.sample_size_l = *request.sample_size_l;
-    }
-    if (request.delta.has_value()) {
-      context.lsh_ss.delta = *request.delta;
-    }
-    it = estimators_
-             .emplace(std::move(key),
-                      CreateEstimator(request.estimator_name, context))
-             .first;
-  }
-  return *it->second;
+  std::unique_ptr<JoinSizeEstimator>& estimator = estimators_[name];
+  if (estimator == nullptr) estimator = CreateEstimator(name, context_);
+  return *estimator;
 }
 
 }  // namespace vsj

@@ -112,17 +112,15 @@ StreamingEstimationService::StreamingEstimationService(
     RestoreTag, StreamingCsrStorage store,
     const StreamingEstimationServiceOptions& options,
     uint64_t base_fingerprint, uint64_t epoch)
-    : options_(options),
+    : EstimationEngine(options),
+      options_(options),
       store_(std::move(store)),
       base_fingerprint_(base_fingerprint),
       epoch_(epoch),
-      family_(MakeLshFamily(options.measure, options.family_seed)),
-      index_(*family_, options.k, options.num_tables),
+      index_(family(), options.k, options.num_tables),
       estimator_(DatasetView::IdAddressed(store_), index_, options.measure,
-                 options.lsh_ss),
-      pool_(options.num_threads),
-      cache_(options.cache_capacity, options.cache_num_shards) {
-  cache_.RestoreEpoch(epoch_);
+                 options.lsh_ss) {
+  cache().RestoreEpoch(epoch_);
   // Replay (RestoreReplay, called right after construction) re-hashes
   // every live vector; attach the memoized hyperplane components first.
   BuildProjectionCache();
@@ -285,9 +283,7 @@ IoStatus StreamingEstimationService::Restore(
   options.num_tables = meta.num_tables;
   options.measure = static_cast<SimilarityMeasure>(meta.measure);
   options.family_seed = meta.family_seed;
-  options.lsh_ss.sample_size_h = meta.sample_size_h;
-  options.lsh_ss.sample_size_l = meta.sample_size_l;
-  options.lsh_ss.delta = meta.delta;
+  options.lsh_ss = {meta.sample_size_h, meta.sample_size_l, meta.delta};
 
   service->reset(new StreamingEstimationService(
       RestoreTag{}, std::move(store), options, meta.base_fingerprint,

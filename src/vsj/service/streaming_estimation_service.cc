@@ -7,7 +7,6 @@
 #include "vsj/lsh/gaussian_projection_cache.h"
 #include "vsj/obs/obs.h"
 #include "vsj/service/dataset_fingerprint.h"
-#include "vsj/service/trial_runner.h"
 #include "vsj/util/check.h"
 #include "vsj/util/hash.h"
 
@@ -26,25 +25,23 @@ StreamingCsrStorage RepackIntoArena(const VectorDataset& dataset,
 
 StreamingEstimationService::StreamingEstimationService(
     VectorDataset dataset, StreamingEstimationServiceOptions options)
-    : options_(options),
+    : EstimationEngine(options),
+      options_(options),
       store_(RepackIntoArena(dataset, options.storage)),
       base_fingerprint_(DatasetFingerprint(dataset)),
-      family_(MakeLshFamily(options.measure, options.family_seed)),
-      index_(*family_, options.k, options.num_tables),
+      index_(family(), options.k, options.num_tables),
       // The estimator reads vectors by stable id through the store's slot
       // table, never through the view's size (n comes from the live index),
       // so the view stays usable as AddVector grows the id space.
       estimator_(DatasetView::IdAddressed(store_), index_, options.measure,
-                 options.lsh_ss),
-      pool_(options.num_threads),
-      cache_(options.cache_capacity, options.cache_num_shards) {
+                 options.lsh_ss) {
   BuildProjectionCache();
 }
 
 void StreamingEstimationService::BuildProjectionCache() {
-  projection_cache_ = family_->MakeProjectionCache(
+  projection_cache_ = family().MakeProjectionCache(
       DatasetView(store_), options_.k * options_.num_tables,
-      pool_.num_threads() > 0 ? &pool_ : nullptr);
+      pool().num_threads() > 0 ? &pool() : nullptr);
   index_.AttachProjectionCache(projection_cache_.get());
 }
 
@@ -54,7 +51,7 @@ uint64_t StreamingEstimationService::effective_fingerprint() const {
 
 void StreamingEstimationService::BumpEpoch() {
   ++epoch_;
-  cache_.NoteInvalidation();
+  cache().NoteInvalidation();
   // One counter per mutation — the only per-mutation instrumentation on
   // the streaming path, protecting the sub-µs mutation budget.
   VSJ_COUNTER_ADD("service.mutations", 1);
@@ -85,11 +82,6 @@ void StreamingEstimationService::Erase(VectorId id) {
   BumpEpoch();
 }
 
-EstimateResponse StreamingEstimationService::Estimate(
-    const EstimateRequest& request) {
-  return EstimateBatch({request}).front();
-}
-
 std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
     const std::vector<EstimateRequest>& requests) {
   // The batch's sample context: flat bucket-of arrays amortizing the
@@ -101,27 +93,15 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
   StreamingSampleContext context;
   // Per-leader sampling overrides, folded over the engine's options in the
   // pre-pass (nullopt: none engaged). Sweep-group members share them.
-  std::vector<std::optional<StreamingLshSsOptions>> overrides(
-      requests.size());
+  std::vector<std::optional<SamplingBudget>> overrides(requests.size());
   const uint32_t num_tables = index_.num_tables();
   return RunCachedBatch(
-      requests, options_.enable_cache ? &cache_ : nullptr,
-      effective_fingerprint(), pool_,
+      requests, effective_fingerprint(),
       [&](size_t i) {
-        const EstimateRequest& request = requests[i];
-        VSJ_CHECK_MSG(request.estimator_name == "LSH-SS",
-                      "streaming engine only serves LSH-SS");
         if (context.empty()) context.Build(index_, dataset().size());
-        if (request.HasSamplingOverrides()) {
-          StreamingLshSsOptions folded = options_.lsh_ss;
-          if (request.sample_size_h.has_value()) {
-            folded.sample_size_h = *request.sample_size_h;
-          }
-          if (request.sample_size_l.has_value()) {
-            folded.sample_size_l = *request.sample_size_l;
-          }
-          if (request.delta.has_value()) folded.delta = *request.delta;
-          overrides[i] = folded;
+        if (requests[i].HasSamplingOverrides()) {
+          overrides[i] = options_.lsh_ss;
+          ApplySamplingOverrides(requests[i], &*overrides[i]);
         }
         return estimator_.SharesSweeps();
       },
@@ -134,6 +114,11 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
             taus, static_cast<uint32_t>(t % num_tables), rng, &context,
             overrides[leader] ? &*overrides[leader] : nullptr);
       });
+}
+
+const char* StreamingEstimationService::CheckEstimator(
+    const std::string& name) const {
+  return name == "LSH-SS" ? nullptr : "streaming engine only serves LSH-SS";
 }
 
 }  // namespace vsj

@@ -1,4 +1,5 @@
-// Streaming join-size estimation engine: live dataset, dynamic ℓ-table LSH
+// Streaming join-size estimation engine: the streaming pair source of the
+// engine core (estimation_engine.h) — live dataset, dynamic ℓ-table LSH
 // index, epoch-invalidated estimate cache.
 //
 // EstimationService answers over a frozen dataset with a one-shot index
@@ -16,13 +17,9 @@
 // answers are unreachable (not eagerly erased; LRU eviction reclaims them),
 // and the cache's stats().epoch counter exposes the invalidations.
 //
-// Determinism: the contract of EstimationService carries over, with the
-// epoch as part of the dataset state — every request draws trial t from
-// the value-derived stream Rng(seed).Fork(0).Fork(t) and runs it against
-// table (t mod ℓ), so a response is a pure function of (request, live
-// set, epoch): bit-identical at any thread count and in any batch.
-// Requests differing only in τ run as one sweep group (trial_runner.h),
-// each response bit-identical to computing that τ alone.
+// Determinism (trial_runner.h) carries over with the epoch as part of the
+// dataset state: trial t runs against table (t mod ℓ), and a response is a
+// pure function of (request, live set, epoch).
 
 #ifndef VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
 #define VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
@@ -36,10 +33,7 @@
 #include "vsj/io/io_status.h"
 #include "vsj/lsh/dynamic_lsh_index.h"
 #include "vsj/lsh/gaussian_projection_cache.h"
-#include "vsj/lsh/lsh_family.h"
-#include "vsj/service/estimate_cache.h"
-#include "vsj/service/estimate_request.h"
-#include "vsj/util/thread_pool.h"
+#include "vsj/service/estimation_engine.h"
 #include "vsj/vector/csr_storage.h"
 #include "vsj/vector/dataset_view.h"
 #include "vsj/vector/vector_dataset.h"
@@ -47,28 +41,9 @@
 namespace vsj {
 
 /// Construction-time configuration of a StreamingEstimationService.
-struct StreamingEstimationServiceOptions {
-  /// LSH functions per table and number ℓ of dynamic tables.
-  uint32_t k = 20;
-  uint32_t num_tables = 1;
-
-  /// Concurrency of batch execution (1 = single-threaded).
-  size_t num_threads = 1;
-
-  SimilarityMeasure measure = SimilarityMeasure::kCosine;
-
-  /// Seed of the LSH family (hash function selection). Matches
-  /// EstimationServiceOptions so a streaming engine and a static engine can
-  /// be built over identical hash functions.
-  uint64_t family_seed = 0x5eedULL;
-
+struct StreamingEstimationServiceOptions : EstimationEngineOptions {
   /// Streaming LSH-SS sampling knobs (0 = derive from live n per call).
   StreamingLshSsOptions lsh_ss;
-
-  /// Response cache; see EstimateCache for key semantics.
-  bool enable_cache = true;
-  size_t cache_capacity = 1024;
-  size_t cache_num_shards = EstimateCache::kDefaultNumShards;
 
   /// Chunk size / compaction policy of the backing arena.
   StreamingStorageOptions storage;
@@ -79,7 +54,7 @@ struct StreamingEstimationServiceOptions {
 /// Thread safety: EstimateBatch parallelizes internally, but the engine is
 /// externally synchronized — callers must not mutate (Insert/Remove/
 /// AddVector) concurrently with any other method.
-class StreamingEstimationService {
+class StreamingEstimationService final : public EstimationEngine {
  public:
   /// Consumes `dataset`, repacking it into the backing arena (vector i
   /// keeps id i). No vector starts live; replay Insert ops to populate
@@ -95,7 +70,6 @@ class StreamingEstimationService {
   /// The backing chunked arena.
   const StreamingCsrStorage& store() const { return store_; }
   const DynamicLshIndex& index() const { return index_; }
-  const LshFamily& family() const { return *family_; }
   const StreamingEstimationServiceOptions& options() const {
     return options_;
   }
@@ -108,9 +82,6 @@ class StreamingEstimationService {
   /// Cache key component: the backing dataset's fingerprint with the
   /// current epoch folded in.
   uint64_t effective_fingerprint() const;
-
-  EstimateCache& cache() { return cache_; }
-  const EstimateCache& cache() const { return cache_; }
 
   /// Appends a new vector to the backing store (not yet live) and returns
   /// its id.
@@ -129,16 +100,13 @@ class StreamingEstimationService {
 
   bool Contains(VectorId id) const { return index_.Contains(id); }
 
-  /// Answers one request; equivalent to a batch of size one.
-  EstimateResponse Estimate(const EstimateRequest& request);
-
-  /// Answers every request of the batch over the current live set with
-  /// streaming LSH-SS (request.estimator_name must be "LSH-SS"). Cache
-  /// hits resolve sequentially in request order; misses compute across the
-  /// thread pool. Each response is what Estimate() would answer for that
-  /// request at the current epoch. See EstimationService::EstimateBatch.
+  /// See EstimationEngine::EstimateBatch; answers over the current live
+  /// set, at the current epoch, with streaming LSH-SS.
   std::vector<EstimateResponse> EstimateBatch(
-      const std::vector<EstimateRequest>& requests);
+      const std::vector<EstimateRequest>& requests) override;
+
+  /// Only "LSH-SS".
+  const char* CheckEstimator(const std::string& name) const override;
 
   /// Serializes the engine to a VSJS snapshot at `path`: the backing store
   /// (compacted on write — only live payloads are written, tombstoned ids
@@ -183,12 +151,9 @@ class StreamingEstimationService {
   StreamingCsrStorage store_;
   uint64_t base_fingerprint_;
   uint64_t epoch_ = 0;
-  std::unique_ptr<LshFamily> family_;
   std::unique_ptr<GaussianProjectionCache> projection_cache_;
   DynamicLshIndex index_;
   StreamingLshSsEstimator estimator_;
-  ThreadPool pool_;
-  EstimateCache cache_;
 };
 
 }  // namespace vsj

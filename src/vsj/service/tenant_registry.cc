@@ -3,11 +3,9 @@
 #include <dirent.h>
 #include <sys/stat.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
-#include "vsj/core/estimator_registry.h"
 #include "vsj/fault/fault.h"
 #include "vsj/obs/obs.h"
 
@@ -26,7 +24,8 @@ Tenant::Tenant(std::string name, std::string snapshot_path,
                std::unique_ptr<StreamingEstimationService> engine)
     : name_(std::move(name)),
       snapshot_path_(std::move(snapshot_path)),
-      streaming_(std::move(engine)),
+      engine_(std::move(engine)),
+      streaming_(static_cast<StreamingEstimationService*>(engine_.get())),
       persisted_epoch_(streaming_->epoch()) {}
 
 Tenant::Tenant(std::string name, std::string snapshot_path,
@@ -35,27 +34,27 @@ Tenant::Tenant(std::string name, std::string snapshot_path,
     : name_(std::move(name)),
       snapshot_path_(std::move(snapshot_path)),
       mapped_(std::move(storage)),
-      static_(std::move(engine)) {}
+      engine_(std::move(engine)) {}
+
+TenantOpResult Tenant::StaticTenantRefusal() const {
+  return TenantOpResult::Unsupported(
+      "tenant '" + name_ + "' is a static dataset; mutations need a "
+      ".vsjs streaming snapshot");
+}
 
 TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
   // The engines enforce these rules with VSJ_CHECK (an abort); the server
   // must turn them into bad_request responses instead, so they are
-  // re-checked here against the live registry before any engine call.
+  // re-checked here before any engine call. The rule is the engine's; only
+  // the wording of the refusal differs by flavor.
   if (const char* error = ValidateEstimateRequest(request)) {
     return TenantOpResult::BadRequest(error);
   }
-  if (streaming_ != nullptr) {
-    if (request.estimator_name != "LSH-SS") {
-      return TenantOpResult::BadRequest(
-          "streaming tenant '" + name_ + "' only serves estimator LSH-SS");
-    }
-    return TenantOpResult::Ok();
-  }
-  const std::vector<std::string> known = AllEstimatorNames();
-  if (std::find(known.begin(), known.end(), request.estimator_name) ==
-      known.end()) {
-    return TenantOpResult::BadRequest("unknown estimator '" +
-                                      request.estimator_name + "'");
+  if (engine_->CheckEstimator(request.estimator_name) != nullptr) {
+    return TenantOpResult::BadRequest(
+        is_streaming()
+            ? "streaming tenant '" + name_ + "' only serves estimator LSH-SS"
+            : "unknown estimator '" + request.estimator_name + "'");
   }
   return TenantOpResult::Ok();
 }
@@ -63,17 +62,12 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
 std::vector<EstimateResponse> Tenant::EstimateBatchShared(
     const std::vector<EstimateRequest>& requests) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ != nullptr) return streaming_->EstimateBatch(requests);
-  return static_->EstimateBatch(requests);
+  return engine_->EstimateBatch(requests);
 }
 
 TenantOpResult Tenant::Insert(VectorId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ == nullptr) {
-    return TenantOpResult::Unsupported(
-        "tenant '" + name_ + "' is a static dataset; mutations need a "
-        ".vsjs streaming snapshot");
-  }
+  if (streaming_ == nullptr) return StaticTenantRefusal();
   if (!streaming_->store().Contains(id)) {
     return TenantOpResult::BadRequest("vector_id " + std::to_string(id) +
                                       " is not in the backing store");
@@ -88,11 +82,7 @@ TenantOpResult Tenant::Insert(VectorId id) {
 
 TenantOpResult Tenant::Remove(VectorId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ == nullptr) {
-    return TenantOpResult::Unsupported(
-        "tenant '" + name_ + "' is a static dataset; mutations need a "
-        ".vsjs streaming snapshot");
-  }
+  if (streaming_ == nullptr) return StaticTenantRefusal();
   if (!streaming_->Contains(id)) {
     return TenantOpResult::BadRequest("vector_id " + std::to_string(id) +
                                       " is not live");
@@ -103,11 +93,7 @@ TenantOpResult Tenant::Remove(VectorId id) {
 
 TenantOpResult Tenant::Erase(VectorId id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ == nullptr) {
-    return TenantOpResult::Unsupported(
-        "tenant '" + name_ + "' is a static dataset; mutations need a "
-        ".vsjs streaming snapshot");
-  }
+  if (streaming_ == nullptr) return StaticTenantRefusal();
   if (!streaming_->store().Contains(id)) {
     return TenantOpResult::BadRequest("vector_id " + std::to_string(id) +
                                       " is not in the backing store");
@@ -118,11 +104,7 @@ TenantOpResult Tenant::Erase(VectorId id) {
 
 TenantOpResult Tenant::AddVector(const std::vector<Feature>& features) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (streaming_ == nullptr) {
-    return TenantOpResult::Unsupported(
-        "tenant '" + name_ + "' is a static dataset; mutations need a "
-        ".vsjs streaming snapshot");
-  }
+  if (streaming_ == nullptr) return StaticTenantRefusal();
   const VectorId id = streaming_->AddVector(SparseVector(features));
   return TenantOpResult::Ok(id);
 }
@@ -130,23 +112,19 @@ TenantOpResult Tenant::AddVector(const std::vector<Feature>& features) {
 TenantStats Tenant::Stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   TenantStats stats;
+  const EstimateCacheStats cache = engine_->cache().stats();
+  stats.cache_hits = cache.hits;
+  stats.cache_misses = cache.misses;
   if (streaming_ != nullptr) {
     stats.streaming = true;
     stats.epoch = streaming_->epoch();
     stats.num_vectors = streaming_->store().num_ids();
     stats.num_live = streaming_->num_live();
-    const EstimateCacheStats cache = streaming_->cache().stats();
-    stats.cache_hits = cache.hits;
-    stats.cache_misses = cache.misses;
+    stats.dirty = streaming_->epoch() != persisted_epoch_;
   } else {
-    stats.num_vectors = static_->dataset().size();
+    stats.num_vectors = mapped_->size();
     stats.num_live = stats.num_vectors;
-    const EstimateCacheStats cache = static_->cache().stats();
-    stats.cache_hits = cache.hits;
-    stats.cache_misses = cache.misses;
   }
-  stats.dirty =
-      streaming_ != nullptr && streaming_->epoch() != persisted_epoch_;
   stats.checkpoint_failures = checkpoint_failures_;
   return stats;
 }

@@ -121,10 +121,9 @@ class Tenant {
   bool is_streaming() const { return streaming_ != nullptr; }
 
   /// Pre-flight check of one estimate request against this tenant's
-  /// engine: ValidateEstimateRequest plus the estimator-name rules the
-  /// engines enforce with VSJ_CHECK (static: any registered estimator;
-  /// streaming: LSH-SS only). Returns kOk or kBadRequest — a rejected
-  /// request must not reach EstimateBatchShared.
+  /// engine: ValidateEstimateRequest plus the engine's CheckEstimator (the
+  /// rules the engine enforces with VSJ_CHECK). Returns kOk or kBadRequest
+  /// — a rejected request must not reach EstimateBatchShared.
   TenantOpResult ValidateEstimate(const EstimateRequest& request) const;
 
   /// Forwards to the engine's EstimateBatch, so responses are
@@ -161,14 +160,19 @@ class Tenant {
   std::string last_write_back_error() const;
 
  private:
+  /// The kUnsupported answer of every mutation on a static tenant.
+  TenantOpResult StaticTenantRefusal() const;
+
   const std::string name_;
   const std::string snapshot_path_;
 
   mutable std::mutex mutex_;
-  // Exactly one engine is set, selecting the flavor.
-  std::unique_ptr<StreamingEstimationService> streaming_;
+  // Static tenants only; declared first so it outlives the engine's view.
   std::unique_ptr<MappedCsrStorage> mapped_;
-  std::unique_ptr<EstimationService> static_;
+  std::unique_ptr<EstimationEngine> engine_;
+  // The engine as a streaming engine (null on static tenants), used only
+  // for mutations and write-back.
+  StreamingEstimationService* streaming_ = nullptr;
   /// Engine epoch the snapshot on disk reflects (streaming only).
   uint64_t persisted_epoch_ = 0;
   uint64_t checkpoint_failures_ = 0;

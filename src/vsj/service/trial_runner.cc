@@ -2,10 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "vsj/obs/obs.h"
@@ -41,12 +38,6 @@ double SampleStdDevOf(const std::vector<double>& estimates, double mean) {
   return std::sqrt(sq / static_cast<double>(estimates.size() - 1));
 }
 
-uint64_t DoubleBits(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
 /// Any-τ early exit: `trials` is a budget, not a mandate. Once at least two
 /// trials bound the spread and the running standard error of the mean is
 /// inside the requested relative band, further trials buy precision nobody
@@ -63,43 +54,6 @@ bool WithinErrorBound(const EstimateRequest& request,
   const double std_error = SampleStdDevOf(estimates, mean) /
                            std::sqrt(static_cast<double>(estimates.size()));
   return std_error <= request.max_rel_error * std::abs(mean);
-}
-
-/// The sweep key of a request: every field the computed response depends
-/// on except τ. Requests with equal sweep keys draw identical pair streams,
-/// so they can share one sampling pass. The dataset fingerprint is
-/// constant across a batch and stays out.
-std::string SweepKey(const EstimateRequest& request) {
-  std::string key;
-  key.reserve(request.estimator_name.size() + 88);
-  key.append(request.estimator_name);
-  key.push_back('|');
-  key.append(std::to_string(request.trials));
-  key.push_back('|');
-  key.append(std::to_string(request.seed));
-  key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.max_rel_error)));
-  for (const auto& field : {request.sample_size_h, request.sample_size_l,
-                            request.delta}) {
-    key.push_back('|');
-    if (field.has_value()) {
-      key.append(std::to_string(*field));
-    } else {
-      key.push_back('-');
-    }
-  }
-  return key;
-}
-
-/// The duplicate-compute key of a request within one batch: the sweep key
-/// plus the exact τ bits — everything the response depends on, exactly
-/// like the cache key, so a follower served its leader's response sees
-/// what a cache hit would have shown it.
-std::string GroupKey(const EstimateRequest& request) {
-  std::string key = SweepKey(request);
-  key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.tau)));
-  return key;
 }
 
 }  // namespace
@@ -164,99 +118,6 @@ std::vector<EstimateResponse> RunDeterministicTrials(
     running.resize(still_running);
   }
   for (const size_t m : running) finish(m);
-  return responses;
-}
-
-std::vector<EstimateResponse> RunCachedBatch(
-    const std::vector<EstimateRequest>& requests, EstimateCache* cache,
-    uint64_t fingerprint, ThreadPool& pool,
-    const std::function<bool(size_t)>& on_miss,
-    const SweepTrialFn& run_trial) {
-  for (const EstimateRequest& request : requests) {
-    const char* error = ValidateEstimateRequest(request);
-    VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest: %s", error);
-  }
-  std::vector<EstimateResponse> responses(requests.size());
-
-  // Misses holds the group leaders — the requests actually computed. A
-  // later miss whose GroupKey matches an earlier one becomes a follower:
-  // it skips dispatch and copies its leader's response after the pool
-  // drains, exactly what a cache hit on the leader's entry would have
-  // produced. No relabeling happens on hits or followers: with the exact-τ
-  // cache key and the exact GroupKey, a served response already describes
-  // precisely the τ/estimator/policy that was asked.
-  std::vector<size_t> misses;
-  misses.reserve(requests.size());
-  std::vector<bool> shares_sweeps(requests.size(), false);
-  std::vector<std::pair<size_t, size_t>> followers;  // (follower, leader)
-  std::unordered_map<std::string, size_t> leader_of;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (cache != nullptr) {
-      if (auto hit = cache->Lookup(requests[i], fingerprint)) {
-        responses[i] = *hit;
-        continue;
-      }
-    }
-    const auto [it, inserted] = leader_of.emplace(GroupKey(requests[i]), i);
-    if (!inserted) {
-      followers.emplace_back(i, it->second);
-      continue;
-    }
-    shares_sweeps[i] = on_miss(i);
-    misses.push_back(i);
-  }
-
-  // Sweep groups: leaders whose estimator shares work across τ and that
-  // match in everything but τ draw the same pairs, so one pass answers
-  // them all.
-  std::vector<std::vector<size_t>> groups;
-  std::unordered_map<std::string, size_t> group_of;
-  for (const size_t i : misses) {
-    if (shares_sweeps[i]) {
-      const auto [it, inserted] =
-          group_of.emplace(SweepKey(requests[i]), groups.size());
-      if (!inserted) {
-        groups[it->second].push_back(i);
-        continue;
-      }
-    }
-    groups.push_back({i});
-  }
-  VSJ_COUNTER_ADD("estimate.batch_requests", requests.size());
-  VSJ_COUNTER_ADD("estimate.batch_misses", misses.size());
-  VSJ_COUNTER_ADD("estimate.batch_grouped", followers.size());
-  for (const std::vector<size_t>& group : groups) {
-    if (group.size() > 1) {
-      VSJ_COUNTER_ADD("estimate.sweep_groups", 1);
-      VSJ_COUNTER_ADD("estimate.sweep_taus", group.size());
-    }
-  }
-
-  // Dispatch timestamp for the queue-wait histogram: how long a group sat
-  // between batch dispatch and a pool worker picking it up, vs. how long
-  // the estimate itself took. Timing only — work order is untouched.
-  const uint64_t dispatch_ns = obs::MonotonicNowNs();
-  pool.ParallelFor(groups.size(), [&](size_t g) {
-    VSJ_HIST_RECORD("estimate.queue_wait_ns",
-                    obs::MonotonicNowNs() - dispatch_ns);
-    VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
-    const std::vector<size_t>& group = groups[g];
-    std::vector<EstimateResponse> computed =
-        RunDeterministicTrials(requests, group, run_trial);
-    for (size_t m = 0; m < group.size(); ++m) {
-      responses[group[m]] = std::move(computed[m]);
-    }
-  });
-
-  for (const auto& [follower, leader] : followers) {
-    responses[follower] = responses[leader];
-  }
-
-  if (cache != nullptr) {
-    for (size_t i : misses) {
-      cache->Insert(requests[i], fingerprint, responses[i]);
-    }
-  }
   return responses;
 }
 

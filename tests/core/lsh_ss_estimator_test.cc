@@ -23,7 +23,7 @@ TEST(LshSsEstimatorTest, DampenedVariantIsNamedD) {
   auto setup = testing::MakeCosineSetup(256, 10);
   LshSsEstimator est(
       setup.dataset, setup.index->table(0), SimilarityMeasure::kCosine,
-      {.dampening = DampeningMode::kAdaptiveNlOverDelta});
+      {{}, DampeningMode::kAdaptiveNlOverDelta, 1.0});
   EXPECT_EQ(est.name(), "LSH-SS(D)");
 }
 
@@ -57,9 +57,11 @@ TEST(LshSsEstimatorTest, AccurateAcrossThresholdsWithAmpleBudget) {
                     {0.2, 0.5, 0.8});
   LshSsEstimator est(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine,
-                     {.sample_size_h = 4000,
-                      .sample_size_l = 100000,
-                      .delta = 5});
+                     {{.sample_size_h = 4000,
+                       .sample_size_l = 100000,
+                       .delta = 5},
+                      DampeningMode::kSafeLowerBound,
+                      1.0});
   for (double tau : {0.2, 0.5, 0.8}) {
     const double true_j = static_cast<double>(truth.JoinSize(tau));
     ASSERT_GT(true_j, 0.0) << "tau = " << tau;
@@ -103,7 +105,9 @@ TEST(LshSsEstimatorTest, SafeLowerBoundNeverScalesUpUnreliably) {
   auto setup = testing::MakeCosineSetup(600, 10, 1, 25);
   LshSsEstimator est(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine,
-                     {.sample_size_l = 20, .delta = 10});
+                     {{.sample_size_l = 20, .delta = 10},
+                      DampeningMode::kSafeLowerBound,
+                      1.0});
   Rng rng(3);
   const EstimationResult r = est.Estimate(0.95, rng);
   if (!r.guaranteed) {
@@ -114,7 +118,9 @@ TEST(LshSsEstimatorTest, SafeLowerBoundNeverScalesUpUnreliably) {
 TEST(LshSsEstimatorTest, DampenedScaleUpBetweenSafeAndFull) {
   auto setup = testing::MakeCosineSetup(600, 10, 1, 27);
   const LshTable& table = setup.index->table(0);
-  LshSsOptions base{.sample_size_l = 50, .delta = 30};
+  LshSsOptions base{{.sample_size_l = 50, .delta = 30},
+                    DampeningMode::kSafeLowerBound,
+                    1.0};
 
   LshSsOptions safe = base;
   safe.dampening = DampeningMode::kSafeLowerBound;
@@ -156,8 +162,7 @@ TEST(LshSsEstimatorDeathTest, RejectsBadDampeningFactor) {
   EXPECT_DEATH(
       LshSsEstimator(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine,
-                     {.dampening = DampeningMode::kFixedFactor,
-                      .dampening_factor = 1.5}),
+                     {{}, DampeningMode::kFixedFactor, 1.5}),
       "c_s");
 }
 

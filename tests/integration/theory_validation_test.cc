@@ -54,7 +54,9 @@ TEST_F(TheoryValidationTest, Lemma1SampleHConcentrates) {
       continue;
     }
     LshSsEstimator est(setup_.dataset, table, SimilarityMeasure::kCosine,
-                       {.sample_size_l = 1});  // starve SampleL
+                       {{.sample_size_l = 1},  // starve SampleL
+                        DampeningMode::kSafeLowerBound,
+                        1.0});
     const TrialSeries series = RunTrials(est, tau, 30, 71);
     // Median of Ĵ_H should be within a factor 2.5 of J_H.
     std::vector<double> h_parts = series.estimates;
@@ -118,10 +120,9 @@ TEST_F(TheoryValidationTest, Theorem2DampeningTradeoff) {
   const double tau = 0.85;
   auto estimate_l = [&](double cs) {
     LshSsEstimator est(setup_.dataset, table, SimilarityMeasure::kCosine,
-                       {.sample_size_l = 200,
-                        .delta = 50,
-                        .dampening = DampeningMode::kFixedFactor,
-                        .dampening_factor = cs});
+                       {{.sample_size_l = 200, .delta = 50},
+                        DampeningMode::kFixedFactor,
+                        cs});
     Rng rng(101);
     return est.Estimate(tau, rng);
   };

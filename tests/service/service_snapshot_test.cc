@@ -175,17 +175,33 @@ TEST_F(ServiceSnapshotTest, RuntimeOptionsComeFromCallerFormatFromFile) {
 TEST_F(ServiceSnapshotTest, RestoreHonorsCacheShardCount) {
   // Regression: the restore constructor built its cache without
   // cache_num_shards, so every restored engine ran the default shard count.
+  // Every other runtime field of the shared engine block must reach the
+  // restored engine too: cache capacity, thread count and enable_cache.
   const std::string path = SnapshotPath("vsj_snapshot_shards.vsjs");
   const auto original = MakeChurned(EngineOptions());
   ASSERT_TRUE(original->Checkpoint(path).ok());
 
   StreamingEstimationServiceOptions runtime = EngineOptions();
   runtime.cache_num_shards = EstimateCache::kDefaultNumShards + 5;
+  runtime.cache_capacity = 77;
+  runtime.num_threads = 3;
   std::unique_ptr<StreamingEstimationService> restored;
   ASSERT_TRUE(
       StreamingEstimationService::Restore(path, &restored, runtime).ok());
   EXPECT_EQ(restored->cache().num_shards(),
             EstimateCache::kDefaultNumShards + 5);
+  EXPECT_EQ(restored->cache().capacity(), 77u);
+  EXPECT_EQ(restored->num_threads(), 3u);
+  const EstimateRequest request = LshSsRequest(0.5, /*trials=*/2);
+  restored->Estimate(request);
+  EXPECT_TRUE(restored->Estimate(request).from_cache);
+
+  runtime.enable_cache = false;
+  ASSERT_TRUE(
+      StreamingEstimationService::Restore(path, &restored, runtime).ok());
+  restored->Estimate(request);
+  EXPECT_FALSE(restored->Estimate(request).from_cache);
+  EXPECT_EQ(restored->cache().size(), 0u);
   std::remove(path.c_str());
 }
 

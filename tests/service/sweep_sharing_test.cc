@@ -8,8 +8,10 @@
 // at different trials per τ, duplicate τ, τ = 1.0, a sweep split over two
 // batches, a mixed batch with a non-sharing estimator, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
-// threads, the estimator-level sweep entry points (cosine and Jaccard),
-// and the obs counters that make sharing visible.
+// threads, overrides folded per batch (independent of override history
+// and equal to configured budgets, on both engines), the estimator-level
+// sweep entry points (cosine and Jaccard), and the obs counters that make
+// sharing visible.
 
 #include <cstddef>
 #include <memory>
@@ -66,23 +68,25 @@ EstimationServiceOptions StaticOptions(size_t threads) {
   return options;
 }
 
-StreamingEstimationServiceOptions StreamOptions(size_t threads,
-                                                bool cache) {
+StreamingEstimationServiceOptions StreamOptions(size_t threads, bool cache,
+                                                SamplingBudget lsh_ss) {
   StreamingEstimationServiceOptions options;
   options.k = 8;
   options.num_tables = 2;  // trials alternate tables
   options.num_threads = threads;
   options.family_seed = 0xfeed;
   options.enable_cache = cache;
+  options.lsh_ss = lsh_ss;
   return options;
 }
 
 /// A seeded churn history: inserts, removals, re-inserts and erasures, so
 /// the live set, bucket orders and id space differ from a fresh build.
-std::unique_ptr<StreamingEstimationService> ChurnedStream(size_t threads,
-                                                          bool cache = false) {
+std::unique_ptr<StreamingEstimationService> ChurnedStream(
+    size_t threads, bool cache = false, SamplingBudget lsh_ss = {}) {
   auto service = std::make_unique<StreamingEstimationService>(
-      testing::SmallClusteredCorpus(500, 31), StreamOptions(threads, cache));
+      testing::SmallClusteredCorpus(500, 31),
+      StreamOptions(threads, cache, lsh_ss));
   Rng rng(2024);
   for (VectorId id = 0; id < 420; ++id) service->Insert(id);
   for (int step = 0; step < 300; ++step) {
@@ -141,6 +145,82 @@ TEST_P(SweepSharingTest, SamplingOverridesMatchPerTauAnswers) {
   ExpectMatchesSingles(service, sweep);
   const auto stream = ChurnedStream(threads());
   ExpectMatchesSingles(*stream, sweep);
+}
+
+/// Sets every sampling override of `requests` to `budget`.
+void Override(std::vector<EstimateRequest>& requests,
+              const SamplingBudget& budget) {
+  for (EstimateRequest& request : requests) {
+    request.sample_size_h = budget.sample_size_h;
+    request.sample_size_l = budget.sample_size_l;
+    request.delta = budget.delta;
+  }
+}
+
+/// Asks `engine` single requests under many distinct overrides.
+template <typename Engine>
+void AskDistinctOverrides(Engine& engine, const char* estimator) {
+  for (uint64_t v = 1; v <= 24; ++v) {
+    std::vector<EstimateRequest> ask = {Request(estimator, 0.6, 2)};
+    Override(ask, {.sample_size_h = 10 + v,
+                   .sample_size_l = 30 + v,
+                   .delta = 1 + v % 5});
+    engine.EstimateBatch(ask);
+  }
+}
+
+/// An overridden sweep answers byte-identically on a fresh engine, on one
+/// that has served many other distinct overrides, and on one whose
+/// configured budgets equal the overrides: an override is folded per
+/// batch, never into state that outlives it.
+template <typename Engine>
+void ExpectOverridesIndependentOfHistory(
+    Engine& fresh, Engine& used, Engine& configured, const char* estimator,
+    const SamplingBudget& budget) {
+  std::vector<EstimateRequest> sweep = Sweep(estimator, {0.4, 0.6, 0.8});
+  Override(sweep, budget);
+  AskDistinctOverrides(used, estimator);
+  const auto expected = fresh.EstimateBatch(sweep);
+  const auto after_history = used.EstimateBatch(sweep);
+  const auto overridden_again = configured.EstimateBatch(sweep);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(Bytes(after_history[i]), Bytes(expected[i]))
+        << estimator << " tau=" << sweep[i].tau;
+    EXPECT_EQ(Bytes(overridden_again[i]), Bytes(expected[i]))
+        << estimator << " tau=" << sweep[i].tau;
+    EstimateRequest plain = sweep[i];
+    plain.sample_size_h.reset();
+    plain.sample_size_l.reset();
+    plain.delta.reset();
+    EXPECT_EQ(Bytes(configured.Estimate(plain)), Bytes(expected[i]))
+        << estimator << " tau=" << sweep[i].tau;
+  }
+}
+
+TEST_P(SweepSharingTest, OverridesAreFoldedPerBatchOnBothEngines) {
+  const SamplingBudget budget{
+      .sample_size_h = 60, .sample_size_l = 120, .delta = 4};
+  EstimationServiceOptions configured_options = StaticOptions(threads());
+  configured_options.estimator_options.lsh_ss.sample_size_h =
+      budget.sample_size_h;
+  configured_options.estimator_options.lsh_ss.sample_size_l =
+      budget.sample_size_l;
+  configured_options.estimator_options.lsh_ss.delta = budget.delta;
+  for (const char* name : {"LSH-SS", "LSH-SS(vbucket)"}) {
+    EstimationService fresh(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+    EstimationService used(testing::SmallClusteredCorpus(600, 7),
+                           StaticOptions(threads()));
+    EstimationService configured(testing::SmallClusteredCorpus(600, 7),
+                                 configured_options);
+    ExpectOverridesIndependentOfHistory(fresh, used, configured, name,
+                                        budget);
+  }
+  const auto fresh = ChurnedStream(threads());
+  const auto used = ChurnedStream(threads());
+  const auto configured = ChurnedStream(threads(), /*cache=*/false, budget);
+  ExpectOverridesIndependentOfHistory(*fresh, *used, *configured, "LSH-SS",
+                                      budget);
 }
 
 TEST_P(SweepSharingTest, ErrorBoundExitsEachTauAtItsOwnTrial) {

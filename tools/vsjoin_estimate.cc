@@ -465,12 +465,30 @@ struct ObservabilityGuard {
   const Args& args;
 };
 
+/// Fills the engine block both engines share from the command line.
+void SetEngineOptions(const Args& args,
+                      vsj::EstimationEngineOptions* options) {
+  options->k = args.k;
+  options->num_tables = args.tables;
+  options->num_threads = args.threads;
+  options->family_seed = args.seed ^ 0x5eedULL;
+}
+
+/// The request the command line asks at threshold `tau` (stream mode only
+/// accepts --estimator LSH-SS, so both modes share it).
+vsj::EstimateRequest RequestAt(const Args& args, double tau) {
+  vsj::EstimateRequest request;
+  request.estimator_name = args.estimator;
+  request.tau = tau;
+  request.trials = args.trials;
+  request.seed = args.seed;
+  request.max_rel_error = args.max_rel_error;
+  return request;
+}
+
 vsj::StreamingEstimationServiceOptions StreamOptions(const Args& args) {
   vsj::StreamingEstimationServiceOptions options;
-  options.k = args.k;
-  options.num_tables = args.tables;
-  options.num_threads = args.threads;
-  options.family_seed = args.seed ^ 0x5eedULL;
+  SetEngineOptions(args, &options);
   return options;
 }
 
@@ -589,13 +607,7 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
                     << "'\n";
           return 1;
         }
-        vsj::EstimateRequest request;
-        request.estimator_name = "LSH-SS";
-        request.tau = tau;
-        request.trials = args.trials;
-        request.seed = args.seed;
-        request.max_rel_error = args.max_rel_error;
-        batch.push_back(request);
+        batch.push_back(RequestAt(args, tau));
       }
       if (batch.empty()) {
         std::cerr << "line " << line_number << ": estimate needs a tau\n";
@@ -780,10 +792,7 @@ int main(int argc, char** argv) {
   }
 
   vsj::EstimationServiceOptions options;
-  options.k = args.k;
-  options.num_tables = args.tables;
-  options.num_threads = args.threads;
-  options.family_seed = args.seed ^ 0x5eedULL;
+  SetEngineOptions(args, &options);
   // The owning flavor consumes the loaded dataset; --mmap serves the
   // estimators straight from the mapped file pages.
   auto service_ptr =
@@ -798,16 +807,7 @@ int main(int argc, char** argv) {
             << " ms with " << args.threads << " thread(s)\n";
 
   std::vector<vsj::EstimateRequest> batch;
-  batch.reserve(args.taus.size());
-  for (double tau : args.taus) {
-    vsj::EstimateRequest request;
-    request.estimator_name = args.estimator;
-    request.tau = tau;
-    request.trials = args.trials;
-    request.seed = args.seed;
-    request.max_rel_error = args.max_rel_error;
-    batch.push_back(request);
-  }
+  for (double tau : args.taus) batch.push_back(RequestAt(args, tau));
 
   std::ofstream json_out;
   if (!args.json_path.empty()) {
