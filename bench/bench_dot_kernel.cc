@@ -1,6 +1,7 @@
 // Dot-kernel microbench: per-pair cost of SparseVector::Dot over the old
 // per-vector heap layout vs. the columnar CSR arena, plus the galloping
-// merge on skewed pairs.
+// merge on skewed pairs, and the batched evaluator per SIMD level over
+// synthetic shapes and a NYT-like corpus (the regime servebench serves).
 //
 // Not a paper figure: this pins down the storage-core claim of the
 // columnar refactor. Layout A holds each vector as an individually
@@ -109,24 +110,24 @@ BatchArena BuildBatchArena(size_t small_size, size_t large_size, size_t vocab,
   return arena;
 }
 
-/// ns/pair of CountPairsAtOrAbove over the arena's pair list at the
+/// ns/pair of CountPairsAtOrAbove over `pairs` of `view` at the
 /// *currently installed* SIMD level, best of `iters`, plus the hit count
 /// (the cross-level bit-identity check of the batched section).
-std::pair<double, uint64_t> MeasureBatched(const BatchArena& arena,
+std::pair<double, uint64_t> MeasureBatched(vsj::DatasetView view,
+                                           const PairList& pairs,
                                            size_t iters, double tau) {
-  const vsj::DatasetView view(arena.storage);
   uint64_t hits = 0;
   double best_seconds = 1e300;
   for (size_t it = 0; it < iters; ++it) {
     vsj::Timer timer;
     hits = vsj::CountPairsAtOrAbove(
-        vsj::SimilarityMeasure::kCosine, view, arena.pairs.first.data(),
-        arena.pairs.second.data(), arena.pairs.first.size(), tau,
+        vsj::SimilarityMeasure::kCosine, view, pairs.first.data(),
+        pairs.second.data(), pairs.first.size(), tau,
         vsj::kPairPrefetchDistance);
     best_seconds = std::min(best_seconds, timer.ElapsedSeconds());
   }
   const double ns_per_pair =
-      best_seconds * 1e9 / static_cast<double>(arena.pairs.first.size());
+      best_seconds * 1e9 / static_cast<double>(pairs.first.size());
   return {ns_per_pair, hits};
 }
 
@@ -268,8 +269,10 @@ int main(int argc, char** argv) {
   // skew ratios and an intersection-density sweep. dense_14 mirrors the
   // dblp-like common case (the AVX2 full-residency rung); the 32-dim rows
   // sweep density at the 17..32 rung; skew >= 8 takes the gallop at every
-  // level. Hit counts must agree across levels — bit-identity is what makes
-  // the level a pure throughput knob.
+  // level. len_220 is the served regime: random pairs of a NYT-like TF-IDF
+  // corpus (~220 features a vector, an arena far larger than L2), next to
+  // the cache-resident synthetic rows. Hit counts must agree across levels
+  // — bit-identity is what makes the level a pure throughput knob.
   struct BatchedRow {
     const char* name;
     size_t small, large, vocab;
@@ -292,36 +295,54 @@ int main(int argc, char** argv) {
   }
   header.push_back("best vs scalar");
   batched.SetHeader(header);
-  for (const BatchedRow& row : batched_rows) {
-    const BatchArena arena = BuildBatchArena(
-        row.small, row.large, row.vocab, num_pairs / 8, scale.seed ^ row.vocab);
-    std::vector<std::string> cells = {
-        row.name, std::to_string(row.small) + "x" + std::to_string(row.large)};
+  const auto measure_row = [&](const std::string& name,
+                               const std::string& shape,
+                               vsj::DatasetView view, const PairList& pairs) {
+    std::vector<std::string> cells = {name, shape};
     double scalar_ns = 0.0, best_ns = 1e300;
     uint64_t reference_hits = 0;
     bool first_level = true;
     for (const vsj::SimdLevel level : levels) {
       vsj::SetSimdLevel(level);
-      const auto [ns, hits] = MeasureBatched(arena, iters, 0.5);
+      const auto [ns, hits] = MeasureBatched(view, pairs, iters, 0.5);
       vsj::ResetSimdLevel();
       if (first_level) {
         reference_hits = hits;
         first_level = false;
       } else if (hits != reference_hits) {
         std::cerr << "FATAL: batched hit counts diverge across levels ("
-                  << row.name << ": " << hits << " vs " << reference_hits
+                  << name << ": " << hits << " vs " << reference_hits
                   << ")\n";
-        return 1;
+        return false;
       }
       if (level == vsj::SimdLevel::kScalar) scalar_ns = ns;
       best_ns = std::min(best_ns, ns);
       cells.push_back(vsj::TablePrinter::Fmt(ns, 1));
-      json.Add(std::string("batched_") + row.name + "_" +
-                   vsj::SimdLevelName(level),
+      json.Add("batched_" + name + "_" + vsj::SimdLevelName(level),
                "ns_per_pair", ns, iters);
     }
     cells.push_back(vsj::TablePrinter::Fmt(scalar_ns / best_ns, 2) + "x");
     batched.AddRow(cells);
+    return true;
+  };
+  for (const BatchedRow& row : batched_rows) {
+    const BatchArena arena = BuildBatchArena(
+        row.small, row.large, row.vocab, num_pairs / 8, scale.seed ^ row.vocab);
+    if (!measure_row(row.name,
+                     std::to_string(row.small) + "x" +
+                         std::to_string(row.large),
+                     vsj::DatasetView(arena.storage), arena.pairs)) {
+      return 1;
+    }
+  }
+  const vsj::VectorDataset nyt =
+      vsj::GenerateCorpus(vsj::NytLikeConfig(scale.n, scale.seed));
+  const double nyt_features = nyt.ComputeStats().avg_features;
+  if (!measure_row("len_220",
+                   "nyt ~" + vsj::TablePrinter::Fmt(nyt_features, 0),
+                   vsj::DatasetView(nyt),
+                   SamplePairs(nyt.size(), num_pairs / 8, scale.seed))) {
+    return 1;
   }
   batched.Print(std::cout);
   json.AddMetricsSnapshot();

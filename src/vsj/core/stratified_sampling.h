@@ -51,20 +51,98 @@ enum class DampeningMode {
   kAdaptiveNlOverDelta,
 };
 
+/// Most distinct pairs SampleH's per-trial PairMultiset holds before it
+/// drains; bounds the table at ~1.5 MB per trial whatever N_H and m_H a
+/// request asks for.
+inline constexpr uint64_t kMaxDistinctPairsH = uint64_t{1} << 16;
+
+/// The distinct unordered pairs among a run of stratum-H draws, each with
+/// the number of draws that named it, in first-draw order. An
+/// open-addressing table over (min id, max id) keys: a draw and its
+/// swapped orientation are one pair, which is sound because every measure
+/// is bit-symmetric (pair_eval_test pins Similarity(u, v) ==
+/// Similarity(v, u)). Sized once for one trial: it holds at most
+/// min(N_H, m_h, kMaxDistinctPairsH) pairs — no trial names more than N_H
+/// or m_h distinct ones — and Add refuses a new pair once full, so the
+/// caller drains it (Clear) and adds again.
+class PairMultiset {
+ public:
+  PairMultiset(uint64_t num_pairs_h, uint64_t m_h)
+      : limit_(std::min({num_pairs_h, m_h, kMaxDistinctPairsH})) {
+    uint64_t capacity = 16;
+    while (capacity < 2 * limit_) capacity *= 2;
+    slots_.assign(capacity, 0);
+  }
+
+  /// Counts one draw of {a, b}; false, counting nothing, when the pair is
+  /// new and the table already holds its limit.
+  bool Add(VectorId a, VectorId b) {
+    const uint64_t key = a < b ? (uint64_t{a} << 32) | b
+                               : (uint64_t{b} << 32) | a;
+    const uint64_t mask = slots_.size() - 1;
+    for (uint64_t s = Hash(key) & mask;; s = (s + 1) & mask) {
+      if (slots_[s] == 0) {
+        if (keys_.size() == limit_) return false;
+        keys_.push_back(key);
+        counts_.push_back(1);
+        slots_[s] = static_cast<uint32_t>(keys_.size());
+        return true;
+      }
+      if (keys_[slots_[s] - 1] == key) {
+        ++counts_[slots_[s] - 1];
+        return true;
+      }
+    }
+  }
+
+  void Clear() {
+    keys_.clear();
+    counts_.clear();
+    std::fill(slots_.begin(), slots_.end(), 0);
+  }
+
+  size_t size() const { return keys_.size(); }
+  size_t capacity() const { return slots_.size(); }
+  VectorId first(size_t i) const {
+    return static_cast<VectorId>(keys_[i] >> 32);
+  }
+  VectorId second(size_t i) const { return static_cast<VectorId>(keys_[i]); }
+  uint64_t count(size_t i) const { return counts_[i]; }
+
+ private:
+  static uint64_t Hash(uint64_t key) {
+    return (key * 0x9e3779b97f4a7c15ULL) >> 32;
+  }
+
+  uint64_t limit_;
+  std::vector<uint64_t> keys_;
+  std::vector<uint64_t> counts_;
+  std::vector<uint32_t> slots_;  // 1 + index into keys_; 0 is empty
+};
+
 /// SampleH of Algorithm 1 for every τ of a sweep at once: draw m_h
 /// same-bucket pairs through `sample_pair` (any callable Rng& ->
 /// VectorPair-like with .first/.second positions into `dataset`), evaluate
-/// each pair's similarity once, and count its hits against every τ. τ j
-/// gets Ĵ_H = n_H(τ_j) · N_H / m_h in results[j].stratum_h_estimate and
-/// m_h added to results[j].pairs_evaluated — the sample it would have
+/// each distinct pair's similarity once, and count its hits against every
+/// τ. τ j gets Ĵ_H = n_H(τ_j) · N_H / m_h in results[j].stratum_h_estimate
+/// and m_h added to results[j].pairs_evaluated — the sample it would have
 /// drawn alone, since the m_h draws never depend on τ.
 ///
-/// Evaluation is batched: each round draws up to kPairEvalBatch pairs
-/// first, then evaluates them through the locality-ordered SIMD batch
-/// kernel (vector/pair_eval.h). Bit-identity is preserved because
-/// stratum-H draws never depend on evaluation results: the RNG consumes
-/// exactly the same sequence as the draw-evaluate-draw loop, and each hit
-/// count is an order-insensitive sum.
+/// The draws collapse into a PairMultiset: each distinct unordered pair is
+/// evaluated once and τ j counts Σ multiplicity · [sim ≥ τ_j]. When the
+/// stratum holds fewer pairs than the trial draws (N_H < m_h, e.g. the
+/// §5.1 default m_H = n over a sparse table) repeats are certain
+/// (pigeonhole) and the table never fills; otherwise repeats are merely
+/// possible, and a table that reaches kMaxDistinctPairsH is drained
+/// (evaluated) and refilled, so memory stays bounded and a pair repeated
+/// across a drain is evaluated once per drain.
+///
+/// Evaluation is batched through the locality-ordered SIMD batch kernel
+/// (vector/pair_eval.h), up to kPairEvalBatch pairs at a time. Bit-identity
+/// is preserved because stratum-H draws never depend on evaluation results
+/// — the RNG consumes exactly the same sequence as the draw-evaluate-draw
+/// loop — and each hit count is an integer, order-insensitive sum, so
+/// every Ĵ_H is the same double.
 template <typename SamplePairFn>
 void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
                     std::span<const double> taus, uint64_t num_pairs_h,
@@ -77,26 +155,49 @@ void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
   if (m_h == 0) return;
   VectorId firsts[kPairEvalBatch];
   VectorId seconds[kPairEvalBatch];
+  uint64_t multiplicities[kPairEvalBatch];
   double similarities[kPairEvalBatch];
+  size_t pending = 0;
+  uint64_t evaluated = 0;
   std::vector<uint64_t> hits(taus.size(), 0);
-  for (uint64_t done = 0; done < m_h;) {
-    const uint64_t count = std::min(kPairEvalBatch, m_h - done);
-    for (uint64_t i = 0; i < count; ++i) {
-      const auto pair = sample_pair(rng);
-      firsts[i] = pair.first;
-      seconds[i] = pair.second;
-    }
-    EvaluatePairSimilarities(measure, dataset, firsts, seconds, count,
+  const auto evaluate = [&] {
+    EvaluatePairSimilarities(measure, dataset, firsts, seconds, pending,
                              kPairPrefetchDistance, similarities);
     for (size_t j = 0; j < taus.size(); ++j) {
-      hits[j] += static_cast<uint64_t>(__builtin_popcountll(
-          SimilarityHitMask(similarities, count, taus[j])));
+      for (uint64_t mask = SimilarityHitMask(similarities, pending, taus[j]);
+           mask != 0; mask &= mask - 1) {
+        hits[j] += multiplicities[__builtin_ctzll(mask)];
+      }
     }
-    done += count;
+    evaluated += pending;
+    pending = 0;
+  };
+  PairMultiset distinct(num_pairs_h, m_h);
+  const auto drain = [&] {
+    for (size_t i = 0; i < distinct.size(); ++i) {
+      firsts[pending] = distinct.first(i);
+      seconds[pending] = distinct.second(i);
+      multiplicities[pending] = distinct.count(i);
+      if (++pending == kPairEvalBatch) evaluate();
+    }
+    distinct.Clear();
+  };
+  for (uint64_t d = 0; d < m_h; ++d) {
+    const auto pair = sample_pair(rng);
+    if (!distinct.Add(pair.first, pair.second)) {
+      drain();
+      distinct.Add(pair.first, pair.second);
+    }
   }
+  drain();
+  if (pending > 0) evaluate();
   // Bulk post-loop adds: the pair loop itself stays instrumentation-free.
-  // The counter is physical work — one shared draw serves every τ.
-  VSJ_COUNTER_ADD("estimate.pairs_h", m_h);
+  // The counters are physical work — one evaluation serves every τ and
+  // every repeat of its pair within one table fill.
+  VSJ_COUNTER_ADD("estimate.pairs_h", evaluated);
+  if (evaluated < m_h) {
+    VSJ_COUNTER_ADD("estimate.pairs_h_repeats", m_h - evaluated);
+  }
   for (size_t j = 0; j < taus.size(); ++j) {
     results[j].pairs_evaluated += m_h;
     results[j].stratum_h_estimate = static_cast<double>(hits[j]) *

@@ -97,8 +97,16 @@ class EstimationEngine {
   ///      workers start; it returns whether the leader's estimator shares
   ///      work across τ;
   ///   2. sharing leaders with equal SweepKeys form one sweep group;
-  ///   3. the groups compute in parallel on the pool through
-  ///      RunDeterministicTrials and `run_trial`;
+  ///   3. the groups compute on the pool. A group's trials split into up
+  ///      to 4 × num_threads chunks of consecutive trials, one task each;
+  ///      trial t writes `run_trial(leader, t, group τs,
+  ///      TrialStream(leader, t))`'s estimates to slot t of the members'
+  ///      MemberTrials, and the task finishing the group's last chunk
+  ///      aggregates it with FinishTrials. A group with max_rel_error > 0
+  ///      is one task running RunDeterministicTrials, trial by trial,
+  ///      because its later trials may never be needed. Either way the
+  ///      response is the same: trial t's stream depends only on
+  ///      (seed, t);
   ///   4. sequential post-pass — followers copy their leader's response
   ///      (what a cache hit on it would serve), leaders publish to the
   ///      cache.

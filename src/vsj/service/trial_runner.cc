@@ -58,66 +58,74 @@ bool WithinErrorBound(const EstimateRequest& request,
 
 }  // namespace
 
+Rng TrialStream(const EstimateRequest& request, size_t t) {
+  return Rng(request.seed).Fork(0).Fork(t);
+}
+
+EstimateResponse FinishTrials(const EstimateRequest& request,
+                              const MemberTrials& trials, uint64_t start_ns) {
+  EstimateResponse response;
+  response.tau = request.tau;
+  response.estimator_name = request.estimator_name;
+  const std::vector<double>& estimates = trials.estimates;
+  response.trials = estimates.size();
+  response.mean_estimate = MeanOf(estimates);
+  if (estimates.size() > 1) {
+    response.std_dev = SampleStdDevOf(estimates, response.mean_estimate);
+    response.std_error =
+        response.std_dev / std::sqrt(static_cast<double>(estimates.size()));
+  }
+  response.pairs_evaluated = trials.pairs_evaluated;
+  response.num_unguaranteed = trials.num_unguaranteed;
+  VSJ_COUNTER_ADD("estimate.requests", 1);
+  VSJ_COUNTER_ADD("estimate.trials", estimates.size());
+  if (VSJ_METRICS_COMPILED && obs::MetricsEnabled()) {
+    obs::MetricRegistry::Global()
+        .GetHistogram(LatencyMetricName(request.estimator_name, request.tau))
+        .Record(obs::MonotonicNowNs() - start_ns);
+  }
+  return response;
+}
+
 std::vector<EstimateResponse> RunDeterministicTrials(
     const std::vector<EstimateRequest>& requests,
     std::span<const size_t> group, const SweepTrialFn& run_trial) {
   const EstimateRequest& first = requests[group.front()];
   VSJ_CHECK(first.trials > 0);
   const uint64_t start_ns = obs::MonotonicNowNs();
-  VSJ_COUNTER_ADD("estimate.requests", group.size());
 
   std::vector<EstimateResponse> responses(group.size());
-  std::vector<std::vector<double>> estimates(group.size());
-  const auto finish = [&](size_t m) {
-    const EstimateRequest& request = requests[group[m]];
-    EstimateResponse& response = responses[m];
-    response.tau = request.tau;
-    response.estimator_name = request.estimator_name;
-    response.trials = estimates[m].size();
-    response.mean_estimate = MeanOf(estimates[m]);
-    if (estimates[m].size() > 1) {
-      response.std_dev = SampleStdDevOf(estimates[m], response.mean_estimate);
-      response.std_error = response.std_dev /
-                           std::sqrt(static_cast<double>(estimates[m].size()));
-    }
-    VSJ_COUNTER_ADD("estimate.trials", estimates[m].size());
-    if (VSJ_METRICS_COMPILED && obs::MetricsEnabled()) {
-      obs::MetricRegistry::Global()
-          .GetHistogram(LatencyMetricName(request.estimator_name, request.tau))
-          .Record(obs::MonotonicNowNs() - start_ns);
-    }
-  };
-
+  std::vector<MemberTrials> trials(group.size());
   // Members still running, in group order; trial t asks for their τ only.
   std::vector<size_t> running(group.size());
   for (size_t m = 0; m < running.size(); ++m) running[m] = m;
   std::vector<double> taus;
-  // The one stream convention (trial_runner.h): Rng(seed).Fork(0).Fork(t).
-  const Rng request_stream = Rng(first.seed).Fork(0);
   for (size_t t = 0; t < first.trials && !running.empty(); ++t) {
     taus.clear();
     for (const size_t m : running) taus.push_back(requests[group[m]].tau);
-    VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
     const std::vector<EstimationResult> results =
-        run_trial(group.front(), t, taus, request_stream.Fork(t));
+        run_trial(group.front(), t, taus, TrialStream(first, t));
     size_t still_running = 0;
     for (size_t a = 0; a < running.size(); ++a) {
       const size_t m = running[a];
-      estimates[m].push_back(results[a].estimate);
-      responses[m].pairs_evaluated += results[a].pairs_evaluated;
-      if (!results[a].guaranteed) ++responses[m].num_unguaranteed;
-      if (WithinErrorBound(requests[group[m]], estimates[m])) {
+      trials[m].estimates.push_back(results[a].estimate);
+      trials[m].pairs_evaluated += results[a].pairs_evaluated;
+      if (!results[a].guaranteed) ++trials[m].num_unguaranteed;
+      const EstimateRequest& request = requests[group[m]];
+      if (WithinErrorBound(request, trials[m].estimates)) {
         VSJ_COUNTER_ADD("estimate.early_exit", 1);
         VSJ_COUNTER_ADD("estimate.trials_saved",
-                        first.trials - estimates[m].size());
-        finish(m);
+                        first.trials - trials[m].estimates.size());
+        responses[m] = FinishTrials(request, trials[m], start_ns);
       } else {
         running[still_running++] = m;
       }
     }
     running.resize(still_running);
   }
-  for (const size_t m : running) finish(m);
+  for (const size_t m : running) {
+    responses[m] = FinishTrials(requests[group[m]], trials[m], start_ns);
+  }
   return responses;
 }
 

@@ -1,18 +1,23 @@
 // Unit tests of the shared SampleH / SampleL templates: the degenerate
 // budget guards (the delta == 0 / m == 0 NaN regressions), the exact
-// budget-boundary semantics of the dampening modes, and the batched pair
-// evaluation kernel's equivalence with the scalar Similarity loop.
+// budget-boundary semantics of the dampening modes, SampleH's collapse to
+// distinct pairs (and its bounded table) against a naive per-draw loop,
+// and the batched pair evaluation
+// kernel's equivalence with the scalar Similarity loop.
 
 #include "vsj/core/stratified_sampling.h"
 
 #include <cmath>
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/obs/metrics.h"
+#include "vsj/obs/obs.h"
 #include "vsj/vector/similarity.h"
 #include "vsj/vector/sparse_vector.h"
 #include "vsj/vector/vector_dataset.h"
@@ -142,6 +147,205 @@ TEST(StratifiedSamplingTest, DeltaMissedAtBudgetAppliesEachDampening) {
     EXPECT_FALSE(result.guaranteed) << static_cast<int>(c.mode);
   }
 }
+
+/// `m_h` draws from a pool of `distinct` unordered pairs of `dataset`, each
+/// draw in a random orientation, so repeats come in both orientations.
+std::vector<VectorPair> RepeatingScript(size_t dataset_size, size_t distinct,
+                                        size_t m_h, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<VectorPair> pool;
+  while (pool.size() < distinct) {
+    const auto a = static_cast<VectorId>(rng.Below(dataset_size));
+    const auto b = static_cast<VectorId>(rng.Below(dataset_size));
+    if (a == b) continue;
+    bool seen = false;
+    for (const VectorPair& p : pool) {
+      seen |= (p.first == a && p.second == b) ||
+              (p.first == b && p.second == a);
+    }
+    if (!seen) pool.push_back({a, b});
+  }
+  std::vector<VectorPair> script;
+  for (size_t i = 0; i < m_h; ++i) {
+    VectorPair pair = pool[i < distinct ? i : rng.Below(distinct)];
+    if (rng.Below(2) == 1) std::swap(pair.first, pair.second);
+    script.push_back(pair);
+  }
+  return script;
+}
+
+/// Ĵ_H of `taus[j]` as a naive evaluate-every-draw loop computes it.
+double PerDrawEstimateH(DatasetView view, SimilarityMeasure measure,
+                        const std::vector<VectorPair>& script, double tau,
+                        uint64_t num_pairs_h) {
+  uint64_t hits = 0;
+  for (const VectorPair& pair : script) {
+    if (Similarity(measure, view[pair.first], view[pair.second]) >= tau) {
+      ++hits;
+    }
+  }
+  return static_cast<double>(hits) * static_cast<double>(num_pairs_h) /
+         static_cast<double>(script.size());
+}
+
+TEST(StratifiedSamplingTest, SampleHCollapseMatchesPerDrawLoop) {
+  // SampleH evaluates each distinct pair once and weights its hit by its
+  // multiplicity. Whether repeats are certain (N_H < m_H), merely possible
+  // (N_H >= m_H), or overflow a table sized for N_H (a scripted source
+  // naming more pairs than N_H, so the table drains and refills), each
+  // τ's Ĵ_H and pairs_evaluated must be exactly what a naive
+  // evaluate-every-draw loop computes.
+  const VectorDataset dataset = testing::SmallClusteredCorpus(200, 3);
+  const DatasetView view(dataset);
+  struct Plan {
+    uint64_t num_pairs_h, m_h;
+    size_t distinct;
+  };
+  const Plan plans[] = {
+      {40, 300, 20},    // N_H < m_H: ~15 draws per pair
+      {3, 200, 150},    // 150 pairs through a 3-pair table: many drains
+      {90, 130, 90},    // N_H < m_H, most pairs drawn once or twice
+      {500, 300, 20},   // N_H > m_H, yet repeats
+      {300, 300, 120},  // N_H == m_H
+  };
+  const std::vector<std::vector<double>> tau_sets = {
+      {0.5}, {0.1, 0.3, 0.5, 0.7, 0.9}, {0.9, 0.2, 0.9, 1.0}, {0.05}};
+  for (const SimilarityMeasure measure :
+       {SimilarityMeasure::kCosine, SimilarityMeasure::kJaccard}) {
+    for (const Plan& plan : plans) {
+      const std::vector<VectorPair> script =
+          RepeatingScript(view.size(), plan.distinct, plan.m_h,
+                          plan.num_pairs_h ^ plan.m_h);
+      for (const std::vector<double>& taus : tau_sets) {
+        std::vector<EstimationResult> got(taus.size());
+        ScriptedPairs pairs{script};
+        Rng rng(1);
+        SampleStratumH(view, measure, taus, plan.num_pairs_h, plan.m_h,
+                       pairs, rng, got);
+        ASSERT_EQ(pairs.next, plan.m_h);
+        for (size_t j = 0; j < taus.size(); ++j) {
+          EXPECT_EQ(got[j].stratum_h_estimate,
+                    PerDrawEstimateH(view, measure, script, taus[j],
+                                     plan.num_pairs_h))
+              << SimilarityMeasureName(measure) << " N_H=" << plan.num_pairs_h
+              << " m_H=" << plan.m_h << " tau=" << taus[j];
+          EXPECT_EQ(got[j].pairs_evaluated, plan.m_h);
+        }
+      }
+    }
+  }
+}
+
+TEST(StratifiedSamplingTest, PairMultisetIsBoundedWhateverThePlan) {
+  // The table is sized by min(N_H, m_H, kMaxDistinctPairsH), never by N_H
+  // alone: a plan with a huge stratum and a larger budget (both come off
+  // the wire) gets the capped table, not an N_H-sized one.
+  EXPECT_EQ(PairMultiset(uint64_t{1} << 40, uint64_t{1} << 41).capacity(),
+            2 * kMaxDistinctPairsH);
+  EXPECT_EQ(PairMultiset(uint64_t{1} << 40, 4000).capacity(), 8192u);
+  EXPECT_EQ(PairMultiset(75, 4000).capacity(), 256u);
+
+  // A full table refuses a new pair (counting nothing) but still counts
+  // repeats, in either orientation; Clear empties it for the next run.
+  PairMultiset table(/*num_pairs_h=*/2, /*m_h=*/10);
+  EXPECT_TRUE(table.Add(1, 2));
+  EXPECT_TRUE(table.Add(7, 3));
+  EXPECT_TRUE(table.Add(2, 1));
+  EXPECT_FALSE(table.Add(5, 6));
+  ASSERT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.first(0), 1u);
+  EXPECT_EQ(table.second(0), 2u);
+  EXPECT_EQ(table.count(0), 2u);
+  EXPECT_EQ(table.first(1), 3u);
+  EXPECT_EQ(table.second(1), 7u);
+  EXPECT_EQ(table.count(1), 1u);
+  table.Clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_TRUE(table.Add(6, 5));
+  EXPECT_EQ(table.count(0), 1u);
+}
+
+/// Draws naming more distinct pairs than kMaxDistinctPairsH: the pairs
+/// (a < b) of a 400-vector dataset in order until `distinct` pairs, then
+/// the first `early` and the last `late` of them again, swapped.
+std::vector<VectorPair> PastTheTableScript(size_t distinct, size_t early,
+                                           size_t late) {
+  std::vector<VectorPair> script;
+  for (VectorId a = 0; script.size() < distinct; ++a) {
+    for (VectorId b = a + 1; b < 400 && script.size() < distinct; ++b) {
+      script.push_back({a, b});
+    }
+  }
+  for (size_t i = 0; i < distinct; ++i) {
+    if (i < early || i >= distinct - late) {
+      script.push_back({script[i].second, script[i].first});
+    }
+  }
+  return script;
+}
+
+TEST(StratifiedSamplingTest, SampleHDrainsAFullTableBitIdentically) {
+  // A huge stratum drawn past the table cap: the table drains at
+  // kMaxDistinctPairsH distinct pairs and refills, and the estimate is
+  // still exactly the per-draw loop's.
+  const VectorDataset dataset = testing::SmallClusteredCorpus(400, 5);
+  const DatasetView view(dataset);
+  const std::vector<VectorPair> script =
+      PastTheTableScript(kMaxDistinctPairsH + 4000, 1000, 2000);
+  const uint64_t num_pairs_h = uint64_t{1} << 40;
+  const std::vector<double> taus = {0.05, 0.3, 0.6, 0.9};
+  std::vector<EstimationResult> got(taus.size());
+  ScriptedPairs pairs{script};
+  Rng rng(1);
+  SampleStratumH(view, SimilarityMeasure::kCosine, taus, num_pairs_h,
+                 script.size(), pairs, rng, got);
+  ASSERT_EQ(pairs.next, script.size());
+  for (size_t j = 0; j < taus.size(); ++j) {
+    EXPECT_EQ(got[j].stratum_h_estimate,
+              PerDrawEstimateH(view, SimilarityMeasure::kCosine, script,
+                               taus[j], num_pairs_h))
+        << "tau=" << taus[j];
+    EXPECT_EQ(got[j].pairs_evaluated, script.size());
+  }
+}
+
+#if VSJ_METRICS_COMPILED
+TEST(StratifiedSamplingTest, SampleHCountsDistinctPairsAsEvaluated) {
+  // estimate.pairs_h is pairs physically evaluated: the distinct pairs of
+  // each run of draws the table holds. estimate.pairs_h_repeats is the
+  // draws an earlier evaluation answered.
+  const VectorDataset dataset = testing::SmallClusteredCorpus(400, 3);
+  const DatasetView view(dataset);
+  const std::vector<double> taus = {0.3, 0.7};
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  const auto run = [&](uint64_t num_pairs_h,
+                       const std::vector<VectorPair>& script) {
+    std::vector<EstimationResult> results(taus.size());
+    ScriptedPairs pairs{script};
+    Rng rng(1);
+    obs::EnableMetrics(true);
+    registry.ResetValues();
+    SampleStratumH(view, SimilarityMeasure::kCosine, taus, num_pairs_h,
+                   script.size(), pairs, rng, results);
+    const uint64_t evaluated = registry.GetCounter("estimate.pairs_h").Value();
+    const uint64_t repeats =
+        registry.GetCounter("estimate.pairs_h_repeats").Value();
+    obs::EnableMetrics(false);
+    return std::pair<uint64_t, uint64_t>(evaluated, repeats);
+  };
+  using Counts = std::pair<uint64_t, uint64_t>;
+  EXPECT_EQ(run(/*num_pairs_h=*/40, RepeatingScript(view.size(), 20, 300, 7)),
+            Counts(20, 280));
+  EXPECT_EQ(run(/*num_pairs_h=*/500, RepeatingScript(view.size(), 20, 300, 7)),
+            Counts(20, 280));
+  // Past the cap the table drains once, at kMaxDistinctPairsH pairs. The
+  // 1000 repeats of drained pairs are evaluated again; the 2000 repeats of
+  // pairs still in the refilled table are not.
+  EXPECT_EQ(run(/*num_pairs_h=*/uint64_t{1} << 40,
+                PastTheTableScript(kMaxDistinctPairsH + 4000, 1000, 2000)),
+            Counts(kMaxDistinctPairsH + 5000, 2000));
+}
+#endif
 
 TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {
   // The batched kernel must count exactly what the unbatched Similarity

@@ -8,12 +8,16 @@
 // at different trials per τ, duplicate τ, τ = 1.0, a sweep split over two
 // batches, a mixed batch with a non-sharing estimator, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
-// threads, overrides folded per batch (independent of override history
-// and equal to configured budgets, on both engines), the estimator-level
+// threads, one group's trials spread over the pool in chunks (aggregated
+// once, and an error-bound group kept whole, so it still exits early),
+// overrides folded per batch (independent of override history and equal
+// to configured budgets, on both engines), the estimator-level
 // sweep entry points (cosine and Jaccard), and the obs counters that make
 // sharing visible.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -340,6 +344,156 @@ TEST_P(SweepSharingTest, ThreadCountNeverChangesSharedBatches) {
   const auto d = stream_many->EstimateBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << i;
+  }
+}
+
+/// The 9-τ session servebench's sweep_cold asks.
+std::vector<double> NineTaus() {
+  return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
+}
+
+TEST(SweepSharingTrialTasksTest, OneGroupsTrialsMatchAcrossThreadCounts) {
+  // A batch holding a single sweep group: its six trials run as six
+  // one-trial chunks on four threads, and as four chunks on one. The bytes
+  // must not tell which.
+  const std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", NineTaus(), /*trials=*/6);
+  EstimationService one(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(1));
+  EstimationService four(testing::SmallClusteredCorpus(600, 7),
+                         StaticOptions(4));
+  const auto a = one.EstimateBatch(sweep);
+  const auto b = four.EstimateBatch(sweep);
+  const auto stream_one = ChurnedStream(1);
+  const auto stream_four = ChurnedStream(4);
+  const auto c = stream_one->EstimateBatch(sweep);
+  const auto d = stream_four->EstimateBatch(sweep);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(a[i].trials, 6u);
+    EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << "static tau=" << sweep[i].tau;
+    EXPECT_EQ(c[i].trials, 6u);
+    EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << "streaming tau=" << sweep[i].tau;
+  }
+  ExpectMatchesSingles(four, sweep);
+  ExpectMatchesSingles(*stream_four, sweep);
+
+  // An oracle outside the engine: trial t is the estimator's sweep on
+  // TrialStream(request, t), aggregated in trial order.
+  EstimatorContext context = four.options().estimator_options;
+  context.dataset = four.dataset();
+  context.index = &four.index();
+  const auto estimator = CreateEstimator("LSH-SS", context);
+  const std::vector<double> taus = NineTaus();
+  std::vector<double> sums(taus.size(), 0.0);
+  std::vector<uint64_t> pairs(taus.size(), 0);
+  for (size_t t = 0; t < 6; ++t) {
+    const auto trial =
+        estimator->EstimateSweep(taus, TrialStream(sweep.front(), t));
+    for (size_t j = 0; j < taus.size(); ++j) {
+      sums[j] += trial[j].estimate;
+      pairs[j] += trial[j].pairs_evaluated;
+    }
+  }
+  for (size_t j = 0; j < taus.size(); ++j) {
+    EXPECT_EQ(b[j].mean_estimate, sums[j] / 6.0) << "tau=" << taus[j];
+    EXPECT_EQ(b[j].pairs_evaluated, pairs[j]) << "tau=" << taus[j];
+  }
+}
+
+TEST(SweepSharingTrialTasksTest, ChunkedGroupIsAggregatedOnce) {
+  // 40 trials on two threads: eight chunks of five consecutive trials. The
+  // bytes match one thread's four chunks of ten (and an inline engine's:
+  // num_threads 0 counts as one), every trial runs once,
+  // and each member is finished — counted, and its latency recorded —
+  // exactly once, by the group's last chunk.
+  const std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", NineTaus(), /*trials=*/40);
+  EstimationService one(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(1));
+  EstimationService two(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(2));
+  EstimationService inline_engine(testing::SmallClusteredCorpus(600, 7),
+                                  StaticOptions(0));
+  const auto a = one.EstimateBatch(sweep);
+  const auto z = inline_engine.EstimateBatch(sweep);
+#if VSJ_METRICS_COMPILED
+  obs::EnableMetrics(true);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.ResetValues();
+#endif
+  const auto b = two.EstimateBatch(sweep);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(Bytes(z[i]), Bytes(a[i])) << "inline tau=" << sweep[i].tau;
+    EXPECT_EQ(b[i].trials, 40u);
+    EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << "tau=" << sweep[i].tau;
+  }
+#if VSJ_METRICS_COMPILED
+  const uint64_t tasks =
+      registry.GetHistogram("estimate.execute_ns").Snapshot().count;
+  const uint64_t trials_timed =
+      registry.GetHistogram("estimate.trial_ns").Snapshot().count;
+  const uint64_t requests = registry.GetCounter("estimate.requests").Value();
+  const uint64_t trials = registry.GetCounter("estimate.trials").Value();
+  std::vector<uint64_t> latencies;
+  for (const EstimateRequest& request : sweep) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "estimate.latency_ns.LSH-SS.tau%.1f",
+                  request.tau);
+    latencies.push_back(registry.GetHistogram(name).Snapshot().count);
+  }
+  obs::EnableMetrics(false);
+  EXPECT_EQ(tasks, 8u);
+  EXPECT_EQ(trials_timed, 40u);
+  EXPECT_EQ(requests, sweep.size());
+  EXPECT_EQ(trials, 40u * sweep.size());
+  EXPECT_EQ(latencies, std::vector<uint64_t>(sweep.size(), 1));
+#endif
+  ExpectMatchesSingles(two, sweep);
+}
+
+TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
+  // A group with max_rel_error stays one task running its trials in order,
+  // so it stops as soon as each τ's band is met — on any thread count.
+  std::vector<EstimateRequest> sweep =
+      Sweep("LSH-SS", NineTaus(), /*trials=*/16);
+  for (EstimateRequest& request : sweep) request.max_rel_error = 0.1;
+  EstimationService one(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(1));
+  EstimationService four(testing::SmallClusteredCorpus(600, 7),
+                         StaticOptions(4));
+  const auto a = one.EstimateBatch(sweep);
+#if VSJ_METRICS_COMPILED
+  obs::EnableMetrics(true);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.ResetValues();
+#endif
+  const auto b = four.EstimateBatch(sweep);
+  size_t early = 0;
+  size_t trials_run = 0;  // the group runs until its last τ stops
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(a[i].trials, b[i].trials) << "tau=" << sweep[i].tau;
+    EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << "tau=" << sweep[i].tau;
+    if (b[i].trials < 16) ++early;
+    trials_run = std::max(trials_run, b[i].trials);
+  }
+  EXPECT_GT(early, 0u);
+#if VSJ_METRICS_COMPILED
+  const uint64_t saved = registry.GetCounter("estimate.trials_saved").Value();
+  const uint64_t trials_timed =
+      registry.GetHistogram("estimate.trial_ns").Snapshot().count;
+  obs::EnableMetrics(false);
+  EXPECT_GT(saved, 0u);
+  // Trials past the group's last exit are never computed, not merely
+  // ignored: one estimate.trial_ns span per trial actually run.
+  EXPECT_LT(trials_run, 16u);
+  EXPECT_EQ(trials_timed, trials_run);
+#endif
+  const auto stream_one = ChurnedStream(1);
+  const auto stream_four = ChurnedStream(4);
+  const auto c = stream_one->EstimateBatch(sweep);
+  const auto d = stream_four->EstimateBatch(sweep);
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << "streaming tau=" << sweep[i].tau;
   }
 }
 

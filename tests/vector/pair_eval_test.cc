@@ -21,6 +21,7 @@
 #include "vsj/vector/pair_eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -330,6 +331,77 @@ TEST(PairEvalTest, CountPairsIsReorderInvariant) {
                                  kPairPrefetchDistance);
     });
     for (const uint64_t c : counts) EXPECT_EQ(c, baseline);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Symmetry: SampleH's collapse to distinct pairs keys a draw and its swapped
+// orientation as one unordered pair and evaluates it once, in (min id,
+// max id) order. That is sound only if swapping the arguments never
+// changes a similarity by even one bit — pinned here for both measures at
+// every level, on equal-length, skewed (gallop) and short (<= 16 / <= 32
+// dims, the AVX2 fast-path rungs) pairs, through Similarity() and through
+// the batch evaluator.
+
+TEST(PairEvalTest, SimilarityIsBitSymmetricUnderSwappedArguments) {
+  // (length of a, length of b, dim range factor): b is longer or equal.
+  struct Shape {
+    size_t a_len, b_len;
+    uint32_t range_factor;
+  };
+  const Shape kShapes[] = {
+      {40, 40, 2},   {220, 220, 4}, {33, 33, 16},  // equal length
+      {4, 64, 2},    {3, 200, 4},   {30, 600, 2},  // skewed: gallop
+      {5, 12, 2},    {16, 16, 2},   {11, 16, 4},   // <= 16 rung
+      {20, 32, 2},   {17, 32, 4},   {32, 32, 2},   // <= 32 rung
+  };
+  VectorDataset dataset;
+  Rng rng(kSeed ^ 0x51);
+  for (const Shape& shape : kShapes) {
+    const uint32_t range = static_cast<uint32_t>(shape.b_len) *
+                           shape.range_factor;
+    for (int copy = 0; copy < 3; ++copy) {
+      dataset.Add(RandomSortedVector(rng, shape.a_len, range).ref());
+      dataset.Add(RandomSortedVector(rng, shape.b_len, range).ref());
+    }
+  }
+  const DatasetView view(dataset);
+  const size_t num_pairs = view.size() / 2;
+  ASSERT_LE(num_pairs, kPairEvalBatch);
+  std::vector<VectorId> firsts, seconds;
+  for (size_t p = 0; p < num_pairs; ++p) {
+    firsts.push_back(static_cast<VectorId>(2 * p));
+    seconds.push_back(static_cast<VectorId>(2 * p + 1));
+  }
+  for (const auto measure :
+       {SimilarityMeasure::kCosine, SimilarityMeasure::kJaccard}) {
+    const auto levels = RunAtEveryLevel([&] {
+      std::vector<double> forward(num_pairs), swapped(num_pairs);
+      EvaluatePairSimilarities(measure, view, firsts.data(), seconds.data(),
+                               num_pairs, kPairPrefetchDistance,
+                               forward.data());
+      EvaluatePairSimilarities(measure, view, seconds.data(), firsts.data(),
+                               num_pairs, kPairPrefetchDistance,
+                               swapped.data());
+      for (size_t p = 0; p < num_pairs; ++p) {
+        const double uv = Similarity(measure, view[firsts[p]],
+                                     view[seconds[p]]);
+        const double vu = Similarity(measure, view[seconds[p]],
+                                     view[firsts[p]]);
+        EXPECT_EQ(std::bit_cast<uint64_t>(uv), std::bit_cast<uint64_t>(vu))
+            << SimilarityMeasureName(measure) << " pair " << p;
+        EXPECT_EQ(std::bit_cast<uint64_t>(forward[p]),
+                  std::bit_cast<uint64_t>(uv))
+            << SimilarityMeasureName(measure) << " pair " << p;
+        EXPECT_EQ(std::bit_cast<uint64_t>(swapped[p]),
+                  std::bit_cast<uint64_t>(uv))
+            << SimilarityMeasureName(measure) << " pair " << p;
+      }
+      return forward;
+    });
+    for (size_t l = 1; l < levels.size(); ++l) {
+      EXPECT_EQ(levels[l], levels[0]) << SimilarityMeasureName(measure);
+    }
   }
 }
 
