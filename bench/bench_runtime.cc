@@ -83,12 +83,12 @@ void BM_LshIndexBuild(benchmark::State& state) {
           .num_buckets());
 }
 
-void BM_GroundTruthHistogram(benchmark::State& state) {
+void BM_GroundTruth(benchmark::State& state) {
   Fixture& fixture = GetFixture();
   for (auto _ : state) {
-    vsj::SimilarityHistogram hist(fixture.bench->dataset,
-                                  vsj::SimilarityMeasure::kCosine, {0.5});
-    benchmark::DoNotOptimize(hist.CountAtLeast(0.5));
+    vsj::GroundTruth truth(fixture.bench->dataset,
+                           vsj::SimilarityMeasure::kCosine, {0.5});
+    benchmark::DoNotOptimize(truth.JoinSize(0.5));
   }
 }
 
@@ -101,7 +101,7 @@ BENCHMARK(BM_Ju)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LatticeCountingBuildAndEstimate)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LshIndexBuild)->Arg(10)->Arg(20)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_GroundTruthHistogram)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GroundTruth)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -10,8 +10,8 @@
 #include <iostream>
 
 #include "vsj/core/lsh_ss_estimator.h"
+#include "vsj/eval/ground_truth.h"
 #include "vsj/gen/workloads.h"
-#include "vsj/join/brute_force_join.h"
 #include "vsj/lsh/lsh_table.h"
 #include "vsj/lsh/simhash.h"
 
@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
             << ", stratum L: " << result.stratum_l_estimate
             << ", pairs evaluated: " << result.pairs_evaluated << ")\n";
 
-  // 4. Sanity check against the exact join (feasible at this small scale).
-  const uint64_t exact =
-      vsj::BruteForceJoinSize(docs, vsj::SimilarityMeasure::kCosine, tau);
-  std::cout << "exact join size: " << exact << "\n";
+  // 4. Sanity check against the exact join size (one inverted-index pass).
+  const vsj::GroundTruth truth(docs, vsj::SimilarityMeasure::kCosine, {tau});
+  std::cout << "exact join size: " << truth.JoinSize(tau) << "\n";
   return 0;
 }

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "vsj/core/lsh_ss_estimator.h"
+#include "vsj/eval/ground_truth.h"
 #include "vsj/io/dataset_io.h"
-#include "vsj/join/brute_force_join.h"
 #include "vsj/lsh/lsh_table.h"
 #include "vsj/lsh/simhash.h"
 #include "vsj/text/vectorizer.h"
@@ -88,13 +88,14 @@ int main() {
   vsj::LshSsEstimator estimator(loaded, table,
                                 vsj::SimilarityMeasure::kCosine);
 
+  const vsj::GroundTruth truth(loaded, vsj::SimilarityMeasure::kCosine,
+                               {0.5, 0.8, 0.95});
   vsj::Rng rng(3);
-  for (double tau : {0.5, 0.8, 0.95}) {
+  for (double tau : truth.thresholds()) {
     const double estimate = estimator.Estimate(tau, rng).estimate;
-    const uint64_t exact = vsj::BruteForceJoinSize(
-        loaded, vsj::SimilarityMeasure::kCosine, tau);
     std::cout << "tau = " << tau << ": estimated " << estimate
-              << " similar title pairs (exact " << exact << ")\n";
+              << " similar title pairs (exact " << truth.JoinSize(tau)
+              << ")\n";
   }
   return 0;
 }

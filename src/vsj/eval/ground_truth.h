@@ -1,12 +1,19 @@
 // Ground-truth oracle: exact J(τ) for a dataset at a set of thresholds.
+//
+// One pass over an inverted index computes, for every unordered pair with
+// at least one shared dimension, its exact similarity and counts it against
+// every registered τ. Pairs sharing no dimension have similarity 0 under
+// both cosine and Jaccard and meet no τ > 0. The cost is
+// O(Σ_d C(df_d, 2)) whatever the number of thresholds, parallelized over
+// probe vectors. join/brute_force_join is the O(n²) reference the tests
+// pin this oracle against.
 
 #ifndef VSJ_EVAL_GROUND_TRUTH_H_
 #define VSJ_EVAL_GROUND_TRUTH_H_
 
-#include <memory>
+#include <cstdint>
 #include <vector>
 
-#include "vsj/join/similarity_histogram.h"
 #include "vsj/vector/similarity.h"
 #include "vsj/vector/dataset_view.h"
 
@@ -15,26 +22,30 @@ namespace vsj {
 /// The paper's standard threshold grid {0.1, 0.2, ..., 1.0}.
 std::vector<double> StandardThresholds();
 
-/// Wraps the exact similarity histogram with join-size accessors.
+/// Exact join sizes of one dataset at a registered set of thresholds.
 class GroundTruth {
  public:
-  /// Computes exact join sizes for every τ in `thresholds` (one parallel
-  /// pass over the inverted index regardless of the number of thresholds).
+  /// Computes J(τ) for every τ in `thresholds` (each must lie in (0, 1])
+  /// in one pass; `num_threads` 0 means hardware concurrency.
   GroundTruth(DatasetView dataset, SimilarityMeasure measure,
-              std::vector<double> thresholds);
+              std::vector<double> thresholds, unsigned num_threads = 0);
 
-  /// Exact J(τ) for a registered threshold.
-  uint64_t JoinSize(double tau) const { return histogram_.CountAtLeast(tau); }
+  /// Exact J(τ); τ ≤ 0 returns M. Aborts if τ > 0 was not registered.
+  uint64_t JoinSize(double tau) const;
 
   /// J(τ) / M.
   double Selectivity(double tau) const;
 
-  uint64_t TotalPairs() const { return histogram_.NumTotalPairs(); }
+  /// M = C(n, 2).
+  uint64_t TotalPairs() const { return total_pairs_; }
 
-  const SimilarityHistogram& histogram() const { return histogram_; }
+  /// The registered thresholds, ascending.
+  const std::vector<double>& thresholds() const { return thresholds_; }
 
  private:
-  SimilarityHistogram histogram_;
+  std::vector<double> thresholds_;    // ascending
+  std::vector<uint64_t> join_sizes_;  // J(thresholds_[t])
+  uint64_t total_pairs_ = 0;
 };
 
 }  // namespace vsj

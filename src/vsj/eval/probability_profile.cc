@@ -11,7 +11,7 @@ std::vector<ProbabilityRow> ComputeProbabilityProfile(
     DatasetView dataset, const LshTable& table,
     SimilarityMeasure measure, const GroundTruth& truth) {
   VSJ_CHECK(table.num_vectors() == dataset.size());
-  const std::vector<double>& taus = truth.histogram().exact_thresholds();
+  const std::vector<double>& taus = truth.thresholds();
 
   // Count, per threshold, the true pairs inside buckets: one pass over all
   // same-bucket pairs (N_H similarity evaluations).

@@ -1,5 +1,6 @@
 // O(n²) reference join. The correctness anchor for every other component:
-// exact joins, histograms and estimators are all tested against it.
+// the ground-truth oracle, exact joins and estimators are all tested
+// against it.
 
 #ifndef VSJ_JOIN_BRUTE_FORCE_JOIN_H_
 #define VSJ_JOIN_BRUTE_FORCE_JOIN_H_

@@ -1,8 +1,8 @@
 // Inverted index: postings list per dimension.
 //
 // Shared substrate of the exact-join algorithms: the All-Pairs join and the
-// exact pair-similarity histogram both enumerate candidate pairs through
-// postings of shared dimensions.
+// ground-truth oracle (eval/ground_truth) both enumerate candidate pairs
+// through postings of shared dimensions.
 
 #ifndef VSJ_JOIN_INVERTED_INDEX_H_
 #define VSJ_JOIN_INVERTED_INDEX_H_

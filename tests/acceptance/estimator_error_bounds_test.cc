@@ -1,8 +1,9 @@
 // Statistical acceptance tests: pin the estimators' accuracy guarantees
-// against BruteForceJoin ground truth instead of trusting spot checks.
+// against the exact ground-truth oracle (eval/ground_truth.h) instead of
+// trusting spot checks.
 //
 // Protocol (the paper's §6, shrunk to CI scale): a seeded Zipfian corpus
-// with planted near-duplicate clusters, exact ground truth per threshold,
+// with planted near-duplicate clusters, exact J(τ) from one oracle pass,
 // and the mean relative error |Ĵ − J| / J over R independent trials for
 // each (estimator, τ). All seeds are fixed, so every asserted quantity is
 // deterministic — the bounds are chosen with margin above the observed
@@ -25,7 +26,7 @@
 
 #include "test_util.h"
 #include "vsj/core/estimator_registry.h"
-#include "vsj/join/brute_force_join.h"
+#include "vsj/eval/ground_truth.h"
 
 namespace vsj {
 namespace {
@@ -42,9 +43,10 @@ class EstimatorErrorBoundsTest : public ::testing::Test {
     setup_ = new testing::CosineSetup(
         testing::MakeCosineSetup(kCorpusSize, /*k=*/10, /*tables=*/1,
                                  kCorpusSeed));
+    const GroundTruth truth(setup_->dataset, SimilarityMeasure::kCosine,
+                            kTaus);
     for (double tau : kTaus) {
-      exact_[tau] = static_cast<double>(BruteForceJoinSize(
-          setup_->dataset, SimilarityMeasure::kCosine, tau));
+      exact_[tau] = static_cast<double>(truth.JoinSize(tau));
       ASSERT_GT(exact_[tau], 0.0) << "corpus has no true pairs at " << tau;
     }
   }

@@ -19,10 +19,12 @@
 #               with --max-rel-error 0.5 (any-τ early exit); both emit
 #               --json lines, concatenated after each table, which pin the
 #               omitted std_error fields and the early-exited trial counts
+#   exact       a nine-τ --batch-taus sweep with --exact — pins the exact
+#               join sizes of the one-pass ground-truth oracle
 #   reject      invalid flag values (--batch-taus out of range / duplicate /
-#               unparsable, negative --max-rel-error) — captures the first
-#               stderr diagnostic of each, which must name the offending
-#               token
+#               unparsable, negative --max-rel-error, --tau out of range /
+#               unparsable / trailing garbage) — captures the first stderr
+#               diagnostic of each, which must name the offending token
 #   sweep-vs-single  no fixture: the --json lines of one --batch-taus
 #               sweep must equal those of one --tau run per τ (a request
 #               answers the same alone or in a batch)
@@ -97,6 +99,13 @@ case "$mode" in
       rm -f cli_single_trial.json cli_early_exit.json
     }
     ;;
+  exact)
+    run() {
+      "$bin" --dataset "$data/tiny.vsjd" --k 6 --threads 2 \
+             --batch-taus 0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9 --trials 2 \
+             --seed 7 --exact 2>/dev/null
+    }
+    ;;
   sweep-vs-single)
     json_of() {
       rm -f cli_sweep.json
@@ -118,7 +127,8 @@ case "$mode" in
   reject)
     run() {
       for flags in "--batch-taus 0.5,1.5" "--batch-taus 0.5,0.5" \
-                   "--batch-taus 0.5,abc" "--max-rel-error -0.5"; do
+                   "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
+                   "--tau 1.5" "--tau abc" "--tau 0.5x"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
     }

@@ -17,8 +17,9 @@
 // lets every request stop early once the running standard error of the mean
 // falls to E · |mean| (any-τ early exit; the row then shows the trials that
 // actually ran). --json FILE mirrors every report row as one JSON object
-// per line. With --exact it also computes the exact join size for
-// comparison (quadratic in the worst case; intended for small datasets).
+// per line. With --exact it also computes the exact join size of every τ
+// for comparison, in one inverted-index pass with --threads workers
+// (eval/ground_truth.h).
 //
 // --stream OPFILE switches to the StreamingEstimationService: the dataset
 // becomes the backing store (no vector starts live) and OPFILE is replayed
@@ -74,10 +75,10 @@
 
 #include <fstream>
 
+#include "vsj/eval/ground_truth.h"
 #include "vsj/io/dataset_io.h"
 #include "vsj/vector/mapped_csr_storage.h"
 #include "vsj/gen/workloads.h"
-#include "vsj/join/brute_force_join.h"
 #include "vsj/net/protocol.h"
 #include "vsj/obs/obs.h"
 #include "vsj/obs/stat_reporter.h"
@@ -144,6 +145,27 @@ bool ParseDouble(const std::string& token, double* out) {
   return end != token.c_str() && *end == '\0';
 }
 
+/// Parses and validates one join threshold given to `flag`; prints the
+/// offending token to stderr on failure. `what` names the flag's value in
+/// the parse error ("value" or "list").
+bool ParseTau(const std::string& item, const char* flag, const char* what,
+              double* tau) {
+  if (!ParseDouble(item, tau)) {
+    std::cerr << "could not parse " << flag << " " << what << ": " << item
+              << "\n";
+    return false;
+  }
+  // A join threshold is a similarity in (0, 1]; out-of-range values used
+  // to pass through silently and estimate nonsense (τ ≤ 0 returns every
+  // pair, τ > 1 returns none). NaN fails the first comparison.
+  if (!(*tau > 0.0) || *tau > 1.0) {
+    std::cerr << "out-of-range " << flag
+              << " value (tau must be in (0, 1]): " << item << "\n";
+    return false;
+  }
+  return true;
+}
+
 /// Parses and validates the --batch-taus CSV; prints the offending token
 /// to stderr on failure.
 bool ParseTauList(const char* value, std::vector<double>* taus) {
@@ -152,21 +174,10 @@ bool ParseTauList(const char* value, std::vector<double>* taus) {
   std::string item;
   while (std::getline(stream, item, ',')) {
     if (item.empty()) continue;
-    char* end = nullptr;
-    const double tau = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0') {
-      std::cerr << "could not parse --batch-taus list: " << item << "\n";
-      return false;
-    }
-    // A join threshold is a similarity in (0, 1]; out-of-range values used
-    // to pass through silently and estimate nonsense (τ ≤ 0 returns every
-    // pair, τ > 1 returns none). Duplicates used to burn a full re-sample
-    // per copy for an answer the batch already carries.
-    if (!(tau > 0.0) || tau > 1.0) {
-      std::cerr << "out-of-range --batch-taus value (tau must be in (0, 1]): "
-                << item << "\n";
-      return false;
-    }
+    double tau = 0.0;
+    if (!ParseTau(item, "--batch-taus", "list", &tau)) return false;
+    // Duplicates used to burn a full re-sample per copy for an answer the
+    // batch already carries.
     for (double seen : *taus) {
       if (seen == tau) {
         std::cerr << "duplicate --batch-taus value: " << item << "\n";
@@ -212,7 +223,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--tau") {
       const char* v = next("--tau");
       if (!v) return false;
-      args->taus = {std::strtod(v, nullptr)};
+      double tau = 0.0;
+      if (!ParseTau(v, "--tau", "value", &tau)) return false;
+      args->taus = {tau};
       args->taus_set = true;
     } else if (flag == "--batch-taus") {
       const char* v = next("--batch-taus");
@@ -853,10 +866,12 @@ int main(int argc, char** argv) {
             << vsj::TablePrinter::Pct(cache_stats.HitRate()) << "\n";
 
   if (args.exact) {
+    const vsj::GroundTruth truth(service.dataset(), service.options().measure,
+                                 args.taus,
+                                 static_cast<unsigned>(args.threads));
     for (double tau : args.taus) {
-      const uint64_t exact = vsj::BruteForceJoinSize(
-          service.dataset(), service.options().measure, tau);
-      std::cout << "exact(tau=" << tau << ") = " << exact << "\n";
+      std::cout << "exact(tau=" << tau << ") = " << truth.JoinSize(tau)
+                << "\n";
     }
   }
   return 0;
