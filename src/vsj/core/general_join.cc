@@ -9,27 +9,19 @@ namespace vsj {
 GeneralLshSsEstimator::GeneralLshSsEstimator(
     DatasetView left, DatasetView right,
     const LshTable& left_table, const LshTable& right_table,
-    SimilarityMeasure measure, GeneralLshSsOptions options)
+    SimilarityMeasure measure, LshSsOptions options)
     : left_(left),
       right_(right),
       left_table_(&left_table),
       right_table_(&right_table),
-      measure_(measure),
-      dampening_(options.dampening),
-      dampening_factor_(options.dampening_factor) {
+      measure_(measure) {
   VSJ_CHECK(!left.empty() && !right.empty());
   VSJ_CHECK(left_table.num_vectors() == left.size());
   VSJ_CHECK(right_table.num_vectors() == right.size());
   VSJ_CHECK(left_table.k() == right_table.k());
-  const auto n = static_cast<uint64_t>(std::max(left.size(), right.size()));
-  sample_size_h_ = options.sample_size_h != 0 ? options.sample_size_h : n;
-  sample_size_l_ = options.sample_size_l != 0 ? options.sample_size_l : n;
-  delta_ = options.delta != 0
-               ? options.delta
-               : static_cast<uint64_t>(
-                     std::max(1.0, std::log2(static_cast<double>(n))));
 
   // Align buckets of the two tables by their g value.
+  uint64_t num_same_bucket_pairs = 0;
   std::vector<double> weights;
   const auto& right_keys = right_table.key_to_bucket();
   for (size_t b = 0; b < left_table.num_buckets(); ++b) {
@@ -38,7 +30,7 @@ GeneralLshSsEstimator::GeneralLshSsEstimator(
     const uint64_t weight =
         static_cast<uint64_t>(left_table.bucket_count(b)) *
         right_table.bucket_count(it->second);
-    num_same_bucket_pairs_ += weight;
+    num_same_bucket_pairs += weight;
     matches_.push_back(
         MatchedBuckets{static_cast<uint32_t>(b), it->second});
     weights.push_back(static_cast<double>(weight));
@@ -46,26 +38,33 @@ GeneralLshSsEstimator::GeneralLshSsEstimator(
   if (!weights.empty()) {
     match_picker_ = std::make_unique<AliasTable>(weights);
   }
-}
 
-uint64_t GeneralLshSsEstimator::NumTotalPairs() const {
-  return static_cast<uint64_t>(left_.size()) * right_.size();
+  const uint64_t total_pairs =
+      static_cast<uint64_t>(left.size()) * right.size();
+  const SamplingBudget budget =
+      ResolveBudget(options, std::max(left.size(), right.size()));
+  plan_ = {.total_pairs = total_pairs,
+           .num_pairs_h = num_same_bucket_pairs,
+           .num_pairs_l = total_pairs - num_same_bucket_pairs,
+           .m_h = budget.sample_size_h,
+           .m_l = budget.sample_size_l,
+           .delta = budget.delta,
+           .dampening = options.dampening,
+           .dampening_factor = options.dampening_factor};
 }
 
 EstimationResult GeneralLshSsEstimator::Estimate(double tau,
                                                  Rng& rng) const {
   EstimationResult result;
-  const uint64_t total_pairs = NumTotalPairs();
   if (tau <= 0.0) {
-    result.estimate = static_cast<double>(total_pairs);
+    result.estimate = static_cast<double>(plan_.total_pairs);
     return result;
   }
 
   // --- SampleH: matched bucket pair ∝ b_j·c_i, one member per side. ---
-  double estimate_h = 0.0;
   if (match_picker_ != nullptr) {
     uint64_t hits = 0;
-    for (uint64_t s = 0; s < sample_size_h_; ++s) {
+    for (uint64_t s = 0; s < plan_.m_h; ++s) {
       const MatchedBuckets& m = matches_[match_picker_->Sample(rng)];
       const auto& lhs = left_table_->bucket(m.left_bucket);
       const auto& rhs = right_table_->bucket(m.right_bucket);
@@ -73,20 +72,17 @@ EstimationResult GeneralLshSsEstimator::Estimate(double tau,
       const VectorId v = rhs[rng.Below(rhs.size())];
       if (Similarity(measure_, left_[u], right_[v]) >= tau) ++hits;
     }
-    result.pairs_evaluated += sample_size_h_;
-    estimate_h = static_cast<double>(hits) *
-                 static_cast<double>(num_same_bucket_pairs_) /
-                 static_cast<double>(sample_size_h_);
+    result.pairs_evaluated += plan_.m_h;
+    result.stratum_h_estimate = static_cast<double>(hits) *
+                                static_cast<double>(plan_.num_pairs_h) /
+                                static_cast<double>(plan_.m_h);
   }
 
   // --- SampleL: uniform (u, v), rejected when g(u) = g(v). ---
-  const uint64_t n_pairs_l = total_pairs - num_same_bucket_pairs_;
-  double estimate_l = 0.0;
-  bool reliable = true;
-  if (n_pairs_l > 0) {
+  if (plan_.num_pairs_l > 0) {
     uint64_t hits = 0;
     uint64_t samples = 0;
-    while (hits < delta_ && samples < sample_size_l_) {
+    while (hits < plan_.delta && samples < plan_.m_l) {
       VectorId u, v;
       do {
         u = static_cast<VectorId>(rng.Below(left_.size()));
@@ -97,36 +93,13 @@ EstimationResult GeneralLshSsEstimator::Estimate(double tau,
       ++samples;
     }
     result.pairs_evaluated += samples;
-    if (samples >= sample_size_l_ && hits < delta_) {
-      reliable = false;
-      switch (dampening_) {
-        case DampeningMode::kSafeLowerBound:
-          estimate_l = static_cast<double>(hits);
-          break;
-        case DampeningMode::kFixedFactor:
-          estimate_l = static_cast<double>(hits) * dampening_factor_ *
-                       static_cast<double>(n_pairs_l) /
-                       static_cast<double>(sample_size_l_);
-          break;
-        case DampeningMode::kAdaptiveNlOverDelta:
-          estimate_l = static_cast<double>(hits) *
-                       (static_cast<double>(hits) /
-                        static_cast<double>(delta_)) *
-                       static_cast<double>(n_pairs_l) /
-                       static_cast<double>(sample_size_l_);
-          break;
-      }
-    } else {
-      estimate_l = static_cast<double>(hits) *
-                   static_cast<double>(n_pairs_l) /
-                   static_cast<double>(samples);
-    }
+    ScaleStratumL(hits, samples, plan_.num_pairs_l, plan_.m_l, plan_.delta,
+                  plan_.dampening, plan_.dampening_factor, result);
   }
 
-  result.stratum_h_estimate = estimate_h;
-  result.stratum_l_estimate = estimate_l;
-  result.guaranteed = reliable;
-  result.estimate = ClampEstimate(estimate_h + estimate_l, total_pairs);
+  result.estimate =
+      ClampEstimate(result.stratum_h_estimate + result.stratum_l_estimate,
+                    plan_.total_pairs);
   return result;
 }
 

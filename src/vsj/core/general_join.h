@@ -4,7 +4,13 @@
 // Stratum H becomes {(u, v) : g(u) = g(v)} with
 // N_H = Σ_{g(B_j) = g(C_i)} b_j · c_i; sampling from H draws a matched
 // bucket pair with weight b_j · c_i and one member from each side. Stratum L
-// is sampled by rejection on g(u) ≠ g(v). The estimator mirrors Algorithm 1.
+// is sampled by rejection on g(u) ≠ g(v).
+//
+// The estimator is Algorithm 1 with the §5.1 budgets (ResolveBudget, with
+// n = max(|U|, |V|)) and the stratum-L scale-up (ScaleStratumL) of
+// stratified_sampling.h, but with its own single-τ draw loops: its pairs
+// are ordered and span two datasets, while the shared loops' PairMultiset
+// and EvaluatePairSimilarities key unordered pairs of one dataset.
 
 #ifndef VSJ_CORE_GENERAL_JOIN_H_
 #define VSJ_CORE_GENERAL_JOIN_H_
@@ -21,15 +27,6 @@
 
 namespace vsj {
 
-/// Options of the general-join LSH-SS (defaults use n = max(|U|, |V|)).
-struct GeneralLshSsOptions {
-  uint64_t sample_size_h = 0;  // 0 → n
-  uint64_t sample_size_l = 0;  // 0 → n
-  uint64_t delta = 0;          // 0 → log₂ n
-  DampeningMode dampening = DampeningMode::kSafeLowerBound;
-  double dampening_factor = 1.0;
-};
-
 /// LSH-SS for J = |{(u, v) ∈ U × V : sim(u, v) ≥ τ}| (ordered pairs).
 class GeneralLshSsEstimator final : public JoinSizeEstimator {
  public:
@@ -39,16 +36,16 @@ class GeneralLshSsEstimator final : public JoinSizeEstimator {
                         const LshTable& left_table,
                         const LshTable& right_table,
                         SimilarityMeasure measure,
-                        GeneralLshSsOptions options = {});
+                        LshSsOptions options = {});
 
   EstimationResult Estimate(double tau, Rng& rng) const override;
   std::string name() const override { return "LSH-SS(general)"; }
 
   /// N_H = Σ over matched buckets of b_j · c_i.
-  uint64_t NumSameBucketPairs() const { return num_same_bucket_pairs_; }
+  uint64_t NumSameBucketPairs() const { return plan_.num_pairs_h; }
 
   /// Total pairs |U| · |V|.
-  uint64_t NumTotalPairs() const;
+  uint64_t NumTotalPairs() const { return plan_.total_pairs; }
 
  private:
   struct MatchedBuckets {
@@ -61,12 +58,7 @@ class GeneralLshSsEstimator final : public JoinSizeEstimator {
   const LshTable* left_table_;
   const LshTable* right_table_;
   SimilarityMeasure measure_;
-  uint64_t sample_size_h_;
-  uint64_t sample_size_l_;
-  uint64_t delta_;
-  DampeningMode dampening_;
-  double dampening_factor_;
-  uint64_t num_same_bucket_pairs_ = 0;
+  StratifiedPlan plan_;
   std::vector<MatchedBuckets> matches_;
   std::unique_ptr<AliasTable> match_picker_;  // weight b_j · c_i
 };

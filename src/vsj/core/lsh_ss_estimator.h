@@ -16,7 +16,8 @@
 //     (paper's novelty), or optionally a dampened scale-up
 //     Ĵ_L = n_L · c_s · N_L / m_L — the LSH-SS(D) variant of Theorem 2.
 //
-// Defaults follow §5.1: m_H = m_L = n, δ = log₂ n, c_s = n_L/δ for D.
+// Defaults follow §5.1: m_H = m_L = n, δ = log₂ n (ResolveBudget), c_s =
+// n_L/δ for D.
 
 #ifndef VSJ_CORE_LSH_SS_ESTIMATOR_H_
 #define VSJ_CORE_LSH_SS_ESTIMATOR_H_
@@ -51,9 +52,9 @@ class LshSsEstimator final : public JoinSizeEstimator {
   bool SharesSweeps() const override { return true; }
   std::string name() const override;
 
-  uint64_t sample_size_h() const { return sample_size_h_; }
-  uint64_t sample_size_l() const { return sample_size_l_; }
-  uint64_t delta() const { return delta_; }
+  uint64_t sample_size_h() const { return plan_.m_h; }
+  uint64_t sample_size_l() const { return plan_.m_l; }
+  uint64_t delta() const { return plan_.delta; }
 
  private:
   /// Algorithm 1 over `taus`, advancing `rng` past the shared pass.
@@ -63,11 +64,7 @@ class LshSsEstimator final : public JoinSizeEstimator {
   DatasetView dataset_;
   const LshTable* table_;
   SimilarityMeasure measure_;
-  uint64_t sample_size_h_;
-  uint64_t sample_size_l_;
-  uint64_t delta_;
-  DampeningMode dampening_;
-  double dampening_factor_;
+  StratifiedPlan plan_;
 };
 
 }  // namespace vsj

@@ -1,11 +1,16 @@
-// The shared SampleH / SampleL loops of Algorithm 1 (paper §5).
+// Algorithm 1 of the paper (§5): SampleH, adaptive SampleL with a safe
+// lower bound or dampening, and the §5.1 budget defaults.
 //
-// The static LshSsEstimator and the streaming StreamingLshSsEstimator
-// differ only in where pairs come from (static alias-table samplers vs.
-// the dynamic index's live-id rejection sampler) and in the dampening
-// policy. These templates are the single implementation of the sampling
-// loops: both estimators bind a pair source and an EstimateStratified
-// plan.
+// The estimators that run it differ only in where pairs come from, so each
+// binds its pair sources to one EstimateStratified plan:
+//   * LshSsEstimator — a static table's alias-table samplers;
+//   * StreamingLshSsEstimator — the dynamic index's live-id rejection
+//     sampler, with budgets resolved per call from the live n;
+//   * VirtualBucketEstimator — the union of ℓ tables' strata H (multiplicity
+//     rejection) and its complement (Appendix B.2.1).
+// The general R × S join (Appendix B.2.2) shares only ResolveBudget and
+// ScaleStratumL: its pairs are ordered and span two datasets, while
+// PairMultiset and EvaluatePairSimilarities key unordered pairs of one.
 //
 // Every loop is multi-τ: a sampled pair's similarity does not depend on τ,
 // so one draw-and-evaluate pass thresholds each pair against a whole
@@ -17,6 +22,7 @@
 #define VSJ_CORE_STRATIFIED_SAMPLING_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -40,6 +46,18 @@ struct SamplingBudget {
   uint64_t delta = 0;          ///< δ, the answer-size threshold.
 };
 
+/// `budget` with its zero fields derived from n (§5.1): m_H = m_L = n and
+/// δ = max(1, log₂ n).
+inline SamplingBudget ResolveBudget(SamplingBudget budget, uint64_t n) {
+  if (budget.sample_size_h == 0) budget.sample_size_h = n;
+  if (budget.sample_size_l == 0) budget.sample_size_l = n;
+  if (budget.delta == 0) {
+    budget.delta = static_cast<uint64_t>(
+        std::max(1.0, std::log2(static_cast<double>(n))));
+  }
+  return budget;
+}
+
 /// How SampleL scales its count when the answer-size threshold δ was not
 /// reached within the sample budget m_L.
 enum class DampeningMode {
@@ -50,6 +68,42 @@ enum class DampeningMode {
   /// c_s = n_L / δ, the adaptive choice used for LSH-SS(D) in §6.
   kAdaptiveNlOverDelta,
 };
+
+/// Ĵ_L of SampleL from n_L = `hits` true pairs among `samples` draws out of
+/// N_L = `num_pairs_l`. Once δ was reached the adaptive bound of Lipton et
+/// al. applies and Ĵ_L = n_L · N_L / i. Otherwise scaling up by N_L / i
+/// carries no guarantee (Example 1 of the paper): `result.guaranteed` is
+/// cleared and `dampening` picks the safe lower bound n_L or the dampened
+/// scale-up n_L · c_s · N_L / m_L of Theorem 2.
+inline void ScaleStratumL(uint64_t hits, uint64_t samples,
+                          uint64_t num_pairs_l, uint64_t m_l, uint64_t delta,
+                          DampeningMode dampening, double dampening_factor,
+                          EstimationResult& result) {
+  const auto n_l = static_cast<double>(hits);
+  if (hits >= delta) {
+    result.stratum_l_estimate = n_l * static_cast<double>(num_pairs_l) /
+                                static_cast<double>(samples);
+    return;
+  }
+  result.guaranteed = false;
+  switch (dampening) {
+    case DampeningMode::kSafeLowerBound:
+      result.stratum_l_estimate = n_l;
+      break;
+    case DampeningMode::kFixedFactor:
+      result.stratum_l_estimate = n_l * dampening_factor *
+                                  static_cast<double>(num_pairs_l) /
+                                  static_cast<double>(m_l);
+      break;
+    case DampeningMode::kAdaptiveNlOverDelta: {
+      const double cs = n_l / static_cast<double>(delta);
+      result.stratum_l_estimate = n_l * cs *
+                                  static_cast<double>(num_pairs_l) /
+                                  static_cast<double>(m_l);
+      break;
+    }
+  }
+}
 
 /// Most distinct pairs SampleH's per-trial PairMultiset holds before it
 /// drains; bounds the table at ~1.5 MB per trial whatever N_H and m_H a
@@ -213,11 +267,10 @@ inline uint64_t NthSetBit(uint64_t mask, uint64_t n) {
 }
 
 /// SampleL of Algorithm 1 for every τ of a sweep at once: adaptive
-/// sampling of cross-bucket pairs until δ true pairs are found (reliable:
-/// Ĵ_L = hits · N_L / i) or the budget m_l is exhausted, in which case the
-/// τ's `guaranteed` flag is cleared and the dampening policy decides
-/// between the safe lower bound and a dampened scale-up. τ j's Ĵ_L goes to
-/// results[j].stratum_l_estimate and its own sample count i_j is added to
+/// sampling of cross-bucket pairs until δ true pairs are found or the
+/// budget m_l is exhausted, then ScaleStratumL per τ. τ j's Ĵ_L goes to
+/// results[j].stratum_l_estimate (with `guaranteed` cleared when δ was
+/// missed) and its own sample count i_j is added to
 /// results[j].pairs_evaluated.
 ///
 /// The draws form one stream that does not depend on τ; each τ consumes a
@@ -329,36 +382,9 @@ void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
   }
 
   for (size_t j = 0; j < taus.size(); ++j) {
-    EstimationResult& result = results[j];
-    result.pairs_evaluated += samples[j];
-    const auto n_l = static_cast<double>(hits[j]);
-    if (hits[j] >= delta) {
-      // Reliable path: the adaptive bound of Lipton et al. applies.
-      result.stratum_l_estimate = n_l * static_cast<double>(num_pairs_l) /
-                                  static_cast<double>(samples[j]);
-      continue;
-    }
-    // The answer-size threshold was not met: scaling up by N_L/i carries no
-    // guarantee (Example 1 of the paper). Return the safe lower bound n_L,
-    // or the dampened scale-up of Theorem 2.
-    result.guaranteed = false;
-    switch (dampening) {
-      case DampeningMode::kSafeLowerBound:
-        result.stratum_l_estimate = n_l;
-        break;
-      case DampeningMode::kFixedFactor:
-        result.stratum_l_estimate = n_l * dampening_factor *
-                                    static_cast<double>(num_pairs_l) /
-                                    static_cast<double>(m_l);
-        break;
-      case DampeningMode::kAdaptiveNlOverDelta: {
-        const double cs = n_l / static_cast<double>(delta);
-        result.stratum_l_estimate = n_l * cs *
-                                    static_cast<double>(num_pairs_l) /
-                                    static_cast<double>(m_l);
-        break;
-      }
-    }
+    results[j].pairs_evaluated += samples[j];
+    ScaleStratumL(hits[j], samples[j], num_pairs_l, m_l, delta, dampening,
+                  dampening_factor, results[j]);
   }
 }
 

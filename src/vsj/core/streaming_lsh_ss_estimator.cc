@@ -1,7 +1,5 @@
 #include "vsj/core/streaming_lsh_ss_estimator.h"
 
-#include <cmath>
-
 #include "vsj/util/check.h"
 
 namespace vsj {
@@ -44,25 +42,22 @@ std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
     const StreamingSampleContext* context,
     const StreamingLshSsOptions* override_options) const {
   VSJ_CHECK(t < index_->num_tables());
-  const StreamingLshSsOptions& opts =
-      override_options != nullptr ? *override_options : options_;
   const uint64_t n = index_->num_vectors();
   if (n < 2) return std::vector<EstimationResult>(taus.size());
 
   const DynamicLshTable& table = index_->table(t);
-  StratifiedPlan plan;
-  plan.total_pairs = n * (n - 1) / 2;
-  plan.num_pairs_h = table.NumSameBucketPairs();
-  plan.num_pairs_l = table.NumCrossBucketPairs();
-  plan.m_h = opts.sample_size_h != 0 ? opts.sample_size_h : n;
-  plan.m_l = opts.sample_size_l != 0 ? opts.sample_size_l : n;
-  plan.delta = opts.delta != 0
-                   ? opts.delta
-                   : static_cast<uint64_t>(
-                         std::max(1.0, std::log2(static_cast<double>(n))));
+  const SamplingBudget budget = ResolveBudget(
+      override_options != nullptr ? *override_options : options_, n);
   // The streaming engine always uses the safe lower bound (Theorem 1) when
   // the answer-size threshold is missed.
-  plan.dampening = DampeningMode::kSafeLowerBound;
+  const StratifiedPlan plan = {
+      .total_pairs = n * (n - 1) / 2,
+      .num_pairs_h = table.NumSameBucketPairs(),
+      .num_pairs_l = table.NumCrossBucketPairs(),
+      .m_h = budget.sample_size_h,
+      .m_l = budget.sample_size_l,
+      .delta = budget.delta,
+      .dampening = DampeningMode::kSafeLowerBound};
 
   const uint32_t* bucket_of = context != nullptr && !context->empty()
                                   ? context->bucket_of[t].data()

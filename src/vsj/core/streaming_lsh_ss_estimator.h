@@ -11,8 +11,8 @@
 // path (StreamingEstimationService is the other caller).
 //
 // Differences from the static algorithm, all forced by dynamism:
-//   * defaults m_H = m_L = n and δ = log₂ n are recomputed per call from
-//     the current live count, not frozen at construction;
+//   * defaults m_H = m_L = n and δ = log₂ n are resolved (ResolveBudget)
+//     per call from the current live count, not frozen at construction;
 //   * SampleL draws uniform live pairs through the index's live-id list
 //     (the static table's rejection sampler assumes ids 0..n−1 are all
 //     present) and rejects same-bucket pairs of the chosen table.

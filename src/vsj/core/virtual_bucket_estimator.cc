@@ -1,6 +1,5 @@
 #include "vsj/core/virtual_bucket_estimator.h"
 
-#include <cmath>
 #include <unordered_set>
 
 #include "vsj/util/check.h"
@@ -20,20 +19,8 @@ VirtualBucketEstimator::VirtualBucketEstimator(DatasetView dataset,
                                                const LshIndex& index,
                                                SimilarityMeasure measure,
                                                LshSsOptions options)
-    : dataset_(dataset),
-      index_(&index),
-      measure_(measure),
-      dampening_(options.dampening),
-      dampening_factor_(options.dampening_factor) {
+    : dataset_(dataset), index_(&index), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  const auto n = static_cast<uint64_t>(dataset.size());
-  sample_size_h_ = options.sample_size_h != 0 ? options.sample_size_h : n;
-  sample_size_l_ = options.sample_size_l != 0 ? options.sample_size_l : n;
-  delta_ = options.delta != 0
-               ? options.delta
-               : static_cast<uint64_t>(
-                     std::max(1.0, std::log2(static_cast<double>(n))));
-
   // Exact |∪_t SH_t| by deduplication; the per-table totals are small by
   // LSH design (Σ_t N_H^t ≈ ℓ·n in any healthy index).
   std::unordered_set<uint64_t> distinct;
@@ -50,7 +37,16 @@ VirtualBucketEstimator::VirtualBucketEstimator(DatasetView dataset,
       }
     }
   }
-  num_virtual_pairs_ = distinct.size();
+  const SamplingBudget budget = ResolveBudget(options, dataset.size());
+  const uint64_t num_virtual_pairs = distinct.size();
+  plan_ = {.total_pairs = dataset.NumPairs(),
+           .num_pairs_h = num_virtual_pairs,
+           .num_pairs_l = dataset.NumPairs() - num_virtual_pairs,
+           .m_h = budget.sample_size_h,
+           .m_l = budget.sample_size_l,
+           .delta = budget.delta,
+           .dampening = options.dampening,
+           .dampening_factor = options.dampening_factor};
   bool any_positive = false;
   for (double w : table_weights) any_positive |= w > 0.0;
   if (any_positive) {
@@ -79,82 +75,33 @@ VectorPair VirtualBucketEstimator::SampleVirtualPair(Rng& rng) const {
 
 EstimationResult VirtualBucketEstimator::Estimate(double tau,
                                                   Rng& rng) const {
-  EstimationResult result;
-  const uint64_t total_pairs = dataset_.NumPairs();
-  if (tau <= 0.0) {
-    result.estimate = static_cast<double>(total_pairs);
-    return result;
-  }
+  return Sweep({&tau, 1}, rng).front();
+}
 
-  // --- SampleH over the virtual stratum. ---
-  double estimate_h = 0.0;
-  if (num_virtual_pairs_ > 0 && table_picker_ != nullptr) {
-    uint64_t hits = 0;
-    for (uint64_t s = 0; s < sample_size_h_; ++s) {
-      const VectorPair pair = SampleVirtualPair(rng);
-      if (Similarity(measure_, dataset_[pair.first],
-                     dataset_[pair.second]) >= tau) {
-        ++hits;
-      }
-    }
-    result.pairs_evaluated += sample_size_h_;
-    estimate_h = static_cast<double>(hits) *
-                 static_cast<double>(num_virtual_pairs_) /
-                 static_cast<double>(sample_size_h_);
-  }
+std::vector<EstimationResult> VirtualBucketEstimator::EstimateSweep(
+    std::span<const double> taus, const Rng& rng) const {
+  Rng copy = rng;
+  return Sweep(taus, copy);
+}
 
-  // --- SampleL over pairs outside every table's buckets. ---
-  const uint64_t n_pairs_l = total_pairs - num_virtual_pairs_;
-  double estimate_l = 0.0;
-  bool reliable = true;
-  if (n_pairs_l > 0) {
-    const size_t n = dataset_.size();
-    uint64_t hits = 0;
-    uint64_t samples = 0;
-    while (hits < delta_ && samples < sample_size_l_) {
-      VectorId u, v;
-      do {
-        u = static_cast<VectorId>(rng.Below(n));
-        v = static_cast<VectorId>(rng.Below(n - 1));
-        if (v >= u) ++v;
-      } while (index_->SameBucketInAnyTable(u, v));
-      if (Similarity(measure_, dataset_[u], dataset_[v]) >= tau) {
-        ++hits;
-      }
-      ++samples;
-    }
-    result.pairs_evaluated += samples;
-    if (samples >= sample_size_l_ && hits < delta_) {
-      reliable = false;
-      switch (dampening_) {
-        case DampeningMode::kSafeLowerBound:
-          estimate_l = static_cast<double>(hits);
-          break;
-        case DampeningMode::kFixedFactor:
-          estimate_l = static_cast<double>(hits) * dampening_factor_ *
-                       static_cast<double>(n_pairs_l) /
-                       static_cast<double>(sample_size_l_);
-          break;
-        case DampeningMode::kAdaptiveNlOverDelta:
-          estimate_l = static_cast<double>(hits) *
-                       (static_cast<double>(hits) /
-                        static_cast<double>(delta_)) *
-                       static_cast<double>(n_pairs_l) /
-                       static_cast<double>(sample_size_l_);
-          break;
-      }
-    } else {
-      estimate_l = static_cast<double>(hits) *
-                   static_cast<double>(n_pairs_l) /
-                   static_cast<double>(samples);
-    }
-  }
-
-  result.stratum_h_estimate = estimate_h;
-  result.stratum_l_estimate = estimate_l;
-  result.guaranteed = reliable;
-  result.estimate = ClampEstimate(estimate_h + estimate_l, total_pairs);
-  return result;
+std::vector<EstimationResult> VirtualBucketEstimator::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  const auto n = static_cast<uint64_t>(dataset_.size());
+  // SampleL: a uniform pair, rejected while it shares a bucket in any
+  // table. N_L > 0 guarantees an accepting pair exists.
+  return EstimateStratified(
+      dataset_, measure_, plan_, taus,
+      [&](Rng& r) { return SampleVirtualPair(r); },
+      [&](Rng& r) {
+        VectorId u, v;
+        do {
+          u = static_cast<VectorId>(r.Below(n));
+          v = static_cast<VectorId>(r.Below(n - 1));
+          if (v >= u) ++v;
+        } while (index_->SameBucketInAnyTable(u, v));
+        return VectorPair{u, v};
+      },
+      rng);
 }
 
 }  // namespace vsj

@@ -3,18 +3,22 @@
 // A pair is "in the same (virtual) bucket" iff it shares a bucket in ANY of
 // the ℓ tables, which relaxes an overly selective g (large k): stratum H
 // becomes the union ∪_t SH_t, capturing more true pairs. Algorithm 1 then
-// runs unchanged against the virtual strata:
+// runs unchanged against the virtual strata — this estimator is only a pair
+// source bound to one EstimateStratified plan (stratified_sampling.h):
 //   * N_H is computed exactly by deduplicating the same-bucket pairs of all
 //     tables (their total count is Σ_t N_H^t, small by LSH design).
 //   * Uniform sampling from the union uses multiplicity rejection: draw a
 //     table ∝ N_H^t, a pair within it, and accept with probability
 //     1/multiplicity(pair) where multiplicity counts the tables in which the
 //     pair shares a bucket.
+//   * Stratum L draws a uniform pair and rejects it when it shares a bucket
+//     in any table.
 
 #ifndef VSJ_CORE_VIRTUAL_BUCKET_ESTIMATOR_H_
 #define VSJ_CORE_VIRTUAL_BUCKET_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vsj/core/estimator.h"
@@ -32,24 +36,26 @@ class VirtualBucketEstimator final : public JoinSizeEstimator {
                          SimilarityMeasure measure, LshSsOptions options = {});
 
   EstimationResult Estimate(double tau, Rng& rng) const override;
+  /// One shared SampleH/SampleL pass answers every τ (stratified_sampling.h).
+  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
+                                              const Rng& rng) const override;
+  bool SharesSweeps() const override { return true; }
   std::string name() const override { return "LSH-SS(vbucket)"; }
 
   /// |∪_t SH_t|: the exact virtual stratum-H size.
-  uint64_t NumVirtualSameBucketPairs() const { return num_virtual_pairs_; }
+  uint64_t NumVirtualSameBucketPairs() const { return plan_.num_pairs_h; }
 
  private:
+  /// Algorithm 1 over `taus`, advancing `rng` past the shared pass.
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const;
   VectorPair SampleVirtualPair(Rng& rng) const;
   uint32_t Multiplicity(VectorId u, VectorId v) const;
 
   DatasetView dataset_;
   const LshIndex* index_;
   SimilarityMeasure measure_;
-  uint64_t sample_size_h_;
-  uint64_t sample_size_l_;
-  uint64_t delta_;
-  DampeningMode dampening_;
-  double dampening_factor_;
-  uint64_t num_virtual_pairs_ = 0;
+  StratifiedPlan plan_;
   std::unique_ptr<AliasTable> table_picker_;  // weight N_H^t per table
 };
 

@@ -21,10 +21,15 @@
 #               omitted std_error fields and the early-exited trial counts
 #   exact       a nine-τ --batch-taus sweep with --exact — pins the exact
 #               join sizes of the one-pass ground-truth oracle
+#   vbucket     the batch over three tables with --estimator
+#               "LSH-SS(vbucket)" — pins the virtual-bucket estimator's
+#               Algorithm 1 pass
 #   reject      invalid flag values (--batch-taus out of range / duplicate /
 #               unparsable, negative --max-rel-error, --tau out of range /
-#               unparsable / trailing garbage) — captures the first stderr
-#               diagnostic of each, which must name the offending token
+#               unparsable / trailing garbage, a negative --trials, zero
+#               --tables / --k, an unknown --estimator) — captures the first
+#               stderr diagnostic of each, which must name the offending
+#               token
 #   sweep-vs-single  no fixture: the --json lines of one --batch-taus
 #               sweep must equal those of one --tau run per τ (a request
 #               answers the same alone or in a batch)
@@ -99,6 +104,12 @@ case "$mode" in
       rm -f cli_single_trial.json cli_early_exit.json
     }
     ;;
+  vbucket)
+    run() {
+      "$bin" --dataset "$data/tiny.vsjd" --estimator "LSH-SS(vbucket)" \
+             --tables 3 $batch_flags 2>/dev/null
+    }
+    ;;
   exact)
     run() {
       "$bin" --dataset "$data/tiny.vsjd" --k 6 --threads 2 \
@@ -128,7 +139,8 @@ case "$mode" in
     run() {
       for flags in "--batch-taus 0.5,1.5" "--batch-taus 0.5,0.5" \
                    "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
-                   "--tau 1.5" "--tau abc" "--tau 0.5x"; do
+                   "--tau 1.5" "--tau abc" "--tau 0.5x" "--trials -1" \
+                   "--tables 0" "--k 0" "--estimator Foo"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
     }

@@ -1,9 +1,13 @@
 #include "vsj/core/general_join.h"
 
+#include <iterator>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 #include "vsj/eval/experiment.h"
+#include "vsj/eval/ground_truth.h"
 #include "vsj/join/brute_force_join.h"
 
 namespace vsj {
@@ -84,6 +88,114 @@ TEST(GeneralLshSsTest, EstimateWithinBounds) {
     const EstimationResult r = est.Estimate(tau, rng);
     EXPECT_GE(r.estimate, 0.0);
     EXPECT_LE(r.estimate, 100.0 * 200.0);
+  }
+}
+
+TEST(GeneralLshSsTest, EstimatesMatchParentBitForBit) {
+  // Captured with %a from the general join's hand-written SampleL scale-up
+  // before it moved to ScaleStratumL: every mode × the standard τ grid on
+  // one Rng stream per mode (so the draw count is pinned too), covering
+  // reliable, dampened and zero-hit stratum-L outcomes. The §5.1 defaults
+  // give m_H = m_L = 600 and δ = 9; neither δ nor c_s = 0.3 is a power of
+  // two, so a reordered scale-up would round differently.
+  using M = DampeningMode;
+  struct Row {
+    DampeningMode mode;
+    double tau;
+    double estimate;
+    double stratum_h;
+    double stratum_l;
+    uint64_t pairs_evaluated;
+    bool guaranteed;
+  };
+  const Row rows[] = {
+      {M::kSafeLowerBound, 0.1, 0x1.16c1dd31674c6p+16, 0x1.f7f5555555555p+9,
+       0x1.12d1f286bca1bp+16, 619, true},
+      {M::kSafeLowerBound, 0.2, 0x1.49992d8dcb638p+13, 0x1.f095555555555p+8,
+       0x1.3a1482e320b8dp+13, 733, true},
+      {M::kSafeLowerBound, 0.3, 0x1.7caaaaaaaaaabp+8, 0x1.75aaaaaaaaaabp+8,
+       0x1.cp+2, 1200, false},
+      {M::kSafeLowerBound, 0.4, 0x1.3baaaaaaaaaabp+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1p+0, 1200, false},
+      {M::kSafeLowerBound, 0.5, 0x1.248aaaaaaaaabp+8, 0x1.248aaaaaaaaabp+8,
+       0x0p+0, 1200, false},
+      {M::kSafeLowerBound, 0.6, 0x1.46f5555555555p+8, 0x1.46f5555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kSafeLowerBound, 0.7, 0x1.3f95555555555p+8, 0x1.3f95555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kSafeLowerBound, 0.8, 0x1.468p+8, 0x1.448p+8, 0x1p+1, 1200, false},
+      {M::kSafeLowerBound, 0.9, 0x1.3baaaaaaaaaabp+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1p+0, 1200, false},
+      {M::kSafeLowerBound, 1.0, 0x1.1ab5555555555p+8, 0x1.1ab5555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kFixedFactor, 0.1, 0x1.16c1dd31674c6p+16, 0x1.f7f5555555555p+9,
+       0x1.12d1f286bca1bp+16, 619, true},
+      {M::kFixedFactor, 0.2, 0x1.49992d8dcb638p+13, 0x1.f095555555555p+8,
+       0x1.3a1482e320b8dp+13, 733, true},
+      {M::kFixedFactor, 0.3, 0x1.bec0888888888p+9, 0x1.75aaaaaaaaaabp+8,
+       0x1.03eb333333333p+9, 1200, false},
+      {M::kFixedFactor, 0.4, 0x1.84edddddddddep+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1.290cccccccccdp+6, 1200, false},
+      {M::kFixedFactor, 0.5, 0x1.248aaaaaaaaabp+8, 0x1.248aaaaaaaaabp+8,
+       0x0p+0, 1200, false},
+      {M::kFixedFactor, 0.6, 0x1.46f5555555555p+8, 0x1.46f5555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kFixedFactor, 0.7, 0x1.3f95555555555p+8, 0x1.3f95555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kFixedFactor, 0.8, 0x1.d906666666666p+8, 0x1.448p+8,
+       0x1.290cccccccccdp+7, 1200, false},
+      {M::kFixedFactor, 0.9, 0x1.84edddddddddep+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1.290cccccccccdp+6, 1200, false},
+      {M::kFixedFactor, 1.0, 0x1.1ab5555555555p+8, 0x1.1ab5555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.1, 0x1.16c1dd31674c6p+16,
+       0x1.f7f5555555555p+9, 0x1.12d1f286bca1bp+16, 619, true},
+      {M::kAdaptiveNlOverDelta, 0.2, 0x1.49992d8dcb638p+13,
+       0x1.f095555555555p+8, 0x1.3a1482e320b8dp+13, 733, true},
+      {M::kAdaptiveNlOverDelta, 0.3, 0x1.ae592f684bda2p+10,
+       0x1.75aaaaaaaaaabp+8, 0x1.50ee84bda12f7p+10, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.4, 0x1.562bda12f684cp+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1.b812f684bda13p+4, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.5, 0x1.248aaaaaaaaabp+8, 0x1.248aaaaaaaaabp+8,
+       0x0p+0, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.6, 0x1.46f5555555555p+8, 0x1.46f5555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.7, 0x1.3f95555555555p+8, 0x1.3f95555555555p+8,
+       0x0p+0, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.8, 0x1.b284bda12f685p+8, 0x1.448p+8,
+       0x1.b812f684bda13p+6, 1200, false},
+      {M::kAdaptiveNlOverDelta, 0.9, 0x1.562bda12f684cp+8, 0x1.3aaaaaaaaaaabp+8,
+       0x1.b812f684bda13p+4, 1200, false},
+      {M::kAdaptiveNlOverDelta, 1.0, 0x1.1ab5555555555p+8, 0x1.1ab5555555555p+8,
+       0x0p+0, 1200, false},
+  };
+  const VectorDataset left = testing::SmallClusteredCorpus(600, 12);
+  const VectorDataset right = testing::SmallClusteredCorpus(250, 12);
+  const SimHashFamily family(12 ^ 0x777);
+  const LshTable left_table(family, left, 8);
+  const LshTable right_table(family, right, 8);
+  const std::vector<double> taus = StandardThresholds();
+  ASSERT_EQ(std::size(rows), 3 * taus.size());
+  for (size_t m = 0; m < 3; ++m) {
+    LshSsOptions options;
+    options.dampening = rows[m * taus.size()].mode;
+    options.dampening_factor = 0.3;
+    const GeneralLshSsEstimator est(left, right, left_table, right_table,
+                                    SimilarityMeasure::kCosine, options);
+    Rng rng(17);
+    for (size_t j = 0; j < taus.size(); ++j) {
+      const Row& row = rows[m * taus.size() + j];
+      ASSERT_EQ(row.mode, options.dampening);
+      ASSERT_EQ(row.tau, taus[j]);
+      const EstimationResult r = est.Estimate(row.tau, rng);
+      SCOPED_TRACE(::testing::Message() << "mode " << m << " tau=" << row.tau);
+      EXPECT_EQ(r.estimate, row.estimate);
+      EXPECT_EQ(r.stratum_h_estimate, row.stratum_h);
+      EXPECT_EQ(r.stratum_l_estimate, row.stratum_l);
+      EXPECT_EQ(r.pairs_evaluated, row.pairs_evaluated);
+      EXPECT_EQ(r.guaranteed, row.guaranteed);
+    }
+    EXPECT_EQ(rng.Next(), 0x76aeca230dd96971ULL) << m;
   }
 }
 

@@ -6,7 +6,8 @@
 // client would see. Covered: static LSH-SS and LSH-SS(D), streaming LSH-SS
 // after a seeded churn history, sampling overrides, error-bound early exit
 // at different trials per τ, duplicate τ, τ = 1.0, a sweep split over two
-// batches, a mixed batch with a non-sharing estimator, a cached answer
+// batches, a mixed batch with a non-sharing estimator and LSH-SS(vbucket)
+// sweeps, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
 // threads, one group's trials spread over the pool in chunks (aggregated
 // once, and an error-bound group kept whole, so it still exits early),
@@ -276,14 +277,16 @@ TEST_P(SweepSharingTest, SweepSplitAcrossBatchesMatchesPerTauAnswers) {
 }
 
 TEST_P(SweepSharingTest, MixedBatchKeepsPerTauComputeForOtherEstimators) {
-  // RS(pop) interleaved with two LSH-SS sweeps of different seeds: the
-  // sweeps group by seed, RS(pop) runs one τ at a time.
+  // RS(pop) interleaved with two LSH-SS sweeps of different seeds and
+  // LSH-SS(D) and LSH-SS(vbucket) sweeps: the sweeps group by estimator and
+  // seed, RS(pop) runs one τ at a time.
   std::vector<EstimateRequest> batch;
   for (double tau : {0.4, 0.6, 0.8}) {
     batch.push_back(Request("LSH-SS", tau, 3, 42));
     batch.push_back(Request("RS(pop)", tau, 3, 42));
     batch.push_back(Request("LSH-SS", tau, 3, 43));
     batch.push_back(Request("LSH-SS(D)", tau, 3, 42));
+    batch.push_back(Request("LSH-SS(vbucket)", tau, 3, 42));
   }
   EstimationService service(testing::SmallClusteredCorpus(600, 7),
                             StaticOptions(threads()));
@@ -509,8 +512,8 @@ bool SameResult(const EstimationResult& a, const EstimationResult& b) {
 
 /// Every registry estimator over `context`: result j of EstimateSweep is
 /// Estimate(τ_j) on a copy of the stream, including τ <= 0 (answered M
-/// without sampling). LSH-SS and LSH-SS(D) override EstimateSweep with the
-/// shared pass; the rest take the default.
+/// without sampling). LSH-SS, LSH-SS(D) and LSH-SS(vbucket) override
+/// EstimateSweep with the shared pass; the rest take the default.
 void ExpectRegistrySweepsLikeSingleCalls(const EstimatorContext& context) {
   std::vector<double> taus = StandardThresholds();
   taus.push_back(1.0);
@@ -526,8 +529,9 @@ void ExpectRegistrySweepsLikeSingleCalls(const EstimatorContext& context) {
       EXPECT_TRUE(SameResult(swept[j], estimator->Estimate(taus[j], copy)))
           << name << " tau=" << taus[j];
     }
-    EXPECT_EQ(estimator->SharesSweeps(),
-              name == "LSH-SS" || name == "LSH-SS(D)")
+    EXPECT_EQ(estimator->SharesSweeps(), name == "LSH-SS" ||
+                                             name == "LSH-SS(D)" ||
+                                             name == "LSH-SS(vbucket)")
         << name;
   }
 }

@@ -63,7 +63,9 @@
 //                         on stderr and as the `simd.active_level` gauge in
 //                         the --metrics table (0 scalar, 1 sse2, 2 avx2).
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -75,6 +77,7 @@
 
 #include <fstream>
 
+#include "vsj/core/estimator_registry.h"
 #include "vsj/eval/ground_truth.h"
 #include "vsj/io/dataset_io.h"
 #include "vsj/vector/mapped_csr_storage.h"
@@ -203,6 +206,23 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       return argv[++i];
     };
+    // An unsigned count; `min` and `max` bound it, naming flag and token.
+    auto next_u64 = [&](const char* name, uint64_t* out, uint64_t min = 0,
+                        uint64_t max = UINT64_MAX) -> bool {
+      const char* v = next(name);
+      if (!v) return false;
+      if (!ParseU64(v, out)) {
+        std::cerr << "could not parse " << name << " value: " << v << "\n";
+        return false;
+      }
+      if (*out < min || *out > max) {
+        std::cerr << "out-of-range " << name << " value (must be in [" << min
+                  << ", " << max << "]): " << v << "\n";
+        return false;
+      }
+      return true;
+    };
+    uint64_t count = 0;
     if (flag == "--dataset") {
       const char* v = next("--dataset");
       if (!v) return false;
@@ -217,9 +237,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->estimator = v;
       args->estimator_set = true;
     } else if (flag == "--n") {
-      const char* v = next("--n");
-      if (!v) return false;
-      args->n = std::strtoull(v, nullptr, 10);
+      if (!next_u64("--n", &count)) return false;
+      args->n = count;
     } else if (flag == "--tau") {
       const char* v = next("--tau");
       if (!v) return false;
@@ -233,29 +252,22 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!ParseTauList(v, &args->taus)) return false;
       args->taus_set = true;
     } else if (flag == "--k") {
-      const char* v = next("--k");
-      if (!v) return false;
-      args->k = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!next_u64("--k", &count, 1, UINT32_MAX)) return false;
+      args->k = static_cast<uint32_t>(count);
     } else if (flag == "--tables") {
-      const char* v = next("--tables");
-      if (!v) return false;
-      args->tables = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!next_u64("--tables", &count, 1, UINT32_MAX)) return false;
+      args->tables = static_cast<uint32_t>(count);
     } else if (flag == "--trials") {
-      const char* v = next("--trials");
-      if (!v) return false;
-      args->trials = std::strtoull(v, nullptr, 10);
+      if (!next_u64("--trials", &count)) return false;
+      args->trials = count;
     } else if (flag == "--seed") {
-      const char* v = next("--seed");
-      if (!v) return false;
-      args->seed = std::strtoull(v, nullptr, 10);
+      if (!next_u64("--seed", &args->seed)) return false;
     } else if (flag == "--threads") {
-      const char* v = next("--threads");
-      if (!v) return false;
-      args->threads = std::strtoull(v, nullptr, 10);
+      if (!next_u64("--threads", &count)) return false;
+      args->threads = count;
     } else if (flag == "--repeat") {
-      const char* v = next("--repeat");
-      if (!v) return false;
-      args->repeat = std::strtoull(v, nullptr, 10);
+      if (!next_u64("--repeat", &count)) return false;
+      args->repeat = count;
     } else if (flag == "--max-rel-error") {
       const char* v = next("--max-rel-error");
       if (!v) return false;
@@ -327,6 +339,11 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   if (args->threads == 0) args->threads = 1;
   if (args->repeat == 0) args->repeat = 1;
   if (args->trials == 0) args->trials = 1;
+  const std::vector<std::string> known = vsj::AllEstimatorNames();
+  if (std::find(known.begin(), known.end(), args->estimator) == known.end()) {
+    std::cerr << "unknown --estimator name: " << args->estimator << "\n";
+    return false;
+  }
   if (!args->stream_ops_path.empty()) {
     // Stream mode replays the op file; the batch-mode question flags would
     // be silently ignored, so reject them instead of misleading the user.
