@@ -4,8 +4,8 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <limits>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 #include "vsj/io/atomic_file_writer.h"
@@ -16,136 +16,122 @@ namespace vsj {
 
 namespace {
 
-// Guards against allocating absurd sizes from corrupt v1 headers.
-constexpr uint64_t kMaxReasonableCount = 1ULL << 40;
-
 template <typename T>
 void WritePod(std::ostream& os, const T& value) {
   os.write(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-template <typename T>
-bool ReadPod(std::istream& is, T* value) {
-  is.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(is);
+/// Reads `is` to its end into 8-byte-aligned words (the column types'
+/// alignment); `*size` receives the byte count. The buffer grows only with
+/// bytes actually read, so no header field can size it.
+std::vector<uint64_t> ReadToEnd(std::istream& is, size_t* size) {
+  std::vector<uint64_t> words(8192);
+  *size = 0;
+  while (is.read(reinterpret_cast<char*>(words.data()) + *size,
+                 static_cast<std::streamsize>(
+                     words.size() * sizeof(uint64_t) - *size))) {
+    *size = words.size() * sizeof(uint64_t);
+    words.resize(words.size() * 2);
+  }
+  *size += static_cast<size_t>(is.gcount());
+  return words;
 }
 
-IoStatus ReadDatasetV2(std::istream& is, VectorDataset* dataset) {
-  VsjbFileContents contents;
-  if (IoStatus status = ReadVsjbFile(is, kVsjbMagic, kVsjbVersion, &contents,
-                                     /*magic_consumed=*/true);
+/// Bounds-checked forward reader over a file image.
+class ImageCursor {
+ public:
+  ImageCursor(const char* bytes, size_t size, size_t position)
+      : bytes_(bytes), size_(size), position_(position) {}
+
+  uint64_t position() const { return position_; }
+  uint64_t remaining() const { return size_ - position_; }
+
+  template <typename T>
+  bool Read(T* value) {
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(value, bytes_ + position_, sizeof(T));
+    position_ += sizeof(T);
+    return true;
+  }
+
+  /// The next `length` bytes; the caller checked length <= remaining().
+  std::string_view Take(uint64_t length) {
+    const std::string_view taken(bytes_ + position_, length);
+    position_ += length;
+    return taken;
+  }
+
+ private:
+  const char* bytes_;
+  size_t size_;
+  size_t position_;
+};
+
+IoStatus ReadDatasetV2(const char* bytes, size_t size,
+                       VectorDataset* dataset) {
+  VsjbImage image;
+  if (IoStatus status = ValidateVsjbImage(bytes, size, kVsjbMagic,
+                                          kVsjbVersion,
+                                          /*verify_checksums=*/true, &image);
       !status) {
     return status;
   }
-  const uint64_t n = contents.header.num_vectors;
-  const uint64_t features = contents.header.num_features;
-  const int offs = contents.FindSection(kSecOffsets);
-  const int dims = contents.FindSection(kSecDims);
-  const int weights = contents.FindSection(kSecWeights);
-  const int norms = contents.FindSection(kSecNorms);
-  const int l1_norms = contents.FindSection(kSecL1Norms);
-  for (IoStatus status : {
-           CheckVsjbSectionShape(contents.entries, offs,
-                                 (n + 1) * sizeof(uint64_t), "offsets"),
-           CheckVsjbSectionShape(contents.entries, dims,
-                                 features * sizeof(DimId), "dims"),
-           CheckVsjbSectionShape(contents.entries, weights,
-                                 features * sizeof(float), "weights"),
-           CheckVsjbSectionShape(contents.entries, norms,
-                                 n * sizeof(double), "norms"),
-           CheckVsjbSectionShape(contents.entries, l1_norms,
-                                 n * sizeof(double), "l1 norms"),
-       }) {
-    if (!status) return status;
+  VsjbColumnView columns;
+  if (IoStatus status = ResolveVsjbColumns(image, &columns); !status) {
+    return status;
   }
-
-  const auto* offsets_data =
-      reinterpret_cast<const uint64_t*>(contents.payloads[offs].data());
-  const auto* dims_data =
-      reinterpret_cast<const DimId*>(contents.payloads[dims].data());
-  const auto* weights_data =
-      reinterpret_cast<const float*>(contents.payloads[weights].data());
-  const auto* norms_data =
-      reinterpret_cast<const double*>(contents.payloads[norms].data());
-  const auto* l1_data =
-      reinterpret_cast<const double*>(contents.payloads[l1_norms].data());
-
-  if (offsets_data[0] != 0 || offsets_data[n] != features) {
-    return IoStatus::Fail(IoError::kCorrupt,
-                          "offsets do not span the feature payload",
-                          contents.entries[offs].offset);
-  }
-  *dataset = VectorDataset(std::move(contents.name));
-  for (uint64_t i = 0; i < n; ++i) {
-    const uint64_t begin = offsets_data[i];
-    const uint64_t end = offsets_data[i + 1];
-    if (begin > end || end > features) {
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "offsets are not monotone at vector " +
-                                std::to_string(i),
-                            contents.entries[offs].offset);
-    }
-    // Norms are adopted verbatim from the file — never recomputed — so a
-    // loaded dataset is bit-identical to the one that was saved.
-    dataset->Add(VectorRef(dims_data + begin, weights_data + begin,
-                           static_cast<uint32_t>(end - begin), norms_data[i],
-                           l1_data[i]));
+  *dataset = VectorDataset(std::move(image.name));
+  // Norms are adopted verbatim from the file — never recomputed — so a
+  // loaded dataset is bit-identical to the one that was saved.
+  for (uint64_t i = 0; i < columns.num_vectors; ++i) {
+    dataset->Add(columns.Ref(i));
   }
   return IoStatus::Ok();
 }
 
-IoStatus ReadDatasetV1(std::istream& is, VectorDataset* dataset) {
-  // The 4 magic bytes were already consumed by format detection.
-  uint64_t position = sizeof(kVsjdMagic);
+IoStatus ReadDatasetV1(const char* bytes, size_t size,
+                       VectorDataset* dataset) {
+  // The 4 magic bytes were already matched by format detection. Every
+  // claimed length is checked against the bytes left before it is used.
+  ImageCursor cursor(bytes, size, sizeof(kVsjdMagic));
   uint32_t version = 0;
-  if (!ReadPod(is, &version)) {
+  if (!cursor.Read(&version)) {
     return IoStatus::Fail(IoError::kCorrupt, "truncated version field",
-                          position);
+                          cursor.position());
   }
   if (version != kVsjdVersion) {
     return IoStatus::Fail(IoError::kUnsupportedVersion,
                           "VSJD file version " + std::to_string(version) +
                               ", this build reads version 1",
-                          position);
+                          sizeof(kVsjdMagic));
   }
-  position += sizeof(version);
   uint64_t name_length = 0;
-  if (!ReadPod(is, &name_length) || name_length > kMaxReasonableCount) {
-    return IoStatus::Fail(IoError::kCorrupt, "bad name length", position);
+  if (!cursor.Read(&name_length) || name_length > cursor.remaining()) {
+    return IoStatus::Fail(IoError::kCorrupt, "bad name length",
+                          cursor.position());
   }
-  position += sizeof(name_length);
-  std::string name(name_length, '\0');
-  is.read(name.data(), static_cast<std::streamsize>(name_length));
-  if (!is) {
-    return IoStatus::Fail(IoError::kCorrupt, "truncated name", position);
-  }
-  position += name_length;
+  std::string name(cursor.Take(name_length));
 
+  // Every vector holds at least its u32 feature count.
   uint64_t num_vectors = 0;
-  if (!ReadPod(is, &num_vectors) || num_vectors > kMaxReasonableCount) {
-    return IoStatus::Fail(IoError::kCorrupt, "bad vector count", position);
+  if (!cursor.Read(&num_vectors) ||
+      num_vectors > cursor.remaining() / sizeof(uint32_t)) {
+    return IoStatus::Fail(IoError::kCorrupt, "bad vector count",
+                          cursor.position());
   }
-  position += sizeof(num_vectors);
   *dataset = VectorDataset(std::move(name));
   for (uint64_t i = 0; i < num_vectors; ++i) {
     uint32_t num_features = 0;
-    if (!ReadPod(is, &num_features)) {
+    if (!cursor.Read(&num_features) ||
+        num_features > cursor.remaining() / (sizeof(DimId) + sizeof(float))) {
       return IoStatus::Fail(IoError::kCorrupt,
-                            "truncated at vector " + std::to_string(i),
-                            position);
+                            "truncated in vector " + std::to_string(i),
+                            cursor.position());
     }
-    position += sizeof(num_features);
-    std::vector<Feature> features;
-    features.reserve(num_features);
-    for (uint32_t f = 0; f < num_features; ++f) {
-      Feature feature;
-      if (!ReadPod(is, &feature.dim) || !ReadPod(is, &feature.weight)) {
-        return IoStatus::Fail(IoError::kCorrupt,
-                              "truncated in vector " + std::to_string(i),
-                              position);
-      }
-      position += sizeof(feature.dim) + sizeof(feature.weight);
-      features.push_back(feature);
+    std::vector<Feature> features(num_features);
+    for (Feature& feature : features) {
+      cursor.Read(&feature.dim);
+      cursor.Read(&feature.weight);
     }
     dataset->Add(SparseVector(std::move(features)));
   }
@@ -206,19 +192,20 @@ IoStatus WriteDatasetV1(DatasetView dataset, std::ostream& os) {
 
 IoStatus ReadDataset(std::istream& is, VectorDataset* dataset,
                      uint32_t* format_version) {
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is) {
+  size_t size = 0;
+  const std::vector<uint64_t> image = ReadToEnd(is, &size);
+  const auto* bytes = reinterpret_cast<const char*>(image.data());
+  if (size < sizeof(kVsjbMagic)) {
     return IoStatus::Fail(IoError::kCorrupt,
                           "file shorter than the 4 magic bytes", 0);
   }
-  if (std::memcmp(magic, kVsjbMagic, sizeof(magic)) == 0) {
+  if (std::memcmp(bytes, kVsjbMagic, sizeof(kVsjbMagic)) == 0) {
     if (format_version != nullptr) *format_version = kVsjbVersion;
-    return ReadDatasetV2(is, dataset);
+    return ReadDatasetV2(bytes, size, dataset);
   }
-  if (std::memcmp(magic, kVsjdMagic, sizeof(magic)) == 0) {
+  if (std::memcmp(bytes, kVsjdMagic, sizeof(kVsjdMagic)) == 0) {
     if (format_version != nullptr) *format_version = kVsjdVersion;
-    return ReadDatasetV1(is, dataset);
+    return ReadDatasetV1(bytes, size, dataset);
   }
   return IoStatus::Fail(IoError::kBadMagic,
                         "magic bytes are neither \"VSJB\" nor \"VSJD\"", 0);

@@ -16,10 +16,17 @@
 //     WriteDatasetV1 remains available for compat fixtures and the
 //     format-migration bench.
 //
-// ReadDataset / LoadDatasetFromFile auto-detect the format by magic. All
-// entry points report failures through IoStatus (error class, byte offset,
-// reason); LoadDatasetFromFile distinguishes a missing file (kNotFound)
-// from a corrupt one (kBadMagic / kCorrupt / kChecksumMismatch / ...).
+// ReadDataset / LoadDatasetFromFile read the whole stream into one
+// 8-byte-aligned buffer — its size is the real byte count, never a header
+// field — and auto-detect the format by magic. A VSJB image goes through
+// the one container validator and column check of vsjb_format.h (the same
+// ones the mmap opener and the snapshot reader use, section-ordering rule
+// included); a VSJD image is walked with a bounds-checked cursor that
+// checks every claimed length against the bytes left before allocating.
+// All entry points report failures through IoStatus (error class, byte
+// offset, reason); LoadDatasetFromFile distinguishes a missing file
+// (kNotFound) from a corrupt one (kBadMagic / kCorrupt /
+// kChecksumMismatch / ...).
 //
 // LSH tables are cheap to rebuild deterministically from (family seed, k),
 // so only the vectors are persisted; the streaming service's full-state
@@ -61,9 +68,10 @@ IoStatus WriteDataset(DatasetView dataset, std::ostream& os);
 /// compat fixtures and the v1-vs-v2 load bench; new files should be v2.
 IoStatus WriteDatasetV1(DatasetView dataset, std::ostream& os);
 
-/// Deserializes a dataset from `is`, auto-detecting VSJB v2 / VSJD v1 by
-/// magic. `*dataset` is unspecified on failure. If `format_version` is
-/// non-null it receives the version of the file that was read.
+/// Deserializes a dataset from `is`, read to its end, auto-detecting
+/// VSJB v2 / VSJD v1 by magic. `*dataset` is unspecified on failure. If
+/// `format_version` is non-null it receives the version of the file that
+/// was read.
 IoStatus ReadDataset(std::istream& is, VectorDataset* dataset,
                      uint32_t* format_version = nullptr);
 

@@ -1,7 +1,6 @@
 #include "vsj/io/vsjb_format.h"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 
 #include "vsj/fault/fault.h"
@@ -164,22 +163,30 @@ std::string SectionIdName(uint32_t id) {
   return name;
 }
 
+/// Points `*column` at section `id` once it holds exactly `count` T's.
+template <typename T>
+IoStatus ResolveColumn(const VsjbImage& image, uint32_t id, uint64_t count,
+                       const char* what, const T** column) {
+  const int index = FindVsjbSection(image.entries, id);
+  IoStatus shape =
+      CheckVsjbSectionShape(image.entries, index, count * sizeof(T), what);
+  if (shape) *column = image.Section<T>(index);
+  return shape;
+}
+
 }  // namespace
 
-IoStatus ReadVsjbFile(std::istream& is, const char (&magic)[4],
-                      uint32_t version, VsjbFileContents* contents,
-                      bool magic_consumed) {
-  VsjbHeader& header = contents->header;
-  if (magic_consumed) {
-    std::memcpy(header.magic, magic, sizeof(header.magic));
-    is.read(reinterpret_cast<char*>(&header) + sizeof(header.magic),
-            sizeof(header) - sizeof(header.magic));
-  } else {
-    is.read(reinterpret_cast<char*>(&header), sizeof(header));
+IoStatus ValidateVsjbImage(const void* base, size_t size,
+                           const char (&magic)[4], uint32_t version,
+                           bool verify_checksums, VsjbImage* image) {
+  const auto* bytes = static_cast<const char*>(base);
+  image->base = bytes;
+  VsjbHeader& header = image->header;
+  if (size < sizeof(VsjbHeader)) {
+    return IoStatus::Fail(IoError::kCorrupt, "file smaller than the header",
+                          size);
   }
-  if (!is) {
-    return IoStatus::Fail(IoError::kCorrupt, "truncated header", 0);
-  }
+  std::memcpy(&header, bytes, sizeof(VsjbHeader));
   if (std::memcmp(header.magic, magic, sizeof(header.magic)) != 0) {
     return IoStatus::Fail(IoError::kBadMagic,
                           "magic bytes are not \"" +
@@ -187,102 +194,33 @@ IoStatus ReadVsjbFile(std::istream& is, const char (&magic)[4],
                           0);
   }
   if (IoStatus status = CheckHeader(header, version); !status) return status;
-
-  contents->name.assign(header.name_length, '\0');
-  is.read(contents->name.data(),
-          static_cast<std::streamsize>(header.name_length));
-  if (!is) {
-    return IoStatus::Fail(IoError::kCorrupt, "truncated name",
-                          sizeof(VsjbHeader));
-  }
-  uint64_t position = sizeof(VsjbHeader) + header.name_length;
-
-  // Skip padding up to the section table.
-  const uint64_t table_offset = VsjbAlignUp(position);
-  is.ignore(static_cast<std::streamsize>(table_offset - position));
-  contents->entries.resize(header.section_count);
-  is.read(reinterpret_cast<char*>(contents->entries.data()),
-          static_cast<std::streamsize>(header.section_count *
-                                       sizeof(VsjbSectionEntry)));
-  if (!is) {
-    return IoStatus::Fail(IoError::kCorrupt, "truncated section table",
-                          table_offset);
-  }
-  position = table_offset + header.section_count * sizeof(VsjbSectionEntry);
-
-  contents->payloads.resize(header.section_count);
-  for (uint32_t i = 0; i < header.section_count; ++i) {
-    const VsjbSectionEntry& entry = contents->entries[i];
-    if (entry.offset % kVsjbAlignment != 0 || entry.offset < position ||
-        entry.length > kMaxReasonableCount * 8) {
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "section " + SectionIdName(entry.id) +
-                                " has a malformed table entry",
-                            entry.offset);
-    }
-    is.ignore(static_cast<std::streamsize>(entry.offset - position));
-    std::vector<char>& payload = contents->payloads[i];
-    payload.resize(entry.length);
-    if (entry.length > 0) {
-      is.read(payload.data(), static_cast<std::streamsize>(entry.length));
-    }
-    if (!is) {
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "section " + SectionIdName(entry.id) +
-                                " is truncated",
-                            entry.offset);
-    }
-    VSJ_TRACE_SPAN(checksum_span, "io.checksum_verify_ns");
-    if (VSJ_FAULT_HIT("io.checksum").fired() ||
-        VsjbChecksum(payload.data(), payload.size()) != entry.checksum) {
-      return IoStatus::Fail(IoError::kChecksumMismatch,
-                            "section " + SectionIdName(entry.id),
-                            entry.offset);
-    }
-    checksum_span.End();
-    position = entry.offset + entry.length;
-  }
-  return IoStatus::Ok();
-}
-
-IoStatus ValidateVsjbImage(const void* base, size_t size,
-                           const char (&magic)[4], uint32_t version,
-                           bool verify_checksums, VsjbHeader* header,
-                           std::string* name,
-                           std::vector<VsjbSectionEntry>* entries) {
-  const auto* bytes = static_cast<const char*>(base);
-  if (size < sizeof(VsjbHeader)) {
-    return IoStatus::Fail(IoError::kCorrupt, "file smaller than the header",
-                          size);
-  }
-  std::memcpy(header, bytes, sizeof(VsjbHeader));
-  if (std::memcmp(header->magic, magic, sizeof(header->magic)) != 0) {
-    return IoStatus::Fail(IoError::kBadMagic,
-                          "magic bytes are not \"" +
-                              std::string(magic, 4) + "\"",
-                          0);
-  }
-  if (IoStatus status = CheckHeader(*header, version); !status) return status;
-  if (sizeof(VsjbHeader) + header->name_length > size) {
+  if (header.name_length > size - sizeof(VsjbHeader)) {
     return IoStatus::Fail(IoError::kCorrupt, "name extends past end of file",
                           sizeof(VsjbHeader));
   }
-  name->assign(bytes + sizeof(VsjbHeader), header->name_length);
+  image->name.assign(bytes + sizeof(VsjbHeader), header.name_length);
 
   const uint64_t table_offset =
-      VsjbAlignUp(sizeof(VsjbHeader) + header->name_length);
+      VsjbAlignUp(sizeof(VsjbHeader) + header.name_length);
   const uint64_t table_bytes =
-      uint64_t{header->section_count} * sizeof(VsjbSectionEntry);
+      uint64_t{header.section_count} * sizeof(VsjbSectionEntry);
   if (table_offset + table_bytes > size) {
     return IoStatus::Fail(IoError::kCorrupt,
                           "section table extends past end of file",
                           table_offset);
   }
-  entries->resize(header->section_count);
-  std::memcpy(entries->data(), bytes + table_offset, table_bytes);
-  for (const VsjbSectionEntry& entry : *entries) {
-    if (entry.offset % kVsjbAlignment != 0 || entry.offset > size ||
-        entry.length > size - entry.offset) {
+  image->entries.resize(header.section_count);
+  std::memcpy(image->entries.data(), bytes + table_offset, table_bytes);
+  // Sections follow the table in table order, without overlap.
+  uint64_t position = table_offset + table_bytes;
+  for (const VsjbSectionEntry& entry : image->entries) {
+    if (entry.offset % kVsjbAlignment != 0 || entry.offset < position) {
+      return IoStatus::Fail(IoError::kCorrupt,
+                            "section " + SectionIdName(entry.id) +
+                                " has a malformed table entry",
+                            entry.offset);
+    }
+    if (entry.offset > size || entry.length > size - entry.offset) {
       return IoStatus::Fail(IoError::kCorrupt,
                             "section " + SectionIdName(entry.id) +
                                 " extends past end of file",
@@ -298,7 +236,43 @@ IoStatus ValidateVsjbImage(const void* base, size_t size,
                               entry.offset);
       }
     }
+    position = entry.offset + entry.length;
   }
+  return IoStatus::Ok();
+}
+
+IoStatus ResolveVsjbColumns(const VsjbImage& image, VsjbColumnView* columns) {
+  const uint64_t n = image.header.num_vectors;
+  const uint64_t features = image.header.num_features;
+  for (IoStatus status : {
+           ResolveColumn(image, kSecOffsets, n + 1, "offsets",
+                         &columns->offsets),
+           ResolveColumn(image, kSecDims, features, "dims", &columns->dims),
+           ResolveColumn(image, kSecWeights, features, "weights",
+                         &columns->weights),
+           ResolveColumn(image, kSecNorms, n, "norms", &columns->norms),
+           ResolveColumn(image, kSecL1Norms, n, "l1 norms",
+                         &columns->l1_norms),
+       }) {
+    if (!status) return status;
+  }
+
+  const uint64_t* offsets = columns->offsets;
+  const uint64_t at = reinterpret_cast<const char*>(offsets) - image.base;
+  if (offsets[0] != 0 || offsets[n] != features) {
+    return IoStatus::Fail(IoError::kCorrupt,
+                          "offsets do not span the feature payload", at);
+  }
+  for (uint64_t i = 0; i < n; ++i) {
+    if (offsets[i] > offsets[i + 1]) {
+      return IoStatus::Fail(IoError::kCorrupt,
+                            "offsets are not monotone at vector " +
+                                std::to_string(i),
+                            at);
+    }
+  }
+  columns->num_vectors = n;
+  columns->num_features = features;
   return IoStatus::Ok();
 }
 

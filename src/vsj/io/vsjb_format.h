@@ -16,13 +16,21 @@
 //   [ NRMS  f64 × n     ]         cached L2 norms (verbatim, never recomputed)
 //   [ L1NM  f64 × n     ]         cached L1 norms
 //
-// A loader can therefore either read the sections into a heap CsrStorage,
-// or mmap the file and point a DatasetView straight at the pages
-// (vector/mapped_csr_storage.h). All integers are little-endian; the
-// library targets little-endian hosts (asserted below) and writes native.
-//
 // The same header + section-table machinery is reused by the streaming
 // service's snapshot container (magic "VSJS"; service/ layer).
+//
+// One parser. Every reader of VSJB/VSJS bytes — the heap dataset loader,
+// the mmap opener (vector/mapped_csr_storage.h) and the snapshot reader —
+// first obtains the whole file as one in-memory image whose size is the
+// real byte count (an mmap, or a stream read to its end), then runs
+// ValidateVsjbImage over it and ResolveVsjbColumns for the five dataset
+// columns. Every length a header or table entry claims is checked against
+// the image before it is used, so hostile bytes get a named IoStatus and
+// never size an allocation. Sections appear in table order: each starts on
+// a kVsjbAlignment boundary, at or after the end of the section table and
+// of the previous section, and ends inside the image. All integers are
+// little-endian; the library targets little-endian hosts (asserted below)
+// and writes native.
 
 #ifndef VSJ_IO_VSJB_FORMAT_H_
 #define VSJ_IO_VSJB_FORMAT_H_
@@ -36,6 +44,7 @@
 #include <vector>
 
 #include "vsj/io/io_status.h"
+#include "vsj/vector/vector_ref.h"
 
 namespace vsj {
 
@@ -145,49 +154,68 @@ class VsjbFileWriter {
   std::vector<PendingSection> sections_;
 };
 
-/// Index of section `id` in `entries` (first match), or -1. Every loader
-/// resolves duplicates the same way — first entry wins — so a hand-crafted
-/// file with repeated ids cannot make the stream and mmap paths disagree.
+/// Index of section `id` in `entries` (first match), or -1. Duplicate ids
+/// resolve the same way everywhere: the first entry wins.
 int FindVsjbSection(const std::vector<VsjbSectionEntry>& entries,
                     uint32_t id);
 
 /// Validates that FindVsjbSection's result `index` exists and that its
-/// entry holds exactly `expected_bytes` — the shared shape check of the
-/// dataset loader, the mmap opener and the snapshot reader. `what` names
-/// the section in the error.
+/// entry holds exactly `expected_bytes`. `what` names the section in the
+/// error.
 IoStatus CheckVsjbSectionShape(const std::vector<VsjbSectionEntry>& entries,
                                int index, uint64_t expected_bytes,
                                const char* what);
 
-/// Parsed view of a VSJB-style container read from a stream: the header
-/// plus every section's payload bytes, checksum-verified.
-struct VsjbFileContents {
-  VsjbHeader header;
+/// A container image that passed ValidateVsjbImage: the header, the name
+/// and the section table. Payloads point into the image, which must stay
+/// alive and 8-byte aligned while they are read.
+struct VsjbImage {
+  const char* base = nullptr;
+  VsjbHeader header{};
   std::string name;
   std::vector<VsjbSectionEntry> entries;
-  std::vector<std::vector<char>> payloads;  // parallel to `entries`
 
-  /// Index of section `id` in `entries`, or -1.
-  int FindSection(uint32_t id) const { return FindVsjbSection(entries, id); }
+  /// Payload of entries[index], typed.
+  template <typename T>
+  const T* Section(int index) const {
+    return reinterpret_cast<const T*>(base + entries[index].offset);
+  }
 };
 
-/// Reads a container with the given magic/version from `is`. Verifies
-/// structure and per-section checksums. With `magic_consumed`, the caller
-/// already read (and matched) the 4 magic bytes — format auto-detection
-/// dispatches here after peeking the magic.
-IoStatus ReadVsjbFile(std::istream& is, const char (&magic)[4],
-                      uint32_t version, VsjbFileContents* contents,
-                      bool magic_consumed = false);
-
-/// Validates an in-memory (e.g. mmapped) image of a container and returns
-/// the section table. Section payload pointers are `base + entry.offset`.
-/// `verify_checksums` touches every payload byte; without it the open cost
-/// stays O(header + table).
+/// Validates the `size`-byte image at `base` as a container with the given
+/// magic/version and fills `*image`: header plausibility, the name and the
+/// section table inside the image, the section-ordering rule above, and —
+/// with `verify_checksums` — every section's checksum. Without it the cost
+/// stays O(header + table). The only container parser of the library.
 IoStatus ValidateVsjbImage(const void* base, size_t size,
                            const char (&magic)[4], uint32_t version,
-                           bool verify_checksums, VsjbHeader* header,
-                           std::string* name,
-                           std::vector<VsjbSectionEntry>* entries);
+                           bool verify_checksums, VsjbImage* image);
+
+/// The OFFS/DIMS/WGTS/NRMS/L1NM columns of a validated image, typed.
+struct VsjbColumnView {
+  uint64_t num_vectors = 0;
+  uint64_t num_features = 0;
+  const uint64_t* offsets = nullptr;
+  const DimId* dims = nullptr;
+  const float* weights = nullptr;
+  const double* norms = nullptr;
+  const double* l1_norms = nullptr;
+
+  /// Vector `i`, norms adopted verbatim.
+  VectorRef Ref(uint64_t i) const {
+    const uint64_t begin = offsets[i];
+    return VectorRef(dims + begin, weights + begin,
+                     static_cast<uint32_t>(offsets[i + 1] - begin), norms[i],
+                     l1_norms[i]);
+  }
+};
+
+/// Resolves the five dataset columns of `image` for header.num_vectors
+/// vectors over header.num_features features: checks every section's
+/// shape, then that the offsets start at 0, end at the feature count and
+/// never decrease. The one column check of the dataset loader, the mmap
+/// opener and the snapshot reader. `*columns` is unspecified on failure.
+IoStatus ResolveVsjbColumns(const VsjbImage& image, VsjbColumnView* columns);
 
 }  // namespace vsj
 

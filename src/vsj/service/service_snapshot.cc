@@ -21,7 +21,6 @@
 // invalidation stats continuous across restarts.
 
 #include <cstring>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "vsj/io/dataset_io.h"
 #include "vsj/io/vsjb_format.h"
 #include "vsj/service/streaming_estimation_service.h"
+#include "vsj/util/mapped_file.h"
 
 namespace vsj {
 
@@ -132,24 +132,29 @@ IoStatus StreamingEstimationService::Restore(
     StreamingEstimationServiceOptions runtime_options) {
   service->reset();
   VSJ_FAULT_IO("service.restore", path);
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    return IoStatus::Fail(IoError::kNotFound, "cannot open", 0, path);
+  MappedFile file;
+  std::string error;
+  if (!file.Open(path, &error)) {
+    return IoStatus::Fail(
+        file.not_found() ? IoError::kNotFound : IoError::kIoError, error, 0,
+        path);
   }
-  VsjbFileContents contents;
-  if (IoStatus status = ReadVsjbFile(is, kVsjsMagic, kVsjsVersion, &contents);
+  VsjbImage image;
+  if (IoStatus status = ValidateVsjbImage(file.data(), file.size(),
+                                          kVsjsMagic, kVsjsVersion,
+                                          /*verify_checksums=*/true, &image);
       !status) {
     return status.WithPath(path);
   }
 
-  const int meta_index = contents.FindSection(kSecSnapshotMeta);
+  const int meta_index = FindVsjbSection(image.entries, kSecSnapshotMeta);
   if (IoStatus status = CheckVsjbSectionShape(
-          contents.entries, meta_index, sizeof(SnapshotMeta), "meta");
+          image.entries, meta_index, sizeof(SnapshotMeta), "meta");
       !status) {
     return status.WithPath(path);
   }
   SnapshotMeta meta;
-  std::memcpy(&meta, contents.payloads[meta_index].data(), sizeof(meta));
+  std::memcpy(&meta, image.Section<char>(meta_index), sizeof(meta));
   if (meta.k == 0 || meta.num_tables == 0 ||
       meta.measure > static_cast<uint32_t>(SimilarityMeasure::kJaccard) ||
       meta.num_index_live > meta.num_ids) {
@@ -157,34 +162,23 @@ IoStatus StreamingEstimationService::Restore(
                           path);
   }
 
-  const uint64_t n_live = contents.header.num_vectors;
-  const uint64_t features = contents.header.num_features;
-  const int slot = contents.FindSection(kSecStoreLiveBitmap);
-  const int offs = contents.FindSection(kSecOffsets);
-  const int dims = contents.FindSection(kSecDims);
-  const int wgts = contents.FindSection(kSecWeights);
-  const int nrms = contents.FindSection(kSecNorms);
-  const int l1nm = contents.FindSection(kSecL1Norms);
-  const int live = contents.FindSection(kSecIndexLiveOrder);
-  const int tbls = contents.FindSection(kSecTableReplay);
+  VsjbColumnView columns;
+  if (IoStatus status = ResolveVsjbColumns(image, &columns); !status) {
+    return status.WithPath(path);
+  }
+  const uint64_t n_live = columns.num_vectors;
+  const int slot = FindVsjbSection(image.entries, kSecStoreLiveBitmap);
+  const int live = FindVsjbSection(image.entries, kSecIndexLiveOrder);
+  const int tbls = FindVsjbSection(image.entries, kSecTableReplay);
   for (IoStatus status : {
-           CheckVsjbSectionShape(contents.entries, slot,
-                                 (meta.num_ids + 7) / 8,
+           // One bit per id, written overflow-free.
+           CheckVsjbSectionShape(image.entries, slot,
+                                 meta.num_ids / 8 + (meta.num_ids % 8 != 0),
                                  "store-live bitmap"),
-           CheckVsjbSectionShape(contents.entries, offs,
-                                 (n_live + 1) * sizeof(uint64_t), "offsets"),
-           CheckVsjbSectionShape(contents.entries, dims,
-                                 features * sizeof(DimId), "dims"),
-           CheckVsjbSectionShape(contents.entries, wgts,
-                                 features * sizeof(float), "weights"),
-           CheckVsjbSectionShape(contents.entries, nrms,
-                                 n_live * sizeof(double), "norms"),
-           CheckVsjbSectionShape(contents.entries, l1nm,
-                                 n_live * sizeof(double), "l1 norms"),
-           CheckVsjbSectionShape(contents.entries, live,
+           CheckVsjbSectionShape(image.entries, live,
                                  meta.num_index_live * sizeof(VectorId),
                                  "index live order"),
-           CheckVsjbSectionShape(contents.entries, tbls,
+           CheckVsjbSectionShape(image.entries, tbls,
                                  uint64_t{meta.num_tables} *
                                      meta.num_index_live * sizeof(VectorId),
                                  "table replay orders"),
@@ -192,25 +186,9 @@ IoStatus StreamingEstimationService::Restore(
     if (!status) return status.WithPath(path);
   }
 
-  const auto* bitmap =
-      reinterpret_cast<const uint8_t*>(contents.payloads[slot].data());
-  const auto* offsets_data =
-      reinterpret_cast<const uint64_t*>(contents.payloads[offs].data());
-  const auto* dims_data =
-      reinterpret_cast<const DimId*>(contents.payloads[dims].data());
-  const auto* weights_data =
-      reinterpret_cast<const float*>(contents.payloads[wgts].data());
-  const auto* norms_data =
-      reinterpret_cast<const double*>(contents.payloads[nrms].data());
-  const auto* l1_data =
-      reinterpret_cast<const double*>(contents.payloads[l1nm].data());
-  if (offsets_data[0] != 0 || offsets_data[n_live] != features) {
-    return IoStatus::Fail(IoError::kCorrupt,
-                          "offsets do not span the feature payload", 0, path);
-  }
-
   // Rebuild the store: live ids get their payloads back (in id order, the
   // order Checkpoint wrote them); tombstoned ids get payload-free slots.
+  const auto* bitmap = image.Section<uint8_t>(slot);
   StreamingCsrStorage store(runtime_options.storage);
   uint64_t next_live = 0;
   for (uint64_t id = 0; id < meta.num_ids; ++id) {
@@ -220,17 +198,7 @@ IoStatus StreamingEstimationService::Restore(
                               "live bitmap counts more vectors than stored",
                               0, path);
       }
-      const uint64_t begin = offsets_data[next_live];
-      const uint64_t end = offsets_data[next_live + 1];
-      if (begin > end || end > features) {
-        return IoStatus::Fail(IoError::kCorrupt,
-                              "offsets are not monotone at vector " +
-                                  std::to_string(next_live),
-                              0, path);
-      }
-      store.Append(VectorRef(dims_data + begin, weights_data + begin,
-                             static_cast<uint32_t>(end - begin),
-                             norms_data[next_live], l1_data[next_live]));
+      store.Append(columns.Ref(next_live));
       ++next_live;
     } else {
       store.AppendDead();
@@ -244,12 +212,10 @@ IoStatus StreamingEstimationService::Restore(
 
   // Validate the live order and replay orders against the store before
   // handing them to the (abort-on-misuse) index.
-  const auto* live_data =
-      reinterpret_cast<const VectorId*>(contents.payloads[live].data());
+  const VectorId* live_data = image.Section<VectorId>(live);
   std::vector<VectorId> live_order(live_data,
                                    live_data + meta.num_index_live);
-  const auto* replay_data =
-      reinterpret_cast<const VectorId*>(contents.payloads[tbls].data());
+  const VectorId* replay_data = image.Section<VectorId>(tbls);
   std::vector<std::vector<VectorId>> table_orders(meta.num_tables);
   for (uint32_t t = 0; t < meta.num_tables; ++t) {
     table_orders[t].assign(replay_data + uint64_t{t} * meta.num_index_live,

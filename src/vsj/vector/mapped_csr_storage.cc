@@ -1,8 +1,7 @@
 #include "vsj/vector/mapped_csr_storage.h"
 
-#include <vector>
+#include <cstring>
 
-#include "vsj/io/vsjb_format.h"
 #include "vsj/vector/csr_storage.h"
 
 namespace vsj {
@@ -18,11 +17,11 @@ IoStatus MappedCsrStorage::Open(const std::string& path,
                           error, 0, path);
   }
 
-  VsjbHeader header;
-  std::vector<VsjbSectionEntry> entries;
+  VsjbImage image;
   IoStatus status = ValidateVsjbImage(
       storage->file_.data(), storage->file_.size(), kVsjbMagic, kVsjbVersion,
-      options.verify_checksums, &header, &storage->name_, &entries);
+      options.verify_checksums, &image);
+  if (status) status = ResolveVsjbColumns(image, &storage->columns_);
   if (!status) {
     // A VSJD v1 stream is a legitimate dataset file that simply cannot be
     // mapped; say so instead of "bad magic".
@@ -36,55 +35,7 @@ IoStatus MappedCsrStorage::Open(const std::string& path,
     *storage = MappedCsrStorage();
     return status.WithPath(path);
   }
-
-  const auto* base = static_cast<const char*>(storage->file_.data());
-  const uint64_t n = header.num_vectors;
-  const uint64_t features = header.num_features;
-  struct Want {
-    uint32_t id;
-    uint64_t bytes;
-    const char* what;
-    const void** target;
-  };
-  const Want wants[] = {
-      {kSecOffsets, (n + 1) * sizeof(uint64_t), "offsets",
-       reinterpret_cast<const void**>(&storage->offsets_)},
-      {kSecDims, features * sizeof(DimId), "dims",
-       reinterpret_cast<const void**>(&storage->dims_)},
-      {kSecWeights, features * sizeof(float), "weights",
-       reinterpret_cast<const void**>(&storage->weights_)},
-      {kSecNorms, n * sizeof(double), "norms",
-       reinterpret_cast<const void**>(&storage->norms_)},
-      {kSecL1Norms, n * sizeof(double), "l1 norms",
-       reinterpret_cast<const void**>(&storage->l1_norms_)},
-  };
-  for (const Want& want : wants) {
-    const int found = FindVsjbSection(entries, want.id);
-    if (IoStatus shape =
-            CheckVsjbSectionShape(entries, found, want.bytes, want.what);
-        !shape) {
-      *storage = MappedCsrStorage();
-      return shape.WithPath(path);
-    }
-    *want.target = base + entries[found].offset;
-  }
-
-  if (storage->offsets_[0] != 0 || storage->offsets_[n] != features) {
-    *storage = MappedCsrStorage();
-    return IoStatus::Fail(IoError::kCorrupt,
-                          "offsets do not span the feature payload", 0, path);
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (storage->offsets_[i] > storage->offsets_[i + 1]) {
-      *storage = MappedCsrStorage();
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "offsets are not monotone at vector " +
-                                std::to_string(i),
-                            0, path);
-    }
-  }
-  storage->num_vectors_ = n;
-  storage->num_features_ = features;
+  storage->name_ = std::move(image.name);
   return IoStatus::Ok();
 }
 

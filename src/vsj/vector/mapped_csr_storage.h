@@ -20,6 +20,7 @@
 #include <string>
 
 #include "vsj/io/io_status.h"
+#include "vsj/io/vsjb_format.h"
 #include "vsj/util/mapped_file.h"
 #include "vsj/vector/vector_ref.h"
 
@@ -48,24 +49,19 @@ class MappedCsrStorage {
 
   bool mapped() const { return file_.mapped(); }
 
-  size_t size() const { return num_vectors_; }
-  bool empty() const { return num_vectors_ == 0; }
-  size_t total_features() const { return num_features_; }
+  size_t size() const { return columns_.num_vectors; }
+  bool empty() const { return columns_.num_vectors == 0; }
+  size_t total_features() const { return columns_.num_features; }
 
   /// Dataset name recorded in the file header.
   const std::string& name() const { return name_; }
 
-  VectorRef Ref(VectorId id) const {
-    const uint64_t begin = offsets_[id];
-    return VectorRef(dims_ + begin, weights_ + begin,
-                     static_cast<uint32_t>(offsets_[id + 1] - begin),
-                     norms_[id], l1_norms_[id]);
-  }
+  VectorRef Ref(VectorId id) const { return columns_.Ref(id); }
   VectorRef operator[](VectorId id) const { return Ref(id); }
 
   /// Total number of unordered pairs M = C(n, 2).
   uint64_t NumPairs() const {
-    const uint64_t n = num_vectors_;
+    const uint64_t n = columns_.num_vectors;
     return n * (n - 1) / 2;
   }
 
@@ -75,13 +71,7 @@ class MappedCsrStorage {
  private:
   MappedFile file_;
   std::string name_;
-  size_t num_vectors_ = 0;
-  size_t num_features_ = 0;
-  const uint64_t* offsets_ = nullptr;
-  const DimId* dims_ = nullptr;
-  const float* weights_ = nullptr;
-  const double* norms_ = nullptr;
-  const double* l1_norms_ = nullptr;
+  VsjbColumnView columns_;  // points into file_
 };
 
 }  // namespace vsj

@@ -29,7 +29,10 @@
 #               unparsable / trailing garbage, a negative --trials, zero
 #               --tables / --k, an unknown --estimator) — captures the first
 #               stderr diagnostic of each, which must name the offending
-#               token
+#               token; then three hostile files whose headers claim far
+#               more bytes than they hold (a VSJB name, a VSJD feature
+#               count, a VSJS name), each of which must be a named load
+#               error with exit status 1
 #   sweep-vs-single  no fixture: the --json lines of one --batch-taus
 #               sweep must equal those of one --tau run per τ (a request
 #               answers the same alone or in a batch)
@@ -136,6 +139,19 @@ case "$mode" in
     exit 0
     ;;
   reject)
+    zeros() { i=0; while [ "$i" -lt "$1" ]; do printf '\000'; i=$((i+1)); done; }
+    # Bare 64-byte header (magic, version) whose name length is 2^40 - 1.
+    hostile_header() {
+      printf '%s' "$1"; printf "$2"; zeros 16
+      printf '\377\377\377\377\377\000\000\000'; zeros 32
+    }
+    # First stderr line; a non-1 exit status is reported on a second line.
+    load_row() {
+      status=0
+      "$bin" "$@" 2>cli_reject_stderr.txt >/dev/null || status=$?
+      head -1 cli_reject_stderr.txt
+      [ "$status" -eq 1 ] || echo "exit status $status, expected 1"
+    }
     run() {
       for flags in "--batch-taus 0.5,1.5" "--batch-taus 0.5,0.5" \
                    "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
@@ -143,6 +159,18 @@ case "$mode" in
                    "--tables 0" "--k 0" "--estimator Foo"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
+      # Hostile files: each claims far more bytes than it holds and must
+      # get a named load error, not an abort.
+      hostile_header VSJB '\002\000\000\000' > cli_hostile_name.vsjb
+      { printf 'VSJD\001\000\000\000'; zeros 8; printf '\001'; zeros 7
+        printf '\377\377\377\377'; } > cli_hostile_count.vsjd
+      hostile_header VSJS '\001\000\000\000' > cli_hostile.vsjs
+      load_row --dataset cli_hostile_name.vsjb --k 6 --tau 0.5
+      load_row --dataset cli_hostile_count.vsjd --k 6 --tau 0.5
+      load_row --load-snapshot cli_hostile.vsjs --k 6 \
+               --stream "$data/stream_resume_ops.txt"
+      rm -f cli_hostile_name.vsjb cli_hostile_count.vsjd cli_hostile.vsjs \
+            cli_reject_stderr.txt
     }
     ;;
   *)

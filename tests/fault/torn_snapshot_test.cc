@@ -55,9 +55,10 @@ class TornSnapshotTest : public ::testing::Test {
     intact_ = buffer.str();
     ASSERT_GT(intact_.size(), sizeof(VsjbHeader));
 
-    std::ifstream is2(path_, std::ios::binary);
-    ASSERT_TRUE(
-        ReadVsjbFile(is2, kVsjsMagic, kVsjsVersion, &contents_).ok());
+    ASSERT_TRUE(ValidateVsjbImage(intact_.data(), intact_.size(), kVsjsMagic,
+                                  kVsjsVersion, /*verify_checksums=*/true,
+                                  &contents_)
+                    .ok());
     ASSERT_GT(contents_.entries.size(), 3u);
   }
 
@@ -88,7 +89,7 @@ class TornSnapshotTest : public ::testing::Test {
 
   std::string path_;
   std::string intact_;
-  VsjbFileContents contents_;
+  VsjbImage contents_;  // the section table of intact_
   std::unique_ptr<StreamingEstimationService> engine_;
 };
 

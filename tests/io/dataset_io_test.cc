@@ -10,6 +10,8 @@
 #include "test_util.h"
 #include "vsj/fault/fault.h"
 #include "vsj/io/vsjb_format.h"
+#include "vsj/service/streaming_estimation_service.h"
+#include "vsj/vector/mapped_csr_storage.h"
 
 namespace vsj {
 namespace {
@@ -147,6 +149,60 @@ TEST(DatasetIoTest, RejectsTruncatedStream) {
     EXPECT_EQ(status.code, IoError::kCorrupt) << "v1=" << v1;
     EXPECT_FALSE(status.reason.empty());
   }
+  // Headers that claim far more bytes than the file holds are truncations
+  // too: a named kCorrupt, never an allocation sized from the claim.
+  for (const std::string& hostile : testing::HostileDatasetFiles()) {
+    std::stringstream stream(hostile);
+    VectorDataset loaded;
+    const IoStatus status = ReadDataset(stream, &loaded);
+    EXPECT_EQ(status.code, IoError::kCorrupt) << status.ToString();
+    EXPECT_FALSE(status.reason.empty());
+  }
+}
+
+TEST(DatasetIoTest, AliasedSectionIsCorruptForEveryLoader) {
+  // A valid 6-vector file plus a sixth table entry, XTRA, whose payload
+  // aliases DIMS: sections must follow the table in order, so the heap
+  // loader and the mmap opener both refuse it.
+  const VectorDataset original = testing::SmallClusteredCorpus(6, 3);
+  const VsjbColumns columns = MaterializeVsjbColumns(original);
+  VsjbFileWriter writer(kVsjbMagic, kVsjbVersion, original.size(),
+                        columns.dims.size(), original.name());
+  writer.AddVectorSection(kSecOffsets, columns.offsets);
+  writer.AddVectorSection(kSecDims, columns.dims);
+  writer.AddVectorSection(kSecWeights, columns.weights);
+  writer.AddVectorSection(kSecNorms, columns.norms);
+  writer.AddVectorSection(kSecL1Norms, columns.l1_norms);
+  writer.AddVectorSection(VsjbSectionId("XTRA"), columns.dims);
+  std::stringstream buffer;
+  ASSERT_TRUE(writer.WriteTo(buffer).ok());
+  std::string bytes = buffer.str();
+  const uint64_t table =
+      VsjbAlignUp(sizeof(VsjbHeader) + original.name().size());
+  VsjbSectionEntry dims;
+  VsjbSectionEntry extra;
+  std::memcpy(&dims, bytes.data() + table + 1 * sizeof(VsjbSectionEntry),
+              sizeof(dims));
+  std::memcpy(&extra, bytes.data() + table + 5 * sizeof(VsjbSectionEntry),
+              sizeof(extra));
+  extra.offset = dims.offset;
+  std::memcpy(bytes.data() + table + 5 * sizeof(VsjbSectionEntry), &extra,
+              sizeof(extra));
+
+  std::stringstream tampered(bytes);
+  VectorDataset loaded;
+  const IoStatus read = ReadDataset(tampered, &loaded);
+  EXPECT_EQ(read.code, IoError::kCorrupt) << read.ToString();
+  EXPECT_NE(read.reason.find("XTRA"), std::string::npos) << read.ToString();
+
+  const std::string path = ::testing::TempDir() + "/vsj_aliased_xtra.vsjb";
+  testing::WriteBytes(path, bytes);
+  MappedCsrStorage mapped;
+  const IoStatus open = MappedCsrStorage::Open(path, &mapped);
+  EXPECT_EQ(open.code, IoError::kCorrupt) << open.ToString();
+  EXPECT_EQ(open.reason, read.reason);
+  EXPECT_FALSE(mapped.mapped());
+  std::remove(path.c_str());
 }
 
 TEST(DatasetIoTest, DetectsChecksumMismatch) {
@@ -207,6 +263,13 @@ TEST(DatasetIoTest, CorruptFileReportsPathAndOffset) {
   EXPECT_EQ(status.code, IoError::kChecksumMismatch);
   EXPECT_EQ(status.path, path);
   EXPECT_NE(status.ToString().find(path), std::string::npos);
+  // Hostile headers: corrupt, with the path, never std::bad_alloc.
+  for (const std::string& hostile : testing::HostileDatasetFiles()) {
+    testing::WriteBytes(path, hostile);
+    const IoStatus named = LoadDatasetFromFile(path, &loaded);
+    EXPECT_EQ(named.code, IoError::kCorrupt) << named.ToString();
+    EXPECT_EQ(named.path, path);
+  }
   std::remove(path.c_str());
 }
 
@@ -246,6 +309,64 @@ TEST(DatasetIoTest, FailedSaveKeepsTheOldFileReadable) {
     EXPECT_FALSE(static_cast<bool>(tmp)) << point;
   }
   std::remove(path.c_str());
+}
+
+TEST(DatasetIoTest, ChecksumFaultFailsEveryLoaderNamed) {
+  // io.checksum sits in the one container validator: armed once, it must
+  // fail each loader with kChecksumMismatch naming a section.
+  const VectorDataset original = testing::SmallClusteredCorpus(30, 4);
+  const std::string dataset_path =
+      ::testing::TempDir() + "/vsj_checksum_fault.vsjb";
+  const std::string snapshot_path =
+      ::testing::TempDir() + "/vsj_checksum_fault.vsjs";
+  ASSERT_TRUE(SaveDatasetToFile(original, dataset_path).ok());
+  {
+    StreamingEstimationServiceOptions options;
+    options.k = 6;
+    StreamingEstimationService engine(VectorDataset(original), options);
+    for (VectorId id = 0; id < original.size(); ++id) engine.Insert(id);
+    ASSERT_TRUE(engine.Checkpoint(snapshot_path).ok());
+  }
+  std::stringstream buffer;
+  ASSERT_TRUE(WriteDataset(original, buffer).ok());
+  const std::string bytes = buffer.str();
+
+  const auto expect_named = [](const char* loader, const IoStatus& status) {
+    EXPECT_EQ(status.code, IoError::kChecksumMismatch)
+        << loader << ": " << status.ToString();
+    EXPECT_NE(status.reason.find("section"), std::string::npos)
+        << loader << ": " << status.ToString();
+  };
+  const auto arm = [] {
+    fault::FaultSpec spec;
+    spec.point = "io.checksum";
+    fault::Arm(spec);
+  };
+  VectorDataset loaded;
+  arm();
+  std::stringstream stream(bytes);
+  expect_named("ReadDataset", ReadDataset(stream, &loaded));
+  arm();
+  expect_named("LoadDatasetFromFile",
+               LoadDatasetFromFile(dataset_path, &loaded));
+  arm();
+  MappedCsrStorage mapped;
+  expect_named("MappedCsrStorage::Open",
+               MappedCsrStorage::Open(dataset_path, &mapped));
+  arm();
+  std::unique_ptr<StreamingEstimationService> restored;
+  expect_named("Restore",
+               StreamingEstimationService::Restore(snapshot_path, &restored));
+  EXPECT_EQ(restored, nullptr);
+  fault::ClearAll();
+
+  // Disarmed, every loader accepts the same bytes again.
+  EXPECT_TRUE(LoadDatasetFromFile(dataset_path, &loaded).ok());
+  EXPECT_TRUE(MappedCsrStorage::Open(dataset_path, &mapped).ok());
+  EXPECT_TRUE(
+      StreamingEstimationService::Restore(snapshot_path, &restored).ok());
+  std::remove(dataset_path.c_str());
+  std::remove(snapshot_path.c_str());
 }
 
 #endif  // VSJ_FAULT_COMPILED

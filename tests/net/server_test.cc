@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "vsj/fault/fault.h"
 #include "vsj/gen/corpus_generator.h"
 #include "vsj/gen/workloads.h"
@@ -400,6 +401,10 @@ TEST_F(ServerTest, GarbageJsonIsTypedAndNonFatal) {
 }
 
 TEST_F(ServerTest, RequestErrorTaxonomy) {
+  // A hostile snapshot under the root: its header claims a 2^40-byte name.
+  vsj::testing::WriteBytes(
+      root_ + "/bad.vsjs",
+      vsj::testing::HostileNameHeader(kVsjsMagic, kVsjsVersion));
   StartServer();
   TestClient client;
   ASSERT_TRUE(client.Connect(port()));
@@ -440,6 +445,9 @@ TEST_F(ServerTest, RequestErrorTaxonomy) {
   EXPECT_EQ(ask("{\"id\":12,\"op\":\"add_vector\",\"tenant\":\"churn\","
                 "\"features\":[]}"),
             "bad_request");
+  // The hostile tenant fails to open, named, and the server keeps serving.
+  EXPECT_EQ(ask(EstimateJson(13, "bad", 0.7)), "tenant_unavailable");
+  EXPECT_EQ(ask("{\"id\":14,\"op\":\"ping\"}"), "");
 }
 
 TEST_F(ServerTest, SleepIsGatedBehindDebugOps) {

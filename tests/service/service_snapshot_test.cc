@@ -253,6 +253,15 @@ TEST_F(ServiceSnapshotTest, RestoreErrorsAreStatusNotAborts) {
   EXPECT_EQ(StreamingEstimationService::Restore(path, &restored).code,
             IoError::kChecksumMismatch);
   EXPECT_EQ(restored, nullptr);
+
+  // A bare 64-byte header claiming a 2^40-byte name: a named kCorrupt,
+  // never an allocation sized from the claim.
+  testing::WriteBytes(path, testing::HostileNameHeader(kVsjsMagic,
+                                                       kVsjsVersion));
+  const IoStatus hostile = StreamingEstimationService::Restore(path, &restored);
+  EXPECT_EQ(hostile.code, IoError::kCorrupt) << hostile.ToString();
+  EXPECT_EQ(hostile.path, path);
+  EXPECT_EQ(restored, nullptr);
   std::remove(path.c_str());
 }
 

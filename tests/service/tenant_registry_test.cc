@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
 #include "vsj/fault/fault.h"
 #include "vsj/gen/corpus_generator.h"
 #include "vsj/gen/workloads.h"
@@ -173,6 +174,14 @@ TEST_F(TenantRegistryTest, CorruptSnapshotSurfacesReason) {
   const IoStatus status = registry.Acquire("broken", &tenant);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.code, IoError::kNotFound);  // it exists, it's bad
+
+  // A 64-byte snapshot header claiming a 2^40-byte name is corrupt too —
+  // a named status, not a std::bad_alloc out of the registry.
+  testing::WriteBytes(root_ + "/bad.vsjs",
+                      testing::HostileNameHeader(kVsjsMagic, kVsjsVersion));
+  const IoStatus hostile = registry.Acquire("bad", &tenant);
+  EXPECT_EQ(hostile.code, IoError::kCorrupt) << hostile.ToString();
+
   // A failed open leaves nothing resident; the registry keeps serving.
   EXPECT_EQ(registry.num_resident(), 0u);
   std::shared_ptr<Tenant> churn;
