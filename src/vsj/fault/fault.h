@@ -9,22 +9,14 @@
 // connection reset, a stall, a torn commit, or an outright SIGKILL for
 // crash-recovery drills).
 //
-// Two gates stack exactly like the observability layer (obs/obs.h):
+// One gate, at runtime: Enabled(), false until a point is armed. Arming
+// happens programmatically (Arm / ArmFromString, used by tests) or
+// through the VSJ_FAULTS environment variable, parsed on the first check:
 //
-//   * compile time — the VSJ_FAULT CMake option (ON by default). With
-//     -DVSJ_FAULT=OFF the build defines VSJ_FAULT_OFF and the macros
-//     below expand to constants, so every injection branch folds away
-//     and the production paths carry no fault code. The fault/ functions
-//     themselves still compile, so tools and tests link unchanged.
-//   * runtime — Enabled(), false until a point is armed. Arming happens
-//     programmatically (Arm / ArmFromString, used by tests) or through
-//     the VSJ_FAULTS environment variable, parsed on the first check:
+//   VSJ_FAULTS='io.atomic.rename:nth=1:kind=crash,net.write:p=0.01:
+//               seed=7:kind=short_write:arg=3'
 //
-//       VSJ_FAULTS='io.atomic.rename:nth=1:kind=crash,net.write:p=0.01:
-//                   seed=7:kind=short_write:arg=3'
-//
-//     A compiled-in but unarmed macro costs one once-flag check plus a
-//     relaxed atomic load.
+// An unarmed site costs one once-flag check plus a relaxed atomic load.
 //
 // Naming scheme: <layer>.<site> with dots, lowercase — "io.atomic.fsync",
 // "service.checkpoint", "registry.writeback", "net.frame". The full list
@@ -43,11 +35,8 @@
 
 #include "vsj/io/io_status.h"
 
-#if defined(VSJ_FAULT_OFF)
-#define VSJ_FAULT_COMPILED 0
-#else
+// Always 1: servebench prints it; remove with the next benchmark change.
 #define VSJ_FAULT_COMPILED 1
-#endif
 
 namespace vsj::fault {
 
@@ -147,8 +136,6 @@ IoStatus InjectedIoStatus(const char* point, FaultKind kind,
 
 }  // namespace vsj::fault
 
-#if VSJ_FAULT_COMPILED
-
 /// Evaluates to the FaultHit for `point` (a string literal); almost
 /// always {kNone} — one once-flag check plus a relaxed load when nothing
 /// is armed.
@@ -166,15 +153,5 @@ IoStatus InjectedIoStatus(const char* point, FaultKind kind,
                                             path);                       \
     }                                                                    \
   } while (0)
-
-#else  // !VSJ_FAULT_COMPILED — every site folds to a constant.
-
-#define VSJ_FAULT_HIT(point) (::vsj::fault::FaultHit{})
-#define VSJ_FAULT_IO(point, path) \
-  do {                            \
-    (void)sizeof(point);          \
-  } while (0)
-
-#endif  // VSJ_FAULT_COMPILED
 
 #endif  // VSJ_FAULT_FAULT_H_

@@ -21,43 +21,27 @@ namespace vsj::net {
 namespace {
 
 /// Per-tenant metrics use dynamic names, so they go through the registry
-/// directly instead of the literal-name macros; same compile/runtime
-/// gating.
+/// directly instead of the literal-name macros; same runtime gate.
 void RecordTenantRequest(const std::string& tenant, uint64_t latency_ns) {
-#if VSJ_METRICS_COMPILED
   if (!obs::MetricsEnabled() || tenant.empty()) return;
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.GetCounter("server.tenant." + tenant + ".requests").Add(1);
   registry.GetHistogram("server.tenant." + tenant + ".latency_ns")
       .Record(latency_ns);
-#else
-  (void)tenant;
-  (void)latency_ns;
-#endif
 }
 
 void RecordTenantBatch(const std::string& tenant, size_t batch_size) {
-#if VSJ_METRICS_COMPILED
   if (!obs::MetricsEnabled() || tenant.empty()) return;
   obs::MetricRegistry::Global()
       .GetHistogram("server.tenant." + tenant + ".batch_size")
       .Record(batch_size);
-#else
-  (void)tenant;
-  (void)batch_size;
-#endif
 }
 
 void AddTenantQueueDepth(const std::string& tenant, int64_t delta) {
-#if VSJ_METRICS_COMPILED
   if (!obs::MetricsEnabled() || tenant.empty()) return;
   obs::MetricRegistry::Global()
       .GetGauge("server.tenant." + tenant + ".queue_depth")
       .Add(delta);
-#else
-  (void)tenant;
-  (void)delta;
-#endif
 }
 
 }  // namespace

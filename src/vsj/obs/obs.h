@@ -1,16 +1,9 @@
 // Instrumentation entry points: the macros every layer records through.
 //
-// Two gates stack on top of each other:
-//
-//   * compile time — the VSJ_METRICS CMake option (ON by default). With
-//     -DVSJ_METRICS=OFF the build defines VSJ_METRICS_OFF and every macro
-//     below expands to nothing: the hot paths carry literally no
-//     observability code. The obs/ classes themselves still compile, so
-//     tools and tests build unchanged (they just see an empty registry).
-//   * runtime — obs::MetricsEnabled(), off by default, flipped by
-//     EnableMetrics() (CLI --metrics, benches) or the VSJ_METRICS
-//     environment variable. A compiled-in but disabled macro costs one
-//     relaxed atomic load and a predicted branch.
+// One gate, at runtime: obs::MetricsEnabled(), off by default, flipped by
+// EnableMetrics() (CLI --metrics, benches) or the VSJ_METRICS environment
+// variable. With recording off a site costs one relaxed atomic load and a
+// predicted branch.
 //
 // The macros cache the registry lookup in a function-local static, so a
 // hot site pays the name lookup once, then a shard-local fetch_add per
@@ -21,7 +14,7 @@
 // The bit-identity contract: instrumentation records counts and clock
 // readings only. Nothing here may draw from an Rng, reorder float
 // accumulation, or otherwise feed back into estimation — which is how
-// VSJ_METRICS on/off builds stay estimate-for-estimate identical
+// runs with recording on and off stay estimate-for-estimate identical
 // (tests/obs/metrics_equivalence_test.cc pins it).
 
 #ifndef VSJ_OBS_OBS_H_
@@ -30,13 +23,8 @@
 #include "vsj/obs/metrics.h"
 #include "vsj/obs/trace.h"
 
-#if defined(VSJ_METRICS_OFF)
-#define VSJ_METRICS_COMPILED 0
-#else
+// Always 1: servebench prints it; remove with the next benchmark change.
 #define VSJ_METRICS_COMPILED 1
-#endif
-
-#if VSJ_METRICS_COMPILED
 
 /// Adds `n` to the registry counter `name` (a string literal).
 #define VSJ_COUNTER_ADD(name, n)                                         \
@@ -82,28 +70,5 @@
 /// the trace collector. Suffix histogram names carrying times with `_ns`
 /// so reporters format them as durations.
 #define VSJ_TRACE_SPAN(var, name) ::vsj::obs::TraceSpan var(name)
-
-#else  // !VSJ_METRICS_COMPILED — every site compiles to nothing.
-
-#define VSJ_COUNTER_ADD(name, n) \
-  do {                           \
-    (void)sizeof(n);             \
-  } while (0)
-#define VSJ_GAUGE_ADD(name, n) \
-  do {                         \
-    (void)sizeof(n);           \
-  } while (0)
-#define VSJ_GAUGE_SET(name, v) \
-  do {                         \
-    (void)sizeof(v);           \
-  } while (0)
-#define VSJ_HIST_RECORD(name, v) \
-  do {                           \
-    (void)sizeof(v);             \
-  } while (0)
-#define VSJ_TRACE_SPAN(var, name) \
-  [[maybe_unused]] ::vsj::obs::NullSpan var
-
-#endif  // VSJ_METRICS_COMPILED
 
 #endif  // VSJ_OBS_OBS_H_

@@ -72,12 +72,6 @@ class TraceCollector {
   uint64_t dropped_ = 0;
 };
 
-/// No-op stand-in declared by VSJ_TRACE_SPAN in VSJ_METRICS_OFF builds so
-/// call sites using span.End() compile either way.
-struct NullSpan {
-  void End() {}
-};
-
 /// RAII scoped timer: records scope duration (ns) into the registry
 /// histogram `name` and/or the trace collector. `name` must outlive the
 /// process (use a string literal).

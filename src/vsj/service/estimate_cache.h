@@ -1,10 +1,9 @@
-// Sharded LRU cache of estimation responses for optimizer-style repeated
+// Bounded LRU cache of estimation responses for optimizer-style repeated
 // probing.
 //
 // A query optimizer asks for J(τ) at many thresholds while costing plans
-// (the threshold_explorer and query_optimizer examples show the pattern),
-// and the batched pipeline drives the cache from every pool worker at
-// once. Two design points follow:
+// (the threshold_explorer and query_optimizer examples show the pattern).
+// Two design points follow:
 //
 //   * The key is exact: ExactKey(request) (estimate_request.h) plus the
 //     dataset fingerprint. An estimate is a statement about one specific
@@ -18,17 +17,13 @@
 //     cached single-trial response, and changing the seed really draws a
 //     fresh sample.
 //
-//   * Storage is sharded. Entries spread over `num_shards` independent
-//     LRU maps, each behind its own mutex, so concurrent workers of a
-//     batch don't serialize on one global lock. The shard is picked from
-//     the estimator name and τ rounded down to a multiple of 0.01 (a
-//     fixed placement hint, never part of the key), colocating an
-//     optimizer's sweep of nearby thresholds so one plan-costing session
-//     evicts its own history before anyone else's. LRU order is exact per
-//     shard, approximate globally — capacity splits evenly across shards.
-//
-// Thread safety: all methods are shard-mutex-guarded; the cache may be
-// shared by concurrent CardinalityProviders.
+//   * Storage is one exact LRU behind one mutex, so `capacity` is the
+//     number of responses actually kept. The batched pipeline does every
+//     Lookup and Insert on the calling thread (RunCachedBatch's sequential
+//     pre- and post-pass), and the server calls an engine only under its
+//     tenant mutex, so the lock is never contended on the hot path; it
+//     exists for concurrent in-process callers, e.g. two
+//     CardinalityProviders sharing one service.
 
 #ifndef VSJ_SERVICE_ESTIMATE_CACHE_H_
 #define VSJ_SERVICE_ESTIMATE_CACHE_H_
@@ -39,18 +34,14 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "vsj/obs/metrics.h"
 #include "vsj/service/estimate_request.h"
 
 namespace vsj {
 
-/// Value snapshot of an EstimateCache's counters, assembled by stats().
-/// The live counts are obs::Counter/obs::Gauge members of the cache
-/// (mirrored into the global MetricRegistry as cache.* when metrics are
-/// enabled) — this struct is a read-only view, not a second stats
-/// mechanism.
+/// An EstimateCache's counters; stats() returns a copy. They count per
+/// instance whether or not metrics are enabled (the global MetricRegistry
+/// mirrors them as cache.* when they are).
 struct EstimateCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -68,17 +59,12 @@ struct EstimateCacheStats {
   }
 };
 
-/// Sharded bounded LRU map from the exact request key to a previously
-/// computed EstimateResponse.
+/// Bounded LRU map from the exact request key to a previously computed
+/// EstimateResponse. Thread-safe.
 class EstimateCache {
  public:
-  static constexpr size_t kDefaultNumShards = 8;
-
-  /// `capacity` bounds the total number of cached responses across shards
-  /// (> 0); `num_shards` is the lock-splitting factor (> 0; 1 gives a
-  /// single exact global LRU).
-  explicit EstimateCache(size_t capacity = 1024,
-                         size_t num_shards = kDefaultNumShards);
+  /// `capacity` bounds the number of cached responses (> 0).
+  explicit EstimateCache(size_t capacity = 1024);
 
   /// Returns the cached response for `request`'s key over the dataset with
   /// `fingerprint`, refreshing its LRU position, or nullopt. Counts a hit
@@ -87,7 +73,7 @@ class EstimateCache {
                                          uint64_t fingerprint);
 
   /// Inserts (or overwrites) the response under `request`'s key, evicting
-  /// the shard's least recently used entry when the shard is full.
+  /// the least recently used entry when the cache is full.
   void Insert(const EstimateRequest& request, uint64_t fingerprint,
               const EstimateResponse& response);
 
@@ -107,7 +93,6 @@ class EstimateCache {
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  size_t num_shards() const { return shards_.size(); }
   EstimateCacheStats stats() const;
 
  private:
@@ -116,33 +101,13 @@ class EstimateCache {
     EstimateResponse response;
   };
 
-  /// One independently locked LRU map. Most recently used at the front;
-  /// the index points into the list.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::list<Entry> lru;
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
-  };
+  const size_t capacity_;
 
-  std::string MakeKey(const EstimateRequest& request,
-                      uint64_t fingerprint) const;
-  Shard& ShardFor(const EstimateRequest& request);
-
-  size_t capacity_;        // nominal total across shards
-  size_t shard_capacity_;  // per-shard bound, ceil(capacity / num_shards)
-
-  // Constructed once at the ctor; never resized (Shard is immovable).
-  std::vector<Shard> shards_;
-
-  // Live stats: lock-free obs primitives shared by all shards, so stats()
-  // never contends with any shard mutex and per-instance counts stay
-  // available even with the global metrics flag off (tests rely on them
-  // unconditionally).
-  obs::Counter hits_;
-  obs::Counter misses_;
-  obs::Counter insertions_;
-  obs::Counter evictions_;
-  obs::Gauge epoch_;
+  mutable std::mutex mutex_;
+  // Most recently used at the front; the index points into the list.
+  std::list<Entry> lru_;
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  EstimateCacheStats stats_;
 };
 
 }  // namespace vsj

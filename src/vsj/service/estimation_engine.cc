@@ -17,7 +17,7 @@ EstimationEngine::EstimationEngine(const EstimationEngineOptions& options)
       enable_cache_(options.enable_cache),
       family_(MakeLshFamily(options.measure, options.family_seed)),
       pool_(options.num_threads),
-      cache_(options.cache_capacity, options.cache_num_shards) {}
+      cache_(options.cache_capacity) {}
 
 EstimateResponse EstimationEngine::Estimate(const EstimateRequest& request) {
   return EstimateBatch({request}).front();

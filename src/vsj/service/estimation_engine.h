@@ -48,7 +48,6 @@ struct EstimationEngineOptions {
   /// Response cache; see EstimateCache for key semantics.
   bool enable_cache = true;
   size_t cache_capacity = 1024;
-  size_t cache_num_shards = EstimateCache::kDefaultNumShards;
 };
 
 /// Owns the LSH family, the pool, the cache and the batch protocol;

@@ -185,7 +185,7 @@ bool ValidTenantName(const std::string& name) {
 
 TenantRegistry::TenantRegistry(TenantRegistryOptions options)
     : options_(std::move(options)) {
-  if (options_.sweep_tmp) SweepOrphanedTmpFiles();
+  SweepOrphanedTmpFiles();
 }
 
 void TenantRegistry::SweepOrphanedTmpFiles() {

@@ -32,8 +32,11 @@
 // mutations. The failure is counted (Tenant::checkpoint_failures,
 // surfaced per-tenant through Stats() and the stats RPC) and the last
 // error retained for diagnostics; the next eviction pass or Flush()
-// retries. Startup sweeps orphaned *.tmp files a killed checkpoint left
-// under the root (see TenantRegistryOptions::sweep_tmp).
+// retries. Construction sweeps the orphaned *.tmp files a killed
+// checkpoint left under the root: a checkpoint killed between Open() and
+// rename leaves its tmp file behind, and those bytes are by definition
+// unreferenced (the rename never happened, so the real snapshot is
+// intact).
 //
 // Thread safety: the registry is fully synchronized (one mutex for the
 // resident map + LRU). Tenant serializes its own engine access with a
@@ -194,12 +197,6 @@ struct TenantRegistryOptions {
   /// Runtime options applied to restored streaming tenants (format-
   /// critical fields come from the snapshot itself).
   StreamingEstimationServiceOptions streaming_options;
-
-  /// Remove orphaned *.tmp files under the root at construction. A
-  /// checkpoint killed between Open() and rename leaves its tmp file
-  /// behind; the bytes are by definition unreferenced (the rename never
-  /// happened, so the real snapshot is intact) and only waste space.
-  bool sweep_tmp = true;
 };
 
 /// True iff `name` is acceptable as a tenant name: 1–128 chars drawn from

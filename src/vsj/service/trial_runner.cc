@@ -79,7 +79,7 @@ EstimateResponse FinishTrials(const EstimateRequest& request,
   response.num_unguaranteed = trials.num_unguaranteed;
   VSJ_COUNTER_ADD("estimate.requests", 1);
   VSJ_COUNTER_ADD("estimate.trials", estimates.size());
-  if (VSJ_METRICS_COMPILED && obs::MetricsEnabled()) {
+  if (obs::MetricsEnabled()) {
     obs::MetricRegistry::Global()
         .GetHistogram(LatencyMetricName(request.estimator_name, request.tau))
         .Record(obs::MonotonicNowNs() - start_ns);

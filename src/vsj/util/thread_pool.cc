@@ -85,7 +85,7 @@ void ThreadPool::Submit(std::function<void()> task) {
     return;
   }
   VSJ_COUNTER_ADD("pool.tasks", 1);
-  if (VSJ_METRICS_COMPILED && obs::MetricsEnabled()) {
+  if (obs::MetricsEnabled()) {
     // Wrap to measure time spent queued. Metrics-on only, so the extra
     // std::function allocation never appears on the default path.
     const uint64_t enqueue_ns = obs::MonotonicNowNs();

@@ -309,7 +309,6 @@ TEST(StratifiedSamplingTest, SampleHDrainsAFullTableBitIdentically) {
   }
 }
 
-#if VSJ_METRICS_COMPILED
 TEST(StratifiedSamplingTest, SampleHCountsDistinctPairsAsEvaluated) {
   // estimate.pairs_h is pairs physically evaluated: the distinct pairs of
   // each run of draws the table holds. estimate.pairs_h_repeats is the
@@ -345,7 +344,6 @@ TEST(StratifiedSamplingTest, SampleHCountsDistinctPairsAsEvaluated) {
                 PastTheTableScript(kMaxDistinctPairsH + 4000, 1000, 2000)),
             Counts(kMaxDistinctPairsH + 5000, 2000));
 }
-#endif
 
 TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {
   // The batched kernel must count exactly what the unbatched Similarity

@@ -104,8 +104,6 @@ TEST_F(AtomicFileWriterTest, OpenFailsInUnwritableDirectory) {
   EXPECT_EQ(status.code, IoError::kIoError);
 }
 
-#if VSJ_FAULT_COMPILED
-
 TEST_F(AtomicFileWriterTest, InjectedFsyncFailureKeepsOldFile) {
   const std::string path = TempPath("fsync_fault");
   {
@@ -174,8 +172,6 @@ TEST_F(AtomicFileWriterTest, TornCommitPromotesTruncatedBytes) {
   EXPECT_FALSE(Exists(path + ".tmp"));
   std::remove(path.c_str());
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj

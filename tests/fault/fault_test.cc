@@ -1,10 +1,6 @@
 // Unit tests of the fault-injection framework itself: spec parsing,
 // activation determinism (nth / repeat / probability), the macro gate,
 // IoStatus mapping, and the kCrash death path.
-//
-// Injection-dependent cases are skipped when the build compiled the
-// instrumentation out (-DVSJ_FAULT=OFF): arming still works — only the
-// macros stop observing it.
 
 #include "vsj/fault/fault.h"
 
@@ -207,23 +203,13 @@ TEST_F(FaultTest, StallSleepsThenProceeds) {
 }
 
 TEST_F(FaultTest, MacroRespectsRuntimeGate) {
-  // Nothing armed: the macro is inert regardless of the compile gate.
+  // Nothing armed: the macro is inert.
   EXPECT_FALSE(VSJ_FAULT_HIT("t.macro").fired());
-#if VSJ_FAULT_COMPILED
   FaultSpec spec;
   spec.point = "t.macro";
   Arm(spec);
   EXPECT_TRUE(VSJ_FAULT_HIT("t.macro").fired());
-#else
-  // Compiled out: arming is invisible to the macro.
-  FaultSpec spec;
-  spec.point = "t.macro";
-  Arm(spec);
-  EXPECT_FALSE(VSJ_FAULT_HIT("t.macro").fired());
-#endif
 }
-
-#if VSJ_FAULT_COMPILED
 
 IoStatus FunctionWithFaultPoint(const std::string& path) {
   VSJ_FAULT_IO("t.io_macro", path);
@@ -256,8 +242,6 @@ TEST_F(FaultDeathTest, CrashKindKillsTheProcessWithSigkill) {
       },
       testing::KilledBySignal(SIGKILL), "");
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj::fault

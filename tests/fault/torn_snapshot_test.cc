@@ -146,8 +146,6 @@ TEST_F(TornSnapshotTest, IntactSnapshotStillRestores) {
   EXPECT_EQ(service->num_live(), kCorpusSize);
 }
 
-#if VSJ_FAULT_COMPILED
-
 TEST_F(TornSnapshotTest, TornCommitFaultProducesNamedRestoreFailure) {
   // Drive the writer itself down the power-loss path at a few depths.
   for (const uint64_t torn_bytes :
@@ -197,8 +195,6 @@ TEST_F(TornSnapshotTest, InjectedRestoreFaultIsNamed) {
   EXPECT_EQ(status.code, IoError::kIoError);
   EXPECT_NE(status.reason.find("service.restore"), std::string::npos);
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj

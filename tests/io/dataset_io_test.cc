@@ -284,8 +284,6 @@ TEST(DatasetIoTest, SaveLeavesNoTmpFileBehind) {
   std::remove(path.c_str());
 }
 
-#if VSJ_FAULT_COMPILED
-
 TEST(DatasetIoTest, FailedSaveKeepsTheOldFileReadable) {
   VectorDataset original = testing::SmallClusteredCorpus(40, 5);
   const std::string path = ::testing::TempDir() + "/vsj_save_fault_test.bin";
@@ -368,8 +366,6 @@ TEST(DatasetIoTest, ChecksumFaultFailsEveryLoaderNamed) {
   std::remove(dataset_path.c_str());
   std::remove(snapshot_path.c_str());
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj

@@ -572,8 +572,6 @@ TEST_F(ServerTest, ErrorPayloadsCarryTheRetryableFlag) {
   EXPECT_TRUE(doc.Find("retryable")->AsBool());
 }
 
-#if VSJ_FAULT_COMPILED
-
 TEST_F(ServerTest, InjectedConnectionResetHangsUpOnlyThatConnection) {
   StartServer();
   fault::FaultSpec spec;
@@ -637,8 +635,6 @@ TEST_F(ServerTest, InjectedAcceptFailureRefusesOneConnectionThenRecovers) {
   ASSERT_TRUE(client.Send("{\"id\":2,\"op\":\"ping\"}"));
   EXPECT_EQ(ErrorCode(client.ReadPayload()), "");
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj::net

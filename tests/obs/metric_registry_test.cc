@@ -97,14 +97,10 @@ TEST_F(MetricRegistryTest, MacrosAreNoOpsWhenDisabled) {
   VSJ_HIST_RECORD("regtest.macro.disabled_hist", 123);
   VSJ_GAUGE_SET("regtest.macro.disabled_gauge", 9);
   const RegistrySnapshot snapshot = MetricRegistry::Global().Snapshot();
-#if VSJ_METRICS_COMPILED
   // Disabled at runtime: the macro must not even register the name.
   EXPECT_EQ(snapshot.Find("regtest.macro.disabled"), nullptr);
   EXPECT_EQ(snapshot.Find("regtest.macro.disabled_hist"), nullptr);
   EXPECT_EQ(snapshot.Find("regtest.macro.disabled_gauge"), nullptr);
-#else
-  (void)snapshot;
-#endif
 }
 
 TEST_F(MetricRegistryTest, MacrosRecordWhenEnabled) {
@@ -115,7 +111,6 @@ TEST_F(MetricRegistryTest, MacrosRecordWhenEnabled) {
   VSJ_GAUGE_SET("regtest.macro.enabled_gauge", -3);
   EnableMetrics(false);
   const RegistrySnapshot snapshot = MetricRegistry::Global().Snapshot();
-#if VSJ_METRICS_COMPILED
   const MetricSample* counter = snapshot.Find("regtest.macro.enabled");
   ASSERT_NE(counter, nullptr);
   EXPECT_EQ(counter->counter_value, 10u);
@@ -126,10 +121,6 @@ TEST_F(MetricRegistryTest, MacrosRecordWhenEnabled) {
   const MetricSample* gauge = snapshot.Find("regtest.macro.enabled_gauge");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->gauge_value, -3);
-#else
-  // Compiled out: nothing may register even with the runtime flag on.
-  EXPECT_EQ(snapshot.Find("regtest.macro.enabled"), nullptr);
-#endif
 }
 
 TEST_F(MetricRegistryTest, MonotonicClockAdvances) {

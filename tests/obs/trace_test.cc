@@ -83,12 +83,6 @@ TEST_F(TraceTest, EndIsIdempotent) {
   EXPECT_EQ(sample->histogram.count, 1u);
 }
 
-TEST_F(TraceTest, NullSpanCompilesAndDoesNothing) {
-  NullSpan span;
-  span.End();
-  EXPECT_EQ(TraceCollector::Global().size(), 0u);
-}
-
 TEST_F(TraceTest, ChromeTraceKeepsNanosecondResolution) {
   TraceCollector collector;
   collector.Append("alpha", 12005, 3);        // ts 12.005us, dur 0.003us

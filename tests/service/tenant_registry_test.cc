@@ -30,8 +30,7 @@ namespace {
 
 constexpr size_t kCorpusSize = 120;
 
-// Only the VSJ_FAULT-gated tests read snapshots back byte-for-byte.
-[[maybe_unused]] std::string ReadAll(const std::string& path) {
+std::string ReadAll(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream out;
   out << is.rdbuf();
@@ -370,20 +369,6 @@ TEST_F(TenantRegistryTest, StartupSweepRemovesOrphanedTmpFiles) {
   EXPECT_TRUE(registry.Acquire("churn", &churn).ok());
 }
 
-TEST_F(TenantRegistryTest, SweepCanBeDisabled) {
-  {
-    std::ofstream out(root_ + "/keep.tmp", std::ios::trunc);
-    out << "forensics";
-  }
-  TenantRegistryOptions options = Options();
-  options.sweep_tmp = false;
-  TenantRegistry registry(options);
-  EXPECT_EQ(registry.swept_tmp_files(), 0u);
-  EXPECT_TRUE(FileExists(root_ + "/keep.tmp"));
-}
-
-#if VSJ_FAULT_COMPILED
-
 TEST_F(TenantRegistryTest, WriteBackFailureKeepsTenantResidentAndDirty) {
   AddColdTenants(1);
   const std::string snapshot = root_ + "/churn.vsjs";
@@ -453,8 +438,6 @@ TEST_F(TenantRegistryTest, InjectedOpenFailureSurfacesAndRecovers) {
   // One-shot fault: the next acquire succeeds.
   EXPECT_TRUE(registry.Acquire("churn", &churn).ok());
 }
-
-#endif  // VSJ_FAULT_COMPILED
 
 }  // namespace
 }  // namespace vsj

@@ -439,16 +439,10 @@ void AppendResponseJson(std::ostream& out, const std::string& extra,
   out << line << "}\n";
 }
 
-/// Flips the runtime observability switches requested on the command line
-/// and warns when the build compiled them out.
+/// Flips the runtime observability switches requested on the command line.
 void ArmObservability(const Args& args) {
   const bool want_metrics = args.metrics || !args.metrics_json_path.empty() ||
                             args.stats_interval_ms > 0;
-  if (!VSJ_METRICS_COMPILED && (want_metrics || !args.trace_path.empty())) {
-    std::cerr << "warning: built with VSJ_METRICS=OFF; "
-                 "--metrics/--metrics-json/--trace/--stats-interval will "
-                 "record nothing\n";
-  }
   if (want_metrics) vsj::obs::EnableMetrics(true);
   if (!args.trace_path.empty()) vsj::obs::EnableTracing(true);
 }

@@ -196,28 +196,16 @@ int main(int argc, char** argv) {
   const bool want_metrics = args.metrics || !args.metrics_json_path.empty() ||
                             args.stats_interval_ms > 0 ||
                             !args.stats_json_path.empty();
-  if (want_metrics) {
-    if (!VSJ_METRICS_COMPILED) {
-      std::cerr << "warning: built with VSJ_METRICS=OFF; metrics flags will "
-                   "record nothing\n";
-    }
-    vsj::obs::EnableMetrics(true);
-  }
+  if (want_metrics) vsj::obs::EnableMetrics(true);
 
   // Operators (and the crash drill) arm fault points via VSJ_FAULTS; a
-  // server that will fail on purpose must say so in its log, and a
-  // VSJ_FAULT=OFF build must not let a drill believe it armed anything.
-  if (std::getenv("VSJ_FAULTS") != nullptr) {
-    if (!VSJ_FAULT_COMPILED) {
-      std::cerr << "warning: built with VSJ_FAULT=OFF; VSJ_FAULTS is "
-                   "ignored and no faults will fire\n";
-    } else if (vsj::fault::Enabled()) {
-      const std::vector<std::string> points = vsj::fault::ArmedPoints();
-      std::cerr << "vsjoin_server: fault injection armed at "
-                << points.size() << " point(s):";
-      for (const std::string& point : points) std::cerr << " " << point;
-      std::cerr << "\n";
-    }
+  // server that will fail on purpose must say so in its log.
+  if (vsj::fault::Enabled()) {
+    const std::vector<std::string> points = vsj::fault::ArmedPoints();
+    std::cerr << "vsjoin_server: fault injection armed at " << points.size()
+              << " point(s):";
+    for (const std::string& point : points) std::cerr << " " << point;
+    std::cerr << "\n";
   }
 
   vsj::TenantRegistryOptions registry_options;
