@@ -219,10 +219,12 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
       break;
     }
     std::string_view payload;
+    std::vector<Pending> admitted;
     while (!conn.close_after_flush) {
       const FrameDecoder::Status status = conn.decoder.Next(&payload);
       if (status == FrameDecoder::Status::kFrame) {
-        HandleFrame(conn, payload);
+        HandleFrame(conn, payload, &admitted);
+        if (admitted.size() >= options_.max_batch) HandOff(&admitted);
         continue;
       }
       if (status == FrameDecoder::Status::kTooLarge) {
@@ -239,8 +241,13 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
       }
       break;
     }
+    // Before returning: drain detection relies on every admitted request
+    // being counted in inflight_ once the loop pass ends.
+    HandOff(&admitted);
   }
-  if (events & EPOLLOUT) FlushWrites(conn);
+  // One write for everything this pass staged, and before the reaping
+  // below, so inline replies reach a peer that has already hung up.
+  FlushWrites(conn);
   if (peer_closed || (events & (EPOLLHUP | EPOLLERR))) {
     // Peer is gone: responses still in flight for this connection are
     // dropped when the completion finds no connection to deliver to.
@@ -253,13 +260,16 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
   }
 }
 
-void Server::HandleFrame(Connection& conn, std::string_view payload) {
+void Server::HandleFrame(Connection& conn, std::string_view payload,
+                         std::vector<Pending>* admitted) {
   if (VSJ_FAULT_HIT("net.frame").fired()) {
     // Injected connection reset mid-request: the frame is dropped with no
     // response and the connection closes, exercising the client's
-    // reconnect/retry path. Must not CloseConnection here — the decode
-    // loop in OnConnectionEvent still holds `conn`.
+    // reconnect/retry path. Replies already staged for earlier frames go
+    // out first. Must not CloseConnection here — the decode loop in
+    // OnConnectionEvent still holds `conn`.
     VSJ_COUNTER_ADD("server.injected_resets", 1);
+    FlushWrites(conn);
     conn.out.clear();
     conn.out_offset = 0;
     conn.close_after_flush = true;
@@ -289,7 +299,8 @@ void Server::HandleFrame(Connection& conn, std::string_view payload) {
                       .Serialize());
     return;
   }
-  if (inflight_.load(std::memory_order_acquire) >= options_.max_inflight) {
+  if (inflight_.load(std::memory_order_acquire) + admitted->size() >=
+      options_.max_inflight) {
     VSJ_COUNTER_ADD("server.overloaded", 1);
     Respond(conn, MakeErrorPayload(
                       request.id, RpcError::kOverloaded,
@@ -297,10 +308,11 @@ void Server::HandleFrame(Connection& conn, std::string_view payload) {
                           std::to_string(options_.max_inflight) + ")"));
     return;
   }
-  Enqueue(conn, std::move(request));
+  admitted->push_back(MakePending(conn, std::move(request)));
 }
 
-void Server::Enqueue(Connection& conn, RpcRequest request) {
+Server::Pending Server::MakePending(const Connection& conn,
+                                    RpcRequest request) const {
   const uint64_t timeout_ms = request.timeout_ms != 0
                                   ? request.timeout_ms
                                   : options_.default_timeout_ms;
@@ -312,28 +324,50 @@ void Server::Enqueue(Connection& conn, RpcRequest request) {
                          : pending.enqueued +
                                std::chrono::milliseconds(timeout_ms);
   pending.request = std::move(request);
-  // Tenantless debug ops (sleep) queue under "" — their own serial queue.
-  const std::string key = pending.request.tenant;
-  AddTenantQueueDepth(key, 1);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    TenantQueue& tq = tenant_queues_[key];
-    tq.queue.push_back(std::move(pending));
-    if (!tq.busy && !tq.scheduled) {
-      tq.scheduled = true;
-      ready_.push_back(key);
-    }
+  return pending;
+}
+
+void Server::HandOff(std::vector<Pending>* admitted) {
+  if (admitted->empty()) return;
+  VSJ_HIST_RECORD("server.handoff_size", admitted->size());
+  for (const Pending& pending : *admitted) {
+    AddTenantQueueDepth(pending.request.tenant, 1);
   }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
+  // Counted before any worker can finish one and count it out.
+  inflight_.fetch_add(admitted->size(), std::memory_order_acq_rel);
   VSJ_GAUGE_SET("server.inflight",
                 static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
-  work_cv_.notify_one();
+  size_t readied = 0;
+  {
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    for (Pending& pending : *admitted) {
+      // Tenantless debug ops (sleep) queue under "" — their own serial
+      // queue.
+      const std::string& key = pending.request.tenant;
+      TenantQueue& tq = tenant_queues_[key];
+      if (!tq.busy && !tq.scheduled) {
+        tq.scheduled = true;
+        ready_.push_back(key);
+        ++readied;
+      }
+      tq.queue.push_back(std::move(pending));
+    }
+  }
+  admitted->clear();
+  // One wakeup per newly ready tenant: a tenant already scheduled or busy
+  // has its wakeup coming.
+  for (size_t i = 0; i < readied; ++i) work_cv_.notify_one();
 }
 
 void Server::Respond(Connection& conn, std::string payload) {
   AppendFrame(&conn.out, payload);
   VSJ_COUNTER_ADD("server.responses", 1);
-  FlushWrites(conn);
+  // With EPOLLOUT armed the socket is full (or a short write is being
+  // resumed); that event flushes.
+  if (!conn.want_write &&
+      conn.out.size() - conn.out_offset >= kEagerFlushBytes) {
+    FlushWrites(conn);
+  }
 }
 
 void Server::FlushWrites(Connection& conn) {
@@ -361,6 +395,7 @@ void Server::FlushWrites(Connection& conn) {
     const ssize_t n = ::write(conn.fd, conn.out.data() + conn.out_offset,
                               chunk);
     if (n > 0) {
+      VSJ_COUNTER_ADD("server.writes", 1);
       conn.out_offset += static_cast<size_t>(n);
       if (short_write) {  // pretend the buffer filled
         injected_short_write = true;
@@ -406,14 +441,24 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completion_mutex_);
     batch.swap(completions_);
   }
+  std::vector<uint64_t> touched;
   for (Completion& completion : batch) {
     auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) continue;  // disconnected mid-request
     Connection& conn = *it->second;
     if (conn.close_after_flush) continue;
     Respond(conn, std::move(completion.payload));
+    touched.push_back(completion.conn_id);
+  }
+  // One write per connection for the whole batch. Nothing above closes a
+  // connection, so every touched id is still live.
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  for (const uint64_t conn_id : touched) {
+    Connection& conn = *connections_.at(conn_id);
+    FlushWrites(conn);
     if (conn.close_after_flush && conn.out_offset == conn.out.size()) {
-      CloseConnection(completion.conn_id);
+      CloseConnection(conn_id);
     }
   }
 }

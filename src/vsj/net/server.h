@@ -6,19 +6,22 @@
 // ---------------
 // One *loop thread* owns every socket: it accepts, reads, parses frames
 // (net/wire + net/json + net/protocol), writes responses, and never
-// touches an estimation engine. Parsed requests go into per-tenant FIFO
-// queues; N *worker threads* drain them. A worker takes one tenant's
-// pending run (up to max_batch requests, order preserved), resolves the
-// tenant through the registry (lazily opening snapshots), groups the
-// consecutive estimate requests of the run into ONE
-// EstimateBatchShared() call — this is the cross-connection batching:
-// requests that arrived on different sockets within the same drain
-// amortize the sequential cache pre-pass and the miss-grouping of the
-// trial runner — executes mutations in arrival order (each mutation
-// flushes the estimate run collected so far, preserving
+// touches an estimation engine. The requests admitted from one read burst
+// go into per-tenant FIFO queues together (one lock per hand-off of at
+// most max_batch requests, one wakeup per tenant it readies); N *worker
+// threads* drain them. A worker takes one tenant's pending run (up to
+// max_batch requests, order preserved), resolves the tenant through the
+// registry (lazily opening snapshots), groups the consecutive estimate
+// requests of the run into ONE EstimateBatchShared() call — this is the
+// cross-connection batching: requests that arrived on different sockets
+// within the same drain amortize the sequential cache pre-pass and the
+// miss-grouping of the trial runner — executes mutations in arrival order
+// (each mutation flushes the estimate run collected so far, preserving
 // mutation/estimate ordering per tenant), and pushes finished responses
 // onto a completion queue. An eventfd wake hands them back to the loop
-// thread, which frames and writes them.
+// thread, which frames them. Responses are staged per connection and
+// written once per connection per loop pass (or as soon as a connection
+// stages kEagerFlushBytes), not once per response.
 //
 // Because a batched request draws from the same RNG stream as a solo
 // one, every response is bit-identical to an in-process Estimate() call
@@ -26,10 +29,11 @@
 // connections into batches is unobservable in the results.
 //
 // Admission control: at most max_inflight requests may be queued or
-// executing; beyond that requests are refused immediately with
-// "overloaded". Each request carries a deadline (its timeout_ms, or the
-// server default); a request whose deadline expires while still queued
-// gets a clean "timeout" error instead of occupying an engine.
+// executing (a burst's admitted requests count before their hand-off);
+// beyond that requests are refused immediately with "overloaded". Each
+// request carries a deadline (its timeout_ms, or the server default); a
+// request whose deadline expires while still queued gets a clean
+// "timeout" error instead of occupying an engine.
 //
 // Graceful drain: BeginDrain() stops accepting connections and refuses
 // new requests with "shutting_down", but everything already admitted
@@ -161,11 +165,24 @@ class Server {
     bool scheduled = false;  ///< Present in ready_.
   };
 
+  /// Unwritten staged bytes at which Respond flushes a connection before
+  /// the end of the loop pass; bounds the staging buffer's memory.
+  static constexpr size_t kEagerFlushBytes = 64 * 1024;
+
   // --- loop thread ---
   void LoopThread();
   void OnAcceptable();
   void OnConnectionEvent(uint64_t conn_id, uint32_t events);
-  void HandleFrame(Connection& conn, std::string_view payload);
+  /// Answers `payload` inline, or appends its admitted request to
+  /// `admitted` for the next HandOff.
+  void HandleFrame(Connection& conn, std::string_view payload,
+                   std::vector<Pending>* admitted);
+  Pending MakePending(const Connection& conn, RpcRequest request) const;
+  /// Pushes `admitted` onto the tenant queues under one lock, wakes one
+  /// worker per newly ready tenant, and counts it in flight; leaves
+  /// `admitted` empty.
+  void HandOff(std::vector<Pending>* admitted);
+  /// Stages a framed response; writes only past kEagerFlushBytes.
   void Respond(Connection& conn, std::string payload);
   void FlushWrites(Connection& conn);
   void CloseConnection(uint64_t conn_id);
@@ -177,9 +194,6 @@ class Server {
   void ProcessRun(const std::string& tenant_name, std::vector<Pending> run);
   void Complete(std::vector<Completion>* out, const Pending& pending,
                 std::string payload);
-
-  /// Enqueues an admitted request; called on the loop thread.
-  void Enqueue(Connection& conn, RpcRequest request);
 
   ServerOptions options_;
   uint16_t port_ = 0;

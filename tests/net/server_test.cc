@@ -14,7 +14,10 @@
 // Plus the serving-policy behaviors: admission control (max_inflight →
 // "overloaded"), per-request deadlines ("timeout"), the sleep debug-op
 // gate, and graceful drain (admitted work finishes and flushes, new
-// work is refused with "shutting_down").
+// work is refused with "shutting_down"). And the batched wire path: a
+// pipelined burst's replies are staged and written together, its
+// requests handed to the workers together, without losing a reply or
+// an admission decision.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -41,6 +44,7 @@
 #include "vsj/net/protocol.h"
 #include "vsj/net/server.h"
 #include "vsj/net/wire.h"
+#include "vsj/obs/metrics.h"
 #include "vsj/service/streaming_estimation_service.h"
 #include "vsj/service/tenant_registry.h"
 
@@ -118,6 +122,9 @@ class TestClient {
     }
     return by_id;
   }
+
+  /// Half-closes the connection: the server sees EOF, reads still work.
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
   void Close() {
     if (fd_ >= 0) ::close(fd_);
@@ -216,6 +223,14 @@ class ServerTest : public ::testing::Test {
                   estimator.c_str(), tau, trials,
                   static_cast<unsigned long long>(seed));
     return buf;
+  }
+
+  static std::string PingJson(uint64_t id) {
+    return "{\"id\":" + std::to_string(id) + ",\"op\":\"ping\"}";
+  }
+
+  static std::string PongPayload(uint64_t id) {
+    return "{\"id\":" + std::to_string(id) + ",\"ok\":true,\"pong\":true}";
   }
 
   static EstimateRequest Request(double tau, size_t trials = 3,
@@ -351,6 +366,138 @@ TEST_F(ServerTest, CrossConnectionPipelinesStayCorrelated) {
       EXPECT_GE(id, 100 * c);
       EXPECT_LT(id, 100 * c + kPerClient);
     }
+  }
+}
+
+TEST_F(ServerTest, PipelinedBurstAnswersEveryFrameOnce) {
+  // One read burst carries thousands of frames: their replies are staged
+  // and written together, and their requests reach the workers in
+  // hand-offs of up to max_batch. Neither may drop, duplicate or alter a
+  // response. Every estimate asks a fresh seed, so none is a cache hit
+  // and each must equal a cold in-process answer byte for byte.
+  StartServer(/*workers=*/2, /*max_inflight=*/8192);
+  obs::MetricRegistry::Global().ResetValues();
+  obs::EnableMetrics(true);
+  struct MetricsOff {
+    ~MetricsOff() { obs::EnableMetrics(false); }
+  } metrics_off;
+
+  std::unique_ptr<StreamingEstimationService> churn_engine;
+  ASSERT_TRUE(StreamingEstimationService::Restore(root_ + "/churn.vsjs",
+                                                  &churn_engine,
+                                                  StreamingOptions())
+                  .ok());
+  EstimationService wiki_engine(GenerateCorpus(DblpLikeConfig(kCorpusSize, 4)),
+                                StaticOptions());
+
+  constexpr uint64_t kFrames = 4096;
+  constexpr uint64_t kGarbageId = kFrames / 2;
+  std::string burst;
+  std::map<uint64_t, std::string> expected;  // id -> exact payload
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    if (id == kGarbageId) {
+      AppendFrame(&burst, "{\"id\":");  // answered as id 0
+      continue;
+    }
+    if (id % 8 == 1 || id % 8 == 5) {
+      const bool churn = id % 8 == 1;
+      AppendFrame(&burst, EstimateJson(id, churn ? "churn" : "wiki", 0.7,
+                                       /*trials=*/2, /*seed=*/id));
+      const EstimateRequest request = Request(0.7, 2, id);
+      expected[id] = MakeEstimatePayload(
+          id, churn ? churn_engine->Estimate(request)
+                    : wiki_engine.Estimate(request));
+      continue;
+    }
+    AppendFrame(&burst, PingJson(id));
+    expected[id] = PongPayload(id);
+  }
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  std::map<uint64_t, size_t> seen;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    const std::string payload = client.ReadPayload();
+    ASSERT_FALSE(payload.empty()) << "after " << i << " responses";
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(ParseJson(payload, &doc, &error)) << payload;
+    const uint64_t id = static_cast<uint64_t>(doc.Find("id")->AsNumber());
+    ++seen[id];
+    if (id == 0) {
+      EXPECT_EQ(ErrorCode(payload), "bad_json") << payload;
+    } else {
+      EXPECT_EQ(payload, expected[id]) << "id " << id;
+    }
+  }
+  EXPECT_EQ(seen.size(), kFrames);
+  for (const auto& [id, count] : seen) EXPECT_EQ(count, 1u) << "id " << id;
+
+  // Coalesced: far fewer write(2) calls than responses.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  const uint64_t responses = registry.GetCounter("server.responses").Value();
+  EXPECT_EQ(responses, kFrames);
+  EXPECT_LE(registry.GetCounter("server.writes").Value(), responses / 16);
+  EXPECT_GT(registry.GetHistogram("server.handoff_size").Snapshot().count,
+            0u);
+}
+
+TEST_F(ServerTest, OneBurstPastMaxInflightRefusesExactlyTheExcess) {
+  // The sleep and the first three estimates fill max_inflight = 4 even
+  // though they arrive in one burst and are handed off together: requests
+  // admitted but not yet handed off count against the limit.
+  StartServer(/*workers=*/1, /*max_inflight=*/4);
+  std::string burst;
+  AppendFrame(&burst, "{\"id\":1,\"op\":\"sleep\",\"sleep_ms\":300}");
+  for (uint64_t id = 2; id <= 8; ++id) {
+    AppendFrame(&burst, EstimateJson(id, "churn", 0.7));
+  }
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  const std::map<uint64_t, std::string> responses = client.ReadById(8);
+  ASSERT_EQ(responses.size(), 8u);
+  for (uint64_t id = 1; id <= 8; ++id) {
+    EXPECT_EQ(ErrorCode(responses.at(id)), id <= 4 ? "" : "overloaded")
+        << "id " << id;
+  }
+}
+
+TEST_F(ServerTest, HalfClosedPeerStillGetsInlineReplies) {
+  // The server reads the pings and the EOF in one pass; the staged pongs
+  // are flushed before the connection is reaped.
+  StartServer();
+  std::string burst;
+  for (uint64_t id = 1; id <= 8; ++id) AppendFrame(&burst, PingJson(id));
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  client.ShutdownWrite();
+  for (uint64_t id = 1; id <= 8; ++id) {
+    EXPECT_EQ(client.ReadPayload(), PongPayload(id));
+  }
+  EXPECT_EQ(client.ReadPayload(), "");
+}
+
+TEST_F(ServerTest, ShortWritesNeverTearACoalescedBurst) {
+  StartServer();
+  // Every write moves at most 3 bytes of a 256-response staging buffer;
+  // EPOLLOUT resumption must deliver all of it intact and in order.
+  fault::FaultSpec spec;
+  spec.point = "net.write";
+  spec.kind = fault::FaultKind::kShortWrite;
+  spec.repeat = true;
+  spec.arg = 3;
+  fault::Arm(spec);
+
+  std::string burst;
+  for (uint64_t id = 1; id <= 256; ++id) AppendFrame(&burst, PingJson(id));
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  for (uint64_t id = 1; id <= 256; ++id) {
+    ASSERT_EQ(client.ReadPayload(), PongPayload(id));
   }
 }
 
