@@ -50,14 +50,14 @@ class JoinSizeEstimator {
 
   /// Estimates J(τ) for every τ of a sweep from one RNG state: result j is
   /// bit-identical to Estimate(taus[j], copy of rng). The default does
-  /// exactly that, one τ at a time; estimators whose SharesSweeps() is
-  /// true override it to draw and evaluate each sampled pair once for the
-  /// whole sweep.
+  /// exactly that, one τ at a time; StratifiedEstimator
+  /// (core/stratified_sampling.h) overrides it to draw and evaluate each
+  /// sampled pair once for the whole sweep.
   virtual std::vector<EstimationResult> EstimateSweep(
       std::span<const double> taus, const Rng& rng) const;
 
   /// True when EstimateSweep shares sampling work across τ, so grouping
-  /// requests that differ only in τ saves work (the LSH-SS family).
+  /// requests that differ only in τ saves work (the StratifiedEstimators).
   virtual bool SharesSweeps() const { return false; }
 
   /// Display name, e.g. "LSH-SS", "RS(pop)".

@@ -10,12 +10,13 @@ GeneralLshSsEstimator::GeneralLshSsEstimator(
     DatasetView left, DatasetView right,
     const LshTable& left_table, const LshTable& right_table,
     SimilarityMeasure measure, LshSsOptions options)
-    : left_(left),
-      right_(right),
+    : halves_(new DatasetView[2]{left, right}),
+      dataset_(DatasetView::Concatenated(halves_.get())),
       left_table_(&left_table),
       right_table_(&right_table),
       measure_(measure) {
   VSJ_CHECK(!left.empty() && !right.empty());
+  VSJ_CHECK(uint64_t{left.size()} + right.size() <= UINT32_MAX);
   VSJ_CHECK(left_table.num_vectors() == left.size());
   VSJ_CHECK(right_table.num_vectors() == right.size());
   VSJ_CHECK(left_table.k() == right_table.k());
@@ -39,68 +40,39 @@ GeneralLshSsEstimator::GeneralLshSsEstimator(
     match_picker_ = std::make_unique<AliasTable>(weights);
   }
 
-  const uint64_t total_pairs =
-      static_cast<uint64_t>(left.size()) * right.size();
-  const SamplingBudget budget =
-      ResolveBudget(options, std::max(left.size(), right.size()));
-  plan_ = {.total_pairs = total_pairs,
-           .num_pairs_h = num_same_bucket_pairs,
-           .num_pairs_l = total_pairs - num_same_bucket_pairs,
-           .m_h = budget.sample_size_h,
-           .m_l = budget.sample_size_l,
-           .delta = budget.delta,
-           .dampening = options.dampening,
-           .dampening_factor = options.dampening_factor};
+  plan_ = MakeStratifiedPlan(uint64_t{left.size()} * right.size(),
+                             num_same_bucket_pairs,
+                             std::max(left.size(), right.size()), options);
 }
 
-EstimationResult GeneralLshSsEstimator::Estimate(double tau,
-                                                 Rng& rng) const {
-  EstimationResult result;
-  if (tau <= 0.0) {
-    result.estimate = static_cast<double>(plan_.total_pairs);
-    return result;
-  }
-
-  // --- SampleH: matched bucket pair ∝ b_j·c_i, one member per side. ---
-  if (match_picker_ != nullptr) {
-    uint64_t hits = 0;
-    for (uint64_t s = 0; s < plan_.m_h; ++s) {
-      const MatchedBuckets& m = matches_[match_picker_->Sample(rng)];
-      const auto& lhs = left_table_->bucket(m.left_bucket);
-      const auto& rhs = right_table_->bucket(m.right_bucket);
-      const VectorId u = lhs[rng.Below(lhs.size())];
-      const VectorId v = rhs[rng.Below(rhs.size())];
-      if (Similarity(measure_, left_[u], right_[v]) >= tau) ++hits;
-    }
-    result.pairs_evaluated += plan_.m_h;
-    result.stratum_h_estimate = static_cast<double>(hits) *
-                                static_cast<double>(plan_.num_pairs_h) /
-                                static_cast<double>(plan_.m_h);
-  }
-
-  // --- SampleL: uniform (u, v), rejected when g(u) = g(v). ---
-  if (plan_.num_pairs_l > 0) {
-    uint64_t hits = 0;
-    uint64_t samples = 0;
-    while (hits < plan_.delta && samples < plan_.m_l) {
-      VectorId u, v;
-      do {
-        u = static_cast<VectorId>(rng.Below(left_.size()));
-        v = static_cast<VectorId>(rng.Below(right_.size()));
-      } while (left_table_->BucketKey(left_table_->BucketOf(u)) ==
-               right_table_->BucketKey(right_table_->BucketOf(v)));
-      if (Similarity(measure_, left_[u], right_[v]) >= tau) ++hits;
-      ++samples;
-    }
-    result.pairs_evaluated += samples;
-    ScaleStratumL(hits, samples, plan_.num_pairs_l, plan_.m_l, plan_.delta,
-                  plan_.dampening, plan_.dampening_factor, result);
-  }
-
-  result.estimate =
-      ClampEstimate(result.stratum_h_estimate + result.stratum_l_estimate,
-                    plan_.total_pairs);
-  return result;
+std::vector<EstimationResult> GeneralLshSsEstimator::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  const DatasetView& left = halves_[0];
+  const DatasetView& right = halves_[1];
+  const auto offset = static_cast<VectorId>(left.size());
+  // SampleH draws a matched bucket pair ∝ b_j · c_i, then one member per
+  // side; SampleL draws a uniform (u, v), rejected while g(u) = g(v)
+  // (N_L > 0 guarantees an accepting pair exists).
+  return EstimateStratified(
+      dataset_, measure_, plan_, taus,
+      [&](Rng& r) {
+        const MatchedBuckets& m = matches_[match_picker_->Sample(r)];
+        const auto& lhs = left_table_->bucket(m.left_bucket);
+        const auto& rhs = right_table_->bucket(m.right_bucket);
+        const VectorId u = lhs[r.Below(lhs.size())];
+        const VectorId v = rhs[r.Below(rhs.size())];
+        return VectorPair{u, offset + v};
+      },
+      [&](Rng& r) {
+        VectorId u, v;
+        do {
+          u = static_cast<VectorId>(r.Below(left.size()));
+          v = static_cast<VectorId>(r.Below(right.size()));
+        } while (left_table_->BucketKey(left_table_->BucketOf(u)) ==
+                 right_table_->BucketKey(right_table_->BucketOf(v)));
+        return VectorPair{u, offset + v};
+      },
+      rng);
 }
 
 GeneralRandomPairSampling::GeneralRandomPairSampling(

@@ -7,15 +7,17 @@
 // is sampled by rejection on g(u) ≠ g(v).
 //
 // The estimator is Algorithm 1 with the §5.1 budgets (ResolveBudget, with
-// n = max(|U|, |V|)) and the stratum-L scale-up (ScaleStratumL) of
-// stratified_sampling.h, but with its own single-τ draw loops: its pairs
-// are ordered and span two datasets, while the shared loops' PairMultiset
-// and EvaluatePairSimilarities key unordered pairs of one dataset.
+// n = max(|U|, |V|)): a pair source of EstimateStratified
+// (stratified_sampling.h) over the concatenated id space U ⊕ V, where u
+// keeps its id and v becomes |U| + v. Every drawn pair is therefore
+// (left id, right id) with the smaller id first, so the unordered
+// PairMultiset key never swaps the two sides.
 
 #ifndef VSJ_CORE_GENERAL_JOIN_H_
 #define VSJ_CORE_GENERAL_JOIN_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vsj/core/estimator.h"
@@ -28,17 +30,17 @@
 namespace vsj {
 
 /// LSH-SS for J = |{(u, v) ∈ U × V : sim(u, v) ≥ τ}| (ordered pairs).
-class GeneralLshSsEstimator final : public JoinSizeEstimator {
+class GeneralLshSsEstimator final : public StratifiedEstimator {
  public:
   /// `left_table` / `right_table` must be built over `left` / `right` with
-  /// the same family, k, and function offset (identical g).
+  /// the same family, k, and function offset (identical g); |U| + |V| must
+  /// fit VectorId.
   GeneralLshSsEstimator(DatasetView left, DatasetView right,
                         const LshTable& left_table,
                         const LshTable& right_table,
                         SimilarityMeasure measure,
                         LshSsOptions options = {});
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
   std::string name() const override { return "LSH-SS(general)"; }
 
   /// N_H = Σ over matched buckets of b_j · c_i.
@@ -53,8 +55,12 @@ class GeneralLshSsEstimator final : public JoinSizeEstimator {
     uint32_t right_bucket;
   };
 
-  DatasetView left_;
-  DatasetView right_;
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const override;
+
+  // {U, V} on the heap, so a moved estimator's dataset_ stays valid.
+  std::unique_ptr<const DatasetView[]> halves_;
+  DatasetView dataset_;  // U ⊕ V
   const LshTable* left_table_;
   const LshTable* right_table_;
   SimilarityMeasure measure_;

@@ -30,26 +30,13 @@
 
 namespace vsj {
 
-/// Options of LSH-SS: the sampling budgets plus the dampening policy
-/// (SamplingBudget and DampeningMode live in stratified_sampling.h).
-struct LshSsOptions : SamplingBudget {
-  DampeningMode dampening = DampeningMode::kSafeLowerBound;
-  /// c_s for DampeningMode::kFixedFactor (must be in (0, 1]).
-  double dampening_factor = 1.0;
-};
-
 /// Algorithm 1 (LSH-SS / LSH-SS(D)).
-class LshSsEstimator final : public JoinSizeEstimator {
+class LshSsEstimator final : public StratifiedEstimator {
  public:
   /// `table` must be built over `dataset`; the join predicate is `measure`.
   LshSsEstimator(DatasetView dataset, const LshTable& table,
                  SimilarityMeasure measure, LshSsOptions options = {});
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
-  /// One shared SampleH/SampleL pass answers every τ (stratified_sampling.h).
-  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
-                                              const Rng& rng) const override;
-  bool SharesSweeps() const override { return true; }
   std::string name() const override;
 
   uint64_t sample_size_h() const { return plan_.m_h; }
@@ -57,9 +44,8 @@ class LshSsEstimator final : public JoinSizeEstimator {
   uint64_t delta() const { return plan_.delta; }
 
  private:
-  /// Algorithm 1 over `taus`, advancing `rng` past the shared pass.
   std::vector<EstimationResult> Sweep(std::span<const double> taus,
-                                      Rng& rng) const;
+                                      Rng& rng) const override;
 
   DatasetView dataset_;
   const LshTable* table_;

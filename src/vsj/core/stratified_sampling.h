@@ -7,10 +7,14 @@
 //   * StreamingLshSsEstimator — the dynamic index's live-id rejection
 //     sampler, with budgets resolved per call from the live n;
 //   * VirtualBucketEstimator — the union of ℓ tables' strata H (multiplicity
-//     rejection) and its complement (Appendix B.2.1).
-// The general R × S join (Appendix B.2.2) shares only ResolveBudget and
-// ScaleStratumL: its pairs are ordered and span two datasets, while
-// PairMultiset and EvaluatePairSimilarities key unordered pairs of one.
+//     rejection) and its complement (Appendix B.2.1);
+//   * GeneralLshSsEstimator — matched bucket pairs of two tables and their
+//     rejection complement over the concatenated ids U ⊕ V (v ↦ |U| + v), so
+//     every drawn pair is (left id, right id) with the smaller id first
+//     (Appendix B.2.2).
+// Each derives from StratifiedEstimator, which owns the Estimate /
+// EstimateSweep / SharesSweeps entry points; an estimator supplies only the
+// Sweep that binds its pair sources.
 //
 // Every loop is multi-τ: a sampled pair's similarity does not depend on τ,
 // so one draw-and-evaluate pass thresholds each pair against a whole
@@ -67,6 +71,13 @@ enum class DampeningMode {
   kFixedFactor,
   /// c_s = n_L / δ, the adaptive choice used for LSH-SS(D) in §6.
   kAdaptiveNlOverDelta,
+};
+
+/// Options of LSH-SS: the sampling budgets plus the dampening policy.
+struct LshSsOptions : SamplingBudget {
+  DampeningMode dampening = DampeningMode::kSafeLowerBound;
+  /// c_s for DampeningMode::kFixedFactor (must be in (0, 1]).
+  double dampening_factor = 1.0;
 };
 
 /// Ĵ_L of SampleL from n_L = `hits` true pairs among `samples` draws out of
@@ -391,14 +402,33 @@ void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
 /// The stratification and budgets of one Algorithm 1 call.
 struct StratifiedPlan {
   uint64_t total_pairs = 0;  ///< M: every estimate is clamped to [0, M]
-  uint64_t num_pairs_h = 0;  ///< N_H
-  uint64_t num_pairs_l = 0;  ///< N_L
+  uint64_t num_pairs_h = 0;  ///< N_H; N_L = M − N_H
   uint64_t m_h = 0;
   uint64_t m_l = 0;
   uint64_t delta = 0;
   DampeningMode dampening = DampeningMode::kSafeLowerBound;
   double dampening_factor = 1.0;
 };
+
+/// The plan over M = `total_pairs` pairs of which N_H = `num_pairs_h` share
+/// a bucket (N_L = M − N_H), with `options`' budgets resolved from n.
+inline StratifiedPlan MakeStratifiedPlan(uint64_t total_pairs,
+                                         uint64_t num_pairs_h, uint64_t n,
+                                         const LshSsOptions& options) {
+  if (options.dampening == DampeningMode::kFixedFactor) {
+    VSJ_CHECK_MSG(
+        options.dampening_factor > 0.0 && options.dampening_factor <= 1.0,
+        "dampening factor c_s must be in (0, 1]");
+  }
+  const SamplingBudget budget = ResolveBudget(options, n);
+  return {.total_pairs = total_pairs,
+          .num_pairs_h = num_pairs_h,
+          .m_h = budget.sample_size_h,
+          .m_l = budget.sample_size_l,
+          .delta = budget.delta,
+          .dampening = options.dampening,
+          .dampening_factor = options.dampening_factor};
+}
 
 /// Algorithm 1 for every τ of `taus` from one pass: SampleH then SampleL
 /// on `rng`, Ĵ = Ĵ_H + Ĵ_L clamped to [0, M] (Eq. 7). Result j is
@@ -426,7 +456,8 @@ std::vector<EstimationResult> EstimateStratified(
   std::vector<EstimationResult> sampled(sampled_taus.size());
   SampleStratumH(dataset, measure, sampled_taus, plan.num_pairs_h, plan.m_h,
                  sample_h, rng, sampled);
-  SampleStratumL(dataset, measure, sampled_taus, plan.num_pairs_l, plan.m_l,
+  SampleStratumL(dataset, measure, sampled_taus,
+                 plan.total_pairs - plan.num_pairs_h, plan.m_l,
                  plan.delta, plan.dampening, plan.dampening_factor, sample_l,
                  rng, sampled);
   for (size_t k = 0; k < sampled.size(); ++k) {
@@ -438,6 +469,29 @@ std::vector<EstimationResult> EstimateStratified(
   }
   return results;
 }
+
+/// Base of the Algorithm 1 estimators: the entry points are one shared
+/// Sweep over `taus`. A single-τ Estimate is a sweep of one and advances
+/// `rng` past it; EstimateSweep runs on a copy of `rng`, so result j is
+/// bit-identical to Estimate(taus[j], copy of rng).
+class StratifiedEstimator : public JoinSizeEstimator {
+ public:
+  EstimationResult Estimate(double tau, Rng& rng) const final {
+    return Sweep({&tau, 1}, rng).front();
+  }
+  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
+                                              const Rng& rng) const final {
+    Rng copy = rng;
+    return Sweep(taus, copy);
+  }
+  bool SharesSweeps() const final { return true; }
+
+ private:
+  /// Algorithm 1 over `taus` (EstimateStratified with the estimator's pair
+  /// sources), advancing `rng` past the shared pass.
+  virtual std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                              Rng& rng) const = 0;
+};
 
 }  // namespace vsj
 

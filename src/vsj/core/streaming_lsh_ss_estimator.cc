@@ -46,18 +46,11 @@ std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
   if (n < 2) return std::vector<EstimationResult>(taus.size());
 
   const DynamicLshTable& table = index_->table(t);
-  const SamplingBudget budget = ResolveBudget(
-      override_options != nullptr ? *override_options : options_, n);
   // The streaming engine always uses the safe lower bound (Theorem 1) when
   // the answer-size threshold is missed.
-  const StratifiedPlan plan = {
-      .total_pairs = n * (n - 1) / 2,
-      .num_pairs_h = table.NumSameBucketPairs(),
-      .num_pairs_l = table.NumCrossBucketPairs(),
-      .m_h = budget.sample_size_h,
-      .m_l = budget.sample_size_l,
-      .delta = budget.delta,
-      .dampening = DampeningMode::kSafeLowerBound};
+  const StratifiedPlan plan = MakeStratifiedPlan(
+      n * (n - 1) / 2, table.NumSameBucketPairs(), n,
+      {override_options != nullptr ? *override_options : options_});
 
   const uint32_t* bucket_of = context != nullptr && !context->empty()
                                   ? context->bucket_of[t].data()
@@ -82,14 +75,9 @@ std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
       rng);
 }
 
-EstimationResult StreamingLshSsEstimator::Estimate(double tau,
-                                                   Rng& rng) const {
-  return EstimateWithTable(tau, 0, rng);
-}
-
-std::vector<EstimationResult> StreamingLshSsEstimator::EstimateSweep(
-    std::span<const double> taus, const Rng& rng) const {
-  return EstimateSweepWithTable(taus, 0, rng);
+std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  return Sweep(taus, 0, rng, nullptr, nullptr);
 }
 
 }  // namespace vsj

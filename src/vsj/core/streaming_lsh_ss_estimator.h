@@ -63,8 +63,9 @@ struct StreamingSampleContext {
   bool empty() const { return bucket_of.empty(); }
 };
 
-/// Algorithm 1 over the live subset of a DynamicLshIndex.
-class StreamingLshSsEstimator final : public JoinSizeEstimator {
+/// Algorithm 1 over the live subset of a DynamicLshIndex. Estimate and
+/// EstimateSweep stratify by table 0 with the constructor options.
+class StreamingLshSsEstimator final : public StratifiedEstimator {
  public:
   /// `dataset` is the backing store the index's ids refer to; both must
   /// outlive the estimator. The index may mutate freely between calls (but
@@ -74,10 +75,7 @@ class StreamingLshSsEstimator final : public JoinSizeEstimator {
                           SimilarityMeasure measure,
                           StreamingLshSsOptions options = {});
 
-  /// Estimates J(τ) over the current live set using table 0.
-  EstimationResult Estimate(double tau, Rng& rng) const override;
-
-  /// Same, stratifying by table `t` — callers with ℓ > 1 tables can spread
+  /// Estimate, stratifying by table `t` — callers with ℓ > 1 tables can spread
   /// independent trials across tables to decorrelate the stratification.
   ///
   /// `context`, when non-null and built, replaces the SameBucket hash-map
@@ -91,11 +89,6 @@ class StreamingLshSsEstimator final : public JoinSizeEstimator {
       const StreamingSampleContext* context = nullptr,
       const StreamingLshSsOptions* override_options = nullptr) const;
 
-  /// EstimateSweep over table 0.
-  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
-                                              const Rng& rng) const override;
-  bool SharesSweeps() const override { return true; }
-
   /// The sweep form of EstimateWithTable: one shared SampleH/SampleL pass
   /// answers every τ; result j is bit-identical to
   /// EstimateWithTable(taus[j], t, copy of rng, context, override_options).
@@ -107,6 +100,8 @@ class StreamingLshSsEstimator final : public JoinSizeEstimator {
   std::string name() const override;
 
  private:
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const override;
   /// Algorithm 1 over `taus` on table `t`, advancing `rng` past the shared
   /// pass.
   std::vector<EstimationResult> Sweep(

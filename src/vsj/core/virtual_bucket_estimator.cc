@@ -37,16 +37,8 @@ VirtualBucketEstimator::VirtualBucketEstimator(DatasetView dataset,
       }
     }
   }
-  const SamplingBudget budget = ResolveBudget(options, dataset.size());
-  const uint64_t num_virtual_pairs = distinct.size();
-  plan_ = {.total_pairs = dataset.NumPairs(),
-           .num_pairs_h = num_virtual_pairs,
-           .num_pairs_l = dataset.NumPairs() - num_virtual_pairs,
-           .m_h = budget.sample_size_h,
-           .m_l = budget.sample_size_l,
-           .delta = budget.delta,
-           .dampening = options.dampening,
-           .dampening_factor = options.dampening_factor};
+  plan_ = MakeStratifiedPlan(dataset.NumPairs(), distinct.size(),
+                             dataset.size(), options);
   bool any_positive = false;
   for (double w : table_weights) any_positive |= w > 0.0;
   if (any_positive) {
@@ -71,17 +63,6 @@ VectorPair VirtualBucketEstimator::SampleVirtualPair(Rng& rng) const {
     VSJ_DCHECK(mult >= 1);
     if (mult == 1 || rng.NextDouble() < 1.0 / mult) return pair;
   }
-}
-
-EstimationResult VirtualBucketEstimator::Estimate(double tau,
-                                                  Rng& rng) const {
-  return Sweep({&tau, 1}, rng).front();
-}
-
-std::vector<EstimationResult> VirtualBucketEstimator::EstimateSweep(
-    std::span<const double> taus, const Rng& rng) const {
-  Rng copy = rng;
-  return Sweep(taus, copy);
 }
 
 std::vector<EstimationResult> VirtualBucketEstimator::Sweep(

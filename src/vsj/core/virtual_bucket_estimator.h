@@ -30,25 +30,19 @@
 namespace vsj {
 
 /// LSH-SS over virtual buckets (union of per-table strata H).
-class VirtualBucketEstimator final : public JoinSizeEstimator {
+class VirtualBucketEstimator final : public StratifiedEstimator {
  public:
   VirtualBucketEstimator(DatasetView dataset, const LshIndex& index,
                          SimilarityMeasure measure, LshSsOptions options = {});
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
-  /// One shared SampleH/SampleL pass answers every τ (stratified_sampling.h).
-  std::vector<EstimationResult> EstimateSweep(std::span<const double> taus,
-                                              const Rng& rng) const override;
-  bool SharesSweeps() const override { return true; }
   std::string name() const override { return "LSH-SS(vbucket)"; }
 
   /// |∪_t SH_t|: the exact virtual stratum-H size.
   uint64_t NumVirtualSameBucketPairs() const { return plan_.num_pairs_h; }
 
  private:
-  /// Algorithm 1 over `taus`, advancing `rng` past the shared pass.
   std::vector<EstimationResult> Sweep(std::span<const double> taus,
-                                      Rng& rng) const;
+                                      Rng& rng) const override;
   VectorPair SampleVirtualPair(Rng& rng) const;
   uint32_t Multiplicity(VectorId u, VectorId v) const;
 

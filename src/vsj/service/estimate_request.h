@@ -36,7 +36,9 @@ struct EstimateRequest {
   /// rather than the exact count; the trials that do run are unchanged
   /// (each draws from its own value-derived stream), so an early-exited
   /// response is a prefix of the full-budget response's trial sequence.
-  /// 0 disables (all `trials` always run).
+  /// 0 disables (all `trials` always run). The bound is on the trials'
+  /// agreement (EstimateResponse::std_error), not on the distance to the
+  /// true J: trials that share a bias stop early with a wrong answer.
   double max_rel_error = 0.0;
 
   /// Per-request overrides of the estimator's sampling budgets (m_H, m_L,
@@ -89,7 +91,9 @@ struct EstimateResponse {
   /// Sample standard deviation of the per-trial estimates (0 for a single
   /// trial).
   double std_dev = 0.0;
-  /// Standard error of the mean: std_dev / sqrt(trials).
+  /// Standard error of the mean: std_dev / sqrt(trials). This is the
+  /// spread of the trial means, not an error bound: it measures how much
+  /// the trials disagree, and every trial shares the estimator's bias.
   double std_error = 0.0;
   /// Total pair-similarity evaluations across all trials (the paper's
   /// sampling cost model).

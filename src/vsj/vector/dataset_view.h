@@ -2,8 +2,7 @@
 //
 // A DatasetView is a non-owning, trivially-copyable handle presenting a
 // dataset as dense positions [0, size): position i resolves to a VectorRef
-// through a single indirect call into the backing storage. Three backings
-// exist:
+// through an indirect call into the backing storage. Four backings exist:
 //
 //   * VectorDataset / CsrStorage — positions are storage ids (dense);
 //   * StreamingCsrStorage (default conversion) — positions enumerate the
@@ -11,7 +10,10 @@
 //     same dense face as a static dataset of the survivors;
 //   * DatasetView::IdAddressed(streaming) — positions are raw stable ids,
 //     for callers holding ids handed out by the store (the streaming
-//     service's LSH index); only live ids may be dereferenced.
+//     service's LSH index); only live ids may be dereferenced;
+//   * DatasetView::Concatenated(halves) — two views end to end, U ⊕ V:
+//     positions below |U| read U, position |U| + v reads V's v (the
+//     general R × S join's id space).
 //
 // Views are invalidated by any mutation of the backing storage (including
 // compaction), like iterators of standard containers.
@@ -98,6 +100,16 @@ class DatasetView {
     return view;
   }
 
+  /// halves[0] ⊕ halves[1]. The two views at `halves` must outlive the
+  /// view, and their total size must fit VectorId.
+  static DatasetView Concatenated(const DatasetView* halves) {
+    DatasetView view;
+    view.self_ = halves;
+    view.ref_fn_ = &ConcatenatedRef;
+    view.size_ = halves[0].size() + halves[1].size();
+    return view;
+  }
+
   bool valid() const { return ref_fn_ != nullptr; }
 
   size_t size() const { return size_; }
@@ -129,6 +141,12 @@ class DatasetView {
     return static_cast<const StreamingCsrStorage*>(self)->Ref(id);
   }
   static VectorRef MappedRef(const void* self, VectorId id);
+  static VectorRef ConcatenatedRef(const void* self, VectorId position) {
+    const auto* halves = static_cast<const DatasetView*>(self);
+    const auto left_size = static_cast<VectorId>(halves[0].size());
+    return position < left_size ? halves[0][position]
+                                : halves[1][position - left_size];
+  }
   static VectorRef StreamingLiveRef(const void* self, VectorId position) {
     const auto* storage = static_cast<const StreamingCsrStorage*>(self);
     return storage->Ref(storage->live_ids_cache_[position]);

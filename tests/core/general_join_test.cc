@@ -1,6 +1,8 @@
 #include "vsj/core/general_join.h"
 
 #include <iterator>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -37,14 +39,13 @@ GeneralSetup MakeGeneralSetup(size_t n_left, size_t n_right, uint32_t k,
   return setup;
 }
 
-uint64_t ExactSameKeyPairs(const GeneralSetup& setup) {
+uint64_t ExactSameKeyPairs(const LshTable& left_table,
+                           const LshTable& right_table) {
   uint64_t count = 0;
-  for (VectorId u = 0; u < setup.left.size(); ++u) {
-    for (VectorId v = 0; v < setup.right.size(); ++v) {
-      const uint64_t ku =
-          setup.left_table->BucketKey(setup.left_table->BucketOf(u));
-      const uint64_t kv =
-          setup.right_table->BucketKey(setup.right_table->BucketOf(v));
+  for (VectorId u = 0; u < left_table.num_vectors(); ++u) {
+    for (VectorId v = 0; v < right_table.num_vectors(); ++v) {
+      const uint64_t ku = left_table.BucketKey(left_table.BucketOf(u));
+      const uint64_t kv = right_table.BucketKey(right_table.BucketOf(v));
       count += ku == kv ? 1 : 0;
     }
   }
@@ -55,7 +56,8 @@ TEST(GeneralLshSsTest, SameBucketPairCountMatchesBruteForce) {
   GeneralSetup setup = MakeGeneralSetup(120, 150, 8, 1);
   GeneralLshSsEstimator est(setup.left, setup.right, *setup.left_table,
                             *setup.right_table, SimilarityMeasure::kCosine);
-  EXPECT_EQ(est.NumSameBucketPairs(), ExactSameKeyPairs(setup));
+  EXPECT_EQ(est.NumSameBucketPairs(),
+            ExactSameKeyPairs(*setup.left_table, *setup.right_table));
   EXPECT_EQ(est.NumTotalPairs(), 120u * 150u);
 }
 
@@ -196,6 +198,61 @@ TEST(GeneralLshSsTest, EstimatesMatchParentBitForBit) {
       EXPECT_EQ(r.guaranteed, row.guaranteed);
     }
     EXPECT_EQ(rng.Next(), 0x76aeca230dd96971ULL) << m;
+  }
+}
+
+TEST(GeneralLshSsTest, SweepMatchesSingleTauOnAMovedEstimator) {
+  // EstimateSweep answers every τ from one shared pass over U ⊕ V; result j
+  // must equal Estimate(taus[j]) on a copy of the same stream, whatever the
+  // measure and dampening. The estimator is move-constructed from a heap
+  // object that is then destroyed, so the concatenated view must read
+  // through halves that moved with it.
+  const VectorDataset left = testing::SmallClusteredCorpus(300, 21);
+  const VectorDataset right = testing::SmallClusteredCorpus(200, 21);
+  const SimHashFamily simhash(21);
+  const MinHashFamily minhash(21);
+  std::vector<double> taus = StandardThresholds();
+  taus.insert(taus.begin(), 0.0);
+  taus.push_back(1.0);
+  const std::pair<const LshFamily*, uint32_t> families[] = {{&simhash, 8},
+                                                             {&minhash, 4}};
+  for (const auto& [family, k] : families) {
+    const LshTable left_table(*family, left, k);
+    const LshTable right_table(*family, right, k);
+    const uint64_t same_key = ExactSameKeyPairs(left_table, right_table);
+    ASSERT_GT(same_key, 0u) << family->name();
+    for (const DampeningMode mode :
+         {DampeningMode::kSafeLowerBound, DampeningMode::kFixedFactor,
+          DampeningMode::kAdaptiveNlOverDelta}) {
+      LshSsOptions options;
+      options.dampening = mode;
+      options.dampening_factor = 0.3;
+      auto original = std::make_unique<GeneralLshSsEstimator>(
+          left, right, left_table, right_table, family->measure(), options);
+      const GeneralLshSsEstimator est(std::move(*original));
+      original.reset();
+      SCOPED_TRACE(::testing::Message()
+                   << family->name() << " mode " << static_cast<int>(mode));
+      EXPECT_TRUE(est.SharesSweeps());
+      EXPECT_EQ(est.NumSameBucketPairs(), same_key);
+      EXPECT_EQ(est.NumTotalPairs(), 300u * 200u);
+
+      const Rng stream(5);
+      const std::vector<EstimationResult> sweep =
+          est.EstimateSweep(taus, stream);
+      ASSERT_EQ(sweep.size(), taus.size());
+      EXPECT_EQ(sweep.front().estimate, 300.0 * 200.0);  // τ = 0
+      for (size_t j = 0; j < taus.size(); ++j) {
+        Rng copy = stream;
+        const EstimationResult single = est.Estimate(taus[j], copy);
+        SCOPED_TRACE(::testing::Message() << "tau=" << taus[j]);
+        EXPECT_EQ(sweep[j].estimate, single.estimate);
+        EXPECT_EQ(sweep[j].stratum_h_estimate, single.stratum_h_estimate);
+        EXPECT_EQ(sweep[j].stratum_l_estimate, single.stratum_l_estimate);
+        EXPECT_EQ(sweep[j].pairs_evaluated, single.pairs_evaluated);
+        EXPECT_EQ(sweep[j].guaranteed, single.guaranteed);
+      }
+    }
   }
 }
 

@@ -58,6 +58,7 @@
 #include "vsj/net/json.h"
 #include "vsj/net/wire.h"
 #include "vsj/obs/metrics.h"
+#include "vsj/util/flags.h"
 #include "vsj/util/rng.h"
 
 namespace {
@@ -99,14 +100,6 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-bool ParseU64(const char* token, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token, &end, 10);
-  if (end == token || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 bool ParseDoubleArg(const char* token, double* out) {
@@ -167,15 +160,18 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // An unsigned value in [min, max]; a rejection names flag and token.
+    const auto next_u64 = [&](uint64_t* out, uint64_t min,
+                              uint64_t max = UINT64_MAX) {
+      return vsj::ParseFlagU64(flag.c_str(), next(), out, min, max);
+    };
     uint64_t u = 0;
     if (flag == "--host") {
       const char* v = next();
       if (v == nullptr) return false;
       args->host = v;
     } else if (flag == "--port") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0 || u > 65535)
-        return false;
+      if (!next_u64(&u, 1, 65535)) return false;
       args->port = static_cast<uint16_t>(u);
     } else if (flag == "--ops") {
       const char* v = next();
@@ -184,9 +180,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--load") {
       args->load = true;
     } else if (flag == "--connections") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0 || u > 4096)
-        return false;
+      if (!next_u64(&u, 1, 4096)) return false;
       args->connections = u;
     } else if (flag == "--duration-s") {
       const char* v = next();
@@ -199,8 +193,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (v == nullptr || !ParseDoubleArg(v, &args->rate) || args->rate < 0)
         return false;
     } else if (flag == "--pipeline") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(&u, 1)) return false;
       args->pipeline = u;
     } else if (flag == "--tenants") {
       const char* v = next();
@@ -209,31 +202,22 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       const char* v = next();
       if (v == nullptr || !ParseTaus(v, &args->taus)) return false;
     } else if (flag == "--trials") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(&u, 1)) return false;
       args->trials = u;
     } else if (flag == "--estimator") {
       const char* v = next();
       if (v == nullptr) return false;
       args->estimator = v;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &args->req_seed)) return false;
+      if (!next_u64(&args->req_seed, 0)) return false;
     } else if (flag == "--mix-seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &args->mix_seed)) return false;
+      if (!next_u64(&args->mix_seed, 0)) return false;
     } else if (flag == "--timeout-ms") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &args->timeout_ms)) return false;
+      if (!next_u64(&args->timeout_ms, 0)) return false;
     } else if (flag == "--retries") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &args->retries)) return false;
+      if (!next_u64(&args->retries, 0)) return false;
     } else if (flag == "--backoff-ms") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &args->backoff_ms) ||
-          args->backoff_ms > 60'000) {
-        return false;
-      }
+      if (!next_u64(&args->backoff_ms, 0, 60'000)) return false;
     } else if (flag == "--json") {
       const char* v = next();
       if (v == nullptr) return false;

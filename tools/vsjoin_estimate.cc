@@ -64,6 +64,7 @@
 //                         the --metrics table (0 scalar, 1 sse2, 2 avx2).
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -88,6 +89,7 @@
 #include "vsj/service/estimation_service.h"
 #include "vsj/service/streaming_estimation_service.h"
 #include "vsj/util/cpu.h"
+#include "vsj/util/flags.h"
 #include "vsj/util/table_printer.h"
 #include "vsj/util/timer.h"
 
@@ -130,18 +132,7 @@ struct Args {
   std::string simd = "auto";
 };
 
-/// Strict numeric parses: the whole token must be consumed. Digits only —
-/// strtoull would silently wrap a sign-prefixed token like "-5".
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty() ||
-      token.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtoull(token.c_str(), &end, 10);
-  return *end == '\0';
-}
-
+/// Strict numeric parse: the whole token must be consumed.
 bool ParseDouble(const std::string& token, double* out) {
   char* end = nullptr;
   *out = std::strtod(token.c_str(), &end);
@@ -209,18 +200,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     // An unsigned count; `min` and `max` bound it, naming flag and token.
     auto next_u64 = [&](const char* name, uint64_t* out, uint64_t min = 0,
                         uint64_t max = UINT64_MAX) -> bool {
-      const char* v = next(name);
-      if (!v) return false;
-      if (!ParseU64(v, out)) {
-        std::cerr << "could not parse " << name << " value: " << v << "\n";
-        return false;
-      }
-      if (*out < min || *out > max) {
-        std::cerr << "out-of-range " << name << " value (must be in [" << min
-                  << ", " << max << "]): " << v << "\n";
-        return false;
-      }
-      return true;
+      return vsj::ParseFlagU64(name, i + 1 < argc ? argv[++i] : nullptr, out,
+                               min, max);
     };
     uint64_t count = 0;
     if (flag == "--dataset") {
@@ -312,13 +293,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!v) return false;
       args->trace_path = v;
     } else if (flag == "--stats-interval") {
-      const char* v = next("--stats-interval");
-      if (!v) return false;
-      args->stats_interval_ms = static_cast<int>(std::strtol(v, nullptr, 10));
-      if (args->stats_interval_ms <= 0) {
-        std::cerr << "--stats-interval needs a positive millisecond period\n";
-        return false;
-      }
+      if (!next_u64("--stats-interval", &count, 1, INT_MAX)) return false;
+      args->stats_interval_ms = static_cast<int>(count);
     } else if (flag == "--simd") {
       const char* v = next("--simd");
       if (!v) return false;
@@ -569,9 +545,9 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
       uint64_t first = 0;
       uint64_t last = 0;
       if (words.size() < 2 || words.size() > 3 ||
-          !ParseU64(words[1], &first) ||
+          !vsj::ParseU64(words[1], &first) ||
           !(words.size() == 2 ? (last = first, true)
-                              : ParseU64(words[2], &last))) {
+                              : vsj::ParseU64(words[2], &last))) {
         std::cerr << "line " << line_number << ": expected '" << op
                   << " <id> [<id-end>]'\n";
         return 1;

@@ -30,6 +30,7 @@
 // depth) to stderr every MS milliseconds, and --stats-json appends one
 // JSON line per tick.
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +44,7 @@
 #include "vsj/obs/obs.h"
 #include "vsj/obs/stat_reporter.h"
 #include "vsj/service/tenant_registry.h"
+#include "vsj/util/flags.h"
 
 namespace {
 
@@ -70,14 +72,6 @@ struct Args {
   std::string stats_json_path;
 };
 
-bool ParseU64(const char* token, uint64_t* out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(token, &end, 10);
-  if (end == token || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 void Usage() {
   std::cerr
       << "usage: vsjoin_server --root DIR [--port N] [--port-file PATH]\n"
@@ -97,60 +91,53 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // An unsigned value in [min, max]; a rejection names flag and token.
     uint64_t u = 0;
+    const auto next_u64 = [&](uint64_t min, uint64_t max = UINT64_MAX) {
+      return vsj::ParseFlagU64(flag.c_str(), next(), &u, min, max);
+    };
     if (flag == "--root") {
       const char* v = next();
       if (v == nullptr) return false;
       args->root = v;
     } else if (flag == "--port") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u > 65535) return false;
+      if (!next_u64(0, 65535)) return false;
       args->port = static_cast<uint16_t>(u);
     } else if (flag == "--port-file") {
       const char* v = next();
       if (v == nullptr) return false;
       args->port_file = v;
     } else if (flag == "--workers") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1)) return false;
       args->workers = u;
     } else if (flag == "--max-resident") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u)) return false;
+      if (!next_u64(0)) return false;
       args->max_resident = u;
     } else if (flag == "--max-inflight") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1)) return false;
       args->max_inflight = u;
     } else if (flag == "--max-batch") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1)) return false;
       args->max_batch = u;
     } else if (flag == "--default-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u)) return false;
+      if (!next_u64(0)) return false;
       args->default_timeout_ms = u;
     } else if (flag == "--max-frame-bytes") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1, UINT32_MAX)) return false;
       args->max_frame_bytes = static_cast<uint32_t>(u);
     } else if (flag == "--debug-ops") {
       args->debug_ops = true;
     } else if (flag == "--k") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1, UINT32_MAX)) return false;
       args->k = static_cast<uint32_t>(u);
     } else if (flag == "--tables") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1, UINT32_MAX)) return false;
       args->tables = static_cast<uint32_t>(u);
     } else if (flag == "--threads") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1)) return false;
       args->threads = u;
     } else if (flag == "--seed") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u)) return false;
+      if (!next_u64(0)) return false;
       args->seed = u;
     } else if (flag == "--metrics") {
       args->metrics = true;
@@ -159,8 +146,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (v == nullptr) return false;
       args->metrics_json_path = v;
     } else if (flag == "--stats-interval") {
-      const char* v = next();
-      if (v == nullptr || !ParseU64(v, &u) || u == 0) return false;
+      if (!next_u64(1, INT_MAX)) return false;
       args->stats_interval_ms = static_cast<int>(u);
     } else if (flag == "--stats-json") {
       const char* v = next();
