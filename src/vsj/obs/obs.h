@@ -9,7 +9,7 @@
 // hot site pays the name lookup once, then a shard-local fetch_add per
 // event. Names must be string literals (sites with runtime-composed names
 // — per-estimator latency histograms — call the registry directly at
-// request granularity instead; see service/trial_runner.cc).
+// request granularity instead; see service/estimation_engine.cc).
 //
 // The bit-identity contract: instrumentation records counts and clock
 // readings only. Nothing here may draw from an Rng, reorder float

@@ -27,7 +27,7 @@ struct EstimateRequest {
   /// Base seed of this request's RNG streams: trial t draws from
   /// Rng(seed).Fork(0).Fork(t). Equal requests over the same dataset state
   /// produce identical results wherever they sit in a batch and at any
-  /// thread count (see trial_runner.h).
+  /// thread count (see estimation_engine.h).
   uint64_t seed = 1;
 
   /// Any-τ early exit: when > 0, the service stops running trials as soon

@@ -1,7 +1,9 @@
 #include "vsj/service/estimation_engine.h"
 
 #include <algorithm>
-#include <mutex>
+#include <cmath>
+#include <cstdio>
+#include <numeric>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -11,6 +13,95 @@
 #include "vsj/util/check.h"
 
 namespace vsj {
+
+namespace {
+
+/// One group member's trials: every estimate in trial order, and the
+/// integer totals (order-insensitive, so chunks may add them in any order).
+struct MemberTrials {
+  std::vector<double> estimates;
+  uint64_t pairs_evaluated = 0;
+  uint64_t num_unguaranteed = 0;
+};
+
+/// Runtime-composed histogram name for per-request latency at
+/// estimator × τ-bucket granularity (τ rounded to one decimal, so a sweep's
+/// latencies land in a bounded set of histograms). Composed only when
+/// metrics are on — request granularity, so the string build is off every
+/// hot path.
+std::string LatencyMetricName(const std::string& estimator_name, double tau) {
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), ".tau%.1f", tau);
+  return "estimate.latency_ns." + estimator_name + suffix;
+}
+
+double MeanOf(std::span<const double> estimates) {
+  double sum = 0.0;
+  for (double e : estimates) sum += e;
+  return sum / static_cast<double>(estimates.size());
+}
+
+double SampleStdDevOf(std::span<const double> estimates, double mean) {
+  double sq = 0.0;
+  for (double e : estimates) {
+    const double d = e - mean;
+    sq += d * d;
+  }
+  return std::sqrt(sq / static_cast<double>(estimates.size() - 1));
+}
+
+/// Any-τ early exit: `trials` is a budget, not a mandate. Once at least two
+/// trials bound the spread and the running standard error of the mean is
+/// inside the requested relative band, further trials buy precision nobody
+/// asked for. Completed trials are untouched (each drew from its own
+/// Fork(t) stream), so the early-exited response is a prefix of the
+/// full-budget trial sequence — deterministic, just shorter.
+bool WithinErrorBound(const EstimateRequest& request,
+                      std::span<const double> estimates) {
+  if (request.max_rel_error <= 0.0 || estimates.size() < 2 ||
+      estimates.size() >= request.trials) {
+    return false;
+  }
+  const double mean = MeanOf(estimates);
+  const double std_error = SampleStdDevOf(estimates, mean) /
+                           std::sqrt(static_cast<double>(estimates.size()));
+  return std_error <= request.max_rel_error * std::abs(mean);
+}
+
+/// `request`'s response from its `trials` (mean, sample std-dev, standard
+/// error, sampling cost). Its `estimate.latency_ns.*` histogram records the
+/// time from `start_ns` (obs::MonotonicNowNs when the group's first task
+/// started) until now.
+EstimateResponse FinishTrials(const EstimateRequest& request,
+                              const MemberTrials& trials, uint64_t start_ns) {
+  EstimateResponse response;
+  response.tau = request.tau;
+  response.estimator_name = request.estimator_name;
+  const std::vector<double>& estimates = trials.estimates;
+  response.trials = estimates.size();
+  response.mean_estimate = MeanOf(estimates);
+  if (estimates.size() > 1) {
+    response.std_dev = SampleStdDevOf(estimates, response.mean_estimate);
+    response.std_error =
+        response.std_dev / std::sqrt(static_cast<double>(estimates.size()));
+  }
+  response.pairs_evaluated = trials.pairs_evaluated;
+  response.num_unguaranteed = trials.num_unguaranteed;
+  VSJ_COUNTER_ADD("estimate.requests", 1);
+  VSJ_COUNTER_ADD("estimate.trials", estimates.size());
+  if (obs::MetricsEnabled()) {
+    obs::MetricRegistry::Global()
+        .GetHistogram(LatencyMetricName(request.estimator_name, request.tau))
+        .Record(obs::MonotonicNowNs() - start_ns);
+  }
+  return response;
+}
+
+}  // namespace
+
+Rng TrialStream(const EstimateRequest& request, size_t t) {
+  return Rng(request.seed).Fork(0).Fork(t);
+}
 
 EstimationEngine::EstimationEngine(const EstimationEngineOptions& options)
     : num_threads_(options.num_threads),
@@ -91,107 +182,105 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     }
   }
 
-  // Pool tasks. A group whose members never exit early needs every trial,
-  // and trial t's stream depends on nothing but (seed, t), so its trials
-  // split into up to kChunksPerThread × threads chunks of consecutive
-  // trials, one task each, and a single 9-τ session spreads over the pool.
-  // A chunk writes trial t's estimates straight into MemberTrials slot t,
-  // so the batch holds one double per trial per τ — what in-order
-  // aggregation keeps anyway — and the task finishing a group's last chunk
-  // aggregates it. A group with max_rel_error > 0 stays one task running
-  // RunDeterministicTrials: its later trials may never be needed. One flat
-  // ParallelFor — nesting one per group would add no concurrency
-  // (thread_pool.h).
+  // Pool tasks, one per chunk of consecutive trials of one group (step 3
+  // in estimation_engine.h). A chunk writes trial t's estimates into slot t
+  // of the group's MemberTrials — the batch holds one double per trial per
+  // τ, what in-order aggregation keeps anyway — and its integer totals into
+  // its own row, so chunks share no lock. One flat ParallelFor — nesting
+  // one per group would add no concurrency (thread_pool.h).
   constexpr size_t kChunksPerThread = 4;
   struct Task {
     size_t group;
-    size_t begin, end;  // trials [begin, end); begin == end: the whole
-                        // early-exit group, in order
-  };
-  struct GroupTrials {
-    std::vector<double> taus;
-    std::vector<MemberTrials> members;
-    std::mutex mu;  // guards the rest, and orders the chunks' writes
-    size_t chunks_left = 0;
-    uint64_t start_ns = ~uint64_t{0};  // earliest chunk start
+    size_t begin, end;
+    std::vector<MemberTrials> totals;  // integer parts only, per member
+    uint64_t start_ns = 0;
   };
   std::vector<Task> tasks;
-  std::vector<GroupTrials> split(groups.size());
+  std::vector<std::vector<MemberTrials>> trials(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const EstimateRequest& leader = requests[groups[g].front()];
-    if (leader.max_rel_error > 0.0) {  // part of SweepKey: shared by all
-      tasks.push_back({g, 0, 0});
-      continue;
-    }
-    GroupTrials& state = split[g];
-    state.members.resize(groups[g].size());
-    for (size_t m = 0; m < groups[g].size(); ++m) {
-      state.taus.push_back(requests[groups[g][m]].tau);
-      state.members[m].estimates.resize(leader.trials);
-    }
+    trials[g].assign(groups[g].size(),
+                     {.estimates = std::vector<double>(leader.trials)});
+    // An error-bounded group (max_rel_error is part of SweepKey, so shared
+    // by every member) is one chunk: its later trials may never be needed.
     // num_threads 0 runs inline, like 1.
-    state.chunks_left = std::min(
-        leader.trials, kChunksPerThread * std::max<size_t>(num_threads_, 1));
-    for (size_t c = 0; c < state.chunks_left; ++c) {
-      tasks.push_back({g, leader.trials * c / state.chunks_left,
-                       leader.trials * (c + 1) / state.chunks_left});
+    const size_t chunks =
+        leader.max_rel_error > 0.0
+            ? 1
+            : std::min(leader.trials,
+                       kChunksPerThread * std::max<size_t>(num_threads_, 1));
+    for (size_t c = 0; c < chunks; ++c) {
+      tasks.push_back({g, leader.trials * c / chunks,
+                       leader.trials * (c + 1) / chunks,
+                       std::vector<MemberTrials>(groups[g].size())});
     }
   }
   // Dispatch timestamp for the queue-wait histogram: how long a task sat
   // between batch dispatch and a pool worker picking it up, vs. how long
-  // the task itself took. Both histograms record once per task — a chunk
-  // of trials, or a whole early-exit group. Timing only — work order is
-  // untouched.
+  // the task itself took. Both histograms record once per task. Timing
+  // only — work order is untouched.
   const uint64_t dispatch_ns = obs::MonotonicNowNs();
-  const SweepTrialFn timed_trial = [&](size_t leader, size_t t,
-                                       std::span<const double> taus,
-                                       const Rng& rng) {
-    VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
-    return run_trial(leader, t, taus, rng);
-  };
   pool_.ParallelFor(tasks.size(), [&](size_t k) {
-    const uint64_t start_ns = obs::MonotonicNowNs();
-    VSJ_HIST_RECORD("estimate.queue_wait_ns", start_ns - dispatch_ns);
+    Task& task = tasks[k];
+    task.start_ns = obs::MonotonicNowNs();
+    VSJ_HIST_RECORD("estimate.queue_wait_ns", task.start_ns - dispatch_ns);
     VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
-    const Task& task = tasks[k];
     const std::vector<size_t>& group = groups[task.group];
-    if (task.begin == task.end) {
-      std::vector<EstimateResponse> computed =
-          RunDeterministicTrials(requests, group, timed_trial);
-      for (size_t m = 0; m < group.size(); ++m) {
-        responses[group[m]] = std::move(computed[m]);
+    const EstimateRequest& leader = requests[group.front()];
+    std::vector<MemberTrials>& members = trials[task.group];
+    // Members still running, in group order; trial t asks for their τ only.
+    std::vector<size_t> running(group.size());
+    std::iota(running.begin(), running.end(), size_t{0});
+    std::vector<double> taus;
+    for (size_t t = task.begin; t < task.end && !running.empty(); ++t) {
+      taus.clear();
+      for (const size_t m : running) taus.push_back(requests[group[m]].tau);
+      std::vector<EstimationResult> results;
+      {
+        VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
+        results = run_trial(group.front(), t, taus, TrialStream(leader, t));
       }
-      return;
-    }
-    GroupTrials& state = split[task.group];
-    std::vector<MemberTrials> totals(group.size());  // integer parts only
-    for (size_t t = task.begin; t < task.end; ++t) {
-      const std::vector<EstimationResult> results =
-          timed_trial(group.front(), t, state.taus,
-                      TrialStream(requests[group.front()], t));
-      for (size_t m = 0; m < group.size(); ++m) {
-        state.members[m].estimates[t] = results[m].estimate;
-        totals[m].pairs_evaluated += results[m].pairs_evaluated;
-        if (!results[m].guaranteed) ++totals[m].num_unguaranteed;
+      size_t still_running = 0;
+      for (size_t a = 0; a < running.size(); ++a) {
+        const size_t m = running[a];
+        std::vector<double>& estimates = members[m].estimates;
+        estimates[t] = results[a].estimate;
+        task.totals[m].pairs_evaluated += results[a].pairs_evaluated;
+        if (!results[a].guaranteed) ++task.totals[m].num_unguaranteed;
+        // Only an error-bounded group reads its earlier slots, and it is
+        // one chunk, so this task wrote every one of them.
+        if (leader.max_rel_error > 0.0 &&
+            WithinErrorBound(requests[group[m]],
+                             std::span(estimates).first(t + 1))) {
+          VSJ_COUNTER_ADD("estimate.early_exit", 1);
+          VSJ_COUNTER_ADD("estimate.trials_saved", leader.trials - (t + 1));
+          estimates.resize(t + 1);
+        } else {
+          running[still_running++] = m;
+        }
       }
-    }
-    {
-      std::lock_guard<std::mutex> lock(state.mu);
-      for (size_t m = 0; m < group.size(); ++m) {
-        state.members[m].pairs_evaluated += totals[m].pairs_evaluated;
-        state.members[m].num_unguaranteed += totals[m].num_unguaranteed;
-      }
-      state.start_ns = std::min(state.start_ns, start_ns);
-      if (--state.chunks_left > 0) return;
-    }
-    // The group's last chunk: every other chunk's writes happened before
-    // its unlock, so the estimates are complete. Latency runs from the
-    // group's first chunk start, as for an in-order group's task start.
-    for (size_t m = 0; m < group.size(); ++m) {
-      responses[group[m]] = FinishTrials(requests[group[m]], state.members[m],
-                                         state.start_ns);
+      running.resize(still_running);
     }
   });
+
+  // Past the barrier every slot is written: add the chunks' totals and
+  // aggregate each member once. Latency runs from the group's first task
+  // start to here, when the batch's responses exist.
+  std::vector<uint64_t> start_ns(groups.size(), ~uint64_t{0});
+  for (const Task& task : tasks) {
+    start_ns[task.group] = std::min(start_ns[task.group], task.start_ns);
+    for (size_t m = 0; m < task.totals.size(); ++m) {
+      trials[task.group][m].pairs_evaluated += task.totals[m].pairs_evaluated;
+      trials[task.group][m].num_unguaranteed +=
+          task.totals[m].num_unguaranteed;
+    }
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    for (size_t m = 0; m < groups[g].size(); ++m) {
+      responses[groups[g][m]] =
+          FinishTrials(requests[groups[g][m]], trials[g][m], start_ns[g]);
+    }
+  }
 
   for (const auto& [follower, leader] : followers) {
     responses[follower] = responses[leader];

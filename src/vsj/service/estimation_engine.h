@@ -9,6 +9,22 @@
 // StreamingEstimationService: dynamic index, LSH-SS only) supplies its
 // dataset fingerprint, a pre-pass hook settling per-leader state, the trial
 // function, and its estimator-name rule.
+//
+// Determinism: trial t of every request draws from the value-derived
+// stream TrialStream(request, t) = Rng(seed).Fork(0).Fork(t) — never from
+// its batch position or the scheduling order — so a response is a pure
+// function of (request, dataset state): bit-identical at any thread
+// count, in any batch, and to the same request asked alone.
+//
+// τ-sweep sharing: leaders that match in everything but τ (equal SweepKeys,
+// estimate_request.h) draw the very same streams, so they run as one
+// *sweep group* — trial t evaluates each drawn pair once for every τ still
+// running — and each τ's response is bit-identical to computing it alone.
+// Inside a trial, SampleH evaluates each distinct stratum-H pair once
+// (core/stratified_sampling.h); when the stratum holds fewer pairs than the
+// trial draws, repeats are certain (pigeonhole). Because trial t's stream
+// depends on nothing but (seed, t), a group's trials need not run in order
+// or on one thread (RunCachedBatch, step 3).
 
 #ifndef VSJ_SERVICE_ESTIMATION_ENGINE_H_
 #define VSJ_SERVICE_ESTIMATION_ENGINE_H_
@@ -17,17 +33,30 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "vsj/core/estimator.h"
 #include "vsj/lsh/lsh_family.h"
 #include "vsj/service/estimate_cache.h"
 #include "vsj/service/estimate_request.h"
-#include "vsj/service/trial_runner.h"
 #include "vsj/util/thread_pool.h"
 #include "vsj/vector/similarity.h"
 
 namespace vsj {
+
+/// The one stream convention: trial t of `request` draws from
+/// Rng(request.seed).Fork(0).Fork(t).
+Rng TrialStream(const EstimateRequest& request, size_t t);
+
+/// Trial t of a sweep group on `rng`, the stream TrialStream(leader, t):
+/// one EstimationResult per τ of `taus`, result j bit-identical to a
+/// single-τ trial of taus[j] on the same stream. `leader` is the batch
+/// index of the group's first request (it names the estimator and the
+/// sampling overrides every member shares).
+using SweepTrialFn = std::function<std::vector<EstimationResult>(
+    size_t leader, size_t t, std::span<const double> taus, const Rng& rng)>;
 
 /// Construction-time configuration common to both engines.
 struct EstimationEngineOptions {
@@ -96,16 +125,14 @@ class EstimationEngine {
   ///      workers start; it returns whether the leader's estimator shares
   ///      work across τ;
   ///   2. sharing leaders with equal SweepKeys form one sweep group;
-  ///   3. the groups compute on the pool. A group's trials split into up
-  ///      to 4 × num_threads chunks of consecutive trials, one task each;
-  ///      trial t writes `run_trial(leader, t, group τs,
-  ///      TrialStream(leader, t))`'s estimates to slot t of the members'
-  ///      MemberTrials, and the task finishing the group's last chunk
-  ///      aggregates it with FinishTrials. A group with max_rel_error > 0
-  ///      is one task running RunDeterministicTrials, trial by trial,
-  ///      because its later trials may never be needed. Either way the
-  ///      response is the same: trial t's stream depends only on
-  ///      (seed, t);
+  ///   3. the groups compute on the pool, one task per chunk of
+  ///      consecutive trials: up to 4 × num_threads chunks per group, or
+  ///      one chunk [0, trials) for a group with max_rel_error > 0, whose
+  ///      τs drop out as their error bounds hold (its later trials may
+  ///      never be needed). Trial t writes `run_trial(leader, t, group τs,
+  ///      TrialStream(leader, t))`'s estimates to slot t of each member;
+  ///      once every task has finished, each response is aggregated once,
+  ///      in trial order — so chunking never shows in the bytes;
   ///   4. sequential post-pass — followers copy their leader's response
   ///      (what a cache hit on it would serve), leaders publish to the
   ///      cache.

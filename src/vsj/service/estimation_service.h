@@ -6,7 +6,7 @@
 // tables in parallel, and serves any registered estimator over them. The
 // pool, the cache and the batch protocol come from EstimationEngine.
 //
-// Determinism (trial_runner.h): a response is a pure function of
+// Determinism (estimation_engine.h): a response is a pure function of
 // (request, dataset) — not of the thread count, the batch or the cache
 // history (tests/service/estimation_service_test.cc and, for τ-sweep
 // groups, tests/service/sweep_sharing_test.cc pin this down).

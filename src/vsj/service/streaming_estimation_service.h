@@ -17,7 +17,7 @@
 // answers are unreachable (not eagerly erased; LRU eviction reclaims them),
 // and the cache's stats().epoch counter exposes the invalidations.
 //
-// Determinism (trial_runner.h) carries over with the epoch as part of the
+// Determinism (estimation_engine.h) carries over with the epoch as part of the
 // dataset state: trial t runs against table (t mod ℓ), and a response is a
 // pure function of (request, live set, epoch).
 

@@ -27,12 +27,15 @@
 #   reject      invalid flag values (--batch-taus out of range / duplicate /
 #               unparsable, negative --max-rel-error, --tau out of range /
 #               unparsable / trailing garbage, a negative --trials, zero
-#               --tables / --k, an unknown --estimator) — captures the first
-#               stderr diagnostic of each, which must name the offending
-#               token; then three hostile files whose headers claim far
-#               more bytes than they hold (a VSJB name, a VSJD feature
-#               count, a VSJS name), each of which must be a named load
-#               error with exit status 1
+#               --trials / --threads / --repeat / --tables / --k, an unknown
+#               --estimator) — captures the first stderr diagnostic of
+#               each, which must name the offending token; then three
+#               hostile files whose headers claim far more bytes than they
+#               hold (a VSJB name, a VSJD feature count, a VSJS name), each
+#               of which must be a named load error with exit status 1; then
+#               --stream op files whose 'estimate' τ is out of range, NaN,
+#               zero or unparsable, each a named line error with exit
+#               status 1
 #   sweep-vs-single  no fixture: the --json lines of one --batch-taus
 #               sweep must equal those of one --tau run per τ (a request
 #               answers the same alone or in a batch)
@@ -145,17 +148,20 @@ case "$mode" in
       printf '%s' "$1"; printf "$2"; zeros 16
       printf '\377\377\377\377\377\000\000\000'; zeros 32
     }
-    # First stderr line; a non-1 exit status is reported on a second line.
+    # Last stderr line (the diagnostic that stopped the run; a dataset that
+    # loads logs its size first); a non-1 exit status is reported on a
+    # second line.
     load_row() {
       status=0
       "$bin" "$@" 2>cli_reject_stderr.txt >/dev/null || status=$?
-      head -1 cli_reject_stderr.txt
+      tail -1 cli_reject_stderr.txt
       [ "$status" -eq 1 ] || echo "exit status $status, expected 1"
     }
     run() {
       for flags in "--batch-taus 0.5,1.5" "--batch-taus 0.5,0.5" \
                    "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
                    "--tau 1.5" "--tau abc" "--tau 0.5x" "--trials -1" \
+                   "--trials 0" "--threads 0" "--repeat 0" \
                    "--tables 0" "--k 0" "--estimator Foo"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
@@ -169,8 +175,14 @@ case "$mode" in
       load_row --dataset cli_hostile_count.vsjd --k 6 --tau 0.5
       load_row --load-snapshot cli_hostile.vsjs --k 6 \
                --stream "$data/stream_resume_ops.txt"
+      # An op file's τ follows the --tau rule: a named line error, exit 1.
+      for tau in 1.5 nan 0 abc; do
+        printf 'insert 0 99\nestimate 0.5 %s\n' "$tau" > cli_bad_tau_ops.txt
+        load_row --dataset "$data/tiny.vsjd" --k 6 \
+                 --stream cli_bad_tau_ops.txt
+      done
       rm -f cli_hostile_name.vsjb cli_hostile_count.vsjd cli_hostile.vsjs \
-            cli_reject_stderr.txt
+            cli_bad_tau_ops.txt cli_reject_stderr.txt
     }
     ;;
   *)

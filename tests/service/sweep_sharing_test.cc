@@ -10,7 +10,8 @@
 // sweeps, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
 // threads, one group's trials spread over the pool in chunks (aggregated
-// once, and an error-bound group kept whole, so it still exits early),
+// once, and an error-bound group kept whole, so it still exits early —
+// also when both task shapes share one batch),
 // overrides folded per batch (independent of override history and equal
 // to configured budgets, on both engines), the estimator-level
 // sweep entry points (cosine and Jaccard), and the obs counters that make
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -408,7 +410,7 @@ TEST(SweepSharingTrialTasksTest, ChunkedGroupIsAggregatedOnce) {
   // bytes match one thread's four chunks of ten (and an inline engine's:
   // num_threads 0 counts as one), every trial runs once,
   // and each member is finished — counted, and its latency recorded —
-  // exactly once, by the group's last chunk.
+  // exactly once, after the pool barrier.
   const std::vector<EstimateRequest> sweep =
       Sweep("LSH-SS", NineTaus(), /*trials=*/40);
   EstimationService one(testing::SmallClusteredCorpus(600, 7),
@@ -490,6 +492,63 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
   for (size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << "streaming tau=" << sweep[i].tau;
   }
+}
+
+TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
+  // One batch on four threads puts both task shapes into one pool pass: a
+  // chunked 9-τ LSH-SS group (six one-trial chunks), an error-bounded
+  // group kept as one chunk, and RS(pop), which groups with nothing (three
+  // one-trial chunks per τ). Every response matches the same request asked
+  // alone on one thread, every trial actually run is timed once, and every
+  // response records one latency sample.
+  std::vector<EstimateRequest> batch =
+      Sweep("LSH-SS", NineTaus(), /*trials=*/6);
+  std::vector<EstimateRequest> bounded =
+      Sweep("LSH-SS", NineTaus(), /*trials=*/16);
+  for (EstimateRequest& request : bounded) request.max_rel_error = 0.1;
+  batch.insert(batch.end(), bounded.begin(), bounded.end());
+  const std::vector<double> rs_taus = {0.3, 0.7};
+  for (double tau : rs_taus) batch.push_back(Request("RS(pop)", tau, 3));
+  EstimationService one(testing::SmallClusteredCorpus(600, 7),
+                        StaticOptions(1));
+  EstimationService four(testing::SmallClusteredCorpus(600, 7),
+                         StaticOptions(4));
+  obs::EnableMetrics(true);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  registry.ResetValues();
+  const auto mixed = four.EstimateBatch(batch);
+  const uint64_t tasks =
+      registry.GetHistogram("estimate.execute_ns").Snapshot().count;
+  const uint64_t trials_timed =
+      registry.GetHistogram("estimate.trial_ns").Snapshot().count;
+  // Requests per latency histogram: the two LSH-SS groups share τ buckets.
+  std::map<std::string, uint64_t> expected_latencies;
+  for (const EstimateRequest& request : batch) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "estimate.latency_ns.%s.tau%.1f",
+                  request.estimator_name.c_str(), request.tau);
+    ++expected_latencies[name];
+  }
+  std::map<std::string, uint64_t> latencies;
+  for (const auto& [name, count] : expected_latencies) {
+    latencies[name] = registry.GetHistogram(name).Snapshot().count;
+  }
+  obs::EnableMetrics(false);
+
+  ASSERT_EQ(mixed.size(), batch.size());
+  size_t bounded_run = 0;  // the bounded group runs until its last τ stops
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(Bytes(mixed[i]), Bytes(one.Estimate(batch[i])))
+        << batch[i].estimator_name << " tau=" << batch[i].tau
+        << " trials=" << batch[i].trials;
+    if (batch[i].max_rel_error > 0.0) {
+      bounded_run = std::max(bounded_run, mixed[i].trials);
+    }
+  }
+  EXPECT_LT(bounded_run, 16u);
+  EXPECT_EQ(tasks, 6u + 1u + 3u * rs_taus.size());
+  EXPECT_EQ(trials_timed, 6u + bounded_run + 3u * rs_taus.size());
+  EXPECT_EQ(latencies, expected_latencies);
 }
 
 INSTANTIATE_TEST_SUITE_P(PoolThreads, SweepSharingTest,

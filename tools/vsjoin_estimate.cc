@@ -140,20 +140,21 @@ bool ParseDouble(const std::string& token, double* out) {
 }
 
 /// Parses and validates one join threshold given to `flag`; prints the
-/// offending token to stderr on failure. `what` names the flag's value in
-/// the parse error ("value" or "list").
+/// offending token to stderr on failure, after `where` (an op file's
+/// "line N: "). `what` names the flag's value in the parse error ("value"
+/// or "list").
 bool ParseTau(const std::string& item, const char* flag, const char* what,
-              double* tau) {
+              double* tau, const std::string& where = "") {
   if (!ParseDouble(item, tau)) {
-    std::cerr << "could not parse " << flag << " " << what << ": " << item
-              << "\n";
+    std::cerr << where << "could not parse " << flag << " " << what << ": "
+              << item << "\n";
     return false;
   }
   // A join threshold is a similarity in (0, 1]; out-of-range values used
   // to pass through silently and estimate nonsense (τ ≤ 0 returns every
   // pair, τ > 1 returns none). NaN fails the first comparison.
   if (!(*tau > 0.0) || *tau > 1.0) {
-    std::cerr << "out-of-range " << flag
+    std::cerr << where << "out-of-range " << flag
               << " value (tau must be in (0, 1]): " << item << "\n";
     return false;
   }
@@ -239,15 +240,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!next_u64("--tables", &count, 1, UINT32_MAX)) return false;
       args->tables = static_cast<uint32_t>(count);
     } else if (flag == "--trials") {
-      if (!next_u64("--trials", &count)) return false;
+      if (!next_u64("--trials", &count, 1)) return false;
       args->trials = count;
     } else if (flag == "--seed") {
       if (!next_u64("--seed", &args->seed)) return false;
     } else if (flag == "--threads") {
-      if (!next_u64("--threads", &count)) return false;
+      if (!next_u64("--threads", &count, 1)) return false;
       args->threads = count;
     } else if (flag == "--repeat") {
-      if (!next_u64("--repeat", &count)) return false;
+      if (!next_u64("--repeat", &count, 1)) return false;
       args->repeat = count;
     } else if (flag == "--max-rel-error") {
       const char* v = next("--max-rel-error");
@@ -312,9 +313,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  if (args->threads == 0) args->threads = 1;
-  if (args->repeat == 0) args->repeat = 1;
-  if (args->trials == 0) args->trials = 1;
   const std::vector<std::string> known = vsj::AllEstimatorNames();
   if (std::find(known.begin(), known.end(), args->estimator) == known.end()) {
     std::cerr << "unknown --estimator name: " << args->estimator << "\n";
@@ -602,9 +600,8 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
       std::vector<vsj::EstimateRequest> batch;
       for (size_t w = 1; w < words.size(); ++w) {
         double tau = 0.0;
-        if (!ParseDouble(words[w], &tau)) {
-          std::cerr << "line " << line_number << ": bad tau '" << words[w]
-                    << "'\n";
+        if (!ParseTau(words[w], "estimate", "tau", &tau,
+                      "line " + std::to_string(line_number) + ": ")) {
           return 1;
         }
         batch.push_back(RequestAt(args, tau));
