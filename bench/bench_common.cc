@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -69,6 +68,17 @@ EstimatorContext MakeContext(const Workbench& bench) {
   return context;
 }
 
+namespace {
+
+/// `seed` folded with the bytes of `name`: an estimator's trial seed,
+/// fixed by this code rather than by the standard library's std::hash.
+uint64_t NameSeed(uint64_t seed, const std::string& name) {
+  for (const unsigned char byte : name) seed = HashCombine(seed, byte);
+  return seed;
+}
+
+}  // namespace
+
 std::vector<AccuracyCell> RunAccuracyGrid(
     const Workbench& bench, const EstimatorContext& context,
     const std::vector<std::string>& estimator_names,
@@ -79,8 +89,8 @@ std::vector<AccuracyCell> RunAccuracyGrid(
     for (double tau : taus) {
       const uint64_t true_j = bench.truth->JoinSize(tau);
       if (true_j == 0) continue;  // relative error undefined
-      const TrialSeries series = RunTrials(
-          *estimator, tau, trials, HashCombine(seed, std::hash<std::string>{}(name)));
+      const TrialSeries series =
+          RunTrials(*estimator, tau, trials, NameSeed(seed, name));
       AccuracyCell cell;
       cell.estimator = name;
       cell.tau = tau;

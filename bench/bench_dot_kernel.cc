@@ -47,11 +47,9 @@ PairList SamplePairs(size_t n, size_t count, uint64_t seed) {
   pairs.second.reserve(count);
   vsj::Rng rng(seed);
   for (size_t i = 0; i < count; ++i) {
-    const auto u = static_cast<VectorId>(rng.Below(n));
-    auto v = static_cast<VectorId>(rng.Below(n - 1));
-    if (v >= u) ++v;
-    pairs.first.push_back(u);
-    pairs.second.push_back(v);
+    const vsj::VectorPair pair = vsj::SampleDistinctPair(n, rng);
+    pairs.first.push_back(pair.first);
+    pairs.second.push_back(pair.second);
   }
   return pairs;
 }

@@ -1,56 +1,28 @@
 #include "vsj/core/adaptive_sampling.h"
 
-#include <cmath>
-
 #include "vsj/util/check.h"
 
 namespace vsj {
-
-AdaptiveSamplingOutcome RunAdaptiveSampling(
-    uint64_t delta, uint64_t max_samples,
-    const std::function<bool()>& sample_is_hit) {
-  AdaptiveSamplingOutcome outcome;
-  while (outcome.hits < delta && outcome.samples < max_samples) {
-    if (sample_is_hit()) ++outcome.hits;
-    ++outcome.samples;
-  }
-  outcome.reached_answer_threshold = outcome.hits >= delta;
-  return outcome;
-}
 
 AdaptiveSamplingEstimator::AdaptiveSamplingEstimator(
     DatasetView dataset, SimilarityMeasure measure,
     AdaptiveSamplingOptions options)
     : dataset_(dataset), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  const double n = static_cast<double>(dataset.size());
-  delta_ = options.delta != 0
-               ? options.delta
-               : static_cast<uint64_t>(std::max(1.0, std::log2(n)));
-  max_samples_ =
-      options.max_samples != 0 ? options.max_samples : dataset.size();
+  LshSsOptions budget;  // zeros resolve from n (ResolveBudget)
+  budget.sample_size_l = options.max_samples;
+  budget.delta = options.delta;
+  budget.dampening = DampeningMode::kFixedFactor;  // c_s = 1
+  plan_ = MakeStratifiedPlan(dataset.NumPairs(), 0, dataset.size(), budget);
 }
 
-EstimationResult AdaptiveSamplingEstimator::Estimate(double tau,
-                                                     Rng& rng) const {
-  const size_t n = dataset_.size();
-  auto draw = [&]() {
-    const auto u = static_cast<VectorId>(rng.Below(n));
-    auto v = static_cast<VectorId>(rng.Below(n - 1));
-    if (v >= u) ++v;
-    return Similarity(measure_, dataset_[u], dataset_[v]) >= tau;
-  };
-  const AdaptiveSamplingOutcome outcome =
-      RunAdaptiveSampling(delta_, max_samples_, draw);
-
-  EstimationResult result;
-  result.pairs_evaluated = outcome.samples;
-  result.guaranteed = outcome.reached_answer_threshold;
-  const double scale = static_cast<double>(dataset_.NumPairs()) /
-                       static_cast<double>(outcome.samples);
-  result.estimate = ClampEstimate(
-      static_cast<double>(outcome.hits) * scale, dataset_.NumPairs());
-  return result;
+std::vector<EstimationResult> AdaptiveSamplingEstimator::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  const uint64_t n = dataset_.size();
+  // Stratum H is empty, so the first source never draws.
+  const auto draw = [n](Rng& r) { return SampleDistinctPair(n, r); };
+  return EstimateStratified(dataset_, measure_, plan_, taus, draw, draw,
+                            rng);
 }
 
 }  // namespace vsj

@@ -1,37 +1,26 @@
-// Adaptive sampling (Lipton, Naughton & Schneider, SIGMOD 1990).
+// Adaptive sampling (Lipton, Naughton & Schneider, SIGMOD 1990) as a
+// standalone baseline.
 //
 // Sampling terminates when the *accumulated answer size* reaches a threshold
 // δ rather than when a fixed number of samples is drawn; the estimate
 // hits · (population / samples) then carries the error bounds of Theorems
-// 2.1/2.2 of that paper. Used both as a standalone baseline and as the
-// SampleL subroutine of LSH-SS (paper §5.1.2), where the "answer" is the
-// number of true pairs found.
+// 2.1/2.2 of that paper. This is SampleL of Algorithm 1 (paper §5.1.2) over
+// one stratum holding all M pairs: the plan {M, N_H = 0, m_L, δ} with
+// dampening c_s = 1, so a run that misses δ returns the plain scale-up
+// hits · M / m_L flagged `guaranteed = false` (their "loose upper bound"
+// case). The estimator is a pair source of EstimateStratified
+// (stratified_sampling.h).
 
 #ifndef VSJ_CORE_ADAPTIVE_SAMPLING_H_
 #define VSJ_CORE_ADAPTIVE_SAMPLING_H_
 
 #include <cstdint>
-#include <functional>
 
-#include "vsj/core/estimator.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/vector/similarity.h"
 #include "vsj/vector/dataset_view.h"
 
 namespace vsj {
-
-/// Outcome of one adaptive-sampling loop.
-struct AdaptiveSamplingOutcome {
-  uint64_t hits = 0;           // true pairs found (n_L in Algorithm 1)
-  uint64_t samples = 0;        // samples drawn (i in Algorithm 1)
-  bool reached_answer_threshold = false;  // loop ended via hits ≥ δ
-};
-
-/// Runs the adaptive loop: draws samples via `sample_is_hit` until `hits ≥
-/// delta` or `samples ≥ max_samples`. `sample_is_hit` returns whether one
-/// freshly drawn population element satisfies the predicate.
-AdaptiveSamplingOutcome RunAdaptiveSampling(
-    uint64_t delta, uint64_t max_samples,
-    const std::function<bool()>& sample_is_hit);
 
 /// Options of the standalone adaptive-sampling baseline estimator.
 struct AdaptiveSamplingOptions {
@@ -42,24 +31,21 @@ struct AdaptiveSamplingOptions {
 };
 
 /// Standalone adaptive-sampling estimator over the full pair population.
-///
-/// Returns hits · M / samples when the answer threshold was met (reliable;
-/// Lipton et al.'s bounds apply) and the same scaled value flagged
-/// `guaranteed = false` otherwise (their "loose upper bound" case).
-class AdaptiveSamplingEstimator final : public JoinSizeEstimator {
+class AdaptiveSamplingEstimator final : public StratifiedEstimator {
  public:
   AdaptiveSamplingEstimator(DatasetView dataset,
                             SimilarityMeasure measure,
                             AdaptiveSamplingOptions options = {});
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
   std::string name() const override { return "Adaptive"; }
 
  private:
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const override;
+
   DatasetView dataset_;
   SimilarityMeasure measure_;
-  uint64_t delta_;
-  uint64_t max_samples_;
+  StratifiedPlan plan_;
 };
 
 }  // namespace vsj

@@ -78,32 +78,32 @@ std::vector<EstimationResult> GeneralLshSsEstimator::Sweep(
 GeneralRandomPairSampling::GeneralRandomPairSampling(
     DatasetView left, DatasetView right,
     SimilarityMeasure measure, uint64_t sample_size)
-    : left_(left), right_(right), measure_(measure) {
+    : halves_(new DatasetView[2]{left, right}),
+      dataset_(DatasetView::Concatenated(halves_.get())),
+      measure_(measure) {
   VSJ_CHECK(!left.empty() && !right.empty());
-  sample_size_ =
-      sample_size != 0
-          ? sample_size
-          : static_cast<uint64_t>(
-                std::llround(1.5 * std::max(left.size(), right.size())));
+  VSJ_CHECK(uint64_t{left.size()} + right.size() <= UINT32_MAX);
+  const uint64_t total_pairs = uint64_t{left.size()} * right.size();
+  plan_ = {.total_pairs = total_pairs,
+           .num_pairs_h = total_pairs,
+           .m_h = sample_size != 0
+                      ? sample_size
+                      : static_cast<uint64_t>(std::llround(
+                            1.5 * std::max(left.size(), right.size())))};
 }
 
-EstimationResult GeneralRandomPairSampling::Estimate(double tau,
-                                                     Rng& rng) const {
-  uint64_t hits = 0;
-  for (uint64_t s = 0; s < sample_size_; ++s) {
-    const auto u = static_cast<VectorId>(rng.Below(left_.size()));
-    const auto v = static_cast<VectorId>(rng.Below(right_.size()));
-    if (Similarity(measure_, left_[u], right_[v]) >= tau) ++hits;
-  }
-  const uint64_t total_pairs =
-      static_cast<uint64_t>(left_.size()) * right_.size();
-  EstimationResult result;
-  result.pairs_evaluated = sample_size_;
-  result.estimate = ClampEstimate(static_cast<double>(hits) *
-                                      static_cast<double>(total_pairs) /
-                                      static_cast<double>(sample_size_),
-                                  total_pairs);
-  return result;
+std::vector<EstimationResult> GeneralRandomPairSampling::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  const uint64_t left_size = halves_[0].size();
+  const uint64_t right_size = halves_[1].size();
+  // Stratum L is empty, so the second source never draws.
+  const auto draw = [&](Rng& r) {
+    const auto u = static_cast<VectorId>(r.Below(left_size));
+    const auto v = static_cast<VectorId>(r.Below(right_size));
+    return VectorPair{u, static_cast<VectorId>(left_size + v)};
+  };
+  return EstimateStratified(dataset_, measure_, plan_, taus, draw, draw,
+                            rng);
 }
 
 }  // namespace vsj

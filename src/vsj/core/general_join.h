@@ -11,7 +11,9 @@
 // (stratified_sampling.h) over the concatenated id space U ⊕ V, where u
 // keeps its id and v becomes |U| + v. Every drawn pair is therefore
 // (left id, right id) with the smaller id first, so the unordered
-// PairMultiset key never swaps the two sides.
+// PairMultiset key never swaps the two sides. The RS(pop) baseline,
+// GeneralRandomPairSampling, is the same pass over one stratum holding all
+// |U| · |V| pairs.
 
 #ifndef VSJ_CORE_GENERAL_JOIN_H_
 #define VSJ_CORE_GENERAL_JOIN_H_
@@ -69,22 +71,27 @@ class GeneralLshSsEstimator final : public StratifiedEstimator {
   std::unique_ptr<AliasTable> match_picker_;  // weight b_j · c_i
 };
 
-/// RS(pop) for general joins: uniform (u, v) ∈ U × V with replacement.
-class GeneralRandomPairSampling final : public JoinSizeEstimator {
+/// RS(pop) for general joins: uniform (u, v) ∈ U × V with replacement —
+/// SampleH over one stratum holding all |U| · |V| pairs of U ⊕ V (stratum L
+/// empty), each drawn as (u, |U| + v).
+class GeneralRandomPairSampling final : public StratifiedEstimator {
  public:
   GeneralRandomPairSampling(DatasetView left,
                             DatasetView right,
                             SimilarityMeasure measure,
                             uint64_t sample_size = 0);  // 0 → 1.5·max(n1,n2)
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
   std::string name() const override { return "RS(pop,general)"; }
 
  private:
-  DatasetView left_;
-  DatasetView right_;
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const override;
+
+  // {U, V} on the heap, so a moved estimator's dataset_ stays valid.
+  std::unique_ptr<const DatasetView[]> halves_;
+  DatasetView dataset_;  // U ⊕ V
   SimilarityMeasure measure_;
-  uint64_t sample_size_;
+  StratifiedPlan plan_;
 };
 
 }  // namespace vsj

@@ -34,10 +34,9 @@ EstimationResult LshSEstimator::Estimate(double tau, Rng& rng) const {
   uint64_t num_false = 0;
   const size_t n = dataset_.size();
   for (uint64_t s = 0; s < sample_size_; ++s) {
-    const auto u = static_cast<VectorId>(rng.Below(n));
-    auto v = static_cast<VectorId>(rng.Below(n - 1));
-    if (v >= u) ++v;
-    const double sim = Similarity(measure, dataset_[u], dataset_[v]);
+    const VectorPair pair = SampleDistinctPair(n, rng);
+    const double sim =
+        Similarity(measure, dataset_[pair.first], dataset_[pair.second]);
     const double f = model_.BandProbability(sim);
     if (sim >= tau) {
       f_sum_true += f;

@@ -11,32 +11,25 @@ RandomPairSampling::RandomPairSampling(DatasetView dataset,
                                        RandomPairSamplingOptions options)
     : dataset_(dataset), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  sample_size_ =
+  const uint64_t sample_size =
       options.sample_size != 0
           ? options.sample_size
           : static_cast<uint64_t>(std::llround(options.sample_size_factor *
                                                static_cast<double>(
                                                    dataset.size())));
-  VSJ_CHECK(sample_size_ > 0);
+  VSJ_CHECK(sample_size > 0);
+  plan_ = {.total_pairs = dataset.NumPairs(),
+           .num_pairs_h = dataset.NumPairs(),
+           .m_h = sample_size};
 }
 
-EstimationResult RandomPairSampling::Estimate(double tau, Rng& rng) const {
-  const size_t n = dataset_.size();
-  const double total_pairs = static_cast<double>(dataset_.NumPairs());
-  uint64_t hits = 0;
-  for (uint64_t s = 0; s < sample_size_; ++s) {
-    const auto u = static_cast<VectorId>(rng.Below(n));
-    auto v = static_cast<VectorId>(rng.Below(n - 1));
-    if (v >= u) ++v;
-    if (Similarity(measure_, dataset_[u], dataset_[v]) >= tau) ++hits;
-  }
-  EstimationResult result;
-  result.pairs_evaluated = sample_size_;
-  result.estimate = ClampEstimate(
-      static_cast<double>(hits) * total_pairs /
-          static_cast<double>(sample_size_),
-      dataset_.NumPairs());
-  return result;
+std::vector<EstimationResult> RandomPairSampling::Sweep(
+    std::span<const double> taus, Rng& rng) const {
+  const uint64_t n = dataset_.size();
+  // Stratum L is empty, so the second source never draws.
+  const auto draw = [n](Rng& r) { return SampleDistinctPair(n, r); };
+  return EstimateStratified(dataset_, measure_, plan_, taus, draw, draw,
+                            rng);
 }
 
 }  // namespace vsj

@@ -4,11 +4,15 @@
 // M = C(n,2) population, count the pairs meeting τ, and scale by M/m. The
 // estimator is unbiased but its relative error explodes when the selectivity
 // J/M drops below ~1/m — exactly the high-threshold regime the paper targets.
+//
+// That is SampleH of Algorithm 1 over one stratum holding all M pairs
+// (N_H = M, m_H = m, stratum L empty), so RS(pop) is a pair source of
+// EstimateStratified (stratified_sampling.h).
 
 #ifndef VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
 #define VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
 
-#include "vsj/core/estimator.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/vector/similarity.h"
 #include "vsj/vector/dataset_view.h"
 
@@ -23,20 +27,22 @@ struct RandomPairSamplingOptions {
 };
 
 /// Uniform with-replacement pair sampling over the cross product.
-class RandomPairSampling final : public JoinSizeEstimator {
+class RandomPairSampling final : public StratifiedEstimator {
  public:
   RandomPairSampling(DatasetView dataset, SimilarityMeasure measure,
                      RandomPairSamplingOptions options = {});
 
-  EstimationResult Estimate(double tau, Rng& rng) const override;
   std::string name() const override { return "RS(pop)"; }
 
-  uint64_t sample_size() const { return sample_size_; }
+  uint64_t sample_size() const { return plan_.m_h; }
 
  private:
+  std::vector<EstimationResult> Sweep(std::span<const double> taus,
+                                      Rng& rng) const override;
+
   DatasetView dataset_;
   SimilarityMeasure measure_;
-  uint64_t sample_size_;
+  StratifiedPlan plan_;
 };
 
 }  // namespace vsj

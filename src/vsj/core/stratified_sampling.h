@@ -11,7 +11,14 @@
 //   * GeneralLshSsEstimator — matched bucket pairs of two tables and their
 //     rejection complement over the concatenated ids U ⊕ V (v ↦ |U| + v), so
 //     every drawn pair is (left id, right id) with the smaller id first
-//     (Appendix B.2.2).
+//     (Appendix B.2.2);
+//   * RandomPairSampling, RS(pop) — uniform distinct pairs as SampleH over
+//     one stratum holding all M pairs (N_H = M, stratum L empty; §3.1);
+//   * GeneralRandomPairSampling, RS(pop,general) — the same over U ⊕ V,
+//     each pair drawn as (u, |U| + v);
+//   * AdaptiveSamplingEstimator, Adaptive — uniform distinct pairs as
+//     SampleL over one stratum holding all M pairs (N_H = 0, fixed c_s = 1;
+//     Lipton et al.'s adaptive sampling).
 // Each derives from StratifiedEstimator, which owns the Estimate /
 // EstimateSweep / SharesSweeps entry points; an estimator supplies only the
 // Sweep that binds its pair sources.
@@ -186,7 +193,7 @@ class PairMultiset {
 };
 
 /// SampleH of Algorithm 1 for every τ of a sweep at once: draw m_h
-/// same-bucket pairs through `sample_pair` (any callable Rng& ->
+/// stratum-H pairs through `sample_pair` (any callable Rng& ->
 /// VectorPair-like with .first/.second positions into `dataset`), evaluate
 /// each distinct pair's similarity once, and count its hits against every
 /// τ. τ j gets Ĵ_H = n_H(τ_j) · N_H / m_h in results[j].stratum_h_estimate

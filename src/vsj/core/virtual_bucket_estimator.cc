@@ -74,13 +74,11 @@ std::vector<EstimationResult> VirtualBucketEstimator::Sweep(
       dataset_, measure_, plan_, taus,
       [&](Rng& r) { return SampleVirtualPair(r); },
       [&](Rng& r) {
-        VectorId u, v;
+        VectorPair pair;
         do {
-          u = static_cast<VectorId>(r.Below(n));
-          v = static_cast<VectorId>(r.Below(n - 1));
-          if (v >= u) ++v;
-        } while (index_->SameBucketInAnyTable(u, v));
-        return VectorPair{u, v};
+          pair = SampleDistinctPair(n, r);
+        } while (index_->SameBucketInAnyTable(pair.first, pair.second));
+        return pair;
       },
       rng);
 }

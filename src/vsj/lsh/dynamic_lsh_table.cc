@@ -177,10 +177,8 @@ VectorPair DynamicLshTable::SampleSameBucketPair(Rng& rng) const {
   const std::span<const VectorId> members =
       BucketMembers(static_cast<uint32_t>(b));
   VSJ_DCHECK(members.size() >= 2);
-  const size_t i = rng.Below(members.size());
-  size_t j = rng.Below(members.size() - 1);
-  if (j >= i) ++j;
-  return VectorPair{members[i], members[j]};
+  const VectorPair pair = SampleDistinctPair(members.size(), rng);
+  return VectorPair{members[pair.first], members[pair.second]};
 }
 
 }  // namespace vsj

@@ -87,10 +87,8 @@ VectorPair LshTable::SampleSameBucketPair(Rng& rng) const {
                 "stratum H is empty: no bucket holds two vectors");
   const uint32_t b = sampleable_buckets_[pair_weighted_buckets_->Sample(rng)];
   const std::span<const VectorId> members = bucket(b);
-  const size_t i = rng.Below(members.size());
-  size_t j = rng.Below(members.size() - 1);
-  if (j >= i) ++j;
-  return VectorPair{members[i], members[j]};
+  const VectorPair pair = SampleDistinctPair(members.size(), rng);
+  return VectorPair{members[pair.first], members[pair.second]};
 }
 
 VectorPair LshTable::SampleCrossBucketPair(Rng& rng) const {
@@ -102,12 +100,8 @@ VectorPair LshTable::SampleCrossBucketPair(Rng& rng) const {
 }
 
 VectorPair LshTable::SamplePair(Rng& rng) const {
-  const size_t n = bucket_of_.size();
-  VSJ_CHECK(n >= 2);
-  const auto u = static_cast<VectorId>(rng.Below(n));
-  auto v = static_cast<VectorId>(rng.Below(n - 1));
-  if (v >= u) ++v;
-  return VectorPair{u, v};
+  VSJ_CHECK(bucket_of_.size() >= 2);
+  return SampleDistinctPair(bucket_of_.size(), rng);
 }
 
 size_t LshTable::MemoryBytes() const {

@@ -34,12 +34,6 @@
 
 namespace vsj {
 
-/// An unordered pair of distinct vector ids.
-struct VectorPair {
-  VectorId first;
-  VectorId second;
-};
-
 /// Hash table D_g with bucket counts.
 class LshTable {
  public:

@@ -42,7 +42,9 @@ struct EstimateRequest {
   double max_rel_error = 0.0;
 
   /// Per-request overrides of the estimator's sampling budgets (m_H, m_L,
-  /// δ of Algorithm 1). nullopt defers to the engine's configured options;
+  /// δ of Algorithm 1), read only by LSH-SS, LSH-SS(D), LSH-SS(median) and
+  /// LSH-SS(vbucket); an engine's CheckEstimator refuses them on any other
+  /// estimator. nullopt defers to the engine's configured options;
   /// an engaged zero is invalid — the zero-budget NaN edges are rejected
   /// here, at the validation layer, before reaching the sampling loops.
   std::optional<uint64_t> sample_size_h;

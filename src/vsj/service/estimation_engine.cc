@@ -120,7 +120,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     const SweepTrialFn& run_trial) {
   for (const EstimateRequest& request : requests) {
     const char* error = ValidateEstimateRequest(request);
-    if (error == nullptr) error = CheckEstimator(request.estimator_name);
+    if (error == nullptr) error = CheckEstimator(request);
     VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest for %s: %s",
                   request.estimator_name.c_str(), error);
   }

@@ -99,10 +99,11 @@ class EstimationEngine {
   virtual std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests) = 0;
 
-  /// The engine's estimator-name rule, asked by the batch pre-pass and by
-  /// Tenant::ValidateEstimate: nullptr when this engine serves estimator
-  /// `name`, else a static description of why not.
-  virtual const char* CheckEstimator(const std::string& name) const = 0;
+  /// The engine's estimator rule, asked by the batch pre-pass and by
+  /// Tenant::ValidateEstimate: nullptr when this engine serves `request`'s
+  /// estimator with its sampling overrides, else a static description of
+  /// why not.
+  virtual const char* CheckEstimator(const EstimateRequest& request) const = 0;
 
   const LshFamily& family() const { return *family_; }
 

@@ -76,11 +76,20 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
       });
 }
 
-const char* EstimationService::CheckEstimator(const std::string& name) const {
+const char* EstimationService::CheckEstimator(
+    const EstimateRequest& request) const {
   static const std::vector<std::string> kKnown = AllEstimatorNames();
-  return std::find(kKnown.begin(), kKnown.end(), name) == kKnown.end()
-             ? "unknown estimator"
-             : nullptr;
+  const std::string& name = request.estimator_name;
+  if (std::find(kKnown.begin(), kKnown.end(), name) == kKnown.end()) {
+    return "unknown estimator";
+  }
+  // The registry builds exactly the LSH-SS* names from context.lsh_ss; any
+  // other estimator would answer as if m_H, m_L and δ were absent.
+  if (request.HasSamplingOverrides() && !name.starts_with("LSH-SS")) {
+    return "sampling overrides (sample_size_h, sample_size_l, delta) apply "
+           "only to LSH-SS, LSH-SS(D), LSH-SS(median) and LSH-SS(vbucket)";
+  }
+  return nullptr;
 }
 
 const JoinSizeEstimator& EstimationService::SharedEstimator(

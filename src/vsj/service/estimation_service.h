@@ -63,8 +63,9 @@ class EstimationService final : public EstimationEngine {
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests) override;
 
-  /// Any registered estimator (AllEstimatorNames).
-  const char* CheckEstimator(const std::string& name) const override;
+  /// Any registered estimator (AllEstimatorNames); sampling overrides only
+  /// for the four that run on the LSH-SS options.
+  const char* CheckEstimator(const EstimateRequest& request) const override;
 
  private:
   /// Shared tail of both constructors: index build + estimator context.

@@ -117,8 +117,10 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
 }
 
 const char* StreamingEstimationService::CheckEstimator(
-    const std::string& name) const {
-  return name == "LSH-SS" ? nullptr : "streaming engine only serves LSH-SS";
+    const EstimateRequest& request) const {
+  return request.estimator_name == "LSH-SS"
+             ? nullptr
+             : "streaming engine only serves LSH-SS";
 }
 
 }  // namespace vsj

@@ -106,7 +106,7 @@ class StreamingEstimationService final : public EstimationEngine {
       const std::vector<EstimateRequest>& requests) override;
 
   /// Only "LSH-SS".
-  const char* CheckEstimator(const std::string& name) const override;
+  const char* CheckEstimator(const EstimateRequest& request) const override;
 
   /// Serializes the engine to a VSJS snapshot at `path`: the backing store
   /// (compacted on write — only live payloads are written, tombstoned ids

@@ -45,16 +45,14 @@ TenantOpResult Tenant::StaticTenantRefusal() const {
 TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
   // The engines enforce these rules with VSJ_CHECK (an abort); the server
   // must turn them into bad_request responses instead, so they are
-  // re-checked here before any engine call. The rule is the engine's; only
-  // the wording of the refusal differs by flavor.
+  // re-checked here before any engine call. The rules are the engine's.
   if (const char* error = ValidateEstimateRequest(request)) {
     return TenantOpResult::BadRequest(error);
   }
-  if (engine_->CheckEstimator(request.estimator_name) != nullptr) {
-    return TenantOpResult::BadRequest(
-        is_streaming()
-            ? "streaming tenant '" + name_ + "' only serves estimator LSH-SS"
-            : "unknown estimator '" + request.estimator_name + "'");
+  if (const char* error = engine_->CheckEstimator(request)) {
+    return TenantOpResult::BadRequest("tenant '" + name_ +
+                                      "' cannot serve estimator '" +
+                                      request.estimator_name + "': " + error);
   }
   return TenantOpResult::Ok();
 }

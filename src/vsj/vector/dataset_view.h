@@ -26,6 +26,7 @@
 #include <iterator>
 #include <string>
 
+#include "vsj/util/rng.h"
 #include "vsj/vector/csr_storage.h"
 #include "vsj/vector/vector_dataset.h"
 
@@ -161,6 +162,22 @@ class DatasetView {
 /// Summary statistics of any view (O(total features)); see DatasetStats for
 /// the empty / all-empty-vector conventions.
 DatasetStats ComputeStats(DatasetView dataset);
+
+/// An unordered pair of distinct vector ids.
+struct VectorPair {
+  VectorId first;
+  VectorId second;
+};
+
+/// A uniform pair of distinct positions in [0, n): u uniform, then v
+/// uniform over the other n − 1. Requires n ≥ 2. The one distinct-pair draw
+/// of every sampler, so they all consume the RNG alike.
+inline VectorPair SampleDistinctPair(uint64_t n, Rng& rng) {
+  const auto u = static_cast<VectorId>(rng.Below(n));
+  auto v = static_cast<VectorId>(rng.Below(n - 1));
+  if (v >= u) ++v;
+  return {u, v};
+}
 
 }  // namespace vsj
 

@@ -9,35 +9,6 @@
 namespace vsj {
 namespace {
 
-TEST(RunAdaptiveSamplingTest, StopsAtAnswerThreshold) {
-  int calls = 0;
-  const AdaptiveSamplingOutcome out =
-      RunAdaptiveSampling(3, 1000, [&]() {
-        ++calls;
-        return true;  // every sample is a hit
-      });
-  EXPECT_TRUE(out.reached_answer_threshold);
-  EXPECT_EQ(out.hits, 3u);
-  EXPECT_EQ(out.samples, 3u);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RunAdaptiveSamplingTest, StopsAtSampleBudget) {
-  const AdaptiveSamplingOutcome out =
-      RunAdaptiveSampling(5, 50, []() { return false; });
-  EXPECT_FALSE(out.reached_answer_threshold);
-  EXPECT_EQ(out.hits, 0u);
-  EXPECT_EQ(out.samples, 50u);
-}
-
-TEST(RunAdaptiveSamplingTest, HitsNeverExceedDelta) {
-  int i = 0;
-  const AdaptiveSamplingOutcome out =
-      RunAdaptiveSampling(4, 1000, [&]() { return ++i % 2 == 0; });
-  EXPECT_EQ(out.hits, 4u);
-  EXPECT_EQ(out.samples, 8u);
-}
-
 TEST(AdaptiveSamplingEstimatorTest, ReliableAtLowThreshold) {
   VectorDataset dataset = testing::SmallClusteredCorpus(400, 3);
   const double true_j = static_cast<double>(

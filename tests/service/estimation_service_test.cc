@@ -6,6 +6,7 @@
 #include "vsj/service/estimation_service.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -263,6 +264,34 @@ TEST(EstimationServiceTest, SamplingOverridesShrinkTheSample) {
   EXPECT_LT(overridden.pairs_evaluated, defaults.pairs_evaluated);
   // m_H = 50 per trial is a hard floor on the evaluation count.
   EXPECT_GE(overridden.pairs_evaluated, 2u * 50u);
+}
+
+TEST(EstimationServiceTest, SamplingOverridesOnlyReachTheLshSsOptions) {
+  // RS(pop) never reads m_H, m_L or δ: its override is refused by name
+  // instead of answered as if it were absent.
+  EstimateRequest request;
+  request.estimator_name = "RS(pop)";
+  request.tau = 0.7;
+  request.trials = 2;
+  request.seed = 5;
+  request.sample_size_l = 50;
+  EstimationService service(TestCorpus(), SmallOptions(1, false));
+  const char* error = service.CheckEstimator(request);
+  ASSERT_NE(error, nullptr);
+  for (const char* name :
+       {"LSH-SS,", "LSH-SS(D)", "LSH-SS(median)", "LSH-SS(vbucket)"}) {
+    EXPECT_NE(std::string(error).find(name), std::string::npos) << error;
+  }
+  EXPECT_DEATH(
+      {
+        EstimationService fresh(TestCorpus(), SmallOptions(1, false));
+        fresh.Estimate(request);
+      },
+      "sampling overrides");
+
+  request.estimator_name = "LSH-SS";
+  EXPECT_EQ(service.CheckEstimator(request), nullptr);
+  EXPECT_EQ(service.Estimate(request).trials, 2u);
 }
 
 TEST(EstimationServiceTest, FingerprintTracksContent) {

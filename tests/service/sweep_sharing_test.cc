@@ -3,11 +3,11 @@
 // must stay byte-identical to computing that τ alone. The reference is
 // always a batch of one on a cache-less engine, compared through the wire
 // serializer (net::MakeEstimatePayload), so "identical" means the bytes a
-// client would see. Covered: static LSH-SS and LSH-SS(D), streaming LSH-SS
-// after a seeded churn history, sampling overrides, error-bound early exit
-// at different trials per τ, duplicate τ, τ = 1.0, a sweep split over two
-// batches, a mixed batch with a non-sharing estimator and LSH-SS(vbucket)
-// sweeps, a cached answer
+// client would see. Covered: static LSH-SS and LSH-SS(D), 9-τ RS(pop) and
+// Adaptive sweeps, streaming LSH-SS after a seeded churn history, sampling
+// overrides, error-bound early exit at different trials per τ, duplicate
+// τ, τ = 1.0, a sweep split over two batches, a mixed batch with a
+// non-sharing estimator and LSH-SS(vbucket) sweeps, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
 // threads, one group's trials spread over the pool in chunks (aggregated
 // once, and an error-bound group kept whole, so it still exits early —
@@ -63,6 +63,11 @@ std::vector<EstimateRequest> Sweep(const char* estimator,
     sweep.push_back(Request(estimator, tau, trials, seed));
   }
   return sweep;
+}
+
+/// The 9-τ session servebench's sweep_cold asks.
+std::vector<double> NineTaus() {
+  return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 }
 
 EstimationServiceOptions StaticOptions(size_t threads) {
@@ -132,6 +137,15 @@ TEST_P(SweepSharingTest, StaticLshSsMatchesPerTauAnswers) {
                             StaticOptions(threads()));
   for (const char* name : {"LSH-SS", "LSH-SS(D)"}) {
     ExpectMatchesSingles(service, Sweep(name, StandardThresholds()));
+  }
+}
+
+TEST_P(SweepSharingTest, UniformPairBaselinesMatchPerTauAnswers) {
+  // RS(pop) and Adaptive: one-stratum pair sources of the same pass.
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(threads()));
+  for (const char* name : {"RS(pop)", "Adaptive"}) {
+    ExpectMatchesSingles(service, Sweep(name, NineTaus()));
   }
 }
 
@@ -279,13 +293,13 @@ TEST_P(SweepSharingTest, SweepSplitAcrossBatchesMatchesPerTauAnswers) {
 }
 
 TEST_P(SweepSharingTest, MixedBatchKeepsPerTauComputeForOtherEstimators) {
-  // RS(pop) interleaved with two LSH-SS sweeps of different seeds and
+  // RS(cross) interleaved with two LSH-SS sweeps of different seeds and
   // LSH-SS(D) and LSH-SS(vbucket) sweeps: the sweeps group by estimator and
-  // seed, RS(pop) runs one τ at a time.
+  // seed, RS(cross) runs one τ at a time.
   std::vector<EstimateRequest> batch;
   for (double tau : {0.4, 0.6, 0.8}) {
     batch.push_back(Request("LSH-SS", tau, 3, 42));
-    batch.push_back(Request("RS(pop)", tau, 3, 42));
+    batch.push_back(Request("RS(cross)", tau, 3, 42));
     batch.push_back(Request("LSH-SS", tau, 3, 43));
     batch.push_back(Request("LSH-SS(D)", tau, 3, 42));
     batch.push_back(Request("LSH-SS(vbucket)", tau, 3, 42));
@@ -350,11 +364,6 @@ TEST_P(SweepSharingTest, ThreadCountNeverChangesSharedBatches) {
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(Bytes(c[i]), Bytes(d[i])) << i;
   }
-}
-
-/// The 9-τ session servebench's sweep_cold asks.
-std::vector<double> NineTaus() {
-  return {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9};
 }
 
 TEST(SweepSharingTrialTasksTest, OneGroupsTrialsMatchAcrossThreadCounts) {
@@ -497,7 +506,7 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
 TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
   // One batch on four threads puts both task shapes into one pool pass: a
   // chunked 9-τ LSH-SS group (six one-trial chunks), an error-bounded
-  // group kept as one chunk, and RS(pop), which groups with nothing (three
+  // group kept as one chunk, and RS(cross), which groups with nothing (three
   // one-trial chunks per τ). Every response matches the same request asked
   // alone on one thread, every trial actually run is timed once, and every
   // response records one latency sample.
@@ -508,7 +517,7 @@ TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
   for (EstimateRequest& request : bounded) request.max_rel_error = 0.1;
   batch.insert(batch.end(), bounded.begin(), bounded.end());
   const std::vector<double> rs_taus = {0.3, 0.7};
-  for (double tau : rs_taus) batch.push_back(Request("RS(pop)", tau, 3));
+  for (double tau : rs_taus) batch.push_back(Request("RS(cross)", tau, 3));
   EstimationService one(testing::SmallClusteredCorpus(600, 7),
                         StaticOptions(1));
   EstimationService four(testing::SmallClusteredCorpus(600, 7),
@@ -563,8 +572,9 @@ bool SameResult(const EstimationResult& a, const EstimationResult& b) {
 
 /// Every registry estimator over `context`: result j of EstimateSweep is
 /// Estimate(τ_j) on a copy of the stream, including τ <= 0 (answered M
-/// without sampling). LSH-SS, LSH-SS(D) and LSH-SS(vbucket) override
-/// EstimateSweep with the shared pass; the rest take the default.
+/// without sampling). LSH-SS, LSH-SS(D), LSH-SS(vbucket), RS(pop) and
+/// Adaptive override EstimateSweep with the shared pass; the rest take the
+/// default.
 void ExpectRegistrySweepsLikeSingleCalls(const EstimatorContext& context) {
   std::vector<double> taus = StandardThresholds();
   taus.push_back(1.0);
@@ -582,7 +592,9 @@ void ExpectRegistrySweepsLikeSingleCalls(const EstimatorContext& context) {
     }
     EXPECT_EQ(estimator->SharesSweeps(), name == "LSH-SS" ||
                                              name == "LSH-SS(D)" ||
-                                             name == "LSH-SS(vbucket)")
+                                             name == "LSH-SS(vbucket)" ||
+                                             name == "RS(pop)" ||
+                                             name == "Adaptive")
         << name;
   }
 }
@@ -633,8 +645,8 @@ TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
   EstimationService service(testing::SmallClusteredCorpus(600, 7),
                             StaticOptions(1));
   std::vector<EstimateRequest> batch = Sweep("LSH-SS", StandardThresholds());
-  batch.push_back(Request("RS(pop)", 0.5));
-  batch.push_back(Request("RS(pop)", 0.7));
+  batch.push_back(Request("RS(cross)", 0.5));
+  batch.push_back(Request("RS(cross)", 0.7));
   obs::EnableMetrics(true);
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.ResetValues();
@@ -644,7 +656,7 @@ TEST(SweepSharingObsTest, CountersShowSharedGroupsAndPhysicalPairs) {
   const uint64_t physical = registry.GetCounter("estimate.pairs_h").Value() +
                             registry.GetCounter("estimate.pairs_l").Value();
   obs::EnableMetrics(false);
-  EXPECT_EQ(groups, 1u);  // the LSH-SS sweep; RS(pop) is not grouped
+  EXPECT_EQ(groups, 1u);  // the LSH-SS sweep; RS(cross) is not grouped
   EXPECT_EQ(taus, StandardThresholds().size());
   // pairs_evaluated stays the per-τ sample count; the stratum counters
   // count each shared draw once, so they sum to far less.

@@ -343,6 +343,13 @@ TEST_F(TenantRegistryTest, MutationTaxonomy) {
   request.estimator_name = "no-such-estimator";
   EXPECT_EQ(wiki->ValidateEstimate(request).code,
             TenantOpResult::Code::kBadRequest);
+  // Sampling overrides reach only the estimators that read them.
+  request.estimator_name = "RS(pop)";
+  request.delta = 4;
+  EXPECT_EQ(wiki->ValidateEstimate(request).code,
+            TenantOpResult::Code::kBadRequest);
+  request.estimator_name = "LSH-SS";
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
   request = LshSsRequest();
   // What an "1e999" wire literal parses to; must be a named rejection.
   request.tau = std::numeric_limits<double>::infinity();

@@ -102,33 +102,52 @@ uint64_t NowNs() {
           .count());
 }
 
-bool ParseDoubleArg(const char* token, double* out) {
+// Float flag values must be finite and inside the flag's range, so NaN,
+// ±inf and overflowing literals ("1e999") never reach the load loop's
+// arithmetic.
+
+/// Prints one diagnostic naming `flag`, its `rule` and the offending
+/// `token`; returns false.
+bool RejectValue(const std::string& flag, const char* rule,
+                 const std::string& token) {
+  std::cerr << "bad " << flag << " value (" << rule << "): " << token << "\n";
+  return false;
+}
+
+/// `token` as a finite double: the whole token, neither NaN nor ±inf.
+bool ParseFinite(const std::string& token, double* out) {
   char* end = nullptr;
-  const double v = std::strtod(token, &end);
-  if (end == token || *end != '\0') return false;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end == token.c_str() || *end != '\0' || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }
+
+/// The longest --duration-s: its deadline in ns stays far inside uint64_t.
+constexpr double kMaxDurationS = 1e7;
 
 bool ParseTenants(const std::string& spec, std::vector<TenantWeight>* out) {
   std::stringstream stream(spec);
   std::string item;
   while (std::getline(stream, item, ',')) {
-    if (item.empty()) return false;
+    if (item.empty()) return RejectValue("--tenants", "empty entry", spec);
     TenantWeight tw;
     const size_t colon = item.find(':');
     if (colon == std::string::npos) {
       tw.name = item;
     } else {
       tw.name = item.substr(0, colon);
-      if (!ParseDoubleArg(item.c_str() + colon + 1, &tw.weight) ||
-          tw.weight <= 0.0) {
-        return false;
+      if (!ParseFinite(item.substr(colon + 1), &tw.weight) ||
+          !(tw.weight > 0.0)) {
+        return RejectValue("--tenants", "weight must be a finite number > 0",
+                           item);
       }
     }
     out->push_back(std::move(tw));
   }
-  return !out->empty();
+  return !out->empty() || RejectValue("--tenants", "empty list", spec);
 }
 
 bool ParseTaus(const std::string& spec, std::vector<double>* out) {
@@ -137,10 +156,13 @@ bool ParseTaus(const std::string& spec, std::vector<double>* out) {
   std::string item;
   while (std::getline(stream, item, ',')) {
     double tau = 0.0;
-    if (!ParseDoubleArg(item.c_str(), &tau)) return false;
+    if (!ParseFinite(item, &tau) || !(tau > 0.0 && tau <= 1.0)) {
+      return RejectValue("--taus", "tau must be a finite number in (0, 1]",
+                         item);
+    }
     out->push_back(tau);
   }
-  return !out->empty();
+  return !out->empty() || RejectValue("--taus", "empty list", spec);
 }
 
 void Usage() {
@@ -184,14 +206,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->connections = u;
     } else if (flag == "--duration-s") {
       const char* v = next();
-      if (v == nullptr || !ParseDoubleArg(v, &args->duration_s) ||
-          args->duration_s <= 0) {
-        return false;
+      if (v == nullptr) return false;
+      if (!ParseFinite(v, &args->duration_s) ||
+          !(args->duration_s > 0.0 && args->duration_s <= kMaxDurationS)) {
+        return RejectValue(flag, "must be a finite number in (0, 1e7]", v);
       }
     } else if (flag == "--rate") {
       const char* v = next();
-      if (v == nullptr || !ParseDoubleArg(v, &args->rate) || args->rate < 0)
-        return false;
+      if (v == nullptr) return false;
+      if (!ParseFinite(v, &args->rate) || args->rate < 0.0) {
+        return RejectValue(flag, "must be a finite number >= 0", v);
+      }
     } else if (flag == "--pipeline") {
       if (!next_u64(&u, 1)) return false;
       args->pipeline = u;
