@@ -1,20 +1,82 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
+#include <thread>
 
+#include "vsj/net/json.h"
 #include "vsj/obs/metrics.h"
 #include "vsj/obs/stat_reporter.h"
+#include "vsj/util/cpu.h"
 #include "vsj/util/env.h"
 #include "vsj/util/hash.h"
 #include "vsj/util/timer.h"
 
 namespace vsj::bench {
+
+namespace {
+
+/// First "model name" of /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const size_t colon = line.find(':');
+      if (colon == std::string::npos) break;
+      const size_t begin = line.find_first_not_of(" \t", colon + 1);
+      return begin == std::string::npos ? "" : line.substr(begin);
+    }
+  }
+  return "unknown";
+}
+
+/// HEAD of the checkout the bench was built from, or a note saying there
+/// is none. GIT_CEILING_DIRECTORIES keeps git from answering with an
+/// enclosing repository.
+std::string GitSha() {
+  const std::string source = VSJ_BENCH_SOURCE_DIR;
+  const std::string command = "GIT_CEILING_DIRECTORIES='" +
+                              source.substr(0, source.rfind('/')) +
+                              "' git -C '" + source +
+                              "' rev-parse HEAD 2>/dev/null";
+  std::string sha;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[64];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
+    ::pclose(pipe);
+  }
+  while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
+    sha.pop_back();
+  }
+  return sha.empty() ? "unknown (not a git checkout)" : sha;
+}
+
+/// The host block of a BENCH document: the same fields servebench's
+/// provenance record carries.
+std::string HostJson() {
+  std::string out = "{\"cpu_model\": ";
+  net::JsonValue::AppendQuoted(&out, CpuModel());
+  out += ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency());
+  out += ", \"simd\": ";
+  net::JsonValue::AppendQuoted(&out, SimdLevelName(ActiveSimdLevel()));
+  out += ", \"compiler\": ";
+  net::JsonValue::AppendQuoted(&out, __VERSION__);
+  out += ", \"build_type\": ";
+  net::JsonValue::AppendQuoted(&out, VSJ_BENCH_BUILD_TYPE);
+  out += ", \"git_sha\": ";
+  net::JsonValue::AppendQuoted(&out, GitSha());
+  out += "}";
+  return out;
+}
+
+}  // namespace
 
 Scale LoadScale(size_t default_n, uint32_t default_k, size_t default_trials) {
   Scale scale;
@@ -221,7 +283,8 @@ void BenchJson::AddMetricsSnapshot() {
 bool BenchJson::Write() const {
   if (!enabled()) return true;
   std::ostringstream out;
-  out << "{\n  \"bench\": \"" << bench_name_ << "\",\n  \"results\": [";
+  out << "{\n  \"bench\": \"" << bench_name_ << "\",\n  \"host\": "
+      << HostJson() << ",\n  \"results\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& r = records_[i];
     out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << r.name

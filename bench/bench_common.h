@@ -90,7 +90,10 @@ EstimatorContext MakeContext(const Workbench& bench);
 /// Machine-readable bench output: `--json <path>` on a bench's command line
 /// (or the VSJ_BENCH_JSON environment variable) makes the bench write its
 /// headline numbers as one JSON document, so CI can archive a BENCH_*.json
-/// perf trajectory across PRs. Without a path every method is a no-op.
+/// perf trajectory across PRs. The document opens with a "host" block
+/// (CPU model, nproc, SIMD level, compiler, build type, git sha) so a
+/// number never travels without the machine and commit that produced it.
+/// Without a path every method is a no-op.
 class BenchJson {
  public:
   /// Resolves the output path from argv (`--json <path>`) or

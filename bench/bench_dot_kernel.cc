@@ -267,10 +267,12 @@ int main(int argc, char** argv) {
   // skew ratios and an intersection-density sweep. dense_14 mirrors the
   // dblp-like common case (the AVX2 full-residency rung); the 32-dim rows
   // sweep density at the 17..32 rung; skew >= 8 takes the gallop at every
-  // level. len_220 is the served regime: random pairs of a NYT-like TF-IDF
-  // corpus (~220 features a vector, an arena far larger than L2), next to
-  // the cache-resident synthetic rows. Hit counts must agree across levels
-  // — bit-identity is what makes the level a pure throughput knob.
+  // level; len_64 is the shortest balanced shape the scatter-probe serves
+  // (long side > 32 dims). len_220 is the served regime: random pairs of a
+  // NYT-like TF-IDF corpus (~220 features a vector, an arena far larger
+  // than L2), and len_120 the same over a PubMed-like corpus, next to the
+  // cache-resident synthetic rows. Hit counts must agree across levels —
+  // bit-identity is what makes the level a pure throughput knob.
   struct BatchedRow {
     const char* name;
     size_t small, large, vocab;
@@ -283,6 +285,7 @@ int main(int argc, char** argv) {
       {"density_dense_32", 32, 32, 64},
       {"density_mid_32", 32, 32, 256},
       {"density_sparse_32", 32, 32, 2048},
+      {"len_64", 64, 64, 1024},
   };
   const std::vector<vsj::SimdLevel> levels = BenchLevels();
   std::cout << "\n";
@@ -333,14 +336,19 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const vsj::VectorDataset nyt =
-      vsj::GenerateCorpus(vsj::NytLikeConfig(scale.n, scale.seed));
-  const double nyt_features = nyt.ComputeStats().avg_features;
-  if (!measure_row("len_220",
-                   "nyt ~" + vsj::TablePrinter::Fmt(nyt_features, 0),
-                   vsj::DatasetView(nyt),
-                   SamplePairs(nyt.size(), num_pairs / 8, scale.seed))) {
-    return 1;
+  const std::pair<const char*, vsj::CorpusConfig> corpus_rows[] = {
+      {"len_220", vsj::NytLikeConfig(scale.n, scale.seed)},
+      {"len_120", vsj::PubmedLikeConfig(scale.n, scale.seed)},
+  };
+  for (const auto& [name, config] : corpus_rows) {
+    const vsj::VectorDataset corpus = vsj::GenerateCorpus(config);
+    const double features = corpus.ComputeStats().avg_features;
+    if (!measure_row(name,
+                     config.name + " ~" + vsj::TablePrinter::Fmt(features, 0),
+                     vsj::DatasetView(corpus),
+                     SamplePairs(corpus.size(), num_pairs / 8, scale.seed))) {
+      return 1;
+    }
   }
   batched.Print(std::cout);
   json.AddMetricsSnapshot();

@@ -6,8 +6,9 @@
 //   v2 load   — bulk column reads + checksum verify into a heap arena;
 //   v2 mmap   — MappedCsrStorage::Open, zero-copy: the estimators read
 //               straight from the file pages (timed with and without
-//               checksum verification; without, the open cost is
-//               O(header + section table)).
+//               checksum verification; without, the open reads only the
+//               header, the section table and the offsets and dims
+//               columns that ResolveVsjbColumns checks).
 // The headline criterion is v2 mmap open ≥ 10× faster than the v1 stream
 // load; the bench also verifies that all registered estimators are
 // bit-identical over mapped vs heap storage, so the fast path cannot

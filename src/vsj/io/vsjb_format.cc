@@ -271,6 +271,31 @@ IoStatus ResolveVsjbColumns(const VsjbImage& image, VsjbColumnView* columns) {
                             at);
     }
   }
+  // Every kernel reads a vector's dims as strictly increasing; a file that
+  // breaks that (checksums and all) is refused here, not served. One flat,
+  // branch-free pass counts the descents of the whole DIMS column; every
+  // one must sit at the first feature of a non-empty vector. Only on a
+  // mismatch does the per-vector walk run, to name the vector.
+  const DimId* dims = columns->dims;
+  uint64_t descents = 0;
+  for (uint64_t f = 1; f < features; ++f) descents += dims[f] <= dims[f - 1];
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t begin = offsets[i];
+    if (begin > 0 && begin < offsets[i + 1]) {
+      descents -= dims[begin] <= dims[begin - 1];
+    }
+  }
+  for (uint64_t i = 0; descents != 0 && i < n; ++i) {
+    for (uint64_t f = offsets[i] + 1; f < offsets[i + 1]; ++f) {
+      if (dims[f] <= dims[f - 1]) {
+        return IoStatus::Fail(
+            IoError::kCorrupt,
+            "dims are not strictly increasing in vector " + std::to_string(i),
+            static_cast<uint64_t>(reinterpret_cast<const char*>(dims + f) -
+                                  image.base));
+      }
+    }
+  }
   columns->num_vectors = n;
   columns->num_features = features;
   return IoStatus::Ok();

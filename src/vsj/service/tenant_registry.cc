@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/fault/fault.h"
 #include "vsj/obs/obs.h"
 
@@ -21,20 +22,36 @@ bool FileExists(const std::string& path) {
 }  // namespace
 
 Tenant::Tenant(std::string name, std::string snapshot_path,
-               std::unique_ptr<StreamingEstimationService> engine)
+               std::unique_ptr<StreamingEstimationService> engine,
+               uint64_t max_pairs_per_request)
     : name_(std::move(name)),
       snapshot_path_(std::move(snapshot_path)),
+      max_pairs_per_request_(max_pairs_per_request),
+      budget_(engine->options().lsh_ss),
       engine_(std::move(engine)),
       streaming_(static_cast<StreamingEstimationService*>(engine_.get())),
-      persisted_epoch_(streaming_->epoch()) {}
+      persisted_epoch_(streaming_->epoch()) {
+  PublishNumLive();
+}
 
 Tenant::Tenant(std::string name, std::string snapshot_path,
                std::unique_ptr<MappedCsrStorage> storage,
-               std::unique_ptr<EstimationService> engine)
+               std::unique_ptr<EstimationService> engine,
+               uint64_t max_pairs_per_request)
     : name_(std::move(name)),
       snapshot_path_(std::move(snapshot_path)),
+      max_pairs_per_request_(max_pairs_per_request),
+      budget_(engine->options().estimator_options.lsh_ss),
       mapped_(std::move(storage)),
-      engine_(std::move(engine)) {}
+      engine_(std::move(engine)) {
+  PublishNumLive();
+}
+
+void Tenant::PublishNumLive() {
+  num_live_.store(streaming_ != nullptr ? streaming_->num_live()
+                                        : mapped_->size(),
+                  std::memory_order_relaxed);
+}
 
 TenantOpResult Tenant::StaticTenantRefusal() const {
   return TenantOpResult::Unsupported(
@@ -53,6 +70,28 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
     return TenantOpResult::BadRequest("tenant '" + name_ +
                                       "' cannot serve estimator '" +
                                       request.estimator_name + "': " + error);
+  }
+  // Admission by predicted work. A concurrent mutation may move n by a
+  // few vectors between this check and the batch; the limit is a bound on
+  // the order of the work, not an exact count.
+  SamplingBudget budget = budget_;
+  ApplySamplingOverrides(request, &budget);
+  budget = ResolveBudget(budget,
+                         num_live_.load(std::memory_order_relaxed));
+  uint64_t per_trial = 0;
+  uint64_t pairs = 0;
+  const bool overflow =
+      __builtin_add_overflow(budget.sample_size_h, budget.sample_size_l,
+                             &per_trial) ||
+      __builtin_mul_overflow(per_trial, uint64_t{request.trials}, &pairs);
+  if (overflow || pairs > max_pairs_per_request_) {
+    return TenantOpResult::BadRequest(
+        "predicted work of " + std::to_string(request.trials) +
+        " trials x (m_H " + std::to_string(budget.sample_size_h) + " + m_L " +
+        std::to_string(budget.sample_size_l) + ") = " +
+        (overflow ? std::string("more than 2^64") : std::to_string(pairs)) +
+        " pair draws exceeds --max-pairs-per-request " +
+        std::to_string(max_pairs_per_request_));
   }
   return TenantOpResult::Ok();
 }
@@ -75,6 +114,7 @@ TenantOpResult Tenant::Insert(VectorId id) {
                                       " is already live");
   }
   streaming_->Insert(id);
+  PublishNumLive();
   return TenantOpResult::Ok(streaming_->epoch());
 }
 
@@ -86,6 +126,7 @@ TenantOpResult Tenant::Remove(VectorId id) {
                                       " is not live");
   }
   streaming_->Remove(id);
+  PublishNumLive();
   return TenantOpResult::Ok(streaming_->epoch());
 }
 
@@ -97,6 +138,7 @@ TenantOpResult Tenant::Erase(VectorId id) {
                                       " is not in the backing store");
   }
   streaming_->Erase(id);
+  PublishNumLive();
   return TenantOpResult::Ok(streaming_->epoch());
 }
 
@@ -104,6 +146,7 @@ TenantOpResult Tenant::AddVector(const std::vector<Feature>& features) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (streaming_ == nullptr) return StaticTenantRefusal();
   const VectorId id = streaming_->AddVector(SparseVector(features));
+  PublishNumLive();
   return TenantOpResult::Ok(id);
 }
 
@@ -264,7 +307,8 @@ IoStatus TenantRegistry::Open(const std::string& name,
     IoStatus status = StreamingEstimationService::Restore(
         stream_path, &engine, options_.streaming_options);
     if (!status.ok()) return status;
-    *tenant = std::make_shared<Tenant>(name, stream_path, std::move(engine));
+    *tenant = std::make_shared<Tenant>(name, stream_path, std::move(engine),
+                                       options_.max_pairs_per_request);
     return IoStatus::Ok();
   }
   if (FileExists(static_path)) {
@@ -281,7 +325,8 @@ IoStatus TenantRegistry::Open(const std::string& name,
     auto engine = std::make_unique<EstimationService>(
         DatasetView(*storage), options_.static_options);
     *tenant = std::make_shared<Tenant>(name, static_path, std::move(storage),
-                                       std::move(engine));
+                                       std::move(engine),
+                                       options_.max_pairs_per_request);
     return IoStatus::Ok();
   }
   return IoStatus::Fail(IoError::kNotFound,

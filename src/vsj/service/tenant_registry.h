@@ -46,6 +46,7 @@
 #ifndef VSJ_SERVICE_TENANT_REGISTRY_H_
 #define VSJ_SERVICE_TENANT_REGISTRY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -54,6 +55,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/io/io_status.h"
 #include "vsj/service/estimation_service.h"
 #include "vsj/service/streaming_estimation_service.h"
@@ -106,14 +108,17 @@ struct TenantStats {
 /// from TenantRegistry::Acquire.
 class Tenant {
  public:
-  /// Streaming flavor (restored from .vsjs).
+  /// Streaming flavor (restored from .vsjs). `max_pairs_per_request` is
+  /// the admission limit of ValidateEstimate.
   Tenant(std::string name, std::string snapshot_path,
-         std::unique_ptr<StreamingEstimationService> engine);
+         std::unique_ptr<StreamingEstimationService> engine,
+         uint64_t max_pairs_per_request);
   /// Static mmap flavor (.vsjb). `storage` must be the storage `engine`'s
   /// view reads from; the Tenant keeps it mapped for the engine's life.
   Tenant(std::string name, std::string snapshot_path,
          std::unique_ptr<MappedCsrStorage> storage,
-         std::unique_ptr<EstimationService> engine);
+         std::unique_ptr<EstimationService> engine,
+         uint64_t max_pairs_per_request);
   ~Tenant() = default;
 
   Tenant(const Tenant&) = delete;
@@ -125,8 +130,12 @@ class Tenant {
 
   /// Pre-flight check of one estimate request against this tenant's
   /// engine: ValidateEstimateRequest plus the engine's CheckEstimator (the
-  /// rules the engine enforces with VSJ_CHECK). Returns kOk or kBadRequest
-  /// — a rejected request must not reach EstimateBatchShared.
+  /// rules the engine enforces with VSJ_CHECK), then admission by
+  /// predicted work: trials × (m_H + m_L) — the engine's sampling budget
+  /// with the request's overrides folded in and zero fields resolved from
+  /// the tenant's live vector count (ResolveBudget) — must not exceed
+  /// max_pairs_per_request. Returns kOk or kBadRequest — a rejected request
+  /// must not reach EstimateBatchShared. Takes no tenant lock.
   TenantOpResult ValidateEstimate(const EstimateRequest& request) const;
 
   /// Forwards to the engine's EstimateBatch, so responses are
@@ -166,8 +175,17 @@ class Tenant {
   /// The kUnsupported answer of every mutation on a static tenant.
   TenantOpResult StaticTenantRefusal() const;
 
+  /// Publishes the live vector count ValidateEstimate reads; called under
+  /// mutex_ after every mutation.
+  void PublishNumLive();
+
   const std::string name_;
   const std::string snapshot_path_;
+  const uint64_t max_pairs_per_request_;
+  /// The engine's configured m_H / m_L / δ (zero = derive from n).
+  const SamplingBudget budget_;
+  /// The n budgets resolve from, readable without mutex_.
+  std::atomic<uint64_t> num_live_{0};
 
   mutable std::mutex mutex_;
   // Static tenants only; declared first so it outlives the engine's view.
@@ -197,6 +215,12 @@ struct TenantRegistryOptions {
   /// Runtime options applied to restored streaming tenants (format-
   /// critical fields come from the snapshot itself).
   StreamingEstimationServiceOptions streaming_options;
+
+  /// Admission limit on an estimate's predicted work, trials × (m_H +
+  /// m_L) pair draws (Tenant::ValidateEstimate). The default admits the
+  /// paper's budgets at n = 10^6 with 32 trials, and m_L ≈ M at n = 4000
+  /// with 4 trials.
+  uint64_t max_pairs_per_request = uint64_t{1} << 26;
 };
 
 /// True iff `name` is acceptable as a tenant name: 1–128 chars drawn from

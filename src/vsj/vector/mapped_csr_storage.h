@@ -32,8 +32,9 @@ class MappedCsrStorage {
   /// Knobs of Open(); defaults favour safety over open latency.
   struct OpenOptions {
     /// Verify every section checksum on open (reads all pages once). Off,
-    /// the open cost is O(header + section table) and bit rot surfaces as
-    /// wrong estimates instead of a load error.
+    /// the open skips that pass, but the column checks of
+    /// ResolveVsjbColumns still read the offsets and dims columns once;
+    /// bit rot elsewhere surfaces as wrong estimates, not a load error.
     bool verify_checksums = true;
   };
 

@@ -1,11 +1,23 @@
 // Dispatched sparse-intersection kernels and the locality-ordered batch
-// evaluator. Bit-identity rules of this file (DESIGN.md "Batch pair
-// evaluation"):
+// evaluator. Three strategies find the matching dims of a pair:
+//
+//  * merge / gallop: the linear merge (the reference traversal, and every
+//    level's path on the scalar build), galloping when the long side is
+//    >= kGallopRatio× the short one — at every level;
+//  * SIMD short rungs: the SSE2 window search for long sides <= 32 dims
+//    (and at the SSE2 level for any balanced pair the scatter-probe
+//    declines), and the AVX2 full-residency rungs for long sides <= 16 and
+//    17..32 dims;
+//  * scatter-probe for long balanced pairs (long side > 32 dims), plain
+//    C++ shared by every level: the short side's positions scattered into a
+//    per-thread table indexed by dim, the long side probed against it.
+//
+// Bit-identity rules of this file (DESIGN.md "Batch pair evaluation"):
 //
 //  * Matched products are accumulated with one IEEE double multiply + add
-//    per match, in increasing-dimension order, by every strategy (linear
-//    merge, gallop, SSE2/AVX2 window search). The SIMD code only *finds*
-//    match positions; it never touches the accumulator.
+//    per match, in increasing-dimension order, by every strategy. The SIMD
+//    and scatter-probe code only *finds* match positions; the accumulation
+//    runs over them in the merge's order.
 //  * This translation unit compiles with -ffp-contract=off (CMakeLists) so
 //    `sum += wa * wb` can never contract into an FMA on targets that have
 //    one — the scalar and SIMD paths must round identically everywhere,
@@ -18,7 +30,9 @@
 #include "vsj/vector/pair_eval.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
+#include <vector>
 
 #include "vsj/obs/obs.h"
 #include "vsj/util/check.h"
@@ -260,59 +274,117 @@ __attribute__((target("avx2"))) DotAccum DotAvx2Small32(VectorRef small,
   return acc;
 }
 
+// Long sides of more than 32 dims reach this only when the scatter-probe
+// declines the pair (see PairDotCountWith); the SSE2 window search serves
+// them.
 __attribute__((target("avx2"))) DotAccum DotAvx2(VectorRef small,
                                                  VectorRef large) {
   if (large.size() <= 16) return DotAvx2Small(small, large);
   if (large.size() <= 32) return DotAvx2Small32(small, large);
+  return DotSse2(small, large);
+}
 
+#endif  // VSJ_PAIR_EVAL_X86
+
+// Scatter-probe, the long balanced-pair path (long side > 32 dims, below
+// the gallop ratio) at every level. The branchy "advance or probe" step of
+// a merge or window search mispredicts about once per element on TF-IDF
+// vectors of a few hundred dims; this kernel has no data-dependent branch
+// in its inner loop:
+//
+//  1. scatter: slot[dim - first short dim] = short-side position + 1;
+//  2. probe: walk the long side in increasing-dim order, reading each dim's
+//     slot and compacting the hits (long position, short position + 1)
+//     branchlessly into a chunk buffer;
+//  3. accumulate double(w_short) * w_long over the chunk's matches in that
+//     order, then clear the slots the scatter wrote.
+//
+// On sorted input the matches of step 3 are exactly the merge's matches in
+// the merge's (increasing-dim) order, so the rounded sum is bit-identical.
+// Slot indices are bounded to the table on *any* input: a dim outside the
+// short side's span reads the always-zero sentinel slot at index `span`,
+// and a short-side dim outside it is not scattered — unsorted dims give a
+// finite (meaningless) result, never an out-of-bounds access.
+//
+// Positions are stored +1 in uint16_t, so a short side of 65535 or more
+// entries, or one whose dims span more than 2^16 ids, is declined and the
+// caller's level kernel serves the pair.
+constexpr size_t kScatterMinLong = 32;
+constexpr uint64_t kScatterMaxSpan = uint64_t{1} << 16;
+constexpr size_t kScatterMaxShort = 65535;
+constexpr size_t kScatterChunk = 128;
+
+// The per-thread slot table, all zero between calls. Grows lazily to the
+// largest span seen (rounded up to a power of two, plus the sentinel), so
+// a thread that only ever sees short vectors never allocates it.
+class ScatterScratch {
+ public:
+  uint16_t* Reserve(uint32_t span) {
+    if (slots_.size() <= span) {
+      slots_.assign(std::bit_ceil(span) + size_t{1}, 0);
+    }
+    return slots_.data();
+  }
+
+ private:
+  std::vector<uint16_t> slots_;
+};
+
+ScatterScratch& ThreadScatterScratch() {
+  thread_local ScatterScratch scratch;
+  return scratch;
+}
+
+// Returns false, touching nothing, when the pair is outside the kernel's
+// range (see above); *acc is the pair's result otherwise.
+bool DotScatterProbe(VectorRef small, VectorRef large,
+                     ScatterScratch& scratch, DotAccum* acc) {
   const size_t an = small.size();
   const size_t bn = large.size();
   const DimId* a = small.dims();
   const DimId* b = large.dims();
   const float* wa = small.weights();
   const float* wb = large.weights();
-  DotAccum acc;
+  if (an >= kScatterMaxShort || a[an - 1] < a[0]) return false;
+  const DimId base = a[0];
+  if (uint64_t{a[an - 1]} - base + 1 > kScatterMaxSpan) return false;
+  const auto span = static_cast<uint32_t>(a[an - 1] - base + 1);
+  uint16_t* slots = scratch.Reserve(span);
 
-  size_t i = 0, j = 0;
-  while (i < an && j + 8 <= bn) {
-    const DimId probe = a[i];
-    if (b[j + 7] < probe) {
-      j += 8;
-      continue;
-    }
-    const __m256i va = _mm256_set1_epi32(static_cast<int>(probe));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const int mask =
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(va, vb)));
-    if (mask != 0) {
-      const size_t jj =
-          j + static_cast<size_t>(__builtin_ctz(static_cast<unsigned>(mask)));
-      acc.sum += static_cast<double>(wa[i]) * wb[jj];
-      ++acc.matches;
-    }
-    ++i;
+  for (size_t i = 0; i < an; ++i) {
+    const uint32_t s = a[i] - base;
+    if (s < span) slots[s] = static_cast<uint16_t>(i + 1);
   }
 
-  while (i < an && j < bn) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      acc.sum += static_cast<double>(wa[i]) * wb[j];
-      ++acc.matches;
-      ++i;
-      ++j;
+  DotAccum out;
+  uint32_t hit_long[kScatterChunk];
+  uint16_t hit_short[kScatterChunk];
+  for (size_t j0 = 0; j0 < bn; j0 += kScatterChunk) {
+    const size_t j1 = std::min(bn, j0 + kScatterChunk);
+    size_t hits = 0;
+    for (size_t j = j0; j < j1; ++j) {
+      const uint32_t s = b[j] - base;
+      const uint16_t pos = slots[s < span ? s : span];
+      hit_long[hits] = static_cast<uint32_t>(j);
+      hit_short[hits] = pos;
+      hits += pos != 0;
     }
+    for (size_t h = 0; h < hits; ++h) {
+      out.sum += static_cast<double>(wa[hit_short[h] - 1]) * wb[hit_long[h]];
+    }
+    out.matches += static_cast<uint32_t>(hits);
   }
-  return acc;
+
+  for (size_t i = 0; i < an; ++i) {
+    const uint32_t s = a[i] - base;
+    if (s < span) slots[s] = 0;
+  }
+  *acc = out;
+  return true;
 }
 
-#endif  // VSJ_PAIR_EVAL_X86
-
-// The short-circuits, the small/large swap, and the gallop-vs-window choice,
-// templated on the balanced-length kernel so the batch loop below can bind
+// The short-circuits, the small/large swap, and the choice between gallop,
+// scatter-probe and the level kernel, templated on the level kernel so the batch loop below can bind
 // the dispatched level ONCE per batch instead of re-reading it per pair
 // (ActiveSimdLevel() is an out-of-line call; at ~14-dim dblp vectors it was
 // measurable in the estimate profile). Degenerate pairs (either side empty,
@@ -322,7 +394,8 @@ __attribute__((target("avx2"))) DotAccum DotAvx2(VectorRef small,
 // non-empty.
 template <typename KernelFn>
 inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
-                                      KernelFn kernel) {
+                                      KernelFn kernel,
+                                      ScatterScratch& scratch) {
   if (a.empty() || b.empty()) return {};
   if (a.dim(a.size() - 1) < b.dim(0) || b.dim(b.size() - 1) < a.dim(0)) {
     return {};
@@ -337,7 +410,8 @@ inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
   // O(small · log large) elements, already sublinear in the window scan.
   if (large.size() >= kGallopRatio * small.size()) {
     acc = DotScalar(small, large);
-  } else {
+  } else if (large.size() <= kScatterMinLong ||
+             !DotScatterProbe(small, large, scratch, &acc)) {
     acc = kernel(small, large);
   }
   return PairDotResult{acc.sum, acc.matches};
@@ -365,13 +439,14 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
                            const uint8_t* order, size_t count,
                            size_t prefetch_distance, KernelFn kernel,
                            double* similarities, BatchStats* stats) {
+  ScatterScratch& scratch = ThreadScatterScratch();
   for (size_t k = 0; k < count; ++k) {
     if (k + prefetch_distance < count) {
       PrefetchFeatures(u[order[k + prefetch_distance]]);
       PrefetchFeatures(v[order[k + prefetch_distance]]);
     }
     const size_t i = order[k];
-    const PairDotResult r = PairDotCountWith(u[i], v[i], kernel);
+    const PairDotResult r = PairDotCountWith(u[i], v[i], kernel, scratch);
     stats->matches += r.matches;
     stats->min_len += std::min(u[i].size(), v[i].size());
     similarities[i] = CosineFromDot(r.dot, u[i], v[i]);
@@ -383,18 +458,22 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
 PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   // Single-pair entry (VectorRef::Dot/OverlapSize): one dispatch per call.
   // Batch callers go through EvaluatePairBatch, which hoists this switch.
+  ScatterScratch& scratch = ThreadScatterScratch();
   switch (ActiveSimdLevel()) {
 #if VSJ_PAIR_EVAL_X86
     case SimdLevel::kAvx2:
       return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotAvx2(s, l); });
+          a, b, [](VectorRef s, VectorRef l) { return DotAvx2(s, l); },
+          scratch);
     case SimdLevel::kSse2:
       return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotSse2(s, l); });
+          a, b, [](VectorRef s, VectorRef l) { return DotSse2(s, l); },
+          scratch);
 #endif
     default:
       return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotScalar(s, l); });
+          a, b, [](VectorRef s, VectorRef l) { return DotScalar(s, l); },
+          scratch);
   }
 }
 

@@ -1,9 +1,11 @@
 #include "vsj/io/dataset_io.h"
 
 #include <cstdio>
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,47 @@ void ExpectEqualDatasets(const VectorDataset& a, const VectorDataset& b) {
   for (VectorId id = 0; id < a.size(); ++id) {
     EXPECT_EQ(a[id], b[id]) << "vector " << id;
   }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+/// Swaps the first two dims of the first vector with at least two features
+/// in a VSJB or VSJS image and recomputes the DIMS section checksum, so
+/// only the dims-order check can catch it. Returns that vector's index.
+uint64_t SwapTwoDimsKeepingChecksums(const char (&magic)[4], uint32_t version,
+                                     std::string* bytes) {
+  // The validator reads the image through typed pointers: parse an
+  // 8-byte-aligned copy.
+  std::vector<uint64_t> aligned((bytes->size() + 7) / 8);
+  std::memcpy(aligned.data(), bytes->data(), bytes->size());
+  VsjbImage image;
+  VsjbColumnView columns;
+  EXPECT_TRUE(ValidateVsjbImage(aligned.data(), bytes->size(), magic,
+                                version, true, &image)
+                  .ok());
+  EXPECT_TRUE(ResolveVsjbColumns(image, &columns).ok());
+  uint64_t vector = 0;
+  while (columns.offsets[vector + 1] - columns.offsets[vector] < 2) {
+    ++vector;
+  }
+  const int index = FindVsjbSection(image.entries, kSecDims);
+  const VsjbSectionEntry& dims = image.entries[index];
+  char* first =
+      bytes->data() + dims.offset + columns.offsets[vector] * sizeof(DimId);
+  std::swap_ranges(first, first + sizeof(DimId), first + sizeof(DimId));
+
+  VsjbSectionEntry patched = dims;
+  patched.checksum = VsjbChecksum(bytes->data() + dims.offset, dims.length);
+  const uint64_t table =
+      VsjbAlignUp(sizeof(VsjbHeader) + image.header.name_length);
+  std::memcpy(bytes->data() + table + index * sizeof(VsjbSectionEntry),
+              &patched, sizeof(patched));
+  return vector;
 }
 
 TEST(DatasetIoTest, RoundTripThroughStream) {
@@ -363,6 +406,58 @@ TEST(DatasetIoTest, ChecksumFaultFailsEveryLoaderNamed) {
   EXPECT_TRUE(MappedCsrStorage::Open(dataset_path, &mapped).ok());
   EXPECT_TRUE(
       StreamingEstimationService::Restore(snapshot_path, &restored).ok());
+  std::remove(dataset_path.c_str());
+  std::remove(snapshot_path.c_str());
+}
+
+TEST(DatasetIoTest, UnsortedDimsAreCorruptForEveryLoader) {
+  // Checksums that hold over dims that do not strictly increase: the three
+  // loaders share ResolveVsjbColumns, and each must refuse the file with a
+  // kCorrupt that names the vector.
+  const VectorDataset original = testing::SmallClusteredCorpus(30, 5);
+  const std::string dataset_path =
+      ::testing::TempDir() + "/vsj_unsorted_dims.vsjb";
+  const std::string snapshot_path =
+      ::testing::TempDir() + "/vsj_unsorted_dims.vsjs";
+  ASSERT_TRUE(SaveDatasetToFile(original, dataset_path).ok());
+  {
+    StreamingEstimationServiceOptions options;
+    options.k = 6;
+    StreamingEstimationService engine(VectorDataset(original), options);
+    for (VectorId id = 0; id < original.size(); ++id) engine.Insert(id);
+    ASSERT_TRUE(engine.Checkpoint(snapshot_path).ok());
+  }
+  std::string dataset_bytes = ReadFileBytes(dataset_path);
+  std::string snapshot_bytes = ReadFileBytes(snapshot_path);
+  const uint64_t dataset_vector =
+      SwapTwoDimsKeepingChecksums(kVsjbMagic, kVsjbVersion, &dataset_bytes);
+  const uint64_t snapshot_vector =
+      SwapTwoDimsKeepingChecksums(kVsjsMagic, kVsjsVersion, &snapshot_bytes);
+  testing::WriteBytes(dataset_path, dataset_bytes);
+  testing::WriteBytes(snapshot_path, snapshot_bytes);
+
+  const auto expect_named = [](const char* loader, const IoStatus& status,
+                               uint64_t vector) {
+    EXPECT_EQ(status.code, IoError::kCorrupt)
+        << loader << ": " << status.ToString();
+    EXPECT_EQ(status.reason, "dims are not strictly increasing in vector " +
+                                 std::to_string(vector))
+        << loader << ": " << status.ToString();
+  };
+  VectorDataset loaded;
+  std::stringstream stream(dataset_bytes);
+  expect_named("ReadDataset", ReadDataset(stream, &loaded), dataset_vector);
+  expect_named("LoadDatasetFromFile",
+               LoadDatasetFromFile(dataset_path, &loaded), dataset_vector);
+  MappedCsrStorage mapped;
+  expect_named("MappedCsrStorage::Open",
+               MappedCsrStorage::Open(dataset_path, &mapped), dataset_vector);
+  EXPECT_FALSE(mapped.mapped());
+  std::unique_ptr<StreamingEstimationService> restored;
+  expect_named("Restore",
+               StreamingEstimationService::Restore(snapshot_path, &restored),
+               snapshot_vector);
+  EXPECT_EQ(restored, nullptr);
   std::remove(dataset_path.c_str());
   std::remove(snapshot_path.c_str());
 }

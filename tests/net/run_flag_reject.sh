@@ -45,6 +45,9 @@ reject "$server" --max-frame-bytes 4294967296 --root "$work"
 reject "$server" --port 65536 --root "$work"
 reject "$server" --seed 99999999999999999999 --root "$work"
 reject "$server" --stats-interval 5x --root "$work"
+for token in 0 -1 abc 18446744073709551616; do
+  reject "$server" --max-pairs-per-request "$token" --root "$work"
+done
 reject "$client" --timeout-ms -1 --port 1
 reject "$client" --retries -1 --port 1
 reject "$client" --pipeline -1 --port 1

@@ -597,6 +597,39 @@ TEST_F(ServerTest, RequestErrorTaxonomy) {
   EXPECT_EQ(ask("{\"id\":14,\"op\":\"ping\"}"), "");
 }
 
+TEST_F(ServerTest, OversizedPredictedWorkIsRefusedAndTheTenantKeepsServing) {
+  // One request asking for m_H = 10^12 draws over a 400-vector tenant: its
+  // predicted work, trials × (m_H + m_L) with m_L resolved to n, is far
+  // past the default --max-pairs-per-request, so it is refused before it
+  // can reach the engine, and a 1-trial follow-up is answered at once.
+  ASSERT_TRUE(SaveDatasetToFile(GenerateCorpus(DblpLikeConfig(400, 5)),
+                                root_ + "/big.vsjb")
+                  .ok());
+  StartServer(/*workers=*/1);
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  std::string abusive = EstimateJson(1, "big", 0.7, /*trials=*/3);
+  abusive.insert(abusive.size() - 1,
+                 ",\"sample_size_h\":1000000000000,\"timeout_ms\":500");
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.Send(abusive));
+  const std::string refusal = client.ReadPayload();
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(600));
+  EXPECT_EQ(ErrorCode(refusal), "bad_request") << refusal;
+  EXPECT_NE(refusal.find("3 trials x (m_H 1000000000000 + m_L 400) = "
+                         "3000000001200 pair draws"),
+            std::string::npos)
+      << refusal;
+  EXPECT_NE(refusal.find("--max-pairs-per-request 67108864"),
+            std::string::npos)
+      << refusal;
+
+  ASSERT_TRUE(client.Send(EstimateJson(2, "big", 0.7, /*trials=*/1)));
+  const std::string answer = client.ReadPayload();
+  EXPECT_EQ(ErrorCode(answer), "") << answer;
+}
+
 TEST_F(ServerTest, SleepIsGatedBehindDebugOps) {
   StartServer(/*workers=*/1, /*max_inflight=*/1024, /*debug_ops=*/false);
   TestClient client;

@@ -2,12 +2,16 @@
 // (vector/pair_eval.h). The contract under test, from DESIGN.md "Batch pair
 // evaluation":
 //
-//  * Every dispatched width of the sparse-intersection kernel — scalar
-//    merge, galloping merge, SSE2 window, the AVX2 small-vector fast paths
-//    (long side <= 16 and 17..32 dims) and the AVX2 window — returns doubles
-//    bit-identical to a plain linear merge, because only the *search* for
-//    matching dims is vectorized while the FP accumulation stays scalar in
+//  * Every strategy of the sparse-intersection kernel — scalar merge,
+//    galloping merge, SSE2 window, the AVX2 small-vector fast paths (long
+//    side <= 16 and 17..32 dims) and the scatter-probe for long balanced
+//    pairs (and the paths it declines to: short-side dim spans over 2^16,
+//    short sides of 65535+ entries) — returns doubles bit-identical to a
+//    plain linear merge at every level, because only the *search* for
+//    matching dims differs while the FP accumulation stays scalar in
 //    increasing-dimension order.
+//  * On unsorted dims (which the loaders refuse, but a VectorRef can still
+//    hold) every path stays in bounds and returns a finite value.
 //  * Degenerate pairs (an empty side, fully disjoint dim ranges) short-
 //    circuit to {0.0, 0} before any level-specific code runs.
 //  * EvaluatePairBatch's hit mask equals the unbatched Similarity() loop
@@ -22,7 +26,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -104,6 +110,70 @@ SparseVector RandomSortedVector(Rng& rng, size_t len, uint32_t range) {
   return SparseVector(std::move(features));
 }
 
+/// `len` strictly increasing dims whose first is `first` and last is
+/// `first + span - 1` (len >= 2, span >= len), the rest drawn from between;
+/// `len == span` gives the contiguous run. Weights as RandomSortedVector.
+SparseVector SpanVector(Rng& rng, size_t len, DimId first, uint32_t span) {
+  std::set<DimId> dims = {first, first + (span - 1)};
+  if (len == span) {
+    for (uint32_t d = 1; d + 1 < span; ++d) dims.insert(first + d);
+  }
+  while (dims.size() < len) {
+    dims.insert(first + static_cast<DimId>(rng.Below(span)));
+  }
+  std::vector<Feature> features;
+  features.reserve(len);
+  for (const DimId d : dims) {
+    features.push_back(
+        Feature{d, static_cast<float>(0.1 + rng.NextDouble() * 2.0)});
+  }
+  return SparseVector(std::move(features));
+}
+
+/// A partner for `a` of `len` strictly increasing dims: about half taken
+/// from `a` (so matches are plentiful and include a's last dim), the rest
+/// drawn from [lo, lo + range).
+SparseVector PartnerVector(Rng& rng, const SparseVector& a, size_t len,
+                           DimId lo, uint32_t range) {
+  std::set<DimId> dims = {a.ref().dim(a.size() - 1)};
+  while (dims.size() < len / 2 && dims.size() < a.size()) {
+    dims.insert(a.ref().dim(rng.Below(a.size())));
+  }
+  while (dims.size() < len) {
+    dims.insert(lo + static_cast<DimId>(rng.Below(range)));
+  }
+  std::vector<Feature> features;
+  features.reserve(len);
+  for (const DimId d : dims) {
+    features.push_back(
+        Feature{d, static_cast<float>(0.1 + rng.NextDouble() * 2.0)});
+  }
+  return SparseVector(std::move(features));
+}
+
+/// Asserts PairDotCount(a, b) and PairDotCount(b, a) equal the linear-merge
+/// reference bit for bit at every level.
+void ExpectMatchesReferenceAtEveryLevel(const SparseVector& a,
+                                        const SparseVector& b,
+                                        const std::string& label) {
+  const PairDotResult want = ReferenceDotCount(a, b);
+  const auto results = RunAtEveryLevel([&] {
+    return std::pair<PairDotResult, PairDotResult>(PairDotCount(a, b),
+                                                   PairDotCount(b, a));
+  });
+  for (size_t l = 0; l < results.size(); ++l) {
+    const auto& [fwd, rev] = results[l];
+    EXPECT_EQ(std::bit_cast<uint64_t>(fwd.dot),
+              std::bit_cast<uint64_t>(want.dot))
+        << label << " level " << l;
+    EXPECT_EQ(fwd.matches, want.matches) << label << " level " << l;
+    EXPECT_EQ(std::bit_cast<uint64_t>(rev.dot),
+              std::bit_cast<uint64_t>(want.dot))
+        << label << " swapped, level " << l;
+    EXPECT_EQ(rev.matches, want.matches) << label << " swapped, level " << l;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Satellite regression: degenerate pairs must short-circuit identically at
 // every level. Empty sides and fully disjoint dim ranges return {0.0, 0}
@@ -181,15 +251,20 @@ TEST(PairEvalTest, BatchWithEmptyVectorsMatchesUnbatchedLoop) {
 // ---------------------------------------------------------------------------
 // Randomized property grid: every kernel path bitwise-equal to the local
 // linear-merge reference across skew (gallop engages at >= kGallopRatio),
-// long-side length (the AVX2 <=16 / 17..32 / window rungs) and dim range
-// (intersection density from near-total overlap to near-disjoint).
+// long-side length (the AVX2 <=16 / 17..32 rungs, the scatter-probe above
+// 32) and dim range (intersection density from near-total overlap to
+// near-disjoint), then the scatter-probe's edges: short-side dim spans at
+// and past its 2^16 table, dims near UINT32_MAX, and short sides too long
+// for its uint16_t positions.
 
 TEST(PairEvalTest, KernelGridMatchesLinearMergeReferenceBitwise) {
   // (short length, long length): chosen to land in every traversal path.
   const std::pair<size_t, size_t> kShapes[] = {
       {1, 1},   {2, 5},   {7, 14},  {13, 16}, {16, 16},  // AVX2 <=16 rung
       {9, 24},  {17, 32},                                // AVX2 17..32 rung
-      {20, 40}, {33, 48}, {40, 64},                      // AVX2/SSE2 window
+      {20, 40}, {33, 48}, {40, 64},                      // scatter-probe
+      {33, 33}, {40, 300}, {200, 234}, {250, 1000},      // long balanced,
+                                                         // across chunks
       {1, 12},  {2, 30},  {4, 64},  {3, 200},            // gallop (>=8x skew)
   };
   ASSERT_GE(kGallopRatio, 8u) << "gallop rows above assume ratio 8";
@@ -226,6 +301,119 @@ TEST(PairEvalTest, KernelGridMatchesLinearMergeReferenceBitwise) {
       }
     }
   }
+
+  // Short-side dim spans around the scatter table's 2^16 entries: 65535
+  // and 65536 fit it, 65537 is declined to the level kernel. Each partner
+  // shares the short side's last dim, the slot at the table's far end.
+  Rng rng(kSeed ^ 0x5ca7);
+  for (const uint32_t span : {65535u, 65536u, 65537u}) {
+    for (const DimId first : {DimId{0}, DimId{1000}}) {
+      const SparseVector a = SpanVector(rng, 120, first, span);
+      const SparseVector b =
+          PartnerVector(rng, a, 300, first > 0 ? first - 500 : 0, span + 1000);
+      ExpectMatchesReferenceAtEveryLevel(
+          a, b, "span " + std::to_string(span) + " from " +
+                    std::to_string(first));
+    }
+  }
+
+  // Dims near UINT32_MAX: the span arithmetic must not wrap, and long-side
+  // dims below the short side's first dim must miss, not alias a slot.
+  constexpr DimId kTop = std::numeric_limits<DimId>::max();
+  for (const uint32_t span : {64u, 5000u, 65536u}) {
+    const SparseVector a = SpanVector(rng, 48, kTop - (span - 1), span);
+    const SparseVector b = PartnerVector(rng, a, 90, kTop - 2 * span, 2 * span);
+    ExpectMatchesReferenceAtEveryLevel(
+        a, b, "top span " + std::to_string(span));
+  }
+
+  // Short sides of 65535 and 65536 entries: the second's last position
+  // does not fit uint16_t + 1, so the scatter-probe must decline it (a
+  // wrapped position would drop the match on the short side's last dim).
+  for (const size_t len : {size_t{65535}, size_t{65536}}) {
+    const auto span = static_cast<uint32_t>(len);
+    const SparseVector a = SpanVector(rng, len, 7, span);
+    const SparseVector b = PartnerVector(rng, a, len + 400, 0, span + 400);
+    ExpectMatchesReferenceAtEveryLevel(a, b,
+                                       "short side " + std::to_string(len));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: a VectorRef with unsorted dims (the VSJB/VSJS loaders
+// refuse such files, but the kernels must not rely on that for memory
+// safety). Every path — merge, gallop, SIMD rungs, scatter-probe and its
+// declines — must stay in bounds (the ASan/UBSan leg runs this) and return
+// a finite value; the value itself is meaningless.
+
+TEST(PairEvalTest, UnsortedDimsStayInBoundsAndFinite) {
+  Rng rng(kSeed ^ 0xbad);
+  CsrStorage storage;
+  // Column storage for the hand-built refs; reserved so no pointer moves.
+  std::vector<std::vector<DimId>> dims;
+  std::vector<std::vector<float>> weights;
+  dims.reserve(64);
+  weights.reserve(64);
+  const auto add = [&](std::vector<DimId> d) {
+    std::vector<float> w(d.size());
+    double norm2 = 0.0, l1 = 0.0;
+    for (float& x : w) {
+      x = static_cast<float>(0.1 + rng.NextDouble());
+      norm2 += static_cast<double>(x) * x;
+      l1 += x;
+    }
+    dims.push_back(std::move(d));
+    weights.push_back(std::move(w));
+    storage.Append(VectorRef(dims.back().data(), weights.back().data(),
+                             static_cast<uint32_t>(dims.back().size()),
+                             std::sqrt(norm2), l1));
+  };
+  for (const size_t len : {3u, 12u, 20u, 33u, 64u, 234u, 700u}) {
+    std::vector<DimId> shuffled(len);
+    for (size_t i = 0; i < len; ++i) {
+      shuffled[i] = static_cast<DimId>(rng.Below(4 * len + 1));
+    }
+    add(shuffled);  // random order, duplicates allowed
+    std::vector<DimId> descending = shuffled;
+    std::sort(descending.rbegin(), descending.rend());
+    add(descending);  // last dim below the first
+    std::vector<DimId> wild = shuffled;
+    wild.front() = 1000;  // first < last, middle dims below the first
+    wild.back() = 1000 + static_cast<DimId>(len);
+    add(wild);
+    std::vector<DimId> extremes = shuffled;
+    extremes[len / 2] = std::numeric_limits<DimId>::max();
+    extremes.front() = 0;
+    extremes.back() = 70000;  // span past the scatter table
+    add(extremes);
+  }
+  const DatasetView view(storage);
+  std::vector<VectorId> firsts, seconds;
+  for (VectorId i = 0; i < view.size(); ++i) {
+    for (VectorId j = 0; j < view.size(); ++j) {
+      firsts.push_back(i);
+      seconds.push_back(j);
+    }
+  }
+  RunAtEveryLevel([&] {
+    for (size_t p = 0; p < firsts.size(); ++p) {
+      const PairDotResult r =
+          PairDotCount(view[firsts[p]], view[seconds[p]]);
+      EXPECT_TRUE(std::isfinite(r.dot)) << "pair " << p;
+    }
+    for (size_t off = 0; off < firsts.size(); off += kPairEvalBatch) {
+      const size_t count =
+          std::min<size_t>(kPairEvalBatch, firsts.size() - off);
+      double similarities[kPairEvalBatch];
+      EvaluatePairSimilarities(SimilarityMeasure::kCosine, view,
+                               firsts.data() + off, seconds.data() + off,
+                               count, kPairPrefetchDistance, similarities);
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_TRUE(std::isfinite(similarities[i])) << "pair " << off + i;
+      }
+    }
+    return 0;
+  });
 }
 
 TEST(PairEvalTest, DenseIdenticalVectorsMatchEveryLane) {

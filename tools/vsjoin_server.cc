@@ -3,6 +3,7 @@
 //   vsjoin_server --root snapshots/ [--port 7077] [--workers 2]
 //                 [--max-resident 8] [--max-inflight 1024]
 //                 [--default-timeout-ms 0] [--max-batch 64]
+//                 [--max-pairs-per-request 67108864]
 //                 [--k 20] [--tables 1] [--threads 1] [--seed 1]
 //                 [--port-file PATH] [--debug-ops]
 //                 [--metrics] [--metrics-json PATH]
@@ -13,6 +14,13 @@
 // EstimationService (see vsj/service/tenant_registry.h). Tenants open
 // lazily on first request and at most --max-resident stay open (LRU, with
 // dirty streaming tenants checkpointed back on eviction).
+//
+// --max-pairs-per-request bounds an estimate's predicted work before it is
+// admitted: trials × (m_H + m_L) pair draws, with the request's
+// sample_size_h / sample_size_l overrides folded in and unset budgets
+// resolved from the tenant's vector count n (m_H = m_L = n). A request
+// above the limit gets a bad_request naming both numbers. The default,
+// 2^26, admits the paper's budgets at n = 10^6 with 32 trials.
 //
 // The wire protocol is length-prefixed JSON (vsj/net/protocol.h); the
 // paired load generator / request client is vsjoin_client. --k/--tables/
@@ -58,6 +66,7 @@ struct Args {
   size_t max_batch = 64;
   uint64_t default_timeout_ms = 0;
   uint32_t max_frame_bytes = 1u << 20;
+  uint64_t max_pairs_per_request = uint64_t{1} << 26;
   bool debug_ops = false;
 
   // Static-tenant engine knobs (streaming snapshots carry their own).
@@ -78,11 +87,16 @@ void Usage() {
          "                     [--workers N] [--max-resident N]\n"
          "                     [--max-inflight N] [--max-batch N]\n"
          "                     [--default-timeout-ms N]\n"
+         "                     [--max-pairs-per-request N]\n"
          "                     [--max-frame-bytes N] [--debug-ops]\n"
          "                     [--k N] [--tables N] [--threads N] "
          "[--seed N]\n"
          "                     [--metrics] [--metrics-json PATH]\n"
-         "                     [--stats-interval MS] [--stats-json PATH]\n";
+         "                     [--stats-interval MS] [--stats-json PATH]\n"
+         "  --max-pairs-per-request N  refuse an estimate whose trials x "
+         "(m_H + m_L)\n"
+         "                             exceeds N pair draws (default "
+         "67108864 = 2^26)\n";
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -125,6 +139,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--max-frame-bytes") {
       if (!next_u64(1, UINT32_MAX)) return false;
       args->max_frame_bytes = static_cast<uint32_t>(u);
+    } else if (flag == "--max-pairs-per-request") {
+      if (!next_u64(1)) return false;
+      args->max_pairs_per_request = u;
     } else if (flag == "--debug-ops") {
       args->debug_ops = true;
     } else if (flag == "--k") {
@@ -202,6 +219,7 @@ int main(int argc, char** argv) {
   registry_options.static_options.num_threads = args.threads;
   registry_options.static_options.family_seed = args.seed ^ 0x5eedULL;
   registry_options.streaming_options.num_threads = args.threads;
+  registry_options.max_pairs_per_request = args.max_pairs_per_request;
   vsj::TenantRegistry registry(registry_options);
   if (registry.swept_tmp_files() > 0) {
     std::cerr << "vsjoin_server: swept " << registry.swept_tmp_files()
