@@ -1,8 +1,8 @@
 // Dispatched sparse-intersection kernels and the locality-ordered batch
 // evaluator. Three strategies find the matching dims of a pair:
 //
-//  * merge / gallop: the linear merge (the reference traversal, and every
-//    level's path on the scalar build), galloping when the long side is
+//  * merge / gallop: the linear merge (the reference traversal and the
+//    scalar level's kernel), galloping when the long side is
 //    >= kGallopRatio× the short one — at every level;
 //  * SIMD short rungs: the SSE2 window search for long sides <= 32 dims
 //    (and at the SSE2 level for any balanced pair the scatter-probe
@@ -384,14 +384,15 @@ bool DotScatterProbe(VectorRef small, VectorRef large,
 }
 
 // The short-circuits, the small/large swap, and the choice between gallop,
-// scatter-probe and the level kernel, templated on the level kernel so the batch loop below can bind
-// the dispatched level ONCE per batch instead of re-reading it per pair
-// (ActiveSimdLevel() is an out-of-line call; at ~14-dim dblp vectors it was
-// measurable in the estimate profile). Degenerate pairs (either side empty,
-// or dimension ranges fully disjoint) return {0, 0} before any kernel runs,
-// so every level is indistinguishable on them; pair_eval_test pins this.
-// Ordered so no dims pointer is dereferenced until both sides are known
-// non-empty.
+// scatter-probe and the level kernel, templated on the level kernel so the
+// batch loop below can bind the dispatched level ONCE per batch instead of
+// re-reading it per pair (ActiveSimdLevel() is an out-of-line call; at
+// ~14-dim dblp vectors it was measurable in the estimate profile). The
+// caller looks the thread's scatter table up once, too. Degenerate pairs
+// (either side empty, or dimension ranges fully disjoint) return {0, 0}
+// before any kernel runs, so every level is indistinguishable on them;
+// pair_eval_test pins this. Ordered so no dims pointer is dereferenced
+// until both sides are known non-empty.
 template <typename KernelFn>
 inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
                                       KernelFn kernel,

@@ -7,12 +7,20 @@
 // shapes:
 //
 //  * PairDotCount / PairDot / PairOverlap: one pair, runtime-dispatched
-//    (AVX2 / SSE2 / scalar via util/cpu.h). The SIMD widths vectorize only
-//    the *search* for matching dims (broadcast-compare over a window of the
-//    longer side, with the galloping skip taking over for heavily skewed
-//    lengths); the FP accumulation of matched products stays scalar, in
-//    increasing-dimension order, so every width returns bit-identical
-//    doubles (DESIGN.md "Batch pair evaluation").
+//    (AVX2 / SSE2 / scalar via util/cpu.h). Three strategies find the
+//    matching dims, chosen by the pair's shape:
+//      - merge / gallop: the linear merge, and the galloping skip for
+//        pairs whose long side is >= kGallopRatio× the short one;
+//      - SIMD short rungs: broadcast-compare search for long sides of at
+//        most 32 dims (SSE2 window, AVX2 full-residency registers);
+//      - scatter-probe for long balanced pairs: the short side's positions
+//        scattered into a per-thread table indexed by dim, the long side
+//        probed against it without a data-dependent branch (plain C++,
+//        every level).
+//    Every strategy only *finds* matches; the FP accumulation of matched
+//    products stays scalar, in increasing-dimension order, so every
+//    strategy and level returns bit-identical doubles (DESIGN.md "Batch
+//    pair evaluation").
 //
 //  * EvaluatePairSimilarities, with EvaluatePairBatch / CountPairsAtOrAbove
 //    as its thresholded forms: up to kPairEvalBatch pairs at once. The
@@ -60,7 +68,8 @@ struct PairDotResult {
 
 /// Inner product and shared-dimension count of two sparse vectors: merge
 /// join over the sorted dims, galloping when one side is >= kGallopRatio×
-/// longer, SIMD window search otherwise. Pairs with an empty side or fully
+/// longer, the SIMD short rungs for long sides of at most 32 dims, the
+/// scatter-probe above that. Pairs with an empty side or fully
 /// disjoint dim ranges short-circuit to {0.0, 0} before any level-specific
 /// code runs, so the scalar and SIMD paths cannot diverge on degenerate
 /// input (the regression pair_eval_test pins this).

@@ -5,10 +5,11 @@
 // a CsrStorage arena, or living in a streaming chunk, is read through a
 // VectorRef: two raw pointers, a length, and the cached norms. The Dot /
 // OverlapSize members forward to the dispatched intersection kernels in
-// vector/pair_eval.h — linear merge, galloping merge for skewed-size pairs,
-// SIMD window search for balanced ones — all of which produce bit-identical
-// results (matches are accumulated in increasing-dimension order by every
-// strategy).
+// vector/pair_eval.h — merge / gallop (the galloping merge for skewed-size
+// pairs), SIMD short rungs for long sides of at most 32 dims, and the
+// scatter-probe for long balanced pairs — all of which produce
+// bit-identical results (matches are accumulated in increasing-dimension
+// order by every strategy).
 
 #ifndef VSJ_VECTOR_VECTOR_REF_H_
 #define VSJ_VECTOR_VECTOR_REF_H_
@@ -103,8 +104,9 @@ class VectorRef {
   Iterator begin() const { return Iterator(dims_, weights_); }
   Iterator end() const { return Iterator(dims_ + size_, weights_ + size_); }
 
-  /// Inner product with `other`: merge join over sorted dims, galloping
-  /// when one side is ≥ kGallopRatio× longer.
+  /// Inner product with `other` (PairDot): merge join over sorted dims,
+  /// galloping when one side is ≥ kGallopRatio× longer, SIMD or
+  /// scatter-probe search for balanced pairs.
   double Dot(VectorRef other) const;
 
   /// Number of shared dimensions with `other` (same traversal as Dot).

@@ -359,6 +359,46 @@ TEST_F(TenantRegistryTest, MutationTaxonomy) {
       << result.message;
 }
 
+TEST_F(TenantRegistryTest, AdmissionByPredictedWorkTracksTheLiveCount) {
+  // Unset budgets resolve to m_H = m_L = n, so 2 trials predict 4n pair
+  // draws: a limit of 4n - 1 refuses them until a removal shrinks n.
+  const uint64_t n = kCorpusSize;
+  TenantRegistryOptions options = Options();
+  options.max_pairs_per_request = 4 * n - 1;
+  TenantRegistry registry(options);
+  std::shared_ptr<Tenant> churn;
+  std::shared_ptr<Tenant> wiki;
+  ASSERT_TRUE(registry.Acquire("churn", &churn).ok());
+  ASSERT_TRUE(registry.Acquire("wiki", &wiki).ok());
+
+  EstimateRequest request = LshSsRequest();  // 2 trials
+  const TenantOpResult refused = churn->ValidateEstimate(request);
+  EXPECT_EQ(refused.code, TenantOpResult::Code::kBadRequest);
+  EXPECT_NE(refused.message.find("= " + std::to_string(4 * n) +
+                                 " pair draws exceeds "
+                                 "--max-pairs-per-request " +
+                                 std::to_string(4 * n - 1)),
+            std::string::npos)
+      << refused.message;
+  EXPECT_EQ(wiki->ValidateEstimate(request).code,
+            TenantOpResult::Code::kBadRequest);
+
+  ASSERT_TRUE(churn->Remove(3).ok());
+  EXPECT_TRUE(churn->ValidateEstimate(request).ok());
+  ASSERT_TRUE(churn->Insert(3).ok());
+  EXPECT_EQ(churn->ValidateEstimate(request).code,
+            TenantOpResult::Code::kBadRequest);
+
+  // Overrides are folded in before the check, in both directions.
+  request.sample_size_l = 1;
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
+  request.sample_size_h = std::numeric_limits<uint64_t>::max();
+  const TenantOpResult overflow = wiki->ValidateEstimate(request);
+  EXPECT_EQ(overflow.code, TenantOpResult::Code::kBadRequest);
+  EXPECT_NE(overflow.message.find("more than 2^64"), std::string::npos)
+      << overflow.message;
+}
+
 TEST_F(TenantRegistryTest, StartupSweepRemovesOrphanedTmpFiles) {
   // A crash between AtomicFileWriter::Open and Commit leaves *.tmp
   // litter next to the snapshots; registry construction removes it.
