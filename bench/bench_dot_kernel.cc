@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   // skew ratios and an intersection-density sweep. dense_14 mirrors the
   // dblp-like common case (the AVX2 full-residency rung); the 32-dim rows
   // sweep density at the 17..32 rung; skew >= 8 takes the gallop at every
-  // level; len_64 is the shortest balanced shape the scatter-probe serves
+  // level; len_64 is a synthetic balanced shape on the scatter-probe
   // (long side > 32 dims). len_220 is the served regime: random pairs of a
   // NYT-like TF-IDF corpus (~220 features a vector, an arena far larger
   // than L2), and len_120 the same over a PubMed-like corpus, next to the

@@ -214,8 +214,9 @@ struct VsjbColumnView {
 /// vectors over header.num_features features: checks every section's
 /// shape, then that the offsets start at 0, end at the feature count and
 /// never decrease, and that each vector's dims strictly increase (the
-/// intersection kernels rely on it). The one column check of the dataset loader, the mmap
-/// opener and the snapshot reader. `*columns` is unspecified on failure.
+/// intersection kernels rely on it). The one column check of the dataset
+/// loader, the mmap opener and the snapshot reader. `*columns` is
+/// unspecified on failure.
 IoStatus ResolveVsjbColumns(const VsjbImage& image, VsjbColumnView* columns);
 
 }  // namespace vsj

@@ -314,31 +314,21 @@ constexpr uint64_t kScatterMaxSpan = uint64_t{1} << 16;
 constexpr size_t kScatterMaxShort = 65535;
 constexpr size_t kScatterChunk = 128;
 
-// The per-thread slot table, all zero between calls. Grows lazily to the
-// largest span seen (rounded up to a power of two, plus the sentinel), so
-// a thread that only ever sees short vectors never allocates it.
-class ScatterScratch {
- public:
-  uint16_t* Reserve(uint32_t span) {
-    if (slots_.size() <= span) {
-      slots_.assign(std::bit_ceil(span) + size_t{1}, 0);
-    }
-    return slots_.data();
-  }
+// The per-thread slot table, all zero between calls. DotScatterProbe grows
+// it lazily to the largest span seen (rounded up to a power of two, plus
+// the sentinel), so a thread that only ever sees short vectors never
+// allocates it.
+using ScatterTable = std::vector<uint16_t>;
 
- private:
-  std::vector<uint16_t> slots_;
-};
-
-ScatterScratch& ThreadScatterScratch() {
-  thread_local ScatterScratch scratch;
-  return scratch;
+ScatterTable& ThreadScatterTable() {
+  thread_local ScatterTable table;
+  return table;
 }
 
 // Returns false, touching nothing, when the pair is outside the kernel's
 // range (see above); *acc is the pair's result otherwise.
-bool DotScatterProbe(VectorRef small, VectorRef large,
-                     ScatterScratch& scratch, DotAccum* acc) {
+bool DotScatterProbe(VectorRef small, VectorRef large, ScatterTable& table,
+                     DotAccum* acc) {
   const size_t an = small.size();
   const size_t bn = large.size();
   const DimId* a = small.dims();
@@ -349,7 +339,8 @@ bool DotScatterProbe(VectorRef small, VectorRef large,
   const DimId base = a[0];
   if (uint64_t{a[an - 1]} - base + 1 > kScatterMaxSpan) return false;
   const auto span = static_cast<uint32_t>(a[an - 1] - base + 1);
-  uint16_t* slots = scratch.Reserve(span);
+  if (table.size() <= span) table.assign(std::bit_ceil(span) + size_t{1}, 0);
+  uint16_t* slots = table.data();
 
   for (size_t i = 0; i < an; ++i) {
     const uint32_t s = a[i] - base;
@@ -396,7 +387,7 @@ bool DotScatterProbe(VectorRef small, VectorRef large,
 template <typename KernelFn>
 inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
                                       KernelFn kernel,
-                                      ScatterScratch& scratch) {
+                                      ScatterTable& table) {
   if (a.empty() || b.empty()) return {};
   if (a.dim(a.size() - 1) < b.dim(0) || b.dim(b.size() - 1) < a.dim(0)) {
     return {};
@@ -412,7 +403,7 @@ inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
   if (large.size() >= kGallopRatio * small.size()) {
     acc = DotScalar(small, large);
   } else if (large.size() <= kScatterMinLong ||
-             !DotScatterProbe(small, large, scratch, &acc)) {
+             !DotScatterProbe(small, large, table, &acc)) {
     acc = kernel(small, large);
   }
   return PairDotResult{acc.sum, acc.matches};
@@ -440,14 +431,14 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
                            const uint8_t* order, size_t count,
                            size_t prefetch_distance, KernelFn kernel,
                            double* similarities, BatchStats* stats) {
-  ScatterScratch& scratch = ThreadScatterScratch();
+  ScatterTable& table = ThreadScatterTable();
   for (size_t k = 0; k < count; ++k) {
     if (k + prefetch_distance < count) {
       PrefetchFeatures(u[order[k + prefetch_distance]]);
       PrefetchFeatures(v[order[k + prefetch_distance]]);
     }
     const size_t i = order[k];
-    const PairDotResult r = PairDotCountWith(u[i], v[i], kernel, scratch);
+    const PairDotResult r = PairDotCountWith(u[i], v[i], kernel, table);
     stats->matches += r.matches;
     stats->min_len += std::min(u[i].size(), v[i].size());
     similarities[i] = CosineFromDot(r.dot, u[i], v[i]);
@@ -459,22 +450,22 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
 PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   // Single-pair entry (VectorRef::Dot/OverlapSize): one dispatch per call.
   // Batch callers go through EvaluatePairBatch, which hoists this switch.
-  ScatterScratch& scratch = ThreadScatterScratch();
+  ScatterTable& table = ThreadScatterTable();
   switch (ActiveSimdLevel()) {
 #if VSJ_PAIR_EVAL_X86
     case SimdLevel::kAvx2:
       return PairDotCountWith(
           a, b, [](VectorRef s, VectorRef l) { return DotAvx2(s, l); },
-          scratch);
+          table);
     case SimdLevel::kSse2:
       return PairDotCountWith(
           a, b, [](VectorRef s, VectorRef l) { return DotSse2(s, l); },
-          scratch);
+          table);
 #endif
     default:
       return PairDotCountWith(
           a, b, [](VectorRef s, VectorRef l) { return DotScalar(s, l); },
-          scratch);
+          table);
   }
 }
 
