@@ -15,7 +15,6 @@
 #include "vsj/obs/stat_reporter.h"
 #include "vsj/util/cpu.h"
 #include "vsj/util/env.h"
-#include "vsj/util/hash.h"
 #include "vsj/util/timer.h"
 
 namespace vsj::bench {
@@ -130,16 +129,34 @@ EstimatorContext MakeContext(const Workbench& bench) {
   return context;
 }
 
-namespace {
-
-/// `seed` folded with the bytes of `name`: an estimator's trial seed,
-/// fixed by this code rather than by the standard library's std::hash.
-uint64_t NameSeed(uint64_t seed, const std::string& name) {
-  for (const unsigned char byte : name) seed = HashCombine(seed, byte);
-  return seed;
+std::vector<double> DefinedThresholds(const Workbench& bench,
+                                      const std::vector<double>& taus) {
+  std::vector<double> defined;
+  for (double tau : taus) {
+    if (bench.truth->JoinSize(tau) > 0) defined.push_back(tau);
+  }
+  return defined;
 }
 
-}  // namespace
+std::vector<AccuracyCell> ScoreSweep(const Workbench& bench,
+                                     const JoinSizeEstimator& estimator,
+                                     const std::string& label,
+                                     const std::vector<double>& taus,
+                                     size_t trials, uint64_t seed) {
+  std::vector<AccuracyCell> cells;
+  for (const TrialSeries& series : RunTrials(
+           estimator, DefinedThresholds(bench, taus), trials, seed)) {
+    AccuracyCell cell;
+    cell.estimator = label;
+    cell.tau = series.tau;
+    cell.true_size = static_cast<double>(bench.truth->JoinSize(series.tau));
+    cell.stats = ComputeErrorStats(series.estimates, cell.true_size);
+    cell.mean_runtime_ms = series.mean_runtime_ms;
+    cell.num_unguaranteed = series.num_unguaranteed;
+    cells.push_back(std::move(cell));
+  }
+  return cells;
+}
 
 std::vector<AccuracyCell> RunAccuracyGrid(
     const Workbench& bench, const EstimatorContext& context,
@@ -147,23 +164,23 @@ std::vector<AccuracyCell> RunAccuracyGrid(
     const std::vector<double>& taus, size_t trials, uint64_t seed) {
   std::vector<AccuracyCell> cells;
   for (const std::string& name : estimator_names) {
-    auto estimator = CreateEstimator(name, context);
-    for (double tau : taus) {
-      const uint64_t true_j = bench.truth->JoinSize(tau);
-      if (true_j == 0) continue;  // relative error undefined
-      const TrialSeries series =
-          RunTrials(*estimator, tau, trials, NameSeed(seed, name));
-      AccuracyCell cell;
-      cell.estimator = name;
-      cell.tau = tau;
-      cell.true_size = static_cast<double>(true_j);
-      cell.stats = ComputeErrorStats(series.estimates, cell.true_size);
-      cell.mean_runtime_ms = series.mean_runtime_ms;
-      cell.num_unguaranteed = series.num_unguaranteed;
-      cells.push_back(std::move(cell));
-    }
+    const std::vector<AccuracyCell> scored = ScoreSweep(
+        bench, *CreateEstimator(name, context), name, taus, trials, seed);
+    cells.insert(cells.end(), scored.begin(), scored.end());
   }
   return cells;
+}
+
+SweepSummary Summarize(const std::vector<AccuracyCell>& cells) {
+  SweepSummary summary;
+  for (const AccuracyCell& cell : cells) {
+    const double mean = cell.stats.mean_estimate;
+    summary.avg_error += cell.stats.mean_absolute_relative_error;
+    if (mean == 0.0 || cell.true_size / mean >= 10.0) ++summary.big_under;
+    if (mean / cell.true_size >= 10.0) ++summary.big_over;
+  }
+  if (!cells.empty()) summary.avg_error /= static_cast<double>(cells.size());
+  return summary;
 }
 
 namespace {
@@ -229,19 +246,16 @@ void PrintAccuracyFigure(const std::string& figure_title,
 }
 
 void PrintRuntimeSummary(const std::vector<AccuracyCell>& cells) {
-  std::map<std::string, std::pair<double, size_t>> sums;
-  std::vector<std::string> order;
+  // Every cell of one estimator carries the same sweep-trial time.
+  TablePrinter table("Mean runtime of one sweep trial (all thresholds)");
+  table.SetHeader({"estimator", "mean sweep trial (ms)"});
+  std::vector<std::string> seen;
   for (const AccuracyCell& cell : cells) {
-    auto [it, inserted] = sums.try_emplace(cell.estimator);
-    if (inserted) order.push_back(cell.estimator);
-    it->second.first += cell.mean_runtime_ms;
-    it->second.second += 1;
-  }
-  TablePrinter table("Mean estimation runtime");
-  table.SetHeader({"estimator", "mean runtime (ms)"});
-  for (const std::string& est : order) {
-    const auto& [total, count] = sums[est];
-    table.AddRow({est, TablePrinter::Fmt(total / count, 2)});
+    if (std::find(seen.begin(), seen.end(), cell.estimator) != seen.end()) {
+      continue;
+    }
+    seen.push_back(cell.estimator);
+    table.AddRow({cell.estimator, TablePrinter::Fmt(cell.mean_runtime_ms, 2)});
   }
   table.Print(std::cout);
   std::cout << "\n";

@@ -3,9 +3,11 @@
 //
 // Every bench follows the same protocol as the paper's §6: build a corpus
 // and a pre-built LSH index, compute exact ground truth once, run each
-// estimator for R independent trials per threshold, and report
-// over/under relative errors, STD and runtime. Scale knobs come from the
-// environment:
+// estimator for R independent trials — one sweep over every threshold per
+// trial, on TrialStream(seed, t) (eval/experiment.h), the computation a
+// server runs for the same question — and report over/under relative
+// errors, STD and runtime. Every cell uses the scale's seed. Scale knobs
+// come from the environment:
 //   VSJ_N       dataset size           (default: per-bench laptop scale)
 //   VSJ_TRIALS  trials per data point  (default 50; paper: 100)
 //   VSJ_SEED    corpus / RNG seed      (default 1)
@@ -68,20 +70,44 @@ struct AccuracyCell {
   size_t num_unguaranteed = 0;
 };
 
-/// Runs `trials` independent estimates per (estimator, τ) and aggregates.
-/// Thresholds where the true join size is 0 are skipped (relative error is
-/// undefined there), mirroring the paper's protocol.
+/// The τ of `taus` whose true join size is positive: relative error is
+/// undefined at J = 0, so the paper's protocol skips those thresholds.
+std::vector<double> DefinedThresholds(const Workbench& bench,
+                                      const std::vector<double>& taus);
+
+/// Runs `trials` sweeps of `estimator` over DefinedThresholds(taus) with
+/// one RunTrials call, and scores each τ against the bench's exact J.
+/// Cells are labelled `label`.
+std::vector<AccuracyCell> ScoreSweep(const Workbench& bench,
+                                     const JoinSizeEstimator& estimator,
+                                     const std::string& label,
+                                     const std::vector<double>& taus,
+                                     size_t trials, uint64_t seed);
+
+/// ScoreSweep for each registered estimator of `estimator_names`, in order.
 std::vector<AccuracyCell> RunAccuracyGrid(
     const Workbench& bench, const EstimatorContext& context,
     const std::vector<std::string>& estimator_names,
     const std::vector<double>& taus, size_t trials, uint64_t seed);
+
+/// Appendix C.2's summary of one estimator's cells: the average |relative
+/// error| over τ, and the number of τ whose mean estimate is off by 10× or
+/// more in each direction (a zero estimate of a positive J counts as a big
+/// underestimate).
+struct SweepSummary {
+  double avg_error = 0.0;
+  size_t big_under = 0;
+  size_t big_over = 0;
+};
+SweepSummary Summarize(const std::vector<AccuracyCell>& cells);
 
 /// Prints the three panels of a paper accuracy figure (e.g. Figure 2):
 /// (a) relative error of overestimation, (b) of underestimation, (c) STD.
 void PrintAccuracyFigure(const std::string& figure_title,
                          const std::vector<AccuracyCell>& cells);
 
-/// Prints mean estimation runtime per estimator (the §6.2 runtime text).
+/// Prints the mean runtime of one sweep trial per estimator (the §6.2
+/// runtime text, with every τ of the grid answered by one trial).
 void PrintRuntimeSummary(const std::vector<AccuracyCell>& cells);
 
 /// Default estimator context for a workbench.

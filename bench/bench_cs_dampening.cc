@@ -9,10 +9,7 @@
 // thresholds; c_s = 0.1 keeps overestimation under ~62%); 0.1 ≤ c_s ≤ 0.5
 // is the recommended range when variance matters.
 
-#include <iostream>
-
 #include "bench_common.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -35,41 +32,18 @@ int main() {
       {"cs=nL/delta (D)", DampeningMode::kAdaptiveNlOverDelta, 1.0},
   };
 
-  TablePrinter over("Appendix C.3: mean overestimation (%) varying c_s");
-  TablePrinter under("Appendix C.3: mean underestimation (%) varying c_s");
-  std::vector<std::string> header = {"tau"};
-  for (const auto& v : variants) header.push_back(v.label);
-  over.SetHeader(header);
-  under.SetHeader(header);
-
-  for (double tau : StandardThresholds()) {
-    const uint64_t true_j = bench.truth->JoinSize(tau);
-    if (true_j == 0) continue;
-    std::vector<std::string> over_row = {TablePrinter::Fmt(tau, 1)};
-    std::vector<std::string> under_row = {TablePrinter::Fmt(tau, 1)};
-    for (size_t v = 0; v < variants.size(); ++v) {
-      LshSsOptions options;
-      options.dampening = variants[v].mode;
-      options.dampening_factor = variants[v].cs;
-      LshSsEstimator estimator(bench.dataset, bench.index->table(0),
-                               SimilarityMeasure::kCosine, options);
-      const TrialSeries series = RunTrials(
-          estimator, tau, scale.trials, HashCombine(scale.seed, v * 101));
-      const ErrorStats stats = ComputeErrorStats(
-          series.estimates, static_cast<double>(true_j));
-      over_row.push_back(stats.num_overestimates == 0
-                             ? "0.0%"
-                             : TablePrinter::Pct(stats.mean_overestimation));
-      under_row.push_back(
-          stats.num_underestimates == 0
-              ? "0.0%"
-              : TablePrinter::Pct(stats.mean_underestimation));
-    }
-    over.AddRow(std::move(over_row));
-    under.AddRow(std::move(under_row));
+  std::vector<AccuracyCell> cells;
+  for (const Variant& variant : variants) {
+    LshSsOptions options;
+    options.dampening = variant.mode;
+    options.dampening_factor = variant.cs;
+    const LshSsEstimator estimator(bench.dataset, bench.index->table(0),
+                                   SimilarityMeasure::kCosine, options);
+    const std::vector<AccuracyCell> scored =
+        ScoreSweep(bench, estimator, variant.label, StandardThresholds(),
+                   scale.trials, scale.seed);
+    cells.insert(cells.end(), scored.begin(), scored.end());
   }
-  over.Print(std::cout);
-  std::cout << "\n";
-  under.Print(std::cout);
+  PrintAccuracyFigure("Appendix C.3: varying c_s", cells);
   return 0;
 }

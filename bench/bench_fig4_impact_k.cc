@@ -11,8 +11,6 @@
 #include <string>
 
 #include "bench_common.h"
-#include "vsj/eval/experiment.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -34,28 +32,17 @@ int main() {
   std::map<uint32_t, std::map<std::string, std::map<double, Cell>>> grid;
   std::map<uint32_t, size_t> table_bytes;
 
+  const std::vector<std::string> names = {"LSH-SS", "LSH-S"};
   for (uint32_t k : ks) {
     LshIndex index(*base.family, base.dataset, k, 1);
     table_bytes[k] = index.MemoryBytes();
-    EstimatorContext context;
-    context.dataset = base.dataset;
+    EstimatorContext context = MakeContext(base);
     context.index = &index;
-    for (const std::string& name : {std::string("LSH-SS"),
-                                    std::string("LSH-S")}) {
-      auto estimator = CreateEstimator(name, context);
-      for (double tau : taus) {
-        const uint64_t true_j = base.truth->JoinSize(tau);
-        if (true_j == 0) continue;
-        const TrialSeries series =
-            RunTrials(*estimator, tau, scale.trials,
-                      HashCombine(scale.seed, k * 131 + (name == "LSH-S")));
-        const ErrorStats stats = ComputeErrorStats(
-            series.estimates, static_cast<double>(true_j));
-        Cell& cell = grid[k][name][tau];
-        cell.over = stats.mean_overestimation;
-        cell.under = stats.mean_underestimation;
-        cell.defined = true;
-      }
+    for (const AccuracyCell& cell : RunAccuracyGrid(
+             base, context, names, taus, scale.trials, scale.seed)) {
+      grid[k][cell.estimator][cell.tau] = {cell.stats.mean_overestimation,
+                                           cell.stats.mean_underestimation,
+                                           true};
     }
   }
 
@@ -66,8 +53,7 @@ int main() {
                      "LSH-S under"});
     for (uint32_t k : ks) {
       std::vector<std::string> row = {std::to_string(k)};
-      for (const std::string& name : {std::string("LSH-SS"),
-                                      std::string("LSH-S")}) {
+      for (const std::string& name : names) {
         const Cell& cell = grid[k][name][tau];
         if (!cell.defined) {
           row.push_back("-");

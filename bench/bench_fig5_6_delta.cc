@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -48,36 +47,12 @@ int main() {
     if (variant.delta != 0) context.lsh_ss.delta = variant.delta;
     auto estimator = CreateEstimator(variant.estimator, context);
 
-    double total_err = 0.0;
-    size_t defined = 0;
-    size_t big_under = 0;
-    size_t big_over = 0;
-    for (double tau : StandardThresholds()) {
-      const uint64_t true_j = bench.truth->JoinSize(tau);
-      if (true_j == 0) continue;
-      const TrialSeries series =
-          RunTrials(*estimator, tau, scale.trials,
-                    HashCombine(scale.seed, variant.delta * 31 + 7));
-      const ErrorStats stats = ComputeErrorStats(
-          series.estimates, static_cast<double>(true_j));
-      total_err += stats.mean_absolute_relative_error;
-      ++defined;
-      // A τ value counts as "big error" when the mean estimate is off 10×.
-      if (stats.mean_estimate > 0.0 &&
-          static_cast<double>(true_j) / stats.mean_estimate >= 10.0) {
-        ++big_under;
-      } else if (stats.mean_estimate == 0.0) {
-        ++big_under;
-      }
-      if (stats.mean_estimate / static_cast<double>(true_j) >= 10.0) {
-        ++big_over;
-      }
-    }
-    fig5.AddRow({variant.label,
-                 TablePrinter::Fmt(total_err / std::max<size_t>(defined, 1),
-                                   3)});
-    fig6.AddRow({variant.label, std::to_string(big_under),
-                 std::to_string(big_over)});
+    const SweepSummary summary =
+        Summarize(ScoreSweep(bench, *estimator, variant.label,
+                             StandardThresholds(), scale.trials, scale.seed));
+    fig5.AddRow({variant.label, TablePrinter::Fmt(summary.avg_error, 3)});
+    fig6.AddRow({variant.label, std::to_string(summary.big_under),
+                 std::to_string(summary.big_over)});
   }
   fig5.Print(std::cout);
   std::cout << "\n";

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -43,46 +42,24 @@ int main() {
       {"m", "LSH-SS under", "LSH-SS over", "RS under", "RS over"});
 
   for (const Variant& variant : variants) {
-    double err[2] = {0.0, 0.0};
-    size_t big_under[2] = {0, 0};
-    size_t big_over[2] = {0, 0};
-    size_t defined = 0;
-
     EstimatorContext context = MakeContext(bench);
     context.lsh_ss.sample_size_h = variant.m;
     context.lsh_ss.sample_size_l = variant.m;
     context.random_pair.sample_size =
         static_cast<uint64_t>(1.5 * static_cast<double>(variant.m));
-    auto lsh_ss = CreateEstimator("LSH-SS", context);
-    auto rs = CreateEstimator("RS(pop)", context);
-    const JoinSizeEstimator* estimators[2] = {lsh_ss.get(), rs.get()};
-
-    for (double tau : StandardThresholds()) {
-      const uint64_t true_j = bench.truth->JoinSize(tau);
-      if (true_j == 0) continue;
-      ++defined;
-      for (int e = 0; e < 2; ++e) {
-        const TrialSeries series =
-            RunTrials(*estimators[e], tau, scale.trials,
-                      HashCombine(scale.seed, variant.m * 17 + e));
-        const ErrorStats stats = ComputeErrorStats(
-            series.estimates, static_cast<double>(true_j));
-        err[e] += stats.mean_absolute_relative_error;
-        if (stats.mean_estimate == 0.0 ||
-            static_cast<double>(true_j) / stats.mean_estimate >= 10.0) {
-          ++big_under[e];
-        }
-        if (stats.mean_estimate / static_cast<double>(true_j) >= 10.0) {
-          ++big_over[e];
-        }
-      }
+    SweepSummary summary[2];
+    const char* names[2] = {"LSH-SS", "RS(pop)"};
+    for (int e = 0; e < 2; ++e) {
+      summary[e] = Summarize(ScoreSweep(
+          bench, *CreateEstimator(names[e], context), names[e],
+          StandardThresholds(), scale.trials, scale.seed));
     }
-    const double denom = std::max<size_t>(defined, 1);
-    fig7.AddRow({variant.label, TablePrinter::Fmt(err[0] / denom, 3),
-                 TablePrinter::Fmt(err[1] / denom, 3)});
-    fig8.AddRow({variant.label, std::to_string(big_under[0]),
-                 std::to_string(big_over[0]), std::to_string(big_under[1]),
-                 std::to_string(big_over[1])});
+    fig7.AddRow({variant.label, TablePrinter::Fmt(summary[0].avg_error, 3),
+                 TablePrinter::Fmt(summary[1].avg_error, 3)});
+    fig8.AddRow({variant.label, std::to_string(summary[0].big_under),
+                 std::to_string(summary[0].big_over),
+                 std::to_string(summary[1].big_under),
+                 std::to_string(summary[1].big_over)});
   }
   fig7.Print(std::cout);
   std::cout << "\n";

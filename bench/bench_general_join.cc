@@ -7,7 +7,6 @@
 #include "bench_common.h"
 #include "vsj/core/general_join.h"
 #include "vsj/join/brute_force_join.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -41,21 +40,26 @@ int main() {
   TablePrinter table("Appendix B.2.2: general (non-self) join estimation");
   table.SetHeader({"tau", "true J", "LSH-SS mean est", "LSH-SS |err|",
                    "RS mean est", "RS |err|"});
+  std::vector<double> taus;
+  std::vector<double> true_j;
   for (double tau : {0.3, 0.5, 0.7, 0.9}) {
-    const uint64_t true_j = BruteForceGeneralJoinSize(
+    const uint64_t j = BruteForceGeneralJoinSize(
         left, right, SimilarityMeasure::kCosine, tau);
-    if (true_j == 0) continue;
-    std::vector<std::string> row = {
-        TablePrinter::Fmt(tau, 1),
-        TablePrinter::Count(static_cast<double>(true_j))};
-    for (const JoinSizeEstimator* est :
-         {static_cast<const JoinSizeEstimator*>(&lsh_ss),
-          static_cast<const JoinSizeEstimator*>(&rs)}) {
-      const TrialSeries series = RunTrials(
-          *est, tau, scale.trials,
-          HashCombine(scale.seed, static_cast<uint64_t>(tau * 1000)));
-      const ErrorStats stats = ComputeErrorStats(
-          series.estimates, static_cast<double>(true_j));
+    if (j == 0) continue;
+    taus.push_back(tau);
+    true_j.push_back(static_cast<double>(j));
+  }
+  const std::vector<TrialSeries> lsh_ss_series =
+      RunTrials(lsh_ss, taus, scale.trials, scale.seed);
+  const std::vector<TrialSeries> rs_series =
+      RunTrials(rs, taus, scale.trials, scale.seed);
+  for (size_t j = 0; j < taus.size(); ++j) {
+    std::vector<std::string> row = {TablePrinter::Fmt(taus[j], 1),
+                                    TablePrinter::Count(true_j[j])};
+    for (const std::vector<TrialSeries>* series :
+         {&lsh_ss_series, &rs_series}) {
+      const ErrorStats stats =
+          ComputeErrorStats((*series)[j].estimates, true_j[j]);
       row.push_back(TablePrinter::Count(stats.mean_estimate));
       row.push_back(
           TablePrinter::Pct(stats.mean_absolute_relative_error));

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
   // --- Vectorized: the production LshIndex build (projection cache + SIMD
   // kernels + sort grouper), plus a scalar-kernel run isolating SIMD. ---
   auto measure_index = [&](vsj::SimdLevel level) {
-    vsj::SetSimdLevelForTest(level);
+    vsj::SetSimdLevel(level);
     double best = 1e300;
     std::unique_ptr<vsj::LshIndex> index;
     for (size_t it = 0; it < iters; ++it) {
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
       index = std::make_unique<vsj::LshIndex>(family, view, scale.k, tables);
       best = std::min(best, timer.ElapsedSeconds());
     }
-    vsj::ResetSimdLevelForTest();
+    vsj::ResetSimdLevel();
     return std::pair{best, std::move(index)};
   };
   auto [vector_best, index] = measure_index(vsj::ActiveSimdLevel());

@@ -11,7 +11,6 @@
 #include "bench_common.h"
 #include "vsj/core/median_estimator.h"
 #include "vsj/core/virtual_bucket_estimator.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -37,22 +36,25 @@ int main() {
             << " tables) N_H = " << vbucket.NumVirtualSameBucketPairs()
             << "\n\n";
 
+  // One RunTrials sweep per estimator feeds both tables.
+  const std::vector<double> taus =
+      DefinedThresholds(bench, StandardThresholds());
+  std::vector<std::vector<TrialSeries>> series;
+  for (const JoinSizeEstimator* estimator : estimators) {
+    series.push_back(RunTrials(*estimator, taus, scale.trials, scale.seed));
+  }
+
   TablePrinter table("Appendix B.2.1: multi-table estimators (" +
                      std::to_string(num_tables) + " tables)");
   table.SetHeader({"tau", "true J", "LSH-SS over/under",
                    "median over/under", "vbucket over/under"});
-  for (double tau : StandardThresholds()) {
-    const uint64_t true_j = bench.truth->JoinSize(tau);
-    if (true_j == 0) continue;
-    std::vector<std::string> row = {
-        TablePrinter::Fmt(tau, 1),
-        TablePrinter::Count(static_cast<double>(true_j))};
+  for (size_t j = 0; j < taus.size(); ++j) {
+    const double true_j = static_cast<double>(bench.truth->JoinSize(taus[j]));
+    std::vector<std::string> row = {TablePrinter::Fmt(taus[j], 1),
+                                    TablePrinter::Count(true_j)};
     for (size_t e = 0; e < 3; ++e) {
-      const TrialSeries series =
-          RunTrials(*estimators[e], tau, scale.trials,
-                    HashCombine(scale.seed, e * 7919));
-      const ErrorStats stats = ComputeErrorStats(
-          series.estimates, static_cast<double>(true_j));
+      const ErrorStats stats =
+          ComputeErrorStats(series[e][j].estimates, true_j);
       row.push_back(TablePrinter::Pct(stats.mean_overestimation) + " / " +
                     TablePrinter::Pct(stats.mean_underestimation));
     }
@@ -67,17 +69,11 @@ int main() {
   const char* names[] = {"LSH-SS (1 table)", "median", "virtual bucket"};
   for (size_t e = 0; e < 3; ++e) {
     size_t large = 0;
-    for (double tau : StandardThresholds()) {
-      const uint64_t true_j = bench.truth->JoinSize(tau);
-      if (true_j == 0) continue;
-      const TrialSeries series =
-          RunTrials(*estimators[e], tau, scale.trials,
-                    HashCombine(scale.seed, e * 7919));
-      for (double est : series.estimates) {
-        if (est > 3.0 * static_cast<double>(true_j) ||
-            est < static_cast<double>(true_j) / 3.0) {
-          ++large;
-        }
+    for (const TrialSeries& cell : series[e]) {
+      const double true_j =
+          static_cast<double>(bench.truth->JoinSize(cell.tau));
+      for (double est : cell.estimates) {
+        if (est > 3.0 * true_j || est < true_j / 3.0) ++large;
       }
     }
     reliability.AddRow({names[e], std::to_string(large)});

@@ -12,7 +12,6 @@
 #include "bench_common.h"
 #include "vsj/core/optimal_k.h"
 #include "vsj/eval/probability_profile.h"
-#include "vsj/util/hash.h"
 
 int main() {
   using namespace vsj;
@@ -46,7 +45,7 @@ int main() {
       LshSsEstimator est(bench.dataset, index.table(0),
                          SimilarityMeasure::kCosine);
       const TrialSeries series =
-          RunTrials(est, tau, scale.trials, HashCombine(scale.seed, k));
+          RunTrials(est, {tau}, scale.trials, scale.seed).front();
       const ErrorStats stats =
           ComputeErrorStats(series.estimates, true_j);
       err = TablePrinter::Pct(stats.mean_absolute_relative_error);

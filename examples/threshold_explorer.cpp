@@ -38,22 +38,25 @@ int main(int argc, char** argv) {
   for (const auto& name : names) header.push_back(name);
   table.SetHeader(header);
 
-  std::vector<std::unique_ptr<vsj::JoinSizeEstimator>> estimators;
+  // One RunTrials call per estimator: trial t answers every τ with one
+  // sweep on TrialStream(17, t), as a server asked the same would.
+  const std::vector<double> taus = vsj::StandardThresholds();
+  std::vector<std::vector<vsj::TrialSeries>> series;
   for (const auto& name : names) {
-    estimators.push_back(vsj::CreateEstimator(name, context));
+    series.push_back(vsj::RunTrials(*vsj::CreateEstimator(name, context),
+                                    taus, /*trials=*/10, /*seed=*/17));
   }
 
-  for (double tau : vsj::StandardThresholds()) {
+  for (size_t j = 0; j < taus.size(); ++j) {
     std::vector<std::string> row = {
-        vsj::TablePrinter::Fmt(tau, 1),
+        vsj::TablePrinter::Fmt(taus[j], 1),
         vsj::TablePrinter::Count(
-            static_cast<double>(truth.JoinSize(tau)))};
-    for (const auto& estimator : estimators) {
-      const vsj::TrialSeries series =
-          vsj::RunTrials(*estimator, tau, /*trials=*/10, /*seed=*/17);
+            static_cast<double>(truth.JoinSize(taus[j])))};
+    for (const auto& estimator_series : series) {
+      const std::vector<double>& estimates = estimator_series[j].estimates;
       double mean = 0.0;
-      for (double e : series.estimates) mean += e;
-      mean /= static_cast<double>(series.estimates.size());
+      for (double e : estimates) mean += e;
+      mean /= static_cast<double>(estimates.size());
       row.push_back(vsj::TablePrinter::Count(mean));
     }
     table.AddRow(std::move(row));

@@ -15,6 +15,10 @@ std::vector<EstimationResult> JoinSizeEstimator::EstimateSweep(
   return results;
 }
 
+Rng TrialStream(uint64_t seed, size_t t) {
+  return Rng(seed).Fork(0).Fork(t);
+}
+
 double ClampEstimate(double estimate, uint64_t max_pairs) {
   return std::clamp(estimate, 0.0, static_cast<double>(max_pairs));
 }

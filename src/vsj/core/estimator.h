@@ -6,11 +6,14 @@
 // reference, so one estimator instance supports repeated independent trials,
 // matching how a query optimizer would hold a long-lived statistics object.
 // `EstimateSweep` asks for many τ at once, the optimizer's plan-costing
-// pattern.
+// pattern. `TrialStream` is the one stream convention for repeated trials,
+// shared by the serving engines and the paper harness (eval/experiment.h),
+// so a figure cell and a served answer are the same computation.
 
 #ifndef VSJ_CORE_ESTIMATOR_H_
 #define VSJ_CORE_ESTIMATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -63,6 +66,12 @@ class JoinSizeEstimator {
   /// Display name, e.g. "LSH-SS", "RS(pop)".
   virtual std::string name() const = 0;
 };
+
+/// The one stream convention: trial t of a repeated estimate with `seed`
+/// draws from Rng(seed).Fork(0).Fork(t) — a pure function of (seed, t), so
+/// trials may run in any order or on any thread, and adding trials never
+/// perturbs earlier ones.
+Rng TrialStream(uint64_t seed, size_t t);
 
 /// Clamps a raw estimate into the feasible range [0, max_pairs].
 double ClampEstimate(double estimate, uint64_t max_pairs);

@@ -1,34 +1,34 @@
 #include "vsj/eval/experiment.h"
 
-#include "vsj/util/hash.h"
 #include "vsj/util/timer.h"
 
 namespace vsj {
 
-TrialSeries RunTrials(const JoinSizeEstimator& estimator, double tau,
-                      size_t trials, uint64_t seed) {
-  TrialSeries series;
-  series.tau = tau;
-  series.estimates.reserve(trials);
-  series.pairs_evaluated.reserve(trials);
+std::vector<TrialSeries> RunTrials(const JoinSizeEstimator& estimator,
+                                   const std::vector<double>& taus,
+                                   size_t trials, uint64_t seed) {
+  std::vector<TrialSeries> series(taus.size());
+  for (size_t j = 0; j < taus.size(); ++j) {
+    series[j].tau = taus[j];
+    series[j].estimates.reserve(trials);
+    series[j].pairs_evaluated.reserve(trials);
+  }
   double total_ms = 0.0;
   for (size_t t = 0; t < trials; ++t) {
-    Rng rng(HashCombine(seed, t));
     Timer timer;
-    const EstimationResult result = estimator.Estimate(tau, rng);
+    const std::vector<EstimationResult> results =
+        estimator.EstimateSweep(taus, TrialStream(seed, t));
     total_ms += timer.ElapsedMillis();
-    series.estimates.push_back(result.estimate);
-    series.pairs_evaluated.push_back(result.pairs_evaluated);
-    if (!result.guaranteed) ++series.num_unguaranteed;
+    for (size_t j = 0; j < taus.size(); ++j) {
+      series[j].estimates.push_back(results[j].estimate);
+      series[j].pairs_evaluated.push_back(results[j].pairs_evaluated);
+      if (!results[j].guaranteed) ++series[j].num_unguaranteed;
+    }
   }
-  series.mean_runtime_ms = trials > 0 ? total_ms / trials : 0.0;
+  for (TrialSeries& s : series) {
+    s.mean_runtime_ms = trials > 0 ? total_ms / trials : 0.0;
+  }
   return series;
-}
-
-ErrorStats RunAndScore(const JoinSizeEstimator& estimator, double tau,
-                       size_t trials, uint64_t seed, double true_size) {
-  const TrialSeries series = RunTrials(estimator, tau, trials, seed);
-  return ComputeErrorStats(series.estimates, true_size);
 }
 
 }  // namespace vsj

@@ -99,10 +99,6 @@ EstimateResponse FinishTrials(const EstimateRequest& request,
 
 }  // namespace
 
-Rng TrialStream(const EstimateRequest& request, size_t t) {
-  return Rng(request.seed).Fork(0).Fork(t);
-}
-
 EstimationEngine::EstimationEngine(const EstimationEngineOptions& options)
     : num_threads_(options.num_threads),
       enable_cache_(options.enable_cache),
@@ -238,7 +234,8 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
       std::vector<EstimationResult> results;
       {
         VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
-        results = run_trial(group.front(), t, taus, TrialStream(leader, t));
+        results =
+            run_trial(group.front(), t, taus, TrialStream(leader.seed, t));
       }
       size_t still_running = 0;
       for (size_t a = 0; a < running.size(); ++a) {

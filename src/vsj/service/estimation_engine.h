@@ -11,10 +11,11 @@
 // function, and its estimator-name rule.
 //
 // Determinism: trial t of every request draws from the value-derived
-// stream TrialStream(request, t) = Rng(seed).Fork(0).Fork(t) — never from
-// its batch position or the scheduling order — so a response is a pure
+// stream TrialStream(request.seed, t) (core/estimator.h) — never from its
+// batch position or the scheduling order — so a response is a pure
 // function of (request, dataset state): bit-identical at any thread
-// count, in any batch, and to the same request asked alone.
+// count, in any batch, to the same request asked alone, and to the paper
+// harness's RunTrials (eval/experiment.h) on the same seed.
 //
 // τ-sweep sharing: leaders that match in everything but τ (equal SweepKeys,
 // estimate_request.h) draw the very same streams, so they run as one
@@ -46,11 +47,7 @@
 
 namespace vsj {
 
-/// The one stream convention: trial t of `request` draws from
-/// Rng(request.seed).Fork(0).Fork(t).
-Rng TrialStream(const EstimateRequest& request, size_t t);
-
-/// Trial t of a sweep group on `rng`, the stream TrialStream(leader, t):
+/// Trial t of a sweep group on `rng`, the stream TrialStream(leader.seed, t):
 /// one EstimationResult per τ of `taus`, result j bit-identical to a
 /// single-τ trial of taus[j] on the same stream. `leader` is the batch
 /// index of the group's first request (it names the estimator and the
@@ -131,7 +128,7 @@ class EstimationEngine {
   ///      one chunk [0, trials) for a group with max_rel_error > 0, whose
   ///      τs drop out as their error bounds hold (its later trials may
   ///      never be needed). Trial t writes `run_trial(leader, t, group τs,
-  ///      TrialStream(leader, t))`'s estimates to slot t of each member;
+  ///      TrialStream(leader.seed, t))`'s estimates to slot t of each member;
   ///      once every task has finished, each response is aggregated once,
   ///      in trial order — so chunking never shows in the bytes;
   ///   4. sequential post-pass — followers copy their leader's response

@@ -48,13 +48,6 @@ SimdLevel SetSimdLevel(SimdLevel level);
 /// Drops the in-process override, restoring detection + environment.
 void ResetSimdLevel();
 
-/// Historical names for SetSimdLevel / ResetSimdLevel, kept so the dispatch
-/// suites read as intended (tests are the dominant caller).
-inline SimdLevel SetSimdLevelForTest(SimdLevel level) {
-  return SetSimdLevel(level);
-}
-inline void ResetSimdLevelForTest() { ResetSimdLevel(); }
-
 }  // namespace vsj
 
 #endif  // VSJ_UTIL_CPU_H_

@@ -16,7 +16,6 @@
 //     so n uniform samples rarely contain a true pair and the estimate
 //     falls to ~0 (mean relative error ≈ 1, the paper's Example 1).
 
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -26,6 +25,7 @@
 
 #include "test_util.h"
 #include "vsj/core/estimator_registry.h"
+#include "vsj/eval/experiment.h"
 #include "vsj/eval/ground_truth.h"
 
 namespace vsj {
@@ -34,7 +34,7 @@ namespace {
 constexpr size_t kCorpusSize = 600;
 constexpr uint64_t kCorpusSeed = 101;
 constexpr uint64_t kTrialSeed = 202;
-constexpr int kTrials = 30;
+constexpr size_t kTrials = 30;
 const std::vector<double> kTaus = {0.5, 0.7, 0.9};
 
 class EstimatorErrorBoundsTest : public ::testing::Test {
@@ -57,23 +57,22 @@ class EstimatorErrorBoundsTest : public ::testing::Test {
   }
 
   /// Mean relative error of `estimator_name` at `tau` over kTrials
-  /// independent runs (deterministic: seeds are fixed).
+  /// independent runs of the paper harness (deterministic: seeds are
+  /// fixed). Trial t draws from TrialStream(kTrialSeed, t), so these are
+  /// the estimates a server asked {name, τ, kTrials, kTrialSeed} averages.
   static double MeanRelativeError(const std::string& estimator_name,
                                   double tau) {
     EstimatorContext context;
     context.dataset = setup_->dataset;
     context.index = setup_->index.get();
     context.measure = SimilarityMeasure::kCosine;
-    const auto estimator = CreateEstimator(estimator_name, context);
-
-    const Rng base(kTrialSeed);
-    double total = 0.0;
-    for (int t = 0; t < kTrials; ++t) {
-      Rng rng = base.Fork(t);
-      const double estimate = estimator->Estimate(tau, rng).estimate;
-      total += std::abs(estimate - exact_[tau]) / exact_[tau];
-    }
-    const double mean = total / kTrials;
+    const TrialSeries series =
+        RunTrials(*CreateEstimator(estimator_name, context), {tau}, kTrials,
+                  kTrialSeed)
+            .front();
+    const double mean =
+        ComputeErrorStats(series.estimates, exact_[tau])
+            .mean_absolute_relative_error;
     std::printf("  %-8s tau=%.1f  mean rel err = %.3f  (J = %.0f)\n",
                 estimator_name.c_str(), tau, mean, exact_[tau]);
     return mean;
@@ -87,9 +86,9 @@ testing::CosineSetup* EstimatorErrorBoundsTest::setup_ = nullptr;
 std::map<double, double> EstimatorErrorBoundsTest::exact_;
 
 // Observed values at this scale (deterministic; bounds carry ~30% margin):
-//   LSH-SS   0.64 / 0.60 / 0.23
-//   LSH-S    5.56 / 3.84 / 4.43   (heavy-tailed overestimates)
-//   RS(pop)  0.69 / 0.86 / 1.16
+//   LSH-SS   0.640 / 0.594 / 0.228
+//   LSH-S    4.355 / 3.464 / 3.383   (heavy-tailed overestimates)
+//   RS(pop)  0.810 / 0.861 / 1.485
 TEST_F(EstimatorErrorBoundsTest, LshSsStaysAccurateAcrossThresholds) {
   EXPECT_LE(MeanRelativeError("LSH-SS", 0.5), 0.85);
   EXPECT_LE(MeanRelativeError("LSH-SS", 0.7), 0.80);

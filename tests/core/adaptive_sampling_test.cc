@@ -16,7 +16,8 @@ TEST(AdaptiveSamplingEstimatorTest, ReliableAtLowThreshold) {
   ASSERT_GT(true_j, 0.0);
   AdaptiveSamplingEstimator est(dataset, SimilarityMeasure::kCosine,
                                 {.delta = 50, .max_samples = 100000});
-  const ErrorStats stats = RunAndScore(est, 0.1, 20, 11, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.1}, 20, 11).front().estimates, true_j);
   EXPECT_NEAR(stats.mean_estimate, true_j, true_j * 0.4);
 }
 

@@ -40,7 +40,8 @@ TEST(CrossSamplingTest, ApproximatelyUnbiasedAtLowThreshold) {
   ASSERT_GT(true_j, 0.0);
   CrossSampling cs(dataset, SimilarityMeasure::kCosine,
                    {.sample_size = 40000});
-  const ErrorStats stats = RunAndScore(cs, 0.1, 30, 7, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(cs, {0.1}, 30, 7).front().estimates, true_j);
   EXPECT_NEAR(stats.mean_estimate, true_j, true_j * 0.3);
 }
 

@@ -34,7 +34,8 @@ TEST(DegreeSamplingTest, ReasonableAtLowThreshold) {
                               {.num_vertices = 200,
                                .coarse_probes = 100,
                                .refined_probes = 400});
-  const ErrorStats stats = RunAndScore(est, 0.1, 20, 5, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.1}, 20, 5).front().estimates, true_j);
   EXPECT_NEAR(stats.mean_estimate, true_j, true_j * 0.4);
 }
 

@@ -76,7 +76,8 @@ TEST(GeneralLshSsTest, AccurateAtModerateThreshold) {
   ASSERT_GT(true_j, 0.0);
   GeneralLshSsEstimator est(setup.left, setup.right, *setup.left_table,
                             *setup.right_table, SimilarityMeasure::kCosine);
-  const ErrorStats stats = RunAndScore(est, 0.5, 25, 11, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.5}, 25, 11).front().estimates, true_j);
   EXPECT_GT(stats.mean_estimate, true_j * 0.25);
   EXPECT_LT(stats.mean_estimate, true_j * 4.0);
 }
@@ -263,7 +264,8 @@ TEST(GeneralRandomPairSamplingTest, UnbiasedAtLowThreshold) {
   ASSERT_GT(true_j, 0.0);
   GeneralRandomPairSampling rs(setup.left, setup.right,
                                SimilarityMeasure::kCosine, 30000);
-  const ErrorStats stats = RunAndScore(rs, 0.1, 20, 13, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(rs, {0.1}, 20, 13).front().estimates, true_j);
   EXPECT_NEAR(stats.mean_estimate, true_j, true_j * 0.3);
 }
 

@@ -44,7 +44,8 @@ TEST(LshSEstimatorTest, ReasonableAtLowThresholdWithJaccard) {
   ASSERT_GT(true_j, 0.0);
   LshSEstimator est(setup.dataset, *setup.family, setup.index->table(0),
                     {.sample_size = 20000});
-  const ErrorStats stats = RunAndScore(est, 0.2, 20, 3, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.2}, 20, 3).front().estimates, true_j);
   EXPECT_GT(stats.mean_estimate, true_j / 3.0);
   EXPECT_LT(stats.mean_estimate, true_j * 3.0);
 }

@@ -65,7 +65,8 @@ TEST(LshSsEstimatorTest, AccurateAcrossThresholdsWithAmpleBudget) {
   for (double tau : {0.2, 0.5, 0.8}) {
     const double true_j = static_cast<double>(truth.JoinSize(tau));
     ASSERT_GT(true_j, 0.0) << "tau = " << tau;
-    const ErrorStats stats = RunAndScore(est, tau, 30, 5, true_j);
+    const ErrorStats stats = ComputeErrorStats(
+        RunTrials(est, {tau}, 30, 5).front().estimates, true_j);
     EXPECT_GT(stats.mean_estimate, true_j * 0.3) << "tau = " << tau;
     EXPECT_LT(stats.mean_estimate, true_j * 3.0) << "tau = " << tau;
   }
@@ -81,7 +82,8 @@ TEST(LshSsEstimatorTest, GreyAreaUnderestimatesConservatively) {
   ASSERT_GT(true_j, 0.0);
   LshSsEstimator est(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine);
-  const ErrorStats stats = RunAndScore(est, 0.5, 30, 5, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.5}, 30, 5).front().estimates, true_j);
   EXPECT_LT(stats.mean_estimate, true_j * 3.0);
   EXPECT_LE(stats.num_big_overestimates, 1u);
 }
@@ -94,7 +96,7 @@ TEST(LshSsEstimatorTest, RarelyOverestimatesBadly) {
   if (true_j == 0.0) GTEST_SKIP() << "no true pairs at 0.9 for this seed";
   LshSsEstimator est(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine);
-  const TrialSeries series = RunTrials(est, 0.9, 40, 9);
+  const TrialSeries series = RunTrials(est, {0.9}, 40, 9).front();
   int big_over = 0;
   for (double e : series.estimates) big_over += e > 10.0 * true_j ? 1 : 0;
   EXPECT_LE(big_over, 2);

@@ -48,8 +48,10 @@ TEST(MedianEstimatorTest, MedianReducesSpreadVersusSingleTable) {
                          SimilarityMeasure::kCosine);
   LshSsEstimator single(setup.dataset, setup.index->table(0),
                         SimilarityMeasure::kCosine);
-  const ErrorStats median_stats = RunAndScore(median, 0.8, 25, 7, true_j);
-  const ErrorStats single_stats = RunAndScore(single, 0.8, 25, 7, true_j);
+  const ErrorStats median_stats = ComputeErrorStats(
+      RunTrials(median, {0.8}, 25, 7).front().estimates, true_j);
+  const ErrorStats single_stats = ComputeErrorStats(
+      RunTrials(single, {0.8}, 25, 7).front().estimates, true_j);
   // The ℓ-fold sample gives the median estimator no worse spread; allow
   // generous slack since both are already tight.
   EXPECT_LE(median_stats.std_dev, single_stats.std_dev * 1.5 + 1.0);

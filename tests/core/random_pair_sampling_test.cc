@@ -36,7 +36,8 @@ TEST(RandomPairSamplingTest, UnbiasedAtLowThreshold) {
   ASSERT_GT(true_j, 0.0);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
                         {.sample_size = 20000});
-  const ErrorStats stats = RunAndScore(rs, 0.1, 30, 99, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(rs, {0.1}, 30, 99).front().estimates, true_j);
   EXPECT_NEAR(stats.mean_estimate, true_j, true_j * 0.2);
 }
 

@@ -67,7 +67,8 @@ TEST(VirtualBucketEstimatorTest, ReasonableAccuracyAtModerateTau) {
   if (true_j == 0.0) GTEST_SKIP();
   VirtualBucketEstimator est(setup.dataset, *setup.index,
                              SimilarityMeasure::kCosine);
-  const ErrorStats stats = RunAndScore(est, 0.7, 25, 3, true_j);
+  const ErrorStats stats = ComputeErrorStats(
+      RunTrials(est, {0.7}, 25, 3).front().estimates, true_j);
   EXPECT_GT(stats.mean_estimate, true_j * 0.2);
   EXPECT_LT(stats.mean_estimate, true_j * 5.0);
 }

@@ -1,9 +1,14 @@
 #include "vsj/eval/experiment.h"
 
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/core/estimator_registry.h"
 #include "vsj/core/random_pair_sampling.h"
+#include "vsj/service/estimation_service.h"
 
 namespace vsj {
 namespace {
@@ -12,19 +17,25 @@ TEST(ExperimentTest, RunsRequestedTrials) {
   VectorDataset dataset = testing::SmallClusteredCorpus(200, 1);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
                         {.sample_size = 100});
-  const TrialSeries series = RunTrials(rs, 0.5, 12, 7);
-  EXPECT_EQ(series.estimates.size(), 12u);
-  EXPECT_EQ(series.pairs_evaluated.size(), 12u);
-  EXPECT_DOUBLE_EQ(series.tau, 0.5);
-  EXPECT_GE(series.mean_runtime_ms, 0.0);
+  const std::vector<TrialSeries> series = RunTrials(rs, {0.5, 0.8}, 12, 7);
+  ASSERT_EQ(series.size(), 2u);
+  for (const TrialSeries& s : series) {
+    EXPECT_EQ(s.estimates.size(), 12u);
+    EXPECT_EQ(s.pairs_evaluated.size(), 12u);
+    EXPECT_GE(s.mean_runtime_ms, 0.0);
+  }
+  EXPECT_DOUBLE_EQ(series[0].tau, 0.5);
+  EXPECT_DOUBLE_EQ(series[1].tau, 0.8);
+  // One timer per sweep trial: every τ of the call reports the same time.
+  EXPECT_EQ(series[0].mean_runtime_ms, series[1].mean_runtime_ms);
 }
 
 TEST(ExperimentTest, ReproducibleForSameSeed) {
   VectorDataset dataset = testing::SmallClusteredCorpus(200, 2);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
                         {.sample_size = 500});
-  const TrialSeries a = RunTrials(rs, 0.3, 5, 42);
-  const TrialSeries b = RunTrials(rs, 0.3, 5, 42);
+  const TrialSeries a = RunTrials(rs, {0.3}, 5, 42).front();
+  const TrialSeries b = RunTrials(rs, {0.3}, 5, 42).front();
   EXPECT_EQ(a.estimates, b.estimates);
 }
 
@@ -32,8 +43,8 @@ TEST(ExperimentTest, AddingTrialsKeepsPrefix) {
   VectorDataset dataset = testing::SmallClusteredCorpus(200, 3);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
                         {.sample_size = 500});
-  const TrialSeries five = RunTrials(rs, 0.3, 5, 9);
-  const TrialSeries ten = RunTrials(rs, 0.3, 10, 9);
+  const TrialSeries five = RunTrials(rs, {0.3}, 5, 9).front();
+  const TrialSeries ten = RunTrials(rs, {0.3}, 10, 9).front();
   for (size_t t = 0; t < 5; ++t) {
     EXPECT_DOUBLE_EQ(five.estimates[t], ten.estimates[t]);
   }
@@ -43,18 +54,57 @@ TEST(ExperimentTest, DifferentSeedsDiffer) {
   VectorDataset dataset = testing::SmallClusteredCorpus(300, 4);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
                         {.sample_size = 200});
-  const TrialSeries a = RunTrials(rs, 0.2, 8, 1);
-  const TrialSeries b = RunTrials(rs, 0.2, 8, 2);
+  const TrialSeries a = RunTrials(rs, {0.2}, 8, 1).front();
+  const TrialSeries b = RunTrials(rs, {0.2}, 8, 2).front();
   EXPECT_NE(a.estimates, b.estimates);
 }
 
-TEST(ExperimentTest, RunAndScoreWiresThrough) {
-  VectorDataset dataset = testing::SmallClusteredCorpus(200, 5);
-  RandomPairSampling rs(dataset, SimilarityMeasure::kCosine,
-                        {.sample_size = 2000});
-  const ErrorStats stats = RunAndScore(rs, 0.1, 10, 3, 1000.0);
-  EXPECT_EQ(stats.num_trials, 10u);
-  EXPECT_DOUBLE_EQ(stats.true_size, 1000.0);
+TEST(ExperimentTest, HarnessMatchesTheServedAnswerBitForBit) {
+  // A figure cell and a served answer are the same computation: the mean
+  // of RunTrials' estimates at τ_j equals, bit for bit, the mean_estimate
+  // the engine serves for {name, τ_j, trials, seed} — for sharing
+  // estimators (one sweep group on the server) and non-sharing ones (one
+  // group per request) alike, over a two-table index.
+  EstimationServiceOptions options;
+  options.k = 8;
+  options.num_tables = 2;
+  options.num_threads = 2;
+  options.enable_cache = false;
+  EstimationService service(testing::SmallClusteredCorpus(600, 11), options);
+  EstimatorContext context = service.options().estimator_options;
+  context.dataset = service.dataset();
+  context.index = &service.index();
+  context.measure = service.options().measure;
+
+  const std::vector<double> taus = {0.1, 0.2, 0.3, 0.4, 0.5,
+                                    0.6, 0.7, 0.8, 0.9};
+  constexpr size_t kTrials = 4;
+  constexpr uint64_t kSeed = 23;
+  for (const char* name :
+       {"LSH-SS", "LSH-SS(D)", "LSH-SS(median)", "LSH-SS(vbucket)",
+        "RS(pop)", "Adaptive", "RS(cross)"}) {
+    const std::vector<TrialSeries> series =
+        RunTrials(*CreateEstimator(name, context), taus, kTrials, kSeed);
+    std::vector<EstimateRequest> requests;
+    for (double tau : taus) {
+      EstimateRequest request;
+      request.estimator_name = name;
+      request.tau = tau;
+      request.trials = kTrials;
+      request.seed = kSeed;
+      requests.push_back(request);
+    }
+    const std::vector<EstimateResponse> served =
+        service.EstimateBatch(requests);
+    ASSERT_EQ(series.size(), taus.size());
+    ASSERT_EQ(served.size(), taus.size());
+    for (size_t j = 0; j < taus.size(); ++j) {
+      double sum = 0.0;
+      for (double e : series[j].estimates) sum += e;
+      EXPECT_EQ(sum / static_cast<double>(kTrials), served[j].mean_estimate)
+          << name << " tau=" << taus[j];
+    }
+  }
 }
 
 }  // namespace

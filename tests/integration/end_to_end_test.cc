@@ -28,7 +28,7 @@ TEST(EndToEndTest, FullPipelineCosine) {
     for (double tau : {0.2, 0.5, 0.8}) {
       const double true_j = static_cast<double>(truth.JoinSize(tau));
       if (true_j == 0.0) continue;
-      const TrialSeries series = RunTrials(*estimator, tau, 10, 17);
+      const TrialSeries series = RunTrials(*estimator, {tau}, 10, 17).front();
       for (double e : series.estimates) {
         EXPECT_GE(e, 0.0) << name;
         EXPECT_LE(e, static_cast<double>(setup.dataset.NumPairs())) << name;
@@ -51,8 +51,10 @@ TEST(EndToEndTest, LshSsBeatsRandomSamplingAtHighThreshold) {
   auto lsh_ss = CreateEstimator("LSH-SS", context);
   auto rs = CreateEstimator("RS(pop)", context);
 
-  const ErrorStats lsh_stats = RunAndScore(*lsh_ss, 0.8, 40, 3, true_j);
-  const ErrorStats rs_stats = RunAndScore(*rs, 0.8, 40, 3, true_j);
+  const ErrorStats lsh_stats = ComputeErrorStats(
+      RunTrials(*lsh_ss, {0.8}, 40, 3).front().estimates, true_j);
+  const ErrorStats rs_stats = ComputeErrorStats(
+      RunTrials(*rs, {0.8}, 40, 3).front().estimates, true_j);
   EXPECT_LT(lsh_stats.mean_absolute_relative_error,
             rs_stats.mean_absolute_relative_error);
 }
@@ -73,7 +75,8 @@ TEST(EndToEndTest, JaccardPipelineWithExactDef3Family) {
   for (double tau : {0.3, 0.7}) {
     const double true_j = static_cast<double>(truth.JoinSize(tau));
     if (true_j == 0.0) continue;
-    const ErrorStats stats = RunAndScore(*lsh_ss, tau, 25, 5, true_j);
+    const ErrorStats stats = ComputeErrorStats(
+        RunTrials(*lsh_ss, {tau}, 25, 5).front().estimates, true_j);
     EXPECT_GT(stats.mean_estimate, true_j * 0.2) << "tau = " << tau;
     EXPECT_LT(stats.mean_estimate, true_j * 5.0) << "tau = " << tau;
   }

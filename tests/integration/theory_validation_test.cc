@@ -57,7 +57,7 @@ TEST_F(TheoryValidationTest, Lemma1SampleHConcentrates) {
                        {{.sample_size_l = 1},  // starve SampleL
                         DampeningMode::kSafeLowerBound,
                         1.0});
-    const TrialSeries series = RunTrials(est, tau, 30, 71);
+    const TrialSeries series = RunTrials(est, {tau}, 30, 71).front();
     // Median of Ĵ_H should be within a factor 2.5 of J_H.
     std::vector<double> h_parts = series.estimates;
     std::sort(h_parts.begin(), h_parts.end());
@@ -83,7 +83,7 @@ TEST_F(TheoryValidationTest, Theorem1FewLargeDeviationsAtHighTau) {
     if (row->p_true_given_h < limits.alpha_floor) continue;
 
     LshSsEstimator est(setup_.dataset, table, SimilarityMeasure::kCosine);
-    const TrialSeries series = RunTrials(est, tau, 50, 73);
+    const TrialSeries series = RunTrials(est, {tau}, 50, 73).front();
     const double j = static_cast<double>(row->join_size);
     int violations = 0;
     for (double e : series.estimates) {
@@ -105,10 +105,10 @@ TEST_F(TheoryValidationTest, Theorem3ReliableAtLowTau) {
     if (row->p_true_given_l < limits.alpha_floor) continue;  // log n/n
     LshSsEstimator est(setup_.dataset, table, SimilarityMeasure::kCosine);
     const double j = static_cast<double>(row->join_size);
-    const ErrorStats stats = RunAndScore(est, tau, 30, 79, j);
+    const TrialSeries series = RunTrials(est, {tau}, 30, 79).front();
+    const ErrorStats stats = ComputeErrorStats(series.estimates, j);
     EXPECT_NEAR(stats.mean_estimate, j, 0.5 * j) << "tau = " << tau;
     // Almost every trial should terminate via the answer-size threshold.
-    const TrialSeries series = RunTrials(est, tau, 30, 79);
     EXPECT_LE(series.num_unguaranteed, 3u) << "tau = " << tau;
   }
 }
@@ -147,7 +147,7 @@ TEST_F(TheoryValidationTest, MedianBoostsReliability) {
   LshSsEstimator single(setup.dataset, setup.index->table(0),
                         SimilarityMeasure::kCosine);
   auto count_large = [&](const JoinSizeEstimator& est) {
-    const TrialSeries series = RunTrials(est, 0.7, 30, 83);
+    const TrialSeries series = RunTrials(est, {0.7}, 30, 83).front();
     int large = 0;
     for (double e : series.estimates) {
       if (e > 3.0 * j || e < j / 3.0) ++large;

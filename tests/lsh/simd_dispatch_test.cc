@@ -51,11 +51,11 @@ auto RunAtEveryLevel(Body&& body)
     -> std::vector<decltype(body())> {
   std::vector<decltype(body())> results;
   for (const SimdLevel level : SupportedLevels()) {
-    EXPECT_EQ(SetSimdLevelForTest(level), level)
+    EXPECT_EQ(SetSimdLevel(level), level)
         << "host cannot force " << SimdLevelName(level);
     results.push_back(body());
   }
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
   return results;
 }
 
@@ -106,7 +106,7 @@ TEST(SimdDispatchTest, MinFoldTermAlgebraMatchesHashCombine) {
   // diverges from the family's definition if HashCombine ever changes.
   Rng rng(kSeed ^ 9);
   for (const SimdLevel level : SupportedLevels()) {
-    SetSimdLevelForTest(level);
+    SetSimdLevel(level);
     for (int i = 0; i < 500; ++i) {
       const uint64_t key = rng.Next();
       const uint64_t seed = rng.Next();
@@ -116,7 +116,7 @@ TEST(SimdDispatchTest, MinFoldTermAlgebraMatchesHashCombine) {
       ASSERT_EQ(fold, HashCombine(key, seed));
     }
   }
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
 }
 
 TEST(SimdDispatchTest, BucketKeysIdenticalAcrossLevelsAndFamilies) {
@@ -153,7 +153,7 @@ TEST(SimdDispatchTest, ProjectionCacheDoesNotChangeBucketKeys) {
   ASSERT_GT(cache->num_dims(), 0u);
 
   for (const SimdLevel level : SupportedLevels()) {
-    SetSimdLevelForTest(level);
+    SetSimdLevel(level);
     for (uint32_t t = 0; t < kTables; ++t) {
       std::vector<uint64_t> uncached(view.size());
       std::vector<uint64_t> cached(view.size());
@@ -170,7 +170,7 @@ TEST(SimdDispatchTest, ProjectionCacheDoesNotChangeBucketKeys) {
           << SimdLevelName(level) << " table " << t;
     }
   }
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
 }
 
 TEST(SimdDispatchTest, ProjectionCacheRowsHoldExactGaussians) {
@@ -229,7 +229,7 @@ TEST(SimdDispatchTest, AllRegistryEstimatorsBitIdenticalAcrossLevels) {
 /// the index differs" statement the persistence layer can make.
 TEST(SimdDispatchTest, StreamingSnapshotsByteIdenticalAcrossLevels) {
   const auto snapshot_bytes = [&](SimdLevel level, const std::string& path) {
-    SetSimdLevelForTest(level);
+    SetSimdLevel(level);
     StreamingEstimationServiceOptions options;
     options.k = 6;
     options.num_tables = 2;
@@ -239,7 +239,7 @@ TEST(SimdDispatchTest, StreamingSnapshotsByteIdenticalAcrossLevels) {
     for (VectorId id = 0; id < 160; ++id) service.Insert(id);
     for (VectorId id = 0; id < 40; ++id) service.Remove(id * 3);
     EXPECT_EQ(service.Checkpoint(path).ok(), true);
-    ResetSimdLevelForTest();
+    ResetSimdLevel();
     std::ifstream is(path, std::ios::binary);
     return std::string(std::istreambuf_iterator<char>(is), {});
   };
@@ -267,9 +267,9 @@ TEST(SimdDispatchTest, EnvOverridesAreHonored) {
     EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   }
   EXPECT_LE(ActiveSimdLevel(), DetectSimdLevel());
-  EXPECT_EQ(SetSimdLevelForTest(SimdLevel::kScalar), SimdLevel::kScalar);
+  EXPECT_EQ(SetSimdLevel(SimdLevel::kScalar), SimdLevel::kScalar);
   EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
 }
 
 }  // namespace

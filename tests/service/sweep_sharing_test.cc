@@ -392,7 +392,7 @@ TEST(SweepSharingTrialTasksTest, OneGroupsTrialsMatchAcrossThreadCounts) {
   ExpectMatchesSingles(*stream_four, sweep);
 
   // An oracle outside the engine: trial t is the estimator's sweep on
-  // TrialStream(request, t), aggregated in trial order.
+  // TrialStream(request.seed, t), aggregated in trial order.
   EstimatorContext context = four.options().estimator_options;
   context.dataset = four.dataset();
   context.index = &four.index();
@@ -402,7 +402,7 @@ TEST(SweepSharingTrialTasksTest, OneGroupsTrialsMatchAcrossThreadCounts) {
   std::vector<uint64_t> pairs(taus.size(), 0);
   for (size_t t = 0; t < 6; ++t) {
     const auto trial =
-        estimator->EstimateSweep(taus, TrialStream(sweep.front(), t));
+        estimator->EstimateSweep(taus, TrialStream(sweep.front().seed, t));
     for (size_t j = 0; j < taus.size(); ++j) {
       sums[j] += trial[j].estimate;
       pairs[j] += trial[j].pairs_evaluated;

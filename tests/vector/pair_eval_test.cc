@@ -63,11 +63,11 @@ template <typename Body>
 auto RunAtEveryLevel(Body&& body) -> std::vector<decltype(body())> {
   std::vector<decltype(body())> results;
   for (const SimdLevel level : SupportedLevels()) {
-    EXPECT_EQ(SetSimdLevelForTest(level), level)
+    EXPECT_EQ(SetSimdLevel(level), level)
         << "host cannot force " << SimdLevelName(level);
     results.push_back(body());
   }
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
   return results;
 }
 
@@ -187,7 +187,7 @@ TEST(PairEvalTest, EmptyAndDisjointPairsShortCircuitAtEveryLevel) {
   const SparseVector touching = SparseVector::FromDims({9, 500, 1000});
 
   for (const SimdLevel level : SupportedLevels()) {
-    SetSimdLevelForTest(level);
+    SetSimdLevel(level);
     for (const auto& [a, b] : std::vector<std::pair<VectorRef, VectorRef>>{
              {empty, empty},
              {empty, low},
@@ -205,7 +205,7 @@ TEST(PairEvalTest, EmptyAndDisjointPairsShortCircuitAtEveryLevel) {
     EXPECT_EQ(t.matches, 1u) << SimdLevelName(level);
     EXPECT_EQ(t.dot, 1.0) << SimdLevelName(level);
   }
-  ResetSimdLevelForTest();
+  ResetSimdLevel();
 }
 
 TEST(PairEvalTest, BatchWithEmptyVectorsMatchesUnbatchedLoop) {
