@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -274,8 +273,6 @@ BenchJson::BenchJson(int argc, char** argv, const std::string& bench_name)
       return;
     }
   }
-  const char* env = std::getenv("VSJ_BENCH_JSON");
-  if (env != nullptr && *env != '\0') path_ = env;
 }
 
 void BenchJson::Add(const std::string& name, const std::string& unit,

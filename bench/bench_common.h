@@ -114,16 +114,15 @@ void PrintRuntimeSummary(const std::vector<AccuracyCell>& cells);
 EstimatorContext MakeContext(const Workbench& bench);
 
 /// Machine-readable bench output: `--json <path>` on a bench's command line
-/// (or the VSJ_BENCH_JSON environment variable) makes the bench write its
-/// headline numbers as one JSON document, so CI can archive a BENCH_*.json
-/// perf trajectory across PRs. The document opens with a "host" block
-/// (CPU model, nproc, SIMD level, compiler, build type, git sha) so a
-/// number never travels without the machine and commit that produced it.
-/// Without a path every method is a no-op.
+/// makes the bench write its headline numbers as one JSON document, so CI
+/// can archive a BENCH_*.json perf trajectory across PRs. The document
+/// opens with a "host" block (CPU model, nproc, SIMD level, compiler, build
+/// type, git sha) so a number never travels without the machine and commit
+/// that produced it. Without a path every method is a no-op.
 class BenchJson {
  public:
-  /// Resolves the output path from argv (`--json <path>`) or
-  /// VSJ_BENCH_JSON; `bench_name` is recorded in the document.
+  /// Resolves the output path from argv (`--json <path>`); `bench_name`
+  /// is recorded in the document.
   BenchJson(int argc, char** argv, const std::string& bench_name);
 
   bool enabled() const { return !path_.empty(); }

@@ -10,6 +10,7 @@
 // is the recommended range when variance matters.
 
 #include "bench_common.h"
+#include "vsj/core/lsh_ss_estimator.h"
 
 int main() {
   using namespace vsj;

@@ -14,8 +14,8 @@
 //
 // Scale knobs: VSJ_N (corpus size, default 4000), VSJ_PAIRS (pairs per
 // measurement, default 200000), VSJ_ITERS (measurement repetitions,
-// default 3 — CI smoke runs set 1), VSJ_SEED. `--json <path>` (or
-// VSJ_BENCH_JSON) writes the headline numbers as JSON.
+// default 3 — CI smoke runs set 1), VSJ_SEED. `--json <path>` writes the
+// headline numbers as JSON.
 
 #include <cstdint>
 #include <iostream>

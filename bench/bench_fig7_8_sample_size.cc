@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "vsj/core/random_pair_sampling.h"
 
 int main() {
   using namespace vsj;
@@ -45,15 +46,16 @@ int main() {
     EstimatorContext context = MakeContext(bench);
     context.lsh_ss.sample_size_h = variant.m;
     context.lsh_ss.sample_size_l = variant.m;
-    context.random_pair.sample_size =
-        static_cast<uint64_t>(1.5 * static_cast<double>(variant.m));
-    SweepSummary summary[2];
-    const char* names[2] = {"LSH-SS", "RS(pop)"};
-    for (int e = 0; e < 2; ++e) {
-      summary[e] = Summarize(ScoreSweep(
-          bench, *CreateEstimator(names[e], context), names[e],
-          StandardThresholds(), scale.trials, scale.seed));
-    }
+    const RandomPairSampling rs(
+        bench.dataset, context.measure,
+        {.sample_size =
+             static_cast<uint64_t>(1.5 * static_cast<double>(variant.m))});
+    const SweepSummary summary[2] = {
+        Summarize(ScoreSweep(bench, *CreateEstimator("LSH-SS", context),
+                             "LSH-SS", StandardThresholds(), scale.trials,
+                             scale.seed)),
+        Summarize(ScoreSweep(bench, rs, "RS(pop)", StandardThresholds(),
+                             scale.trials, scale.seed))};
     fig7.AddRow({variant.label, TablePrinter::Fmt(summary[0].avg_error, 3),
                  TablePrinter::Fmt(summary[1].avg_error, 3)});
     fig8.AddRow({variant.label, std::to_string(summary[0].big_under),

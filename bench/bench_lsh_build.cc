@@ -15,7 +15,7 @@
 // Scale knobs: VSJ_N (corpus size, default 20000), VSJ_K (functions per
 // table, default 10), VSJ_TABLES (tables, default 10), VSJ_ITERS (best-of
 // repetitions, default 3 — CI smoke runs set 1), VSJ_SEED. `--json <path>`
-// (or VSJ_BENCH_JSON) writes BENCH_lsh_build-style JSON.
+// writes BENCH_lsh_build-style JSON.
 
 #include <algorithm>
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench_common.h"
+#include "vsj/core/lsh_ss_estimator.h"
 #include "vsj/core/optimal_k.h"
 #include "vsj/eval/probability_profile.h"
 

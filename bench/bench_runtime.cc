@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
+#include "vsj/core/lattice_counting.h"
 
 namespace {
 

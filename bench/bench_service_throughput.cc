@@ -66,7 +66,7 @@ int main() {
     options.k = scale.k;
     options.num_threads = threads;
     options.family_seed = scale.seed ^ 0x5eedULL;
-    options.enable_cache = false;
+    options.cache_capacity = 0;
     vsj::EstimationService service(vsj::GenerateCorpus(config), options);
 
     vsj::Timer timer;

@@ -22,8 +22,7 @@
 // VSJ_K (functions per table, default 12), VSJ_TRIALS (trials per request,
 // default 2), VSJ_SEED; VSJ_TABLES (default 2), VSJ_ROUNDS (default 8),
 // VSJ_CLIENTS (fan-out width, default 512).
-// `--json <path>` (or VSJ_BENCH_JSON) writes per-churn-rate numbers as
-// JSON.
+// `--json <path>` writes per-churn-rate numbers as JSON.
 
 #include <deque>
 #include <iostream>

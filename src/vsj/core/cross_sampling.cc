@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "vsj/core/random_pair_sampling.h"
 #include "vsj/util/check.h"
 
 namespace vsj {
@@ -13,12 +14,9 @@ CrossSampling::CrossSampling(DatasetView dataset,
                              CrossSamplingOptions options)
     : dataset_(dataset), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  const uint64_t pair_budget =
-      options.sample_size != 0
-          ? options.sample_size
-          : static_cast<uint64_t>(std::llround(options.sample_size_factor *
-                                               static_cast<double>(
-                                                   dataset.size())));
+  const uint64_t pair_budget = options.sample_size != 0
+                                   ? options.sample_size
+                                   : DefaultRsSampleSize(dataset.size());
   num_records_ = static_cast<size_t>(
       std::ceil(std::sqrt(static_cast<double>(pair_budget))));
   num_records_ = std::max<size_t>(2, std::min(num_records_, dataset.size()));

@@ -18,10 +18,9 @@ namespace vsj {
 
 /// Options of RS(cross).
 struct CrossSamplingOptions {
-  /// Pair budget m; 0 means `sample_size_factor · n`. The number of sampled
-  /// records is ⌈√m⌉.
+  /// Pair budget m; 0 means DefaultRsSampleSize(n)
+  /// (random_pair_sampling.h). The number of sampled records is ⌈√m⌉.
   uint64_t sample_size = 0;
-  double sample_size_factor = 1.5;
 };
 
 /// Cross sampling over a without-replacement record sample.

@@ -1,6 +1,13 @@
 #include "vsj/core/estimator_registry.h"
 
+#include "vsj/core/adaptive_sampling.h"
+#include "vsj/core/cross_sampling.h"
+#include "vsj/core/degree_sampling.h"
+#include "vsj/core/lattice_counting.h"
+#include "vsj/core/lsh_s_estimator.h"
+#include "vsj/core/lsh_ss_estimator.h"
 #include "vsj/core/median_estimator.h"
+#include "vsj/core/random_pair_sampling.h"
 #include "vsj/core/uniformity_estimator.h"
 #include "vsj/core/virtual_bucket_estimator.h"
 #include "vsj/util/check.h"
@@ -25,20 +32,18 @@ std::unique_ptr<JoinSizeEstimator> CreateEstimator(
   const DatasetView dataset = context.dataset;
 
   if (name == "RS(pop)") {
-    return std::make_unique<RandomPairSampling>(dataset, context.measure,
-                                                context.random_pair);
+    return std::make_unique<RandomPairSampling>(dataset, context.measure);
   }
   if (name == "RS(cross)") {
-    return std::make_unique<CrossSampling>(dataset, context.measure,
-                                           context.cross);
+    return std::make_unique<CrossSampling>(dataset, context.measure);
   }
   if (name == "Bifocal") {
-    return std::make_unique<DegreeSamplingEstimator>(
-        dataset, context.measure, context.degree);
+    return std::make_unique<DegreeSamplingEstimator>(dataset,
+                                                     context.measure);
   }
   if (name == "Adaptive") {
-    return std::make_unique<AdaptiveSamplingEstimator>(
-        dataset, context.measure, context.adaptive);
+    return std::make_unique<AdaptiveSamplingEstimator>(dataset,
+                                                       context.measure);
   }
   if (name == "LSH-SS") {
     LshSsOptions options = context.lsh_ss;
@@ -57,7 +62,7 @@ std::unique_ptr<JoinSizeEstimator> CreateEstimator(
   if (name == "LSH-S") {
     const LshIndex& index = RequireIndex(context, name);
     return std::make_unique<LshSEstimator>(dataset, index.family(),
-                                           index.table(0), context.lsh_s);
+                                           index.table(0));
   }
   if (name == "J_U") {
     const LshIndex& index = RequireIndex(context, name);
@@ -66,10 +71,9 @@ std::unique_ptr<JoinSizeEstimator> CreateEstimator(
   }
   if (name == "LC") {
     const LshIndex& index = RequireIndex(context, name);
-    LatticeCountingOptions options = context.lattice;
-    if (options.signature_length == 0) options.signature_length = index.k();
     return std::make_unique<LatticeCountingEstimator>(
-        dataset, index.family(), options);
+        dataset, index.family(),
+        LatticeCountingOptions{.signature_length = index.k()});
   }
   if (name == "LSH-SS(median)") {
     return std::make_unique<MedianEstimator>(

@@ -9,34 +9,24 @@
 #include <string_view>
 #include <vector>
 
-#include "vsj/core/adaptive_sampling.h"
-#include "vsj/core/cross_sampling.h"
-#include "vsj/core/degree_sampling.h"
 #include "vsj/core/estimator.h"
-#include "vsj/core/lattice_counting.h"
-#include "vsj/core/lsh_s_estimator.h"
-#include "vsj/core/lsh_ss_estimator.h"
-#include "vsj/core/random_pair_sampling.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/lsh/lsh_index.h"
 #include "vsj/vector/dataset_view.h"
 
 namespace vsj {
 
-/// Everything an estimator might need, with per-algorithm option blocks.
+/// Everything an estimator might need. Every estimator runs with its
+/// defaults (the paper's §5.1/§6 budgets) except the four LSH-SS variants,
+/// which take `lsh_ss`; a caller that needs another estimator at other
+/// options constructs it directly.
 struct EstimatorContext {
   DatasetView dataset;
   /// Required by LSH-based estimators; estimators use table 0 of the index
   /// unless they are explicitly multi-table.
   const LshIndex* index = nullptr;
   SimilarityMeasure measure = SimilarityMeasure::kCosine;
-
   LshSsOptions lsh_ss;
-  RandomPairSamplingOptions random_pair;
-  CrossSamplingOptions cross;
-  LshSOptions lsh_s;
-  LatticeCountingOptions lattice;
-  AdaptiveSamplingOptions adaptive;
-  DegreeSamplingOptions degree;
 };
 
 /// Creates the estimator registered under `name`. Known names:

@@ -1,7 +1,8 @@
 #include "vsj/core/general_join.h"
 
-#include <cmath>
+#include <algorithm>
 
+#include "vsj/core/random_pair_sampling.h"
 #include "vsj/util/check.h"
 
 namespace vsj {
@@ -88,8 +89,8 @@ GeneralRandomPairSampling::GeneralRandomPairSampling(
            .num_pairs_h = total_pairs,
            .m_h = sample_size != 0
                       ? sample_size
-                      : static_cast<uint64_t>(std::llround(
-                            1.5 * std::max(left.size(), right.size())))};
+                      : DefaultRsSampleSize(
+                            std::max(left.size(), right.size()))};
 }
 
 std::vector<EstimationResult> GeneralRandomPairSampling::Sweep(

@@ -76,10 +76,11 @@ class GeneralLshSsEstimator final : public StratifiedEstimator {
 /// empty), each drawn as (u, |U| + v).
 class GeneralRandomPairSampling final : public StratifiedEstimator {
  public:
+  /// `sample_size` 0 means DefaultRsSampleSize(max(|U|, |V|)).
   GeneralRandomPairSampling(DatasetView left,
                             DatasetView right,
                             SimilarityMeasure measure,
-                            uint64_t sample_size = 0);  // 0 → 1.5·max(n1,n2)
+                            uint64_t sample_size = 0);
 
   std::string name() const override { return "RS(pop,general)"; }
 

@@ -27,7 +27,6 @@ LatticeCountingEstimator::LatticeCountingEstimator(
     : family_(&family) {
   VSJ_CHECK(dataset.size() >= 2);
   if (options.signature_length == 0) options.signature_length = 20;
-  VSJ_CHECK(options.num_moments >= 2);
   VSJ_CHECK(options.min_support >= 2);
   const uint64_t n = dataset.size();
   total_pairs_ = n * (n - 1) / 2;
@@ -42,7 +41,7 @@ void LatticeCountingEstimator::ComputeMoments(
   const uint32_t k = options.signature_length;
   const SignatureDatabase signatures(family, dataset, k);
   const size_t n = dataset.size();
-  moments_.assign(options.num_moments, 0.0);
+  moments_.assign(kLatticeMoments, 0.0);
 
   // Deterministic subset enumeration: order-t subset r is positions
   // {Mix64(r, t, j) mod k : j < t} (deduplicated); order 1 uses each
@@ -51,10 +50,9 @@ void LatticeCountingEstimator::ComputeMoments(
   std::unordered_map<uint64_t, uint32_t> groups;
   groups.reserve(n);
 
-  for (uint32_t order = 1; order <= options.num_moments; ++order) {
+  for (uint32_t order = 1; order <= kLatticeMoments; ++order) {
     const uint32_t num_subsets =
-        order == 1 ? k : std::min(options.subsets_per_order,
-                                  static_cast<uint32_t>(k));
+        order == 1 ? k : std::min(kLatticeSubsetsPerOrder, k);
     double sum_over_subsets = 0.0;
     for (uint32_t r = 0; r < num_subsets; ++r) {
       // Choose `order` distinct positions.

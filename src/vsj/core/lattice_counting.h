@@ -34,6 +34,12 @@
 
 namespace vsj {
 
+/// Highest lattice moment order LC measures; the fit reads orders 1 and 2.
+inline constexpr uint32_t kLatticeMoments = 3;
+
+/// Position subsets sampled per moment order t ≥ 2 (t = 1 uses all k).
+inline constexpr uint32_t kLatticeSubsetsPerOrder = 8;
+
 /// Options of LC.
 struct LatticeCountingOptions {
   /// Signature length k; 0 means 20 (the paper's default table width).
@@ -41,10 +47,6 @@ struct LatticeCountingOptions {
   /// Minimum support ξ: groups smaller than ξ vectors are ignored when
   /// counting agreements (the LC(ξ) parameter of §6.1).
   uint32_t min_support = 2;
-  /// Highest moment order used by the fit (≥ 2).
-  uint32_t num_moments = 3;
-  /// Position subsets sampled per moment order (t = 1 uses all k).
-  uint32_t subsets_per_order = 8;
 };
 
 /// The Lattice-Counting estimator. Signature construction happens once at

@@ -1,7 +1,5 @@
 #include "vsj/core/random_pair_sampling.h"
 
-#include <cmath>
-
 #include "vsj/util/check.h"
 
 namespace vsj {
@@ -11,12 +9,9 @@ RandomPairSampling::RandomPairSampling(DatasetView dataset,
                                        RandomPairSamplingOptions options)
     : dataset_(dataset), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  const uint64_t sample_size =
-      options.sample_size != 0
-          ? options.sample_size
-          : static_cast<uint64_t>(std::llround(options.sample_size_factor *
-                                               static_cast<double>(
-                                                   dataset.size())));
+  const uint64_t sample_size = options.sample_size != 0
+                                   ? options.sample_size
+                                   : DefaultRsSampleSize(dataset.size());
   VSJ_CHECK(sample_size > 0);
   plan_ = {.total_pairs = dataset.NumPairs(),
            .num_pairs_h = dataset.NumPairs(),

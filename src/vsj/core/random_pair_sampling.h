@@ -12,18 +12,30 @@
 #ifndef VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
 #define VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
 
+#include <cmath>
+#include <cstdint>
+
 #include "vsj/core/stratified_sampling.h"
 #include "vsj/vector/similarity.h"
 #include "vsj/vector/dataset_view.h"
 
 namespace vsj {
 
+/// The default pair budget of the random-sampling baselines, in units of
+/// n: the paper compares RS at m_R = 1.5 n ("roughly the same runtime" as
+/// LSH-SS, §6).
+inline constexpr double kRsSampleSizeFactor = 1.5;
+
+/// kRsSampleSizeFactor · n, rounded to the nearest integer.
+inline uint64_t DefaultRsSampleSize(uint64_t n) {
+  return static_cast<uint64_t>(
+      std::llround(kRsSampleSizeFactor * static_cast<double>(n)));
+}
+
 /// Options of RS(pop).
 struct RandomPairSamplingOptions {
-  /// Absolute sample size m; 0 means `sample_size_factor · n`.
+  /// Absolute sample size m; 0 means DefaultRsSampleSize(n).
   uint64_t sample_size = 0;
-  /// The paper compares at m_R = 1.5 n ("roughly the same runtime").
-  double sample_size_factor = 1.5;
 };
 
 /// Uniform with-replacement pair sampling over the cross product.

@@ -1,19 +1,15 @@
 #include "vsj/io/atomic_file_writer.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <utility>
 
 #include "vsj/fault/fault.h"
 
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
-
 namespace vsj {
 namespace {
-
-#if !defined(_WIN32)
 
 // fsyncs `path` through a freshly opened descriptor. The payload stream
 // is a std::ofstream (no portable fd access), so durability comes from
@@ -38,8 +34,6 @@ IoStatus FsyncPath(const std::string& path, bool directory) {
   }
   return IoStatus::Ok();
 }
-
-#endif  // !_WIN32
 
 std::string ParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
@@ -104,7 +98,6 @@ IoStatus AtomicFileWriter::Commit() {
   }
   done_ = true;
 
-#if !defined(_WIN32)
   if (torn) {
     // Simulated power loss mid-write: chop the payload and promote the
     // torn bytes without any fsync — exactly what tmp+rename-without-
@@ -128,10 +121,6 @@ IoStatus AtomicFileWriter::Commit() {
       return fsync_status.WithPath(path_);
     }
   }
-#else
-  (void)torn;
-  (void)torn_bytes;
-#endif
 
   {
     const fault::FaultHit rename_hit = VSJ_FAULT_HIT("io.atomic.rename");
@@ -148,7 +137,6 @@ IoStatus AtomicFileWriter::Commit() {
                           path_);
   }
 
-#if !defined(_WIN32)
   if (!torn) {
     const fault::FaultHit dirsync_hit = VSJ_FAULT_HIT("io.atomic.dirsync");
     if (dirsync_hit.fired()) {
@@ -162,7 +150,6 @@ IoStatus AtomicFileWriter::Commit() {
                                           /*directory=*/true);
     if (!dir_status.ok()) return dir_status.WithPath(path_);
   }
-#endif
 
   return IoStatus::Ok();
 }

@@ -94,8 +94,8 @@ struct ServerOptions {
   /// upper bound on cross-connection batch size.
   size_t max_batch = 64;
 
-  /// Enables the "sleep" debug op (tests use it to occupy workers
-  /// deterministically); off for production servers.
+  /// Enables the "sleep" debug op, an in-process test hook that occupies
+  /// workers deterministically; vsjoin_server never sets it.
   bool enable_debug_ops = false;
 
   /// Borrowed; must outlive the server. Required.

@@ -1,7 +1,6 @@
 #include "vsj/service/estimate_cache.h"
 
 #include "vsj/obs/obs.h"
-#include "vsj/util/check.h"
 
 namespace vsj {
 
@@ -16,9 +15,7 @@ std::string MakeKey(const EstimateRequest& request, uint64_t fingerprint) {
 
 }  // namespace
 
-EstimateCache::EstimateCache(size_t capacity) : capacity_(capacity) {
-  VSJ_CHECK(capacity > 0);
-}
+EstimateCache::EstimateCache(size_t capacity) : capacity_(capacity) {}
 
 std::optional<EstimateResponse> EstimateCache::Lookup(
     const EstimateRequest& request, uint64_t fingerprint) {
@@ -41,6 +38,7 @@ std::optional<EstimateResponse> EstimateCache::Lookup(
 void EstimateCache::Insert(const EstimateRequest& request,
                            uint64_t fingerprint,
                            const EstimateResponse& response) {
+  if (capacity_ == 0) return;
   std::string key = MakeKey(request, fingerprint);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.insertions;

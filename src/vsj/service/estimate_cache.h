@@ -63,7 +63,8 @@ struct EstimateCacheStats {
 /// EstimateResponse. Thread-safe.
 class EstimateCache {
  public:
-  /// `capacity` bounds the number of cached responses (> 0).
+  /// `capacity` bounds the number of cached responses; a cache of
+  /// capacity 0 keeps none (its owner skips it).
   explicit EstimateCache(size_t capacity = 1024);
 
   /// Returns the cached response for `request`'s key over the dataset with

@@ -101,7 +101,6 @@ EstimateResponse FinishTrials(const EstimateRequest& request,
 
 EstimationEngine::EstimationEngine(const EstimationEngineOptions& options)
     : num_threads_(options.num_threads),
-      enable_cache_(options.enable_cache),
       family_(MakeLshFamily(options.measure, options.family_seed)),
       pool_(options.num_threads),
       cache_(options.cache_capacity) {}
@@ -120,7 +119,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     VSJ_CHECK_MSG(error == nullptr, "invalid EstimateRequest for %s: %s",
                   request.estimator_name.c_str(), error);
   }
-  EstimateCache* cache = enable_cache_ ? &cache_ : nullptr;
+  EstimateCache* cache = cache_.capacity() > 0 ? &cache_ : nullptr;
   std::vector<EstimateResponse> responses(requests.size());
 
   // Misses holds the group leaders — the requests actually computed. A

@@ -71,8 +71,8 @@ struct EstimationEngineOptions {
   /// functions.
   uint64_t family_seed = 0x5eedULL;
 
-  /// Response cache; see EstimateCache for key semantics.
-  bool enable_cache = true;
+  /// Responses the cache keeps (0 = no cache); see EstimateCache for key
+  /// semantics.
   size_t cache_capacity = 1024;
 };
 
@@ -134,7 +134,7 @@ class EstimationEngine {
   ///   4. sequential post-pass — followers copy their leader's response
   ///      (what a cache hit on it would serve), leaders publish to the
   ///      cache.
-  /// With enable_cache off, steps 1 and 4 skip the cache.
+  /// With cache_capacity 0, steps 1 and 4 skip the cache.
   std::vector<EstimateResponse> RunCachedBatch(
       const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
       const std::function<bool(size_t)>& on_miss,
@@ -142,7 +142,6 @@ class EstimationEngine {
 
  private:
   const size_t num_threads_;
-  const bool enable_cache_;
   std::unique_ptr<LshFamily> family_;
   ThreadPool pool_;
   EstimateCache cache_;

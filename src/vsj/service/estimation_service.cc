@@ -41,10 +41,10 @@ void EstimationService::BuildIndexAndContext() {
   }
   index_build_seconds_ = timer.ElapsedSeconds();
 
-  context_ = options_.estimator_options;
-  context_.dataset = view_;
-  context_.index = index_.get();
-  context_.measure = options_.measure;
+  context_ = {.dataset = view_,
+              .index = index_.get(),
+              .measure = options_.measure,
+              .lsh_ss = options_.lsh_ss};
 }
 
 std::vector<EstimateResponse> EstimationService::EstimateBatch(

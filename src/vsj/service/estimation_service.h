@@ -31,9 +31,9 @@ namespace vsj {
 
 /// Construction-time configuration of an EstimationService.
 struct EstimationServiceOptions : EstimationEngineOptions {
-  /// Estimator option blocks applied to every created estimator (the
-  /// dataset/index/measure fields are overwritten by the service).
-  EstimatorContext estimator_options;
+  /// Sampling budgets of the LSH-SS variants (0 = the §5.1 defaults);
+  /// every other estimator runs with its defaults.
+  LshSsOptions lsh_ss;
 };
 
 /// Long-lived, thread-pooled estimation engine over one dataset.

@@ -21,6 +21,7 @@
 // invalidation stats continuous across restarts.
 
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,16 @@ IoStatus StreamingEstimationService::Restore(
       meta.num_index_live > meta.num_ids) {
     return IoStatus::Fail(IoError::kCorrupt, "implausible snapshot meta", 0,
                           path);
+  }
+  // Both are at least 1, so the product bounds each of them.
+  if (uint64_t{meta.k} * meta.num_tables > kMaxSnapshotHashFunctions) {
+    return IoStatus::Fail(
+        IoError::kCorrupt,
+        "snapshot meta asks for k * tables = " + std::to_string(meta.k) +
+            " * " + std::to_string(meta.num_tables) +
+            " hash functions (at most " +
+            std::to_string(kMaxSnapshotHashFunctions) + ")",
+        0, path);
   }
 
   VsjbColumnView columns;

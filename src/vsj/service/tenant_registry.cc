@@ -41,7 +41,7 @@ Tenant::Tenant(std::string name, std::string snapshot_path,
     : name_(std::move(name)),
       snapshot_path_(std::move(snapshot_path)),
       max_pairs_per_request_(max_pairs_per_request),
-      budget_(engine->options().estimator_options.lsh_ss),
+      budget_(engine->options().lsh_ss),
       mapped_(std::move(storage)),
       engine_(std::move(engine)) {
   PublishNumLive();

@@ -36,7 +36,7 @@ VectorDataset TextVectorizer::FitTransform(
   std::vector<std::vector<std::string>> tokenized;
   tokenized.reserve(documents.size());
   for (const std::string& doc : documents) {
-    tokenized.push_back(Tokenize(doc, options_.min_token_length));
+    tokenized.push_back(Tokenize(doc));
     std::vector<std::string> unique = tokenized.back();
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
@@ -67,7 +67,7 @@ VectorDataset TextVectorizer::FitTransform(
 SparseVector TextVectorizer::Transform(std::string_view document) const {
   VSJ_CHECK_MSG(num_fitted_documents_ > 0,
                 "Transform requires a fitted vocabulary");
-  return VectorizeTokens(Tokenize(document, options_.min_token_length));
+  return VectorizeTokens(Tokenize(document));
 }
 
 int64_t TextVectorizer::DimOf(const std::string& token) const {

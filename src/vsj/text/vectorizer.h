@@ -29,7 +29,6 @@ std::vector<std::string> Tokenize(std::string_view text,
 /// Vectorizer options.
 struct VectorizerOptions {
   bool tfidf = true;  // false → binary presence vectors
-  size_t min_token_length = 2;
   /// Tokens appearing in fewer than this many documents are dropped.
   size_t min_document_frequency = 1;
 };

@@ -1,7 +1,6 @@
 #include "vsj/util/cpu.h"
 
 #include <cstdlib>
-#include <cstring>
 
 namespace vsj {
 
@@ -23,28 +22,15 @@ SimdLevel Detect() {
   return SimdLevel::kScalar;
 }
 
-SimdLevel ParseLevel(const char* name, SimdLevel fallback) {
-  if (std::strcmp(name, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(name, "sse2") == 0) return SimdLevel::kSse2;
-  if (std::strcmp(name, "avx2") == 0) return SimdLevel::kAvx2;
-  return fallback;
-}
-
-/// Detection capped by the environment, resolved once. The kernels read
-/// the result through ActiveSimdLevel() on every call, so the test
-/// override below takes effect immediately.
+/// Detection, or scalar under VSJ_FORCE_SCALAR=1, resolved once. The
+/// kernels read the result through ActiveSimdLevel() on every call, so the
+/// test override below takes effect immediately.
 SimdLevel ResolveEnvLevel() {
-  SimdLevel level = Detect();
   const char* force_scalar = std::getenv("VSJ_FORCE_SCALAR");
   if (force_scalar != nullptr && force_scalar[0] == '1') {
     return SimdLevel::kScalar;
   }
-  const char* cap = std::getenv("VSJ_SIMD");
-  if (cap != nullptr && cap[0] != '\0') {
-    const SimdLevel requested = ParseLevel(cap, level);
-    if (requested < level) level = requested;
-  }
-  return level;
+  return Detect();
 }
 
 // Written only before kernels run (static init or the single-threaded test

@@ -7,11 +7,10 @@
 // pair evaluation"), so the level is a pure throughput knob; the dispatch
 // bit-identity suites pin the contract.
 //
-// Overrides, strongest first:
-//   VSJ_FORCE_SCALAR=1        force the scalar kernels (the CI cross-check)
-//   VSJ_SIMD=scalar|sse2|avx2 cap the level (clamped to what the CPU has)
-//   SetSimdLevel()            in-process override (--simd flag, benches,
-//                             the dispatch suites)
+// Overrides:
+//   VSJ_FORCE_SCALAR=1  force the scalar kernels (the CI cross-check)
+//   SetSimdLevel()      in-process override (the per-level bench rows and
+//                       the dispatch suites)
 
 #ifndef VSJ_UTIL_CPU_H_
 #define VSJ_UTIL_CPU_H_
@@ -33,14 +32,13 @@ const char* SimdLevelName(SimdLevel level);
 /// builds always report kScalar (only the scalar kernels are compiled).
 SimdLevel DetectSimdLevel();
 
-/// The level the kernels actually dispatch to: detection, capped by the
-/// VSJ_FORCE_SCALAR / VSJ_SIMD environment overrides (read once) and by
-/// SetSimdLevel.
+/// The level the kernels actually dispatch to: detection, or scalar under
+/// VSJ_FORCE_SCALAR=1 (read once), unless SetSimdLevel overrides it.
 SimdLevel ActiveSimdLevel();
 
 /// In-process override of ActiveSimdLevel(), clamped to DetectSimdLevel().
-/// Returns the level actually installed. Backs the CLI `--simd` flag, the
-/// per-level bench rows, and the dispatch test suites. Not thread-safe:
+/// Returns the level actually installed. Backs the per-level bench rows
+/// and the dispatch test suites. Not thread-safe:
 /// call only while no kernel runs concurrently (all current callers are
 /// single-threaded setup code).
 SimdLevel SetSimdLevel(SimdLevel level);

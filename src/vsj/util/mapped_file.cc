@@ -1,19 +1,15 @@
 #include "vsj/util/mapped_file.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstring>
 
 #include "vsj/fault/fault.h"
 #include "vsj/obs/obs.h"
-
-#if defined(_WIN32)
-#include <cstdio>
-#else
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace vsj {
 
@@ -22,65 +18,22 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
     Reset();
     data_ = other.data_;
     size_ = other.size_;
-    heap_fallback_ = other.heap_fallback_;
+    empty_ = other.empty_;
     not_found_ = other.not_found_;
     other.data_ = nullptr;
     other.size_ = 0;
-    other.heap_fallback_ = false;
+    other.empty_ = false;
   }
   return *this;
 }
 
 void MappedFile::Reset() {
-  if (data_ != nullptr) {
-#if defined(_WIN32)
-    delete[] static_cast<char*>(data_);
-#else
-    if (heap_fallback_) {
-      delete[] static_cast<char*>(data_);
-    } else {
-      ::munmap(data_, size_);
-    }
-#endif
-  }
+  if (data_ != nullptr) ::munmap(data_, size_);
   data_ = nullptr;
   size_ = 0;
-  heap_fallback_ = false;
+  empty_ = false;
   not_found_ = false;
 }
-
-#if defined(_WIN32)
-
-bool MappedFile::Open(const std::string& path, std::string* error) {
-  Reset();
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    not_found_ = true;
-    *error = std::strerror(errno);
-    return false;
-  }
-  std::fseek(file, 0, SEEK_END);
-  const long length = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  char* buffer = new char[length > 0 ? static_cast<size_t>(length) : 1];
-  if (length > 0 &&
-      std::fread(buffer, 1, static_cast<size_t>(length), file) !=
-          static_cast<size_t>(length)) {
-    delete[] buffer;
-    std::fclose(file);
-    *error = "short read";
-    return false;
-  }
-  std::fclose(file);
-  data_ = buffer;
-  size_ = static_cast<size_t>(length);
-  heap_fallback_ = true;
-  VSJ_COUNTER_ADD("io.mmap_opens", 1);
-  VSJ_COUNTER_ADD("io.mmap_bytes", size_);
-  return true;
-}
-
-#else
 
 bool MappedFile::Open(const std::string& path, std::string* error) {
   Reset();
@@ -108,7 +61,7 @@ bool MappedFile::Open(const std::string& path, std::string* error) {
   if (size_ == 0) {
     // mmap of length 0 is unspecified; an empty file is simply "no bytes".
     ::close(fd);
-    heap_fallback_ = true;  // mapped() is true, data() stays null
+    empty_ = true;  // mapped() is true, data() stays null
     return true;
   }
   void* mapping = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
@@ -123,7 +76,5 @@ bool MappedFile::Open(const std::string& path, std::string* error) {
   VSJ_COUNTER_ADD("io.mmap_bytes", size_);
   return true;
 }
-
-#endif
 
 }  // namespace vsj

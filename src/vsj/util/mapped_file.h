@@ -3,9 +3,8 @@
 // The persistence layer's zero-copy path: a VSJB v2 file is mapped once
 // and the columnar sections are consumed in place, so "loading" a dataset
 // costs one mmap instead of a per-feature parse (LeanStore-style page
-// persistence, scaled down to one immutable arena). On POSIX this is
-// mmap(PROT_READ, MAP_PRIVATE); elsewhere it degrades to reading the file
-// into a heap buffer — same interface, no zero-copy.
+// persistence, scaled down to one immutable arena): mmap(PROT_READ,
+// MAP_PRIVATE).
 
 #ifndef VSJ_UTIL_MAPPED_FILE_H_
 #define VSJ_UTIL_MAPPED_FILE_H_
@@ -36,7 +35,7 @@ class MappedFile {
   /// opposed to failing to map it).
   bool not_found() const { return not_found_; }
 
-  bool mapped() const { return data_ != nullptr || heap_fallback_; }
+  bool mapped() const { return data_ != nullptr || empty_; }
   const void* data() const { return data_; }
   size_t size() const { return size_; }
 
@@ -46,7 +45,7 @@ class MappedFile {
  private:
   void* data_ = nullptr;
   size_t size_ = 0;
-  bool heap_fallback_ = false;  // data_ is new[]'d, not mmapped
+  bool empty_ = false;  // an empty file: mapped, but no bytes to map
   bool not_found_ = false;
 };
 

@@ -34,8 +34,10 @@
 #               hold (a VSJB name, a VSJD feature count, a VSJS name), each
 #               of which must be a named load error with exit status 1; then
 #               --stream op files whose 'estimate' τ is out of range, NaN,
-#               zero or unparsable, each a named line error with exit
-#               status 1
+#               zero or unparsable, and op files that insert a live id,
+#               re-insert an erased id, remove an id that is not live,
+#               erase an id twice or name an id outside the dataset — each
+#               a named line error with exit status 1
 #   sweep-vs-single  no fixture: the --json lines of one --batch-taus
 #               sweep must equal those of one --tau run per τ (a request
 #               answers the same alone or in a batch)
@@ -181,8 +183,15 @@ case "$mode" in
         load_row --dataset "$data/tiny.vsjd" --k 6 \
                  --stream cli_bad_tau_ops.txt
       done
+      # A mutation the live set cannot take is a named line error, exit 1.
+      for ops in 'insert 0 9\ninsert 5' 'insert 0 9\nerase 3\ninsert 3' \
+                 'insert 0 9\nremove 10' 'erase 3\nerase 3' 'insert 119 120'; do
+        printf "$ops\n" > cli_bad_mutation_ops.txt
+        load_row --dataset "$data/tiny.vsjd" --k 6 \
+                 --stream cli_bad_mutation_ops.txt
+      done
       rm -f cli_hostile_name.vsjb cli_hostile_count.vsjd cli_hostile.vsjs \
-            cli_bad_tau_ops.txt cli_reject_stderr.txt
+            cli_bad_tau_ops.txt cli_bad_mutation_ops.txt cli_reject_stderr.txt
     }
     ;;
   *)

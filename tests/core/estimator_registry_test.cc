@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/core/lsh_ss_estimator.h"
 
 namespace vsj {
 namespace {

@@ -92,12 +92,5 @@ TEST(LatticeCountingTest, MinSupportReducesMoments) {
   EXPECT_LE(filtered.moments()[0], all.moments()[0]);
 }
 
-TEST(LatticeCountingDeathTest, RequiresTwoMoments) {
-  auto setup = testing::MakeJaccardSetup(100, 6);
-  EXPECT_DEATH(LatticeCountingEstimator(setup.dataset, *setup.family,
-                                        {.num_moments = 1}),
-               "CHECK");
-}
-
 }  // namespace
 }  // namespace vsj

@@ -69,12 +69,12 @@ TEST(ExperimentTest, HarnessMatchesTheServedAnswerBitForBit) {
   options.k = 8;
   options.num_tables = 2;
   options.num_threads = 2;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   EstimationService service(testing::SmallClusteredCorpus(600, 11), options);
-  EstimatorContext context = service.options().estimator_options;
-  context.dataset = service.dataset();
-  context.index = &service.index();
-  context.measure = service.options().measure;
+  const EstimatorContext context{.dataset = service.dataset(),
+                                 .index = &service.index(),
+                                 .measure = service.options().measure,
+                                 .lsh_ss = service.options().lsh_ss};
 
   const std::vector<double> taus = {0.1, 0.2, 0.3, 0.4, 0.5,
                                     0.6, 0.7, 0.8, 0.9};

@@ -28,7 +28,7 @@ EstimationServiceOptions SmallOptions(size_t threads, bool cache = true) {
   options.num_tables = 2;
   options.num_threads = threads;
   options.family_seed = 0x5eed;
-  options.enable_cache = cache;
+  options.cache_capacity = cache ? 1024 : 0;
   return options;
 }
 

@@ -7,14 +7,19 @@
 // continuity), erased-id permanence, multi-table engines, cold-cache
 // semantics, and corrupt-snapshot error paths.
 
+#include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/io/vsjb_format.h"
 #include "vsj/service/streaming_estimation_service.h"
 
 namespace vsj {
@@ -55,6 +60,40 @@ void Churn(StreamingEstimationService& service) {
 
 std::string SnapshotPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+/// Rewrites META's k and ℓ (the first two words of its payload) in the
+/// snapshot at `path` and recomputes the META checksum, so only Restore's
+/// own checks can refuse the result.
+void PatchMetaKeepingChecksums(const std::string& path, uint32_t k,
+                               uint32_t num_tables) {
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    bytes = buffer.str();
+  }
+  // The validator reads the image through typed pointers: parse an
+  // 8-byte-aligned copy.
+  std::vector<uint64_t> aligned((bytes.size() + 7) / 8);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  VsjbImage image;
+  ASSERT_TRUE(ValidateVsjbImage(aligned.data(), bytes.size(), kVsjsMagic,
+                                kVsjsVersion, true, &image)
+                  .ok());
+  const int index = FindVsjbSection(image.entries, kSecSnapshotMeta);
+  ASSERT_GE(index, 0);
+  VsjbSectionEntry meta = image.entries[index];
+  std::memcpy(bytes.data() + meta.offset, &k, sizeof(k));
+  std::memcpy(bytes.data() + meta.offset + sizeof(k), &num_tables,
+              sizeof(num_tables));
+  meta.checksum = VsjbChecksum(bytes.data() + meta.offset, meta.length);
+  const uint64_t table =
+      VsjbAlignUp(sizeof(VsjbHeader) + image.header.name_length);
+  std::memcpy(bytes.data() + table + index * sizeof(VsjbSectionEntry), &meta,
+              sizeof(meta));
+  testing::WriteBytes(path, bytes);
 }
 
 class ServiceSnapshotTest : public ::testing::Test {
@@ -174,7 +213,7 @@ TEST_F(ServiceSnapshotTest, RuntimeOptionsComeFromCallerFormatFromFile) {
 
 TEST_F(ServiceSnapshotTest, RestoreHonorsRuntimeOptions) {
   // Every runtime field of the shared engine block must reach the restored
-  // engine: cache capacity, thread count and enable_cache.
+  // engine: cache capacity (0 = no cache) and thread count.
   const std::string path = SnapshotPath("vsj_snapshot_runtime.vsjs");
   const auto original = MakeChurned(EngineOptions());
   ASSERT_TRUE(original->Checkpoint(path).ok());
@@ -191,7 +230,7 @@ TEST_F(ServiceSnapshotTest, RestoreHonorsRuntimeOptions) {
   restored->Estimate(request);
   EXPECT_TRUE(restored->Estimate(request).from_cache);
 
-  runtime.enable_cache = false;
+  runtime.cache_capacity = 0;
   ASSERT_TRUE(
       StreamingEstimationService::Restore(path, &restored, runtime).ok());
   restored->Estimate(request);
@@ -257,6 +296,40 @@ TEST_F(ServiceSnapshotTest, RestoreErrorsAreStatusNotAborts) {
   EXPECT_EQ(hostile.code, IoError::kCorrupt) << hostile.ToString();
   EXPECT_EQ(hostile.path, path);
   EXPECT_EQ(restored, nullptr);
+  std::remove(path.c_str());
+}
+
+TEST_F(ServiceSnapshotTest, HugeHashFunctionCountIsCorruptBeforeAllocating) {
+  // META's k and ℓ size the index, the projection cache and every insert's
+  // signature scratch. An empty live set with ℓ = 2^31 passes every section
+  // shape check (TBLS holds ℓ · 0 ids), and so does one live vector with
+  // k = 2^31: both must be a named kCorrupt, answered at once.
+  struct Case {
+    bool one_live;
+    uint32_t k;
+    uint32_t num_tables;
+  };
+  const std::string path = SnapshotPath("vsj_snapshot_huge_meta.vsjs");
+  for (const Case& hostile :
+       {Case{false, 8, 1u << 31}, Case{true, 1u << 31, 1}}) {
+    {
+      StreamingEstimationService service(testing::SmallClusteredCorpus(50, 3),
+                                         EngineOptions(/*tables=*/1));
+      if (hostile.one_live) service.Insert(0);
+      ASSERT_TRUE(service.Checkpoint(path).ok());
+    }
+    PatchMetaKeepingChecksums(path, hostile.k, hostile.num_tables);
+    std::unique_ptr<StreamingEstimationService> restored;
+    const auto start = std::chrono::steady_clock::now();
+    const IoStatus status =
+        StreamingEstimationService::Restore(path, &restored);
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_EQ(status.code, IoError::kCorrupt) << status.ToString();
+    EXPECT_NE(status.ToString().find("hash functions"), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(restored, nullptr);
+  }
   std::remove(path.c_str());
 }
 

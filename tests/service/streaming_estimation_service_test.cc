@@ -25,7 +25,7 @@ StreamingEstimationServiceOptions StreamOptions(size_t threads = 1,
   options.num_tables = tables;
   options.num_threads = threads;
   options.family_seed = 0x5eed;
-  options.enable_cache = cache;
+  options.cache_capacity = cache ? 1024 : 0;
   return options;
 }
 
@@ -78,8 +78,8 @@ TEST(StreamingEstimationServiceTest, MatchesStaticServiceOverLiveSubset) {
   static_options.k = 8;
   static_options.num_tables = 1;
   static_options.family_seed = 0x5eed;
-  static_options.enable_cache = false;
-  static_options.estimator_options.lsh_ss.sample_size_l = 8000;
+  static_options.cache_capacity = 0;
+  static_options.lsh_ss.sample_size_l = 8000;
   EstimationService fixed(std::move(window), static_options);
 
   for (double tau : {0.3, 0.5}) {

@@ -76,7 +76,7 @@ EstimationServiceOptions StaticOptions(size_t threads) {
   options.num_tables = 1;
   options.num_threads = threads;
   options.family_seed = 0x5eed;
-  options.enable_cache = false;
+  options.cache_capacity = 0;
   return options;
 }
 
@@ -87,7 +87,7 @@ StreamingEstimationServiceOptions StreamOptions(size_t threads, bool cache,
   options.num_tables = 2;  // trials alternate tables
   options.num_threads = threads;
   options.family_seed = 0xfeed;
-  options.enable_cache = cache;
+  options.cache_capacity = cache ? 1024 : 0;
   options.lsh_ss = lsh_ss;
   return options;
 }
@@ -222,11 +222,9 @@ TEST_P(SweepSharingTest, OverridesAreFoldedPerBatchOnBothEngines) {
   const SamplingBudget budget{
       .sample_size_h = 60, .sample_size_l = 120, .delta = 4};
   EstimationServiceOptions configured_options = StaticOptions(threads());
-  configured_options.estimator_options.lsh_ss.sample_size_h =
-      budget.sample_size_h;
-  configured_options.estimator_options.lsh_ss.sample_size_l =
-      budget.sample_size_l;
-  configured_options.estimator_options.lsh_ss.delta = budget.delta;
+  configured_options.lsh_ss.sample_size_h = budget.sample_size_h;
+  configured_options.lsh_ss.sample_size_l = budget.sample_size_l;
+  configured_options.lsh_ss.delta = budget.delta;
   for (const char* name : {"LSH-SS", "LSH-SS(vbucket)"}) {
     EstimationService fresh(testing::SmallClusteredCorpus(600, 7),
                             StaticOptions(threads()));
@@ -328,7 +326,7 @@ void ExpectCacheHistoryIrrelevant(Engine& warm, Engine& cold,
 
 TEST_P(SweepSharingTest, CachedAnswerDoesNotDependOnBatchHistory) {
   EstimationServiceOptions cached = StaticOptions(threads());
-  cached.enable_cache = true;
+  cached.cache_capacity = 1024;
   for (const char* name : {"LSH-SS", "RS(pop)"}) {
     EstimationService warm(testing::SmallClusteredCorpus(600, 7), cached);
     EstimationService cold(testing::SmallClusteredCorpus(600, 7),
@@ -393,9 +391,10 @@ TEST(SweepSharingTrialTasksTest, OneGroupsTrialsMatchAcrossThreadCounts) {
 
   // An oracle outside the engine: trial t is the estimator's sweep on
   // TrialStream(request.seed, t), aggregated in trial order.
-  EstimatorContext context = four.options().estimator_options;
-  context.dataset = four.dataset();
-  context.index = &four.index();
+  const EstimatorContext context{.dataset = four.dataset(),
+                                 .index = &four.index(),
+                                 .measure = four.options().measure,
+                                 .lsh_ss = four.options().lsh_ss};
   const auto estimator = CreateEstimator("LSH-SS", context);
   const std::vector<double> taus = NineTaus();
   std::vector<double> sums(taus.size(), 0.0);

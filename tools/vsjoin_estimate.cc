@@ -51,17 +51,6 @@
 //                         (loadable in chrome://tracing / Perfetto)
 //   --stats-interval MS   live profiling table on stderr every MS ms while
 //                         the op stream replays (needs --stream)
-//
-// Kernel dispatch:
-//   --simd LEVEL          scalar|sse2|avx2|auto — pin the SIMD level of the
-//                         hashing and pair-evaluation kernels (the in-
-//                         process mirror of the VSJ_SIMD / VSJ_FORCE_SCALAR
-//                         environment overrides; takes precedence over
-//                         them, clamped to what the CPU supports). All
-//                         levels are bit-identical, so this is a pure
-//                         throughput knob; the level in effect is reported
-//                         on stderr and as the `simd.active_level` gauge in
-//                         the --metrics table (0 scalar, 1 sse2, 2 avx2).
 
 #include <algorithm>
 #include <climits>
@@ -127,9 +116,6 @@ struct Args {
   std::string metrics_json_path;   // one metrics JSON document
   std::string trace_path;          // Chrome trace_event JSON
   int stats_interval_ms = 0;       // live table period (--stream only)
-
-  // --simd: pin the kernel dispatch level ("auto" keeps detection + env).
-  std::string simd = "auto";
 };
 
 /// Strict numeric parse: the whole token must be consumed.
@@ -296,16 +282,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--stats-interval") {
       if (!next_u64("--stats-interval", &count, 1, INT_MAX)) return false;
       args->stats_interval_ms = static_cast<int>(count);
-    } else if (flag == "--simd") {
-      const char* v = next("--simd");
-      if (!v) return false;
-      args->simd = v;
-      if (args->simd != "auto" && args->simd != "scalar" &&
-          args->simd != "sse2" && args->simd != "avx2") {
-        std::cerr << "--simd takes scalar, sse2, avx2 or auto (got "
-                  << args->simd << ")\n";
-        return false;
-      }
     } else if (flag == "--help" || flag == "-h") {
       return false;
     } else {
@@ -388,7 +364,7 @@ void PrintUsage() {
          "       [--json FILE] [--exact] [--stream OPFILE]\n"
          "       [--mmap] [--save-dataset FILE] [--save-snapshot FILE]\n"
          "       [--metrics] [--metrics-json FILE] [--trace FILE]\n"
-         "       [--stats-interval MS] [--simd scalar|sse2|avx2|auto]\n"
+         "       [--stats-interval MS]\n"
          "estimators: LSH-SS LSH-SS(D) RS(pop) RS(cross) LSH-S J_U LC\n"
          "            Adaptive Bifocal LSH-SS(median) LSH-SS(vbucket)\n"
          "stream op file: 'insert I [J]' | 'remove I [J]' | "
@@ -694,25 +670,10 @@ int main(int argc, char** argv) {
     PrintUsage();
     return 2;
   }
-  if (args.simd != "auto") {
-    vsj::SimdLevel requested = vsj::SimdLevel::kScalar;
-    if (args.simd == "sse2") requested = vsj::SimdLevel::kSse2;
-    if (args.simd == "avx2") requested = vsj::SimdLevel::kAvx2;
-    const vsj::SimdLevel installed = vsj::SetSimdLevel(requested);
-    if (installed != requested) {
-      std::cerr << "warning: --simd " << args.simd
-                << " is not supported by this CPU; using "
-                << vsj::SimdLevelName(installed) << "\n";
-    }
-    // stderr only: the golden fixtures diff stdout, and every level is
-    // bit-identical there by contract.
-    std::cerr << "simd: " << vsj::SimdLevelName(installed) << " (--simd "
-              << args.simd << ")\n";
-  }
   ArmObservability(args);
   ObservabilityGuard observability(args);
   // Recorded after arming so the --metrics table reports the dispatch
-  // level in effect (0 scalar, 1 sse2, 2 avx2).
+  // level in effect (0 scalar, 1 sse2, 2 avx2; VSJ_FORCE_SCALAR=1 pins 0).
   VSJ_GAUGE_SET("simd.active_level",
                 static_cast<int64_t>(vsj::ActiveSimdLevel()));
 

@@ -5,7 +5,7 @@
 //                 [--default-timeout-ms 0] [--max-batch 64]
 //                 [--max-pairs-per-request 67108864]
 //                 [--k 20] [--tables 1] [--threads 1] [--seed 1]
-//                 [--port-file PATH] [--debug-ops]
+//                 [--port-file PATH]
 //                 [--metrics] [--metrics-json PATH]
 //                 [--stats-interval MS] [--stats-json PATH]
 //
@@ -67,7 +67,6 @@ struct Args {
   uint64_t default_timeout_ms = 0;
   uint32_t max_frame_bytes = 1u << 20;
   uint64_t max_pairs_per_request = uint64_t{1} << 26;
-  bool debug_ops = false;
 
   // Static-tenant engine knobs (streaming snapshots carry their own).
   uint32_t k = 20;
@@ -88,7 +87,7 @@ void Usage() {
          "                     [--max-inflight N] [--max-batch N]\n"
          "                     [--default-timeout-ms N]\n"
          "                     [--max-pairs-per-request N]\n"
-         "                     [--max-frame-bytes N] [--debug-ops]\n"
+         "                     [--max-frame-bytes N]\n"
          "                     [--k N] [--tables N] [--threads N] "
          "[--seed N]\n"
          "                     [--metrics] [--metrics-json PATH]\n"
@@ -142,8 +141,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--max-pairs-per-request") {
       if (!next_u64(1)) return false;
       args->max_pairs_per_request = u;
-    } else if (flag == "--debug-ops") {
-      args->debug_ops = true;
     } else if (flag == "--k") {
       if (!next_u64(1, UINT32_MAX)) return false;
       args->k = static_cast<uint32_t>(u);
@@ -233,7 +230,6 @@ int main(int argc, char** argv) {
   server_options.max_batch = args.max_batch;
   server_options.default_timeout_ms = args.default_timeout_ms;
   server_options.max_frame_bytes = args.max_frame_bytes;
-  server_options.enable_debug_ops = args.debug_ops;
   server_options.registry = &registry;
   vsj::net::Server server(server_options);
 
