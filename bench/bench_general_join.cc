@@ -33,9 +33,12 @@ int main() {
                                SimilarityMeasure::kCosine);
   GeneralRandomPairSampling rs(left, right, SimilarityMeasure::kCosine);
 
+  // N_H and N_L are the sizes of any sampled estimate's two strata.
+  Rng probe(scale.seed);
+  const StratumTallies strata = lsh_ss.Estimate(1.0, probe).strata;
   std::cout << "# general join: |U| = " << left.size() << ", |V| = "
-            << right.size() << ", N_H = " << lsh_ss.NumSameBucketPairs()
-            << " of " << lsh_ss.NumTotalPairs() << " pairs\n\n";
+            << right.size() << ", N_H = " << strata[0].size << " of "
+            << strata[0].size + strata[1].size << " pairs\n\n";
 
   TablePrinter table("Appendix B.2.2: general (non-self) join estimation");
   table.SetHeader({"tau", "true J", "LSH-SS mean est", "LSH-SS |err|",

@@ -30,11 +30,12 @@ int main() {
                                  SimilarityMeasure::kCosine);
   const JoinSizeEstimator* estimators[] = {&single, &median, &vbucket};
 
+  // The virtual N_H is the first stratum's size in any sampled estimate.
+  Rng probe(scale.seed);
   std::cout << "# stratum H sizes: single table N_H = "
             << bench.index->table(0).NumSameBucketPairs()
-            << ", virtual (union over " << num_tables
-            << " tables) N_H = " << vbucket.NumVirtualSameBucketPairs()
-            << "\n\n";
+            << ", virtual (union over " << num_tables << " tables) N_H = "
+            << vbucket.Estimate(1.0, probe).strata[0].size << "\n\n";
 
   // One RunTrials sweep per estimator feeds both tables.
   const std::vector<double> taus =

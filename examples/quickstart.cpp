@@ -38,9 +38,12 @@ int main(int argc, char** argv) {
   vsj::Rng rng(7);
   const vsj::EstimationResult result = estimator.Estimate(tau, rng);
   std::cout << "estimate at tau = " << tau << ": " << result.estimate
-            << "  (stratum H: " << result.stratum_h_estimate
-            << ", stratum L: " << result.stratum_l_estimate
-            << ", pairs evaluated: " << result.pairs_evaluated << ")\n";
+            << "  (pairs evaluated: " << result.pairs_evaluated << ")\n";
+  for (size_t s = 0; s < result.strata.size(); ++s) {
+    std::cout << "  stratum " << (s == 0 ? 'H' : 'L') << ": "
+              << result.strata[s].hits << " of " << result.strata[s].draws
+              << " sampled pairs meet tau\n";
+  }
 
   // 4. Sanity check against the exact join size (one inverted-index pass).
   const vsj::GroundTruth truth(docs, vsj::SimilarityMeasure::kCosine, {tau});

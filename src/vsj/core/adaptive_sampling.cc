@@ -13,16 +13,16 @@ AdaptiveSamplingEstimator::AdaptiveSamplingEstimator(
   budget.sample_size_l = options.max_samples;
   budget.delta = options.delta;
   budget.dampening = DampeningMode::kFixedFactor;  // c_s = 1
-  plan_ = MakeStratifiedPlan(dataset.NumPairs(), 0, dataset.size(), budget);
+  rule_ = MakeLshSsRules(budget, dataset.size()).l;
 }
 
 std::vector<EstimationResult> AdaptiveSamplingEstimator::Sweep(
     std::span<const double> taus, Rng& rng) const {
   const uint64_t n = dataset_.size();
-  // Stratum H is empty, so the first source never draws.
-  const auto draw = [n](Rng& r) { return SampleDistinctPair(n, r); };
-  return EstimateStratified(dataset_, measure_, plan_, taus, draw, draw,
-                            rng);
+  return EstimateStratified(
+      dataset_, measure_, taus, rng,
+      Stratum{dataset_.NumPairs(), rule_,
+              [n](Rng& r) { return SampleDistinctPair(n, r); }});
 }
 
 }  // namespace vsj

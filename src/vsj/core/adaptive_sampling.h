@@ -5,11 +5,10 @@
 // δ rather than when a fixed number of samples is drawn; the estimate
 // hits · (population / samples) then carries the error bounds of Theorems
 // 2.1/2.2 of that paper. This is SampleL of Algorithm 1 (paper §5.1.2) over
-// one stratum holding all M pairs: the plan {M, N_H = 0, m_L, δ} with
-// dampening c_s = 1, so a run that misses δ returns the plain scale-up
-// hits · M / m_L flagged `guaranteed = false` (their "loose upper bound"
-// case). The estimator is a pair source of EstimateStratified
-// (stratified_sampling.h).
+// one stratum holding all M pairs, with dampening c_s = 1, so a run that
+// misses δ returns the plain scale-up hits · M / m_L flagged
+// `guaranteed = false` (their "loose upper bound" case). The estimator is
+// a one-stratum EstimateStratified (stratified_sampling.h).
 
 #ifndef VSJ_CORE_ADAPTIVE_SAMPLING_H_
 #define VSJ_CORE_ADAPTIVE_SAMPLING_H_
@@ -45,7 +44,7 @@ class AdaptiveSamplingEstimator final : public StratifiedEstimator {
 
   DatasetView dataset_;
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  StratumRule rule_;
 };
 
 }  // namespace vsj

@@ -13,6 +13,7 @@
 #ifndef VSJ_CORE_ESTIMATOR_H_
 #define VSJ_CORE_ESTIMATOR_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -22,6 +23,48 @@
 #include "vsj/util/rng.h"
 
 namespace vsj {
+
+/// What one stratum of a stratified estimate (core/stratified_sampling.h)
+/// drew for one τ in one trial. Pooled over a request's trials, the counts
+/// are sums over those trials and `size` stays N_s.
+struct StratumTally {
+  uint64_t size = 0;       ///< N_s, the pairs in the stratum
+  uint64_t draws = 0;      ///< pairs drawn for this τ: m_H, or SampleL's i
+  uint64_t evaluated = 0;  ///< similarity evaluations those draws cost
+  uint64_t hits = 0;       ///< draws at or above τ, repeats included
+  uint64_t reached = 0;    ///< 1 when SampleL met δ (pooled: such trials)
+
+  bool operator==(const StratumTally&) const = default;
+};
+
+/// Most strata of a stratified estimate: H and L.
+inline constexpr size_t kMaxStrata = 2;
+
+/// A result's tallies, one per stratum in sampling order, stored inline so
+/// that neither a result nor a cached response allocates for them.
+class StratumTallies {
+ public:
+  void push_back(const StratumTally& tally) { tallies_.at(size_++) = tally; }
+  size_t size() const { return size_; }
+  const StratumTally& operator[](size_t s) const { return tallies_[s]; }
+
+  /// Pools another trial of the same estimate, stratum by stratum.
+  StratumTallies& operator+=(const StratumTallies& other) {
+    size_ = other.size_;
+    for (size_t s = 0; s < size_; ++s) {
+      const StratumTally& add = other.tallies_[s];
+      StratumTally& sum = tallies_[s];
+      sum = {add.size, sum.draws + add.draws, sum.evaluated + add.evaluated,
+             sum.hits + add.hits, sum.reached + add.reached};
+    }
+    return *this;
+  }
+  bool operator==(const StratumTallies&) const = default;
+
+ private:
+  std::array<StratumTally, kMaxStrata> tallies_{};
+  size_t size_ = 0;
+};
 
 /// Outcome of one estimation call.
 struct EstimationResult {
@@ -37,10 +80,9 @@ struct EstimationResult {
   /// threshold δ (paper §5.1.2), or LSH-S when no true pair was sampled.
   bool guaranteed = true;
 
-  /// Diagnostics for stratified estimators: Ĵ_H and Ĵ_L of Equation (7).
-  /// Zero for non-stratified estimators.
-  double stratum_h_estimate = 0.0;
-  double stratum_l_estimate = 0.0;
+  /// One tally per stratum of a stratified estimator, from which its Ĵ,
+  /// pairs_evaluated and `guaranteed` derive; empty for the others.
+  StratumTallies strata;
 };
 
 /// Abstract join-size estimator.

@@ -12,7 +12,7 @@
 // keeps its id and v becomes |U| + v. Every drawn pair is therefore
 // (left id, right id) with the smaller id first, so the unordered
 // PairMultiset key never swaps the two sides. The RS(pop) baseline,
-// GeneralRandomPairSampling, is the same pass over one stratum holding all
+// GeneralRandomPairSampling, is SampleH over one stratum holding all
 // |U| · |V| pairs.
 
 #ifndef VSJ_CORE_GENERAL_JOIN_H_
@@ -45,12 +45,6 @@ class GeneralLshSsEstimator final : public StratifiedEstimator {
 
   std::string name() const override { return "LSH-SS(general)"; }
 
-  /// N_H = Σ over matched buckets of b_j · c_i.
-  uint64_t NumSameBucketPairs() const { return plan_.num_pairs_h; }
-
-  /// Total pairs |U| · |V|.
-  uint64_t NumTotalPairs() const { return plan_.total_pairs; }
-
  private:
   struct MatchedBuckets {
     uint32_t left_bucket;
@@ -66,14 +60,15 @@ class GeneralLshSsEstimator final : public StratifiedEstimator {
   const LshTable* left_table_;
   const LshTable* right_table_;
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  LshSsRules rules_;
+  uint64_t num_pairs_h_ = 0;  // N_H = Σ over matched buckets of b_j · c_i
   std::vector<MatchedBuckets> matches_;
   std::unique_ptr<AliasTable> match_picker_;  // weight b_j · c_i
 };
 
 /// RS(pop) for general joins: uniform (u, v) ∈ U × V with replacement —
-/// SampleH over one stratum holding all |U| · |V| pairs of U ⊕ V (stratum L
-/// empty), each drawn as (u, |U| + v).
+/// SampleH over one stratum holding all |U| · |V| pairs of U ⊕ V, each
+/// drawn as (u, |U| + v).
 class GeneralRandomPairSampling final : public StratifiedEstimator {
  public:
   /// `sample_size` 0 means DefaultRsSampleSize(max(|U|, |V|)).
@@ -92,7 +87,7 @@ class GeneralRandomPairSampling final : public StratifiedEstimator {
   std::unique_ptr<const DatasetView[]> halves_;
   DatasetView dataset_;  // U ⊕ V
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  StratumRule rule_;
 };
 
 }  // namespace vsj

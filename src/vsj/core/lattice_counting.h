@@ -34,8 +34,8 @@
 
 namespace vsj {
 
-/// Highest lattice moment order LC measures; the fit reads orders 1 and 2.
-inline constexpr uint32_t kLatticeMoments = 3;
+/// Lattice moment orders LC measures: the two FitPowerLaw reads, M_1, M_2.
+inline constexpr uint32_t kLatticeMoments = 2;
 
 /// Position subsets sampled per moment order t ≥ 2 (t = 1 uses all k).
 inline constexpr uint32_t kLatticeSubsetsPerOrder = 8;

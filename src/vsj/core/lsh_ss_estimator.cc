@@ -11,21 +11,23 @@ LshSsEstimator::LshSsEstimator(DatasetView dataset,
     : dataset_(dataset), table_(&table), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
   VSJ_CHECK(table.num_vectors() == dataset.size());
-  plan_ = MakeStratifiedPlan(dataset.NumPairs(), table.NumSameBucketPairs(),
-                             dataset.size(), options);
+  rules_ = MakeLshSsRules(options, dataset.size());
 }
 
 std::string LshSsEstimator::name() const {
-  return plan_.dampening == DampeningMode::kSafeLowerBound ? "LSH-SS"
-                                                           : "LSH-SS(D)";
+  return rules_.l.dampening == DampeningMode::kSafeLowerBound ? "LSH-SS"
+                                                              : "LSH-SS(D)";
 }
 
 std::vector<EstimationResult> LshSsEstimator::Sweep(
     std::span<const double> taus, Rng& rng) const {
+  const uint64_t num_pairs_h = table_->NumSameBucketPairs();
   return EstimateStratified(
-      dataset_, measure_, plan_, taus,
-      [&](Rng& r) { return table_->SampleSameBucketPair(r); },
-      [&](Rng& r) { return table_->SampleCrossBucketPair(r); }, rng);
+      dataset_, measure_, taus, rng,
+      Stratum{num_pairs_h, rules_.h,
+              [&](Rng& r) { return table_->SampleSameBucketPair(r); }},
+      Stratum{dataset_.NumPairs() - num_pairs_h, rules_.l,
+              [&](Rng& r) { return table_->SampleCrossBucketPair(r); }});
 }
 
 }  // namespace vsj

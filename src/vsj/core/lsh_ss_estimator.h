@@ -39,9 +39,7 @@ class LshSsEstimator final : public StratifiedEstimator {
 
   std::string name() const override;
 
-  uint64_t sample_size_h() const { return plan_.m_h; }
-  uint64_t sample_size_l() const { return plan_.m_l; }
-  uint64_t delta() const { return plan_.delta; }
+  uint64_t delta() const { return rules_.l.delta; }
 
  private:
   std::vector<EstimationResult> Sweep(std::span<const double> taus,
@@ -50,7 +48,7 @@ class LshSsEstimator final : public StratifiedEstimator {
   DatasetView dataset_;
   const LshTable* table_;
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  LshSsRules rules_;
 };
 
 }  // namespace vsj

@@ -5,9 +5,8 @@
 // estimator is unbiased but its relative error explodes when the selectivity
 // J/M drops below ~1/m — exactly the high-threshold regime the paper targets.
 //
-// That is SampleH of Algorithm 1 over one stratum holding all M pairs
-// (N_H = M, m_H = m, stratum L empty), so RS(pop) is a pair source of
-// EstimateStratified (stratified_sampling.h).
+// That is SampleH of Algorithm 1 over one stratum holding all M pairs, so
+// RS(pop) is a one-stratum EstimateStratified (stratified_sampling.h).
 
 #ifndef VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
 #define VSJ_CORE_RANDOM_PAIR_SAMPLING_H_
@@ -46,15 +45,13 @@ class RandomPairSampling final : public StratifiedEstimator {
 
   std::string name() const override { return "RS(pop)"; }
 
-  uint64_t sample_size() const { return plan_.m_h; }
-
  private:
   std::vector<EstimationResult> Sweep(std::span<const double> taus,
                                       Rng& rng) const override;
 
   DatasetView dataset_;
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  StratumRule rule_;
 };
 
 }  // namespace vsj

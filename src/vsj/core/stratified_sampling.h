@@ -1,27 +1,31 @@
-// Algorithm 1 of the paper (§5): SampleH, adaptive SampleL with a safe
-// lower bound or dampening, and the §5.1 budget defaults.
+// Algorithm 1 of the paper (§5) as a sum over strata, Ĵ = Σ_s Ĵ_s (Eq. 7).
+// A stratum is a size N_s, a rule — SampleH's m uniform draws, or SampleL's
+// adaptive sampling to δ hits with a dampening policy — and a pair source.
 //
-// The estimators that run it differ only in where pairs come from, so each
-// binds its pair sources to one EstimateStratified plan:
-//   * LshSsEstimator — a static table's alias-table samplers;
-//   * StreamingLshSsEstimator — the dynamic index's live-id rejection
-//     sampler, with budgets resolved per call from the live n;
+// The estimators that run it differ only in their strata, which each binds
+// to one EstimateStratified call:
+//   * LshSsEstimator — H and L of a static table (alias-table samplers);
+//   * StreamingLshSsEstimator — H and L of the dynamic index, L drawn by
+//     the live-id rejection sampler, with budgets resolved per call from
+//     the live n;
 //   * VirtualBucketEstimator — the union of ℓ tables' strata H (multiplicity
 //     rejection) and its complement (Appendix B.2.1);
 //   * GeneralLshSsEstimator — matched bucket pairs of two tables and their
 //     rejection complement over the concatenated ids U ⊕ V (v ↦ |U| + v), so
 //     every drawn pair is (left id, right id) with the smaller id first
 //     (Appendix B.2.2);
-//   * RandomPairSampling, RS(pop) — uniform distinct pairs as SampleH over
-//     one stratum holding all M pairs (N_H = M, stratum L empty; §3.1);
+//   * RandomPairSampling, RS(pop) — one SampleH stratum of all M pairs
+//     (§3.1);
 //   * GeneralRandomPairSampling, RS(pop,general) — the same over U ⊕ V,
 //     each pair drawn as (u, |U| + v);
-//   * AdaptiveSamplingEstimator, Adaptive — uniform distinct pairs as
-//     SampleL over one stratum holding all M pairs (N_H = 0, fixed c_s = 1;
-//     Lipton et al.'s adaptive sampling).
+//   * AdaptiveSamplingEstimator, Adaptive — one SampleL stratum of all M
+//     pairs with fixed c_s = 1 (Lipton et al.'s adaptive sampling).
 // Each derives from StratifiedEstimator, which owns the Estimate /
 // EstimateSweep / SharesSweeps entry points; an estimator supplies only the
-// Sweep that binds its pair sources.
+// Sweep that binds its strata.
+//
+// Every trial reports, per τ, one StratumTally per stratum (core/estimator.h),
+// and everything else it reports derives from them (FinishStratified).
 //
 // Every loop is multi-τ: a sampled pair's similarity does not depend on τ,
 // so one draw-and-evaluate pass thresholds each pair against a whole
@@ -87,41 +91,71 @@ struct LshSsOptions : SamplingBudget {
   double dampening_factor = 1.0;
 };
 
-/// Ĵ_L of SampleL from n_L = `hits` true pairs among `samples` draws out of
-/// N_L = `num_pairs_l`. Once δ was reached the adaptive bound of Lipton et
-/// al. applies and Ĵ_L = n_L · N_L / i. Otherwise scaling up by N_L / i
-/// carries no guarantee (Example 1 of the paper): `result.guaranteed` is
-/// cleared and `dampening` picks the safe lower bound n_L or the dampened
-/// scale-up n_L · c_s · N_L / m_L of Theorem 2.
-inline void ScaleStratumL(uint64_t hits, uint64_t samples,
-                          uint64_t num_pairs_l, uint64_t m_l, uint64_t delta,
-                          DampeningMode dampening, double dampening_factor,
-                          EstimationResult& result) {
-  const auto n_l = static_cast<double>(hits);
-  if (hits >= delta) {
-    result.stratum_l_estimate = n_l * static_cast<double>(num_pairs_l) /
-                                static_cast<double>(samples);
-    return;
+/// How one stratum is sampled: SampleH's m uniform draws, or (`adaptive`)
+/// SampleL's draws until δ hits or the budget m, scaled by `dampening` when
+/// δ is missed.
+struct StratumRule {
+  bool adaptive = false;
+  uint64_t m = 0;      ///< m_H draws, or the SampleL budget m_L
+  uint64_t delta = 0;  ///< δ, the answer-size threshold (adaptive only)
+  DampeningMode dampening = DampeningMode::kSafeLowerBound;
+  double dampening_factor = 1.0;  ///< c_s of kFixedFactor
+};
+
+/// LSH-SS's two rules, SampleH over stratum H and SampleL over stratum L,
+/// with `options`' budgets resolved from n (ResolveBudget).
+struct LshSsRules {
+  StratumRule h, l;
+};
+
+inline LshSsRules MakeLshSsRules(const LshSsOptions& options, uint64_t n) {
+  if (options.dampening == DampeningMode::kFixedFactor) {
+    VSJ_CHECK_MSG(
+        options.dampening_factor > 0.0 && options.dampening_factor <= 1.0,
+        "dampening factor c_s must be in (0, 1]");
   }
-  result.guaranteed = false;
-  switch (dampening) {
-    case DampeningMode::kSafeLowerBound:
-      result.stratum_l_estimate = n_l;
-      break;
-    case DampeningMode::kFixedFactor:
-      result.stratum_l_estimate = n_l * dampening_factor *
-                                  static_cast<double>(num_pairs_l) /
-                                  static_cast<double>(m_l);
-      break;
-    case DampeningMode::kAdaptiveNlOverDelta: {
-      const double cs = n_l / static_cast<double>(delta);
-      result.stratum_l_estimate = n_l * cs *
-                                  static_cast<double>(num_pairs_l) /
-                                  static_cast<double>(m_l);
-      break;
-    }
-  }
+  const SamplingBudget budget = ResolveBudget(options, n);
+  return {.h = {.m = budget.sample_size_h},
+          .l = {.adaptive = true,
+                .m = budget.sample_size_l,
+                .delta = budget.delta,
+                .dampening = options.dampening,
+                .dampening_factor = options.dampening_factor}};
 }
+
+/// Ĵ_s of one trial's stratum from its tally. SampleH scales up,
+/// n_H · N_H / m_H; so does a SampleL that reached δ, n_L · N_L / i, under
+/// the adaptive bound of Lipton et al. Otherwise scaling up by N_L / i
+/// carries no guarantee (Example 1 of the paper), and `dampening` picks the
+/// safe lower bound n_L or the dampened scale-up n_L · c_s · N_L / m_L of
+/// Theorem 2. A stratum that drew nothing contributes 0.
+inline double StratumEstimate(const StratumTally& tally,
+                              const StratumRule& rule) {
+  if (tally.draws == 0) return 0.0;
+  const auto hits = static_cast<double>(tally.hits);
+  const auto size = static_cast<double>(tally.size);
+  if (!rule.adaptive || tally.reached != 0) {
+    return hits * size / static_cast<double>(tally.draws);
+  }
+  if (rule.dampening == DampeningMode::kSafeLowerBound) return hits;
+  const double cs = rule.dampening == DampeningMode::kFixedFactor
+                        ? rule.dampening_factor
+                        : hits / static_cast<double>(rule.delta);
+  return hits * cs * size / static_cast<double>(rule.m);
+}
+
+/// One stratum of Algorithm 1: N_s = `size` pairs, sampled by `rule`
+/// through `draw` (any callable Rng& -> VectorPair-like with .first/.second
+/// positions into the dataset, drawing uniformly from the stratum).
+template <typename PairSource>
+struct Stratum {
+  uint64_t size;
+  StratumRule rule;
+  PairSource draw;
+};
+
+template <typename PairSource>
+Stratum(uint64_t, StratumRule, PairSource) -> Stratum<PairSource>;
 
 /// Most distinct pairs SampleH's per-trial PairMultiset holds before it
 /// drains; bounds the table at ~1.5 MB per trial whatever N_H and m_H a
@@ -192,13 +226,12 @@ class PairMultiset {
   std::vector<uint32_t> slots_;  // 1 + index into keys_; 0 is empty
 };
 
-/// SampleH of Algorithm 1 for every τ of a sweep at once: draw m_h
-/// stratum-H pairs through `sample_pair` (any callable Rng& ->
-/// VectorPair-like with .first/.second positions into `dataset`), evaluate
-/// each distinct pair's similarity once, and count its hits against every
-/// τ. τ j gets Ĵ_H = n_H(τ_j) · N_H / m_h in results[j].stratum_h_estimate
-/// and m_h added to results[j].pairs_evaluated — the sample it would have
-/// drawn alone, since the m_h draws never depend on τ.
+/// SampleH of Algorithm 1 for every τ of a sweep at once: draw m_h =
+/// `stratum.rule.m` pairs of N_H = `stratum.size`, evaluate each distinct
+/// pair's similarity once, and count its hits against every τ. Tally j
+/// holds N_H, the m_h draws, the evaluations and τ j's hits n_H(τ_j) — the
+/// sample it would have drawn alone, since the m_h draws never depend on τ.
+/// An empty or unsampled stratum (N_H = 0 or m_h = 0) draws nothing.
 ///
 /// The draws collapse into a PairMultiset: each distinct unordered pair is
 /// evaluated once and τ j counts Σ multiplicity · [sim ≥ τ_j]. When the
@@ -215,30 +248,29 @@ class PairMultiset {
 /// — the RNG consumes exactly the same sequence as the draw-evaluate-draw
 /// loop — and each hit count is an integer, order-insensitive sum, so
 /// every Ĵ_H is the same double.
-template <typename SamplePairFn>
-void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
-                    std::span<const double> taus, uint64_t num_pairs_h,
-                    uint64_t m_h, SamplePairFn&& sample_pair, Rng& rng,
-                    std::span<EstimationResult> results) {
-  VSJ_CHECK(results.size() == taus.size());
-  if (num_pairs_h == 0) return;
-  // Zero sample budget: the loop would never run and the N_H/m_h scale-up
-  // would be 0/0. An unsampled stratum contributes nothing.
-  if (m_h == 0) return;
+template <typename PairSource>
+std::vector<StratumTally> SampleStratumH(DatasetView dataset,
+                                         SimilarityMeasure measure,
+                                         std::span<const double> taus,
+                                         const Stratum<PairSource>& stratum,
+                                         Rng& rng) {
+  const uint64_t num_pairs_h = stratum.size;
+  const uint64_t m_h = stratum.rule.m;
+  std::vector<StratumTally> tallies(taus.size(), {.size = num_pairs_h});
+  if (num_pairs_h == 0 || m_h == 0) return tallies;
   VectorId firsts[kPairEvalBatch];
   VectorId seconds[kPairEvalBatch];
   uint64_t multiplicities[kPairEvalBatch];
   double similarities[kPairEvalBatch];
   size_t pending = 0;
   uint64_t evaluated = 0;
-  std::vector<uint64_t> hits(taus.size(), 0);
   const auto evaluate = [&] {
     EvaluatePairSimilarities(measure, dataset, firsts, seconds, pending,
                              kPairPrefetchDistance, similarities);
     for (size_t j = 0; j < taus.size(); ++j) {
       for (uint64_t mask = SimilarityHitMask(similarities, pending, taus[j]);
            mask != 0; mask &= mask - 1) {
-        hits[j] += multiplicities[__builtin_ctzll(mask)];
+        tallies[j].hits += multiplicities[__builtin_ctzll(mask)];
       }
     }
     evaluated += pending;
@@ -255,7 +287,7 @@ void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
     distinct.Clear();
   };
   for (uint64_t d = 0; d < m_h; ++d) {
-    const auto pair = sample_pair(rng);
+    const auto pair = stratum.draw(rng);
     if (!distinct.Add(pair.first, pair.second)) {
       drain();
       distinct.Add(pair.first, pair.second);
@@ -263,19 +295,11 @@ void SampleStratumH(DatasetView dataset, SimilarityMeasure measure,
   }
   drain();
   if (pending > 0) evaluate();
-  // Bulk post-loop adds: the pair loop itself stays instrumentation-free.
-  // The counters are physical work — one evaluation serves every τ and
-  // every repeat of its pair within one table fill.
-  VSJ_COUNTER_ADD("estimate.pairs_h", evaluated);
-  if (evaluated < m_h) {
-    VSJ_COUNTER_ADD("estimate.pairs_h_repeats", m_h - evaluated);
+  for (StratumTally& tally : tallies) {
+    tally.draws = m_h;
+    tally.evaluated = evaluated;
   }
-  for (size_t j = 0; j < taus.size(); ++j) {
-    results[j].pairs_evaluated += m_h;
-    results[j].stratum_h_estimate = static_cast<double>(hits[j]) *
-                                    static_cast<double>(num_pairs_h) /
-                                    static_cast<double>(m_h);
-  }
+  return tallies;
 }
 
 /// Index of the n-th (1-based) set bit of `mask`; requires popcount >= n.
@@ -285,11 +309,14 @@ inline uint64_t NthSetBit(uint64_t mask, uint64_t n) {
 }
 
 /// SampleL of Algorithm 1 for every τ of a sweep at once: adaptive
-/// sampling of cross-bucket pairs until δ true pairs are found or the
-/// budget m_l is exhausted, then ScaleStratumL per τ. τ j's Ĵ_L goes to
-/// results[j].stratum_l_estimate (with `guaranteed` cleared when δ was
-/// missed) and its own sample count i_j is added to
-/// results[j].pairs_evaluated.
+/// sampling of N_L = `stratum.size` pairs until δ = `stratum.rule.delta`
+/// true pairs are found or the budget m_l = `stratum.rule.m` is exhausted.
+/// Tally j holds N_L, τ j's own sample count i_j, its hits n_L(τ_j) and
+/// whether it reached δ. Degenerate budgets (m_l = 0 or δ = 0) and an empty
+/// stratum draw nothing: Ĵ_L is 0, where the scale-up would be 0 · N_L / 0,
+/// and a non-empty stratum that missed δ leaves the estimate unguaranteed
+/// (FinishStratified). Service engines refuse those budgets at request
+/// validation; the guard covers direct template callers.
 ///
 /// The draws form one stream that does not depend on τ; each τ consumes a
 /// prefix of it and stops on its own δ-th hit (or at m_l). The stream runs
@@ -305,44 +332,36 @@ inline uint64_t NthSetBit(uint64_t mask, uint64_t n) {
 /// batch, the RNG is restored to its post-draw-i checkpoint — exactly where
 /// the draw-evaluate-draw loop would have left it — and the evaluations
 /// past i are discarded. Hits, samples, the RNG stream, and therefore every
-/// estimate are unchanged; only wasted evaluations (bounded by one batch
-/// per call, counted by `estimate.pairs_l_discarded`) differ.
+/// estimate are unchanged; only wasted evaluations differ, bounded by one
+/// batch per call. Tally j's `evaluated` is what τ j's pass alone evaluated:
+/// its i_j draws and the rest of the batch it stopped in, min(⌈i_j / 64⌉ ·
+/// 64, m_l). The shared pass evaluates the most any τ did, so a sweep's
+/// tallies equal its τs' tallies alone, and `estimate.pairs_l_discarded`
+/// derives from them (FinishStratified).
 ///
-/// Contract note for `sample_pair`: within one batch it may be invoked up
+/// Contract note for `stratum.draw`: within one batch it may be invoked up
 /// to kPairEvalBatch times even when the unbatched loop would have stopped
 /// earlier, and it is never invoked again after the rewind — so it must
 /// draw as a pure function of the RNG state (true of the engine samplers;
 /// scripted test sources are safe because a script of length m_l is never
 /// over-consumed: batches never draw past the m_l budget).
-template <typename SamplePairFn>
-void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
-                    std::span<const double> taus, uint64_t num_pairs_l,
-                    uint64_t m_l, uint64_t delta, DampeningMode dampening,
-                    double dampening_factor, SamplePairFn&& sample_pair,
-                    Rng& rng, std::span<EstimationResult> results) {
-  VSJ_CHECK(results.size() == taus.size());
-  if (num_pairs_l == 0) return;
-  // Degenerate budgets: with δ = 0 the adaptive loop never draws (hits < 0
-  // is unsatisfiable), with m_L = 0 it never may, and either way the
-  // "reliable" scale-up n_L · N_L / i would be 0 · N_L / 0 = NaN. Nothing
-  // was sampled, so nothing is known about stratum L: the empty safe lower
-  // bound (0) stands with `guaranteed` cleared — the caller sees an
-  // unguaranteed conservative answer, never a NaN. Service engines reject
-  // these values at the EstimateRequest validation layer; this guard
-  // covers direct template callers.
-  if (m_l == 0 || delta == 0) {
-    for (EstimationResult& result : results) result.guaranteed = false;
-    return;
-  }
+template <typename PairSource>
+std::vector<StratumTally> SampleStratumL(DatasetView dataset,
+                                         SimilarityMeasure measure,
+                                         std::span<const double> taus,
+                                         const Stratum<PairSource>& stratum,
+                                         Rng& rng) {
+  const uint64_t m_l = stratum.rule.m;
+  const uint64_t delta = stratum.rule.delta;
+  std::vector<StratumTally> tallies(taus.size(), {.size = stratum.size});
+  if (stratum.size == 0 || m_l == 0 || delta == 0) return tallies;
 
-  // Per τ: n_L and i of Algorithm 1. A τ is active until it reaches δ;
-  // every active τ has consumed the whole stream drawn so far.
-  std::vector<uint64_t> hits(taus.size(), 0);
-  std::vector<uint64_t> samples(taus.size(), 0);
+  // Per τ, n_L and i of Algorithm 1 are its tally's hits and draws. A τ is
+  // active until it reaches δ; every active τ has consumed the whole
+  // stream drawn so far.
   std::vector<size_t> active(taus.size());
   for (size_t j = 0; j < active.size(); ++j) active[j] = j;
   uint64_t drawn = 0;
-  uint64_t discarded = 0;
   VectorId firsts[kPairEvalBatch];
   VectorId seconds[kPairEvalBatch];
   double similarities[kPairEvalBatch];
@@ -351,7 +370,7 @@ void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
     const uint64_t want = std::min(kPairEvalBatch, m_l - drawn);
     for (uint64_t i = 0; i < want; ++i) {
       checkpoints[i] = rng;
-      const auto pair = sample_pair(rng);
+      const auto pair = stratum.draw(rng);
       firsts[i] = pair.first;
       seconds[i] = pair.second;
     }
@@ -360,18 +379,20 @@ void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
     uint64_t used = 0;  // draws of this batch some τ consumed
     size_t still_active = 0;
     for (const size_t j : active) {
+      StratumTally& tally = tallies[j];
       const uint64_t mask = SimilarityHitMask(similarities, want, taus[j]);
       const auto batch_hits =
           static_cast<uint64_t>(__builtin_popcountll(mask));
-      if (hits[j] + batch_hits >= delta) {
+      if (tally.hits + batch_hits >= delta) {
         // δ reached inside the batch: the draw the unbatched loop would
         // have stopped on is this τ's (δ − hits)-th hit of the batch.
-        const uint64_t stop = NthSetBit(mask, delta - hits[j]);
-        hits[j] = delta;
-        samples[j] = drawn + stop + 1;
+        const uint64_t stop = NthSetBit(mask, delta - tally.hits);
+        tally.hits = delta;
+        tally.draws = drawn + stop + 1;
+        tally.reached = 1;
         used = std::max(used, stop + 1);
       } else {
-        hits[j] += batch_hits;
+        tally.hits += batch_hits;
         used = want;
         active[still_active++] = j;
       }
@@ -381,78 +402,87 @@ void SampleStratumL(DatasetView dataset, SimilarityMeasure measure,
       // Every τ stopped inside this batch: rewind to just after the last
       // stopping draw.
       rng = checkpoints[used];
-      discarded += want - used;
     }
     drawn += used;
   }
-  for (const size_t j : active) samples[j] = drawn;  // m_l spent
-
-  // The counters are physical work — one shared draw serves every τ.
-  VSJ_COUNTER_ADD("estimate.pairs_l", drawn);
-  if (discarded > 0) VSJ_COUNTER_ADD("estimate.pairs_l_discarded", discarded);
-  const uint64_t num_dampened = active.size();
-  if (taus.size() > num_dampened) {
-    VSJ_COUNTER_ADD("estimate.sample_l_early_exit",
-                    taus.size() - num_dampened);
+  for (const size_t j : active) tallies[j].draws = drawn;  // m_l spent
+  for (StratumTally& tally : tallies) {
+    tally.evaluated = std::min(
+        m_l, (tally.draws + kPairEvalBatch - 1) / kPairEvalBatch *
+                 kPairEvalBatch);
   }
-  if (num_dampened > 0) {
-    VSJ_COUNTER_ADD("estimate.sample_l_dampened", num_dampened);
-  }
+  return tallies;
+}
 
-  for (size_t j = 0; j < taus.size(); ++j) {
-    results[j].pairs_evaluated += samples[j];
-    ScaleStratumL(hits[j], samples[j], num_pairs_l, m_l, delta, dampening,
-                  dampening_factor, results[j]);
+/// What a trial reports beyond its tallies, derived from them in one place.
+/// Per τ: Ĵ = Σ_s Ĵ_s clamped to [0, M] (Eq. 7), the draws as
+/// pairs_evaluated, and `guaranteed` cleared when a non-empty SampleL
+/// stratum missed δ. Per stratum, the estimate.* sampling counters, which
+/// count physical work: one pass serves every τ, so its draws and
+/// evaluations count once — the most any τ used — and a stratum that drew
+/// nothing counts nothing.
+inline void FinishStratified(std::span<const StratumRule> rules,
+                             uint64_t total_pairs,
+                             std::span<EstimationResult> results) {
+  for (EstimationResult& result : results) {
+    double estimate = 0.0;
+    for (size_t s = 0; s < rules.size(); ++s) {
+      const StratumTally& tally = result.strata[s];
+      estimate += StratumEstimate(tally, rules[s]);
+      result.pairs_evaluated += tally.draws;
+      if (rules[s].adaptive && tally.size > 0 && tally.reached == 0) {
+        result.guaranteed = false;
+      }
+    }
+    result.estimate = ClampEstimate(estimate, total_pairs);
+  }
+  if (!obs::MetricsEnabled()) return;
+  for (size_t s = 0; s < rules.size(); ++s) {
+    uint64_t draws = 0, evaluated = 0, reached = 0;
+    for (const EstimationResult& result : results) {
+      draws = std::max(draws, result.strata[s].draws);
+      evaluated = std::max(evaluated, result.strata[s].evaluated);
+      reached += result.strata[s].reached;
+    }
+    if (draws == 0) continue;
+    if (!rules[s].adaptive) {
+      VSJ_COUNTER_ADD("estimate.pairs_h", evaluated);
+      if (draws > evaluated) {
+        VSJ_COUNTER_ADD("estimate.pairs_h_repeats", draws - evaluated);
+      }
+      continue;
+    }
+    VSJ_COUNTER_ADD("estimate.pairs_l", draws);
+    if (evaluated > draws) {
+      VSJ_COUNTER_ADD("estimate.pairs_l_discarded", evaluated - draws);
+    }
+    if (reached > 0) VSJ_COUNTER_ADD("estimate.sample_l_early_exit", reached);
+    if (reached < results.size()) {
+      VSJ_COUNTER_ADD("estimate.sample_l_dampened", results.size() - reached);
+    }
   }
 }
 
-/// The stratification and budgets of one Algorithm 1 call.
-struct StratifiedPlan {
-  uint64_t total_pairs = 0;  ///< M: every estimate is clamped to [0, M]
-  uint64_t num_pairs_h = 0;  ///< N_H; N_L = M − N_H
-  uint64_t m_h = 0;
-  uint64_t m_l = 0;
-  uint64_t delta = 0;
-  DampeningMode dampening = DampeningMode::kSafeLowerBound;
-  double dampening_factor = 1.0;
-};
-
-/// The plan over M = `total_pairs` pairs of which N_H = `num_pairs_h` share
-/// a bucket (N_L = M − N_H), with `options`' budgets resolved from n.
-inline StratifiedPlan MakeStratifiedPlan(uint64_t total_pairs,
-                                         uint64_t num_pairs_h, uint64_t n,
-                                         const LshSsOptions& options) {
-  if (options.dampening == DampeningMode::kFixedFactor) {
-    VSJ_CHECK_MSG(
-        options.dampening_factor > 0.0 && options.dampening_factor <= 1.0,
-        "dampening factor c_s must be in (0, 1]");
-  }
-  const SamplingBudget budget = ResolveBudget(options, n);
-  return {.total_pairs = total_pairs,
-          .num_pairs_h = num_pairs_h,
-          .m_h = budget.sample_size_h,
-          .m_l = budget.sample_size_l,
-          .delta = budget.delta,
-          .dampening = options.dampening,
-          .dampening_factor = options.dampening_factor};
-}
-
-/// Algorithm 1 for every τ of `taus` from one pass: SampleH then SampleL
-/// on `rng`, Ĵ = Ĵ_H + Ĵ_L clamped to [0, M] (Eq. 7). Result j is
-/// bit-identical to a sweep of taus[j] alone on the same `rng` state. A
-/// τ <= 0 admits every pair: it is answered M without sampling and stays
-/// out of the shared pass, so it never changes what the other τ draw.
-template <typename SampleHFn, typename SampleLFn>
+/// Algorithm 1 for every τ of `taus` from one pass: each stratum in list
+/// order on `rng`, SampleH or SampleL by its rule, then FinishStratified
+/// over M = Σ_s N_s. Result j is bit-identical to a sweep of taus[j] alone
+/// on the same `rng` state, tallies included. A τ <= 0 admits every pair:
+/// it is answered M without sampling or tallies and stays out of the
+/// shared pass, so it never changes what the other τ draw.
+template <typename... PairSources>
 std::vector<EstimationResult> EstimateStratified(
     DatasetView dataset, SimilarityMeasure measure,
-    const StratifiedPlan& plan, std::span<const double> taus,
-    SampleHFn&& sample_h, SampleLFn&& sample_l, Rng& rng) {
+    std::span<const double> taus, Rng& rng,
+    const Stratum<PairSources>&... strata) {
+  static_assert(sizeof...(PairSources) <= kMaxStrata);
+  const uint64_t total_pairs = (strata.size + ...);
+  const StratumRule rules[] = {strata.rule...};
   std::vector<EstimationResult> results(taus.size());
   std::vector<double> sampled_taus;
   std::vector<size_t> slot_of;  // sampled index -> results index
   for (size_t j = 0; j < taus.size(); ++j) {
     if (taus[j] <= 0.0) {
-      results[j].estimate = static_cast<double>(plan.total_pairs);
+      results[j].estimate = static_cast<double>(total_pairs);
     } else {
       sampled_taus.push_back(taus[j]);
       slot_of.push_back(j);
@@ -461,19 +491,18 @@ std::vector<EstimationResult> EstimateStratified(
   if (sampled_taus.empty()) return results;
 
   std::vector<EstimationResult> sampled(sampled_taus.size());
-  SampleStratumH(dataset, measure, sampled_taus, plan.num_pairs_h, plan.m_h,
-                 sample_h, rng, sampled);
-  SampleStratumL(dataset, measure, sampled_taus,
-                 plan.total_pairs - plan.num_pairs_h, plan.m_l,
-                 plan.delta, plan.dampening, plan.dampening_factor, sample_l,
-                 rng, sampled);
-  for (size_t k = 0; k < sampled.size(); ++k) {
-    sampled[k].estimate =
-        ClampEstimate(sampled[k].stratum_h_estimate +
-                          sampled[k].stratum_l_estimate,
-                      plan.total_pairs);
-    results[slot_of[k]] = sampled[k];
-  }
+  const auto sample = [&](const auto& stratum) {
+    const std::vector<StratumTally> tallies =
+        stratum.rule.adaptive
+            ? SampleStratumL(dataset, measure, sampled_taus, stratum, rng)
+            : SampleStratumH(dataset, measure, sampled_taus, stratum, rng);
+    for (size_t k = 0; k < sampled.size(); ++k) {
+      sampled[k].strata.push_back(tallies[k]);
+    }
+  };
+  (sample(strata), ...);
+  FinishStratified(rules, total_pairs, sampled);
+  for (size_t k = 0; k < sampled.size(); ++k) results[slot_of[k]] = sampled[k];
   return results;
 }
 

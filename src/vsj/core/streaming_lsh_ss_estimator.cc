@@ -48,9 +48,9 @@ std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
   const DynamicLshTable& table = index_->table(t);
   // The streaming engine always uses the safe lower bound (Theorem 1) when
   // the answer-size threshold is missed.
-  const StratifiedPlan plan = MakeStratifiedPlan(
-      n * (n - 1) / 2, table.NumSameBucketPairs(), n,
-      {override_options != nullptr ? *override_options : options_});
+  const LshSsRules rules = MakeLshSsRules(
+      {override_options != nullptr ? *override_options : options_}, n);
+  const uint64_t num_pairs_h = table.NumSameBucketPairs();
 
   const uint32_t* bucket_of = context != nullptr && !context->empty()
                                   ? context->bucket_of[t].data()
@@ -60,19 +60,19 @@ std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(
   // guarantees an accepting pair exists; the expected number of rejections
   // per draw is N_H / N_L.
   return EstimateStratified(
-      dataset_, measure_, plan, taus,
-      [&](Rng& r) { return table.SampleSameBucketPair(r); },
-      [&](Rng& r) {
-        VectorId u, v;
-        do {
-          u = index_->SampleLiveId(r);
-          v = index_->SampleLiveId(r);
-        } while (u == v || (bucket_of != nullptr
-                                ? bucket_of[u] == bucket_of[v]
-                                : table.SameBucket(u, v)));
-        return VectorPair{u, v};
-      },
-      rng);
+      dataset_, measure_, taus, rng,
+      Stratum{num_pairs_h, rules.h,
+              [&](Rng& r) { return table.SampleSameBucketPair(r); }},
+      Stratum{n * (n - 1) / 2 - num_pairs_h, rules.l, [&](Rng& r) {
+                VectorId u, v;
+                do {
+                  u = index_->SampleLiveId(r);
+                  v = index_->SampleLiveId(r);
+                } while (u == v || (bucket_of != nullptr
+                                        ? bucket_of[u] == bucket_of[v]
+                                        : table.SameBucket(u, v)));
+                return VectorPair{u, v};
+              }});
 }
 
 std::vector<EstimationResult> StreamingLshSsEstimator::Sweep(

@@ -21,6 +21,7 @@ VirtualBucketEstimator::VirtualBucketEstimator(DatasetView dataset,
                                                LshSsOptions options)
     : dataset_(dataset), index_(&index), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
+  rules_ = MakeLshSsRules(options, dataset.size());
   // Exact |∪_t SH_t| by deduplication; the per-table totals are small by
   // LSH design (Σ_t N_H^t ≈ ℓ·n in any healthy index).
   std::unordered_set<uint64_t> distinct;
@@ -37,8 +38,7 @@ VirtualBucketEstimator::VirtualBucketEstimator(DatasetView dataset,
       }
     }
   }
-  plan_ = MakeStratifiedPlan(dataset.NumPairs(), distinct.size(),
-                             dataset.size(), options);
+  num_pairs_h_ = distinct.size();
   bool any_positive = false;
   for (double w : table_weights) any_positive |= w > 0.0;
   if (any_positive) {
@@ -71,16 +71,16 @@ std::vector<EstimationResult> VirtualBucketEstimator::Sweep(
   // SampleL: a uniform pair, rejected while it shares a bucket in any
   // table. N_L > 0 guarantees an accepting pair exists.
   return EstimateStratified(
-      dataset_, measure_, plan_, taus,
-      [&](Rng& r) { return SampleVirtualPair(r); },
-      [&](Rng& r) {
-        VectorPair pair;
-        do {
-          pair = SampleDistinctPair(n, r);
-        } while (index_->SameBucketInAnyTable(pair.first, pair.second));
-        return pair;
-      },
-      rng);
+      dataset_, measure_, taus, rng,
+      Stratum{num_pairs_h_, rules_.h,
+              [&](Rng& r) { return SampleVirtualPair(r); }},
+      Stratum{dataset_.NumPairs() - num_pairs_h_, rules_.l, [&](Rng& r) {
+                VectorPair pair;
+                do {
+                  pair = SampleDistinctPair(n, r);
+                } while (index_->SameBucketInAnyTable(pair.first, pair.second));
+                return pair;
+              }});
 }
 
 }  // namespace vsj

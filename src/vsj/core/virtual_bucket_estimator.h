@@ -3,8 +3,8 @@
 // A pair is "in the same (virtual) bucket" iff it shares a bucket in ANY of
 // the ℓ tables, which relaxes an overly selective g (large k): stratum H
 // becomes the union ∪_t SH_t, capturing more true pairs. Algorithm 1 then
-// runs unchanged against the virtual strata — this estimator is only a pair
-// source bound to one EstimateStratified plan (stratified_sampling.h):
+// runs unchanged against the virtual strata — this estimator only binds
+// their sizes and pair sources to EstimateStratified (stratified_sampling.h):
 //   * N_H is computed exactly by deduplicating the same-bucket pairs of all
 //     tables (their total count is Σ_t N_H^t, small by LSH design).
 //   * Uniform sampling from the union uses multiplicity rejection: draw a
@@ -37,9 +37,6 @@ class VirtualBucketEstimator final : public StratifiedEstimator {
 
   std::string name() const override { return "LSH-SS(vbucket)"; }
 
-  /// |∪_t SH_t|: the exact virtual stratum-H size.
-  uint64_t NumVirtualSameBucketPairs() const { return plan_.num_pairs_h; }
-
  private:
   std::vector<EstimationResult> Sweep(std::span<const double> taus,
                                       Rng& rng) const override;
@@ -49,7 +46,8 @@ class VirtualBucketEstimator final : public StratifiedEstimator {
   DatasetView dataset_;
   const LshIndex* index_;
   SimilarityMeasure measure_;
-  StratifiedPlan plan_;
+  LshSsRules rules_;
+  uint64_t num_pairs_h_ = 0;  // |∪_t SH_t|, the exact virtual stratum-H size
   std::unique_ptr<AliasTable> table_picker_;  // weight N_H^t per table
 };
 

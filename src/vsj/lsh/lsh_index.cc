@@ -13,6 +13,7 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
                    uint32_t k, uint32_t num_tables, ThreadPool* pool)
     : family_(&family), dataset_(dataset), k_(k) {
   VSJ_CHECK(num_tables > 0);
+  VSJ_CHECK(uint64_t{k} * num_tables <= UINT32_MAX);  // k · ℓ fits below
   tables_.reserve(num_tables);
   VSJ_COUNTER_ADD("lsh.build.tables", num_tables);
 

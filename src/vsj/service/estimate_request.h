@@ -14,6 +14,8 @@
 #include <optional>
 #include <string>
 
+#include "vsj/core/estimator.h"
+
 namespace vsj {
 
 struct SamplingBudget;
@@ -104,6 +106,9 @@ struct EstimateResponse {
   /// Trials whose result the estimator flagged as not guaranteed (e.g.
   /// LSH-SS's safe lower bound when SampleL ran dry).
   size_t num_unguaranteed = 0;
+  /// A stratified estimator's StratumTallies, pooled over the trials; empty
+  /// for the other estimators. Not on the wire.
+  StratumTallies strata;
   /// True when the response was served from the EstimateCache rather than
   /// computed.
   bool from_cache = false;

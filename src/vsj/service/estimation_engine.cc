@@ -17,11 +17,13 @@ namespace vsj {
 namespace {
 
 /// One group member's trials: every estimate in trial order, and the
-/// integer totals (order-insensitive, so chunks may add them in any order).
+/// integer totals, stratum tallies included (order-insensitive, so chunks
+/// may add them in any order).
 struct MemberTrials {
   std::vector<double> estimates;
   uint64_t pairs_evaluated = 0;
   uint64_t num_unguaranteed = 0;
+  StratumTallies strata{};
 };
 
 /// Runtime-composed histogram name for per-request latency at
@@ -87,6 +89,7 @@ EstimateResponse FinishTrials(const EstimateRequest& request,
   }
   response.pairs_evaluated = trials.pairs_evaluated;
   response.num_unguaranteed = trials.num_unguaranteed;
+  response.strata = trials.strata;
   VSJ_COUNTER_ADD("estimate.requests", 1);
   VSJ_COUNTER_ADD("estimate.trials", estimates.size());
   if (obs::MetricsEnabled()) {
@@ -243,6 +246,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
         estimates[t] = results[a].estimate;
         task.totals[m].pairs_evaluated += results[a].pairs_evaluated;
         if (!results[a].guaranteed) ++task.totals[m].num_unguaranteed;
+        task.totals[m].strata += results[a].strata;
         // Only an error-bounded group reads its earlier slots, and it is
         // one chunk, so this task wrote every one of them.
         if (leader.max_rel_error > 0.0 &&
@@ -269,6 +273,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
       trials[task.group][m].pairs_evaluated += task.totals[m].pairs_evaluated;
       trials[task.group][m].num_unguaranteed +=
           task.totals[m].num_unguaranteed;
+      trials[task.group][m].strata += task.totals[m].strata;
     }
   }
   for (size_t g = 0; g < groups.size(); ++g) {

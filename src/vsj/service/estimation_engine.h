@@ -55,6 +55,13 @@ namespace vsj {
 using SweepTrialFn = std::function<std::vector<EstimationResult>(
     size_t leader, size_t t, std::span<const double> taus, const Rng& rng)>;
 
+/// Most hash functions (k · ℓ) an engine may use. An engine sizes its hash
+/// functions, projection cache and signature scratch from k · ℓ, so the
+/// tools refuse a larger --k × --tables before building one, and Restore
+/// refuses a snapshot META asking for more as corrupt; the tree's
+/// configurations use at most 40 · 10.
+inline constexpr uint64_t kMaxHashFunctions = 4096;
+
 /// Construction-time configuration common to both engines.
 struct EstimationEngineOptions {
   /// LSH functions per table and number ℓ of tables of the engine's index.

@@ -163,13 +163,13 @@ IoStatus StreamingEstimationService::Restore(
                           path);
   }
   // Both are at least 1, so the product bounds each of them.
-  if (uint64_t{meta.k} * meta.num_tables > kMaxSnapshotHashFunctions) {
+  if (uint64_t{meta.k} * meta.num_tables > kMaxHashFunctions) {
     return IoStatus::Fail(
         IoError::kCorrupt,
         "snapshot meta asks for k * tables = " + std::to_string(meta.k) +
             " * " + std::to_string(meta.num_tables) +
             " hash functions (at most " +
-            std::to_string(kMaxSnapshotHashFunctions) + ")",
+            std::to_string(kMaxHashFunctions) + ")",
         0, path);
   }
 

@@ -40,12 +40,6 @@
 
 namespace vsj {
 
-/// Most hash functions (k · ℓ) a restored snapshot may ask for. Restore
-/// sizes the index, the projection cache and every insert's signature
-/// scratch from META's k and ℓ, so it refuses larger values as corrupt
-/// before allocating; the tree's configurations use at most 40 · 10.
-inline constexpr uint64_t kMaxSnapshotHashFunctions = 4096;
-
 /// Construction-time configuration of a StreamingEstimationService.
 struct StreamingEstimationServiceOptions : EstimationEngineOptions {
   /// Streaming LSH-SS sampling knobs (0 = derive from live n per call).
@@ -129,7 +123,7 @@ class StreamingEstimationService final : public EstimationEngine {
   /// chunking) from `runtime_options`. A restored engine answers every
   /// estimate bit-identically to the engine that was checkpointed, and
   /// effective_fingerprint()/epoch() round-trip exactly. A META whose
-  /// k · ℓ exceeds kMaxSnapshotHashFunctions is kCorrupt.
+  /// k · ℓ exceeds kMaxHashFunctions is kCorrupt.
   static IoStatus Restore(const std::string& path,
                           std::unique_ptr<StreamingEstimationService>* service,
                           StreamingEstimationServiceOptions runtime_options = {});

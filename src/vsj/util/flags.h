@@ -46,6 +46,17 @@ inline bool ParseFlagU64(const char* name, const char* token, uint64_t* out,
   return true;
 }
 
+/// Refuses `k` (--k) times `tables` (--tables) above `max` hash functions,
+/// printing one diagnostic that names both values. Each flag is already
+/// bounded to [1, max], so the product cannot overflow.
+inline bool CheckHashFunctionCount(uint64_t k, uint64_t tables,
+                                   uint64_t max) {
+  if (k * tables <= max) return true;
+  std::cerr << "--k " << k << " times --tables " << tables << " is "
+            << k * tables << " hash functions (at most " << max << ")\n";
+  return false;
+}
+
 }  // namespace vsj
 
 #endif  // VSJ_UTIL_FLAGS_H_

@@ -27,8 +27,9 @@
 #   reject      invalid flag values (--batch-taus out of range / duplicate /
 #               unparsable, negative --max-rel-error, --tau out of range /
 #               unparsable / trailing garbage, a negative --trials, zero
-#               --trials / --threads / --repeat / --tables / --k, an unknown
-#               --estimator) — captures the first stderr diagnostic of
+#               --trials / --threads / --repeat / --tables / --k, a --k
+#               above 4096 hash functions, a --k × --tables product above
+#               it, an unknown --estimator) — captures the first stderr diagnostic of
 #               each, which must name the offending token; then three
 #               hostile files whose headers claim far more bytes than they
 #               hold (a VSJB name, a VSJD feature count, a VSJS name), each
@@ -164,7 +165,8 @@ case "$mode" in
                    "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
                    "--tau 1.5" "--tau abc" "--tau 0.5x" "--trials -1" \
                    "--trials 0" "--threads 0" "--repeat 0" \
-                   "--tables 0" "--k 0" "--estimator Foo"; do
+                   "--tables 0" "--k 0" "--k 4097" "--k 64 --tables 65" \
+                   "--estimator Foo"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
       # Hostile files: each claims far more bytes than it holds and must

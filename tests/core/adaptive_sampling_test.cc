@@ -40,5 +40,17 @@ TEST(AdaptiveSamplingEstimatorTest, DefaultsDeriveFromN) {
   EXPECT_LE(r.pairs_evaluated, 1024u);
 }
 
+TEST(AdaptiveSamplingEstimatorTest, ReportsOneAdaptiveStratumOfAllPairs) {
+  VectorDataset dataset = testing::SmallClusteredCorpus(400, 5);
+  AdaptiveSamplingEstimator est(dataset, SimilarityMeasure::kCosine,
+                                {.delta = 64, .max_samples = 200});
+  Rng rng(1);
+  const EstimationResult r = est.Estimate(0.95, rng);
+  ASSERT_EQ(r.strata.size(), 1u);
+  EXPECT_EQ(r.strata[0].size, dataset.NumPairs());
+  EXPECT_EQ(r.strata[0].draws, r.pairs_evaluated);
+  EXPECT_EQ(r.strata[0].reached == 1, r.guaranteed);
+}
+
 }  // namespace
 }  // namespace vsj

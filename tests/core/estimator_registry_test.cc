@@ -53,7 +53,8 @@ TEST_F(EstimatorRegistryTest, OptionsPropagate) {
   auto estimator = CreateEstimator("LSH-SS", context_);
   auto* lsh_ss = dynamic_cast<LshSsEstimator*>(estimator.get());
   ASSERT_NE(lsh_ss, nullptr);
-  EXPECT_EQ(lsh_ss->sample_size_h(), 77u);
+  Rng rng(1);
+  EXPECT_EQ(lsh_ss->Estimate(0.5, rng).strata[0].draws, 77u);
 }
 
 TEST_F(EstimatorRegistryTest, UnknownNameAborts) {

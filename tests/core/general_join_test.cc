@@ -52,13 +52,22 @@ uint64_t ExactSameKeyPairs(const LshTable& left_table,
   return count;
 }
 
+/// The stratum sizes N_H and N_L of one sampled estimate.
+std::pair<uint64_t, uint64_t> StratumSizes(const GeneralLshSsEstimator& est) {
+  Rng rng(1);
+  const EstimationResult r = est.Estimate(0.5, rng);
+  EXPECT_EQ(r.strata.size(), 2u);
+  return {r.strata[0].size, r.strata[1].size};
+}
+
 TEST(GeneralLshSsTest, SameBucketPairCountMatchesBruteForce) {
   GeneralSetup setup = MakeGeneralSetup(120, 150, 8, 1);
   GeneralLshSsEstimator est(setup.left, setup.right, *setup.left_table,
                             *setup.right_table, SimilarityMeasure::kCosine);
-  EXPECT_EQ(est.NumSameBucketPairs(),
+  const auto [num_pairs_h, num_pairs_l] = StratumSizes(est);
+  EXPECT_EQ(num_pairs_h,
             ExactSameKeyPairs(*setup.left_table, *setup.right_table));
-  EXPECT_EQ(est.NumTotalPairs(), 120u * 150u);
+  EXPECT_EQ(num_pairs_h + num_pairs_l, 120u * 150u);
 }
 
 TEST(GeneralLshSsTest, TauZeroReturnsTotalPairs) {
@@ -96,7 +105,8 @@ TEST(GeneralLshSsTest, EstimateWithinBounds) {
 
 TEST(GeneralLshSsTest, EstimatesMatchParentBitForBit) {
   // Captured with %a from the general join's hand-written SampleL scale-up
-  // before it moved to ScaleStratumL: every mode × the standard τ grid on
+  // before it moved to the shared scale-up (now StratumEstimate, read here
+  // from each stratum's tally): every mode × the standard τ grid on
   // one Rng stream per mode (so the draw count is pinned too), covering
   // reliable, dampened and zero-hit stratum-L outcomes. The §5.1 defaults
   // give m_H = m_L = 600 and δ = 9; neither δ nor c_s = 0.3 is a power of
@@ -185,6 +195,7 @@ TEST(GeneralLshSsTest, EstimatesMatchParentBitForBit) {
     options.dampening_factor = 0.3;
     const GeneralLshSsEstimator est(left, right, left_table, right_table,
                                     SimilarityMeasure::kCosine, options);
+    const LshSsRules rules = MakeLshSsRules(options, 600);
     Rng rng(17);
     for (size_t j = 0; j < taus.size(); ++j) {
       const Row& row = rows[m * taus.size() + j];
@@ -193,8 +204,9 @@ TEST(GeneralLshSsTest, EstimatesMatchParentBitForBit) {
       const EstimationResult r = est.Estimate(row.tau, rng);
       SCOPED_TRACE(::testing::Message() << "mode " << m << " tau=" << row.tau);
       EXPECT_EQ(r.estimate, row.estimate);
-      EXPECT_EQ(r.stratum_h_estimate, row.stratum_h);
-      EXPECT_EQ(r.stratum_l_estimate, row.stratum_l);
+      ASSERT_EQ(r.strata.size(), 2u);
+      EXPECT_EQ(StratumEstimate(r.strata[0], rules.h), row.stratum_h);
+      EXPECT_EQ(StratumEstimate(r.strata[1], rules.l), row.stratum_l);
       EXPECT_EQ(r.pairs_evaluated, row.pairs_evaluated);
       EXPECT_EQ(r.guaranteed, row.guaranteed);
     }
@@ -235,8 +247,9 @@ TEST(GeneralLshSsTest, SweepMatchesSingleTauOnAMovedEstimator) {
       SCOPED_TRACE(::testing::Message()
                    << family->name() << " mode " << static_cast<int>(mode));
       EXPECT_TRUE(est.SharesSweeps());
-      EXPECT_EQ(est.NumSameBucketPairs(), same_key);
-      EXPECT_EQ(est.NumTotalPairs(), 300u * 200u);
+      const auto [num_pairs_h, num_pairs_l] = StratumSizes(est);
+      EXPECT_EQ(num_pairs_h, same_key);
+      EXPECT_EQ(num_pairs_h + num_pairs_l, 300u * 200u);
 
       const Rng stream(5);
       const std::vector<EstimationResult> sweep =
@@ -248,8 +261,7 @@ TEST(GeneralLshSsTest, SweepMatchesSingleTauOnAMovedEstimator) {
         const EstimationResult single = est.Estimate(taus[j], copy);
         SCOPED_TRACE(::testing::Message() << "tau=" << taus[j]);
         EXPECT_EQ(sweep[j].estimate, single.estimate);
-        EXPECT_EQ(sweep[j].stratum_h_estimate, single.stratum_h_estimate);
-        EXPECT_EQ(sweep[j].stratum_l_estimate, single.stratum_l_estimate);
+        EXPECT_EQ(sweep[j].strata, single.strata);
         EXPECT_EQ(sweep[j].pairs_evaluated, single.pairs_evaluated);
         EXPECT_EQ(sweep[j].guaranteed, single.guaranteed);
       }

@@ -13,8 +13,15 @@ TEST(LshSsEstimatorTest, DefaultsFollowPaper) {
   auto setup = testing::MakeCosineSetup(1024, 10);
   LshSsEstimator est(setup.dataset, setup.index->table(0),
                      SimilarityMeasure::kCosine);
-  EXPECT_EQ(est.sample_size_h(), 1024u);
-  EXPECT_EQ(est.sample_size_l(), 1024u);
+  Rng rng(1);
+  const EstimationResult r = est.Estimate(0.99, rng);
+  ASSERT_EQ(r.strata.size(), 2u);
+  EXPECT_EQ(r.strata[0].size, setup.index->table(0).NumSameBucketPairs());
+  EXPECT_EQ(r.strata[0].size + r.strata[1].size, setup.dataset.NumPairs());
+  EXPECT_EQ(r.strata[0].draws, 1024u);  // m_H = n
+  // δ is missed at τ = 0.99, so SampleL spends its whole budget m_L = n.
+  EXPECT_EQ(r.strata[1].reached, 0u);
+  EXPECT_EQ(r.strata[1].draws, 1024u);
   EXPECT_EQ(est.delta(), 10u);  // log2(1024)
   EXPECT_EQ(est.name(), "LSH-SS");
 }
@@ -42,7 +49,10 @@ TEST(LshSsEstimatorTest, StratumEstimatesSumToTotal) {
                      SimilarityMeasure::kCosine);
   Rng rng(2);
   const EstimationResult r = est.Estimate(0.5, rng);
-  EXPECT_NEAR(r.estimate, r.stratum_h_estimate + r.stratum_l_estimate,
+  const LshSsRules rules = MakeLshSsRules({}, setup.dataset.size());
+  EXPECT_NEAR(r.estimate,
+              StratumEstimate(r.strata[0], rules.h) +
+                  StratumEstimate(r.strata[1], rules.l),
               1e-9);
 }
 
@@ -113,7 +123,9 @@ TEST(LshSsEstimatorTest, SafeLowerBoundNeverScalesUpUnreliably) {
   Rng rng(3);
   const EstimationResult r = est.Estimate(0.95, rng);
   if (!r.guaranteed) {
-    EXPECT_LE(r.stratum_l_estimate, 10.0);
+    const LshSsRules rules =
+        MakeLshSsRules({{.sample_size_l = 20, .delta = 10}}, 600);
+    EXPECT_LE(StratumEstimate(r.strata[1], rules.l), 10.0);
   }
 }
 
@@ -138,12 +150,17 @@ TEST(LshSsEstimatorTest, DampenedScaleUpBetweenSafeAndFull) {
   Rng rng_a(7), rng_b(7);
   const EstimationResult r_safe = est_safe.Estimate(0.6, rng_a);
   const EstimationResult r_damp = est_damp.Estimate(0.6, rng_b);
-  if (!r_safe.guaranteed && r_safe.stratum_l_estimate > 0.0) {
-    EXPECT_GE(r_damp.stratum_l_estimate, r_safe.stratum_l_estimate);
+  ASSERT_EQ(r_safe.strata, r_damp.strata);
+  const double safe_l =
+      StratumEstimate(r_safe.strata[1], MakeLshSsRules(safe, 600).l);
+  const double damp_l =
+      StratumEstimate(r_damp.strata[1], MakeLshSsRules(damp, 600).l);
+  if (!r_safe.guaranteed && safe_l > 0.0) {
+    EXPECT_GE(damp_l, safe_l);
     // c_s = 0.5 halves the full scale-up N_L/m_L.
-    const double full = r_safe.stratum_l_estimate / 50.0 *
+    const double full = safe_l / 50.0 *
                         static_cast<double>(table.NumCrossBucketPairs());
-    EXPECT_NEAR(r_damp.stratum_l_estimate, 0.5 * full, full * 1e-9);
+    EXPECT_NEAR(damp_l, 0.5 * full, full * 1e-9);
   }
 }
 

@@ -9,16 +9,25 @@
 namespace vsj {
 namespace {
 
+/// The draws of one RS(pop) estimate: its one stratum holds all M pairs.
+uint64_t SampleSize(const RandomPairSampling& rs, const VectorDataset& data) {
+  Rng rng(1);
+  const EstimationResult r = rs.Estimate(0.5, rng);
+  EXPECT_EQ(r.strata.size(), 1u);
+  EXPECT_EQ(r.strata[0].size, data.NumPairs());
+  return r.strata[0].draws;
+}
+
 TEST(RandomPairSamplingTest, DefaultSampleSizeIs1_5N) {
   VectorDataset dataset = testing::SmallClusteredCorpus(400);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine);
-  EXPECT_EQ(rs.sample_size(), 600u);
+  EXPECT_EQ(SampleSize(rs, dataset), 600u);
 }
 
 TEST(RandomPairSamplingTest, ExplicitSampleSizeWins) {
   VectorDataset dataset = testing::SmallClusteredCorpus(400);
   RandomPairSampling rs(dataset, SimilarityMeasure::kCosine, {.sample_size = 123});
-  EXPECT_EQ(rs.sample_size(), 123u);
+  EXPECT_EQ(SampleSize(rs, dataset), 123u);
 }
 
 TEST(RandomPairSamplingTest, TauZeroEstimatesM) {
@@ -49,7 +58,7 @@ TEST(RandomPairSamplingTest, EstimateWithinBounds) {
     const EstimationResult r = rs.Estimate(tau, rng);
     EXPECT_GE(r.estimate, 0.0);
     EXPECT_LE(r.estimate, static_cast<double>(dataset.NumPairs()));
-    EXPECT_EQ(r.pairs_evaluated, rs.sample_size());
+    EXPECT_EQ(r.pairs_evaluated, 450u);  // 1.5 n
   }
 }
 

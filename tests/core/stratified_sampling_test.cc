@@ -2,11 +2,13 @@
 // budget guards (the delta == 0 / m == 0 NaN regressions), the exact
 // budget-boundary semantics of the dampening modes, SampleH's collapse to
 // distinct pairs (and its bounded table) against a naive per-draw loop,
-// and the batched pair evaluation
-// kernel's equivalence with the scalar Similarity loop.
+// the stratum tallies against hand counts, the sampling counters they
+// derive, and the batched pair evaluation kernel's equivalence with the
+// scalar Similarity loop.
 
 #include "vsj/core/stratified_sampling.h"
 
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -16,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/core/adaptive_sampling.h"
+#include "vsj/core/lsh_ss_estimator.h"
 #include "vsj/obs/metrics.h"
 #include "vsj/obs/obs.h"
 #include "vsj/vector/similarity.h"
@@ -25,15 +29,17 @@
 namespace vsj {
 namespace {
 
-/// Four vectors with fully controlled pairwise similarities: ids 0 and 1
+/// Five vectors with fully controlled pairwise similarities: ids 0 and 1
 /// are identical (cosine 1), ids 2 and 3 are orthogonal to each other and
-/// to everything (cosine 0).
+/// to everything (cosine 0), and id 4 shares one of its two dims with ids
+/// 0 and 1 (cosine 0.5).
 VectorDataset ScriptedCorpus() {
   VectorDataset dataset;
   dataset.Add(SparseVector::FromDims({1, 2}).ref());
   dataset.Add(SparseVector::FromDims({1, 2}).ref());
   dataset.Add(SparseVector::FromDims({10}).ref());
   dataset.Add(SparseVector::FromDims({11}).ref());
+  dataset.Add(SparseVector::FromDims({1, 3}).ref());
   return dataset;
 }
 
@@ -48,48 +54,52 @@ struct ScriptedPairs {
   VectorPair operator()(Rng&) { return pairs[next++]; }
 };
 
+/// One-stratum Algorithm 1 over the scripted corpus at one τ with `rule`,
+/// drawing from `pairs`.
+EstimationResult OneStratum(uint64_t size, const StratumRule& rule,
+                            ScriptedPairs& pairs, double tau = 0.5) {
+  const VectorDataset dataset = ScriptedCorpus();
+  Rng rng(1);
+  return EstimateStratified(
+             DatasetView(dataset), SimilarityMeasure::kCosine, OneTau(tau),
+             rng, Stratum{size, rule, [&](Rng& r) { return pairs(r); }})
+      .front();
+}
+
 TEST(StratifiedSamplingTest, SampleLZeroDeltaIsGuardedNotNaN) {
   // Regression: delta == 0 means the adaptive loop never draws, and the
   // "reliable" scale-up used to compute 0 · N_L / 0 = NaN.
-  const VectorDataset dataset = ScriptedCorpus();
-  Rng rng(1);
-  EstimationResult result;
   ScriptedPairs pairs;  // never consulted
-  SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
-                 OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/0,
-                 DampeningMode::kSafeLowerBound, 1.0, pairs, rng,
-                 {&result, 1});
-  EXPECT_FALSE(std::isnan(result.stratum_l_estimate));
-  EXPECT_EQ(result.stratum_l_estimate, 0.0);
+  const EstimationResult result =
+      OneStratum(6, {.adaptive = true, .m = 4, .delta = 0}, pairs);
+  EXPECT_FALSE(std::isnan(result.estimate));
+  EXPECT_EQ(result.estimate, 0.0);
   EXPECT_FALSE(result.guaranteed);
   EXPECT_EQ(result.pairs_evaluated, 0u);
+  EXPECT_EQ(result.strata[0], (StratumTally{.size = 6}));
 }
 
 TEST(StratifiedSamplingTest, SampleLZeroBudgetIsGuardedNotNaN) {
-  const VectorDataset dataset = ScriptedCorpus();
-  Rng rng(1);
-  EstimationResult result;
   ScriptedPairs pairs;
-  SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
-                 OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/0, /*delta=*/2,
-                 DampeningMode::kAdaptiveNlOverDelta, 1.0, pairs, rng,
-                 {&result, 1});
-  EXPECT_FALSE(std::isnan(result.stratum_l_estimate));
-  EXPECT_EQ(result.stratum_l_estimate, 0.0);
+  const EstimationResult result = OneStratum(
+      6,
+      {.adaptive = true,
+       .m = 0,
+       .delta = 2,
+       .dampening = DampeningMode::kAdaptiveNlOverDelta},
+      pairs);
+  EXPECT_FALSE(std::isnan(result.estimate));
+  EXPECT_EQ(result.estimate, 0.0);
   EXPECT_FALSE(result.guaranteed);
 }
 
 TEST(StratifiedSamplingTest, SampleHZeroBudgetIsGuardedNotNaN) {
   // Regression: m_h == 0 used to scale 0 hits by N_H / 0 = NaN.
-  const VectorDataset dataset = ScriptedCorpus();
-  Rng rng(1);
-  EstimationResult result;
   ScriptedPairs pairs;
-  SampleStratumH(DatasetView(dataset), SimilarityMeasure::kCosine,
-                 OneTau(0.5), /*num_pairs_h=*/3, /*m_h=*/0, pairs, rng,
-                 {&result, 1});
-  EXPECT_FALSE(std::isnan(result.stratum_h_estimate));
-  EXPECT_EQ(result.stratum_h_estimate, 0.0);
+  const EstimationResult result = OneStratum(3, {.m = 0}, pairs);
+  EXPECT_FALSE(std::isnan(result.estimate));
+  EXPECT_EQ(result.estimate, 0.0);
+  EXPECT_TRUE(result.guaranteed);
   EXPECT_EQ(result.pairs_evaluated, 0u);
 }
 
@@ -98,18 +108,20 @@ TEST(StratifiedSamplingTest, DeltaReachedOnFinalDrawStaysReliable) {
   // on the very last draw. The adaptive guarantee holds (δ was reached),
   // so every dampening mode must return the same reliable scale-up
   // hits · N_L / samples and leave *reliable set.
-  const VectorDataset dataset = ScriptedCorpus();
   for (DampeningMode mode :
        {DampeningMode::kSafeLowerBound, DampeningMode::kFixedFactor,
         DampeningMode::kAdaptiveNlOverDelta}) {
-    Rng rng(1);
-    EstimationResult result;  // guaranteed starts true; SampleL only clears
     // miss, miss, hit, hit: the 2nd hit (δ = 2) arrives on draw 4 (= m_l).
     ScriptedPairs pairs{{{2, 3}, {2, 3}, {0, 1}, {0, 1}}};
-    SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
-                   OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2,
-                   mode, /*dampening_factor=*/0.5, pairs, rng, {&result, 1});
-    EXPECT_DOUBLE_EQ(result.stratum_l_estimate, 2.0 * 6.0 / 4.0)
+    const EstimationResult result = OneStratum(
+        6,
+        {.adaptive = true,
+         .m = 4,
+         .delta = 2,
+         .dampening = mode,
+         .dampening_factor = 0.5},
+        pairs);
+    EXPECT_DOUBLE_EQ(result.estimate, 2.0 * 6.0 / 4.0)
         << static_cast<int>(mode);
     EXPECT_TRUE(result.guaranteed) << static_cast<int>(mode);
     EXPECT_EQ(result.pairs_evaluated, 4u) << static_cast<int>(mode);
@@ -119,7 +131,6 @@ TEST(StratifiedSamplingTest, DeltaReachedOnFinalDrawStaysReliable) {
 TEST(StratifiedSamplingTest, DeltaMissedAtBudgetAppliesEachDampening) {
   // One hit short of δ when the budget runs out: *reliable clears and the
   // three modes diverge exactly as Theorems 1/2 prescribe.
-  const VectorDataset dataset = ScriptedCorpus();
   // miss, miss, miss, hit: hits = 1 < δ = 2 after m_l = 4 draws.
   const std::vector<VectorPair> script = {{2, 3}, {2, 3}, {2, 3}, {0, 1}};
   struct Case {
@@ -135,17 +146,105 @@ TEST(StratifiedSamplingTest, DeltaMissedAtBudgetAppliesEachDampening) {
       {DampeningMode::kAdaptiveNlOverDelta, 1.0 * 0.5 * 6.0 / 4.0},
   };
   for (const Case& c : cases) {
-    Rng rng(1);
-    EstimationResult result;
     ScriptedPairs pairs{script};
-    SampleStratumL(DatasetView(dataset), SimilarityMeasure::kCosine,
-                   OneTau(0.5), /*num_pairs_l=*/6, /*m_l=*/4, /*delta=*/2,
-                   c.mode, /*dampening_factor=*/0.5, pairs, rng,
-                   {&result, 1});
-    EXPECT_DOUBLE_EQ(result.stratum_l_estimate, c.expected)
+    const EstimationResult result = OneStratum(
+        6,
+        {.adaptive = true,
+         .m = 4,
+         .delta = 2,
+         .dampening = c.mode,
+         .dampening_factor = 0.5},
+        pairs);
+    EXPECT_DOUBLE_EQ(result.estimate, c.expected)
         << static_cast<int>(c.mode);
     EXPECT_FALSE(result.guaranteed) << static_cast<int>(c.mode);
   }
+}
+
+TEST(StratifiedSamplingTest, TalliesMatchHandCountsOfAScriptedSweep) {
+  // Two strata over scripted sources, swept at τ = 0.4 (cosine 0.5 and 1
+  // are hits) and τ = 0.9 (only cosine 1 is). SampleH draws {0,1} twice,
+  // {0,4} three times in both orientations and {2,3} once: 6 draws, 3
+  // distinct pairs evaluated. SampleL (m_L = 70, δ = 2) draws a miss,
+  // {0,4}, {1,4}, {0,1}, then misses: τ = 0.4 reaches δ on draw 3, and
+  // alone would have evaluated the rest of that 64-pair batch; τ = 0.9
+  // finds one hit in all 70 draws and misses δ.
+  const VectorDataset dataset = ScriptedCorpus();
+  ScriptedPairs h{{{0, 1}, {1, 0}, {0, 4}, {2, 3}, {4, 0}, {0, 4}}};
+  ScriptedPairs l{{{2, 3}, {0, 4}, {1, 4}, {0, 1}}};
+  l.pairs.resize(70, {2, 3});
+  const std::vector<double> taus = {0.4, 0.9};
+  Rng rng(1);
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::EnableMetrics(true);
+  registry.ResetValues();
+  const std::vector<EstimationResult> results = EstimateStratified(
+      DatasetView(dataset), SimilarityMeasure::kCosine, taus, rng,
+      Stratum{5, StratumRule{.m = 6}, [&](Rng& r) { return h(r); }},
+      Stratum{100, StratumRule{.adaptive = true, .m = 70, .delta = 2},
+              [&](Rng& r) { return l(r); }});
+  const auto counter = [&](const char* name) {
+    return registry.GetCounter(name).Value();
+  };
+  // One pass per stratum: SampleH's 3 evaluations serve 6 draws, and
+  // SampleL's stream runs to τ = 0.9's 70 draws, discarding nothing.
+  EXPECT_EQ(counter("estimate.pairs_h"), 3u);
+  EXPECT_EQ(counter("estimate.pairs_h_repeats"), 3u);
+  EXPECT_EQ(counter("estimate.pairs_l"), 70u);
+  EXPECT_EQ(counter("estimate.pairs_l_discarded"), 0u);
+  EXPECT_EQ(counter("estimate.sample_l_early_exit"), 1u);
+  EXPECT_EQ(counter("estimate.sample_l_dampened"), 1u);
+  EXPECT_EQ(h.next, 6u);
+  EXPECT_EQ(l.next, 70u);
+
+  // τ = 0.4 alone tallies exactly what it tallied in the sweep; its own
+  // pass stops after 3 draws and discards the other 61 of the batch.
+  ScriptedPairs h_alone{h.pairs};
+  ScriptedPairs l_alone{l.pairs};
+  Rng alone_rng(1);
+  registry.ResetValues();
+  const EstimationResult alone =
+      EstimateStratified(
+          DatasetView(dataset), SimilarityMeasure::kCosine, OneTau(0.4),
+          alone_rng,
+          Stratum{5, StratumRule{.m = 6}, [&](Rng& r) { return h_alone(r); }},
+          Stratum{100, StratumRule{.adaptive = true, .m = 70, .delta = 2},
+                  [&](Rng& r) { return l_alone(r); }})
+          .front();
+  EXPECT_EQ(alone.strata, results[0].strata);
+  EXPECT_EQ(counter("estimate.pairs_l"), 3u);
+  EXPECT_EQ(counter("estimate.pairs_l_discarded"), 61u);
+  obs::EnableMetrics(false);
+
+  ASSERT_EQ(results.size(), 2u);
+  const EstimationResult& low = results[0];
+  ASSERT_EQ(low.strata.size(), 2u);
+  EXPECT_EQ(low.strata[0], (StratumTally{.size = 5,
+                                         .draws = 6,
+                                         .evaluated = 3,
+                                         .hits = 5}));
+  EXPECT_EQ(low.strata[1], (StratumTally{.size = 100,
+                                         .draws = 3,
+                                         .evaluated = 64,
+                                         .hits = 2,
+                                         .reached = 1}));
+  EXPECT_EQ(low.pairs_evaluated, 9u);
+  EXPECT_TRUE(low.guaranteed);
+  EXPECT_EQ(low.estimate, 5.0 * 5.0 / 6.0 + 2.0 * 100.0 / 3.0);
+
+  const EstimationResult& high = results[1];
+  ASSERT_EQ(high.strata.size(), 2u);
+  EXPECT_EQ(high.strata[0], (StratumTally{.size = 5,
+                                          .draws = 6,
+                                          .evaluated = 3,
+                                          .hits = 2}));
+  EXPECT_EQ(high.strata[1], (StratumTally{.size = 100,
+                                          .draws = 70,
+                                          .evaluated = 70,
+                                          .hits = 1}));
+  EXPECT_EQ(high.pairs_evaluated, 76u);
+  EXPECT_FALSE(high.guaranteed);
+  EXPECT_EQ(high.estimate, 2.0 * 5.0 / 6.0 + 1.0);  // safe lower bound n_L
 }
 
 /// `m_h` draws from a pool of `distinct` unordered pairs of `dataset`, each
@@ -217,19 +316,21 @@ TEST(StratifiedSamplingTest, SampleHCollapseMatchesPerDrawLoop) {
           RepeatingScript(view.size(), plan.distinct, plan.m_h,
                           plan.num_pairs_h ^ plan.m_h);
       for (const std::vector<double>& taus : tau_sets) {
-        std::vector<EstimationResult> got(taus.size());
         ScriptedPairs pairs{script};
         Rng rng(1);
-        SampleStratumH(view, measure, taus, plan.num_pairs_h, plan.m_h,
-                       pairs, rng, got);
+        const std::vector<StratumTally> got = SampleStratumH(
+            view, measure, taus,
+            Stratum{plan.num_pairs_h, StratumRule{.m = plan.m_h},
+                    [&](Rng& r) { return pairs(r); }},
+            rng);
         ASSERT_EQ(pairs.next, plan.m_h);
         for (size_t j = 0; j < taus.size(); ++j) {
-          EXPECT_EQ(got[j].stratum_h_estimate,
+          EXPECT_EQ(StratumEstimate(got[j], {.m = plan.m_h}),
                     PerDrawEstimateH(view, measure, script, taus[j],
                                      plan.num_pairs_h))
               << SimilarityMeasureName(measure) << " N_H=" << plan.num_pairs_h
               << " m_H=" << plan.m_h << " tau=" << taus[j];
-          EXPECT_EQ(got[j].pairs_evaluated, plan.m_h);
+          EXPECT_EQ(got[j].draws, plan.m_h);
         }
       }
     }
@@ -294,18 +395,20 @@ TEST(StratifiedSamplingTest, SampleHDrainsAFullTableBitIdentically) {
       PastTheTableScript(kMaxDistinctPairsH + 4000, 1000, 2000);
   const uint64_t num_pairs_h = uint64_t{1} << 40;
   const std::vector<double> taus = {0.05, 0.3, 0.6, 0.9};
-  std::vector<EstimationResult> got(taus.size());
   ScriptedPairs pairs{script};
   Rng rng(1);
-  SampleStratumH(view, SimilarityMeasure::kCosine, taus, num_pairs_h,
-                 script.size(), pairs, rng, got);
+  const std::vector<StratumTally> got = SampleStratumH(
+      view, SimilarityMeasure::kCosine, taus,
+      Stratum{num_pairs_h, StratumRule{.m = script.size()},
+              [&](Rng& r) { return pairs(r); }},
+      rng);
   ASSERT_EQ(pairs.next, script.size());
   for (size_t j = 0; j < taus.size(); ++j) {
-    EXPECT_EQ(got[j].stratum_h_estimate,
+    EXPECT_EQ(StratumEstimate(got[j], {.m = script.size()}),
               PerDrawEstimateH(view, SimilarityMeasure::kCosine, script,
                                taus[j], num_pairs_h))
         << "tau=" << taus[j];
-    EXPECT_EQ(got[j].pairs_evaluated, script.size());
+    EXPECT_EQ(got[j].draws, script.size());
   }
 }
 
@@ -319,13 +422,13 @@ TEST(StratifiedSamplingTest, SampleHCountsDistinctPairsAsEvaluated) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   const auto run = [&](uint64_t num_pairs_h,
                        const std::vector<VectorPair>& script) {
-    std::vector<EstimationResult> results(taus.size());
     ScriptedPairs pairs{script};
     Rng rng(1);
     obs::EnableMetrics(true);
     registry.ResetValues();
-    SampleStratumH(view, SimilarityMeasure::kCosine, taus, num_pairs_h,
-                   script.size(), pairs, rng, results);
+    EstimateStratified(view, SimilarityMeasure::kCosine, taus, rng,
+                       Stratum{num_pairs_h, StratumRule{.m = script.size()},
+                               [&](Rng& r) { return pairs(r); }});
     const uint64_t evaluated = registry.GetCounter("estimate.pairs_h").Value();
     const uint64_t repeats =
         registry.GetCounter("estimate.pairs_h_repeats").Value();
@@ -343,6 +446,60 @@ TEST(StratifiedSamplingTest, SampleHCountsDistinctPairsAsEvaluated) {
   EXPECT_EQ(run(/*num_pairs_h=*/uint64_t{1} << 40,
                 PastTheTableScript(kMaxDistinctPairsH + 4000, 1000, 2000)),
             Counts(kMaxDistinctPairsH + 5000, 2000));
+}
+
+/// The six estimate.* sampling counters, in the order pairs_h,
+/// pairs_h_repeats, pairs_l, pairs_l_discarded, sample_l_early_exit,
+/// sample_l_dampened, after `trials` trials of one τ-sweep of `estimator`
+/// (EstimateSweep on TrialStream(7, t)).
+std::array<uint64_t, 6> CountersOfSweep(const JoinSizeEstimator& estimator,
+                                        const std::vector<double>& taus,
+                                        size_t trials) {
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  obs::EnableMetrics(true);
+  registry.ResetValues();
+  for (size_t t = 0; t < trials; ++t) {
+    estimator.EstimateSweep(taus, TrialStream(7, t));
+  }
+  std::array<uint64_t, 6> counters{};
+  const char* names[] = {"estimate.pairs_h",
+                         "estimate.pairs_h_repeats",
+                         "estimate.pairs_l",
+                         "estimate.pairs_l_discarded",
+                         "estimate.sample_l_early_exit",
+                         "estimate.sample_l_dampened"};
+  for (size_t c = 0; c < counters.size(); ++c) {
+    counters[c] = registry.GetCounter(names[c]).Value();
+  }
+  obs::EnableMetrics(false);
+  return counters;
+}
+
+TEST(StratifiedSamplingTest, SamplingCountersOfOneSweepEach) {
+  // Exact values of every sampling counter for one seeded sweep of LSH-SS,
+  // LSH-SS(D) and Adaptive. The counters derive from the stratum tallies,
+  // and these values are what the sampling loops counted when each loop
+  // added its own. The τ grid and trials make every counter move for
+  // LSH-SS: SampleH repeats (N_H < m_H), trials whose every τ reached δ
+  // (discarded evaluations), and τ that missed δ (dampened).
+  const testing::CosineSetup setup = testing::MakeCosineSetup(600, 8, 1, 5);
+  const std::vector<double> taus = {0.1, 0.3};
+  const LshSsEstimator lsh_ss(setup.dataset, setup.index->table(0),
+                              SimilarityMeasure::kCosine);
+  const LshSsEstimator lsh_ss_d(setup.dataset, setup.index->table(0),
+                                SimilarityMeasure::kCosine,
+                                {{}, DampeningMode::kAdaptiveNlOverDelta, 1.0});
+  const AdaptiveSamplingEstimator adaptive(setup.dataset,
+                                           SimilarityMeasure::kCosine);
+  using Counters = std::array<uint64_t, 6>;
+  // Dampening never changes what LSH-SS draws, so (D) counts the same.
+  EXPECT_EQ(CountersOfSweep(lsh_ss, taus, 6),
+            (Counters{2660, 940, 3590, 10, 7, 5}));
+  EXPECT_EQ(CountersOfSweep(lsh_ss_d, taus, 6),
+            (Counters{2660, 940, 3590, 10, 7, 5}));
+  // Adaptive has no SampleH stratum.
+  EXPECT_EQ(CountersOfSweep(adaptive, taus, 6),
+            (Counters{0, 0, 3600, 0, 6, 6}));
 }
 
 TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {

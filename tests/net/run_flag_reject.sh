@@ -41,6 +41,8 @@ reject() {
 reject "$server" --max-resident -1 --root "$work"
 reject "$server" --tables 4294967296 --root "$work"
 reject "$server" --k 4294967296 --root "$work"
+reject "$server" --tables 4097 --root "$work"
+reject "$server" --k 4097 --root "$work"
 reject "$server" --max-frame-bytes 4294967296 --root "$work"
 reject "$server" --port 65536 --root "$work"
 reject "$server" --seed 99999999999999999999 --root "$work"

@@ -14,8 +14,8 @@
 // also when both task shapes share one batch),
 // overrides folded per batch (independent of override history and equal
 // to configured budgets, on both engines), the estimator-level
-// sweep entry points (cosine and Jaccard), and the obs counters that make
-// sharing visible.
+// sweep entry points (cosine and Jaccard), the stratum tallies a response
+// pools over its trials, and the obs counters that make sharing visible.
 
 #include <algorithm>
 #include <cstddef>
@@ -24,6 +24,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -564,9 +565,7 @@ INSTANTIATE_TEST_SUITE_P(PoolThreads, SweepSharingTest,
 
 bool SameResult(const EstimationResult& a, const EstimationResult& b) {
   return a.estimate == b.estimate && a.pairs_evaluated == b.pairs_evaluated &&
-         a.guaranteed == b.guaranteed &&
-         a.stratum_h_estimate == b.stratum_h_estimate &&
-         a.stratum_l_estimate == b.stratum_l_estimate;
+         a.guaranteed == b.guaranteed && a.strata == b.strata;
 }
 
 /// Every registry estimator over `context`: result j of EstimateSweep is
@@ -637,6 +636,70 @@ TEST(SweepSharingEstimatorTest, StreamingSweepWithTableMatchesSingleCalls) {
             << "t=" << t << " tau=" << taus[j];
       }
     }
+  }
+}
+
+/// Per τ, the tallies of `trials` trials of `sweep(taus, TrialStream(seed,
+/// t))` pooled the way the engine pools them.
+template <typename SweepFn>
+std::vector<StratumTallies> PooledTallies(const std::vector<double>& taus,
+                                          size_t trials, uint64_t seed,
+                                          const SweepFn& sweep) {
+  std::vector<StratumTallies> pooled(taus.size());
+  for (size_t t = 0; t < trials; ++t) {
+    const std::vector<EstimationResult> results =
+        sweep(t, TrialStream(seed, t));
+    for (size_t j = 0; j < taus.size(); ++j) pooled[j] += results[j].strata;
+  }
+  return pooled;
+}
+
+TEST(SweepSharingTallyTest, ResponseTalliesPoolTheTrials) {
+  // A 4-trial sweep group spread over the pool one trial per chunk: each
+  // response's tallies are the sum of EstimateSweep(taus, TrialStream(seed,
+  // t))'s for t = 0..3 — one stratum for RS(pop) and Adaptive, two for the
+  // LSH-SS family — on the static and the streaming engine.
+  constexpr size_t kTrials = 4;
+  constexpr uint64_t kSeed = 42;
+  const std::vector<double> taus = NineTaus();
+  EstimationService service(testing::SmallClusteredCorpus(600, 7),
+                            StaticOptions(4));
+  const EstimatorContext context{.dataset = service.dataset(),
+                                 .index = &service.index(),
+                                 .measure = service.options().measure,
+                                 .lsh_ss = service.options().lsh_ss};
+  const std::pair<const char*, size_t> estimators[] = {
+      {"LSH-SS", 2}, {"LSH-SS(D)", 2}, {"LSH-SS(vbucket)", 2},
+      {"RS(pop)", 1}, {"Adaptive", 1}};
+  for (const auto& [name, strata] : estimators) {
+    const auto estimator = CreateEstimator(name, context);
+    const std::vector<StratumTallies> expected = PooledTallies(
+        taus, kTrials, kSeed, [&](size_t, const Rng& stream) {
+          return estimator->EstimateSweep(taus, stream);
+        });
+    const std::vector<EstimateResponse> served =
+        service.EstimateBatch(Sweep(name, taus, kTrials, kSeed));
+    for (size_t j = 0; j < taus.size(); ++j) {
+      EXPECT_EQ(served[j].strata.size(), strata) << name;
+      EXPECT_EQ(served[j].strata, expected[j])
+          << name << " tau=" << taus[j];
+    }
+  }
+
+  const auto stream = ChurnedStream(4);
+  const StreamingLshSsEstimator estimator(stream->dataset(), stream->index(),
+                                          stream->options().measure);
+  const uint32_t tables = stream->index().num_tables();
+  const std::vector<StratumTallies> expected = PooledTallies(
+      taus, kTrials, kSeed, [&](size_t t, const Rng& rng) {
+        return estimator.EstimateSweepWithTable(
+            taus, static_cast<uint32_t>(t % tables), rng);
+      });
+  const std::vector<EstimateResponse> served =
+      stream->EstimateBatch(Sweep("LSH-SS", taus, kTrials, kSeed));
+  for (size_t j = 0; j < taus.size(); ++j) {
+    EXPECT_EQ(served[j].strata.size(), 2u);
+    EXPECT_EQ(served[j].strata, expected[j]) << "stream tau=" << taus[j];
   }
 }
 

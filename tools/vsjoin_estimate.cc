@@ -220,10 +220,12 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!ParseTauList(v, &args->taus)) return false;
       args->taus_set = true;
     } else if (flag == "--k") {
-      if (!next_u64("--k", &count, 1, UINT32_MAX)) return false;
+      if (!next_u64("--k", &count, 1, vsj::kMaxHashFunctions)) return false;
       args->k = static_cast<uint32_t>(count);
     } else if (flag == "--tables") {
-      if (!next_u64("--tables", &count, 1, UINT32_MAX)) return false;
+      if (!next_u64("--tables", &count, 1, vsj::kMaxHashFunctions)) {
+        return false;
+      }
       args->tables = static_cast<uint32_t>(count);
     } else if (flag == "--trials") {
       if (!next_u64("--trials", &count, 1)) return false;
@@ -288,6 +290,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       std::cerr << "unknown flag: " << flag << "\n";
       return false;
     }
+  }
+  if (!vsj::CheckHashFunctionCount(args->k, args->tables,
+                                   vsj::kMaxHashFunctions)) {
+    return false;
   }
   const std::vector<std::string> known = vsj::AllEstimatorNames();
   if (std::find(known.begin(), known.end(), args->estimator) == known.end()) {

@@ -142,10 +142,10 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (!next_u64(1)) return false;
       args->max_pairs_per_request = u;
     } else if (flag == "--k") {
-      if (!next_u64(1, UINT32_MAX)) return false;
+      if (!next_u64(1, vsj::kMaxHashFunctions)) return false;
       args->k = static_cast<uint32_t>(u);
     } else if (flag == "--tables") {
-      if (!next_u64(1, UINT32_MAX)) return false;
+      if (!next_u64(1, vsj::kMaxHashFunctions)) return false;
       args->tables = static_cast<uint32_t>(u);
     } else if (flag == "--threads") {
       if (!next_u64(1)) return false;
@@ -173,7 +173,9 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return false;
     }
   }
-  return !args->root.empty();
+  return !args->root.empty() &&
+         vsj::CheckHashFunctionCount(args->k, args->tables,
+                                     vsj::kMaxHashFunctions);
 }
 
 vsj::net::Server* g_server = nullptr;
