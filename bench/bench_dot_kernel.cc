@@ -134,7 +134,6 @@ std::vector<vsj::SimdLevel> BenchLevels() {
   std::vector<vsj::SimdLevel> levels;
   const vsj::SimdLevel max = vsj::DetectSimdLevel();
   if (max >= vsj::SimdLevel::kAvx2) levels.push_back(vsj::SimdLevel::kAvx2);
-  if (max >= vsj::SimdLevel::kSse2) levels.push_back(vsj::SimdLevel::kSse2);
   levels.push_back(vsj::SimdLevel::kScalar);
   return levels;
 }

@@ -1,6 +1,6 @@
-// LSH index-build microbench: the pre-PR hashing/grouping path vs. the
-// vectorized build (Gaussian projection cache + SIMD lane kernels + sort-
-// based bucket grouping into the CSR bucket arena).
+// LSH index-build microbench: the historical hashing/grouping path vs. the
+// vectorized build (Gaussian projection cache + SIMD lane kernels, buckets
+// grouped by first sighting into the CSR bucket arena).
 //
 // Not a paper figure: this pins the hot-path vectorization claim. The
 // baseline is a faithful replica of the historical build kept inside this
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Vectorized: the production LshIndex build (projection cache + SIMD
-  // kernels + sort grouper), plus a scalar-kernel run isolating SIMD. ---
+  // kernels + CSR arena), plus a scalar-kernel run isolating SIMD. ---
   auto measure_index = [&](vsj::SimdLevel level) {
     vsj::SetSimdLevel(level);
     double best = 1e300;
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   auto ms = [](double seconds) { return vsj::TablePrinter::Fmt(seconds * 1e3, 1); };
   report.AddRow({"baseline (alloc + per-pair gaussians + hash-map)",
                  ms(baseline_best), "1.00x"});
-  report.AddRow({"vectorized, scalar kernels (cache + sort grouper)",
+  report.AddRow({"vectorized, scalar kernels (cache + CSR arena)",
                  ms(scalar_best),
                  vsj::TablePrinter::Fmt(baseline_best / scalar_best, 2) + "x"});
   report.AddRow({std::string("vectorized, ") +

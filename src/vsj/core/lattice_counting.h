@@ -63,10 +63,6 @@ class LatticeCountingEstimator final : public JoinSizeEstimator {
   /// The measured lattice moments M_t = Σ_pairs p(sim)^t, t = 1-based.
   const std::vector<double>& moments() const { return moments_; }
 
-  /// Fitted exponent a and scale A of g(x) = A·x^a on [x_min, 1].
-  double fitted_exponent() const { return exponent_; }
-  double fitted_scale() const { return scale_; }
-
  private:
   void ComputeMoments(DatasetView dataset, const LshFamily& family,
                       const LatticeCountingOptions& options);
@@ -75,6 +71,7 @@ class LatticeCountingEstimator final : public JoinSizeEstimator {
   uint64_t total_pairs_;
   double x_min_;  // p(0): smallest possible collision probability
   std::vector<double> moments_;
+  // Fitted g(x) = scale_ · x^exponent_ on [x_min, 1].
   double exponent_ = 0.0;
   double scale_ = 0.0;
   const LshFamily* family_;

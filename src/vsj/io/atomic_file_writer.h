@@ -74,7 +74,6 @@ class AtomicFileWriter {
   void Abort();
 
   const std::string& path() const { return path_; }
-  const std::string& tmp_path() const { return tmp_path_; }
 
  private:
   std::string path_;

@@ -5,7 +5,6 @@
 
 #include "vsj/obs/obs.h"
 #include "vsj/util/check.h"
-#include "vsj/util/hash.h"
 
 namespace vsj {
 
@@ -36,16 +35,6 @@ DynamicLshTable::DynamicLshTable(const LshFamily& family, uint32_t k,
                                  uint32_t function_offset)
     : family_(&family), k_(k), function_offset_(function_offset) {
   VSJ_CHECK(k > 0);
-}
-
-uint64_t DynamicLshTable::BucketKeyFor(VectorRef vector,
-                                       HashScratch& scratch) const {
-  scratch.signature.resize(k_);
-  uint64_t* signature = scratch.signature.data();
-  family_->HashRange(vector, function_offset_, k_, signature, scratch);
-  uint64_t key = 0x2545f4914f6cdd1dULL;
-  for (uint32_t j = 0; j < k_; ++j) key = HashCombine(key, signature[j]);
-  return key;
 }
 
 void DynamicLshTable::GrowBucket(uint32_t b) {
@@ -101,7 +90,8 @@ void DynamicLshTable::CompactArena() {
 void DynamicLshTable::Insert(VectorId id, VectorRef vector,
                              HashScratch& scratch) {
   VSJ_CHECK_MSG(!Contains(id), "vector %u already present", id);
-  const uint64_t key = BucketKeyFor(vector, scratch);
+  const uint64_t key =
+      family_->BucketKey(vector, function_offset_, k_, scratch);
   auto [it, inserted] =
       key_to_bucket_.try_emplace(key, static_cast<uint32_t>(slots_.size()));
   if (inserted) {

@@ -114,8 +114,6 @@ class DynamicLshTable {
     uint32_t capacity;
   };
 
-  uint64_t BucketKeyFor(VectorRef vector, HashScratch& scratch) const;
-
   /// The current members of bucket `b` (O(1); no per-bucket vector).
   std::span<const VectorId> BucketMembers(uint32_t b) const {
     const BucketSlot& slot = slots_[b];

@@ -67,7 +67,7 @@ void GaussianProjectionCache::AddDims(VectorRef v) {
   for (size_t i = 0; i < v.size(); ++i) AddDim(dims[i]);
 }
 
-void GaussianProjectionCache::Fill(ThreadPool* pool) {
+void GaussianProjectionCache::Fill(ThreadPool& pool) {
   VSJ_CHECK_MSG(!sealed_, "Fill() called twice");
   const size_t stride = RowStride();
   // Rows are dense — one per registered dim, assigned in slot order — so
@@ -78,7 +78,8 @@ void GaussianProjectionCache::Fill(ThreadPool* pool) {
     if (states_[slot] == kOccupiedSlot) row_of_slot_[slot] = next_row++;
   }
   values_.assign(static_cast<size_t>(next_row) * stride, 0.0);
-  auto fill_slot = [&](size_t slot) {
+  // Rows are independent; any schedule produces the same table.
+  pool.ParallelFor(capacity_, [&](size_t slot) {
     if (states_[slot] != kOccupiedSlot) return;
     const DimId dim = slot_dims_[slot];
     double* row =
@@ -86,13 +87,7 @@ void GaussianProjectionCache::Fill(ThreadPool* pool) {
     for (size_t f = 0; f < stride; ++f) {
       row[f] = GaussianFromHash(dim, fn_seeds_[f]);
     }
-  };
-  if (pool != nullptr && pool->num_threads() > 0) {
-    // Rows are independent; any schedule produces the same table.
-    pool->ParallelFor(capacity_, fill_slot);
-  } else {
-    for (size_t slot = 0; slot < capacity_; ++slot) fill_slot(slot);
-  }
+  });
   sealed_ = true;
 }
 

@@ -51,8 +51,8 @@ class GaussianProjectionCache {
   /// Registers every dimension of `v` (convenience for fill passes).
   void AddDims(VectorRef v);
 
-  /// Computes all rows — across `pool` when given — and seals the table.
-  void Fill(ThreadPool* pool);
+  /// Computes all rows across `pool` and seals the table.
+  void Fill(ThreadPool& pool);
 
   bool sealed() const { return sealed_; }
   uint64_t family_tag() const { return family_tag_; }

@@ -45,7 +45,7 @@ struct HashScratch {
   std::vector<double> projections;
   /// Per-function seed material (SimHash: fn seeds; MinHash: fold terms).
   std::vector<uint64_t> lane_seeds;
-  /// Combined-key staging for ComputeBucketKeys-style callers.
+  /// The k hash values BucketKey folds.
   std::vector<uint64_t> signature;
   /// MinHash: the set embedding of the current vector.
   std::vector<SetElement> embed;
@@ -84,13 +84,22 @@ class LshFamily {
     return out;
   }
 
+  /// Bucket key g(v) of the k functions [function_offset,
+  /// function_offset + k): the HashCombine fold of their values, hashed
+  /// through `scratch`. LshTable and DynamicLshTable both key buckets by
+  /// it. For SimHash (k one-bit values) the key is collision-free; for
+  /// general families a 64-bit key makes accidental key collisions
+  /// negligible (< M · 2^-64).
+  uint64_t BucketKey(VectorRef v, uint32_t function_offset, uint32_t k,
+                     HashScratch& scratch) const;
+
   /// Builds a sealed projection cache covering functions [0, num_functions)
-  /// over the dimensions of `dataset`, filled across `pool` when given.
+  /// over the dimensions of `dataset`, filled across `pool`.
   /// Families whose hashing cannot be table-driven return nullptr (the
   /// default); callers treat a null cache as "hash uncached" — results are
   /// bit-identical either way.
   virtual std::unique_ptr<GaussianProjectionCache> MakeProjectionCache(
-      DatasetView dataset, uint32_t num_functions, ThreadPool* pool) const;
+      DatasetView dataset, uint32_t num_functions, ThreadPool& pool) const;
 
   /// p(s): single-function collision probability at similarity `s`.
   virtual double CollisionProbability(double similarity) const = 0;

@@ -14,38 +14,24 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
     : family_(&family), dataset_(dataset), k_(k) {
   VSJ_CHECK(num_tables > 0);
   VSJ_CHECK(uint64_t{k} * num_tables <= UINT32_MAX);  // k · ℓ fits below
-  tables_.reserve(num_tables);
   VSJ_COUNTER_ADD("lsh.build.tables", num_tables);
 
-  ThreadPool* workers =
-      (pool != nullptr && pool->num_threads() > 0) ? pool : nullptr;
+  // Without a caller pool the same chunked loops run inline.
+  ThreadPool inline_pool(1);
+  ThreadPool& workers = pool != nullptr ? *pool : inline_pool;
 
   // The Gaussian projection cache memoizes every (dim, function) hyperplane
   // component the build will need — the fill pass is O(distinct dims · ℓ·k)
   // where the uncached build derives O(n · features · ℓ·k) of them. It is
-  // filled (in parallel when a pool is given), sealed, then shared
-  // read-only by every hashing worker; families without a table-driven
-  // form return nullptr and hash uncached. Build results are bit-identical
-  // with and without the cache.
+  // filled across the pool, sealed, then shared read-only by every hashing
+  // worker; families without a table-driven form return nullptr and hash
+  // uncached. Build results are bit-identical with and without the cache.
   VSJ_TRACE_SPAN(projcache_span, "lsh.build.projcache_fill_ns");
   const std::unique_ptr<GaussianProjectionCache> cache =
       family.MakeProjectionCache(dataset, k * num_tables, workers);
   projcache_span.End();
 
   const auto n = static_cast<VectorId>(dataset.size());
-
-  if (workers == nullptr) {
-    std::vector<uint64_t> keys(n);
-    HashScratch scratch;
-    scratch.gaussian_cache = cache.get();
-    for (uint32_t t = 0; t < num_tables; ++t) {
-      VSJ_TRACE_SPAN(table_span, "lsh.build.table_ns");
-      LshTable::ComputeBucketKeys(family, dataset, k, t * k, 0, n,
-                                  keys.data(), scratch);
-      tables_.push_back(std::make_unique<LshTable>(dataset, k, keys));
-    }
-    return;
-  }
 
   // Phase 1: hash every (table, vector) pair across the pool. The ℓ·n key
   // computations are independent; chunk them in units of vectors so one
@@ -58,7 +44,7 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
   constexpr VectorId kChunk = 2048;
   const size_t chunks_per_table =
       n == 0 ? 0 : (n + kChunk - 1) / kChunk;
-  workers->ParallelFor(chunks_per_table * num_tables, [&](size_t item) {
+  workers.ParallelFor(chunks_per_table * num_tables, [&](size_t item) {
     const auto t = static_cast<uint32_t>(item / chunks_per_table);
     const auto begin = static_cast<VectorId>((item % chunks_per_table) * kChunk);
     const VectorId end = std::min<VectorId>(n, begin + kChunk);
@@ -73,7 +59,7 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
   // Phase 2: group into buckets — sequential per table, tables in parallel.
   VSJ_TRACE_SPAN(group_span, "lsh.build.group_ns");
   tables_.resize(num_tables);
-  workers->ParallelFor(num_tables, [&](size_t t) {
+  workers.ParallelFor(num_tables, [&](size_t t) {
     tables_[t] = std::make_unique<LshTable>(dataset, k, keys[t]);
   });
 }

@@ -26,11 +26,11 @@ class LshIndex {
   /// Builds ℓ tables with k functions each. The family and dataset must
   /// outlive the index.
   ///
-  /// When `pool` is non-null the signature computation — the dominant
-  /// O(ℓ·n·k·features) cost — is partitioned across the pool; bucket
+  /// The signature computation — the dominant O(ℓ·n·k·features) cost — is
+  /// partitioned across `pool`, or runs inline when it is null; bucket
   /// grouping stays sequential per table, so the resulting index is
-  /// bit-identical to a single-threaded build of the same (family, k, ℓ).
-  /// The pool is only used during construction and not retained.
+  /// bit-identical whatever the pool. The pool is only used during
+  /// construction and not retained.
   LshIndex(const LshFamily& family, DatasetView dataset, uint32_t k,
            uint32_t num_tables, ThreadPool* pool = nullptr);
 

@@ -1,11 +1,8 @@
 #include "vsj/lsh/lsh_table.h"
 
-#include <algorithm>
-#include <utility>
+#include <numeric>
 
-#include "vsj/lsh/bucket_grouper.h"
 #include "vsj/util/check.h"
-#include "vsj/util/hash.h"
 
 namespace vsj {
 
@@ -34,13 +31,9 @@ void LshTable::ComputeBucketKeys(const LshFamily& family, DatasetView dataset,
                                  uint32_t k, uint32_t function_offset,
                                  VectorId begin, VectorId end, uint64_t* out,
                                  HashScratch& scratch) {
-  scratch.signature.resize(k);
-  uint64_t* signature = scratch.signature.data();
   for (VectorId id = begin; id < end; ++id) {
-    family.HashRange(dataset[id], function_offset, k, signature, scratch);
-    uint64_t key = 0x2545f4914f6cdd1dULL;
-    for (uint32_t j = 0; j < k; ++j) key = HashCombine(key, signature[j]);
-    out[id - begin] = key;
+    out[id - begin] =
+        family.BucketKey(dataset[id], function_offset, k, scratch);
   }
 }
 
@@ -54,17 +47,34 @@ void LshTable::ComputeBucketKeys(const LshFamily& family,
 }
 
 void LshTable::BuildFromKeys(const std::vector<uint64_t>& keys) {
-  BucketGrouping grouping = GroupByBucketKey(keys);
-  bucket_offsets_ = std::move(grouping.offsets);
-  bucket_members_ = std::move(grouping.members);
-  bucket_keys_ = std::move(grouping.bucket_keys);
-  bucket_of_ = std::move(grouping.bucket_of);
+  // One pass over ids: a key's first sighting opens the next bucket, and
+  // bucket_offsets_[b + 1] counts bucket b's members.
+  const size_t n = keys.size();
+  bucket_of_.resize(n);
+  bucket_offsets_.assign(1, 0);
+  for (size_t id = 0; id < n; ++id) {
+    const auto [it, inserted] = key_to_bucket_.try_emplace(
+        keys[id], static_cast<uint32_t>(bucket_keys_.size()));
+    if (inserted) {
+      bucket_keys_.push_back(keys[id]);
+      bucket_offsets_.push_back(0);
+    }
+    bucket_of_[id] = it->second;
+    ++bucket_offsets_[it->second + 1];
+  }
+
+  // Counting pass: counts become offsets, and ids in ascending order fill
+  // each bucket's slice of the arena.
+  std::partial_sum(bucket_offsets_.begin(), bucket_offsets_.end(),
+                   bucket_offsets_.begin());
+  std::vector<uint32_t> cursor(bucket_offsets_.begin(),
+                               bucket_offsets_.end() - 1);
+  bucket_members_.resize(n);
+  for (size_t id = 0; id < n; ++id) {
+    bucket_members_[cursor[bucket_of_[id]]++] = static_cast<VectorId>(id);
+  }
 
   const size_t num_buckets = bucket_keys_.size();
-  key_to_bucket_.reserve(num_buckets);
-  for (size_t b = 0; b < num_buckets; ++b) {
-    key_to_bucket_.emplace(bucket_keys_[b], static_cast<uint32_t>(b));
-  }
 
   std::vector<double> weights;
   weights.reserve(num_buckets);

@@ -14,8 +14,10 @@
 // bucket_members_[]), not per-bucket vectors — SampleH and the bucket
 // scans of the multi-table estimators walk contiguous memory, and bucket
 // sizes are O(1) offset differences (no per-bucket headers to chase).
-// Grouping ids into the arena is sort-based (lsh/bucket_grouper.h) and
-// reproduces the historical map-based bucket order exactly.
+// Buckets are numbered in order of first sighting over ids 0..n−1, through
+// the key → bucket map — DynamicLshTable's slot rule, so a dynamic table
+// fed the same ids in order agrees on every bucket index — and members
+// sit in ascending id order within a bucket.
 
 #ifndef VSJ_LSH_LSH_TABLE_H_
 #define VSJ_LSH_LSH_TABLE_H_
@@ -38,12 +40,8 @@ namespace vsj {
 class LshTable {
  public:
   /// Hashes every vector of `dataset` with functions
-  /// [function_offset, function_offset + k) of `family`.
-  ///
-  /// The bucket key is the 64-bit combination of the k hash values; for
-  /// SimHash (k one-bit values) the key is collision-free, for general
-  /// families a 64-bit key makes accidental key collisions negligible
-  /// (< M · 2^-64).
+  /// [function_offset, function_offset + k) of `family`, keying buckets by
+  /// LshFamily::BucketKey.
   LshTable(const LshFamily& family, DatasetView dataset, uint32_t k,
            uint32_t function_offset = 0);
 
@@ -55,9 +53,8 @@ class LshTable {
   LshTable(DatasetView dataset, uint32_t k,
            const std::vector<uint64_t>& keys);
 
-  /// Computes the combined 64-bit bucket key of vectors [begin, end) into
-  /// out[0 .. end-begin): the HashCombine fold of the k hash values
-  /// [function_offset, function_offset + k). Pure and thread-safe; disjoint
+  /// Computes the bucket key (LshFamily::BucketKey) of vectors [begin, end)
+  /// into out[0 .. end-begin). Pure and thread-safe; disjoint
   /// ranges may be computed concurrently with per-caller scratches (the
   /// scratch's projection cache, if any, is sealed and shared read-only).
   static void ComputeBucketKeys(const LshFamily& family, DatasetView dataset,
@@ -131,7 +128,8 @@ class LshTable {
   }
 
  private:
-  /// Groups vectors into buckets by key and builds the sampling structures.
+  /// Groups vectors into buckets by key (first-sighting order, see the file
+  /// comment) and builds the sampling structures.
   void BuildFromKeys(const std::vector<uint64_t>& keys);
 
   uint32_t k_;

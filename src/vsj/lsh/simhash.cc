@@ -59,7 +59,7 @@ void SimHashFamily::DoHashRange(VectorRef v, uint32_t function_offset,
 }
 
 std::unique_ptr<GaussianProjectionCache> SimHashFamily::MakeProjectionCache(
-    DatasetView dataset, uint32_t num_functions, ThreadPool* pool) const {
+    DatasetView dataset, uint32_t num_functions, ThreadPool& pool) const {
   std::vector<uint64_t> fn_seeds(num_functions);
   for (uint32_t f = 0; f < num_functions; ++f) {
     fn_seeds[f] = HashCombine(seed_, f);

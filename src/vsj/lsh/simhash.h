@@ -28,7 +28,7 @@ class SimHashFamily final : public LshFamily {
 
   std::unique_ptr<GaussianProjectionCache> MakeProjectionCache(
       DatasetView dataset, uint32_t num_functions,
-      ThreadPool* pool) const override;
+      ThreadPool& pool) const override;
 
   double CollisionProbability(double similarity) const override;
   SimilarityMeasure measure() const override {

@@ -36,76 +36,6 @@ inline void MinFoldScalar(uint64_t mixed_key, const uint64_t* seed_terms,
 #if VSJ_KERNEL_X86
 
 // ---------------------------------------------------------------------------
-// SSE2 (2 lanes). SSE2 is part of baseline x86-64, so no target attribute.
-// ---------------------------------------------------------------------------
-
-/// 64x64→64 low multiply by a constant; SSE2 has only 32x32→64
-/// (_mm_mul_epu32), so the low half is assembled from three partials.
-inline __m128i Mul64Sse2(__m128i a, uint64_t constant) {
-  const __m128i b = _mm_set1_epi64x(static_cast<long long>(constant));
-  const __m128i lo = _mm_mul_epu32(a, b);
-  const __m128i cross = _mm_add_epi64(
-      _mm_mul_epu32(_mm_srli_epi64(a, 32), b),
-      _mm_mul_epu32(a, _mm_srli_epi64(b, 32)));
-  return _mm_add_epi64(lo, _mm_slli_epi64(cross, 32));
-}
-
-inline __m128i Mix64Sse2(__m128i x) {
-  x = _mm_xor_si128(x, _mm_srli_epi64(x, 30));
-  x = Mul64Sse2(x, 0xbf58476d1ce4e5b9ULL);
-  x = _mm_xor_si128(x, _mm_srli_epi64(x, 27));
-  x = Mul64Sse2(x, 0x94d049bb133111ebULL);
-  x = _mm_xor_si128(x, _mm_srli_epi64(x, 31));
-  return x;
-}
-
-/// Per-64-bit-lane signed a > b without _mm_cmpgt_epi64 (SSE4.2): compare
-/// the high dwords; where they tie, take the borrow sign of b − a. The
-/// high dword of the partial result is a full 0/~0 mask in every case, so
-/// broadcasting it down yields the lane mask.
-inline __m128i CmpGtEpi64Sse2(__m128i a, __m128i b) {
-  __m128i r =
-      _mm_and_si128(_mm_cmpeq_epi32(a, b), _mm_sub_epi64(b, a));
-  r = _mm_or_si128(r, _mm_cmpgt_epi32(a, b));
-  return _mm_shuffle_epi32(r, _MM_SHUFFLE(3, 3, 1, 1));
-}
-
-inline __m128i MinEpu64Sse2(__m128i a, __m128i b) {
-  const __m128i sign =
-      _mm_set1_epi64x(static_cast<long long>(0x8000000000000000ULL));
-  const __m128i a_gt_b = CmpGtEpi64Sse2(_mm_xor_si128(a, sign),
-                                        _mm_xor_si128(b, sign));
-  return _mm_or_si128(_mm_and_si128(a_gt_b, b),
-                      _mm_andnot_si128(a_gt_b, a));
-}
-
-void AccumulateSse2(const double* gaussians, double weight, double* acc,
-                    uint32_t k) {
-  const __m128d w = _mm_set1_pd(weight);
-  uint32_t j = 0;
-  for (; j + 2 <= k; j += 2) {
-    const __m128d g = _mm_loadu_pd(gaussians + j);
-    const __m128d a = _mm_loadu_pd(acc + j);
-    _mm_storeu_pd(acc + j, _mm_add_pd(a, _mm_mul_pd(w, g)));
-  }
-  AccumulateScalar(gaussians, weight, acc, j, k);
-}
-
-void MinFoldSse2(uint64_t mixed_key, const uint64_t* seed_terms,
-                 uint64_t* mins, uint32_t k) {
-  const __m128i key = _mm_set1_epi64x(static_cast<long long>(mixed_key));
-  uint32_t j = 0;
-  for (; j + 2 <= k; j += 2) {
-    const __m128i terms = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(seed_terms + j));
-    const __m128i h = Mix64Sse2(_mm_add_epi64(key, terms));
-    __m128i* slot = reinterpret_cast<__m128i*>(mins + j);
-    _mm_storeu_si128(slot, MinEpu64Sse2(_mm_loadu_si128(slot), h));
-  }
-  MinFoldScalar(mixed_key, seed_terms, mins, j, k);
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 (4 lanes). Function-level target attributes keep the binary
 // runnable on CPUs without AVX2; dispatch guards every call.
 // ---------------------------------------------------------------------------
@@ -173,15 +103,9 @@ __attribute__((target("avx2"))) void MinFoldAvx2(uint64_t mixed_key,
 void AccumulateProjectionLanes(const double* gaussians, double weight,
                                double* acc, uint32_t k) {
 #if VSJ_KERNEL_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      AccumulateAvx2(gaussians, weight, acc, k);
-      return;
-    case SimdLevel::kSse2:
-      AccumulateSse2(gaussians, weight, acc, k);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    AccumulateAvx2(gaussians, weight, acc, k);
+    return;
   }
 #endif
   AccumulateScalar(gaussians, weight, acc, 0, k);
@@ -190,15 +114,9 @@ void AccumulateProjectionLanes(const double* gaussians, double weight,
 void MinFoldLanes(uint64_t mixed_key, const uint64_t* seed_terms,
                   uint64_t* mins, uint32_t k) {
 #if VSJ_KERNEL_X86
-  switch (ActiveSimdLevel()) {
-    case SimdLevel::kAvx2:
-      MinFoldAvx2(mixed_key, seed_terms, mins, k);
-      return;
-    case SimdLevel::kSse2:
-      MinFoldSse2(mixed_key, seed_terms, mins, k);
-      return;
-    case SimdLevel::kScalar:
-      break;
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    MinFoldAvx2(mixed_key, seed_terms, mins, k);
+    return;
   }
 #endif
   MinFoldScalar(mixed_key, seed_terms, mins, 0, k);

@@ -16,10 +16,11 @@
 //     per lane; pure 64-bit integer arithmetic, so bit-identity is trivial
 //     once the lane owns the function.
 //
-// Width is chosen at runtime from util/cpu.h (scalar / SSE2 / AVX2; the
-// AVX2 bodies are compiled with a function-level target attribute, so the
-// binary stays runnable on plain x86-64). The dispatch bit-identity suite
-// (tests/lsh/simd_dispatch_test.cc) pins all widths against scalar.
+// Width is chosen at runtime from util/cpu.h (scalar or AVX2; the AVX2
+// bodies are compiled with a function-level target attribute, so the
+// binary stays runnable on plain x86-64, where it runs scalar). The
+// dispatch bit-identity suite (tests/lsh/simd_dispatch_test.cc) pins AVX2
+// against scalar.
 
 #ifndef VSJ_LSH_SIMHASH_KERNEL_H_
 #define VSJ_LSH_SIMHASH_KERNEL_H_

@@ -40,8 +40,7 @@ StreamingEstimationService::StreamingEstimationService(
 
 void StreamingEstimationService::BuildProjectionCache() {
   projection_cache_ = family().MakeProjectionCache(
-      DatasetView(store_), options_.k * options_.num_tables,
-      pool().num_threads() > 0 ? &pool() : nullptr);
+      DatasetView(store_), options_.k * options_.num_tables, pool());
   index_.AttachProjectionCache(projection_cache_.get());
 }
 

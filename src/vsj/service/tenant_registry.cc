@@ -28,6 +28,7 @@ Tenant::Tenant(std::string name, std::string snapshot_path,
       snapshot_path_(std::move(snapshot_path)),
       max_pairs_per_request_(max_pairs_per_request),
       budget_(engine->options().lsh_ss),
+      num_tables_(engine->options().num_tables),
       engine_(std::move(engine)),
       streaming_(static_cast<StreamingEstimationService*>(engine_.get())),
       persisted_epoch_(streaming_->epoch()) {
@@ -42,6 +43,7 @@ Tenant::Tenant(std::string name, std::string snapshot_path,
       snapshot_path_(std::move(snapshot_path)),
       max_pairs_per_request_(max_pairs_per_request),
       budget_(engine->options().lsh_ss),
+      num_tables_(engine->options().num_tables),
       mapped_(std::move(storage)),
       engine_(std::move(engine)) {
   PublishNumLive();
@@ -78,17 +80,24 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
   ApplySamplingOverrides(request, &budget);
   budget = ResolveBudget(budget,
                          num_live_.load(std::memory_order_relaxed));
+  // LSH-SS(median) runs one LSH-SS per table: ℓ · (m_H + m_L) per trial.
+  const uint64_t tables =
+      request.estimator_name == "LSH-SS(median)" ? num_tables_ : 1;
+  uint64_t per_table = 0;
   uint64_t per_trial = 0;
   uint64_t pairs = 0;
   const bool overflow =
       __builtin_add_overflow(budget.sample_size_h, budget.sample_size_l,
-                             &per_trial) ||
+                             &per_table) ||
+      __builtin_mul_overflow(per_table, tables, &per_trial) ||
       __builtin_mul_overflow(per_trial, uint64_t{request.trials}, &pairs);
   if (overflow || pairs > max_pairs_per_request_) {
     return TenantOpResult::BadRequest(
         "predicted work of " + std::to_string(request.trials) +
         " trials x (m_H " + std::to_string(budget.sample_size_h) + " + m_L " +
-        std::to_string(budget.sample_size_l) + ") = " +
+        std::to_string(budget.sample_size_l) + ")" +
+        (tables > 1 ? " x " + std::to_string(tables) + " tables" : "") +
+        " = " +
         (overflow ? std::string("more than 2^64") : std::to_string(pairs)) +
         " pair draws exceeds --max-pairs-per-request " +
         std::to_string(max_pairs_per_request_));

@@ -133,7 +133,8 @@ class Tenant {
   /// rules the engine enforces with VSJ_CHECK), then admission by
   /// predicted work: trials × (m_H + m_L) — the engine's sampling budget
   /// with the request's overrides folded in and zero fields resolved from
-  /// the tenant's live vector count (ResolveBudget) — must not exceed
+  /// the tenant's live vector count (ResolveBudget), times ℓ for
+  /// LSH-SS(median), which samples every table — must not exceed
   /// max_pairs_per_request. Returns kOk or kBadRequest — a rejected request
   /// must not reach EstimateBatchShared. Takes no tenant lock.
   TenantOpResult ValidateEstimate(const EstimateRequest& request) const;
@@ -184,6 +185,8 @@ class Tenant {
   const uint64_t max_pairs_per_request_;
   /// The engine's configured m_H / m_L / δ (zero = derive from n).
   const SamplingBudget budget_;
+  /// The engine's ℓ, the work factor of LSH-SS(median).
+  const uint64_t num_tables_;
   /// The n budgets resolve from, readable without mutex_.
   std::atomic<uint64_t> num_live_{0};
 

@@ -17,7 +17,6 @@ SimdLevel Detect() {
   // __builtin_cpu_supports is available on both GCC and Clang and performs
   // its own cpuid caching.
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
 #endif
   return SimdLevel::kScalar;
 }
@@ -43,8 +42,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }

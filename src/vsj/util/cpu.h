@@ -1,11 +1,12 @@
 // Runtime SIMD dispatch for the hot-path kernels.
 //
 // The hot-path kernels (lsh/simhash_kernel.h hashing, vector/pair_eval.h
-// sparse intersection) are compiled in up to three widths — scalar, SSE2 and
-// AVX2 — and selected once at runtime from CPU feature detection. All widths
-// are bit-identical by construction (DESIGN.md "Hot-path kernels", "Batch
-// pair evaluation"), so the level is a pure throughput knob; the dispatch
-// bit-identity suites pin the contract.
+// sparse intersection) are compiled in two widths — scalar and AVX2 — and
+// selected once at runtime from CPU feature detection; x86 hosts without
+// AVX2 and non-x86 builds run scalar. Both widths are bit-identical by
+// construction (DESIGN.md "Hot-path kernels", "Batch pair evaluation"), so
+// the level is a pure throughput knob; the dispatch bit-identity suites pin
+// the contract.
 //
 // Overrides:
 //   VSJ_FORCE_SCALAR=1  force the scalar kernels (the CI cross-check)
@@ -18,14 +19,13 @@
 namespace vsj {
 
 /// Kernel widths, ordered: a CPU supporting level L supports all levels
-/// below it.
+/// below it. The values are the `simd.active_level` gauge's.
 enum class SimdLevel {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
-/// Short lowercase name ("scalar", "sse2", "avx2").
+/// Short lowercase name ("scalar", "avx2").
 const char* SimdLevelName(SimdLevel level);
 
 /// The widest level the CPU supports, ignoring every override. Non-x86

@@ -128,7 +128,6 @@ class StreamingCsrStorage {
   /// Total ids ever appended (the id space; includes tombstones).
   size_t num_ids() const { return slots_.size(); }
   size_t num_live() const { return slots_.size() - dead_count_; }
-  size_t num_dead() const { return dead_count_; }
   size_t num_chunks() const { return chunks_.size(); }
 
   /// Number of compactions run so far (automatic + manual).

@@ -66,9 +66,6 @@ class MappedCsrStorage {
     return n * (n - 1) / 2;
   }
 
-  /// Bytes of the underlying mapping (file size, not resident set).
-  size_t MappedBytes() const { return file_.size(); }
-
  private:
   MappedFile file_;
   std::string name_;

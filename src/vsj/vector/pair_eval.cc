@@ -3,13 +3,12 @@
 //
 //  * merge / gallop: the linear merge (the reference traversal and the
 //    scalar level's kernel), galloping when the long side is
-//    >= kGallopRatio× the short one — at every level;
-//  * SIMD short rungs: the SSE2 window search for long sides <= 32 dims
-//    (and at the SSE2 level for any balanced pair the scatter-probe
-//    declines), and the AVX2 full-residency rungs for long sides <= 16 and
-//    17..32 dims;
+//    >= kGallopRatio× the short one — at both levels;
+//  * AVX2 rungs: full-residency broadcast-compare for long sides <= 16 and
+//    17..32 dims, and the 4-wide window search for any longer balanced
+//    pair the scatter-probe declines;
 //  * scatter-probe for long balanced pairs (long side > 32 dims), plain
-//    C++ shared by every level: the short side's positions scattered into a
+//    C++ shared by both levels: the short side's positions scattered into a
 //    per-thread table indexed by dim, the long side probed against it.
 //
 // Bit-identity rules of this file (DESIGN.md "Batch pair evaluation"):
@@ -113,8 +112,10 @@ DotAccum DotScalar(VectorRef small, VectorRef large) {
 
 #if VSJ_PAIR_EVAL_X86
 
-// SIMD window search, the balanced-length path. For each dim of the short
-// side (walked in order, so accumulation order matches the linear merge) a
+// SIMD window search, AVX2's rung for long sides over 32 dims that the
+// scatter-probe declines. It needs only SSE2, which every x86-64 CPU has,
+// so it carries no target attribute. For each dim of the short side
+// (walked in order, so accumulation order matches the linear merge) a
 // broadcast-compare checks one W-wide window of the long side at once; the
 // window advances by W whenever its maximum falls below the probe. Every
 // short-side dim has at most one partner (dims are strictly increasing),
@@ -123,7 +124,7 @@ DotAccum DotScalar(VectorRef small, VectorRef large) {
 // the scalar merge — mispredicted roughly once per element on real corpora
 // — becomes a branchless compare+movemask that only branches on an actual
 // match.
-DotAccum DotSse2(VectorRef small, VectorRef large) {
+DotAccum DotWindow(VectorRef small, VectorRef large) {
   const size_t an = small.size();
   const size_t bn = large.size();
   const DimId* a = small.dims();
@@ -275,19 +276,18 @@ __attribute__((target("avx2"))) DotAccum DotAvx2Small32(VectorRef small,
 }
 
 // Long sides of more than 32 dims reach this only when the scatter-probe
-// declines the pair (see PairDotCountWith); the SSE2 window search serves
-// them.
+// declines the pair (see PairDotCountWith); the window search serves them.
 __attribute__((target("avx2"))) DotAccum DotAvx2(VectorRef small,
                                                  VectorRef large) {
   if (large.size() <= 16) return DotAvx2Small(small, large);
   if (large.size() <= 32) return DotAvx2Small32(small, large);
-  return DotSse2(small, large);
+  return DotWindow(small, large);
 }
 
 #endif  // VSJ_PAIR_EVAL_X86
 
 // Scatter-probe, the long balanced-pair path (long side > 32 dims, below
-// the gallop ratio) at every level. The branchy "advance or probe" step of
+// the gallop ratio) at both levels. The branchy "advance or probe" step of
 // a merge or window search mispredicts about once per element on TF-IDF
 // vectors of a few hundred dims; this kernel has no data-dependent branch
 // in its inner loop:
@@ -409,6 +409,19 @@ inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
   return PairDotResult{acc.sum, acc.matches};
 }
 
+// Calls body(kernel) with `level`'s kernel — DotAvx2 or DotScalar — as a
+// lambda, so each level instantiates its own inlined loop and the level is
+// read once per call, not per pair.
+template <typename Body>
+inline auto WithLevelKernel([[maybe_unused]] SimdLevel level, Body&& body) {
+#if VSJ_PAIR_EVAL_X86
+  if (level == SimdLevel::kAvx2) {
+    return body([](VectorRef s, VectorRef l) { return DotAvx2(s, l); });
+  }
+#endif
+  return body([](VectorRef s, VectorRef l) { return DotScalar(s, l); });
+}
+
 // CosineSimilarity() with the Dot already in hand — term-for-term the same
 // expression (denominator order, clamp, unit snap), so the batch evaluator
 // reaches bit-identical similarity values while reusing the traversal's
@@ -449,24 +462,11 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
 
 PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   // Single-pair entry (VectorRef::Dot/OverlapSize): one dispatch per call.
-  // Batch callers go through EvaluatePairBatch, which hoists this switch.
+  // Batch callers go through EvaluatePairBatch, which hoists the dispatch.
   ScatterTable& table = ThreadScatterTable();
-  switch (ActiveSimdLevel()) {
-#if VSJ_PAIR_EVAL_X86
-    case SimdLevel::kAvx2:
-      return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotAvx2(s, l); },
-          table);
-    case SimdLevel::kSse2:
-      return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotSse2(s, l); },
-          table);
-#endif
-    default:
-      return PairDotCountWith(
-          a, b, [](VectorRef s, VectorRef l) { return DotScalar(s, l); },
-          table);
-  }
+  return WithLevelKernel(ActiveSimdLevel(), [&](auto kernel) {
+    return PairDotCountWith(a, b, kernel, table);
+  });
 }
 
 void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
@@ -535,28 +535,10 @@ void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
   const SimdLevel level = ActiveSimdLevel();
   BatchStats stats;
   if (measure == SimilarityMeasure::kCosine) {
-    switch (level) {
-#if VSJ_PAIR_EVAL_X86
-      case SimdLevel::kAvx2:
-        RunCosineBatch(
-            u, v, order, count, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotAvx2(s, l); },
-            similarities, &stats);
-        break;
-      case SimdLevel::kSse2:
-        RunCosineBatch(
-            u, v, order, count, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotSse2(s, l); },
-            similarities, &stats);
-        break;
-#endif
-      default:
-        RunCosineBatch(
-            u, v, order, count, prefetch_distance,
-            [](VectorRef s, VectorRef l) { return DotScalar(s, l); },
-            similarities, &stats);
-        break;
-    }
+    WithLevelKernel(level, [&](auto kernel) {
+      RunCosineBatch(u, v, order, count, prefetch_distance, kernel,
+                     similarities, &stats);
+    });
   } else {
     for (size_t k = 0; k < count; ++k) {
       if (k + prefetch_distance < count) {
@@ -573,16 +555,10 @@ void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
   VSJ_COUNTER_ADD("pair_eval.batches", 1);
   VSJ_COUNTER_ADD("pair_eval.pairs", count);
   if (locality_sorted) VSJ_COUNTER_ADD("pair_eval.locality_sorted", 1);
-  switch (level) {
-    case SimdLevel::kAvx2:
-      VSJ_COUNTER_ADD("pair_eval.dispatch.avx2", 1);
-      break;
-    case SimdLevel::kSse2:
-      VSJ_COUNTER_ADD("pair_eval.dispatch.sse2", 1);
-      break;
-    case SimdLevel::kScalar:
-      VSJ_COUNTER_ADD("pair_eval.dispatch.scalar", 1);
-      break;
+  if (level == SimdLevel::kAvx2) {
+    VSJ_COUNTER_ADD("pair_eval.dispatch.avx2", 1);
+  } else {
+    VSJ_COUNTER_ADD("pair_eval.dispatch.scalar", 1);
   }
   VSJ_HIST_RECORD("pair_eval.batch_fill_pct",
                   count * 100 / kPairEvalBatch);

@@ -7,16 +7,17 @@
 // shapes:
 //
 //  * PairDotCount / PairDot / PairOverlap: one pair, runtime-dispatched
-//    (AVX2 / SSE2 / scalar via util/cpu.h). Three strategies find the
-//    matching dims, chosen by the pair's shape:
+//    (AVX2 or scalar via util/cpu.h). Three strategies find the matching
+//    dims, chosen by the pair's shape:
 //      - merge / gallop: the linear merge, and the galloping skip for
 //        pairs whose long side is >= kGallopRatio× the short one;
-//      - SIMD short rungs: broadcast-compare search for long sides of at
-//        most 32 dims (SSE2 window, AVX2 full-residency registers);
+//      - AVX2 rungs: broadcast-compare search with the long side resident
+//        in registers (at most 32 dims), and a 4-wide window search for
+//        longer pairs the scatter-probe declines;
 //      - scatter-probe for long balanced pairs: the short side's positions
 //        scattered into a per-thread table indexed by dim, the long side
 //        probed against it without a data-dependent branch (plain C++,
-//        every level).
+//        both levels).
 //    Every strategy only *finds* matches; the FP accumulation of matched
 //    products stays scalar, in increasing-dimension order, so every
 //    strategy and level returns bit-identical doubles (DESIGN.md "Batch
@@ -68,7 +69,7 @@ struct PairDotResult {
 
 /// Inner product and shared-dimension count of two sparse vectors: merge
 /// join over the sorted dims, galloping when one side is >= kGallopRatio×
-/// longer, the SIMD short rungs for long sides of at most 32 dims, the
+/// longer, the AVX2 rungs for long sides of at most 32 dims, the
 /// scatter-probe above that. Pairs with an empty side or fully
 /// disjoint dim ranges short-circuit to {0.0, 0} before any level-specific
 /// code runs, so the scalar and SIMD paths cannot diverge on degenerate

@@ -1,7 +1,9 @@
 #include "vsj/lsh/dynamic_lsh_table.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,9 @@ namespace vsj {
 namespace {
 
 /// Builds both a static and a dynamic table over the same data and checks
-/// the estimator-facing invariants agree.
+/// the estimator-facing invariants agree. `dynamic` must have been fed ids
+/// 0..n−1 in order: then both tables number buckets by first sighting, so
+/// every id's static bucket index equals its dynamic slot.
 void ExpectMatchesStatic(const VectorDataset& dataset,
                          const LshFamily& family, uint32_t k,
                          const DynamicLshTable& dynamic) {
@@ -22,6 +26,11 @@ void ExpectMatchesStatic(const VectorDataset& dataset,
     for (VectorId v = u + 1; v < dataset.size(); ++v) {
       EXPECT_EQ(dynamic.SameBucket(u, v), expected.SameBucket(u, v));
     }
+  }
+  std::vector<uint32_t> slots(dataset.size(), UINT32_MAX);
+  dynamic.ExportBucketOf(slots);
+  for (VectorId id = 0; id < dataset.size(); ++id) {
+    EXPECT_EQ(slots[id], expected.BucketOf(id)) << "id " << id;
   }
 }
 

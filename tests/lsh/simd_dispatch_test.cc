@@ -29,6 +29,7 @@
 #include "vsj/util/cpu.h"
 #include "vsj/util/hash.h"
 #include "vsj/util/rng.h"
+#include "vsj/util/thread_pool.h"
 
 namespace vsj {
 namespace {
@@ -39,7 +40,6 @@ constexpr uint64_t kSeed = 0x51adbeefULL;
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel detected = DetectSimdLevel();
-  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
   if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }
@@ -146,8 +146,8 @@ TEST(SimdDispatchTest, ProjectionCacheDoesNotChangeBucketKeys) {
   constexpr uint32_t kK = 8;
   constexpr uint32_t kTables = 3;
 
-  const auto cache =
-      family.MakeProjectionCache(view, kK * kTables, nullptr);
+  ThreadPool pool(3);
+  const auto cache = family.MakeProjectionCache(view, kK * kTables, pool);
   ASSERT_NE(cache, nullptr);
   ASSERT_TRUE(cache->sealed());
   ASSERT_GT(cache->num_dims(), 0u);
@@ -177,8 +177,9 @@ TEST(SimdDispatchTest, ProjectionCacheRowsHoldExactGaussians) {
   const VectorDataset dataset = testing::SmallClusteredCorpus(120, 17);
   const SimHashFamily family(kSeed ^ 4);
   constexpr uint32_t kFns = 12;
+  ThreadPool pool(3);
   const auto cache =
-      family.MakeProjectionCache(DatasetView(dataset), kFns, nullptr);
+      family.MakeProjectionCache(DatasetView(dataset), kFns, pool);
   ASSERT_NE(cache, nullptr);
   const uint64_t mixed_seed = Mix64(kSeed ^ 4);
   size_t rows_checked = 0;

@@ -399,6 +399,37 @@ TEST_F(TenantRegistryTest, AdmissionByPredictedWorkTracksTheLiveCount) {
       << overflow.message;
 }
 
+TEST_F(TenantRegistryTest, AdmissionCountsEveryTableOfTheMedianEstimator) {
+  // LSH-SS(median) runs one LSH-SS per table: on an ℓ = 4 tenant its 2
+  // trials predict 4 · 2 · (n + n) = 16n pair draws where LSH-SS predicts
+  // 4n. A limit between the two admits LSH-SS and refuses the median.
+  const uint64_t n = kCorpusSize;
+  TenantRegistryOptions options = Options();
+  options.static_options.num_tables = 4;
+  options.max_pairs_per_request = 16 * n - 1;
+  TenantRegistry registry(options);
+  std::shared_ptr<Tenant> wiki;
+  ASSERT_TRUE(registry.Acquire("wiki", &wiki).ok());
+
+  EstimateRequest request = LshSsRequest();  // 2 trials
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
+  request.estimator_name = "LSH-SS(median)";
+  const TenantOpResult refused = wiki->ValidateEstimate(request);
+  EXPECT_EQ(refused.code, TenantOpResult::Code::kBadRequest);
+  EXPECT_NE(refused.message.find(") x 4 tables = " + std::to_string(16 * n) +
+                                 " pair draws exceeds "
+                                 "--max-pairs-per-request " +
+                                 std::to_string(16 * n - 1)),
+            std::string::npos)
+      << refused.message;
+
+  // At exactly 16n the same request is admitted.
+  options.max_pairs_per_request = 16 * n;
+  TenantRegistry roomier(options);
+  ASSERT_TRUE(roomier.Acquire("wiki", &wiki).ok());
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
+}
+
 TEST_F(TenantRegistryTest, StartupSweepRemovesOrphanedTmpFiles) {
   // A crash between AtomicFileWriter::Open and Commit leaves *.tmp
   // litter next to the snapshots; registry construction removes it.

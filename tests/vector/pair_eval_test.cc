@@ -3,10 +3,11 @@
 // evaluation":
 //
 //  * Every strategy of the sparse-intersection kernel — scalar merge,
-//    galloping merge, SSE2 window, the AVX2 small-vector fast paths (long
-//    side <= 16 and 17..32 dims) and the scatter-probe for long balanced
-//    pairs (and the paths it declines to: short-side dim spans over 2^16,
-//    short sides of 65535+ entries) — returns doubles bit-identical to a
+//    galloping merge, the AVX2 small-vector fast paths (long side <= 16 and
+//    17..32 dims) and the scatter-probe for long balanced pairs (and the
+//    paths it declines to — the level kernel, AVX2's window search — for
+//    short-side dim spans over 2^16 and short sides of 65535+ entries)
+//    — returns doubles bit-identical to a
 //    plain linear merge at every level, because only the *search* for
 //    matching dims differs while the FP accumulation stays scalar in
 //    increasing-dimension order.
@@ -54,7 +55,6 @@ constexpr uint64_t kSeed = 0x9a17e7a1ULL;
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
   const SimdLevel detected = DetectSimdLevel();
-  if (detected >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
   if (detected >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
   return levels;
 }

@@ -679,7 +679,7 @@ int main(int argc, char** argv) {
   ArmObservability(args);
   ObservabilityGuard observability(args);
   // Recorded after arming so the --metrics table reports the dispatch
-  // level in effect (0 scalar, 1 sse2, 2 avx2; VSJ_FORCE_SCALAR=1 pins 0).
+  // level in effect (0 scalar, 2 avx2; VSJ_FORCE_SCALAR=1 pins 0).
   VSJ_GAUGE_SET("simd.active_level",
                 static_cast<int64_t>(vsj::ActiveSimdLevel()));
 

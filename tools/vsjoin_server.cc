@@ -18,8 +18,8 @@
 // --max-pairs-per-request bounds an estimate's predicted work before it is
 // admitted: trials × (m_H + m_L) pair draws, with the request's
 // sample_size_h / sample_size_l overrides folded in and unset budgets
-// resolved from the tenant's vector count n (m_H = m_L = n). A request
-// above the limit gets a bad_request naming both numbers. The default,
+// resolved from the tenant's vector count n (m_H = m_L = n), times ℓ for
+// LSH-SS(median), which samples every table. A request above the limit gets a bad_request naming both numbers. The default,
 // 2^26, admits the paper's budgets at n = 10^6 with 32 trials.
 //
 // The wire protocol is length-prefixed JSON (vsj/net/protocol.h); the
