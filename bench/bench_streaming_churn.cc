@@ -16,7 +16,8 @@
 // bursts. Cross-request miss grouping computes each distinct (estimator, τ)
 // once per batch and serves the other copies from the leader's response, so
 // estimates/sec scales with the client count instead of paying a full
-// re-sample per duplicate.
+// re-sample per duplicate. Its JSON row, estimates_per_sec_fanout<N>_dedup,
+// therefore measures deduplication, not sampling compute.
 //
 // Scale knobs (see bench_common.h): VSJ_N (corpus size, default 6000),
 // VSJ_K (functions per table, default 12), VSJ_TRIALS (trials per request,
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
       estimates += responses.size();
     }
 
-    json.Add("estimates_per_sec_fanout" + std::to_string(clients),
+    json.Add("estimates_per_sec_fanout" + std::to_string(clients) + "_dedup",
              "estimates_per_sec",
              static_cast<double>(estimates) / batch_seconds, rounds);
     report.AddRow(

@@ -1,26 +1,36 @@
 #include "vsj/core/degree_sampling.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "vsj/util/check.h"
 
 namespace vsj {
 
+DegreeSamplingOptions ResolveDegreeSamplingOptions(
+    uint64_t n, DegreeSamplingOptions options) {
+  const double size = static_cast<double>(std::max<uint64_t>(n, 2));
+  const auto sqrt_nlogn =
+      static_cast<uint64_t>(std::ceil(std::sqrt(size * std::log2(size))));
+  if (options.num_vertices == 0) options.num_vertices = sqrt_nlogn;
+  if (options.coarse_probes == 0) {
+    options.coarse_probes = std::max<uint64_t>(1, sqrt_nlogn / 4);
+  }
+  if (options.refined_probes == 0) {
+    options.refined_probes = 4 * options.coarse_probes;
+  }
+  return options;
+}
+
 DegreeSamplingEstimator::DegreeSamplingEstimator(
     DatasetView dataset, SimilarityMeasure measure,
     DegreeSamplingOptions options)
     : dataset_(dataset), measure_(measure) {
   VSJ_CHECK(dataset.size() >= 2);
-  const double n = static_cast<double>(dataset.size());
-  const auto sqrt_nlogn =
-      static_cast<uint64_t>(std::ceil(std::sqrt(n * std::log2(n))));
-  num_vertices_ =
-      options.num_vertices != 0 ? options.num_vertices : sqrt_nlogn;
-  coarse_probes_ = options.coarse_probes != 0
-                       ? options.coarse_probes
-                       : std::max<uint64_t>(1, sqrt_nlogn / 4);
-  refined_probes_ = options.refined_probes != 0 ? options.refined_probes
-                                                : 4 * coarse_probes_;
+  options = ResolveDegreeSamplingOptions(dataset.size(), options);
+  num_vertices_ = options.num_vertices;
+  coarse_probes_ = options.coarse_probes;
+  refined_probes_ = options.refined_probes;
 }
 
 EstimationResult DegreeSamplingEstimator::Estimate(double tau,

@@ -37,7 +37,15 @@ struct DegreeSamplingOptions {
   uint64_t refined_probes = 0;
 };
 
-/// The adapted bifocal estimator.
+/// `options` with each zero budget replaced by its default for a dataset of
+/// n vectors (n < 2 counts as 2). The estimator's constructor and the
+/// server's admission check both size a trial from this one function.
+DegreeSamplingOptions ResolveDegreeSamplingOptions(
+    uint64_t n, DegreeSamplingOptions options = {});
+
+/// The adapted bifocal estimator. One trial draws at most s · (m₁ + m₂)
+/// pairs: m₁ coarse probes per sampled vertex, m₂ more for each one that
+/// looks dense.
 class DegreeSamplingEstimator final : public JoinSizeEstimator {
  public:
   DegreeSamplingEstimator(DatasetView dataset,

@@ -1,9 +1,11 @@
 #include "vsj/net/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+
+#include "vsj/util/decimal.h"
 
 namespace vsj::net {
 
@@ -66,25 +68,36 @@ JsonValue& JsonValue::Set(std::string key, JsonValue value) {
   return *this;
 }
 
+JsonValue& JsonValue::ReserveMembers(size_t count) {
+  type_ = Type::kObject;
+  object_.reserve(count);
+  return *this;
+}
+
 void JsonValue::AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    out->append("null");
-    return;
-  }
   // Integers below 2^53 have an exact double representation; print them
   // without an exponent or fraction so ids and counts read back as the
   // same integer they were (and the payloads stay human-readable).
   constexpr double kExactLimit = 9007199254740992.0;  // 2^53
-  if (v == std::floor(v) && std::abs(v) < kExactLimit) {
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(v));
-    out->append(buffer);
+  if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < kExactLimit) {
+    AppendDecimal(out, static_cast<long long>(v));
     return;
   }
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  out->append(buffer);
+  AppendDouble(out, v);
+}
+
+void JsonValue::AppendDouble(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  // to_chars with a precision is specified as printf's %.*g in the C
+  // locale; 17 significant digits round-trip every double.
+  char buffer[32];  // "-1.2345678901234567e-308" is the longest: 24
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), v,
+                            std::chars_format::general, 17)
+                  .ptr;
+  out->append(buffer, end);
 }
 
 void JsonValue::AppendQuoted(std::string* out, std::string_view s) {
@@ -179,6 +192,10 @@ namespace {
 /// failure path records an offset + message once (the first error wins).
 class Parser {
  public:
+  /// Fields of a typical request: an estimate's id, op, tenant, estimator,
+  /// tau, trials and seed, plus one.
+  static constexpr size_t kRequestMembers = 8;
+
   Parser(std::string_view text, size_t max_depth)
       : text_(text), max_depth_(max_depth) {}
 
@@ -293,6 +310,11 @@ class Parser {
   bool ParseObject(JsonValue* value, size_t depth) {
     ++pos_;  // '{'
     *value = JsonValue::Object();
+    // The document's own object is a request: room for its members up
+    // front, so a typical one never regrows and moves its members.
+    // Nested objects grow as they fill — reserving for each of them would
+    // let a frame of "{}" items allocate far more than its own size.
+    if (depth == 0) value->ReserveMembers(kRequestMembers);
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
@@ -366,20 +388,22 @@ class Parser {
     ++pos_;  // opening quote
     out->clear();
     while (true) {
+      // One append for the run of bytes up to the next quote, backslash
+      // or control character.
+      const size_t run = pos_;
+      while (pos_ < text_.size() && text_[pos_] != '"' &&
+             text_[pos_] != '\\' &&
+             static_cast<unsigned char>(text_[pos_]) >= 0x20) {
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
       if (AtEnd()) return Fail("unterminated string");
       const char c = text_[pos_];
       if (c == '"') {
         ++pos_;
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
-        continue;
-      }
+      if (c != '\\') return Fail("raw control character in string");
       ++pos_;  // backslash
       if (AtEnd()) return Fail("truncated escape");
       const char escape = text_[pos_++];
@@ -443,7 +467,7 @@ class Parser {
     if (!AtEnd() && Peek() == '-') ++pos_;
     // Integer part: 0, or a nonzero digit followed by digits. This grammar
     // check is what rejects bare "NaN", "Infinity", "+1", ".5" and "01"
-    // before strtod (which would happily accept several of them).
+    // before from_chars (which would happily accept several of them).
     if (AtEnd() || Peek() < '0' || Peek() > '9') {
       pos_ = start;
       return Fail("bad number");
@@ -470,11 +494,18 @@ class Parser {
       }
       while (!AtEnd() && Peek() >= '0' && Peek() <= '9') ++pos_;
     }
-    // The token passed the JSON grammar; strtod may still saturate an
-    // overflowing exponent to ±HUGE_VAL. That is kept deliberately — the
-    // request validation layer rejects non-finite fields by name.
-    const std::string token(text_.substr(start, pos_ - start));
-    *value = JsonValue::Number(std::strtod(token.c_str(), nullptr));
+    // The token passed the JSON grammar, so from_chars reads all of it.
+    // Out of range it leaves `number` untouched; strtod's saturation to
+    // ±inf (overflow) or ±0 (underflow) is kept deliberately — the request
+    // validation layer rejects non-finite fields by name.
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    double number = 0.0;
+    if (std::from_chars(first, last, number).ec ==
+        std::errc::result_out_of_range) {
+      number = std::strtod(std::string(first, last).c_str(), nullptr);
+    }
+    *value = JsonValue::Number(number);
     return true;
   }
 

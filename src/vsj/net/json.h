@@ -9,15 +9,19 @@
 //     of 100k '[' characters must fail cleanly, not overflow the stack),
 //     rejects trailing bytes, bad escapes, bare NaN/Infinity tokens and
 //     malformed numbers, and reports a byte offset with every error.
-//   * Numbers are doubles. Overflowing literals like 1e999 parse to ±inf
-//     rather than failing — non-finite values are representable on purpose
-//     so the *request validation* layer (ValidateEstimateRequest) can
-//     reject them with a named diagnostic instead of a generic parse
-//     error (see the estimate_request_test regression suite).
+//   * Numbers are doubles, read by std::from_chars (correctly rounded, no
+//     locale). A literal out of the double range is not an error: one that
+//     overflows (1e999) parses to ±inf and one that underflows (1e-400,
+//     -1e-400, 2.4e-324) to a zero of its sign — non-finite values are
+//     representable on purpose so the *request validation* layer
+//     (ValidateEstimateRequest) can reject them with a named diagnostic
+//     instead of a generic parse error (see the estimate_request_test
+//     regression suite).
 //   * Serialization escapes control characters, emits integers exactly
-//     (no ".0" suffix, no precision loss below 2^53) and doubles with
-//     %.17g so a round-trip through the wire preserves the exact bits —
-//     the server's bit-identity golden test depends on this.
+//     (no ".0" suffix, no precision loss below 2^53) and other doubles in
+//     %.17g form, written by std::to_chars, so a round-trip through the
+//     wire preserves the exact bits — the server's bit-identity golden
+//     test depends on this.
 //
 // Objects preserve insertion order and allow duplicate keys on parse
 // (last one wins on Find), matching how lenient peers behave.
@@ -82,6 +86,8 @@ class JsonValue {
   /// chaining). Calling them coerces the value to the container type.
   JsonValue& Append(JsonValue element);
   JsonValue& Set(std::string key, JsonValue value);
+  /// Reserves room for `count` members (coerces the value to an object).
+  JsonValue& ReserveMembers(size_t count);
 
   /// Serializes to compact JSON. Non-finite numbers become null (they
   /// never appear in well-formed responses; the encoder must still not
@@ -90,9 +96,13 @@ class JsonValue {
   std::string Serialize() const;
 
   /// Appends `v` to `out` the way the serializer would: integers within
-  /// the exact double range print exactly, other finite values as %.17g
-  /// (round-trip exact), non-finite as "null".
+  /// the exact double range print exactly (printf's %lld), other values as
+  /// AppendDouble does.
   static void AppendNumber(std::string* out, double v);
+
+  /// Appends `v` in printf's %.17g form (round-trip exact; -0 stays "-0"),
+  /// non-finite as "null". The one %.17g writer of the wire.
+  static void AppendDouble(std::string* out, double v);
 
   /// Appends the quoted, escaped form of `s`.
   static void AppendQuoted(std::string* out, std::string_view s);

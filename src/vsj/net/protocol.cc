@@ -1,8 +1,9 @@
 #include "vsj/net/protocol.h"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
+
+#include "vsj/util/decimal.h"
 
 namespace vsj::net {
 
@@ -331,39 +332,36 @@ std::string MakeErrorPayload(uint64_t id, RpcError error,
 
 void AppendEstimateFields(std::string* out,
                           const EstimateResponse& response) {
-  const auto g17 = [out](double v) {
-    if (!std::isfinite(v)) {
-      out->append("null");
-      return;
-    }
-    char buffer[40];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-    out->append(buffer);
-  };
   out->append("\"estimator\":");
   JsonValue::AppendQuoted(out, response.estimator_name);
   out->append(",\"tau\":");
-  g17(response.tau);
-  out->append(",\"trials\":" + std::to_string(response.trials));
+  JsonValue::AppendDouble(out, response.tau);
+  out->append(",\"trials\":");
+  AppendDecimal(out, response.trials);
   out->append(",\"estimate\":");
-  g17(response.mean_estimate);
+  JsonValue::AppendDouble(out, response.mean_estimate);
   if (response.trials >= 2) {
     out->append(",\"std_dev\":");
-    g17(response.std_dev);
+    JsonValue::AppendDouble(out, response.std_dev);
     out->append(",\"std_error\":");
-    g17(response.std_error);
+    JsonValue::AppendDouble(out, response.std_error);
   }
-  out->append(",\"pairs_evaluated\":" +
-              std::to_string(response.pairs_evaluated));
-  out->append(",\"num_unguaranteed\":" +
-              std::to_string(response.num_unguaranteed));
+  out->append(",\"pairs_evaluated\":");
+  AppendDecimal(out, response.pairs_evaluated);
+  out->append(",\"num_unguaranteed\":");
+  AppendDecimal(out, response.num_unguaranteed);
   out->append(",\"from_cache\":");
   out->append(response.from_cache ? "true" : "false");
 }
 
 std::string MakeEstimatePayload(uint64_t id,
                                 const EstimateResponse& response) {
-  std::string out = "{\"id\":";
+  // Room for a typical payload (about 240 bytes with the std fields), so
+  // it is built without regrowing. The widest numbers need ~330; reserving
+  // that for every one of thousands of in-flight responses costs memory.
+  std::string out;
+  out.reserve(256 + response.estimator_name.size());
+  out += "{\"id\":";
   JsonValue::AppendNumber(&out, static_cast<double>(id));
   out += ",\"ok\":true,";
   AppendEstimateFields(&out, response);

@@ -128,7 +128,8 @@ std::string MakeErrorPayload(uint64_t id, RpcError error,
 /// serializer of an estimate: the wire payload and vsjoin_estimate --json
 /// both wrap it. std_dev/std_error appear only when the response
 /// aggregated at least two trials (one draw has no measurable spread);
-/// doubles print as %.17g (non-finite as null).
+/// doubles print through JsonValue::AppendDouble (%.17g form, non-finite
+/// as null), counts as exact integers.
 void AppendEstimateFields(std::string* out, const EstimateResponse& response);
 
 /// Builds the "ok":true payload for an estimate response: the RPC envelope

@@ -1,6 +1,7 @@
 #include "vsj/service/estimate_cache.h"
 
 #include "vsj/obs/obs.h"
+#include "vsj/util/decimal.h"
 
 namespace vsj {
 
@@ -9,7 +10,7 @@ namespace {
 std::string MakeKey(const EstimateRequest& request, uint64_t fingerprint) {
   std::string key = ExactKey(request);
   key.push_back('|');
-  key.append(std::to_string(fingerprint));
+  AppendDecimal(&key, fingerprint);
   return key;
 }
 

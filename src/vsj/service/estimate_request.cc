@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "vsj/core/stratified_sampling.h"
+#include "vsj/util/decimal.h"
 
 namespace vsj {
 
@@ -60,20 +61,22 @@ void ApplySamplingOverrides(const EstimateRequest& request,
 }
 
 std::string SweepKey(const EstimateRequest& request) {
+  // Room for every field at its widest (20 digits) and the separators of
+  // the exact key and the cache key, so neither regrows this string.
   std::string key;
-  key.reserve(request.estimator_name.size() + 104);
+  key.reserve(request.estimator_name.size() + 168);
   key.append(request.estimator_name);
   key.push_back('|');
-  key.append(std::to_string(request.trials));
+  AppendDecimal(&key, request.trials);
   key.push_back('|');
-  key.append(std::to_string(request.seed));
+  AppendDecimal(&key, request.seed);
   key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.max_rel_error)));
+  AppendDecimal(&key, DoubleBits(request.max_rel_error));
   for (const auto& field : {request.sample_size_h, request.sample_size_l,
                             request.delta}) {
     key.push_back('|');
     if (field.has_value()) {
-      key.append(std::to_string(*field));
+      AppendDecimal(&key, *field);
     } else {
       key.push_back('-');
     }
@@ -84,7 +87,7 @@ std::string SweepKey(const EstimateRequest& request) {
 std::string ExactKey(const EstimateRequest& request) {
   std::string key = SweepKey(request);
   key.push_back('|');
-  key.append(std::to_string(DoubleBits(request.tau)));
+  AppendDecimal(&key, DoubleBits(request.tau));
   return key;
 }
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "vsj/core/degree_sampling.h"
 #include "vsj/core/stratified_sampling.h"
 #include "vsj/fault/fault.h"
 #include "vsj/obs/obs.h"
@@ -76,28 +77,48 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
   // Admission by predicted work. A concurrent mutation may move n by a
   // few vectors between this check and the batch; the limit is a bound on
   // the order of the work, not an exact count.
+  const uint64_t n = num_live_.load(std::memory_order_relaxed);
+  const bool bifocal = request.estimator_name == "Bifocal";
+  DegreeSamplingOptions degree;
   SamplingBudget budget = budget_;
-  ApplySamplingOverrides(request, &budget);
-  budget = ResolveBudget(budget,
-                         num_live_.load(std::memory_order_relaxed));
   // LSH-SS(median) runs one LSH-SS per table: ℓ · (m_H + m_L) per trial.
   const uint64_t tables =
       request.estimator_name == "LSH-SS(median)" ? num_tables_ : 1;
-  uint64_t per_table = 0;
   uint64_t per_trial = 0;
   uint64_t pairs = 0;
-  const bool overflow =
-      __builtin_add_overflow(budget.sample_size_h, budget.sample_size_l,
-                             &per_table) ||
-      __builtin_mul_overflow(per_table, tables, &per_trial) ||
-      __builtin_mul_overflow(per_trial, uint64_t{request.trials}, &pairs);
+  bool overflow = false;
+  if (bifocal) {
+    // s vertices, each probed m₁ times and m₂ more when it looks dense.
+    degree = ResolveDegreeSamplingOptions(n);
+    uint64_t probes = 0;
+    overflow = __builtin_add_overflow(degree.coarse_probes,
+                                      degree.refined_probes, &probes) ||
+               __builtin_mul_overflow(degree.num_vertices, probes,
+                                      &per_trial);
+  } else {
+    ApplySamplingOverrides(request, &budget);
+    budget = ResolveBudget(budget, n);
+    uint64_t per_table = 0;
+    overflow =
+        __builtin_add_overflow(budget.sample_size_h, budget.sample_size_l,
+                               &per_table) ||
+        __builtin_mul_overflow(per_table, tables, &per_trial);
+  }
+  overflow = overflow || __builtin_mul_overflow(
+                             per_trial, uint64_t{request.trials}, &pairs);
   if (overflow || pairs > max_pairs_per_request_) {
+    const std::string per_trial_formula =
+        bifocal ? "Bifocal s " + std::to_string(degree.num_vertices) +
+                      " x (m1 " + std::to_string(degree.coarse_probes) +
+                      " + m2 " + std::to_string(degree.refined_probes) + ")"
+                : "(m_H " + std::to_string(budget.sample_size_h) +
+                      " + m_L " + std::to_string(budget.sample_size_l) +
+                      ")" +
+                      (tables > 1 ? " x " + std::to_string(tables) + " tables"
+                                  : "");
     return TenantOpResult::BadRequest(
-        "predicted work of " + std::to_string(request.trials) +
-        " trials x (m_H " + std::to_string(budget.sample_size_h) + " + m_L " +
-        std::to_string(budget.sample_size_l) + ")" +
-        (tables > 1 ? " x " + std::to_string(tables) + " tables" : "") +
-        " = " +
+        "predicted work of " + std::to_string(request.trials) + " trials x " +
+        per_trial_formula + " = " +
         (overflow ? std::string("more than 2^64") : std::to_string(pairs)) +
         " pair draws exceeds --max-pairs-per-request " +
         std::to_string(max_pairs_per_request_));

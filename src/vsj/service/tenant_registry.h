@@ -134,7 +134,8 @@ class Tenant {
   /// predicted work: trials × (m_H + m_L) — the engine's sampling budget
   /// with the request's overrides folded in and zero fields resolved from
   /// the tenant's live vector count (ResolveBudget), times ℓ for
-  /// LSH-SS(median), which samples every table — must not exceed
+  /// LSH-SS(median), which samples every table; for Bifocal, trials ×
+  /// s · (m₁ + m₂) from ResolveDegreeSamplingOptions — must not exceed
   /// max_pairs_per_request. Returns kOk or kBadRequest — a rejected request
   /// must not reach EstimateBatchShared. Takes no tenant lock.
   TenantOpResult ValidateEstimate(const EstimateRequest& request) const;
@@ -220,7 +221,7 @@ struct TenantRegistryOptions {
   StreamingEstimationServiceOptions streaming_options;
 
   /// Admission limit on an estimate's predicted work, trials × (m_H +
-  /// m_L) pair draws (Tenant::ValidateEstimate). The default admits the
+  /// m_L) pair draws, or Bifocal's own bound (Tenant::ValidateEstimate). The default admits the
   /// paper's budgets at n = 10^6 with 32 trials, and m_L ≈ M at n = 4000
   /// with 4 trials.
   uint64_t max_pairs_per_request = uint64_t{1} << 26;

@@ -1,13 +1,20 @@
 // The strict JSON layer under the network protocol. The contracts that
 // matter to the serving stack: hostile bytes fail cleanly with a byte
 // offset (never UB, never unbounded recursion), numbers round-trip
-// bit-exactly (the server's bit-identity golden depends on it), and
-// overflowing literals deliberately parse to ±inf so request validation
-// can reject them by name.
+// bit-exactly (the server's bit-identity golden depends on it) and are
+// written and read exactly as printf %lld/%.17g and strtod would, and
+// out-of-range literals deliberately saturate (overflow to ±inf, so
+// request validation can reject them by name; underflow to a signed 0).
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +118,20 @@ TEST(JsonParseTest, OverflowingLiteralSaturatesToInfinity) {
   EXPECT_EQ(MustParse("1e-999").AsNumber(), 0.0);
 }
 
+TEST(JsonParseTest, UnderflowingLiteralKeepsItsSign) {
+  const double plus = MustParse("1e-400").AsNumber();
+  EXPECT_EQ(plus, 0.0);
+  EXPECT_FALSE(std::signbit(plus));
+  const double minus = MustParse("-1e-400").AsNumber();
+  EXPECT_EQ(minus, 0.0);
+  EXPECT_TRUE(std::signbit(minus));
+  // Below half the least denormal rounds to zero; at 4.9e-324 the least
+  // denormal itself.
+  EXPECT_EQ(MustParse("2.4e-324").AsNumber(), 0.0);
+  EXPECT_EQ(MustParse("4.9e-324").AsNumber(),
+            std::numeric_limits<double>::denorm_min());
+}
+
 TEST(JsonParseTest, StringEscapes) {
   EXPECT_EQ(MustParse("\"a\\n\\t\\\"\\\\b\\/\"").AsString(), "a\n\t\"\\b/");
   EXPECT_EQ(MustParse("\"\\u0041\"").AsString(), "A");
@@ -160,6 +181,87 @@ TEST(JsonSerializeTest, NumbersPrintExactly) {
     out.clear();
     JsonValue::AppendNumber(&out, v);
     EXPECT_EQ(MustParse(out).AsNumber(), v) << out;
+  }
+}
+
+/// The number codec's reference: integers below 2^53 as printf %lld, other
+/// finite doubles as printf %.17g (C locale), non-finite as null.
+std::string PrintfNumber(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buffer[40];
+  if (v == std::floor(v) && std::abs(v) < 9007199254740992.0) {
+    std::snprintf(buffer, sizeof(buffer), "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buffer, sizeof(buffer), "%.17g", v);
+  }
+  return buffer;
+}
+
+/// A seeded mix of the doubles the wire carries and the ones that stress a
+/// number codec: random bit patterns (non-finite included), denormals, ±0,
+/// integers around 2^53 and at or above 10^17, values in [0, 1) and
+/// [0, 10^4).
+std::vector<double> CodecInputs() {
+  std::mt19937_64 rng(0x5eed'c0dec);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<double> inputs = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest(),
+                                std::numeric_limits<double>::epsilon()};
+  for (int i = 0; i < 40000; ++i) {
+    inputs.push_back(std::bit_cast<double>(rng()));
+  }
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t sign = (rng() & 1) << 63;
+    inputs.push_back(std::bit_cast<double>(sign | (rng() >> 12)));  // denormal
+  }
+  for (int k = -2000; k <= 2000; ++k) {
+    const double v = 9007199254740992.0 + k;  // 2^53 + k
+    inputs.push_back(v);
+    inputs.push_back(-v);
+  }
+  for (int i = 0; i < 10000; ++i) {
+    // Integral doubles in [1e17, 1e19]: exact integers, printed as %.17g.
+    inputs.push_back(std::floor(1e17 + unit(rng) * (1e19 - 1e17)));
+  }
+  for (int i = 0; i < 20000; ++i) inputs.push_back(unit(rng));
+  for (int i = 0; i < 20000; ++i) inputs.push_back(unit(rng) * 1e4);
+  for (int i = 0; i < 2000; ++i) {
+    inputs.push_back(std::floor(unit(rng) * 1e6) - 5e5);  // small integers
+  }
+  return inputs;
+}
+
+TEST(JsonNumberCodecTest, WritesPrintfBytesAndReadsStrtodBits) {
+  const std::vector<double> inputs = CodecInputs();
+  ASSERT_GE(inputs.size(), 100000u);
+  std::string out;
+  char longer[64];
+  for (const double v : inputs) {
+    const std::string expected = PrintfNumber(v);
+    out.clear();
+    JsonValue::AppendNumber(&out, v);
+    ASSERT_EQ(out, expected) << std::bit_cast<uint64_t>(v);
+    // The estimate fields print every double, integral or not, as %.17g.
+    char g17[40];
+    std::snprintf(g17, sizeof(g17), "%.17g", v);
+    out.clear();
+    JsonValue::AppendDouble(&out, v);
+    ASSERT_EQ(out, std::isfinite(v) ? std::string(g17) : "null")
+        << std::bit_cast<uint64_t>(v);
+    if (!std::isfinite(v)) continue;
+    // The parser reads the written token, and a longer one (more digits
+    // than a double holds, so the last ones must round), to strtod's bits.
+    std::snprintf(longer, sizeof(longer), "%.30e", v);
+    for (const std::string& token : {expected, std::string(longer)}) {
+      const double parsed = MustParse(token).AsNumber();
+      ASSERT_EQ(std::bit_cast<uint64_t>(parsed),
+                std::bit_cast<uint64_t>(std::strtod(token.c_str(), nullptr)))
+          << token;
+    }
   }
 }
 

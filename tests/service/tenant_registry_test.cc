@@ -430,6 +430,38 @@ TEST_F(TenantRegistryTest, AdmissionCountsEveryTableOfTheMedianEstimator) {
   EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
 }
 
+TEST_F(TenantRegistryTest, AdmissionBoundsBifocalByItsOwnBudget) {
+  // A Bifocal trial probes m₁ partners of each of its s vertices and m₂
+  // more of each one that looks dense: up to s · (m₁ + m₂) pair draws. At
+  // n = 120, s = ⌈√(120 · log₂ 120)⌉ = 29, m₁ = ⌊29 / 4⌋ = 7 and m₂ = 28, so
+  // 2 trials may draw 2 · 29 · 35 = 2030 pairs where LSH-SS predicts
+  // 2 · (n + n) = 480. A limit between the two admits LSH-SS and refuses
+  // Bifocal, naming its formula.
+  const uint64_t n = kCorpusSize;
+  TenantRegistryOptions options = Options();
+  options.max_pairs_per_request = 4 * n;
+  TenantRegistry registry(options);
+  std::shared_ptr<Tenant> wiki;
+  ASSERT_TRUE(registry.Acquire("wiki", &wiki).ok());
+
+  EstimateRequest request = LshSsRequest();  // 2 trials
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
+  request.estimator_name = "Bifocal";
+  const TenantOpResult refused = wiki->ValidateEstimate(request);
+  EXPECT_EQ(refused.code, TenantOpResult::Code::kBadRequest);
+  EXPECT_NE(refused.message.find("2 trials x Bifocal s 29 x (m1 7 + m2 28) "
+                                 "= 2030 pair draws exceeds "
+                                 "--max-pairs-per-request 480"),
+            std::string::npos)
+      << refused.message;
+
+  // At exactly 2030 the same request is admitted.
+  options.max_pairs_per_request = 2030;
+  TenantRegistry roomier(options);
+  ASSERT_TRUE(roomier.Acquire("wiki", &wiki).ok());
+  EXPECT_TRUE(wiki->ValidateEstimate(request).ok());
+}
+
 TEST_F(TenantRegistryTest, StartupSweepRemovesOrphanedTmpFiles) {
   // A crash between AtomicFileWriter::Open and Commit leaves *.tmp
   // litter next to the snapshots; registry construction removes it.

@@ -19,7 +19,9 @@
 // admitted: trials × (m_H + m_L) pair draws, with the request's
 // sample_size_h / sample_size_l overrides folded in and unset budgets
 // resolved from the tenant's vector count n (m_H = m_L = n), times ℓ for
-// LSH-SS(median), which samples every table. A request above the limit gets a bad_request naming both numbers. The default,
+// LSH-SS(median), which samples every table; Bifocal is bounded by its own
+// s · (m₁ + m₂) draws per trial, s = ⌈√(n log₂ n)⌉. A request above the
+// limit gets a bad_request naming both numbers. The default,
 // 2^26, admits the paper's budgets at n = 10^6 with 32 trials.
 //
 // The wire protocol is length-prefixed JSON (vsj/net/protocol.h); the
