@@ -56,6 +56,16 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
   return found;
 }
 
+JsonMemberValue JsonMemberValue::Of(const JsonValue& value) {
+  JsonMemberValue view;
+  view.type = value.type();
+  view.boolean = value.AsBool();
+  view.number = value.AsNumber();
+  view.string = value.AsString();
+  if (value.is_array() || value.is_object()) view.nested = &value;
+  return view;
+}
+
 JsonValue& JsonValue::Append(JsonValue element) {
   type_ = Type::kArray;
   array_.push_back(std::move(element));
@@ -201,7 +211,33 @@ class Parser {
 
   bool Parse(JsonValue* value, std::string* error) {
     SkipWhitespace();
-    if (!ParseValue(value, 0)) {
+    return Finish(ParseValue(value, 0), error);
+  }
+
+  bool ParseMembers(const JsonMemberFn& on_member, JsonMemberStore* store,
+                    bool* is_object, std::string* error) {
+    SkipWhitespace();
+    *is_object = !AtEnd() && Peek() == '{';
+    if (!*is_object) {
+      // Not an object: whether it parses, and ParseJson's error if not, is
+      // all the caller learns.
+      JsonValue document;
+      return Parse(&document, error);
+    }
+    const bool parsed =
+        ParseObjectMembers(0, [&](std::string_view key, size_t depth) {
+          JsonMemberValue value;
+          if (!ParseMemberValue(&value, depth, store)) return false;
+          on_member(key, value);
+          return true;
+        });
+    return Finish(parsed, error);
+  }
+
+ private:
+  /// Formats the recorded error, or rejects bytes after the document.
+  bool Finish(bool parsed, std::string* error) {
+    if (!parsed) {
       char buffer[64];
       std::snprintf(buffer, sizeof(buffer), " at byte %zu", error_offset_);
       *error = error_message_ + buffer;
@@ -217,7 +253,6 @@ class Parser {
     return true;
   }
 
- private:
   bool Fail(const char* message) {
     if (error_message_.empty()) {
       error_message_ = message;
@@ -249,34 +284,88 @@ class Parser {
     return true;
   }
 
-  bool ParseValue(JsonValue* value, size_t depth) {
+  /// The checks every value starts with.
+  bool EnterValue(size_t depth) {
     if (depth > max_depth_) return Fail("nesting too deep");
     if (AtEnd()) return Fail("unexpected end of document");
+    return true;
+  }
+
+  bool ParseValue(JsonValue* value, size_t depth) {
+    if (!EnterValue(depth)) return false;
     switch (Peek()) {
-      case 'n':
-        if (!ConsumeKeyword("null", "bad literal")) return false;
-        *value = JsonValue::Null();
-        return true;
-      case 't':
-        if (!ConsumeKeyword("true", "bad literal")) return false;
-        *value = JsonValue::Bool(true);
-        return true;
-      case 'f':
-        if (!ConsumeKeyword("false", "bad literal")) return false;
-        *value = JsonValue::Bool(false);
-        return true;
       case '"': {
-        std::string s;
-        if (!ParseString(&s)) return false;
-        *value = JsonValue::Str(std::move(s));
+        std::string_view s;
+        std::string scratch;
+        if (!ParseString(&s, &scratch)) return false;
+        *value = JsonValue::Str(scratch.empty() ? std::string(s)
+                                                : std::move(scratch));
         return true;
       }
       case '[':
         return ParseArray(value, depth);
       case '{':
         return ParseObject(value, depth);
+      default: {
+        JsonMemberValue literal;
+        if (!ParseLiteral(&literal)) return false;
+        if (literal.type == JsonValue::Type::kNumber) {
+          *value = JsonValue::Number(literal.number);
+        } else if (literal.type == JsonValue::Type::kBool) {
+          *value = JsonValue::Bool(literal.boolean);
+        } else {
+          *value = JsonValue::Null();
+        }
+        return true;
+      }
+    }
+  }
+
+  /// A top-level member's value: scalars in place, a string in the text
+  /// unless it held an escape, nested values in the store.
+  bool ParseMemberValue(JsonMemberValue* value, size_t depth,
+                        JsonMemberStore* store) {
+    if (!EnterValue(depth)) return false;
+    switch (Peek()) {
+      case '"': {
+        std::string scratch;
+        if (!ParseString(&value->string, &scratch)) return false;
+        if (!scratch.empty()) {
+          value->string = store->strings.emplace_front(std::move(scratch));
+        }
+        value->type = JsonValue::Type::kString;
+        return true;
+      }
+      case '[':
+      case '{': {
+        JsonValue& nested = store->nested.emplace_front();
+        if (!ParseValue(&nested, depth)) return false;
+        value->type = nested.type();
+        value->nested = &nested;
+        return true;
+      }
       default:
-        return ParseNumber(value);
+        return ParseLiteral(value);
+    }
+  }
+
+  /// null, true, false or a number.
+  bool ParseLiteral(JsonMemberValue* value) {
+    switch (Peek()) {
+      case 'n':
+        value->type = JsonValue::Type::kNull;
+        return ConsumeKeyword("null", "bad literal");
+      case 't':
+        value->type = JsonValue::Type::kBool;
+        value->boolean = true;
+        return ConsumeKeyword("true", "bad literal");
+      case 'f':
+        value->type = JsonValue::Type::kBool;
+        value->boolean = false;
+        return ConsumeKeyword("false", "bad literal");
+      default:
+        value->type = JsonValue::Type::kNumber;
+        return ParseNumber(&value->number);
     }
   }
 
@@ -308,29 +397,41 @@ class Parser {
   }
 
   bool ParseObject(JsonValue* value, size_t depth) {
-    ++pos_;  // '{'
     *value = JsonValue::Object();
     // The document's own object is a request: room for its members up
     // front, so a typical one never regrows and moves its members.
     // Nested objects grow as they fill — reserving for each of them would
     // let a frame of "{}" items allocate far more than its own size.
     if (depth == 0) value->ReserveMembers(kRequestMembers);
+    return ParseObjectMembers(depth, [&](std::string_view key,
+                                         size_t member_depth) {
+      JsonValue member;
+      if (!ParseValue(&member, member_depth)) return false;
+      value->Set(std::string(key), std::move(member));
+      return true;
+    });
+  }
+
+  /// The object grammar, once: reads the keys and separators and calls
+  /// `parse_member(key, depth + 1)` to read each value.
+  template <typename ParseMember>
+  bool ParseObjectMembers(size_t depth, ParseMember&& parse_member) {
+    ++pos_;  // '{'
     SkipWhitespace();
     if (!AtEnd() && Peek() == '}') {
       ++pos_;
       return true;
     }
+    std::string key_scratch;
     while (true) {
       SkipWhitespace();
       if (AtEnd() || Peek() != '"') return Fail("expected object key");
-      std::string key;
-      if (!ParseString(&key)) return false;
+      std::string_view key;
+      if (!ParseString(&key, &key_scratch)) return false;
       SkipWhitespace();
       if (!Consume(':', "expected ':' after object key")) return false;
       SkipWhitespace();
-      JsonValue member;
-      if (!ParseValue(&member, depth + 1)) return false;
-      value->Set(std::move(key), std::move(member));
+      if (!parse_member(key, depth + 1)) return false;
       SkipWhitespace();
       if (AtEnd()) return Fail("unterminated object");
       if (Peek() == ',') {
@@ -384,9 +485,13 @@ class Parser {
     return true;
   }
 
-  bool ParseString(std::string* out) {
-    ++pos_;  // opening quote
-    out->clear();
+  /// Reads a string token into *view: the bytes in the text itself when
+  /// the string holds no escape, and *scratch left empty; else its
+  /// unescaped form, built in *scratch.
+  bool ParseString(std::string_view* view, std::string* scratch) {
+    const size_t start = ++pos_;  // past the opening quote
+    scratch->clear();
+    bool escaped = false;
     while (true) {
       // One append for the run of bytes up to the next quote, backslash
       // or control character.
@@ -396,41 +501,47 @@ class Parser {
              static_cast<unsigned char>(text_[pos_]) >= 0x20) {
         ++pos_;
       }
-      out->append(text_.data() + run, pos_ - run);
+      if (escaped) scratch->append(text_.data() + run, pos_ - run);
       if (AtEnd()) return Fail("unterminated string");
       const char c = text_[pos_];
       if (c == '"') {
+        *view = escaped ? std::string_view(*scratch)
+                        : text_.substr(start, pos_ - start);
         ++pos_;
         return true;
       }
       if (c != '\\') return Fail("raw control character in string");
+      if (!escaped) {
+        escaped = true;
+        scratch->assign(text_.data() + start, pos_ - start);
+      }
       ++pos_;  // backslash
       if (AtEnd()) return Fail("truncated escape");
       const char escape = text_[pos_++];
       switch (escape) {
         case '"':
-          out->push_back('"');
+          scratch->push_back('"');
           break;
         case '\\':
-          out->push_back('\\');
+          scratch->push_back('\\');
           break;
         case '/':
-          out->push_back('/');
+          scratch->push_back('/');
           break;
         case 'b':
-          out->push_back('\b');
+          scratch->push_back('\b');
           break;
         case 'f':
-          out->push_back('\f');
+          scratch->push_back('\f');
           break;
         case 'n':
-          out->push_back('\n');
+          scratch->push_back('\n');
           break;
         case 'r':
-          out->push_back('\r');
+          scratch->push_back('\r');
           break;
         case 't':
-          out->push_back('\t');
+          scratch->push_back('\t');
           break;
         case 'u': {
           uint32_t code_point = 0;
@@ -453,7 +564,7 @@ class Parser {
           } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
             return Fail("unpaired low surrogate");
           }
-          AppendUtf8(out, code_point);
+          AppendUtf8(scratch, code_point);
           break;
         }
         default:
@@ -462,7 +573,7 @@ class Parser {
     }
   }
 
-  bool ParseNumber(JsonValue* value) {
+  bool ParseNumber(double* value) {
     const size_t start = pos_;
     if (!AtEnd() && Peek() == '-') ++pos_;
     // Integer part: 0, or a nonzero digit followed by digits. This grammar
@@ -505,7 +616,7 @@ class Parser {
         std::errc::result_out_of_range) {
       number = std::strtod(std::string(first, last).c_str(), nullptr);
     }
-    *value = JsonValue::Number(number);
+    *value = number;
     return true;
   }
 
@@ -521,6 +632,13 @@ class Parser {
 bool ParseJson(std::string_view text, JsonValue* value, std::string* error,
                size_t max_depth) {
   return Parser(text, max_depth).Parse(value, error);
+}
+
+bool ParseJsonMembers(std::string_view text, const JsonMemberFn& on_member,
+                      JsonMemberStore* store, bool* is_object,
+                      std::string* error, size_t max_depth) {
+  return Parser(text, max_depth)
+      .ParseMembers(on_member, store, is_object, error);
 }
 
 }  // namespace vsj::net

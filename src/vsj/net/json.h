@@ -25,12 +25,21 @@
 //
 // Objects preserve insertion order and allow duplicate keys on parse
 // (last one wins on Find), matching how lenient peers behave.
+//
+// ParseJsonMembers is the same parser without the top-level DOM: it hands
+// each member of a document's top-level object to a callback as it reads
+// it — a scalar as a number, bool or string view, a nested value as a
+// JsonValue — with the same grammar, error messages, byte offsets and
+// depth limit as ParseJson. The request decoder (net/protocol.h) reads
+// every frame through it.
 
 #ifndef VSJ_NET_JSON_H_
 #define VSJ_NET_JSON_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <forward_list>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -122,6 +131,44 @@ class JsonValue {
 /// failure. Nesting beyond `max_depth` is rejected.
 bool ParseJson(std::string_view text, JsonValue* value, std::string* error,
                size_t max_depth = 64);
+
+/// A member value as ParseJsonMembers reads it: a scalar in place, a
+/// nested array or object as a JsonValue.
+struct JsonMemberValue {
+  JsonValue::Type type = JsonValue::Type::kNull;
+  bool boolean = false;               ///< kBool.
+  double number = 0.0;                ///< kNumber.
+  std::string_view string;            ///< kString: the unescaped bytes.
+  const JsonValue* nested = nullptr;  ///< kArray / kObject.
+
+  /// The same view of a DOM value, so one set of rules can read members
+  /// from either parser. `value` must outlive the view.
+  static JsonMemberValue Of(const JsonValue& value);
+};
+
+/// What ParseJsonMembers cannot view in the text itself: strings that held
+/// an escape, unescaped, and nested values. The member values' views stay
+/// valid while the store lives.
+struct JsonMemberStore {
+  std::forward_list<std::string> strings;
+  std::forward_list<JsonValue> nested;
+};
+
+/// Called once per top-level member, in document order; duplicate keys
+/// are all passed on. `key` is unescaped and valid only during the call.
+using JsonMemberFn =
+    std::function<void(std::string_view key, const JsonMemberValue& value)>;
+
+/// ParseJson in one pass for a document whose top level should be an
+/// object: each member goes to `on_member` as it is read, and no DOM is
+/// built for the top level. Grammar, error text, byte offsets and the
+/// depth limit are ParseJson's, and so is the rule that any error, even
+/// one after members already went out, fails the whole document. A
+/// well-formed document that is not an object returns true with
+/// *is_object false and no calls. The text must outlive the views.
+bool ParseJsonMembers(std::string_view text, const JsonMemberFn& on_member,
+                      JsonMemberStore* store, bool* is_object,
+                      std::string* error, size_t max_depth = 64);
 
 }  // namespace vsj::net
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "vsj/util/decimal.h"
 
@@ -70,32 +72,97 @@ const char* RpcOpName(RpcOp op) {
 
 namespace {
 
+/// The request fields the protocol reads. Every other key is validated by
+/// the parser and then dropped (forward compatibility).
+enum Field : unsigned {
+  kId,
+  kOp,
+  kTenant,
+  kTimeoutMs,
+  kEstimator,
+  kTau,
+  kTrials,
+  kSeed,
+  kMaxRelError,
+  kSampleSizeH,
+  kSampleSizeL,
+  kDelta,
+  kVectorId,
+  kFeatures,
+  kSleepMs,
+  kFieldCount,
+};
+
+/// Wire names, in Field order.
+constexpr std::string_view kFieldNames[kFieldCount] = {
+    "id",
+    "op",
+    "tenant",
+    "timeout_ms",
+    "estimator",
+    "tau",
+    "trials",
+    "seed",
+    "max_rel_error",
+    "sample_size_h",
+    "sample_size_l",
+    "delta",
+    "vector_id",
+    "features",
+    "sleep_ms",
+};
+static_assert(!kFieldNames[kFieldCount - 1].empty(), "a field has no name");
+
+/// The last value each known field took in a request object. Both decode
+/// entry points fill it, and the field rules below read nothing else.
+class FieldTable {
+ public:
+  /// Last one wins, as with JsonValue::Find.
+  void Take(std::string_view key, const JsonMemberValue& value) {
+    for (unsigned f = 0; f < kFieldCount; ++f) {
+      if (key == kFieldNames[f]) {
+        values_[f] = value;
+        present_ |= 1u << f;
+        return;
+      }
+    }
+  }
+
+  /// The field's value; nullptr when the request did not carry it.
+  const JsonMemberValue* Find(Field field) const {
+    return (present_ >> field & 1u) != 0 ? &values_[field] : nullptr;
+  }
+
+ private:
+  JsonMemberValue values_[kFieldCount];
+  uint32_t present_ = 0;
+};
+
 /// Field extraction helpers. Each returns false and fills `*error` with a
 /// "<field> <problem>" diagnostic on a type/range violation; an absent
 /// field leaves the output untouched and returns true (defaults apply).
 
-bool TakeString(const JsonValue& doc, const char* key, std::string* out,
-                std::string* error, bool* present = nullptr) {
-  const JsonValue* v = doc.Find(key);
+bool TakeString(const FieldTable& fields, Field field, std::string* out,
+                std::string* error) {
+  const JsonMemberValue* v = fields.Find(field);
   if (v == nullptr) return true;
-  if (!v->is_string()) {
-    *error = std::string(key) + " must be a string";
+  if (v->type != JsonValue::Type::kString) {
+    *error = std::string(kFieldNames[field]) + " must be a string";
     return false;
   }
-  *out = v->AsString();
-  if (present != nullptr) *present = true;
+  out->assign(v->string);
   return true;
 }
 
-bool TakeDouble(const JsonValue& doc, const char* key, double* out,
+bool TakeDouble(const FieldTable& fields, Field field, double* out,
                 std::string* error, bool* present = nullptr) {
-  const JsonValue* v = doc.Find(key);
+  const JsonMemberValue* v = fields.Find(field);
   if (v == nullptr) return true;
-  if (!v->is_number()) {
-    *error = std::string(key) + " must be a number";
+  if (v->type != JsonValue::Type::kNumber) {
+    *error = std::string(kFieldNames[field]) + " must be a number";
     return false;
   }
-  *out = v->AsNumber();
+  *out = v->number;
   if (present != nullptr) *present = true;
   return true;
 }
@@ -104,24 +171,25 @@ bool TakeDouble(const JsonValue& doc, const char* key, double* out,
 /// anything outside [0, max] instead of truncating. 2^53 bounds what a
 /// double can represent exactly, which comfortably covers every id, count
 /// and millisecond field of the protocol.
-bool TakeUint(const JsonValue& doc, const char* key, uint64_t max,
+bool TakeUint(const FieldTable& fields, Field field, uint64_t max,
               uint64_t* out, std::string* error, bool* present = nullptr) {
-  const JsonValue* v = doc.Find(key);
+  const JsonMemberValue* v = fields.Find(field);
   if (v == nullptr) return true;
-  if (!v->is_number()) {
-    *error = std::string(key) + " must be a number";
+  if (v->type != JsonValue::Type::kNumber) {
+    *error = std::string(kFieldNames[field]) + " must be a number";
     return false;
   }
-  const double d = v->AsNumber();
+  const double d = v->number;
   constexpr double kExactLimit = 9007199254740992.0;  // 2^53
   if (!std::isfinite(d) || d < 0.0 || d != std::floor(d) ||
       d >= kExactLimit) {
-    *error = std::string(key) + " must be a non-negative integer";
+    *error = std::string(kFieldNames[field]) +
+             " must be a non-negative integer";
     return false;
   }
   const uint64_t u = static_cast<uint64_t>(d);
   if (u > max) {
-    *error = std::string(key) + " is out of range";
+    *error = std::string(kFieldNames[field]) + " is out of range";
     return false;
   }
   *out = u;
@@ -129,18 +197,32 @@ bool TakeUint(const JsonValue& doc, const char* key, uint64_t max,
   return true;
 }
 
-bool ParseFeatures(const JsonValue& doc, std::vector<Feature>* out,
+/// An optional sampling budget: engaged only when the request carries it.
+bool TakeOptionalUint(const FieldTable& fields, Field field,
+                      std::optional<uint64_t>* out, std::string* error) {
+  uint64_t value = 0;
+  bool present = false;
+  if (!TakeUint(fields, field, std::numeric_limits<uint64_t>::max(), &value,
+                error, &present)) {
+    return false;
+  }
+  if (present) *out = value;
+  return true;
+}
+
+bool ParseFeatures(const FieldTable& fields, std::vector<Feature>* out,
                    std::string* error) {
-  const JsonValue* v = doc.Find("features");
-  if (v == nullptr || !v->is_array()) {
+  const JsonMemberValue* v = fields.Find(kFeatures);
+  if (v == nullptr || v->type != JsonValue::Type::kArray) {
     *error = "features must be an array of [dim, weight] pairs";
     return false;
   }
+  const JsonValue& pairs = *v->nested;
   out->clear();
-  out->reserve(v->size());
+  out->reserve(pairs.size());
   uint64_t last_dim = 0;
-  for (size_t i = 0; i < v->size(); ++i) {
-    const JsonValue& pair = (*v)[i];
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const JsonValue& pair = pairs[i];
     if (!pair.is_array() || pair.size() != 2 || !pair[0].is_number() ||
         !pair[1].is_number()) {
       *error = "features must be an array of [dim, weight] pairs";
@@ -175,28 +257,22 @@ bool ParseFeatures(const JsonValue& doc, std::vector<Feature>* out,
   return true;
 }
 
-}  // namespace
-
-RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
-                         std::string* error) {
-  *request = RpcRequest{};
-  if (!doc.is_object()) {
-    *error = "request must be a JSON object";
-    return RpcError::kBadJson;
-  }
-  // The correlation id parses first so even a failed parse can be
+/// The field rules, once, over the table either entry point filled.
+RpcError ReadRequest(const FieldTable& fields, RpcRequest* request,
+                     std::string* error) {
+  // The correlation id is read first so even a failed request can be
   // correlated by the client.
-  if (!TakeUint(doc, "id", std::numeric_limits<uint64_t>::max(), &request->id,
-                error)) {
+  if (!TakeUint(fields, kId, std::numeric_limits<uint64_t>::max(),
+                &request->id, error)) {
     return RpcError::kBadRequest;
   }
 
-  const JsonValue* op = doc.Find("op");
-  if (op == nullptr || !op->is_string()) {
+  const JsonMemberValue* op = fields.Find(kOp);
+  if (op == nullptr || op->type != JsonValue::Type::kString) {
     *error = "op must be a string";
     return RpcError::kBadRequest;
   }
-  const std::string& op_name = op->AsString();
+  const std::string_view op_name = op->string;
   if (op_name == "estimate") {
     request->op = RpcOp::kEstimate;
   } else if (op_name == "insert") {
@@ -214,14 +290,14 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
   } else if (op_name == "sleep") {
     request->op = RpcOp::kSleep;
   } else {
-    *error = "unknown op '" + op_name + "'";
+    *error = "unknown op '" + std::string(op_name) + "'";
     return RpcError::kUnknownOp;
   }
 
-  if (!TakeString(doc, "tenant", &request->tenant, error)) {
+  if (!TakeString(fields, kTenant, &request->tenant, error)) {
     return RpcError::kBadRequest;
   }
-  if (!TakeUint(doc, "timeout_ms", 86400000ull, &request->timeout_ms,
+  if (!TakeUint(fields, kTimeoutMs, 86400000ull, &request->timeout_ms,
                 error)) {
     return RpcError::kBadRequest;
   }
@@ -236,13 +312,13 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
   switch (request->op) {
     case RpcOp::kEstimate: {
       EstimateRequest& e = request->estimate;
-      if (!TakeString(doc, "estimator", &e.estimator_name, error)) {
+      if (!TakeString(fields, kEstimator, &e.estimator_name, error)) {
         return RpcError::kBadRequest;
       }
       bool has_tau = false;
       // tau passes through unchecked (NaN/inf included): the validation
       // layer owns the range rules and names the violated one.
-      if (!TakeDouble(doc, "tau", &e.tau, error, &has_tau)) {
+      if (!TakeDouble(fields, kTau, &e.tau, error, &has_tau)) {
         return RpcError::kBadRequest;
       }
       if (!has_tau) {
@@ -250,36 +326,18 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
         return RpcError::kBadRequest;
       }
       uint64_t trials = 1;
-      if (!TakeUint(doc, "trials", 1u << 20, &trials, error)) {
+      if (!TakeUint(fields, kTrials, 1u << 20, &trials, error)) {
         return RpcError::kBadRequest;
       }
       e.trials = static_cast<size_t>(trials);
-      if (!TakeUint(doc, "seed", std::numeric_limits<uint64_t>::max(),
-                    &e.seed, error)) {
+      if (!TakeUint(fields, kSeed, std::numeric_limits<uint64_t>::max(),
+                    &e.seed, error) ||
+          !TakeDouble(fields, kMaxRelError, &e.max_rel_error, error) ||
+          !TakeOptionalUint(fields, kSampleSizeH, &e.sample_size_h, error) ||
+          !TakeOptionalUint(fields, kSampleSizeL, &e.sample_size_l, error) ||
+          !TakeOptionalUint(fields, kDelta, &e.delta, error)) {
         return RpcError::kBadRequest;
       }
-      if (!TakeDouble(doc, "max_rel_error", &e.max_rel_error, error)) {
-        return RpcError::kBadRequest;
-      }
-      uint64_t value = 0;
-      bool present = false;
-      if (!TakeUint(doc, "sample_size_h", std::numeric_limits<uint64_t>::max(),
-                    &value, error, &present)) {
-        return RpcError::kBadRequest;
-      }
-      if (present) e.sample_size_h = value;
-      present = false;
-      if (!TakeUint(doc, "sample_size_l", std::numeric_limits<uint64_t>::max(),
-                    &value, error, &present)) {
-        return RpcError::kBadRequest;
-      }
-      if (present) e.sample_size_l = value;
-      present = false;
-      if (!TakeUint(doc, "delta", std::numeric_limits<uint64_t>::max(), &value,
-                    error, &present)) {
-        return RpcError::kBadRequest;
-      }
-      if (present) e.delta = value;
       break;
     }
     case RpcOp::kInsert:
@@ -287,7 +345,7 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
     case RpcOp::kErase: {
       uint64_t id = 0;
       bool present = false;
-      if (!TakeUint(doc, "vector_id", std::numeric_limits<VectorId>::max(),
+      if (!TakeUint(fields, kVectorId, std::numeric_limits<VectorId>::max(),
                     &id, error, &present)) {
         return RpcError::kBadRequest;
       }
@@ -299,13 +357,13 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
       break;
     }
     case RpcOp::kAddVector:
-      if (!ParseFeatures(doc, &request->features, error)) {
+      if (!ParseFeatures(fields, &request->features, error)) {
         return RpcError::kBadRequest;
       }
       break;
     case RpcOp::kSleep:
       // Capped at 10 s: sleep exists for tests, not for wedging workers.
-      if (!TakeUint(doc, "sleep_ms", 10000ull, &request->sleep_ms, error)) {
+      if (!TakeUint(fields, kSleepMs, 10000ull, &request->sleep_ms, error)) {
         return RpcError::kBadRequest;
       }
       break;
@@ -314,6 +372,43 @@ RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
       break;
   }
   return RpcError::kNone;
+}
+
+}  // namespace
+
+RpcError DecodeRpcRequest(std::string_view frame, RpcRequest* request,
+                          std::string* error) {
+  *request = RpcRequest{};
+  FieldTable fields;
+  JsonMemberStore store;
+  bool is_object = false;
+  if (!ParseJsonMembers(
+          frame,
+          [&fields](std::string_view key, const JsonMemberValue& value) {
+            fields.Take(key, value);
+          },
+          &store, &is_object, error)) {
+    return RpcError::kBadJson;
+  }
+  if (!is_object) {
+    *error = "request must be a JSON object";
+    return RpcError::kBadJson;
+  }
+  return ReadRequest(fields, request, error);
+}
+
+RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
+                         std::string* error) {
+  *request = RpcRequest{};
+  if (!doc.is_object()) {
+    *error = "request must be a JSON object";
+    return RpcError::kBadJson;
+  }
+  FieldTable fields;
+  for (const auto& [key, value] : doc.members()) {
+    fields.Take(key, JsonMemberValue::Of(value));
+  }
+  return ReadRequest(fields, request, error);
 }
 
 std::string MakeErrorPayload(uint64_t id, RpcError error,
@@ -354,18 +449,22 @@ void AppendEstimateFields(std::string* out,
   out->append(response.from_cache ? "true" : "false");
 }
 
+void AppendEstimatePayload(std::string* out, uint64_t id,
+                           const EstimateResponse& response) {
+  out->append("{\"id\":");
+  JsonValue::AppendNumber(out, static_cast<double>(id));
+  out->append(",\"ok\":true,");
+  AppendEstimateFields(out, response);
+  out->push_back('}');
+}
+
 std::string MakeEstimatePayload(uint64_t id,
                                 const EstimateResponse& response) {
   // Room for a typical payload (about 240 bytes with the std fields), so
-  // it is built without regrowing. The widest numbers need ~330; reserving
-  // that for every one of thousands of in-flight responses costs memory.
+  // it is built without regrowing.
   std::string out;
   out.reserve(256 + response.estimator_name.size());
-  out += "{\"id\":";
-  JsonValue::AppendNumber(&out, static_cast<double>(id));
-  out += ",\"ok\":true,";
-  AppendEstimateFields(&out, response);
-  out += "}";
+  AppendEstimatePayload(&out, id, response);
   return out;
 }
 

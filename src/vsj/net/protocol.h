@@ -15,6 +15,12 @@
 //    "max_rel_error": 0.0, "sample_size_h": 100, "sample_size_l": 100,
 //    "delta": 10, "timeout_ms": 250}
 //
+// A frame is decoded in one pass (DecodeRpcRequest): the JSON parser hands
+// each top-level member straight to a fixed table of the fields below, and
+// one set of field rules reads that table. ParseRpcRequest fills the same
+// table from an already-parsed document, so both give the same request,
+// error code and message for the same bytes.
+//
 // Parsing is strict about types and ranges but lenient about unknown
 // keys (forward compatibility). Numeric fields arrive as doubles (JSON);
 // integer fields reject non-integral or out-of-range values rather than
@@ -31,6 +37,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "vsj/net/json.h"
@@ -111,11 +118,18 @@ struct RpcRequest {
   uint64_t sleep_ms = 0;
 };
 
-/// Parses one frame payload (already JSON-decoded) into `*request`.
-/// Returns kNone on success; otherwise the error to respond with, with a
-/// human diagnostic in `*error`. On failure `request->id` is still filled
-/// in when the frame carried a valid id, so the error response can be
-/// correlated.
+/// Decodes one frame payload into `*request` in one pass, without a JSON
+/// DOM for the request object. Returns kNone on success; otherwise the
+/// error to respond with, with a human diagnostic in `*error`: kBadJson
+/// with ParseJson's message for malformed JSON or a non-object document,
+/// and the field rules' code and message otherwise. On failure
+/// `request->id` is still filled in when the frame carried a valid id, so
+/// the error response can be correlated (it stays 0 on kBadJson).
+RpcError DecodeRpcRequest(std::string_view frame, RpcRequest* request,
+                          std::string* error);
+
+/// The same decode over a document ParseJson already built: the same
+/// fields, rules, codes and messages as DecodeRpcRequest on its bytes.
 RpcError ParseRpcRequest(const JsonValue& doc, RpcRequest* request,
                          std::string* error);
 
@@ -132,8 +146,13 @@ std::string MakeErrorPayload(uint64_t id, RpcError error,
 /// as null), counts as exact integers.
 void AppendEstimateFields(std::string* out, const EstimateResponse& response);
 
-/// Builds the "ok":true payload for an estimate response: the RPC envelope
-/// (id, ok) followed by AppendEstimateFields.
+/// Appends the "ok":true payload for an estimate response to `*out`: the
+/// RPC envelope (id, ok) followed by AppendEstimateFields. The server
+/// writes it straight into a frame (wire.h BeginFrame/EndFrame).
+void AppendEstimatePayload(std::string* out, uint64_t id,
+                           const EstimateResponse& response);
+
+/// AppendEstimatePayload into a new string.
 std::string MakeEstimatePayload(uint64_t id, const EstimateResponse& response);
 
 /// Starts an "ok":true response object with the correlation id set; the

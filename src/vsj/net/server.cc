@@ -18,34 +18,6 @@
 
 namespace vsj::net {
 
-namespace {
-
-/// Per-tenant metrics use dynamic names, so they go through the registry
-/// directly instead of the literal-name macros; same runtime gate.
-void RecordTenantRequest(const std::string& tenant, uint64_t latency_ns) {
-  if (!obs::MetricsEnabled() || tenant.empty()) return;
-  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
-  registry.GetCounter("server.tenant." + tenant + ".requests").Add(1);
-  registry.GetHistogram("server.tenant." + tenant + ".latency_ns")
-      .Record(latency_ns);
-}
-
-void RecordTenantBatch(const std::string& tenant, size_t batch_size) {
-  if (!obs::MetricsEnabled() || tenant.empty()) return;
-  obs::MetricRegistry::Global()
-      .GetHistogram("server.tenant." + tenant + ".batch_size")
-      .Record(batch_size);
-}
-
-void AddTenantQueueDepth(const std::string& tenant, int64_t delta) {
-  if (!obs::MetricsEnabled() || tenant.empty()) return;
-  obs::MetricRegistry::Global()
-      .GetGauge("server.tenant." + tenant + ".queue_depth")
-      .Add(delta);
-}
-
-}  // namespace
-
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
@@ -276,14 +248,15 @@ void Server::HandleFrame(Connection& conn, std::string_view payload,
     return;
   }
   VSJ_COUNTER_ADD("server.requests", 1);
-  JsonValue doc;
-  std::string error;
-  if (!ParseJson(payload, &doc, &error)) {
-    Respond(conn, MakeErrorPayload(0, RpcError::kBadJson, error));
-    return;
-  }
+  const bool timed = obs::MetricsEnabled();
+  const uint64_t decode_start_ns = timed ? obs::MonotonicNowNs() : 0;
   RpcRequest request;
-  const RpcError code = ParseRpcRequest(doc, &request, &error);
+  std::string error;
+  const RpcError code = DecodeRpcRequest(payload, &request, &error);
+  if (timed) {
+    VSJ_HIST_RECORD("server.decode_ns",
+                    obs::MonotonicNowNs() - decode_start_ns);
+  }
   if (code != RpcError::kNone) {
     Respond(conn, MakeErrorPayload(request.id, code, error));
     return;
@@ -330,8 +303,12 @@ Server::Pending Server::MakePending(const Connection& conn,
 void Server::HandOff(std::vector<Pending>* admitted) {
   if (admitted->empty()) return;
   VSJ_HIST_RECORD("server.handoff_size", admitted->size());
-  for (const Pending& pending : *admitted) {
-    AddTenantQueueDepth(pending.request.tenant, 1);
+  if (obs::MetricsEnabled()) {
+    for (Pending& pending : *admitted) {
+      if (pending.request.tenant.empty()) continue;
+      pending.metrics = MetricsFor(pending.request.tenant);
+      pending.metrics->queue_depth->Add(1);
+    }
   }
   // Counted before any worker can finish one and count it out.
   inflight_.fetch_add(admitted->size(), std::memory_order_acq_rel);
@@ -359,11 +336,38 @@ void Server::HandOff(std::vector<Pending>* admitted) {
   for (size_t i = 0; i < readied; ++i) work_cv_.notify_one();
 }
 
-void Server::Respond(Connection& conn, std::string payload) {
+const Server::TenantMetrics* Server::MetricsFor(const std::string& tenant) {
+  std::unique_ptr<TenantMetrics>& metrics = tenant_metrics_[tenant];
+  if (metrics == nullptr) {
+    obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+    const std::string prefix = "server.tenant." + tenant;
+    metrics = std::make_unique<TenantMetrics>();
+    metrics->requests = &registry.GetCounter(prefix + ".requests");
+    metrics->latency_ns = &registry.GetHistogram(prefix + ".latency_ns");
+    metrics->batch_size = &registry.GetHistogram(prefix + ".batch_size");
+    metrics->queue_depth = &registry.GetGauge(prefix + ".queue_depth");
+  }
+  return metrics.get();
+}
+
+void Server::Respond(Connection& conn, std::string_view payload) {
   AppendFrame(&conn.out, payload);
   VSJ_COUNTER_ADD("server.responses", 1);
   // With EPOLLOUT armed the socket is full (or a short write is being
   // resumed); that event flushes.
+  if (!conn.want_write &&
+      conn.out.size() - conn.out_offset >= kEagerFlushBytes) {
+    FlushWrites(conn);
+  }
+}
+
+void Server::StageFrames(Connection& conn, std::string_view frames,
+                         size_t responses) {
+  // Copied, not swapped in: conn.out keeps the capacity it grew to. A swap
+  // made each connection regrow its buffer after every burst, which raised
+  // peak RSS (DESIGN.md "Framing and parsing").
+  conn.out.append(frames);
+  VSJ_COUNTER_ADD("server.responses", responses);
   if (!conn.want_write &&
       conn.out.size() - conn.out_offset >= kEagerFlushBytes) {
     FlushWrites(conn);
@@ -441,14 +445,34 @@ void Server::DrainCompletions() {
     std::lock_guard<std::mutex> lock(completion_mutex_);
     batch.swap(completions_);
   }
+  if (batch.empty()) return;
+  if (obs::MetricsEnabled()) {
+    const uint64_t now_ns = obs::MonotonicNowNs();
+    for (const Completion& completion : batch) {
+      if (completion.published_ns == 0) continue;  // published with it off
+      VSJ_HIST_RECORD("server.completion_wait_ns",
+                      now_ns - completion.published_ns);
+    }
+  }
   std::vector<uint64_t> touched;
   for (Completion& completion : batch) {
     auto it = connections_.find(completion.conn_id);
     if (it == connections_.end()) continue;  // disconnected mid-request
     Connection& conn = *it->second;
     if (conn.close_after_flush) continue;
-    Respond(conn, std::move(completion.payload));
+    StageFrames(conn, completion.frames, completion.responses);
     touched.push_back(completion.conn_id);
+  }
+  {
+    // The buffers go back to the workers, within the pool's bounds; the
+    // rest are freed with `batch`.
+    std::lock_guard<std::mutex> lock(completion_mutex_);
+    for (Completion& completion : batch) {
+      if (spare_frames_.size() == kMaxSpareFrames) break;
+      if (completion.frames.capacity() > kMaxSpareFrameBytes) continue;
+      completion.frames.clear();
+      spare_frames_.push_back(std::move(completion.frames));
+    }
   }
   // One write per connection for the whole batch. Nothing above closes a
   // connection, so every touched id is still live.
@@ -501,7 +525,15 @@ void Server::WorkerThread() {
         tq.queue.pop_front();
       }
     }
-    AddTenantQueueDepth(name, -static_cast<int64_t>(run.size()));
+    // Undo the hand-off's count of each request it gave a handle.
+    const TenantMetrics* metrics = nullptr;
+    int64_t counted = 0;
+    for (const Pending& pending : run) {
+      if (pending.metrics == nullptr) continue;
+      metrics = pending.metrics;
+      ++counted;
+    }
+    if (metrics != nullptr) metrics->queue_depth->Add(-counted);
     ProcessRun(name, std::move(run));
     {
       std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -520,15 +552,47 @@ void Server::WorkerThread() {
   }
 }
 
+std::string Server::TakeFrameBuffer() {
+  std::lock_guard<std::mutex> lock(completion_mutex_);
+  if (spare_frames_.empty()) return std::string();
+  std::string frames = std::move(spare_frames_.back());
+  spare_frames_.pop_back();
+  return frames;
+}
+
+template <typename WritePayload>
+void Server::CompleteWith(std::vector<Completion>* out, const Pending& pending,
+                          WritePayload&& write_payload) {
+  if (obs::MetricsEnabled()) {
+    const uint64_t latency_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - pending.enqueued)
+            .count());
+    VSJ_HIST_RECORD("server.latency_ns", latency_ns);
+    if (pending.metrics != nullptr) {
+      pending.metrics->requests->Add(1);
+      pending.metrics->latency_ns->Record(latency_ns);
+    }
+  }
+  // Searched from the back: a run's consecutive requests mostly share a
+  // connection.
+  const auto found = std::find_if(
+      out->rbegin(), out->rend(),
+      [&](const Completion& c) { return c.conn_id == pending.conn_id; });
+  Completion* completion =
+      found != out->rend()
+          ? &*found
+          : &out->emplace_back(Completion{pending.conn_id, TakeFrameBuffer()});
+  const size_t start = BeginFrame(&completion->frames);
+  write_payload(&completion->frames);
+  EndFrame(&completion->frames, start);
+  ++completion->responses;
+}
+
 void Server::Complete(std::vector<Completion>* out, const Pending& pending,
-                      std::string payload) {
-  const uint64_t latency_ns =
-      static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                Clock::now() - pending.enqueued)
-                                .count());
-  VSJ_HIST_RECORD("server.latency_ns", latency_ns);
-  RecordTenantRequest(pending.request.tenant, latency_ns);
-  out->push_back(Completion{pending.conn_id, std::move(payload)});
+                      std::string_view payload) {
+  CompleteWith(out, pending,
+               [payload](std::string* frames) { frames->append(payload); });
 }
 
 void Server::ProcessRun(const std::string& tenant_name,
@@ -584,12 +648,16 @@ void Server::ProcessRun(const std::string& tenant_name,
     if (batch.empty()) return;
     VSJ_COUNTER_ADD("server.batches", 1);
     VSJ_HIST_RECORD("server.batch_size", batch.size());
-    RecordTenantBatch(tenant_name, batch.size());
+    if (owners.front()->metrics != nullptr && obs::MetricsEnabled()) {
+      owners.front()->metrics->batch_size->Record(batch.size());
+    }
     const std::vector<EstimateResponse> responses =
         tenant->EstimateBatchShared(batch);
     for (size_t i = 0; i < responses.size(); ++i) {
-      Complete(&out, *owners[i],
-               MakeEstimatePayload(owners[i]->request.id, responses[i]));
+      const uint64_t id = owners[i]->request.id;
+      CompleteWith(&out, *owners[i], [&](std::string* frames) {
+        AppendEstimatePayload(frames, id, responses[i]);
+      });
     }
     batch.clear();
     owners.clear();
@@ -699,9 +767,12 @@ void Server::ProcessRun(const std::string& tenant_name,
   flush();
 
   const size_t processed = run.size();
+  const uint64_t published_ns =
+      obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
   {
     std::lock_guard<std::mutex> lock(completion_mutex_);
     for (Completion& completion : out) {
+      completion.published_ns = published_ns;
       completions_.push_back(std::move(completion));
     }
   }

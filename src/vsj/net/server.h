@@ -4,11 +4,12 @@
 //
 // Threading model
 // ---------------
-// One *loop thread* owns every socket: it accepts, reads, parses frames
-// (net/wire + net/json + net/protocol), writes responses, and never
-// touches an estimation engine. The requests admitted from one read burst
-// go into per-tenant FIFO queues together (one lock per hand-off of at
-// most max_batch requests, one wakeup per tenant it readies); N *worker
+// One *loop thread* owns every socket: it accepts, reads, splits frames
+// (net/wire), decodes each request in one pass (DecodeRpcRequest: no JSON
+// DOM), writes responses, and never touches an estimation engine. The
+// requests admitted from one read burst go into per-tenant FIFO queues
+// together (one lock per hand-off of at most max_batch requests, one
+// wakeup per tenant it readies); N *worker
 // threads* drain them. A worker takes one tenant's pending run (up to
 // max_batch requests, order preserved), resolves the tenant through the
 // registry (lazily opening snapshots), groups the consecutive estimate
@@ -17,11 +18,19 @@
 // within the same drain amortize the sequential cache pre-pass and the
 // miss-grouping of the trial runner — executes mutations in arrival order
 // (each mutation flushes the estimate run collected so far, preserving
-// mutation/estimate ordering per tenant), and pushes finished responses
-// onto a completion queue. An eventfd wake hands them back to the loop
-// thread, which frames them. Responses are staged per connection and
-// written once per connection per loop pass (or as soon as a connection
-// stages kEagerFlushBytes), not once per response.
+// mutation/estimate ordering per tenant), and writes each response
+// straight into a frame (wire.h BeginFrame/EndFrame) in one buffer per
+// connection of the run. It pushes those buffers onto a completion queue,
+// and an eventfd wake hands them to the loop thread, which appends each to
+// its connection's output in one copy, with no per-response string or
+// re-framing, and hands the buffers back for the workers to reuse.
+// Responses are staged per connection and written once per connection per
+// loop pass (or as soon as a connection stages kEagerFlushBytes), not once
+// per response.
+//
+// Per-tenant metrics (server.tenant.<name>.*) are resolved to registry
+// handles once per tenant, at hand-off, and carried by each request; with
+// metrics off nothing is resolved, recorded or timed.
 //
 // Because a batched request draws from the same RNG stream as a solo
 // one, every response is bit-identical to an in-process Estimate() call
@@ -66,6 +75,7 @@
 #include "vsj/net/event_loop.h"
 #include "vsj/net/protocol.h"
 #include "vsj/net/wire.h"
+#include "vsj/obs/metrics.h"
 #include "vsj/service/tenant_registry.h"
 
 namespace vsj::net {
@@ -147,16 +157,31 @@ class Server {
         : decoder(max_frame_bytes) {}
   };
 
+  /// A tenant's server.tenant.<name>.* metrics. Registry entries are
+  /// never destroyed, so the handles stay valid for the process.
+  struct TenantMetrics {
+    obs::Counter* requests = nullptr;
+    obs::Histogram* latency_ns = nullptr;
+    obs::Histogram* batch_size = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+  };
+
   struct Pending {
     uint64_t conn_id = 0;
     RpcRequest request;
     Clock::time_point enqueued;
     Clock::time_point deadline;  ///< Clock::time_point::max() = none.
+    /// Set at hand-off while metrics are on; nullptr for tenantless ops.
+    const TenantMetrics* metrics = nullptr;
   };
 
+  /// One run's responses to one connection, each already framed.
   struct Completion {
     uint64_t conn_id = 0;
-    std::string payload;
+    std::string frames;
+    size_t responses = 0;
+    /// obs::MonotonicNowNs() at publication; 0 with metrics off.
+    uint64_t published_ns = 0;
   };
 
   struct TenantQueue {
@@ -168,6 +193,11 @@ class Server {
   /// Unwritten staged bytes at which Respond flushes a connection before
   /// the end of the loop pass; bounds the staging buffer's memory.
   static constexpr size_t kEagerFlushBytes = 64 * 1024;
+
+  /// Bounds on the spare frame buffers kept for reuse: how many, and the
+  /// largest capacity worth keeping (bigger ones are freed).
+  static constexpr size_t kMaxSpareFrames = 64;
+  static constexpr size_t kMaxSpareFrameBytes = 16 * 1024;
 
   // --- loop thread ---
   void LoopThread();
@@ -182,8 +212,14 @@ class Server {
   /// worker per newly ready tenant, and counts it in flight; leaves
   /// `admitted` empty.
   void HandOff(std::vector<Pending>* admitted);
-  /// Stages a framed response; writes only past kEagerFlushBytes.
-  void Respond(Connection& conn, std::string payload);
+  /// The tenant's metric handles, resolved on first use.
+  const TenantMetrics* MetricsFor(const std::string& tenant);
+  /// Frames `payload` and stages it.
+  void Respond(Connection& conn, std::string_view payload);
+  /// Stages `responses` frames already framed in `frames`; writes only
+  /// past kEagerFlushBytes.
+  void StageFrames(Connection& conn, std::string_view frames,
+                   size_t responses);
   void FlushWrites(Connection& conn);
   void CloseConnection(uint64_t conn_id);
   void DrainCompletions();
@@ -192,8 +228,15 @@ class Server {
   // --- worker threads ---
   void WorkerThread();
   void ProcessRun(const std::string& tenant_name, std::vector<Pending> run);
+  /// Finishes `pending`: `write_payload(std::string*)` appends its response
+  /// into a frame of the run's buffer for its connection.
+  template <typename WritePayload>
+  void CompleteWith(std::vector<Completion>* out, const Pending& pending,
+                    WritePayload&& write_payload);
   void Complete(std::vector<Completion>* out, const Pending& pending,
-                std::string payload);
+                std::string_view payload);
+  /// A spare frame buffer, or a new one.
+  std::string TakeFrameBuffer();
 
   ServerOptions options_;
   uint16_t port_ = 0;
@@ -209,9 +252,12 @@ class Server {
   std::atomic<bool> stopped_{false};
   std::mutex join_mutex_;
 
-  // Loop-thread-owned.
+  // Loop-thread-owned. Workers read a TenantMetrics only through the
+  // pointer its requests carry; the loop never changes one once made.
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 1;
+  std::unordered_map<std::string, std::unique_ptr<TenantMetrics>>
+      tenant_metrics_;
 
   // Shared queue state.
   std::mutex queue_mutex_;
@@ -222,6 +268,7 @@ class Server {
 
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
+  std::vector<std::string> spare_frames_;  ///< Empty, for reuse.
 };
 
 }  // namespace vsj::net

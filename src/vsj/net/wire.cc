@@ -6,19 +6,28 @@
 
 namespace vsj::net {
 
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(4, '\0');
+  return start;
+}
+
+void EndFrame(std::string* out, size_t start) {
+  const size_t size = out->size() - start - 4;
+  VSJ_CHECK_MSG(size <= kAbsoluteMaxFrameBytes,
+                "frame payload of %zu bytes exceeds the wire limit", size);
+  const uint32_t length = static_cast<uint32_t>(size);
+  char* prefix = out->data() + start;
+  prefix[0] = static_cast<char>(length & 0xFF);
+  prefix[1] = static_cast<char>((length >> 8) & 0xFF);
+  prefix[2] = static_cast<char>((length >> 16) & 0xFF);
+  prefix[3] = static_cast<char>((length >> 24) & 0xFF);
+}
+
 void AppendFrame(std::string* out, std::string_view payload) {
-  VSJ_CHECK_MSG(payload.size() <= kAbsoluteMaxFrameBytes,
-                "frame payload of %zu bytes exceeds the wire limit",
-                payload.size());
-  const uint32_t length = static_cast<uint32_t>(payload.size());
-  char prefix[4] = {
-      static_cast<char>(length & 0xFF),
-      static_cast<char>((length >> 8) & 0xFF),
-      static_cast<char>((length >> 16) & 0xFF),
-      static_cast<char>((length >> 24) & 0xFF),
-  };
-  out->append(prefix, sizeof(prefix));
+  const size_t start = BeginFrame(out);
   out->append(payload.data(), payload.size());
+  EndFrame(out, start);
 }
 
 FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)

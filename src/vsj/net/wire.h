@@ -33,8 +33,19 @@ namespace vsj::net {
 /// misconfigured limit cannot make the decoder allocate absurd buffers.
 inline constexpr uint32_t kAbsoluteMaxFrameBytes = 16u << 20;
 
-/// Appends one frame (length prefix + payload) to `out`. The payload must
-/// be at most kAbsoluteMaxFrameBytes.
+/// Starts a frame at the end of `out`: appends room for the length prefix
+/// and returns where the frame starts. The payload is then appended in
+/// place and EndFrame writes the prefix, so a payload is never built
+/// apart and copied in.
+size_t BeginFrame(std::string* out);
+
+/// Ends the frame BeginFrame started at `start`: writes the length of
+/// everything appended since into its prefix. The payload must be at most
+/// kAbsoluteMaxFrameBytes.
+void EndFrame(std::string* out, size_t start);
+
+/// Appends one frame (length prefix + payload) to `out`: BeginFrame, the
+/// payload, EndFrame.
 void AppendFrame(std::string* out, std::string_view payload);
 
 /// Incremental frame decoder over a byte stream.
