@@ -10,11 +10,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "vsj/fault/fault.h"
 #include "vsj/net/wire.h"
 #include "vsj/obs/obs.h"
+#include "vsj/util/check.h"
 
 namespace vsj::net {
 
@@ -117,9 +119,13 @@ void Server::LoopThread() {
       accepting = false;
     }
     // While draining, poll with a timeout so drain-completion is checked
-    // even if no event arrives.
-    const int timeout_ms =
-        draining_.load(std::memory_order_acquire) ? 50 : -1;
+    // even if no event arrives. While requests are in flight, poll at
+    // least every kPublishInterval: workers publish answers before their
+    // run ends without waking the loop.
+    int timeout_ms = draining_.load(std::memory_order_acquire) ? 50 : -1;
+    if (inflight_.load(std::memory_order_acquire) > 0) {
+      timeout_ms = static_cast<int>(kPublishInterval.count());
+    }
     loop_.Poll(timeout_ms);
     DrainCompletions();
     if (draining_.load(std::memory_order_acquire) && DrainComplete()) break;
@@ -561,7 +567,7 @@ std::string Server::TakeFrameBuffer() {
 }
 
 template <typename WritePayload>
-void Server::CompleteWith(std::vector<Completion>* out, const Pending& pending,
+void Server::CompleteWith(RunOutput* out, const Pending& pending,
                           WritePayload&& write_payload) {
   if (obs::MetricsEnabled()) {
     const uint64_t latency_ns = static_cast<uint64_t>(
@@ -576,29 +582,60 @@ void Server::CompleteWith(std::vector<Completion>* out, const Pending& pending,
   }
   // Searched from the back: a run's consecutive requests mostly share a
   // connection.
+  std::vector<Completion>& completions = out->completions;
   const auto found = std::find_if(
-      out->rbegin(), out->rend(),
+      completions.rbegin(), completions.rend(),
       [&](const Completion& c) { return c.conn_id == pending.conn_id; });
   Completion* completion =
-      found != out->rend()
+      found != completions.rend()
           ? &*found
-          : &out->emplace_back(Completion{pending.conn_id, TakeFrameBuffer()});
+          : &completions.emplace_back(
+                Completion{pending.conn_id, TakeFrameBuffer()});
   const size_t start = BeginFrame(&completion->frames);
   write_payload(&completion->frames);
   EndFrame(&completion->frames, start);
   ++completion->responses;
+  ++out->responses;
 }
 
-void Server::Complete(std::vector<Completion>* out, const Pending& pending,
+void Server::Complete(RunOutput* out, const Pending& pending,
                       std::string_view payload) {
   CompleteWith(out, pending,
                [payload](std::string* frames) { frames->append(payload); });
 }
 
+void Server::Publish(RunOutput* out) {
+  if (out->responses == 0) return;
+  const uint64_t published_ns =
+      obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
+  {
+    std::lock_guard<std::mutex> lock(completion_mutex_);
+    for (Completion& completion : out->completions) {
+      completion.published_ns = published_ns;
+      completions_.push_back(std::move(completion));
+    }
+  }
+  // Order matters for drain detection: completions are visible before the
+  // in-flight count drops by exactly the responses they hold, so
+  // inflight_ == 0 implies every response has been published. Each
+  // request is framed once, so a run's publications together count out
+  // its size, never more.
+  inflight_.fetch_sub(out->responses, std::memory_order_acq_rel);
+  out->unpublished -= out->responses;
+  // server.publications: completion-queue pushes. Against server.batches
+  // it shows how often a batch's answers went out in more than one piece;
+  // with it, estimate.latency_ns.* and server.latency_ns stop when the
+  // request's sweep group finishes, not when its whole batch does.
+  VSJ_COUNTER_ADD("server.publications", 1);
+  out->completions.clear();
+  out->responses = 0;
+}
+
 void Server::ProcessRun(const std::string& tenant_name,
                         std::vector<Pending> run) {
-  std::vector<Completion> out;
-  out.reserve(run.size());
+  RunOutput out;
+  out.completions.reserve(run.size());
+  out.unpublished = run.size();
   const Clock::time_point now = Clock::now();
 
   // Deadline sweep: a request that expired while queued gets its clean
@@ -641,9 +678,37 @@ void Server::ProcessRun(const std::string& tenant_name,
   // Cross-connection batching: consecutive estimate requests of the run
   // become one batch — one cache pre-pass, one round of miss-grouping —
   // while mutations flush the pending batch so per-tenant
-  // mutation/estimate order is preserved.
+  // mutation/estimate order is preserved. The engine hands each response
+  // to `on_ready` as it exists (cache hits first, then each sweep group as
+  // it finishes), which frames it; the batch's returned vector holds
+  // nothing new. While the run computes, whatever it holds is published
+  // when due (see kPublishInterval) — before a batch starts (the
+  // timeouts, refusals and acks framed so far) and as its answers arrive.
   std::vector<EstimateRequest> batch;
   std::vector<const Pending*> owners;
+  const auto publish_when_due = [&] {
+    const Clock::time_point due_check = Clock::now();
+    if (out.responses == 0 || due_check < out.next_publish) return;
+    const size_t responses = out.responses;
+    Publish(&out);
+    out.next_publish = due_check + out.publish_gap;
+    out.publish_gap *= 2;
+    // Responses that left while their run still had answers to give;
+    // against server.responses, the share the early path sped up.
+    if (out.unpublished > 0) {
+      VSJ_COUNTER_ADD("server.early_responses", responses);
+    }
+  };
+  const ReadySink on_ready = [&](std::span<const size_t> ready,
+                                 std::span<const EstimateResponse> responses) {
+    for (const size_t i : ready) {
+      const uint64_t id = owners[i]->request.id;
+      CompleteWith(&out, *owners[i], [&](std::string* frames) {
+        AppendEstimatePayload(frames, id, responses[i]);
+      });
+    }
+    publish_when_due();
+  };
   const auto flush = [&] {
     if (batch.empty()) return;
     VSJ_COUNTER_ADD("server.batches", 1);
@@ -651,14 +716,8 @@ void Server::ProcessRun(const std::string& tenant_name,
     if (owners.front()->metrics != nullptr && obs::MetricsEnabled()) {
       owners.front()->metrics->batch_size->Record(batch.size());
     }
-    const std::vector<EstimateResponse> responses =
-        tenant->EstimateBatchShared(batch);
-    for (size_t i = 0; i < responses.size(); ++i) {
-      const uint64_t id = owners[i]->request.id;
-      CompleteWith(&out, *owners[i], [&](std::string* frames) {
-        AppendEstimatePayload(frames, id, responses[i]);
-      });
-    }
+    publish_when_due();
+    tenant->EstimateBatchShared(batch, on_ready);
     batch.clear();
     owners.clear();
   };
@@ -765,21 +824,10 @@ void Server::ProcessRun(const std::string& tenant_name,
     }
   }
   flush();
-
-  const size_t processed = run.size();
-  const uint64_t published_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNowNs() : 0;
-  {
-    std::lock_guard<std::mutex> lock(completion_mutex_);
-    for (Completion& completion : out) {
-      completion.published_ns = published_ns;
-      completions_.push_back(std::move(completion));
-    }
-  }
-  // Order matters for drain detection: completions are visible before the
-  // in-flight count drops, so inflight_ == 0 implies every response has
-  // been published.
-  inflight_.fetch_sub(processed, std::memory_order_acq_rel);
+  Publish(&out);
+  VSJ_DCHECK(out.unpublished == 0);
+  // Every publication of the run happened before this wake, and the loop
+  // drains the queue after each wake it takes, so none waits past it.
   loop_.Wake();
 }
 

@@ -20,9 +20,17 @@
 // (each mutation flushes the estimate run collected so far, preserving
 // mutation/estimate ordering per tenant), and writes each response
 // straight into a frame (wire.h BeginFrame/EndFrame) in one buffer per
-// connection of the run. It pushes those buffers onto a completion queue,
-// and an eventfd wake hands them to the loop thread, which appends each to
-// its connection's output in one copy, with no per-response string or
+// connection of the run. An estimate's frame is written the moment its
+// sweep group finishes — on the pool thread that finished it, through the
+// engine's ready-sink — so one session's answers never wait for the
+// slowest group of the batch. The run publishes its buffers onto a
+// completion queue as they fill, at spreading intervals while it computes
+// (kPublishInterval; the first publication also carries the run's
+// timeouts, refusals and mutation acks framed so far), and once more at
+// the end of the run. Only the end of a run wakes the loop thread
+// (eventfd); while requests are in flight the loop looks at the queue
+// every kPublishInterval on its own. It appends each buffer to its
+// connection's output in one copy, with no per-response string or
 // re-framing, and hands the buffers back for the workers to reuse.
 // Responses are staged per connection and written once per connection per
 // loop pass (or as soon as a connection stages kEagerFlushBytes), not once
@@ -184,6 +192,20 @@ class Server {
     uint64_t published_ns = 0;
   };
 
+  /// One run's framed responses not yet published. Filled by ProcessRun
+  /// and by the engine's ready-sink on pool threads; never by both at once
+  /// (the sink runs only inside EstimateBatchShared, one call at a time).
+  struct RunOutput {
+    std::vector<Completion> completions;
+    size_t responses = 0;    ///< Framed into `completions`.
+    size_t unpublished = 0;  ///< The run's requests not yet published.
+    /// Earliest time the run may publish again before it ends, and the
+    /// gap after the next such publication (see kPublishInterval); the
+    /// epoch lets the first one go at once.
+    Clock::time_point next_publish{};
+    Clock::duration publish_gap = kPublishInterval;
+  };
+
   struct TenantQueue {
     std::deque<Pending> queue;
     bool busy = false;       ///< A worker is draining this tenant.
@@ -193,6 +215,21 @@ class Server {
   /// Unwritten staged bytes at which Respond flushes a connection before
   /// the end of the loop pass; bounds the staging buffer's memory.
   static constexpr size_t kEagerFlushBytes = 64 * 1024;
+
+  /// How soon answers published before their run ends reach the loop.
+  /// While it computes, a run publishes at once, then after gaps of one
+  /// interval, two, four and so on, so a run of T ms publishes early
+  /// about log2(T) + 1 times however many tiny sweep groups it has; each
+  /// taken publication costs the loop a pass and a write(2) per
+  /// connection it touches, about 10 µs. A τ-sweep group takes
+  /// milliseconds, so the groups of a served batch still go out as they
+  /// finish. While requests are in flight the loop polls the completion
+  /// queue once per interval instead of being woken for each
+  /// publication: on sweep_cold one extra eventfd wake per batch, sent
+  /// by the compute thread that finished a group, cost 7–8% of
+  /// estimates/s even with nothing to publish (DESIGN.md, "Early
+  /// answers"). The end of a run wakes the loop at once, as before.
+  static constexpr std::chrono::milliseconds kPublishInterval{1};
 
   /// Bounds on the spare frame buffers kept for reuse: how many, and the
   /// largest capacity worth keeping (bigger ones are freed).
@@ -231,10 +268,15 @@ class Server {
   /// Finishes `pending`: `write_payload(std::string*)` appends its response
   /// into a frame of the run's buffer for its connection.
   template <typename WritePayload>
-  void CompleteWith(std::vector<Completion>* out, const Pending& pending,
+  void CompleteWith(RunOutput* out, const Pending& pending,
                     WritePayload&& write_payload);
-  void Complete(std::vector<Completion>* out, const Pending& pending,
+  void Complete(RunOutput* out, const Pending& pending,
                 std::string_view payload);
+  /// Hands `out`'s responses to the loop: pushes them onto the completion
+  /// queue and counts them out of inflight_. It does not wake the loop;
+  /// the loop's next poll takes them (see kPublishInterval). No-op when
+  /// `out` holds none.
+  void Publish(RunOutput* out);
   /// A spare frame buffer, or a new one.
   std::string TakeFrameBuffer();
 

@@ -1,8 +1,10 @@
 #include "vsj/service/estimation_engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <numeric>
 #include <span>
 #include <string>
@@ -73,7 +75,8 @@ bool WithinErrorBound(const EstimateRequest& request,
 /// `request`'s response from its `trials` (mean, sample std-dev, standard
 /// error, sampling cost). Its `estimate.latency_ns.*` histogram records the
 /// time from `start_ns` (obs::MonotonicNowNs when the group's first task
-/// started) until now.
+/// started) until now, when the group's last chunk finished — not the
+/// whole batch.
 EstimateResponse FinishTrials(const EstimateRequest& request,
                               const MemberTrials& trials, uint64_t start_ns) {
   EstimateResponse response;
@@ -115,7 +118,7 @@ EstimateResponse EstimationEngine::Estimate(const EstimateRequest& request) {
 std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
     const std::function<bool(size_t)>& on_miss,
-    const SweepTrialFn& run_trial) {
+    const SweepTrialFn& run_trial, const ReadySink& on_ready) {
   for (const EstimateRequest& request : requests) {
     const char* error = ValidateEstimateRequest(request);
     if (error == nullptr) error = CheckEstimator(request);
@@ -127,12 +130,13 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
 
   // Misses holds the group leaders — the requests actually computed. A
   // later miss whose ExactKey matches an earlier one becomes a follower:
-  // it skips dispatch and copies its leader's response after the pool
-  // drains, exactly what a cache hit on the leader's entry would have
-  // produced. No relabeling happens on hits or followers: the cache and
-  // the grouping both key on the exact request identity, so a served
+  // it skips dispatch and copies its leader's response once the leader's
+  // group finishes, exactly what a cache hit on the leader's entry would
+  // have produced. No relabeling happens on hits or followers: the cache
+  // and the grouping both key on the exact request identity, so a served
   // response already describes precisely the τ/estimator/policy that was
   // asked.
+  std::vector<size_t> hits;
   std::vector<size_t> misses;
   misses.reserve(requests.size());
   std::vector<bool> shares_sweeps(requests.size(), false);
@@ -142,6 +146,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     if (cache != nullptr) {
       if (auto hit = cache->Lookup(requests[i], fingerprint)) {
         responses[i] = *hit;
+        hits.push_back(i);
         continue;
       }
     }
@@ -153,22 +158,32 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     shares_sweeps[i] = on_miss(i);
     misses.push_back(i);
   }
+  // Hits are final already: they go out before anything computes.
+  if (on_ready && !hits.empty()) on_ready(hits, responses);
 
   // Sweep groups: leaders whose estimator shares work across τ and that
   // match in everything but τ draw the same pairs, so one pass answers
   // them all.
   std::vector<std::vector<size_t>> groups;
+  std::vector<size_t> group_of_leader(requests.size());
   std::unordered_map<std::string, size_t> group_of;
   for (const size_t i : misses) {
     if (shares_sweeps[i]) {
       const auto [it, inserted] =
           group_of.emplace(SweepKey(requests[i]), groups.size());
       if (!inserted) {
+        group_of_leader[i] = it->second;
         groups[it->second].push_back(i);
         continue;
       }
     }
+    group_of_leader[i] = groups.size();
     groups.push_back({i});
+  }
+  std::vector<std::vector<std::pair<size_t, size_t>>> group_followers(
+      groups.size());
+  for (const auto& [follower, leader] : followers) {
+    group_followers[group_of_leader[leader]].emplace_back(follower, leader);
   }
   VSJ_COUNTER_ADD("estimate.batch_requests", requests.size());
   VSJ_COUNTER_ADD("estimate.batch_misses", misses.size());
@@ -186,6 +201,12 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   // τ, what in-order aggregation keeps anyway — and its integer totals into
   // its own row, so chunks share no lock. One flat ParallelFor — nesting
   // one per group would add no concurrency (thread_pool.h).
+  //
+  // A group's tasks are consecutive and groups follow one another, and
+  // ParallelFor claims indices in increasing order and runs each claim's
+  // indices in order. So when one claim bundles group g's last task with
+  // g + 1's first, g's task runs first: no group waits on a later one's
+  // tasks to finish.
   constexpr size_t kChunksPerThread = 4;
   struct Task {
     size_t group;
@@ -194,6 +215,8 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     uint64_t start_ns = 0;
   };
   std::vector<Task> tasks;
+  std::vector<size_t> first_task(groups.size() + 1, 0);
+  std::vector<std::atomic<size_t>> chunks_left(groups.size());
   std::vector<std::vector<MemberTrials>> trials(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const EstimateRequest& leader = requests[groups[g].front()];
@@ -212,7 +235,42 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
                        leader.trials * (c + 1) / chunks,
                        std::vector<MemberTrials>(groups[g].size())});
     }
+    first_task[g + 1] = tasks.size();
+    chunks_left[g].store(chunks, std::memory_order_relaxed);
   }
+
+  // Runs in the task that finished group g's last chunk, so every slot and
+  // total of g is written: add the chunks' totals, aggregate each member
+  // once, copy it to its followers and report them all. Latency runs from
+  // the group's first task start to here, when its responses exist.
+  std::mutex sink_mutex;  // on_ready calls never overlap
+  const auto finish_group = [&](size_t g) {
+    std::vector<MemberTrials>& members = trials[g];
+    uint64_t start_ns = ~uint64_t{0};
+    for (size_t k = first_task[g]; k < first_task[g + 1]; ++k) {
+      const Task& task = tasks[k];
+      start_ns = std::min(start_ns, task.start_ns);
+      for (size_t m = 0; m < members.size(); ++m) {
+        members[m].pairs_evaluated += task.totals[m].pairs_evaluated;
+        members[m].num_unguaranteed += task.totals[m].num_unguaranteed;
+        members[m].strata += task.totals[m].strata;
+      }
+    }
+    for (size_t m = 0; m < members.size(); ++m) {
+      responses[groups[g][m]] =
+          FinishTrials(requests[groups[g][m]], members[m], start_ns);
+    }
+    std::vector<size_t> ready = groups[g];
+    for (const auto& [follower, leader] : group_followers[g]) {
+      responses[follower] = responses[leader];
+      ready.push_back(follower);
+    }
+    if (on_ready) {
+      std::lock_guard<std::mutex> lock(sink_mutex);
+      on_ready(ready, responses);
+    }
+  };
+
   // Dispatch timestamp for the queue-wait histogram: how long a task sat
   // between batch dispatch and a pool worker picking it up, vs. how long
   // the task itself took. Both histograms record once per task. Timing
@@ -261,31 +319,13 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
       }
       running.resize(still_running);
     }
+    execute_span.End();
+    // acq_rel: the last chunk to finish sees every other chunk's writes.
+    if (chunks_left[task.group].fetch_sub(1, std::memory_order_acq_rel) ==
+        1) {
+      finish_group(task.group);
+    }
   });
-
-  // Past the barrier every slot is written: add the chunks' totals and
-  // aggregate each member once. Latency runs from the group's first task
-  // start to here, when the batch's responses exist.
-  std::vector<uint64_t> start_ns(groups.size(), ~uint64_t{0});
-  for (const Task& task : tasks) {
-    start_ns[task.group] = std::min(start_ns[task.group], task.start_ns);
-    for (size_t m = 0; m < task.totals.size(); ++m) {
-      trials[task.group][m].pairs_evaluated += task.totals[m].pairs_evaluated;
-      trials[task.group][m].num_unguaranteed +=
-          task.totals[m].num_unguaranteed;
-      trials[task.group][m].strata += task.totals[m].strata;
-    }
-  }
-  for (size_t g = 0; g < groups.size(); ++g) {
-    for (size_t m = 0; m < groups[g].size(); ++m) {
-      responses[groups[g][m]] =
-          FinishTrials(requests[groups[g][m]], trials[g][m], start_ns[g]);
-    }
-  }
-
-  for (const auto& [follower, leader] : followers) {
-    responses[follower] = responses[leader];
-  }
 
   if (cache != nullptr) {
     for (size_t i : misses) {

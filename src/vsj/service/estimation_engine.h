@@ -55,6 +55,17 @@ namespace vsj {
 using SweepTrialFn = std::function<std::vector<EstimationResult>(
     size_t leader, size_t t, std::span<const double> taus, const Rng& rng)>;
 
+/// Receives a batch's responses as they become final: `ready` holds batch
+/// indices and `responses` spans the whole batch, of which only the
+/// entries `ready` names may be read. Across one EstimateBatch call every
+/// index is reported exactly once, and the calls never overlap, but they
+/// come from whichever thread finished the work — a pool thread as often
+/// as the caller. Each reported response is already what EstimateBatch
+/// returns for that index.
+using ReadySink =
+    std::function<void(std::span<const size_t> ready,
+                       std::span<const EstimateResponse> responses)>;
+
 /// Most hash functions (k · ℓ) an engine may use. An engine sizes its hash
 /// functions, projection cache and signature scratch from k · ℓ, so the
 /// tools refuse a larger --k × --tables before building one, and Restore
@@ -100,8 +111,19 @@ class EstimationEngine {
   /// requests are packed into batches — by a CLI sweep, an optimizer or the
   /// network server coalescing 64 connections — is unobservable in the
   /// results.
+  std::vector<EstimateResponse> EstimateBatch(
+      const std::vector<EstimateRequest>& requests) {
+    return EstimateBatch(requests, nullptr);
+  }
+
+  /// The same, also handing each response to `on_ready` (when set) the
+  /// moment it exists: cache hits once the pre-pass ends, each sweep
+  /// group's members and followers as soon as the group's last trial
+  /// finishes — so a caller can answer the first group of a batch while
+  /// the rest still compute. The returned vector is unchanged.
   virtual std::vector<EstimateResponse> EstimateBatch(
-      const std::vector<EstimateRequest>& requests) = 0;
+      const std::vector<EstimateRequest>& requests,
+      const ReadySink& on_ready) = 0;
 
   /// The engine's estimator rule, asked by the batch pre-pass and by
   /// Tenant::ValidateEstimate: nullptr when this engine serves `request`'s
@@ -136,16 +158,19 @@ class EstimationEngine {
   ///      τs drop out as their error bounds hold (its later trials may
   ///      never be needed). Trial t writes `run_trial(leader, t, group τs,
   ///      TrialStream(leader.seed, t))`'s estimates to slot t of each member;
-  ///      once every task has finished, each response is aggregated once,
-  ///      in trial order — so chunking never shows in the bytes;
-  ///   4. sequential post-pass — followers copy their leader's response
-  ///      (what a cache hit on it would serve), leaders publish to the
-  ///      cache.
+  ///      the task that finishes a group's last chunk aggregates each
+  ///      member once, in trial order — so chunking never shows in the
+  ///      bytes — copies it to the member's followers (what a cache hit on
+  ///      it would serve) and hands them all to `on_ready`; the cache hits
+  ///      went there at the end of step 1;
+  ///   4. sequential post-pass — leaders publish to the cache in request
+  ///      order, so cache state never depends on which group finished
+  ///      first.
   /// With cache_capacity 0, steps 1 and 4 skip the cache.
   std::vector<EstimateResponse> RunCachedBatch(
       const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
       const std::function<bool(size_t)>& on_miss,
-      const SweepTrialFn& run_trial);
+      const SweepTrialFn& run_trial, const ReadySink& on_ready);
 
  private:
   const size_t num_threads_;

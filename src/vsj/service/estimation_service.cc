@@ -48,7 +48,7 @@ void EstimationService::BuildIndexAndContext() {
 }
 
 std::vector<EstimateResponse> EstimationService::EstimateBatch(
-    const std::vector<EstimateRequest>& requests) {
+    const std::vector<EstimateRequest>& requests, const ReadySink& on_ready) {
   // The pre-pass settles every leader's estimator before workers start, so
   // they only read. An overridden leader gets an instance local to this
   // batch, so the shared memo stays bounded by the registry however many
@@ -73,7 +73,8 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
       [&](size_t leader, size_t, std::span<const double> taus,
           const Rng& rng) {
         return estimators[leader]->EstimateSweep(taus, rng);
-      });
+      },
+      on_ready);
 }
 
 const char* EstimationService::CheckEstimator(

@@ -60,8 +60,10 @@ class EstimationService final : public EstimationEngine {
 
   /// See EstimationEngine::EstimateBatch. An overridden request gets an
   /// estimator instance local to its batch, shared by its sweep group.
+  using EstimationEngine::EstimateBatch;
   std::vector<EstimateResponse> EstimateBatch(
-      const std::vector<EstimateRequest>& requests) override;
+      const std::vector<EstimateRequest>& requests,
+      const ReadySink& on_ready) override;
 
   /// Any registered estimator (AllEstimatorNames); sampling overrides only
   /// for the four that run on the LSH-SS options.

@@ -82,7 +82,7 @@ void StreamingEstimationService::Erase(VectorId id) {
 }
 
 std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
-    const std::vector<EstimateRequest>& requests) {
+    const std::vector<EstimateRequest>& requests, const ReadySink& on_ready) {
   // The batch's sample context: flat bucket-of arrays amortizing the
   // SampleL rejection test across every trial of every miss. Built lazily
   // on the first miss — still in the sequential pre-pass, so a fully
@@ -112,7 +112,8 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
         return estimator_.EstimateSweepWithTable(
             taus, static_cast<uint32_t>(t % num_tables), rng, &context,
             overrides[leader] ? &*overrides[leader] : nullptr);
-      });
+      },
+      on_ready);
 }
 
 const char* StreamingEstimationService::CheckEstimator(

@@ -102,8 +102,10 @@ class StreamingEstimationService final : public EstimationEngine {
 
   /// See EstimationEngine::EstimateBatch; answers over the current live
   /// set, at the current epoch, with streaming LSH-SS.
+  using EstimationEngine::EstimateBatch;
   std::vector<EstimateResponse> EstimateBatch(
-      const std::vector<EstimateRequest>& requests) override;
+      const std::vector<EstimateRequest>& requests,
+      const ReadySink& on_ready) override;
 
   /// Only "LSH-SS".
   const char* CheckEstimator(const EstimateRequest& request) const override;

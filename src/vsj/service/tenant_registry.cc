@@ -127,9 +127,9 @@ TenantOpResult Tenant::ValidateEstimate(const EstimateRequest& request) const {
 }
 
 std::vector<EstimateResponse> Tenant::EstimateBatchShared(
-    const std::vector<EstimateRequest>& requests) {
+    const std::vector<EstimateRequest>& requests, const ReadySink& on_ready) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return engine_->EstimateBatch(requests);
+  return engine_->EstimateBatch(requests, on_ready);
 }
 
 TenantOpResult Tenant::Insert(VectorId id) {

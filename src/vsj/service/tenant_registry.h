@@ -143,9 +143,12 @@ class Tenant {
   /// Forwards to the engine's EstimateBatch, so responses are
   /// bit-identical to in-process Estimate() calls regardless of how the
   /// server packed concurrent connections into the batch. Every request
-  /// must have passed ValidateEstimate.
+  /// must have passed ValidateEstimate. `on_ready` (optional) receives each
+  /// response as soon as it exists (see ReadySink); it runs under the
+  /// tenant lock, so it must not call back into the tenant.
   std::vector<EstimateResponse> EstimateBatchShared(
-      const std::vector<EstimateRequest>& requests);
+      const std::vector<EstimateRequest>& requests,
+      const ReadySink& on_ready = nullptr);
 
   /// Mutations; kUnsupported on static tenants. Preconditions are checked
   /// (not VSJ_CHECKed): unknown/duplicate ids come back as kBadRequest.

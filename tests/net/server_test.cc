@@ -22,6 +22,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -123,6 +124,14 @@ class TestClient {
     return by_id;
   }
 
+  /// True while no further response byte has arrived: nothing buffered
+  /// past the last payload read, and nothing readable on the socket.
+  bool NothingMoreYet() {
+    if (decoder_.buffered_bytes() != 0) return false;
+    pollfd pfd{fd_, POLLIN, 0};
+    return ::poll(&pfd, 1, 0) == 0;
+  }
+
   /// Half-closes the connection: the server sees EOF, reads still work.
   void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
@@ -191,10 +200,12 @@ class ServerTest : public ::testing::Test {
 
   void StartServer(size_t workers = 2, size_t max_inflight = 1024,
                    bool debug_ops = true,
-                   uint32_t max_frame_bytes = 1u << 20) {
+                   uint32_t max_frame_bytes = 1u << 20,
+                   size_t engine_threads = 1) {
     TenantRegistryOptions registry_options;
     registry_options.root = root_;
     registry_options.static_options = StaticOptions();
+    registry_options.static_options.num_threads = engine_threads;
     registry_ = std::make_unique<TenantRegistry>(registry_options);
 
     ServerOptions options;
@@ -223,6 +234,16 @@ class ServerTest : public ::testing::Test {
                   estimator.c_str(), tau, trials,
                   static_cast<unsigned long long>(seed));
     return buf;
+  }
+
+  /// A 1-trial estimate made slow by its sampling overrides — m_L = δ =
+  /// 2^21 stratum-L draws, well inside the default
+  /// --max-pairs-per-request — on the 120-vector static tenant.
+  static std::string SlowEstimateJson(uint64_t id) {
+    std::string json = EstimateJson(id, "wiki", 0.7, /*trials=*/1);
+    json.insert(json.size() - 1,
+                ",\"sample_size_l\":2097152,\"delta\":2097152");
+    return json;
   }
 
   static std::string PingJson(uint64_t id) {
@@ -688,6 +709,68 @@ TEST_F(ServerTest, QueuedDeadlineExpiryYieldsTimeout) {
   EXPECT_EQ(ErrorCode(responses.at(1)), "");
   EXPECT_EQ(ErrorCode(responses.at(2)), "");  // no deadline: runs late
   EXPECT_EQ(ErrorCode(responses.at(3)), "timeout");
+}
+
+TEST_F(ServerTest, AFinishedSweepGroupIsAnsweredBeforeItsBatchEnds) {
+  // A slow estimate and then a default one, in one burst to one tenant, so
+  // they share a run and a batch but form two sweep groups. On two engine
+  // threads the default group's trials run beside the slow group's one
+  // trial and finish first; its answer must go out then, not when the
+  // slow group finishes and the batch ends.
+  StartServer(/*workers=*/1, /*max_inflight=*/1024, /*debug_ops=*/true,
+              /*max_frame_bytes=*/1u << 20, /*engine_threads=*/2);
+  obs::MetricRegistry::Global().ResetValues();
+  obs::EnableMetrics(true);
+  struct MetricsOff {
+    ~MetricsOff() { obs::EnableMetrics(false); }
+  } metrics_off;
+
+  EstimationService wiki_engine(GenerateCorpus(DblpLikeConfig(kCorpusSize, 4)),
+                                StaticOptions());
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  std::string burst;
+  AppendFrame(&burst, SlowEstimateJson(1));
+  AppendFrame(&burst, EstimateJson(2, "wiki", 0.7));
+  ASSERT_TRUE(client.SendRaw(burst));
+
+  const std::string first = client.ReadPayload();
+  EXPECT_EQ(first, MakeEstimatePayload(2, wiki_engine.Estimate(Request(0.7))));
+  const std::string second = client.ReadPayload();
+  EXPECT_EQ(ErrorCode(second), "") << second;
+  EXPECT_EQ(second.rfind("{\"id\":1,", 0), 0u) << second;
+
+  // One batch, answered in two publications; the first left early.
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  EXPECT_EQ(registry.GetCounter("server.batches").Value(), 1u);
+  EXPECT_EQ(registry.GetCounter("server.publications").Value(), 2u);
+  EXPECT_EQ(registry.GetCounter("server.early_responses").Value(), 1u);
+}
+
+TEST_F(ServerTest, AnswersARunHoldsGoOutBeforeItsEstimatesCompute) {
+  // The only worker sleeps while a slow estimate and a 50 ms-deadline one
+  // queue behind it on the static tenant; when it wakes, they are one run
+  // and the second has expired. Its timeout is known before anything
+  // computes, so it must arrive while the slow estimate still runs.
+  StartServer(/*workers=*/1);
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.Send("{\"id\":1,\"op\":\"sleep\",\"sleep_ms\":300}"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::string expiring = EstimateJson(3, "wiki", 0.7);
+  expiring.insert(expiring.size() - 1, ",\"timeout_ms\":50");
+  std::string burst;
+  AppendFrame(&burst, SlowEstimateJson(2));
+  AppendFrame(&burst, expiring);
+  ASSERT_TRUE(client.SendRaw(burst));
+
+  EXPECT_EQ(ErrorCode(client.ReadPayload()), "");  // the sleep
+  const std::string timeout = client.ReadPayload();
+  EXPECT_EQ(ErrorCode(timeout), "timeout") << timeout;
+  EXPECT_TRUE(client.NothingMoreYet());
+  const std::string slow = client.ReadPayload();
+  EXPECT_EQ(ErrorCode(slow), "") << slow;
+  EXPECT_EQ(slow.rfind("{\"id\":2,", 0), 0u) << slow;
 }
 
 TEST_F(ServerTest, GracefulDrainFinishesAdmittedWork) {
