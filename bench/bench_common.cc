@@ -1,7 +1,9 @@
 #include "bench_common.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -13,7 +15,6 @@
 #include "vsj/obs/metrics.h"
 #include "vsj/obs/stat_reporter.h"
 #include "vsj/util/cpu.h"
-#include "vsj/util/env.h"
 #include "vsj/util/timer.h"
 
 namespace vsj::bench {
@@ -76,14 +77,31 @@ std::string HostJson() {
 
 }  // namespace
 
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min,
+                  uint64_t max) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  const char* end = raw + std::strlen(raw);
+  uint64_t value = 0;
+  // from_chars takes no sign, space or trailing text for an unsigned type.
+  const auto [ptr, ec] = std::from_chars(raw, end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    const bool too_big = ec == std::errc::result_out_of_range || value > max;
+    std::fprintf(stderr, "bad %s value (need an integer %s %llu): %s\n",
+                 name, too_big ? "<=" : ">=",
+                 static_cast<unsigned long long>(too_big ? max : min), raw);
+    std::exit(2);
+  }
+  return value;
+}
+
 Scale LoadScale(size_t default_n, uint32_t default_k, size_t default_trials) {
   Scale scale;
-  scale.n = static_cast<size_t>(
-      EnvInt64("VSJ_N", static_cast<int64_t>(default_n)));
-  scale.trials = static_cast<size_t>(
-      EnvInt64("VSJ_TRIALS", static_cast<int64_t>(default_trials)));
-  scale.seed = static_cast<uint64_t>(EnvInt64("VSJ_SEED", 1));
-  scale.k = static_cast<uint32_t>(EnvInt64("VSJ_K", default_k));
+  scale.n = EnvCount("VSJ_N", default_n, 2);
+  scale.trials = EnvCount("VSJ_TRIALS", default_trials, 1);
+  scale.seed = EnvCount("VSJ_SEED", 1, 0, UINT64_MAX);
+  scale.k = EnvCount("VSJ_K", default_k, 1);
+  scale.iters = EnvCount("VSJ_ITERS", 3, 1);
   return scale;
 }
 
@@ -278,7 +296,14 @@ BenchJson::BenchJson(int argc, char** argv, const std::string& bench_name)
 void BenchJson::Add(const std::string& name, const std::string& unit,
                     double value, size_t iterations) {
   if (!enabled()) return;
-  records_.push_back(Record{name, unit, value, iterations});
+  records_.push_back(Record{name, unit, value, std::nullopt, iterations});
+}
+
+void BenchJson::Add(const std::string& name, const std::string& unit,
+                    Timing timing, size_t iterations) {
+  if (!enabled()) return;
+  records_.push_back(
+      Record{name, unit, timing.min, timing.median, iterations});
 }
 
 void BenchJson::AddMetricsSnapshot() {
@@ -293,22 +318,31 @@ void BenchJson::AddMetricsSnapshot() {
 
 bool BenchJson::Write() const {
   if (!enabled()) return true;
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"" << bench_name_ << "\",\n  \"host\": "
-      << HostJson() << ",\n  \"results\": [";
+  using net::JsonValue;
+  std::string out = "{\n  \"bench\": ";
+  JsonValue::AppendQuoted(&out, bench_name_);
+  out += ",\n  \"host\": " + HostJson() + ",\n  \"results\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     const Record& r = records_[i];
-    out << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << r.name
-        << "\", \"unit\": \"" << r.unit << "\", \"value\": " << r.value
-        << ", \"iterations\": " << r.iterations << "}";
+    out += i == 0 ? "\n    {\"name\": " : ",\n    {\"name\": ";
+    JsonValue::AppendQuoted(&out, r.name);
+    out += ", \"unit\": ";
+    JsonValue::AppendQuoted(&out, r.unit);
+    out += ", \"value\": ";
+    JsonValue::AppendNumber(&out, r.value);
+    if (r.median) {
+      out += ", \"median\": ";
+      JsonValue::AppendNumber(&out, *r.median);
+    }
+    out += ", \"iterations\": ";
+    JsonValue::AppendNumber(&out, static_cast<double>(r.iterations));
+    out += "}";
   }
-  out << "\n  ]";
-  if (!metrics_json_.empty()) {
-    out << ",\n  \"metrics\": " << metrics_json_;
-  }
-  out << "\n}\n";
+  out += "\n  ]";
+  if (!metrics_json_.empty()) out += ",\n  \"metrics\": " + metrics_json_;
+  out += "\n}\n";
   std::ofstream os(path_);
-  os << out.str();
+  os << out;
   if (!os) {
     std::cerr << "BenchJson: cannot write " << path_ << "\n";
     return false;

@@ -7,16 +7,27 @@
 // trial, on TrialStream(seed, t) (eval/experiment.h), the computation a
 // server runs for the same question — and report over/under relative
 // errors, STD and runtime. Every cell uses the scale's seed. Scale knobs
-// come from the environment:
-//   VSJ_N       dataset size           (default: per-bench laptop scale)
-//   VSJ_TRIALS  trials per data point  (default 50; paper: 100)
-//   VSJ_SEED    corpus / RNG seed      (default 1)
-//   VSJ_K       LSH functions per table (default: per-bench, usually 20)
+// come from the environment, each a decimal integer at or above its
+// minimum (an unset knob takes the bench's default; anything else exits 2
+// naming the knob and its value):
+//   VSJ_N        dataset size             min 2  (default: per bench)
+//   VSJ_TRIALS   trials per data point    min 1  (default 50; paper: 100)
+//   VSJ_SEED     corpus / RNG seed        min 0  (default 1)
+//   VSJ_K        LSH functions per table  min 1  (default: per bench, often 20)
+//   VSJ_ITERS    timed repeats            min 1  (default 3)
+// and, read by the benches that use them:
+//   VSJ_TABLES   LSH tables               min 1  (lsh_build, streaming_churn)
+//   VSJ_PAIRS    pairs per measurement    min 8  (dot_kernel)
+//   VSJ_ROUNDS   churn rounds per rate    min 1  (streaming_churn)
+//   VSJ_CLIENTS  fan-out clients          min 1  (streaming_churn)
 
 #ifndef VSJ_BENCH_BENCH_COMMON_H_
 #define VSJ_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,8 +38,17 @@
 #include "vsj/lsh/lsh_index.h"
 #include "vsj/lsh/simhash.h"
 #include "vsj/util/table_printer.h"
+#include "vsj/util/timer.h"
 
 namespace vsj::bench {
+
+/// The one reader of the knobs above: environment variable `name` as a
+/// decimal integer in [min, max], or `fallback` when it is unset. Prints
+/// "bad NAME value (need an integer >= MIN): VALUE" (or "<= MAX") and
+/// exits 2 on anything else: garbage, a sign, an empty or too-large value.
+/// Counts stop at 2^32 - 1; only a seed needs the full 64 bits.
+uint64_t EnvCount(const char* name, uint64_t fallback, uint64_t min,
+                  uint64_t max = UINT32_MAX);
 
 /// Scale parameters resolved from the environment.
 struct Scale {
@@ -36,11 +56,36 @@ struct Scale {
   size_t trials;
   uint64_t seed;
   uint32_t k;
+  size_t iters;
 };
 
-/// Reads VSJ_N / VSJ_TRIALS / VSJ_SEED / VSJ_K with the given defaults.
+/// Reads VSJ_N / VSJ_TRIALS / VSJ_SEED / VSJ_K / VSJ_ITERS with the given
+/// defaults (VSJ_ITERS defaults to 3).
 Scale LoadScale(size_t default_n, uint32_t default_k = 20,
                 size_t default_trials = 50);
+
+/// The fastest and the median of repeated timed runs.
+struct Timing {
+  double min = 0.0;
+  double median = 0.0;
+  /// Both statistics times `factor` (seconds to ms, or to ns per pair).
+  Timing Scaled(double factor) const { return {min * factor, median * factor}; }
+};
+
+/// Runs `body` `iters` (>= 1) times and returns the min and median of its
+/// wall times in seconds.
+template <typename Body>
+Timing TimeRuns(size_t iters, Body&& body) {
+  std::vector<double> seconds(iters);
+  for (double& s : seconds) {
+    Timer timer;
+    body();
+    s = timer.ElapsedSeconds();
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return {seconds.front(),
+          (seconds[(iters - 1) / 2] + seconds[iters / 2]) / 2};
+}
 
 /// Everything a bench needs for one corpus.
 struct Workbench {
@@ -133,6 +178,11 @@ class BenchJson {
   void Add(const std::string& name, const std::string& unit, double value,
            size_t iterations);
 
+  /// Records a measurement of `iterations` timed runs: `value` is their
+  /// min and `median` sits beside it.
+  void Add(const std::string& name, const std::string& unit, Timing timing,
+           size_t iterations);
+
   /// Captures the global MetricRegistry as a "metrics" section of the
   /// document (counters, gauges, histogram percentiles). Call after the
   /// measured work, before Write(). A no-op without an output path or when
@@ -148,6 +198,7 @@ class BenchJson {
     std::string name;
     std::string unit;
     double value;
+    std::optional<double> median;  // set when `value` is a min of repeats
     size_t iterations;
   };
   std::string bench_name_;

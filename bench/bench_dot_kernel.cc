@@ -24,9 +24,7 @@
 
 #include "bench/bench_common.h"
 #include "vsj/util/cpu.h"
-#include "vsj/util/env.h"
 #include "vsj/util/rng.h"
-#include "vsj/util/timer.h"
 #include "vsj/vector/csr_storage.h"
 #include "vsj/vector/dataset_view.h"
 #include "vsj/vector/pair_eval.h"
@@ -54,26 +52,22 @@ PairList SamplePairs(size_t n, size_t count, uint64_t seed) {
   return pairs;
 }
 
-/// Runs `iters` passes of Dot over the pair list, resolving vectors via
-/// `ref_of`, and returns the best-of ns/pair (plus the checksum so the
-/// work cannot be optimized away).
-template <typename RefOf>
-std::pair<double, double> MeasureDot(const PairList& pairs, size_t iters,
-                                     RefOf&& ref_of) {
+/// Times `iters` passes of `dot(first, second)` over the pair list and
+/// returns the ns/pair (plus the checksum so the work cannot be optimized
+/// away).
+template <typename Dot>
+std::pair<vsj::bench::Timing, double> MeasureDot(const PairList& pairs,
+                                                 size_t iters, Dot&& dot) {
   double checksum = 0.0;
-  double best_seconds = 1e300;
-  for (size_t it = 0; it < iters; ++it) {
-    vsj::Timer timer;
+  const vsj::bench::Timing timing = vsj::bench::TimeRuns(iters, [&] {
     double sum = 0.0;
     for (size_t i = 0; i < pairs.first.size(); ++i) {
-      sum += ref_of(pairs.first[i]).Dot(ref_of(pairs.second[i]));
+      sum += dot(pairs.first[i], pairs.second[i]);
     }
-    best_seconds = std::min(best_seconds, timer.ElapsedSeconds());
     checksum = sum;
-  }
-  const double ns_per_pair =
-      best_seconds * 1e9 / static_cast<double>(pairs.first.size());
-  return {ns_per_pair, checksum};
+  });
+  return {timing.Scaled(1e9 / static_cast<double>(pairs.first.size())),
+          checksum};
 }
 
 /// Builds a cache-resident arena of `copies` (small, large) pairs whose
@@ -109,24 +103,20 @@ BatchArena BuildBatchArena(size_t small_size, size_t large_size, size_t vocab,
 }
 
 /// ns/pair of CountPairsAtOrAbove over `pairs` of `view` at the
-/// *currently installed* SIMD level, best of `iters`, plus the hit count
+/// *currently installed* SIMD level over `iters` runs, plus the hit count
 /// (the cross-level bit-identity check of the batched section).
-std::pair<double, uint64_t> MeasureBatched(vsj::DatasetView view,
-                                           const PairList& pairs,
-                                           size_t iters, double tau) {
+std::pair<vsj::bench::Timing, uint64_t> MeasureBatched(vsj::DatasetView view,
+                                                       const PairList& pairs,
+                                                       size_t iters,
+                                                       double tau) {
   uint64_t hits = 0;
-  double best_seconds = 1e300;
-  for (size_t it = 0; it < iters; ++it) {
-    vsj::Timer timer;
+  const vsj::bench::Timing timing = vsj::bench::TimeRuns(iters, [&] {
     hits = vsj::CountPairsAtOrAbove(
         vsj::SimilarityMeasure::kCosine, view, pairs.first.data(),
         pairs.second.data(), pairs.first.size(), tau,
         vsj::kPairPrefetchDistance);
-    best_seconds = std::min(best_seconds, timer.ElapsedSeconds());
-  }
-  const double ns_per_pair =
-      best_seconds * 1e9 / static_cast<double>(pairs.first.size());
-  return {ns_per_pair, hits};
+  });
+  return {timing.Scaled(1e9 / static_cast<double>(pairs.first.size())), hits};
 }
 
 /// The SIMD levels this host can run, widest-first for the table.
@@ -161,9 +151,9 @@ double LinearDot(VectorRef a, VectorRef b) {
 int main(int argc, char** argv) {
   const vsj::bench::Scale scale = vsj::bench::LoadScale(4000);
   vsj::bench::BenchJson json(argc, argv, "bench_dot_kernel");
-  const auto num_pairs =
-      static_cast<size_t>(vsj::EnvInt64("VSJ_PAIRS", 200000));
-  const auto iters = static_cast<size_t>(vsj::EnvInt64("VSJ_ITERS", 3));
+  // Every section times a list of num_pairs / 8 pairs or more.
+  const size_t num_pairs = vsj::bench::EnvCount("VSJ_PAIRS", 200000, 8);
+  const size_t iters = scale.iters;
   std::cout << "dot kernel bench: n = " << scale.n << ", " << num_pairs
             << " pairs, best of " << iters << " iteration(s)\n";
 
@@ -185,10 +175,14 @@ int main(int argc, char** argv) {
 
   const PairList pairs = SamplePairs(dataset.size(), num_pairs, scale.seed);
 
-  const auto [old_ns, old_sum] = MeasureDot(
-      pairs, iters, [&](VectorId id) { return scattered[id].ref(); });
+  const auto [old_ns, old_sum] =
+      MeasureDot(pairs, iters, [&](VectorId a, VectorId b) {
+        return scattered[a].ref().Dot(scattered[b].ref());
+      });
   const auto [csr_ns, csr_sum] =
-      MeasureDot(pairs, iters, [&](VectorId id) { return arena.Ref(id); });
+      MeasureDot(pairs, iters, [&](VectorId a, VectorId b) {
+        return arena.Ref(a).Dot(arena.Ref(b));
+      });
   if (old_sum != csr_sum) {
     std::cerr << "FATAL: layouts disagree (" << old_sum << " vs " << csr_sum
               << ")\n";
@@ -197,9 +191,10 @@ int main(int argc, char** argv) {
 
   vsj::TablePrinter layout("Dot cost by storage layout (identical pairs)");
   layout.SetHeader({"layout", "ns/pair", "vs per-vector"});
-  layout.AddRow({"per-vector heap", vsj::TablePrinter::Fmt(old_ns, 1), "1.00x"});
-  layout.AddRow({"CSR arena", vsj::TablePrinter::Fmt(csr_ns, 1),
-                 vsj::TablePrinter::Fmt(old_ns / csr_ns, 2) + "x"});
+  layout.AddRow(
+      {"per-vector heap", vsj::TablePrinter::Fmt(old_ns.min, 1), "1.00x"});
+  layout.AddRow({"CSR arena", vsj::TablePrinter::Fmt(csr_ns.min, 1),
+                 vsj::TablePrinter::Fmt(old_ns.min / csr_ns.min, 2) + "x"});
   layout.Print(std::cout);
   json.Add("dot_per_vector_heap", "ns_per_pair", old_ns, iters);
   json.Add("dot_csr_arena", "ns_per_pair", csr_ns, iters);
@@ -210,52 +205,24 @@ int main(int argc, char** argv) {
   vsj::TablePrinter skew("Skewed-pair Dot (small size 32, CSR arena)");
   skew.SetHeader({"size ratio", "merge", "ns/pair", "linear ns/pair"});
   for (const size_t ratio : {size_t{1}, size_t{8}, size_t{64}}) {
-    vsj::CsrStorage skew_arena;
-    vsj::Rng rng(scale.seed ^ ratio);
-    const size_t small_size = 32;
-    const size_t vocab = 4 * small_size * ratio;
-    const size_t copies = 512;
-    for (size_t c = 0; c < copies; ++c) {
-      std::vector<vsj::DimId> small_dims, large_dims;
-      for (size_t i = 0; i < small_size; ++i) {
-        small_dims.push_back(static_cast<vsj::DimId>(rng.Below(vocab)));
-      }
-      for (size_t i = 0; i < small_size * ratio; ++i) {
-        large_dims.push_back(static_cast<vsj::DimId>(rng.Below(vocab)));
-      }
-      skew_arena.Append(vsj::SparseVector::FromDims(small_dims).ref());
-      skew_arena.Append(vsj::SparseVector::FromDims(large_dims).ref());
-    }
-    PairList skew_pairs;
-    for (size_t i = 0; i < num_pairs / 8; ++i) {
-      const auto c = static_cast<VectorId>(2 * (i % copies));
-      skew_pairs.first.push_back(c);
-      skew_pairs.second.push_back(c + 1);
-    }
-    const auto [ns, sum] = MeasureDot(
-        skew_pairs, iters, [&](VectorId id) { return skew_arena.Ref(id); });
-    double linear_checksum = 0.0;
-    double linear_best = 1e300;
-    for (size_t it = 0; it < iters; ++it) {
-      vsj::Timer timer;
-      double s = 0.0;
-      for (size_t i = 0; i < skew_pairs.first.size(); ++i) {
-        s += LinearDot(skew_arena.Ref(skew_pairs.first[i]),
-                       skew_arena.Ref(skew_pairs.second[i]));
-      }
-      linear_best = std::min(linear_best, timer.ElapsedSeconds());
-      linear_checksum = s;
-    }
-    if (sum != linear_checksum) {
+    const BatchArena skewed = BuildBatchArena(
+        32, 32 * ratio, 4 * 32 * ratio, num_pairs / 8, scale.seed ^ ratio);
+    const auto [ns, sum] =
+        MeasureDot(skewed.pairs, iters, [&](VectorId a, VectorId b) {
+          return skewed.storage.Ref(a).Dot(skewed.storage.Ref(b));
+        });
+    const auto [linear_ns, linear_sum] =
+        MeasureDot(skewed.pairs, iters, [&](VectorId a, VectorId b) {
+          return LinearDot(skewed.storage.Ref(a), skewed.storage.Ref(b));
+        });
+    if (sum != linear_sum) {
       std::cerr << "FATAL: gallop and linear merges disagree\n";
       return 1;
     }
-    const double linear_ns = linear_best * 1e9 /
-                             static_cast<double>(skew_pairs.first.size());
     skew.AddRow({std::to_string(ratio) + ":1",
                  ratio >= vsj::kGallopRatio ? "gallop" : "linear",
-                 vsj::TablePrinter::Fmt(ns, 1),
-                 vsj::TablePrinter::Fmt(linear_ns, 1)});
+                 vsj::TablePrinter::Fmt(ns.min, 1),
+                 vsj::TablePrinter::Fmt(linear_ns.min, 1)});
     json.Add("dot_skew_" + std::to_string(ratio) + "to1", "ns_per_pair", ns,
              iters);
   }
@@ -299,15 +266,17 @@ int main(int argc, char** argv) {
                                const std::string& shape,
                                vsj::DatasetView view, const PairList& pairs) {
     std::vector<std::string> cells = {name, shape};
-    double scalar_ns = 0.0, best_ns = 1e300;
+    double scalar_ns = 0.0, best_ns = 0.0;
     uint64_t reference_hits = 0;
     bool first_level = true;
     for (const vsj::SimdLevel level : levels) {
       vsj::SetSimdLevel(level);
-      const auto [ns, hits] = MeasureBatched(view, pairs, iters, 0.5);
+      const auto [timing, hits] = MeasureBatched(view, pairs, iters, 0.5);
       vsj::ResetSimdLevel();
+      const double ns = timing.min;
       if (first_level) {
         reference_hits = hits;
+        best_ns = ns;
         first_level = false;
       } else if (hits != reference_hits) {
         std::cerr << "FATAL: batched hit counts diverge across levels ("
@@ -319,7 +288,7 @@ int main(int argc, char** argv) {
       best_ns = std::min(best_ns, ns);
       cells.push_back(vsj::TablePrinter::Fmt(ns, 1));
       json.Add("batched_" + name + "_" + vsj::SimdLevelName(level),
-               "ns_per_pair", ns, iters);
+               "ns_per_pair", timing, iters);
     }
     cells.push_back(vsj::TablePrinter::Fmt(scalar_ns / best_ns, 2) + "x");
     batched.AddRow(cells);

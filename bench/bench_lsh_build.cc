@@ -28,9 +28,7 @@
 #include "bench/bench_common.h"
 #include "vsj/lsh/lsh_table.h"
 #include "vsj/util/cpu.h"
-#include "vsj/util/env.h"
 #include "vsj/util/hash.h"
-#include "vsj/util/timer.h"
 #include "vsj/vector/dataset_view.h"
 
 namespace {
@@ -104,8 +102,8 @@ BaselineTable BaselineBuildTable(uint64_t mixed_seed, DatasetView dataset,
 
 int main(int argc, char** argv) {
   const vsj::bench::Scale scale = vsj::bench::LoadScale(20000, 10);
-  const auto tables = static_cast<uint32_t>(vsj::EnvInt64("VSJ_TABLES", 10));
-  const auto iters = static_cast<size_t>(vsj::EnvInt64("VSJ_ITERS", 3));
+  const uint32_t tables = vsj::bench::EnvCount("VSJ_TABLES", 10, 1);
+  const size_t iters = scale.iters;
   vsj::bench::BenchJson json(argc, argv, "bench_lsh_build");
 
   std::cout << "lsh build bench: n = " << scale.n << ", k = " << scale.k
@@ -126,34 +124,28 @@ int main(int argc, char** argv) {
   const DatasetView view(dataset);
 
   // --- Baseline: the historical build, replicated above. ---
-  double baseline_best = 1e300;
   std::vector<BaselineTable> baseline_tables(tables);
   std::vector<std::vector<uint64_t>> baseline_keys(tables);
-  for (size_t it = 0; it < iters; ++it) {
-    vsj::Timer timer;
+  const vsj::bench::Timing baseline = vsj::bench::TimeRuns(iters, [&] {
     for (uint32_t t = 0; t < tables; ++t) {
       baseline_tables[t] = BaselineBuildTable(mixed_seed, view, scale.k,
                                               t * scale.k, &baseline_keys[t]);
     }
-    baseline_best = std::min(baseline_best, timer.ElapsedSeconds());
-  }
+  }).Scaled(1e3);
 
   // --- Vectorized: the production LshIndex build (projection cache + SIMD
   // kernels + CSR arena), plus a scalar-kernel run isolating SIMD. ---
   auto measure_index = [&](vsj::SimdLevel level) {
     vsj::SetSimdLevel(level);
-    double best = 1e300;
     std::unique_ptr<vsj::LshIndex> index;
-    for (size_t it = 0; it < iters; ++it) {
-      vsj::Timer timer;
+    const vsj::bench::Timing timing = vsj::bench::TimeRuns(iters, [&] {
       index = std::make_unique<vsj::LshIndex>(family, view, scale.k, tables);
-      best = std::min(best, timer.ElapsedSeconds());
-    }
+    });
     vsj::ResetSimdLevel();
-    return std::pair{best, std::move(index)};
+    return std::pair{timing.Scaled(1e3), std::move(index)};
   };
-  auto [vector_best, index] = measure_index(vsj::ActiveSimdLevel());
-  auto [scalar_best, scalar_index] = measure_index(vsj::SimdLevel::kScalar);
+  auto [simd, index] = measure_index(vsj::ActiveSimdLevel());
+  auto [scalar, scalar_index] = measure_index(vsj::SimdLevel::kScalar);
 
   // --- Bit-identity: the speedup only counts if the output is the same
   // index the baseline would have built. ---
@@ -187,24 +179,26 @@ int main(int argc, char** argv) {
                            " vectors, k = " + std::to_string(scale.k) +
                            ", " + std::to_string(tables) + " tables)");
   report.SetHeader({"path", "build ms", "speedup"});
-  auto ms = [](double seconds) { return vsj::TablePrinter::Fmt(seconds * 1e3, 1); };
+  auto ms = [](double millis) { return vsj::TablePrinter::Fmt(millis, 1); };
   report.AddRow({"baseline (alloc + per-pair gaussians + hash-map)",
-                 ms(baseline_best), "1.00x"});
+                 ms(baseline.min), "1.00x"});
   report.AddRow({"vectorized, scalar kernels (cache + CSR arena)",
-                 ms(scalar_best),
-                 vsj::TablePrinter::Fmt(baseline_best / scalar_best, 2) + "x"});
+                 ms(scalar.min),
+                 vsj::TablePrinter::Fmt(baseline.min / scalar.min, 2) + "x"});
   report.AddRow({std::string("vectorized, ") +
                      vsj::SimdLevelName(vsj::ActiveSimdLevel()) + " kernels",
-                 ms(vector_best),
-                 vsj::TablePrinter::Fmt(baseline_best / vector_best, 2) + "x"});
+                 ms(simd.min),
+                 vsj::TablePrinter::Fmt(baseline.min / simd.min, 2) + "x"});
   report.Print(std::cout);
 
-  json.Add("static_build_baseline", "ms", baseline_best * 1e3, iters);
-  json.Add("static_build_scalar_kernels", "ms", scalar_best * 1e3, iters);
+  json.Add("static_build_baseline", "ms", baseline, iters);
+  json.Add("static_build_scalar_kernels", "ms", scalar, iters);
   json.Add(std::string("static_build_") +
                vsj::SimdLevelName(vsj::ActiveSimdLevel()) + "_kernels",
-           "ms", vector_best * 1e3, iters);
-  json.Add("static_build_speedup", "x", baseline_best / vector_best, iters);
+           "ms", simd, iters);
+  json.Add("static_build_speedup", "x",
+           {baseline.min / simd.min, baseline.median / simd.median},
+           iters);
   json.AddMetricsSnapshot();
   if (!json.Write()) return 1;
   std::cout << "\nper-build wall time is the unit (1-core dev containers "

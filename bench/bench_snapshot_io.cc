@@ -31,33 +31,14 @@
 #include "vsj/lsh/simhash.h"
 #include "vsj/service/streaming_estimation_service.h"
 #include "vsj/util/check.h"
-#include "vsj/util/env.h"
 #include "vsj/util/rng.h"
 #include "vsj/util/table_printer.h"
-#include "vsj/util/timer.h"
 #include "vsj/vector/mapped_csr_storage.h"
 
-namespace {
-
-/// Best-of-`iters` wall time of `body` in milliseconds.
-template <typename Body>
-double BestOfMillis(size_t iters, Body&& body) {
-  double best = 0.0;
-  for (size_t i = 0; i < iters; ++i) {
-    vsj::Timer timer;
-    body();
-    const double ms = timer.ElapsedMillis();
-    if (i == 0 || ms < best) best = ms;
-  }
-  return best;
-}
-
-}  // namespace
-
 int main() {
-  const auto n = static_cast<size_t>(vsj::EnvInt64("VSJ_N", 20000));
-  const auto iters = static_cast<size_t>(vsj::EnvInt64("VSJ_ITERS", 3));
-  const auto seed = static_cast<uint64_t>(vsj::EnvInt64("VSJ_SEED", 1));
+  const vsj::bench::Scale scale = vsj::bench::LoadScale(20000);
+  const size_t n = scale.n, iters = scale.iters;
+  const uint64_t seed = scale.seed;
 
   vsj::VectorDataset dataset =
       vsj::GenerateCorpus(vsj::DblpLikeConfig(n, seed));
@@ -74,28 +55,28 @@ int main() {
   VSJ_CHECK(vsj::SaveDatasetToFile(dataset, v2_path).ok());
 
   // --- Load-path timings. ---
-  const double v1_load_ms = BestOfMillis(iters, [&] {
+  const double v1_load_ms = vsj::bench::TimeRuns(iters, [&] {
     vsj::VectorDataset loaded;
     VSJ_CHECK(vsj::LoadDatasetFromFile(v1_path, &loaded).ok());
     VSJ_CHECK(loaded.size() == dataset.size());
-  });
-  const double v2_load_ms = BestOfMillis(iters, [&] {
+  }).min * 1e3;
+  const double v2_load_ms = vsj::bench::TimeRuns(iters, [&] {
     vsj::VectorDataset loaded;
     VSJ_CHECK(vsj::LoadDatasetFromFile(v2_path, &loaded).ok());
     VSJ_CHECK(loaded.size() == dataset.size());
-  });
-  const double v2_mmap_verified_ms = BestOfMillis(iters, [&] {
+  }).min * 1e3;
+  const double v2_mmap_verified_ms = vsj::bench::TimeRuns(iters, [&] {
     vsj::MappedCsrStorage mapped;
     VSJ_CHECK(vsj::MappedCsrStorage::Open(v2_path, &mapped).ok());
     VSJ_CHECK(mapped.size() == dataset.size());
-  });
+  }).min * 1e3;
   vsj::MappedCsrStorage::OpenOptions unverified;
   unverified.verify_checksums = false;
-  const double v2_mmap_ms = BestOfMillis(iters, [&] {
+  const double v2_mmap_ms = vsj::bench::TimeRuns(iters, [&] {
     vsj::MappedCsrStorage mapped;
     VSJ_CHECK(vsj::MappedCsrStorage::Open(v2_path, &mapped, unverified).ok());
     VSJ_CHECK(mapped.size() == dataset.size());
-  });
+  }).min * 1e3;
 
   vsj::TablePrinter table("dataset open paths (best of " +
                           std::to_string(iters) + ")");
@@ -155,16 +136,16 @@ int main() {
   for (vsj::VectorId id = 0; id < stats.num_vectors / 4; ++id) {
     engine.Remove(id);
   }
-  const double checkpoint_ms = BestOfMillis(iters, [&] {
+  const double checkpoint_ms = vsj::bench::TimeRuns(iters, [&] {
     VSJ_CHECK(engine.Checkpoint(snapshot_path).ok());
-  });
+  }).min * 1e3;
   std::unique_ptr<vsj::StreamingEstimationService> restored;
-  const double restore_ms = BestOfMillis(iters, [&] {
+  const double restore_ms = vsj::bench::TimeRuns(iters, [&] {
     VSJ_CHECK(vsj::StreamingEstimationService::Restore(snapshot_path,
                                                        &restored,
                                                        engine_options)
                   .ok());
-  });
+  }).min * 1e3;
   VSJ_CHECK(restored->num_live() == engine.num_live());
   VSJ_CHECK(restored->effective_fingerprint() ==
             engine.effective_fingerprint());

@@ -31,7 +31,6 @@
 
 #include "bench/bench_common.h"
 #include "vsj/service/streaming_estimation_service.h"
-#include "vsj/util/env.h"
 #include "vsj/util/timer.h"
 
 namespace {
@@ -49,31 +48,47 @@ std::vector<vsj::EstimateRequest> MakeBatch(size_t trials, uint64_t seed) {
   return batch;
 }
 
-/// Expires the `churn` oldest live documents and admits the same number of
-/// fresh arrivals, recycling expired ids on wraparound.
-void ChurnWindow(vsj::StreamingEstimationService& service,
-                 std::deque<vsj::VectorId>& live, vsj::VectorId& next,
-                 size_t churn) {
-  const auto universe = static_cast<vsj::VectorId>(service.dataset().size());
-  for (size_t c = 0; c < churn; ++c) {
-    service.Remove(live.front());
-    live.pop_front();
-    // Admit the next non-live id, recycling expired ids on wraparound.
-    while (service.Contains(next)) next = (next + 1) % universe;
-    service.Insert(next);
-    live.push_back(next);
-    next = (next + 1) % universe;
+/// A streaming service whose window holds the `window` oldest ids; the
+/// remaining ids are the arrival queue.
+struct SlidingWindow {
+  SlidingWindow(const vsj::CorpusConfig& config,
+                const vsj::StreamingEstimationServiceOptions& options,
+                size_t window)
+      : service(vsj::GenerateCorpus(config), options) {
+    for (; next < window; ++next) {
+      service.Insert(next);
+      live.push_back(next);
+    }
   }
-}
+
+  /// Expires the `churn` oldest live documents and admits the same number
+  /// of fresh arrivals.
+  void Churn(size_t churn) {
+    const auto universe = static_cast<vsj::VectorId>(service.dataset().size());
+    for (size_t c = 0; c < churn; ++c) {
+      service.Remove(live.front());
+      live.pop_front();
+      // Admit the next non-live id, recycling expired ids on wraparound.
+      while (service.Contains(next)) next = (next + 1) % universe;
+      service.Insert(next);
+      live.push_back(next);
+      next = (next + 1) % universe;
+    }
+  }
+
+  vsj::StreamingEstimationService service;
+  std::deque<vsj::VectorId> live;
+  vsj::VectorId next = 0;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const vsj::bench::Scale scale = vsj::bench::LoadScale(6000, 12, 2);
   vsj::bench::BenchJson json(argc, argv, "bench_streaming_churn");
-  const auto tables =
-      static_cast<uint32_t>(vsj::EnvInt64("VSJ_TABLES", 2));
-  const auto rounds = static_cast<size_t>(vsj::EnvInt64("VSJ_ROUNDS", 8));
+  const uint32_t tables = vsj::bench::EnvCount("VSJ_TABLES", 2, 1);
+  const size_t rounds = vsj::bench::EnvCount("VSJ_ROUNDS", 8, 1);
+  const size_t clients = vsj::bench::EnvCount("VSJ_CLIENTS", 512, 1);
   const size_t window = scale.n / 2;
   std::cout << "streaming churn bench: n = " << scale.n << " (window "
             << window << "), k = " << scale.k << ", " << tables
@@ -89,60 +104,45 @@ int main(int argc, char** argv) {
   report.SetHeader({"churn/round", "mutations/s", "batch ms", "estimates/s",
                     "cache hit rate"});
 
+  vsj::StreamingEstimationServiceOptions options;
+  options.k = scale.k;
+  options.num_tables = tables;
+  options.family_seed = scale.seed ^ 0x5eedULL;
+
   for (const size_t churn : {size_t{0}, size_t{16}, size_t{128}, window / 4}) {
-    vsj::StreamingEstimationServiceOptions options;
-    options.k = scale.k;
-    options.num_tables = tables;
-    options.family_seed = scale.seed ^ 0x5eedULL;
-    vsj::StreamingEstimationService service(vsj::GenerateCorpus(config),
-                                            options);
-
-    // Fill the window; the remaining ids are the arrival queue.
-    std::deque<vsj::VectorId> live;
-    vsj::VectorId next = 0;
-    for (; next < window; ++next) {
-      service.Insert(next);
-      live.push_back(next);
-    }
-
+    SlidingWindow sliding(config, options, window);
     double mutation_seconds = 0.0;
     double batch_seconds = 0.0;
     size_t estimates = 0;
     for (size_t round = 0; round < rounds; ++round) {
       vsj::Timer mutation_timer;
-      ChurnWindow(service, live, next, churn);
+      sliding.Churn(churn);
       mutation_seconds += mutation_timer.ElapsedSeconds();
 
       vsj::Timer batch_timer;
-      const auto responses = service.EstimateBatch(batch);
+      const auto responses = sliding.service.EstimateBatch(batch);
       batch_seconds += batch_timer.ElapsedSeconds();
       estimates += responses.size();
     }
 
-    const vsj::EstimateCacheStats cache_stats = service.cache().stats();
+    const double mutation_rate =
+        static_cast<double>(churn * rounds) / mutation_seconds;
+    const double estimate_rate =
+        static_cast<double>(estimates) / batch_seconds;
     if (churn > 0) {
       json.Add("mutations_per_sec_churn" + std::to_string(churn),
-               "mutations_per_sec",
-               static_cast<double>(churn * rounds) / mutation_seconds,
-               rounds);
+               "mutations_per_sec", mutation_rate, rounds);
     }
     json.Add("estimates_per_sec_churn" + std::to_string(churn),
-             "estimates_per_sec",
-             static_cast<double>(estimates) / batch_seconds, rounds);
+             "estimates_per_sec", estimate_rate, rounds);
     report.AddRow(
         {std::to_string(churn),
-         churn == 0 ? "-"
-                    : vsj::TablePrinter::Fmt(
-                          static_cast<double>(churn * rounds) /
-                              mutation_seconds,
-                          0),
+         churn == 0 ? "-" : vsj::TablePrinter::Fmt(mutation_rate, 0),
          vsj::TablePrinter::Fmt(batch_seconds * 1e3 /
                                     static_cast<double>(rounds),
                                 1),
-         vsj::TablePrinter::Fmt(static_cast<double>(estimates) /
-                                    batch_seconds,
-                                1),
-         vsj::TablePrinter::Pct(cache_stats.HitRate())});
+         vsj::TablePrinter::Fmt(estimate_rate, 1),
+         vsj::TablePrinter::Pct(sliding.service.cache().stats().HitRate())});
   }
 
   // Client fan-out: every round churns 16 documents (so the epoch bump
@@ -150,22 +150,9 @@ int main(int argc, char** argv) {
   // batch holding `clients` copies of the standard sweep. Miss grouping
   // elects one leader per distinct (estimator, τ) and the other clients
   // ride along.
-  const auto clients =
-      static_cast<size_t>(vsj::EnvInt64("VSJ_CLIENTS", 512));
   const size_t fan_churn = 16;
   {
-    vsj::StreamingEstimationServiceOptions options;
-    options.k = scale.k;
-    options.num_tables = tables;
-    options.family_seed = scale.seed ^ 0x5eedULL;
-    vsj::StreamingEstimationService service(vsj::GenerateCorpus(config),
-                                            options);
-    std::deque<vsj::VectorId> live;
-    vsj::VectorId next = 0;
-    for (; next < window; ++next) {
-      service.Insert(next);
-      live.push_back(next);
-    }
+    SlidingWindow sliding(config, options, window);
     std::vector<vsj::EstimateRequest> fan_batch;
     fan_batch.reserve(clients * batch.size());
     for (size_t c = 0; c < clients; ++c) {
@@ -175,16 +162,17 @@ int main(int argc, char** argv) {
     double batch_seconds = 0.0;
     size_t estimates = 0;
     for (size_t round = 0; round < rounds; ++round) {
-      ChurnWindow(service, live, next, fan_churn);
+      sliding.Churn(fan_churn);
       vsj::Timer batch_timer;
-      const auto responses = service.EstimateBatch(fan_batch);
+      const auto responses = sliding.service.EstimateBatch(fan_batch);
       batch_seconds += batch_timer.ElapsedSeconds();
       estimates += responses.size();
     }
 
+    const double estimate_rate =
+        static_cast<double>(estimates) / batch_seconds;
     json.Add("estimates_per_sec_fanout" + std::to_string(clients) + "_dedup",
-             "estimates_per_sec",
-             static_cast<double>(estimates) / batch_seconds, rounds);
+             "estimates_per_sec", estimate_rate, rounds);
     report.AddRow(
         {std::to_string(fan_churn) + " x" + std::to_string(clients) +
              " clients",
@@ -192,10 +180,8 @@ int main(int argc, char** argv) {
          vsj::TablePrinter::Fmt(batch_seconds * 1e3 /
                                     static_cast<double>(rounds),
                                 1),
-         vsj::TablePrinter::Fmt(static_cast<double>(estimates) /
-                                    batch_seconds,
-                                1),
-         vsj::TablePrinter::Pct(service.cache().stats().HitRate())});
+         vsj::TablePrinter::Fmt(estimate_rate, 1),
+         vsj::TablePrinter::Pct(sliding.service.cache().stats().HitRate())});
   }
   report.Print(std::cout);
   json.AddMetricsSnapshot();

@@ -146,7 +146,9 @@ class ReadySinkTest : public ::testing::Test {
       if (any_hit) {
         EXPECT_EQ(tasks_at_first_call, tasks_before);
         for (size_t i = 0; i < batch.size(); ++i) {
-          if (call_of[i] == 1) EXPECT_TRUE(returned[i].from_cache);
+          if (call_of[i] == 1) {
+            EXPECT_TRUE(returned[i].from_cache);
+          }
         }
       }
       for (size_t i = 0; i < batch.size(); ++i) {
