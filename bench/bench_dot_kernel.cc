@@ -10,7 +10,8 @@
 // contiguous CsrStorage arena through VectorRefs. Both run the identical
 // kernel over the identical pair list, so the delta is purely memory
 // layout. A third section isolates the galloping merge by timing skewed
-// pairs (small · ratio = large) at ratios 1/8/64 against the arena.
+// pairs (small · ratio = large) at ratios 1/8/64 against the arena, at the
+// dispatched SIMD level and forced scalar.
 //
 // Scale knobs: VSJ_N (corpus size, default 4000), VSJ_PAIRS (pairs per
 // measurement, default 200000), VSJ_ITERS (measurement repetitions,
@@ -128,24 +129,6 @@ std::vector<vsj::SimdLevel> BenchLevels() {
   return levels;
 }
 
-/// The pre-gallop linear merge, for the skew comparison column.
-double LinearDot(VectorRef a, VectorRef b) {
-  double sum = 0.0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a.dim(i) < b.dim(j)) {
-      ++i;
-    } else if (a.dim(i) > b.dim(j)) {
-      ++j;
-    } else {
-      sum += static_cast<double>(a.weight(i)) * b.weight(j);
-      ++i;
-      ++j;
-    }
-  }
-  return sum;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,10 +183,11 @@ int main(int argc, char** argv) {
   json.Add("dot_csr_arena", "ns_per_pair", csr_ns, iters);
 
   // Skewed pairs: small vectors dotted against ratio-times-longer ones;
-  // ratios >= 8 take the galloping path.
+  // ratios >= 8 take the galloping path. The last column is the same
+  // production Dot with the kernels forced scalar; its sums must match.
   std::cout << "\n";
   vsj::TablePrinter skew("Skewed-pair Dot (small size 32, CSR arena)");
-  skew.SetHeader({"size ratio", "merge", "ns/pair", "linear ns/pair"});
+  skew.SetHeader({"size ratio", "merge", "ns/pair", "scalar ns/pair"});
   for (const size_t ratio : {size_t{1}, size_t{8}, size_t{64}}) {
     const BatchArena skewed = BuildBatchArena(
         32, 32 * ratio, 4 * 32 * ratio, num_pairs / 8, scale.seed ^ ratio);
@@ -211,18 +195,20 @@ int main(int argc, char** argv) {
         MeasureDot(skewed.pairs, iters, [&](VectorId a, VectorId b) {
           return skewed.storage.Ref(a).Dot(skewed.storage.Ref(b));
         });
-    const auto [linear_ns, linear_sum] =
+    vsj::SetSimdLevel(vsj::SimdLevel::kScalar);
+    const auto [scalar_ns, scalar_sum] =
         MeasureDot(skewed.pairs, iters, [&](VectorId a, VectorId b) {
-          return LinearDot(skewed.storage.Ref(a), skewed.storage.Ref(b));
+          return skewed.storage.Ref(a).Dot(skewed.storage.Ref(b));
         });
-    if (sum != linear_sum) {
-      std::cerr << "FATAL: gallop and linear merges disagree\n";
+    vsj::ResetSimdLevel();
+    if (sum != scalar_sum) {
+      std::cerr << "FATAL: dispatched and scalar Dot disagree\n";
       return 1;
     }
     skew.AddRow({std::to_string(ratio) + ":1",
                  ratio >= vsj::kGallopRatio ? "gallop" : "linear",
                  vsj::TablePrinter::Fmt(ns.min, 1),
-                 vsj::TablePrinter::Fmt(linear_ns.min, 1)});
+                 vsj::TablePrinter::Fmt(scalar_ns.min, 1)});
     json.Add("dot_skew_" + std::to_string(ratio) + "to1", "ns_per_pair", ns,
              iters);
   }

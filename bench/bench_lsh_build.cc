@@ -11,6 +11,9 @@
 // reporting: the speedup is only meaningful because the output is
 // bit-identical. A third row forces the scalar kernels (the projection
 // cache stays on), isolating the SIMD contribution from the memoization.
+// A last row times a static tenant's cold open over the same corpus saved
+// as VSJB: the checksum-verified MappedCsrStorage::Open plus the
+// EstimationService (2 engine threads) that builds the index over it.
 //
 // Scale knobs: VSJ_N (corpus size, default 20000), VSJ_K (functions per
 // table, default 10), VSJ_TABLES (tables, default 10), VSJ_ITERS (best-of
@@ -19,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
 #include <memory>
 #include <unordered_map>
@@ -26,10 +30,14 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "vsj/io/dataset_io.h"
 #include "vsj/lsh/lsh_table.h"
+#include "vsj/service/estimation_service.h"
 #include "vsj/util/cpu.h"
+#include "vsj/util/check.h"
 #include "vsj/util/hash.h"
 #include "vsj/vector/dataset_view.h"
+#include "vsj/vector/mapped_csr_storage.h"
 
 namespace {
 
@@ -191,6 +199,26 @@ int main(int argc, char** argv) {
                  vsj::TablePrinter::Fmt(baseline.min / simd.min, 2) + "x"});
   report.Print(std::cout);
 
+  // --- Cold open: what a static tenant pays before its first estimate. ---
+  const std::string path = "/tmp/vsj_bench_lsh_build_open.vsjb";
+  VSJ_CHECK(vsj::SaveDatasetToFile(dataset, path).ok());
+  vsj::EstimationServiceOptions open_options;
+  open_options.k = scale.k;
+  open_options.num_tables = tables;
+  open_options.num_threads = 2;
+  open_options.family_seed = family_seed;
+  const vsj::bench::Timing open = vsj::bench::TimeRuns(iters, [&] {
+    vsj::MappedCsrStorage storage;
+    VSJ_CHECK(vsj::MappedCsrStorage::Open(path, &storage).ok());
+    const vsj::EstimationService service(vsj::DatasetView(storage),
+                                         open_options);
+  }).Scaled(1e3);
+  std::remove(path.c_str());
+  std::cout << "\nstatic tenant cold open (verified mmap + engine, 2 engine "
+               "threads): "
+            << ms(open.min) << " ms min, " << ms(open.median)
+            << " ms median\n";
+
   json.Add("static_build_baseline", "ms", baseline, iters);
   json.Add("static_build_scalar_kernels", "ms", scalar, iters);
   json.Add(std::string("static_build_") +
@@ -199,6 +227,7 @@ int main(int argc, char** argv) {
   json.Add("static_build_speedup", "x",
            {baseline.min / simd.min, baseline.median / simd.median},
            iters);
+  json.Add("static_open_ms", "ms", open, iters);
   json.AddMetricsSnapshot();
   if (!json.Write()) return 1;
   std::cout << "\nper-build wall time is the unit (1-core dev containers "

@@ -1,7 +1,11 @@
 #include "vsj/io/vsjb_format.h"
 
 #include <algorithm>
+#include <atomic>
+#include <numeric>
 #include <ostream>
+#include <system_error>
+#include <thread>
 
 #include "vsj/fault/fault.h"
 #include "vsj/obs/obs.h"
@@ -13,6 +17,8 @@ namespace {
 // Guards against allocating absurd sizes from corrupt headers.
 constexpr uint64_t kMaxReasonableCount = 1ULL << 40;
 constexpr uint32_t kMaxReasonableSections = 64;
+// A section at least this long earns a verify thread of its own.
+constexpr uint64_t kConcurrentChecksumBytes = uint64_t{1} << 20;
 
 void WritePadding(std::ostream& os, uint64_t current, uint64_t target) {
   static const char zeros[kVsjbAlignment] = {};
@@ -174,6 +180,47 @@ IoStatus ResolveColumn(const VsjbImage& image, uint32_t id, uint64_t count,
   return shape;
 }
 
+/// FNV-1a checksums of entries[0, count). FNV-1a is one serial chain per
+/// section, so whole sections are the unit of parallelism: every section of
+/// at least kConcurrentChecksumBytes may get a thread, and the calling
+/// thread and its helpers claim sections longest first.
+std::vector<uint64_t> ChecksumSections(
+    const char* bytes, const std::vector<VsjbSectionEntry>& entries,
+    size_t count) {
+  std::vector<size_t> order(count);
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return entries[a].length > entries[b].length;
+  });
+  const auto large = static_cast<size_t>(
+      std::count_if(entries.begin(), entries.begin() + count,
+                    [](const VsjbSectionEntry& entry) {
+                      return entry.length >= kConcurrentChecksumBytes;
+                    }));
+  const size_t threads = std::min<size_t>(
+      large, std::max(1u, std::thread::hardware_concurrency()));
+
+  std::vector<uint64_t> sums(count);
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < count;) {
+      const VsjbSectionEntry& entry = entries[order[i]];
+      sums[order[i]] = VsjbChecksum(bytes + entry.offset, entry.length);
+    }
+  };
+  std::vector<std::thread> helpers;
+  for (size_t t = 1; t < threads; ++t) {
+    try {
+      helpers.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // fewer helpers; the calling thread drains the rest
+    }
+  }
+  drain();
+  for (std::thread& helper : helpers) helper.join();
+  return sums;
+}
+
 }  // namespace
 
 IoStatus ValidateVsjbImage(const void* base, size_t size,
@@ -211,34 +258,50 @@ IoStatus ValidateVsjbImage(const void* base, size_t size,
   }
   image->entries.resize(header.section_count);
   std::memcpy(image->entries.data(), bytes + table_offset, table_bytes);
-  // Sections follow the table in table order, without overlap.
+  // Sections follow the table in table order, without overlap. The shape
+  // of every entry is checked first; only the sections before the first
+  // malformed one are checksummed, so the first failure in table order is
+  // reported, whichever of the two checks it is.
+  const std::vector<VsjbSectionEntry>& entries = image->entries;
+  IoStatus shape = IoStatus::Ok();
+  size_t sound = 0;
   uint64_t position = table_offset + table_bytes;
-  for (const VsjbSectionEntry& entry : image->entries) {
+  for (; sound < entries.size(); ++sound) {
+    const VsjbSectionEntry& entry = entries[sound];
     if (entry.offset % kVsjbAlignment != 0 || entry.offset < position) {
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "section " + SectionIdName(entry.id) +
-                                " has a malformed table entry",
-                            entry.offset);
+      shape = IoStatus::Fail(IoError::kCorrupt,
+                             "section " + SectionIdName(entry.id) +
+                                 " has a malformed table entry",
+                             entry.offset);
+      break;
     }
     if (entry.offset > size || entry.length > size - entry.offset) {
-      return IoStatus::Fail(IoError::kCorrupt,
-                            "section " + SectionIdName(entry.id) +
-                                " extends past end of file",
-                            entry.offset);
-    }
-    if (verify_checksums) {
-      VSJ_TRACE_SPAN(checksum_span, "io.checksum_verify_ns");
-      if (VSJ_FAULT_HIT("io.checksum").fired() ||
-          VsjbChecksum(bytes + entry.offset, entry.length) !=
-              entry.checksum) {
-        return IoStatus::Fail(IoError::kChecksumMismatch,
-                              "section " + SectionIdName(entry.id),
-                              entry.offset);
-      }
+      shape = IoStatus::Fail(IoError::kCorrupt,
+                             "section " + SectionIdName(entry.id) +
+                                 " extends past end of file",
+                             entry.offset);
+      break;
     }
     position = entry.offset + entry.length;
   }
-  return IoStatus::Ok();
+  if (verify_checksums && sound > 0) {
+    std::vector<uint64_t> sums;
+    {
+      VSJ_TRACE_SPAN(checksum_span, "io.checksum_verify_ns");
+      sums = ChecksumSections(bytes, entries, sound);
+    }
+    // The fault point is hit once per section, in table order, on the
+    // calling thread, exactly as a serial verify would hit it.
+    for (size_t i = 0; i < sound; ++i) {
+      if (VSJ_FAULT_HIT("io.checksum").fired() ||
+          sums[i] != entries[i].checksum) {
+        return IoStatus::Fail(IoError::kChecksumMismatch,
+                              "section " + SectionIdName(entries[i].id),
+                              entries[i].offset);
+      }
+    }
+  }
+  return shape;
 }
 
 IoStatus ResolveVsjbColumns(const VsjbImage& image, VsjbColumnView* columns) {

@@ -185,8 +185,10 @@ struct VsjbImage {
 /// Validates the `size`-byte image at `base` as a container with the given
 /// magic/version and fills `*image`: header plausibility, the name and the
 /// section table inside the image, the section-ordering rule above, and —
-/// with `verify_checksums` — every section's checksum. Without it the cost
-/// stays O(header + table). The only container parser of the library.
+/// with `verify_checksums` — every section's checksum, sections of 1 MiB
+/// or more on threads of their own. Either way the first failure in table
+/// order is the one reported. Without checksums the cost stays
+/// O(header + table). The only container parser of the library.
 IoStatus ValidateVsjbImage(const void* base, size_t size,
                            const char (&magic)[4], uint32_t version,
                            bool verify_checksums, VsjbImage* image);

@@ -61,11 +61,11 @@ class DynamicLshIndex {
   /// table (the virtual-bucket membership test of Appendix B.2.1).
   bool SameBucketInAnyTable(VectorId u, VectorId v) const;
 
-  /// Attaches a sealed Gaussian projection cache consulted by every
-  /// subsequent Insert (SimHash skips re-deriving hyperplane components
-  /// for cached dimensions; hashes are bit-identical either way). The
-  /// cache must be sealed, belong to this index's family, cover functions
-  /// [0, k·ℓ), and outlive the index. nullptr detaches.
+  /// Attaches a Gaussian projection cache consulted by every subsequent
+  /// Insert (SimHash skips re-deriving hyperplane components for cached
+  /// dimensions; hashes are bit-identical either way). The cache must
+  /// belong to this index's family, cover functions [0, k·ℓ), and outlive
+  /// the index. nullptr detaches.
   void AttachProjectionCache(const GaussianProjectionCache* cache) {
     scratch_.gaussian_cache = cache;
   }

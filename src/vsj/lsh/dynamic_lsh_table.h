@@ -50,7 +50,7 @@ class DynamicLshTable {
   size_t num_buckets() const { return num_nonempty_buckets_; }
 
   /// Inserts vector `id`, hashing through `scratch` (the hot path; the
-  /// scratch may carry a sealed projection cache). `id` must not be
+  /// scratch may carry a projection cache). `id` must not be
   /// present.
   void Insert(VectorId id, VectorRef vector, HashScratch& scratch);
 

@@ -12,12 +12,15 @@
 // consecutive doubles — exactly the layout the SIMD accumulation kernel
 // (simhash_kernel.h) wants.
 //
-// Sealing rule: the table is filled in two phases. AddDim() registers
-// dimensions single-threaded (slot assignment may rehash); Fill() computes
-// all rows — trivially parallel, each row is independent — and seals the
-// table. Row() returns nullptr until sealed, so a partially filled cache
-// can never leak garbage into a hash; after sealing the cache is
-// immutable and safe to share read-only across ParallelFor workers.
+// The constructor does all the work across a pool, and the finished cache
+// is immutable and safe to share read-only across ParallelFor workers:
+//   * registration: each run of consecutive vectors collects its distinct
+//     dims into a table of its own on a pool thread, and the run tables
+//     merge in run order — the serial part is O(distinct dims · runs), not
+//     a probe per feature. Every table is open-addressed over the dims it
+//     holds, so memory stays bounded by the dataset's own size whatever
+//     its dim ids are;
+//   * fill: rows are independent, so any schedule produces the same rows.
 // Dimensions absent from the cache (e.g. vectors appended to a streaming
 // store after construction) miss to nullptr and the caller recomputes on
 // the fly — bit-identical either way, since rows hold exactly the values
@@ -30,76 +33,113 @@
 #include <cstdint>
 #include <vector>
 
-#include "vsj/vector/vector_ref.h"
+#include "vsj/util/hash.h"
+#include "vsj/vector/dataset_view.h"
 
 namespace vsj {
 
 class ThreadPool;
 
-/// Sealed, read-only shareable (dim → k Gaussians) table for one family.
+/// Open-addressed map dim → row index: linear probing, load factor at most
+/// 1/4, grown by doubling. Slots come from Fibonacci hashing (the top bits
+/// of dim · 2^64/φ), which spreads a run of consecutive ids — a vocabulary's
+/// term ids — almost without collisions, so nearly every probe ends at its
+/// first slot.
+class DimRowTable {
+ public:
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  DimRowTable();
+
+  /// The row of `dim`, or kNoRow.
+  uint32_t Find(DimId dim) const {
+    const size_t mask = slots_.size() - 1;
+    for (size_t slot = Home(dim); slots_[slot].row != kNoRow;
+         slot = (slot + 1) & mask) {
+      if (slots_[slot].dim == dim) return slots_[slot].row;
+    }
+    return kNoRow;
+  }
+
+  /// Maps `dim` to `row` (< kNoRow) unless `dim` is present; returns
+  /// whether it was inserted.
+  bool Insert(DimId dim, uint32_t row) {
+    const size_t mask = slots_.size() - 1;
+    size_t slot = Home(dim);
+    for (; slots_[slot].row != kNoRow; slot = (slot + 1) & mask) {
+      if (slots_[slot].dim == dim) return false;
+    }
+    Place(slot, dim, row);
+    return true;
+  }
+
+  size_t size() const { return size_; }
+
+  /// Calls `visit(dim)` for every key, in slot order.
+  template <typename Visit>
+  void ForEachDim(Visit&& visit) const {
+    for (const Slot& slot : slots_) {
+      if (slot.row != kNoRow) visit(slot.dim);
+    }
+  }
+
+  size_t MemoryBytes() const { return slots_.capacity() * sizeof(Slot); }
+
+ private:
+  struct Slot {
+    DimId dim;
+    uint32_t row;  // kNoRow marks an empty slot
+  };
+
+  /// Stores a new key at `slot`, the empty slot its probe ended at, or
+  /// first doubles the table when that would pass the load bound.
+  void Place(size_t slot, DimId dim, uint32_t row);
+
+  size_t Home(DimId dim) const {
+    return static_cast<size_t>((uint64_t{dim} * kHashCombineGamma) >> shift_);
+  }
+
+  std::vector<Slot> slots_;  // 2^(64 − shift_) slots
+  int shift_;
+  size_t size_ = 0;
+};
+
+/// Read-only shareable (dim → num_functions() Gaussians) table for one
+/// family.
 class GaussianProjectionCache {
  public:
-  /// `family_tag` identifies the owning family (SimHash passes its mixed
-  /// seed) so a hash path can reject a cache built for different hash
+  /// Registers every dimension of `dataset` and fills its rows across
+  /// `pool`. `family_tag` identifies the owning family (SimHash passes its
+  /// mixed seed) so a hash path can reject a cache built for different hash
   /// functions. `fn_seeds[f]` is the per-function seed fed to
   /// GaussianFromHash; rows hold values for functions [0, fn_seeds.size()).
-  GaussianProjectionCache(uint64_t family_tag, std::vector<uint64_t> fn_seeds);
+  GaussianProjectionCache(uint64_t family_tag, std::vector<uint64_t> fn_seeds,
+                          DatasetView dataset, ThreadPool& pool);
 
-  /// Registers `dim` (idempotent). Pre-seal only; single-threaded.
-  void AddDim(DimId dim);
-
-  /// Registers every dimension of `v` (convenience for fill passes).
-  void AddDims(VectorRef v);
-
-  /// Computes all rows across `pool` and seals the table.
-  void Fill(ThreadPool& pool);
-
-  bool sealed() const { return sealed_; }
   uint64_t family_tag() const { return family_tag_; }
   uint32_t num_functions() const {
     return static_cast<uint32_t>(fn_seeds_.size());
   }
-  size_t num_dims() const { return num_dims_; }
+  size_t num_dims() const { return dims_.size(); }
 
   /// The row of `dim`: num_functions() contiguous doubles, value f equal to
-  /// GaussianFromHash(dim, fn_seeds[f]). nullptr when `dim` is not cached
-  /// or the table is not sealed yet. Rows are stored densely (one per
-  /// registered dim, not per hash slot), addressed through the slot's row
-  /// index.
+  /// GaussianFromHash(dim, fn_seeds[f]); nullptr when `dim` is not cached.
+  /// Rows are stored densely, one per registered dim.
   const double* Row(DimId dim) const {
-    if (!sealed_) return nullptr;
-    const size_t mask = capacity_ - 1;
-    size_t slot = SlotHash(dim) & mask;
-    while (states_[slot] != kEmptySlot) {
-      if (slot_dims_[slot] == dim) {
-        return values_.data() + static_cast<size_t>(row_of_slot_[slot]) * RowStride();
-      }
-      slot = (slot + 1) & mask;
-    }
-    return nullptr;
+    const uint32_t row = rows_.Find(dim);
+    if (row == DimRowTable::kNoRow) return nullptr;
+    return values_.data() + static_cast<size_t>(row) * fn_seeds_.size();
   }
 
   /// Table + rows footprint.
   size_t MemoryBytes() const;
 
  private:
-  static constexpr uint8_t kEmptySlot = 0;
-  static constexpr uint8_t kOccupiedSlot = 1;
-
-  static uint64_t SlotHash(DimId dim);
-  size_t RowStride() const { return fn_seeds_.size(); }
-  void Rehash(size_t new_capacity);
-  size_t FindOrInsertSlot(DimId dim);
-
   uint64_t family_tag_;
   std::vector<uint64_t> fn_seeds_;
-  size_t capacity_ = 0;  // power of two
-  size_t num_dims_ = 0;
-  std::vector<DimId> slot_dims_;
-  std::vector<uint8_t> states_;
-  std::vector<uint32_t> row_of_slot_;  // slot -> dense row index (sealed)
+  DimRowTable rows_;
+  std::vector<DimId> dims_;     // row index -> dim
   std::vector<double> values_;  // num_dims() × num_functions(), dense rows
-  bool sealed_ = false;
 };
 
 }  // namespace vsj

@@ -39,17 +39,21 @@ class ThreadPool;
 /// Reusable hashing state, owned by the caller and threaded through every
 /// hot-path HashRange call. One scratch per thread: the buffers are mutated
 /// freely, so a scratch must never be shared between concurrent hashers
-/// (the pointed-to projection cache is sealed read-only and may be).
+/// (the pointed-to projection cache is immutable and may be).
 struct HashScratch {
-  /// SimHash: the k running projections of the current call.
+  /// SimHash: the k projections of the current call.
   std::vector<double> projections;
+  /// SimHash: each feature's k Gaussian components — a cached row, or one
+  /// of `derived_rows`, which holds the rows of dims the cache lacks.
+  std::vector<const double*> rows;
+  std::vector<double> derived_rows;
   /// Per-function seed material (SimHash: fn seeds; MinHash: fold terms).
   std::vector<uint64_t> lane_seeds;
   /// The k hash values BucketKey folds.
   std::vector<uint64_t> signature;
   /// MinHash: the set embedding of the current vector.
   std::vector<SetElement> embed;
-  /// Optional sealed Gaussian cache (see GaussianProjectionCache); families
+  /// Optional Gaussian cache (see GaussianProjectionCache); families
   /// that cannot use it ignore it, SimHash validates the tag before use.
   const GaussianProjectionCache* gaussian_cache = nullptr;
 };
@@ -93,7 +97,7 @@ class LshFamily {
   uint64_t BucketKey(VectorRef v, uint32_t function_offset, uint32_t k,
                      HashScratch& scratch) const;
 
-  /// Builds a sealed projection cache covering functions [0, num_functions)
+  /// Builds a projection cache covering functions [0, num_functions)
   /// over the dimensions of `dataset`, filled across `pool`.
   /// Families whose hashing cannot be table-driven return nullptr (the
   /// default); callers treat a null cache as "hash uncached" — results are

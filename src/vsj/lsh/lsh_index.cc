@@ -22,10 +22,11 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
 
   // The Gaussian projection cache memoizes every (dim, function) hyperplane
   // component the build will need — the fill pass is O(distinct dims · ℓ·k)
-  // where the uncached build derives O(n · features · ℓ·k) of them. It is
-  // filled across the pool, sealed, then shared read-only by every hashing
-  // worker; families without a table-driven form return nullptr and hash
-  // uncached. Build results are bit-identical with and without the cache.
+  // where the uncached build derives O(n · features · ℓ·k) of them. Its
+  // dims are registered and its rows filled across the pool, then it is
+  // shared read-only by every hashing worker; families without a
+  // table-driven form return nullptr and hash uncached. Build results are
+  // bit-identical with and without the cache.
   VSJ_TRACE_SPAN(projcache_span, "lsh.build.projcache_fill_ns");
   const std::unique_ptr<GaussianProjectionCache> cache =
       family.MakeProjectionCache(dataset, k * num_tables, workers);
@@ -36,7 +37,7 @@ LshIndex::LshIndex(const LshFamily& family, DatasetView dataset,
   // Phase 1: hash every (table, vector) pair across the pool. The ℓ·n key
   // computations are independent; chunk them in units of vectors so one
   // parallel-for item is a contiguous slice of one table's key array. Each
-  // chunk owns a scratch; the sealed cache is shared by all of them.
+  // chunk owns a scratch; the immutable cache is shared by all of them.
   std::vector<std::vector<uint64_t>> keys(num_tables);
   for (auto& table_keys : keys) table_keys.resize(n);
 

@@ -56,7 +56,7 @@ class LshTable {
   /// Computes the bucket key (LshFamily::BucketKey) of vectors [begin, end)
   /// into out[0 .. end-begin). Pure and thread-safe; disjoint
   /// ranges may be computed concurrently with per-caller scratches (the
-  /// scratch's projection cache, if any, is sealed and shared read-only).
+  /// scratch's projection cache, if any, is shared read-only).
   static void ComputeBucketKeys(const LshFamily& family, DatasetView dataset,
                                 uint32_t k, uint32_t function_offset,
                                 VectorId begin, VectorId end, uint64_t* out,

@@ -7,12 +7,13 @@
 // Mix64(d, seed_j); no d-dimensional projection matrices are stored, so the
 // family supports 10^5+-dimensional vocabularies at zero memory cost.
 //
-// Hot path: when the caller's HashScratch carries a sealed
-// GaussianProjectionCache built by this family, the per-(feature, function)
-// derivation becomes a contiguous row load fed to the SIMD accumulation
-// kernel (simhash_kernel.h) — bit-identical to the uncached scalar loop,
-// since the cache stores exactly the GaussianFromHash values and each SIMD
-// lane owns one function.
+// Hot path: when the caller's HashScratch carries a GaussianProjectionCache
+// built by this family, the per-(feature, function) derivation becomes a
+// contiguous row load; dims the cache lacks get rows derived into the
+// scratch. One SIMD kernel call (simhash_kernel.h) then folds the whole
+// vector — bit-identical to the uncached scalar loop, since the cache
+// stores exactly the GaussianFromHash values and each SIMD lane owns one
+// function.
 
 #ifndef VSJ_LSH_SIMHASH_H_
 #define VSJ_LSH_SIMHASH_H_

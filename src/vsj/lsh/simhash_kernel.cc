@@ -1,5 +1,9 @@
 #include "vsj/lsh/simhash_kernel.h"
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
+
 #include "vsj/util/cpu.h"
 #include "vsj/util/hash.h"
 
@@ -18,10 +22,14 @@ namespace {
 // Scalar reference — the semantics every wider width must reproduce bitwise.
 // ---------------------------------------------------------------------------
 
-inline void AccumulateScalar(const double* gaussians, double weight,
-                             double* acc, uint32_t begin, uint32_t end) {
-  for (uint32_t j = begin; j < end; ++j) {
-    acc[j] += weight * gaussians[j];
+inline void ProjectScalar(const double* const* rows, const float* weights,
+                          size_t count, double* acc, uint32_t begin,
+                          uint32_t end) {
+  for (uint32_t j = begin; j < end; ++j) acc[j] = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    const double weight = weights[i];
+    const double* row = rows[i];
+    for (uint32_t j = begin; j < end; ++j) acc[j] += weight * row[j];
   }
 }
 
@@ -68,17 +76,53 @@ __attribute__((target("avx2"))) inline __m256i MinEpu64Avx2(__m256i a,
   return _mm256_blendv_epi8(a, b, a_gt_b);
 }
 
-__attribute__((target("avx2"))) void AccumulateAvx2(const double* gaussians,
-                                                    double weight,
-                                                    double* acc, uint32_t k) {
-  const __m256d w = _mm256_set1_pd(weight);
-  uint32_t j = 0;
-  for (; j + 4 <= k; j += 4) {
-    const __m256d g = _mm256_loadu_pd(gaussians + j);
-    const __m256d a = _mm256_loadu_pd(acc + j);
-    _mm256_storeu_pd(acc + j, _mm256_add_pd(a, _mm256_mul_pd(w, g)));
+/// Lanes [lane, lane + 4·sizeof...(V)) of ProjectRows, their sums held in
+/// registers across every feature of the vector.
+template <size_t... V>
+__attribute__((target("avx2"))) void ProjectBlockAvx2(
+    std::index_sequence<V...>, const double* const* rows,
+    const float* weights, size_t count, uint32_t lane, double* acc) {
+  __m256d sum[] = {((void)V, _mm256_setzero_pd())...};
+  for (size_t i = 0; i < count; ++i) {
+    const __m256d w = _mm256_set1_pd(static_cast<double>(weights[i]));
+    const double* row = rows[i] + lane;
+    ((sum[V] = _mm256_add_pd(sum[V],
+                             _mm256_mul_pd(w, _mm256_loadu_pd(row + 4 * V)))),
+     ...);
   }
-  AccumulateScalar(gaussians, weight, acc, j, k);
+  (_mm256_storeu_pd(acc + lane + 4 * V, sum[V]), ...);
+}
+
+using ProjectBlockFn = void (*)(const double* const*, const float*, size_t,
+                                uint32_t, double*);
+
+template <size_t kVecs>
+__attribute__((target("avx2"))) void ProjectBlockOf(
+    const double* const* rows, const float* weights, size_t count,
+    uint32_t lane, double* acc) {
+  ProjectBlockAvx2(std::make_index_sequence<kVecs>(), rows, weights, count,
+                   lane, acc);
+}
+
+/// Up to 8 four-lane sums (32 functions) per pass over the features: 8
+/// accumulators, the broadcast weight and a row load fit the 16 registers.
+constexpr uint32_t kMaxBlockVecs = 8;
+
+__attribute__((target("avx2"))) void ProjectAvx2(const double* const* rows,
+                                                 const float* weights,
+                                                 size_t count, double* acc,
+                                                 uint32_t k) {
+  static constexpr ProjectBlockFn kBlocks[kMaxBlockVecs + 1] = {
+      nullptr,           ProjectBlockOf<1>, ProjectBlockOf<2>,
+      ProjectBlockOf<3>, ProjectBlockOf<4>, ProjectBlockOf<5>,
+      ProjectBlockOf<6>, ProjectBlockOf<7>, ProjectBlockOf<8>};
+  uint32_t lane = 0;
+  while (k - lane >= 4) {
+    const uint32_t vecs = std::min((k - lane) / 4, kMaxBlockVecs);
+    kBlocks[vecs](rows, weights, count, lane, acc);
+    lane += 4 * vecs;
+  }
+  ProjectScalar(rows, weights, count, acc, lane, k);
 }
 
 __attribute__((target("avx2"))) void MinFoldAvx2(uint64_t mixed_key,
@@ -100,15 +144,15 @@ __attribute__((target("avx2"))) void MinFoldAvx2(uint64_t mixed_key,
 
 }  // namespace
 
-void AccumulateProjectionLanes(const double* gaussians, double weight,
-                               double* acc, uint32_t k) {
+void ProjectRows(const double* const* rows, const float* weights,
+                 size_t count, double* acc, uint32_t k) {
 #if VSJ_KERNEL_X86
   if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    AccumulateAvx2(gaussians, weight, acc, k);
+    ProjectAvx2(rows, weights, count, acc, k);
     return;
   }
 #endif
-  AccumulateScalar(gaussians, weight, acc, 0, k);
+  ProjectScalar(rows, weights, count, acc, 0, k);
 }
 
 void MinFoldLanes(uint64_t mixed_key, const uint64_t* seed_terms,

@@ -1,16 +1,18 @@
 // Vectorized hashing kernels for the LSH families — the index-build hot
 // path made SIMD-wide while staying bit-identical to the scalar code.
 //
-// Both kernels vectorize *across the k hash functions of one feature*:
-// lane j owns function j, so the per-function accumulation (or min-fold)
-// order over the features is exactly the scalar order and no floating-point
-// reassociation ever happens. Concretely:
+// Both kernels vectorize *across the k hash functions*: lane j owns
+// function j, so the per-function accumulation (or min-fold) order over the
+// features is exactly the scalar order and no floating-point reassociation
+// ever happens. Concretely:
 //
-//   * AccumulateProjectionLanes — SimHash. acc[j] += weight * gaussians[j]
-//     per lane, as one IEEE multiply followed by one IEEE add (never an
-//     FMA; the translation unit is built with -ffp-contract=off so the
-//     scalar fallback cannot contract either). Identical rounding per lane
-//     at every width.
+//   * ProjectRows — SimHash, one call per vector. acc[j] sums
+//     weight_i * row_i[j] over the vector's features in order, each term
+//     one IEEE multiply followed by one IEEE add (never an FMA; the
+//     translation unit is built with -ffp-contract=off so the scalar
+//     fallback cannot contract either). Identical rounding per lane at
+//     every width. The AVX2 body keeps up to 32 lanes' sums in registers
+//     across all the features and picks its width once per vector.
 //
 //   * MinFoldLanes — MinHash. mins[j] = min(mins[j], Mix64(key + terms[j]))
 //     per lane; pure 64-bit integer arithmetic, so bit-identity is trivial
@@ -25,14 +27,16 @@
 #ifndef VSJ_LSH_SIMHASH_KERNEL_H_
 #define VSJ_LSH_SIMHASH_KERNEL_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace vsj {
 
-/// acc[j] += weight * gaussians[j] for j in [0, k) — the SimHash inner loop
-/// over one feature, given the feature's k cached Gaussian components.
-void AccumulateProjectionLanes(const double* gaussians, double weight,
-                               double* acc, uint32_t k);
+/// acc[j] = Σ_i weights[i] · rows[i][j] for j in [0, k), summed from +0.0
+/// over i = 0, 1, …, count − 1 in order — SimHash's k projections of one
+/// vector, given each feature's weight and its k Gaussian components.
+void ProjectRows(const double* const* rows, const float* weights,
+                 size_t count, double* acc, uint32_t k);
 
 /// mins[j] = min(mins[j], Mix64(mixed_key + seed_terms[j])) for j in
 /// [0, k) — the MinHash inner loop over one set element. `mixed_key` is

@@ -6,8 +6,12 @@
 // Two design points follow:
 //
 //   * The key is exact: ExactKey(request) (estimate_request.h) plus the
-//     dataset fingerprint. An estimate is a statement about one specific
-//     threshold under one specific statistical policy, and serving a
+//     owner's fingerprint. Only the streaming engine folds one in, its
+//     dataset fingerprint combined with its mutation epoch; the static
+//     engine's cache sits over a dataset that never changes and passes 0,
+//     so opening a static tenant hashes no dataset. An estimate is a
+//     statement about one specific threshold under one specific
+//     statistical policy, and serving a
 //     τ=0.72 probe a response sampled at τ=0.70 silently mislabels the
 //     estimate, its error bar and its sampling cost. (Earlier versions
 //     keyed on a τ-bucket and did exactly that;
@@ -67,7 +71,7 @@ class EstimateCache {
   /// capacity 0 keeps none (its owner skips it).
   explicit EstimateCache(size_t capacity = 1024);
 
-  /// Returns the cached response for `request`'s key over the dataset with
+  /// Returns the cached response for `request`'s key under the owner's
   /// `fingerprint`, refreshing its LRU position, or nullopt. Counts a hit
   /// or a miss.
   std::optional<EstimateResponse> Lookup(const EstimateRequest& request,

@@ -6,9 +6,11 @@
 // the LSH family they select, the thread pool, the estimate cache and the
 // cached-batch protocol — and
 // each engine (EstimationService: static index, any registered estimator;
-// StreamingEstimationService: dynamic index, LSH-SS only) supplies its
-// dataset fingerprint, a pre-pass hook settling per-leader state, the trial
-// function, and its estimator-name rule.
+// StreamingEstimationService: dynamic index, LSH-SS only) supplies the
+// salt of its cache keys (the streaming engine's epoch-folded dataset
+// fingerprint; 0 for the static engine, whose dataset never changes), a
+// pre-pass hook settling per-leader state, the trial function, and its
+// estimator-name rule.
 //
 // Determinism: trial t of every request draws from the value-derived
 // stream TrialStream(request.seed, t) (core/estimator.h) — never from its

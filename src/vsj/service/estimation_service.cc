@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "vsj/obs/obs.h"
-#include "vsj/service/dataset_fingerprint.h"
 #include "vsj/util/check.h"
 #include "vsj/util/timer.h"
 
@@ -16,8 +15,7 @@ EstimationService::EstimationService(VectorDataset dataset,
     : EstimationEngine(options),
       options_(options),
       dataset_(std::move(dataset)),
-      view_(dataset_),
-      fingerprint_(DatasetFingerprint(view_)) {
+      view_(dataset_) {
   BuildIndexAndContext();
 }
 
@@ -25,8 +23,7 @@ EstimationService::EstimationService(DatasetView dataset,
                                      EstimationServiceOptions options)
     : EstimationEngine(options),
       options_(options),
-      view_(dataset),
-      fingerprint_(DatasetFingerprint(view_)) {
+      view_(dataset) {
   BuildIndexAndContext();
 }
 
@@ -55,8 +52,10 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
   // distinct overrides clients send. A sweep group shares its leader's.
   std::vector<const JoinSizeEstimator*> estimators(requests.size(), nullptr);
   std::vector<std::unique_ptr<JoinSizeEstimator>> overridden;
+  // The cache is this engine's own and its dataset never changes, so the
+  // request key alone names an answer: no dataset fingerprint is folded in.
   return RunCachedBatch(
-      requests, fingerprint_,
+      requests, /*fingerprint=*/0,
       [&](size_t i) {
         const EstimateRequest& request = requests[i];
         if (request.HasSamplingOverrides()) {

@@ -81,7 +81,6 @@ class EstimationService final : public EstimationEngine {
   EstimationServiceOptions options_;
   VectorDataset dataset_;  // empty in the non-owning flavor
   DatasetView view_;
-  uint64_t fingerprint_;
   std::unique_ptr<LshIndex> index_;
   double index_build_seconds_ = 0.0;
   EstimatorContext context_;

@@ -469,10 +469,15 @@ PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   });
 }
 
-void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
-                              const VectorId* firsts, const VectorId* seconds,
-                              size_t count, size_t prefetch_distance,
-                              double* similarities) {
+// Cache-line alignment of this function raises the alignment of the whole
+// translation unit's code to 64 bytes, so the kernels' hot loops keep one
+// placement relative to cache lines whatever code the linker puts before
+// them. Without it, a 48-byte shift from an unrelated change to another file
+// cost sweep_cold about 10% of its estimates/s.
+__attribute__((aligned(64))) void EvaluatePairSimilarities(
+    SimilarityMeasure measure, DatasetView dataset, const VectorId* firsts,
+    const VectorId* seconds, size_t count, size_t prefetch_distance,
+    double* similarities) {
   VSJ_CHECK(count <= kPairEvalBatch);
   if (count == 0) return;
 

@@ -67,6 +67,33 @@ uint64_t SwapTwoDimsKeepingChecksums(const char (&magic)[4], uint32_t version,
   return vector;
 }
 
+/// A dataset whose DIMS and WGTS sections each hold over 1 MiB, the size
+/// at which a verified open checksums a section on a thread of its own.
+VectorDataset LargeSectionDataset() {
+  VectorDataset dataset("large-sections");
+  std::vector<DimId> dims(256);
+  for (uint32_t v = 0; v < 1040; ++v) {
+    for (uint32_t f = 0; f < 256; ++f) dims[f] = f * 5 + v % 5;
+    dataset.Add(SparseVector::FromDims(dims).ref());
+  }
+  return dataset;
+}
+
+/// The table entry of section `id` in a VSJB or VSJS image.
+VsjbSectionEntry SectionEntry(const std::string& bytes,
+                              const char (&magic)[4], uint32_t version,
+                              uint32_t id) {
+  std::vector<uint64_t> aligned((bytes.size() + 7) / 8);
+  std::memcpy(aligned.data(), bytes.data(), bytes.size());
+  VsjbImage image;
+  EXPECT_TRUE(ValidateVsjbImage(aligned.data(), bytes.size(), magic, version,
+                                false, &image)
+                  .ok());
+  const int index = FindVsjbSection(image.entries, id);
+  EXPECT_GE(index, 0);
+  return image.entries[index];
+}
+
 TEST(DatasetIoTest, RoundTripThroughStream) {
   VectorDataset original = testing::SmallClusteredCorpus(150, 1);
   std::stringstream buffer;
@@ -406,6 +433,79 @@ TEST(DatasetIoTest, ChecksumFaultFailsEveryLoaderNamed) {
   EXPECT_TRUE(MappedCsrStorage::Open(dataset_path, &mapped).ok());
   EXPECT_TRUE(
       StreamingEstimationService::Restore(snapshot_path, &restored).ok());
+  std::remove(dataset_path.c_str());
+  std::remove(snapshot_path.c_str());
+}
+
+TEST(DatasetIoTest, ConcurrentVerifyNamesTheFirstBadSectionInTableOrder) {
+  // DIMS and WGTS are large enough to be checksummed side by side. However
+  // the threads finish, each loader must name the first failing section in
+  // table order (DIMS before WGTS), at that section's offset.
+  const VectorDataset original = LargeSectionDataset();
+  const std::string dataset_path =
+      ::testing::TempDir() + "/vsj_concurrent_verify.vsjb";
+  const std::string snapshot_path =
+      ::testing::TempDir() + "/vsj_concurrent_verify.vsjs";
+  ASSERT_TRUE(SaveDatasetToFile(original, dataset_path).ok());
+  {
+    StreamingEstimationServiceOptions options;
+    options.k = 6;
+    StreamingEstimationService engine(VectorDataset(original), options);
+    for (VectorId id = 0; id < original.size(); ++id) engine.Insert(id);
+    ASSERT_TRUE(engine.Checkpoint(snapshot_path).ok());
+  }
+  const std::string dataset_bytes = ReadFileBytes(dataset_path);
+  const std::string snapshot_bytes = ReadFileBytes(snapshot_path);
+
+  struct Case {
+    const char* name;
+    std::vector<uint32_t> corrupted;
+    uint32_t first;
+    const char* reason;
+  };
+  for (const Case& c :
+       {Case{"WGTS alone", {kSecWeights}, kSecWeights, "section WGTS"},
+        Case{"DIMS and WGTS", {kSecDims, kSecWeights}, kSecDims,
+             "section DIMS"}}) {
+    // Flips one byte mid-section in each corrupted section, writes the
+    // file, and returns the offset of the section that must be named.
+    const auto corrupt = [&](std::string bytes, const char (&magic)[4],
+                             uint32_t version, const std::string& path) {
+      for (const uint32_t id : c.corrupted) {
+        const VsjbSectionEntry entry = SectionEntry(bytes, magic, version, id);
+        EXPECT_GE(entry.length, uint64_t{1} << 20) << c.name;
+        bytes[entry.offset + entry.length / 2] ^= 0x01;
+      }
+      testing::WriteBytes(path, bytes);
+      return SectionEntry(bytes, magic, version, c.first).offset;
+    };
+    const uint64_t dataset_offset =
+        corrupt(dataset_bytes, kVsjbMagic, kVsjbVersion, dataset_path);
+    const uint64_t snapshot_offset =
+        corrupt(snapshot_bytes, kVsjsMagic, kVsjsVersion, snapshot_path);
+    const auto expect_first = [&](const char* loader, const IoStatus& status,
+                                  uint64_t offset) {
+      EXPECT_EQ(status.code, IoError::kChecksumMismatch)
+          << c.name << ", " << loader << ": " << status.ToString();
+      EXPECT_EQ(status.reason, c.reason)
+          << c.name << ", " << loader << ": " << status.ToString();
+      EXPECT_EQ(status.byte_offset, offset)
+          << c.name << ", " << loader << ": " << status.ToString();
+    };
+    MappedCsrStorage mapped;
+    expect_first("MappedCsrStorage::Open",
+                 MappedCsrStorage::Open(dataset_path, &mapped),
+                 dataset_offset);
+    EXPECT_FALSE(mapped.mapped());
+    VectorDataset loaded;
+    expect_first("LoadDatasetFromFile",
+                 LoadDatasetFromFile(dataset_path, &loaded), dataset_offset);
+    std::unique_ptr<StreamingEstimationService> restored;
+    expect_first("Restore",
+                 StreamingEstimationService::Restore(snapshot_path, &restored),
+                 snapshot_offset);
+    EXPECT_EQ(restored, nullptr);
+  }
   std::remove(dataset_path.c_str());
   std::remove(snapshot_path.c_str());
 }

@@ -4,6 +4,7 @@
 
 #include "vsj/gen/workloads.h"
 #include "vsj/lsh/simhash.h"
+#include "vsj/util/thread_pool.h"
 
 namespace vsj {
 namespace {
@@ -16,6 +17,27 @@ TEST(LshIndexTest, BuildsRequestedNumberOfTables) {
   EXPECT_EQ(index.k(), 8u);
   for (uint32_t t = 0; t < 4; ++t) {
     EXPECT_EQ(index.table(t).num_vectors(), dataset.size());
+  }
+}
+
+TEST(LshIndexTest, PoolBuildMatchesInlineBuild) {
+  // The projection cache registers dims and fills rows across the pool, and
+  // the tables hash across it; every bucket must come out as inline.
+  VectorDataset dataset = GenerateCorpus(DblpLikeConfig(1500, 9));
+  SimHashFamily family(10);
+  const LshIndex inline_index(family, dataset, 10, 3);
+  ThreadPool pool(4);
+  const LshIndex pooled(family, dataset, 10, 3, &pool);
+  for (uint32_t t = 0; t < 3; ++t) {
+    const LshTable& a = inline_index.table(t);
+    const LshTable& b = pooled.table(t);
+    ASSERT_EQ(a.num_buckets(), b.num_buckets()) << "table " << t;
+    for (size_t bucket = 0; bucket < a.num_buckets(); ++bucket) {
+      ASSERT_EQ(a.BucketKey(bucket), b.BucketKey(bucket)) << "table " << t;
+    }
+    for (VectorId id = 0; id < dataset.size(); ++id) {
+      ASSERT_EQ(a.BucketOf(id), b.BucketOf(id)) << "table " << t;
+    }
   }
 }
 

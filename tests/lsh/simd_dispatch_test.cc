@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -59,23 +60,36 @@ auto RunAtEveryLevel(Body&& body)
   return results;
 }
 
-TEST(SimdDispatchTest, AccumulateKernelMatchesScalarBitwise) {
+TEST(SimdDispatchTest, ProjectKernelMatchesScalarBitwise) {
   Rng rng(kSeed);
-  for (const uint32_t k : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 10u, 13u, 31u}) {
-    std::vector<double> gaussians(k);
-    for (double& g : gaussians) g = GaussianFromHash(rng.Next(), kSeed);
-    const double weight = rng.NextDouble() * 3.0 - 1.5;
+  // Widths below, at and past one 32-lane register block, with tails.
+  for (const uint32_t k :
+       {1u, 2u, 3u, 4u, 5u, 7u, 8u, 10u, 13u, 20u, 31u, 32u, 37u, 70u}) {
+    // 23 features; rows overlap inside one arena, as cached rows do.
+    constexpr size_t kFeatures = 23;
+    std::vector<double> arena(kFeatures + k);
+    for (double& g : arena) g = GaussianFromHash(rng.Next(), kSeed);
+    std::vector<const double*> rows(kFeatures);
+    std::vector<float> weights(kFeatures);
+    for (size_t i = 0; i < kFeatures; ++i) {
+      rows[i] = arena.data() + rng.Next() % (kFeatures + 1);
+      weights[i] = static_cast<float>(rng.NextDouble() * 3.0 - 1.5);
+    }
     const auto accs = RunAtEveryLevel([&] {
       std::vector<double> acc(k, 0.25);
-      // Three folds so lanes accumulate rounding history, not one product.
-      for (int round = 0; round < 3; ++round) {
-        AccumulateProjectionLanes(gaussians.data(), weight + round,
-                                  acc.data(), k);
-      }
+      ProjectRows(rows.data(), weights.data(), kFeatures, acc.data(), k);
       return acc;
     });
-    for (size_t l = 1; l < accs.size(); ++l) {
-      ASSERT_EQ(accs[l], accs[0]) << "k=" << k << " level " << l;
+    // The scalar reference: one multiply and one add per term, in order.
+    std::vector<double> expected(k, 0.0);
+    for (size_t i = 0; i < kFeatures; ++i) {
+      for (uint32_t j = 0; j < k; ++j) {
+        const double term = static_cast<double>(weights[i]) * rows[i][j];
+        expected[j] = expected[j] + term;
+      }
+    }
+    for (size_t l = 0; l < accs.size(); ++l) {
+      ASSERT_EQ(accs[l], expected) << "k=" << k << " level " << l;
     }
   }
 }
@@ -149,8 +163,9 @@ TEST(SimdDispatchTest, ProjectionCacheDoesNotChangeBucketKeys) {
   ThreadPool pool(3);
   const auto cache = family.MakeProjectionCache(view, kK * kTables, pool);
   ASSERT_NE(cache, nullptr);
-  ASSERT_TRUE(cache->sealed());
-  ASSERT_GT(cache->num_dims(), 0u);
+  std::set<DimId> distinct;
+  for (VectorRef v : view) distinct.insert(v.dims(), v.dims() + v.size());
+  ASSERT_EQ(cache->num_dims(), distinct.size());
 
   for (const SimdLevel level : SupportedLevels()) {
     SetSimdLevel(level);
@@ -171,6 +186,42 @@ TEST(SimdDispatchTest, ProjectionCacheDoesNotChangeBucketKeys) {
     }
   }
   ResetSimdLevel();
+}
+
+TEST(SimdDispatchTest, PartialProjectionCacheMatchesUncached) {
+  // A cache over the first half of the vectors: the second half mixes
+  // cached rows with rows derived on the fly (a streaming store's appended
+  // vectors do), and must still hash exactly as with no cache.
+  const VectorDataset dataset = testing::SmallClusteredCorpus(240, 19);
+  const DatasetView view(dataset);
+  VectorDataset first_half;
+  for (VectorId id = 0; id < view.size() / 2; ++id) first_half.Add(view[id]);
+  const SimHashFamily family(kSeed ^ 7);
+  constexpr uint32_t kK = 20;
+  ThreadPool pool(2);
+  const auto cache =
+      family.MakeProjectionCache(DatasetView(first_half), kK, pool);
+  ASSERT_NE(cache, nullptr);
+
+  const auto keys = RunAtEveryLevel([&] {
+    std::vector<uint64_t> cached(view.size());
+    HashScratch with_cache;
+    with_cache.gaussian_cache = cache.get();
+    LshTable::ComputeBucketKeys(family, view, kK, 0, 0,
+                                static_cast<VectorId>(view.size()),
+                                cached.data(), with_cache);
+    return cached;
+  });
+  std::vector<uint64_t> uncached(view.size());
+  HashScratch plain;
+  SetSimdLevel(SimdLevel::kScalar);
+  LshTable::ComputeBucketKeys(family, view, kK, 0, 0,
+                              static_cast<VectorId>(view.size()),
+                              uncached.data(), plain);
+  ResetSimdLevel();
+  for (size_t l = 0; l < keys.size(); ++l) {
+    ASSERT_EQ(keys[l], uncached) << "level " << l;
+  }
 }
 
 TEST(SimdDispatchTest, ProjectionCacheRowsHoldExactGaussians) {

@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/net/protocol.h"
 #include "vsj/service/cardinality_provider.h"
 #include "vsj/service/dataset_fingerprint.h"
 
@@ -299,6 +301,36 @@ TEST(EstimationServiceTest, FingerprintTracksContent) {
   const VectorDataset b = TestCorpus(300, 2);
   EXPECT_NE(DatasetFingerprint(a), DatasetFingerprint(b));
   EXPECT_EQ(DatasetFingerprint(a), DatasetFingerprint(TestCorpus(300, 1)));
+}
+
+TEST(EstimationServiceTest, EachServiceCachesItsOwnDatasetsAnswers) {
+  // A static engine keys its cache on the request alone, with no dataset
+  // fingerprint: the cache belongs to one engine over one dataset that
+  // never changes. Two services over different datasets must answer the
+  // same request differently, and each repeat must be a hit carrying its
+  // own service's first answer, byte for byte apart from from_cache.
+  EstimateRequest request;
+  request.estimator_name = "LSH-SS";
+  request.tau = 0.6;
+  request.trials = 3;
+  request.seed = 42;
+  EstimationService a(TestCorpus(600, 1), SmallOptions(2));
+  EstimationService b(TestCorpus(600, 2), SmallOptions(2));
+  const EstimateResponse first_a = a.EstimateBatch({request})[0];
+  const EstimateResponse first_b = b.EstimateBatch({request})[0];
+  EXPECT_FALSE(first_a.from_cache);
+  EXPECT_FALSE(first_b.from_cache);
+  EXPECT_NE(first_a.mean_estimate, first_b.mean_estimate);
+
+  for (const auto& [service, first] :
+       {std::pair{&a, first_a}, std::pair{&b, first_b}}) {
+    EstimateResponse repeat = service->EstimateBatch({request})[0];
+    EXPECT_TRUE(repeat.from_cache);
+    repeat.from_cache = false;
+    EXPECT_EQ(net::MakeEstimatePayload(1, repeat),
+              net::MakeEstimatePayload(1, first));
+    EXPECT_EQ(service->cache().stats().hits, 1u);
+  }
 }
 
 TEST(EstimationServiceTest, EstimatesAreClampedToFeasibleRange) {
