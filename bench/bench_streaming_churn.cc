@@ -8,8 +8,8 @@
 // new ones) with one batch of streaming LSH-SS estimates across the
 // standard thresholds. Reported per churn rate: mutations/sec of the
 // dynamic ℓ-table maintenance, estimates/sec of the batch path, and the
-// fraction of batch answers served from the epoch-keyed cache (0% whenever
-// c > 0 — every mutation bumps the epoch, so nothing stale is reusable).
+// fraction of batch answers served from the cache (0% whenever c > 0 —
+// every mutation clears the cache, so nothing stale is reusable).
 //
 // The final row is the client fan-out scenario: VSJ_CLIENTS concurrent
 // clients each submit the same standard-threshold sweep between churn
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
          vsj::TablePrinter::Pct(sliding.service.cache().stats().HitRate())});
   }
 
-  // Client fan-out: every round churns 16 documents (so the epoch bump
+  // Client fan-out: every round churns 16 documents (so the cleared cache
   // forces a full recompute — no stale cache hits) and then submits one
   // batch holding `clients` copies of the standard sweep. Miss grouping
   // elects one leader per distinct (estimator, τ) and the other clients

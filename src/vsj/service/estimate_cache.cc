@@ -1,26 +1,12 @@
 #include "vsj/service/estimate_cache.h"
 
 #include "vsj/obs/obs.h"
-#include "vsj/util/decimal.h"
 
 namespace vsj {
 
-namespace {
-
-std::string MakeKey(const EstimateRequest& request, uint64_t fingerprint) {
-  std::string key = ExactKey(request);
-  key.push_back('|');
-  AppendDecimal(&key, fingerprint);
-  return key;
-}
-
-}  // namespace
-
 EstimateCache::EstimateCache(size_t capacity) : capacity_(capacity) {}
 
-std::optional<EstimateResponse> EstimateCache::Lookup(
-    const EstimateRequest& request, uint64_t fingerprint) {
-  const std::string key = MakeKey(request, fingerprint);
+std::optional<EstimateResponse> EstimateCache::Lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = index_.find(key);
   if (it == index_.end()) {
@@ -36,11 +22,9 @@ std::optional<EstimateResponse> EstimateCache::Lookup(
   return response;
 }
 
-void EstimateCache::Insert(const EstimateRequest& request,
-                           uint64_t fingerprint,
+void EstimateCache::Insert(const std::string& key,
                            const EstimateResponse& response) {
   if (capacity_ == 0) return;
-  std::string key = MakeKey(request, fingerprint);
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.insertions;
   VSJ_COUNTER_ADD("cache.insertions", 1);
@@ -57,22 +41,14 @@ void EstimateCache::Insert(const EstimateRequest& request,
     VSJ_COUNTER_ADD("cache.evictions", 1);
   }
   lru_.push_front(Entry{key, response});
-  index_.emplace(std::move(key), lru_.begin());
-}
-
-void EstimateCache::NoteInvalidation() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.epoch;
-  VSJ_COUNTER_ADD("cache.invalidations", 1);
-}
-
-void EstimateCache::RestoreEpoch(uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  stats_.epoch = epoch;
+  index_.emplace(key, lru_.begin());
 }
 
 void EstimateCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
+  // Mutations clear an already empty cache most of the time; skip the
+  // index's bucket sweep then.
+  if (lru_.empty()) return;
   lru_.clear();
   index_.clear();
 }

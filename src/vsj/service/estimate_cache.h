@@ -5,12 +5,11 @@
 // (the threshold_explorer and query_optimizer examples show the pattern).
 // Two design points follow:
 //
-//   * The key is exact: ExactKey(request) (estimate_request.h) plus the
-//     owner's fingerprint. Only the streaming engine folds one in, its
-//     dataset fingerprint combined with its mutation epoch; the static
-//     engine's cache sits over a dataset that never changes and passes 0,
-//     so opening a static tenant hashes no dataset. An estimate is a
-//     statement about one specific threshold under one specific
+//   * The key is exact: ExactKey(request) (estimate_request.h), and nothing
+//     else. Each engine owns its cache, so the key need not name a
+//     dataset: the static engine's dataset never changes, and the
+//     streaming engine clears its cache on every mutation. An estimate is
+//     a statement about one specific threshold under one specific
 //     statistical policy, and serving a
 //     τ=0.72 probe a response sampled at τ=0.70 silently mislabels the
 //     estimate, its error bar and its sampling cost. (Earlier versions
@@ -51,11 +50,6 @@ struct EstimateCacheStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
-  /// Number of invalidation events observed via NoteInvalidation — for an
-  /// epoch-keyed owner (StreamingEstimationService) this is the current
-  /// epoch, making "did the mutation really invalidate the cache?"
-  /// observable from the outside.
-  uint64_t epoch = 0;
 
   double HitRate() const {
     const uint64_t lookups = hits + misses;
@@ -63,7 +57,7 @@ struct EstimateCacheStats {
   }
 };
 
-/// Bounded LRU map from the exact request key to a previously computed
+/// Bounded LRU map from a request's ExactKey to a previously computed
 /// EstimateResponse. Thread-safe.
 class EstimateCache {
  public:
@@ -71,30 +65,17 @@ class EstimateCache {
   /// capacity 0 keeps none (its owner skips it).
   explicit EstimateCache(size_t capacity = 1024);
 
-  /// Returns the cached response for `request`'s key under the owner's
-  /// `fingerprint`, refreshing its LRU position, or nullopt. Counts a hit
-  /// or a miss.
-  std::optional<EstimateResponse> Lookup(const EstimateRequest& request,
-                                         uint64_t fingerprint);
+  /// Returns the response cached under `key`, refreshing its LRU
+  /// position, or nullopt. Counts a hit or a miss.
+  std::optional<EstimateResponse> Lookup(const std::string& key);
 
-  /// Inserts (or overwrites) the response under `request`'s key, evicting
-  /// the least recently used entry when the cache is full.
-  void Insert(const EstimateRequest& request, uint64_t fingerprint,
-              const EstimateResponse& response);
+  /// Inserts (or overwrites) the response under `key`, evicting the least
+  /// recently used entry when the cache is full.
+  void Insert(const std::string& key, const EstimateResponse& response);
 
+  /// Drops every entry (the counters stay). The streaming engine calls it
+  /// on every mutation, so no entry outlives the live set it answered.
   void Clear();
-
-  /// Records an invalidation event (bumps stats().epoch). Owners that key
-  /// entries on an epoch-folded fingerprint call this on every mutation;
-  /// stale entries stay resident until LRU eviction but can never match a
-  /// post-mutation key.
-  void NoteInvalidation();
-
-  /// Snapshot support: sets stats().epoch to a checkpointed value so a
-  /// restored owner's epoch counter picks up where the original left off
-  /// (entries themselves are not persisted — estimates are deterministic,
-  /// so a cold cache recomputes identical responses).
-  void RestoreEpoch(uint64_t epoch);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }

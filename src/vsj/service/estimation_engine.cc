@@ -8,6 +8,7 @@
 #include <numeric>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -116,7 +117,7 @@ EstimateResponse EstimationEngine::Estimate(const EstimateRequest& request) {
 }
 
 std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
-    const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
+    const std::vector<EstimateRequest>& requests,
     const std::function<bool(size_t)>& on_miss,
     const SweepTrialFn& run_trial, const ReadySink& on_ready) {
   for (const EstimateRequest& request : requests) {
@@ -133,24 +134,26 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   // it skips dispatch and copies its leader's response once the leader's
   // group finishes, exactly what a cache hit on the leader's entry would
   // have produced. No relabeling happens on hits or followers: the cache
-  // and the grouping both key on the exact request identity, so a served
-  // response already describes precisely the τ/estimator/policy that was
-  // asked.
+  // lookup, the grouping and the post-pass insert all use the request's
+  // one ExactKey, so a served response already describes precisely the
+  // τ/estimator/policy that was asked.
   std::vector<size_t> hits;
   std::vector<size_t> misses;
   misses.reserve(requests.size());
   std::vector<bool> shares_sweeps(requests.size(), false);
   std::vector<std::pair<size_t, size_t>> followers;  // (follower, leader)
-  std::unordered_map<std::string, size_t> leader_of;
+  std::vector<std::string> keys(requests.size());
+  std::unordered_map<std::string_view, size_t> leader_of;
   for (size_t i = 0; i < requests.size(); ++i) {
+    keys[i] = ExactKey(requests[i]);
     if (cache != nullptr) {
-      if (auto hit = cache->Lookup(requests[i], fingerprint)) {
+      if (auto hit = cache->Lookup(keys[i])) {
         responses[i] = *hit;
         hits.push_back(i);
         continue;
       }
     }
-    const auto [it, inserted] = leader_of.emplace(ExactKey(requests[i]), i);
+    const auto [it, inserted] = leader_of.emplace(keys[i], i);
     if (!inserted) {
       followers.emplace_back(i, it->second);
       continue;
@@ -329,7 +332,7 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
 
   if (cache != nullptr) {
     for (size_t i : misses) {
-      cache->Insert(requests[i], fingerprint, responses[i]);
+      cache->Insert(keys[i], responses[i]);
     }
   }
   return responses;

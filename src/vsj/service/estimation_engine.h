@@ -6,11 +6,11 @@
 // the LSH family they select, the thread pool, the estimate cache and the
 // cached-batch protocol — and
 // each engine (EstimationService: static index, any registered estimator;
-// StreamingEstimationService: dynamic index, LSH-SS only) supplies the
-// salt of its cache keys (the streaming engine's epoch-folded dataset
-// fingerprint; 0 for the static engine, whose dataset never changes), a
+// StreamingEstimationService: dynamic index, LSH-SS only) supplies a
 // pre-pass hook settling per-leader state, the trial function, and its
-// estimator-name rule.
+// estimator-name rule. A cache key is the request's ExactKey alone: each
+// engine owns its cache, the static engine's dataset never changes, and
+// the streaming engine clears its cache on every mutation.
 //
 // Determinism: trial t of every request draws from the value-derived
 // stream TrialStream(request.seed, t) (core/estimator.h) — never from its
@@ -148,8 +148,9 @@ class EstimationEngine {
   /// The cached-batch protocol:
   ///   0. every request must pass ValidateEstimateRequest and
   ///      CheckEstimator (VSJ_CHECK);
-  ///   1. sequential pre-pass in request order — resolve cache hits, group
-  ///      the misses by ExactKey so each key computes once, and call
+  ///   1. sequential pre-pass in request order — build each request's
+  ///      ExactKey once, resolve cache hits on it, group the misses by it
+  ///      so each key computes once, and call
   ///      `on_miss(i)` once per leader so engine state is settled before
   ///      workers start; it returns whether the leader's estimator shares
   ///      work across τ;
@@ -170,7 +171,7 @@ class EstimationEngine {
   ///      first.
   /// With cache_capacity 0, steps 1 and 4 skip the cache.
   std::vector<EstimateResponse> RunCachedBatch(
-      const std::vector<EstimateRequest>& requests, uint64_t fingerprint,
+      const std::vector<EstimateRequest>& requests,
       const std::function<bool(size_t)>& on_miss,
       const SweepTrialFn& run_trial, const ReadySink& on_ready);
 

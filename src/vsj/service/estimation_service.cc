@@ -52,10 +52,8 @@ std::vector<EstimateResponse> EstimationService::EstimateBatch(
   // distinct overrides clients send. A sweep group shares its leader's.
   std::vector<const JoinSizeEstimator*> estimators(requests.size(), nullptr);
   std::vector<std::unique_ptr<JoinSizeEstimator>> overridden;
-  // The cache is this engine's own and its dataset never changes, so the
-  // request key alone names an answer: no dataset fingerprint is folded in.
   return RunCachedBatch(
-      requests, /*fingerprint=*/0,
+      requests,
       [&](size_t i) {
         const EstimateRequest& request = requests[i];
         if (request.HasSamplingOverrides()) {

@@ -4,8 +4,10 @@
 // What is persisted, and why it is sufficient for bit-identical estimates:
 //   META  engine identity — k, ℓ, measure, family seed (the hash functions
 //         rebuild deterministically from these, per the paper's cheap-
-//         rebuild observation), the LSH-SS sampling options, the dataset
-//         base fingerprint, the epoch, and the store's id-space size.
+//         rebuild observation), the LSH-SS sampling options, the epoch,
+//         and the store's id-space size. Bytes 24–31 once held a dataset
+//         fingerprint; they are reserved, written as 0 and ignored on read,
+//         so snapshots that carry one still restore.
 //   SLOT  bitmap of store-live ids: tombstoned (erased) ids keep their
 //         slots so the id space — and future AddVector ids — line up.
 //   OFFS/DIMS/WGTS/NRMS/L1NM  the live payloads in id order, i.e. the
@@ -17,8 +19,7 @@
 //         within-bucket draw of a restored engine matches the original.
 // The estimate cache's entries are deliberately not persisted — responses
 // are deterministic, so a cold cache recomputes identical answers — but
-// the epoch counter is, keeping effective_fingerprint() and the
-// invalidation stats continuous across restarts.
+// the epoch counter is, keeping epoch() continuous across restarts.
 
 #include <cstring>
 #include <string>
@@ -43,7 +44,7 @@ struct SnapshotMeta {
   uint32_t measure;
   uint32_t reserved0;
   uint64_t family_seed;
-  uint64_t base_fingerprint;
+  uint64_t reserved1;  // written as 0, ignored on read
   uint64_t epoch;
   uint64_t sample_size_h;
   uint64_t sample_size_l;
@@ -80,7 +81,6 @@ IoStatus StreamingEstimationService::Checkpoint(
   meta.num_tables = options_.num_tables;
   meta.measure = static_cast<uint32_t>(options_.measure);
   meta.family_seed = options_.family_seed;
-  meta.base_fingerprint = base_fingerprint_;
   meta.epoch = epoch_;
   meta.sample_size_h = options_.lsh_ss.sample_size_h;
   meta.sample_size_l = options_.lsh_ss.sample_size_l;
@@ -111,17 +111,14 @@ IoStatus StreamingEstimationService::Checkpoint(
 
 StreamingEstimationService::StreamingEstimationService(
     RestoreTag, StreamingCsrStorage store,
-    const StreamingEstimationServiceOptions& options,
-    uint64_t base_fingerprint, uint64_t epoch)
+    const StreamingEstimationServiceOptions& options, uint64_t epoch)
     : EstimationEngine(options),
       options_(options),
       store_(std::move(store)),
-      base_fingerprint_(base_fingerprint),
       epoch_(epoch),
       index_(family(), options.k, options.num_tables),
       estimator_(DatasetView::IdAddressed(store_), index_, options.measure,
                  options.lsh_ss) {
-  cache().RestoreEpoch(epoch_);
   // Replay (RestoreReplay, called right after construction) re-hashes
   // every live vector; attach the memoized hyperplane components first.
   BuildProjectionCache();
@@ -263,8 +260,7 @@ IoStatus StreamingEstimationService::Restore(
   options.lsh_ss = {meta.sample_size_h, meta.sample_size_l, meta.delta};
 
   service->reset(new StreamingEstimationService(
-      RestoreTag{}, std::move(store), options, meta.base_fingerprint,
-      meta.epoch));
+      RestoreTag{}, std::move(store), options, meta.epoch));
   (*service)->index_.RestoreReplay(live_order, table_orders,
                                    (*service)->dataset());
   return IoStatus::Ok();

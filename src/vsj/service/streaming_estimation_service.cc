@@ -6,9 +6,7 @@
 
 #include "vsj/lsh/gaussian_projection_cache.h"
 #include "vsj/obs/obs.h"
-#include "vsj/service/dataset_fingerprint.h"
 #include "vsj/util/check.h"
-#include "vsj/util/hash.h"
 
 namespace vsj {
 
@@ -28,7 +26,6 @@ StreamingEstimationService::StreamingEstimationService(
     : EstimationEngine(options),
       options_(options),
       store_(RepackIntoArena(dataset, options.storage)),
-      base_fingerprint_(DatasetFingerprint(dataset)),
       index_(family(), options.k, options.num_tables),
       // The estimator reads vectors by stable id through the store's slot
       // table, never through the view's size (n comes from the live index),
@@ -44,13 +41,9 @@ void StreamingEstimationService::BuildProjectionCache() {
   index_.AttachProjectionCache(projection_cache_.get());
 }
 
-uint64_t StreamingEstimationService::effective_fingerprint() const {
-  return HashCombine(base_fingerprint_, epoch_);
-}
-
 void StreamingEstimationService::BumpEpoch() {
   ++epoch_;
-  cache().NoteInvalidation();
+  cache().Clear();
   // One counter per mutation — the only per-mutation instrumentation on
   // the streaming path, protecting the sub-µs mutation budget.
   VSJ_COUNTER_ADD("service.mutations", 1);
@@ -58,8 +51,6 @@ void StreamingEstimationService::BumpEpoch() {
 
 VectorId StreamingEstimationService::AddVector(const SparseVector& vector) {
   const VectorId id = store_.Append(vector.ref());
-  // The backing store changed; fold it into the epoch so the cache key
-  // moves with it (the base fingerprint is frozen at construction).
   BumpEpoch();
   return id;
 }
@@ -95,7 +86,7 @@ std::vector<EstimateResponse> StreamingEstimationService::EstimateBatch(
   std::vector<std::optional<SamplingBudget>> overrides(requests.size());
   const uint32_t num_tables = index_.num_tables();
   return RunCachedBatch(
-      requests, effective_fingerprint(),
+      requests,
       [&](size_t i) {
         if (context.empty()) context.Build(index_, dataset().size());
         if (requests[i].HasSamplingOverrides()) {

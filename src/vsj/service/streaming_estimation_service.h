@@ -1,6 +1,6 @@
 // Streaming join-size estimation engine: the streaming pair source of the
 // engine core (estimation_engine.h) — live dataset, dynamic ℓ-table LSH
-// index, epoch-invalidated estimate cache.
+// index, an estimate cache cleared by every mutation.
 //
 // EstimationService answers over a frozen dataset with a one-shot index
 // build; this engine keeps estimating while documents arrive and expire.
@@ -11,15 +11,13 @@
 // *live* subset; Insert/Remove maintain every table in O(ℓ log n) and bump
 // a monotone epoch.
 //
-// Cache invalidation: cache entries are keyed on an effective fingerprint
-// HashCombine(dataset fingerprint, epoch). Any mutation bumps the epoch, so
-// a post-mutation lookup can never match a pre-mutation entry — stale
-// answers are unreachable (not eagerly erased; LRU eviction reclaims them),
-// and the cache's stats().epoch counter exposes the invalidations.
+// Cache invalidation: every mutation bumps the epoch and clears the cache,
+// so a cached answer always describes the current live set and its key is
+// the request's ExactKey alone. epoch() counts the mutations.
 //
-// Determinism (estimation_engine.h) carries over with the epoch as part of the
+// Determinism (estimation_engine.h) carries over with the live set as the
 // dataset state: trial t runs against table (t mod ℓ), and a response is a
-// pure function of (request, live set, epoch).
+// pure function of (request, live set).
 
 #ifndef VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
 #define VSJ_SERVICE_STREAMING_ESTIMATION_SERVICE_H_
@@ -76,12 +74,9 @@ class StreamingEstimationService final : public EstimationEngine {
 
   size_t num_live() const { return index_.num_vectors(); }
 
-  /// Monotone mutation counter; bumped by Insert, Remove and AddVector.
+  /// Monotone mutation counter; bumped by AddVector, Insert, Remove and
+  /// Erase.
   uint64_t epoch() const { return epoch_; }
-
-  /// Cache key component: the backing dataset's fingerprint with the
-  /// current epoch folded in.
-  uint64_t effective_fingerprint() const;
 
   /// Appends a new vector to the backing store (not yet live) and returns
   /// its id.
@@ -101,7 +96,7 @@ class StreamingEstimationService final : public EstimationEngine {
   bool Contains(VectorId id) const { return index_.Contains(id); }
 
   /// See EstimationEngine::EstimateBatch; answers over the current live
-  /// set, at the current epoch, with streaming LSH-SS.
+  /// set with streaming LSH-SS.
   using EstimationEngine::EstimateBatch;
   std::vector<EstimateResponse> EstimateBatch(
       const std::vector<EstimateRequest>& requests,
@@ -114,7 +109,7 @@ class StreamingEstimationService final : public EstimationEngine {
   /// (compacted on write — only live payloads are written, tombstoned ids
   /// keep empty slots), the index rebuild recipe (family seed, k, ℓ) plus
   /// the replay orders that make the rebuild sampling-identical, the live
-  /// id list, the base fingerprint and the epoch. See DESIGN.md
+  /// id list and the epoch. See DESIGN.md
   /// ("Snapshot & recovery") for the invariants. Implemented in
   /// service_snapshot.cc.
   IoStatus Checkpoint(const std::string& path) const;
@@ -124,23 +119,23 @@ class StreamingEstimationService final : public EstimationEngine {
   /// the snapshot; runtime options (threads, cache sizing, storage
   /// chunking) from `runtime_options`. A restored engine answers every
   /// estimate bit-identically to the engine that was checkpointed, and
-  /// effective_fingerprint()/epoch() round-trip exactly. A META whose
+  /// epoch() round-trips exactly. A META whose
   /// k · ℓ exceeds kMaxHashFunctions is kCorrupt.
   static IoStatus Restore(const std::string& path,
                           std::unique_ptr<StreamingEstimationService>* service,
                           StreamingEstimationServiceOptions runtime_options = {});
 
  private:
-  /// Restore path: adopts a rebuilt store and the checkpointed identity;
+  /// Restore path: adopts a rebuilt store and the checkpointed epoch;
   /// the index is replayed by Restore() right after construction.
   struct RestoreTag {};
   StreamingEstimationService(RestoreTag, StreamingCsrStorage store,
                              const StreamingEstimationServiceOptions& options,
-                             uint64_t base_fingerprint, uint64_t epoch);
+                             uint64_t epoch);
 
-  /// Records a mutation: advances the epoch (invalidating every cached
-  /// answer via the fingerprint fold) and bumps the cache's epoch stat so
-  /// the two counters stay in lockstep. Every mutating method ends here.
+  /// Records a mutation: advances the epoch and clears the cache, whose
+  /// answers described the live set before it. Every mutating method ends
+  /// here.
   void BumpEpoch();
 
   /// Builds and attaches the sealed Gaussian projection cache over the
@@ -152,7 +147,6 @@ class StreamingEstimationService final : public EstimationEngine {
 
   StreamingEstimationServiceOptions options_;
   StreamingCsrStorage store_;
-  uint64_t base_fingerprint_;
   uint64_t epoch_ = 0;
   std::unique_ptr<GaussianProjectionCache> projection_cache_;
   DynamicLshIndex index_;

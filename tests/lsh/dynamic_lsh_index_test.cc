@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "index_invariants.h"
 #include "test_util.h"
 
 namespace vsj {
@@ -55,6 +56,8 @@ TEST(DynamicLshIndexTest, InsertRemoveKeepsEveryTableAndLiveListInSync) {
     for (uint32_t t = 0; t < index.num_tables(); ++t) {
       ASSERT_EQ(index.table(t).num_vectors(), live);
     }
+    ASSERT_TRUE(testing::IndexInvariantsHold(index, dataset.size()))
+        << "after op " << op;
   }
   // The live list holds exactly the present ids, each once.
   std::vector<VectorId> ids = index.live_ids();

@@ -27,9 +27,9 @@ EstimateResponse MakeResponse(double tau, double estimate) {
 TEST(EstimateCacheTest, MissThenHit) {
   EstimateCache cache(16);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.805);
-  EXPECT_FALSE(cache.Lookup(request, 111).has_value());
-  cache.Insert(request, 111, MakeResponse(0.805, 1234.0));
-  const auto hit = cache.Lookup(request, 111);
+  EXPECT_FALSE(cache.Lookup(ExactKey(request)).has_value());
+  cache.Insert(ExactKey(request), MakeResponse(0.805, 1234.0));
+  const auto hit = cache.Lookup(ExactKey(request));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_estimate, 1234.0);
   EXPECT_TRUE(hit->from_cache);
@@ -41,9 +41,11 @@ TEST(EstimateCacheTest, NearbyTauNeverAliases) {
   // bucket-keyed cache served one's response for the other, silently
   // mislabeling the estimate, its error bar, and its sampling cost.
   EstimateCache cache(16);
-  cache.Insert(MakeRequest("LSH-SS", 0.802), 111, MakeResponse(0.802, 500.0));
-  EXPECT_FALSE(cache.Lookup(MakeRequest("LSH-SS", 0.808), 111).has_value());
-  const auto hit = cache.Lookup(MakeRequest("LSH-SS", 0.802), 111);
+  cache.Insert(ExactKey(MakeRequest("LSH-SS", 0.802)),
+               MakeResponse(0.802, 500.0));
+  EXPECT_FALSE(
+      cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.808))).has_value());
+  const auto hit = cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.802)));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_estimate, 500.0);
   EXPECT_DOUBLE_EQ(hit->tau, 0.802);
@@ -52,21 +54,21 @@ TEST(EstimateCacheTest, NearbyTauNeverAliases) {
 TEST(EstimateCacheTest, KeyIncludesErrorBoundAndOverrides) {
   EstimateCache cache(16);
   const EstimateRequest base = MakeRequest("LSH-SS", 0.805);
-  cache.Insert(base, 111, MakeResponse(0.805, 500.0));
+  cache.Insert(ExactKey(base), MakeResponse(0.805, 500.0));
 
   EstimateRequest bounded = base;
   bounded.max_rel_error = 0.05;
-  EXPECT_FALSE(cache.Lookup(bounded, 111).has_value());
+  EXPECT_FALSE(cache.Lookup(ExactKey(bounded)).has_value());
 
   EstimateRequest overridden = base;
   overridden.delta = 16;
-  EXPECT_FALSE(cache.Lookup(overridden, 111).has_value());
+  EXPECT_FALSE(cache.Lookup(ExactKey(overridden)).has_value());
 
   overridden = base;
   overridden.sample_size_h = 128;
-  EXPECT_FALSE(cache.Lookup(overridden, 111).has_value());
+  EXPECT_FALSE(cache.Lookup(ExactKey(overridden)).has_value());
 
-  EXPECT_TRUE(cache.Lookup(base, 111).has_value());
+  EXPECT_TRUE(cache.Lookup(ExactKey(base)).has_value());
 }
 
 TEST(EstimateCacheTest, CacheBoundsTotalSize) {
@@ -76,7 +78,8 @@ TEST(EstimateCacheTest, CacheBoundsTotalSize) {
   const int kInserted = 32;
   for (int i = 0; i < kInserted; ++i) {
     const std::string name = "est" + std::to_string(i);
-    cache.Insert(MakeRequest(name.c_str(), 0.5), 1, MakeResponse(0.5, i));
+    cache.Insert(ExactKey(MakeRequest(name.c_str(), 0.5)),
+                 MakeResponse(0.5, i));
   }
   EXPECT_EQ(cache.size(), cache.capacity());
   EXPECT_EQ(cache.stats().evictions, 24u);
@@ -89,47 +92,48 @@ TEST(EstimateCacheTest, HoldsItsFullCapacityForOneEstimatorAndTau) {
   EstimateCache cache;
   const int kSeeds = 200;
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    cache.Insert(MakeRequest("LSH-SS", 0.8, 3, seed), 1,
+    cache.Insert(ExactKey(MakeRequest("LSH-SS", 0.8, 3, seed)),
                  MakeResponse(0.8, seed));
   }
   for (int seed = 1; seed <= kSeeds; ++seed) {
-    EXPECT_TRUE(cache.Lookup(MakeRequest("LSH-SS", 0.8, 3, seed), 1))
+    EXPECT_TRUE(cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.8, 3, seed))))
         << "seed=" << seed;
   }
   EXPECT_EQ(cache.stats().hits, 200u);
   EXPECT_EQ(cache.size(), 200u);
 }
 
-TEST(EstimateCacheTest, KeyIncludesEstimatorAndFingerprint) {
+TEST(EstimateCacheTest, KeyIncludesEstimator) {
   EstimateCache cache(16);
-  cache.Insert(MakeRequest("LSH-SS", 0.805), 111, MakeResponse(0.805, 500.0));
-  EXPECT_FALSE(cache.Lookup(MakeRequest("RS(pop)", 0.805), 111).has_value());
-  EXPECT_FALSE(cache.Lookup(MakeRequest("LSH-SS", 0.805), 222).has_value());
-  EXPECT_TRUE(cache.Lookup(MakeRequest("LSH-SS", 0.805), 111).has_value());
+  cache.Insert(ExactKey(MakeRequest("LSH-SS", 0.805)),
+               MakeResponse(0.805, 500.0));
+  EXPECT_FALSE(
+      cache.Lookup(ExactKey(MakeRequest("RS(pop)", 0.805))).has_value());
+  EXPECT_TRUE(cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.805))).has_value());
 }
 
 TEST(EstimateCacheTest, KeyIncludesTrialsAndSeed) {
   EstimateCache cache(16);
-  cache.Insert(MakeRequest("LSH-SS", 0.805, /*trials=*/1, /*seed=*/1), 111,
+  cache.Insert(ExactKey(MakeRequest("LSH-SS", 0.805, /*trials=*/1, /*seed=*/1)),
                MakeResponse(0.805, 500.0));
   // A request for an 8-trial error bar must not be served the single-trial
   // response, and a different seed must draw fresh.
   EXPECT_FALSE(
-      cache.Lookup(MakeRequest("LSH-SS", 0.805, 8, 1), 111).has_value());
+      cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.805, 8, 1))).has_value());
   EXPECT_FALSE(
-      cache.Lookup(MakeRequest("LSH-SS", 0.805, 1, 2), 111).has_value());
+      cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.805, 1, 2))).has_value());
   EXPECT_TRUE(
-      cache.Lookup(MakeRequest("LSH-SS", 0.805, 1, 1), 111).has_value());
+      cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.805, 1, 1))).has_value());
 }
 
 TEST(EstimateCacheTest, HitMissAccounting) {
   EstimateCache cache(16);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
-  cache.Lookup(request, 1);                            // miss
-  cache.Insert(request, 1, MakeResponse(0.5, 10.0));
-  cache.Lookup(request, 1);                            // hit
-  cache.Lookup(request, 1);                            // hit
-  cache.Lookup(MakeRequest("LSH-SS", 0.9), 1);         // miss
+  cache.Lookup(ExactKey(request));                     // miss
+  cache.Insert(ExactKey(request), MakeResponse(0.5, 10.0));
+  cache.Lookup(ExactKey(request));                     // hit
+  cache.Lookup(ExactKey(request));                     // hit
+  cache.Lookup(ExactKey(MakeRequest("LSH-SS", 0.9)));  // miss
   const EstimateCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 2u);
@@ -140,25 +144,25 @@ TEST(EstimateCacheTest, HitMissAccounting) {
 
 TEST(EstimateCacheTest, EvictsLeastRecentlyUsed) {
   EstimateCache cache(2);
-  cache.Insert(MakeRequest("A", 0.5), 1, MakeResponse(0.5, 1.0));
-  cache.Insert(MakeRequest("B", 0.5), 1, MakeResponse(0.5, 2.0));
+  cache.Insert(ExactKey(MakeRequest("A", 0.5)), MakeResponse(0.5, 1.0));
+  cache.Insert(ExactKey(MakeRequest("B", 0.5)), MakeResponse(0.5, 2.0));
   // Touch A so B becomes the LRU entry.
-  EXPECT_TRUE(cache.Lookup(MakeRequest("A", 0.5), 1).has_value());
-  cache.Insert(MakeRequest("C", 0.5), 1, MakeResponse(0.5, 3.0));
+  EXPECT_TRUE(cache.Lookup(ExactKey(MakeRequest("A", 0.5))).has_value());
+  cache.Insert(ExactKey(MakeRequest("C", 0.5)), MakeResponse(0.5, 3.0));
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_TRUE(cache.Lookup(MakeRequest("A", 0.5), 1).has_value());
-  EXPECT_FALSE(cache.Lookup(MakeRequest("B", 0.5), 1).has_value());
-  EXPECT_TRUE(cache.Lookup(MakeRequest("C", 0.5), 1).has_value());
+  EXPECT_TRUE(cache.Lookup(ExactKey(MakeRequest("A", 0.5))).has_value());
+  EXPECT_FALSE(cache.Lookup(ExactKey(MakeRequest("B", 0.5))).has_value());
+  EXPECT_TRUE(cache.Lookup(ExactKey(MakeRequest("C", 0.5))).has_value());
 }
 
 TEST(EstimateCacheTest, InsertOverwritesSameKey) {
   EstimateCache cache(4);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
-  cache.Insert(request, 1, MakeResponse(0.5, 1.0));
-  cache.Insert(request, 1, MakeResponse(0.5, 2.0));
+  cache.Insert(ExactKey(request), MakeResponse(0.5, 1.0));
+  cache.Insert(ExactKey(request), MakeResponse(0.5, 2.0));
   EXPECT_EQ(cache.size(), 1u);
-  const auto hit = cache.Lookup(request, 1);
+  const auto hit = cache.Lookup(ExactKey(request));
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->mean_estimate, 2.0);
 }
@@ -166,41 +170,12 @@ TEST(EstimateCacheTest, InsertOverwritesSameKey) {
 TEST(EstimateCacheTest, ClearEmptiesButKeepsStats) {
   EstimateCache cache(4);
   const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
-  cache.Insert(request, 1, MakeResponse(0.5, 1.0));
-  cache.Lookup(request, 1);
+  cache.Insert(ExactKey(request), MakeResponse(0.5, 1.0));
+  cache.Lookup(ExactKey(request));
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.Lookup(request, 1).has_value());
+  EXPECT_FALSE(cache.Lookup(ExactKey(request)).has_value());
   EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(EstimateCacheTest, NoteInvalidationBumpsEpochStat) {
-  EstimateCache cache(4);
-  EXPECT_EQ(cache.stats().epoch, 0u);
-  cache.NoteInvalidation();
-  cache.NoteInvalidation();
-  EXPECT_EQ(cache.stats().epoch, 2u);
-  // Invalidation is an owner-level event: entries stay resident (they are
-  // unreachable via the owner's epoch-folded key, not erased) and the
-  // other counters are untouched.
-  const EstimateRequest request = MakeRequest("LSH-SS", 0.5);
-  cache.Insert(request, 1, MakeResponse(0.5, 1.0));
-  cache.NoteInvalidation();
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().epoch, 3u);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-}
-
-TEST(EstimateCacheTest, EpochFoldedFingerprintsNeverCollide) {
-  // The streaming service folds its epoch into the fingerprint; entries
-  // written under epoch e must miss under epoch e+1 even for identical
-  // requests.
-  EstimateCache cache(16);
-  const EstimateRequest request = MakeRequest("LSH-SS", 0.805);
-  cache.Insert(request, /*fingerprint=*/1001, MakeResponse(0.805, 1.0));
-  EXPECT_FALSE(cache.Lookup(request, /*fingerprint=*/1002).has_value());
-  EXPECT_TRUE(cache.Lookup(request, /*fingerprint=*/1001).has_value());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "test_util.h"
 #include "vsj/net/protocol.h"
 #include "vsj/service/cardinality_provider.h"
-#include "vsj/service/dataset_fingerprint.h"
 
 namespace vsj {
 namespace {
@@ -296,19 +295,12 @@ TEST(EstimationServiceTest, SamplingOverridesOnlyReachTheLshSsOptions) {
   EXPECT_EQ(service.Estimate(request).trials, 2u);
 }
 
-TEST(EstimationServiceTest, FingerprintTracksContent) {
-  const VectorDataset a = TestCorpus(300, 1);
-  const VectorDataset b = TestCorpus(300, 2);
-  EXPECT_NE(DatasetFingerprint(a), DatasetFingerprint(b));
-  EXPECT_EQ(DatasetFingerprint(a), DatasetFingerprint(TestCorpus(300, 1)));
-}
-
 TEST(EstimationServiceTest, EachServiceCachesItsOwnDatasetsAnswers) {
-  // A static engine keys its cache on the request alone, with no dataset
-  // fingerprint: the cache belongs to one engine over one dataset that
-  // never changes. Two services over different datasets must answer the
-  // same request differently, and each repeat must be a hit carrying its
-  // own service's first answer, byte for byte apart from from_cache.
+  // A static engine keys its cache on the request alone: the cache
+  // belongs to one engine over one dataset that never changes. Two
+  // services over different datasets must answer the same request
+  // differently, and each repeat must be a hit carrying its own service's
+  // first answer, byte for byte apart from from_cache.
   EstimateRequest request;
   request.estimator_name = "LSH-SS";
   request.tau = 0.6;

@@ -2,10 +2,10 @@
 // acceptance criterion of the snapshot layer): a churned service that is
 // checkpointed and restored by a process-fresh Restore answers every
 // estimate bit-identically — same means, same std errors, same pair
-// counts — with the effective fingerprint and the epoch round-tripping
-// exactly. Also covered: continued mutation after restore (id-space
-// continuity), erased-id permanence, multi-table engines, cold-cache
-// semantics, and corrupt-snapshot error paths.
+// counts — with the epoch round-tripping exactly. Also covered: continued
+// mutation after restore (id-space continuity), erased-id permanence,
+// multi-table engines, cold-cache semantics, snapshots whose reserved META
+// word holds an old dataset fingerprint, and corrupt-snapshot error paths.
 
 #include <chrono>
 #include <cstdio>
@@ -20,6 +20,7 @@
 
 #include "test_util.h"
 #include "vsj/io/vsjb_format.h"
+#include "vsj/net/protocol.h"
 #include "vsj/service/streaming_estimation_service.h"
 
 namespace vsj {
@@ -62,18 +63,22 @@ std::string SnapshotPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// Rewrites META's k and ℓ (the first two words of its payload) in the
-/// snapshot at `path` and recomputes the META checksum, so only Restore's
-/// own checks can refuse the result.
-void PatchMetaKeepingChecksums(const std::string& path, uint32_t k,
-                               uint32_t num_tables) {
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Overwrites the META word at byte `offset` of its payload with `value`
+/// in the snapshot at `path` and recomputes the META checksum, so only
+/// Restore's own checks can refuse the result. META starts with k (bytes
+/// 0–3) and ℓ (4–7); bytes 24–31 are the reserved word that once held a
+/// dataset fingerprint.
+template <typename Word>
+void PatchMetaKeepingChecksums(const std::string& path, size_t offset,
+                               Word value) {
+  std::string bytes = ReadBytes(path);
   // The validator reads the image through typed pointers: parse an
   // 8-byte-aligned copy.
   std::vector<uint64_t> aligned((bytes.size() + 7) / 8);
@@ -85,9 +90,8 @@ void PatchMetaKeepingChecksums(const std::string& path, uint32_t k,
   const int index = FindVsjbSection(image.entries, kSecSnapshotMeta);
   ASSERT_GE(index, 0);
   VsjbSectionEntry meta = image.entries[index];
-  std::memcpy(bytes.data() + meta.offset, &k, sizeof(k));
-  std::memcpy(bytes.data() + meta.offset + sizeof(k), &num_tables,
-              sizeof(num_tables));
+  ASSERT_LE(offset + sizeof(value), meta.length);
+  std::memcpy(bytes.data() + meta.offset + offset, &value, sizeof(value));
   meta.checksum = VsjbChecksum(bytes.data() + meta.offset, meta.length);
   const uint64_t table =
       VsjbAlignUp(sizeof(VsjbHeader) + image.header.name_length);
@@ -119,12 +123,9 @@ TEST_F(ServiceSnapshotTest, RestoreYieldsBitIdenticalEstimates) {
 
   // Identity round-trips exactly.
   EXPECT_EQ(restored->epoch(), original->epoch());
-  EXPECT_EQ(restored->effective_fingerprint(),
-            original->effective_fingerprint());
   EXPECT_EQ(restored->num_live(), original->num_live());
   EXPECT_EQ(restored->store().num_ids(), original->store().num_ids());
   EXPECT_EQ(restored->index().live_ids(), original->index().live_ids());
-  EXPECT_EQ(restored->cache().stats().epoch, original->cache().stats().epoch);
 
   // The acceptance pin: batches answer bit-identically.
   std::vector<EstimateRequest> batch;
@@ -170,8 +171,6 @@ TEST_F(ServiceSnapshotTest, RestoredEngineStaysBitIdenticalUnderMutation) {
   original->Remove(1);
   restored->Remove(1);
   EXPECT_EQ(original->epoch(), restored->epoch());
-  EXPECT_EQ(original->effective_fingerprint(),
-            restored->effective_fingerprint());
 
   const EstimateRequest request = LshSsRequest(0.5);
   EXPECT_EQ(original->Estimate(request).mean_estimate,
@@ -254,10 +253,44 @@ TEST_F(ServiceSnapshotTest, ColdCacheRecomputesIdenticalAnswers) {
   // Entries are not persisted: the restored engine recomputes...
   EXPECT_FALSE(cold.from_cache);
   // ...but determinism makes the recomputed answer bit-identical, and a
-  // repeat is now a hit under the round-tripped fingerprint.
+  // repeat is now a hit.
   EXPECT_EQ(cold.mean_estimate, warm.mean_estimate);
   EXPECT_TRUE(restored->Estimate(request).from_cache);
   std::remove(path.c_str());
+}
+
+TEST_F(ServiceSnapshotTest, OldFingerprintWordIsIgnoredOnRestore) {
+  // Snapshots written before the META fingerprint word was reserved carry
+  // a nonzero hash there. They restore to the same engine as the unpatched
+  // file: same epoch, the same bytes for every answer, and a checkpoint
+  // that writes the word as 0 again.
+  const std::string path = SnapshotPath("vsj_snapshot_old_fingerprint.vsjs");
+  const std::string again = SnapshotPath("vsj_snapshot_rewritten.vsjs");
+  const auto original = MakeChurned(EngineOptions());
+  ASSERT_TRUE(original->Checkpoint(path).ok());
+  const std::string clean_bytes = ReadBytes(path);
+  std::unique_ptr<StreamingEstimationService> clean;
+  ASSERT_TRUE(StreamingEstimationService::Restore(path, &clean,
+                                                  EngineOptions())
+                  .ok());
+
+  PatchMetaKeepingChecksums(path, 24, uint64_t{0x0123456789abcdefULL});
+  ASSERT_NE(ReadBytes(path), clean_bytes);
+  std::unique_ptr<StreamingEstimationService> patched;
+  ASSERT_TRUE(StreamingEstimationService::Restore(path, &patched,
+                                                  EngineOptions())
+                  .ok());
+  EXPECT_EQ(patched->epoch(), clean->epoch());
+  for (const double tau : {0.3, 0.5, 0.7, 0.9}) {
+    const EstimateRequest request = LshSsRequest(tau);
+    EXPECT_EQ(net::MakeEstimatePayload(1, patched->Estimate(request)),
+              net::MakeEstimatePayload(1, clean->Estimate(request)))
+        << "tau=" << tau;
+  }
+  ASSERT_TRUE(patched->Checkpoint(again).ok());
+  EXPECT_EQ(ReadBytes(again), clean_bytes);
+  std::remove(path.c_str());
+  std::remove(again.c_str());
 }
 
 TEST_F(ServiceSnapshotTest, RestoreErrorsAreStatusNotAborts) {
@@ -318,7 +351,8 @@ TEST_F(ServiceSnapshotTest, HugeHashFunctionCountIsCorruptBeforeAllocating) {
       if (hostile.one_live) service.Insert(0);
       ASSERT_TRUE(service.Checkpoint(path).ok());
     }
-    PatchMetaKeepingChecksums(path, hostile.k, hostile.num_tables);
+    PatchMetaKeepingChecksums(path, 0, hostile.k);
+    PatchMetaKeepingChecksums(path, sizeof(uint32_t), hostile.num_tables);
     std::unique_ptr<StreamingEstimationService> restored;
     const auto start = std::chrono::steady_clock::now();
     const IoStatus status =

@@ -1,7 +1,9 @@
 // Tests of the streaming estimation engine: agreement with a freshly-built
 // static EstimationService over the same live subset, batch determinism
-// across thread counts, and epoch-based cache invalidation (a post-mutation
-// estimate can never be served a pre-mutation cached value).
+// across thread counts, and cache invalidation (every mutation clears the
+// cache, so a post-mutation estimate can never be served a pre-mutation
+// value, and stale entries never crowd out live ones). The churn tests
+// check the dynamic index's invariants after every mutation.
 
 #include "vsj/service/streaming_estimation_service.h"
 
@@ -10,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include "index_invariants.h"
 #include "test_util.h"
 #include "vsj/join/brute_force_join.h"
+#include "vsj/net/protocol.h"
 #include "vsj/service/estimation_service.h"
 
 namespace vsj {
@@ -39,20 +43,31 @@ EstimateRequest LshSsRequest(double tau, size_t trials = 10,
   return request;
 }
 
-/// Applies a scripted sliding-window mutation sequence; returns the live
-/// ids in insertion order.
+/// The engine's dynamic index is consistent with itself over its store's
+/// whole id space.
+::testing::AssertionResult IndexConsistent(
+    const StreamingEstimationService& service) {
+  return testing::IndexInvariantsHold(service.index(),
+                                      service.store().num_ids());
+}
+
+/// Applies a scripted sliding-window mutation sequence, checking the index
+/// after every mutation; returns the live ids in insertion order.
 std::vector<VectorId> ApplyWindowScript(StreamingEstimationService& service) {
   std::vector<VectorId> live;
   for (VectorId id = 0; id < 500; ++id) {
     service.Insert(id);
+    EXPECT_TRUE(IndexConsistent(service)) << "insert " << id;
     live.push_back(id);
   }
   for (VectorId id = 0; id < 120; ++id) {
     service.Remove(id);
+    EXPECT_TRUE(IndexConsistent(service)) << "remove " << id;
   }
   live.erase(live.begin(), live.begin() + 120);
   for (VectorId id = 500; id < 580; ++id) {
     service.Insert(id);
+    EXPECT_TRUE(IndexConsistent(service)) << "insert " << id;
     live.push_back(id);
   }
   return live;
@@ -150,44 +165,83 @@ TEST(StreamingEstimationServiceTest, PostMutationEstimateIsNeverStale) {
   // pre-mutation cached value, for every mutation kind.
   StreamingEstimationService service(testing::SmallClusteredCorpus(300, 37),
                                      StreamOptions());
-  for (VectorId id = 0; id < 200; ++id) service.Insert(id);
+  for (VectorId id = 0; id < 200; ++id) {
+    service.Insert(id);
+    ASSERT_TRUE(IndexConsistent(service)) << "insert " << id;
+  }
 
   const EstimateRequest request = LshSsRequest(0.5, 4);
   service.Estimate(request);
   EXPECT_TRUE(service.Estimate(request).from_cache);
 
   service.Remove(7);
+  ASSERT_TRUE(IndexConsistent(service));
   const EstimateResponse after_remove = service.Estimate(request);
   EXPECT_FALSE(after_remove.from_cache);
   EXPECT_TRUE(service.Estimate(request).from_cache);
 
   service.Insert(210);
+  ASSERT_TRUE(IndexConsistent(service));
   EXPECT_FALSE(service.Estimate(request).from_cache);
 
   const VectorId added = service.AddVector(SparseVector(service.dataset()[0]));
+  ASSERT_TRUE(IndexConsistent(service));
   EXPECT_FALSE(service.Estimate(request).from_cache);
   service.Insert(added);
+  ASSERT_TRUE(IndexConsistent(service));
   EXPECT_FALSE(service.Estimate(request).from_cache);
 }
 
-TEST(StreamingEstimationServiceTest, EpochAndFingerprintTrackMutations) {
+TEST(StreamingEstimationServiceTest, MutationClearsTheCache) {
+  // Stale entries are erased at the mutation, not left to fill the LRU: a
+  // cache of capacity 4 full of pre-mutation answers takes 4 new ones
+  // without evicting anything.
+  StreamingEstimationServiceOptions options = StreamOptions();
+  options.cache_capacity = 4;
+  StreamingEstimationService service(testing::SmallClusteredCorpus(300, 53),
+                                     options);
+  for (VectorId id = 0; id < 200; ++id) service.Insert(id);
+  for (const double tau : {0.3, 0.5, 0.7, 0.9}) {
+    service.Estimate(LshSsRequest(tau, /*trials=*/2));
+  }
+  ASSERT_EQ(service.cache().size(), 4u);
+
+  service.Insert(200);
+  ASSERT_TRUE(IndexConsistent(service));
+  for (const double tau : {0.4, 0.6, 0.8, 1.0}) {
+    EXPECT_FALSE(service.Estimate(LshSsRequest(tau, 2)).from_cache) << tau;
+  }
+  EXPECT_EQ(service.cache().size(), 4u);
+  EXPECT_EQ(service.cache().stats().evictions, 0u);
+
+  // A fresh engine that saw the same mutations answers both a pre-mutation
+  // request (recomputed) and a post-mutation one (now a hit) byte for byte.
+  StreamingEstimationService fresh(testing::SmallClusteredCorpus(300, 53),
+                                   options);
+  for (VectorId id = 0; id <= 200; ++id) fresh.Insert(id);
+  for (const double tau : {0.3, 0.6}) {
+    const EstimateRequest request = LshSsRequest(tau, 2);
+    EstimateResponse repeat = service.Estimate(request);
+    EXPECT_EQ(repeat.from_cache, tau == 0.6) << tau;
+    repeat.from_cache = false;
+    EXPECT_EQ(net::MakeEstimatePayload(1, repeat),
+              net::MakeEstimatePayload(1, fresh.Estimate(request)))
+        << tau;
+  }
+}
+
+TEST(StreamingEstimationServiceTest, EpochCountsMutations) {
   StreamingEstimationService service(testing::SmallClusteredCorpus(100, 39),
                                      StreamOptions());
   EXPECT_EQ(service.epoch(), 0u);
-  const uint64_t f0 = service.effective_fingerprint();
-
   service.Insert(0);
   EXPECT_EQ(service.epoch(), 1u);
-  EXPECT_NE(service.effective_fingerprint(), f0);
-
   service.Remove(0);
   EXPECT_EQ(service.epoch(), 2u);
-
   service.AddVector(SparseVector(service.dataset()[1]));
   EXPECT_EQ(service.epoch(), 3u);
-
-  // The cache observes every invalidation through its epoch stat.
-  EXPECT_EQ(service.cache().stats().epoch, 3u);
+  service.Erase(1);
+  EXPECT_EQ(service.epoch(), 4u);
 }
 
 TEST(StreamingEstimationServiceTest, AddVectorExtendsTheUniverse) {
@@ -218,12 +272,18 @@ TEST(StreamingEstimationServiceTest, EraseTombstonesAndCompactionKeepsIds) {
   options.storage.chunk_features = 256;
   StreamingEstimationService service(testing::SmallClusteredCorpus(100, 47),
                                      options);
-  for (VectorId id = 0; id < 60; ++id) service.Insert(id);
+  for (VectorId id = 0; id < 60; ++id) {
+    service.Insert(id);
+    ASSERT_TRUE(IndexConsistent(service)) << "insert " << id;
+  }
   const SparseVector survivor{service.dataset()[59]};
 
   // Erase enough ids to cross the dead fraction and trigger compaction.
   const uint64_t epoch_before = service.epoch();
-  for (VectorId id = 0; id < 30; ++id) service.Erase(id);
+  for (VectorId id = 0; id < 30; ++id) {
+    service.Erase(id);
+    ASSERT_TRUE(IndexConsistent(service)) << "erase " << id;
+  }
   EXPECT_GE(service.store().compactions(), 1u);
   EXPECT_EQ(service.num_live(), 30u);
   EXPECT_GT(service.epoch(), epoch_before);
@@ -251,8 +311,14 @@ TEST(StreamingEstimationServiceTest, SampleContextPreservesBitIdentity) {
   VectorDataset dataset = testing::SmallClusteredCorpus(400, 17);
   StreamingEstimationService service(std::move(dataset),
                                      StreamOptions(1, false, /*tables=*/2));
-  for (VectorId id = 0; id < 350; ++id) service.Insert(id);
-  for (VectorId id = 0; id < 60; ++id) service.Remove(id);
+  for (VectorId id = 0; id < 350; ++id) {
+    service.Insert(id);
+    ASSERT_TRUE(IndexConsistent(service)) << "insert " << id;
+  }
+  for (VectorId id = 0; id < 60; ++id) {
+    service.Remove(id);
+    ASSERT_TRUE(IndexConsistent(service)) << "remove " << id;
+  }
 
   const StreamingLshSsEstimator estimator(service.dataset(), service.index(),
                                           service.options().measure,

@@ -663,7 +663,7 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
   std::cout << "stream: " << mutations << " mutation(s), final epoch "
             << service->epoch() << ", " << service->num_live() << " live\n"
             << "cache: " << cache_stats.hits << " hit(s), "
-            << cache_stats.misses << " miss(es), " << cache_stats.epoch
+            << cache_stats.misses << " miss(es), " << service->epoch()
             << " invalidation(s)\n";
   return 0;
 }
