@@ -1,5 +1,7 @@
 #include "vsj/service/estimate_cache.h"
 
+#include <utility>
+
 #include "vsj/obs/obs.h"
 
 namespace vsj {
@@ -22,8 +24,7 @@ std::optional<EstimateResponse> EstimateCache::Lookup(const std::string& key) {
   return response;
 }
 
-void EstimateCache::Insert(const std::string& key,
-                           const EstimateResponse& response) {
+void EstimateCache::Insert(std::string key, const EstimateResponse& response) {
   if (capacity_ == 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.insertions;
@@ -40,14 +41,15 @@ void EstimateCache::Insert(const std::string& key,
     ++stats_.evictions;
     VSJ_COUNTER_ADD("cache.evictions", 1);
   }
-  lru_.push_front(Entry{key, response});
-  index_.emplace(key, lru_.begin());
+  lru_.push_front(Entry{std::move(key), response});
+  index_.emplace(lru_.front().key, lru_.begin());
 }
 
 void EstimateCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  // Mutations clear an already empty cache most of the time; skip the
-  // index's bucket sweep then.
+  // A burst of writes finds the cache empty after its first mutation.
+  // unordered_map::clear() zeroes the whole bucket array even then, and the
+  // array keeps the size the largest fill gave it; skip that.
   if (lru_.empty()) return;
   lru_.clear();
   index_.clear();

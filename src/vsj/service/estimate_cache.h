@@ -36,6 +36,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "vsj/service/estimate_request.h"
@@ -71,7 +72,7 @@ class EstimateCache {
 
   /// Inserts (or overwrites) the response under `key`, evicting the least
   /// recently used entry when the cache is full.
-  void Insert(const std::string& key, const EstimateResponse& response);
+  void Insert(std::string key, const EstimateResponse& response);
 
   /// Drops every entry (the counters stay). The streaming engine calls it
   /// on every mutation, so no entry outlives the live set it answered.
@@ -90,9 +91,10 @@ class EstimateCache {
   const size_t capacity_;
 
   mutable std::mutex mutex_;
-  // Most recently used at the front; the index points into the list.
+  // Most recently used at the front. The index points into the list and
+  // its keys view the entries' own keys, so each key is stored once.
   std::list<Entry> lru_;
-  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::unordered_map<std::string_view, std::list<Entry>::iterator> index_;
   EstimateCacheStats stats_;
 };
 

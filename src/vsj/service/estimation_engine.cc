@@ -330,9 +330,11 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     }
   });
 
+  // Nothing reads the keys after this (leader_of's views into them
+  // included), so the cache takes them.
   if (cache != nullptr) {
     for (size_t i : misses) {
-      cache->Insert(keys[i], responses[i]);
+      cache->Insert(std::move(keys[i]), responses[i]);
     }
   }
   return responses;
