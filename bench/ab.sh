@@ -1,0 +1,131 @@
+#!/bin/sh
+# Paired A/B run of the served-estimate benchmark: runs the unchanged
+# servebench/run.py --trace 0 of two checkouts on both gated workloads
+# (sweep_cold, point_hot), PAIRS times each, alternating which checkout
+# runs first, and writes OUT_DIR/ab.json. Per workload and end-to-end
+# metric it holds each side's median and quartiles, how many of the pairs
+# the change won (ties count for neither side) and a verdict: "separates"
+# when the change wins at least nine tenths of the pairs and the medians
+# differ by more than the parent's interquartile range, otherwise "does
+# not separate". Which direction is better comes from the change's
+# BENCHMARK.json. Each run's result line is kept under OUT_DIR/runs/.
+#
+# Usage: bench/ab.sh PARENT_TREE CHANGE_TREE OUT_DIR [PAIRS] [-- run.py args]
+#   PAIRS defaults to 10; run.py gets --seconds 40 (BENCHMARK.json's run
+#   length) and then the args after --, which override it, e.g.
+#   bench/ab.sh ../parent . ab-out 2 -- --scale tiny --seconds 1
+# Each tree is a full checkout; run.py builds into the tree's own
+# .bench_build/. Exits 1 when a run fails or reports a failed check.
+set -eu
+usage() {
+  echo "usage: $0 PARENT_TREE CHANGE_TREE OUT_DIR [PAIRS] [-- run.py args]" >&2
+  exit 2
+}
+[ $# -ge 3 ] || usage
+parent=$(cd "$1" && pwd) || usage
+change=$(cd "$2" && pwd) || usage
+out=$3
+shift 3
+pairs=10
+if [ $# -gt 0 ] && [ "$1" != "--" ]; then
+  pairs=$1
+  shift
+fi
+case $pairs in
+  '' | *[!0-9]* | 0) echo "$0: PAIRS must be a positive integer" >&2; exit 2 ;;
+esac
+if [ $# -gt 0 ]; then
+  [ "$1" = "--" ] || usage
+  shift
+fi
+for tree in "$parent" "$change"; do
+  [ -f "$tree/servebench/run.py" ] || {
+    echo "$0: $tree has no servebench/run.py" >&2
+    exit 2
+  }
+done
+mkdir -p "$out/runs"
+
+run() {  # run SIDE TREE WORKLOAD PAIR [run.py args]
+  side=$1 tree=$2 workload=$3 pair=$4
+  shift 4
+  log="$out/runs/$workload-$pair-$side.log"
+  echo "ab: pair $pair/$pairs $workload $side" >&2
+  if ! python3 "$tree/servebench/run.py" --workload "$workload" --trace 0 \
+      --seconds 40 "$@" > "$log.out" 2> "$log"; then
+    echo "ab: $side run failed on $workload (see $log)" >&2
+    exit 1
+  fi
+  tail -n 1 "$log.out" > "$out/runs/$workload-$pair-$side.json"
+  rm -f "$log.out"
+}
+
+for workload in sweep_cold point_hot; do
+  pair=1
+  while [ "$pair" -le "$pairs" ]; do
+    if [ $((pair % 2)) -eq 1 ]; then
+      run parent "$parent" "$workload" "$pair" "$@"
+      run change "$change" "$workload" "$pair" "$@"
+    else
+      run change "$change" "$workload" "$pair" "$@"
+      run parent "$parent" "$workload" "$pair" "$@"
+    fi
+    pair=$((pair + 1))
+  done
+done
+
+python3 - "$out" "$pairs" "$change/BENCHMARK.json" <<'EOF'
+import json
+import math
+import os
+import statistics
+import sys
+
+out, pairs, benchmark = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+better = {m["name"]: m["better"]
+          for m in json.load(open(benchmark))["end_to_end"]}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+result = {"pairs": pairs, "workloads": {}}
+for workload in ("sweep_cold", "point_hot"):
+    runs = {side: [json.load(open(os.path.join(
+        out, "runs", "%s-%d-%s.json" % (workload, pair, side))))
+        for pair in range(1, pairs + 1)] for side in ("parent", "change")}
+    metrics = {}
+    for name, direction in better.items():
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                  for side in runs}
+        sign = 1 if direction == "higher" else -1
+        wins = sum(sign * (c - p) > 0
+                   for p, c in zip(values["parent"], values["change"]))
+        summary = {}
+        for side, vals in values.items():
+            q1, q3 = quartiles(vals)
+            summary[side] = {"median": statistics.median(vals), "q1": q1,
+                             "q3": q3, "runs": vals}
+        gap = sign * (summary["change"]["median"] - summary["parent"]["median"])
+        iqr = summary["parent"]["q3"] - summary["parent"]["q1"]
+        separates = wins >= math.ceil(0.9 * pairs) and gap > iqr
+        metrics[name] = dict(summary, better=direction, wins=wins,
+                             median_gap=gap, parent_iqr=iqr,
+                             verdict="separates" if separates
+                             else "does not separate")
+    failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
+    attempted = {side: sum(r["attempted"] for r in runs[side]) for side in runs}
+    result["workloads"][workload] = {"metrics": metrics, "failed": failed,
+                                     "attempted": attempted}
+    for name, m in metrics.items():
+        print("ab: %-10s %-16s parent %-12.6g change %-12.6g wins %d/%d  %s"
+              % (workload, name, m["parent"]["median"], m["change"]["median"],
+                 m["wins"], pairs, m["verdict"]), file=sys.stderr)
+with open(os.path.join(out, "ab.json"), "w") as f:
+    json.dump(result, f, indent=1, sort_keys=True)
+    f.write("\n")
+EOF

@@ -1,5 +1,7 @@
 #include "bench_common.h"
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
@@ -36,25 +38,40 @@ std::string CpuModel() {
   return "unknown";
 }
 
-/// HEAD of the checkout the bench was built from, or a note saying there
-/// is none. GIT_CEILING_DIRECTORIES keeps git from answering with an
+/// Runs `git ARGS` in the checkout the bench was built from and returns
+/// its stdout; `status`, when given, gets its wait status (-1 if it never
+/// ran). GIT_CEILING_DIRECTORIES keeps git from answering with an
 /// enclosing repository.
-std::string GitSha() {
+std::string Git(const std::string& args, int* status = nullptr) {
   const std::string source = VSJ_BENCH_SOURCE_DIR;
   const std::string command = "GIT_CEILING_DIRECTORIES='" +
                               source.substr(0, source.rfind('/')) +
-                              "' git -C '" + source +
-                              "' rev-parse HEAD 2>/dev/null";
-  std::string sha;
+                              "' git -C '" + source + "' " + args +
+                              " 2>/dev/null";
+  std::string out;
+  int result = -1;
   if (FILE* pipe = ::popen(command.c_str(), "r")) {
     char buf[64];
-    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) sha += buf;
-    ::pclose(pipe);
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    result = ::pclose(pipe);
   }
+  if (status != nullptr) *status = result;
+  return out;
+}
+
+/// HEAD of the checkout the bench was built from, with "-dirty" when a
+/// tracked file differs from HEAD (the numbers then come from code no
+/// commit holds), or a note saying there is no checkout.
+std::string GitSha() {
+  std::string sha = Git("rev-parse HEAD");
   while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r')) {
     sha.pop_back();
   }
-  return sha.empty() ? "unknown (not a git checkout)" : sha;
+  if (sha.empty()) return "unknown (not a git checkout)";
+  int status = 0;
+  Git("diff --quiet HEAD --", &status);
+  if (WIFEXITED(status) && WEXITSTATUS(status) == 1) sha += "-dirty";
+  return sha;
 }
 
 /// The host block of a BENCH document: the same fields servebench's

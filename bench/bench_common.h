@@ -29,6 +29,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsj/core/estimator_registry.h"
@@ -72,6 +73,13 @@ struct Timing {
   Timing Scaled(double factor) const { return {min * factor, median * factor}; }
 };
 
+/// The min and median of `seconds` (non-empty).
+inline Timing MinMedian(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  const size_t n = seconds.size();
+  return {seconds.front(), (seconds[(n - 1) / 2] + seconds[n / 2]) / 2};
+}
+
 /// Runs `body` `iters` (>= 1) times and returns the min and median of its
 /// wall times in seconds.
 template <typename Body>
@@ -82,9 +90,7 @@ Timing TimeRuns(size_t iters, Body&& body) {
     body();
     s = timer.ElapsedSeconds();
   }
-  std::sort(seconds.begin(), seconds.end());
-  return {seconds.front(),
-          (seconds[(iters - 1) / 2] + seconds[iters / 2]) / 2};
+  return MinMedian(std::move(seconds));
 }
 
 /// Everything a bench needs for one corpus.

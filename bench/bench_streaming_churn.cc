@@ -22,11 +22,14 @@
 // Scale knobs (see bench_common.h): VSJ_N (corpus size, default 6000),
 // VSJ_K (functions per table, default 12), VSJ_TRIALS (trials per request,
 // default 2), VSJ_SEED; VSJ_TABLES (default 2), VSJ_ROUNDS (default 8),
-// VSJ_CLIENTS (fan-out width, default 512).
+// VSJ_CLIENTS (fan-out width, default 512), VSJ_ITERS (runs per row,
+// default 3; each reported rate is the fastest run's, with the rate at the
+// median run time beside it).
 // `--json <path>` writes per-churn-rate numbers as JSON.
 
 #include <deque>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -81,6 +84,42 @@ struct SlidingWindow {
   vsj::VectorId next = 0;
 };
 
+/// A row's runs, each from a fresh window: `rounds` rounds of `churn`
+/// mutations, then one batch, the two phases timed apart.
+struct RowRuns {
+  std::vector<double> mutation_seconds;
+  std::vector<double> batch_seconds;
+  double hit_rate = 0.0;  ///< The last run's cache hit rate.
+};
+
+RowRuns RunRow(const vsj::CorpusConfig& config,
+               const vsj::StreamingEstimationServiceOptions& options,
+               size_t window, size_t churn,
+               const std::vector<vsj::EstimateRequest>& batch, size_t rounds,
+               size_t runs) {
+  RowRuns row{std::vector<double>(runs, 0.0), std::vector<double>(runs, 0.0)};
+  for (size_t run = 0; run < runs; ++run) {
+    SlidingWindow sliding(config, options, window);
+    for (size_t round = 0; round < rounds; ++round) {
+      vsj::Timer mutation_timer;
+      sliding.Churn(churn);
+      row.mutation_seconds[run] += mutation_timer.ElapsedSeconds();
+
+      vsj::Timer batch_timer;
+      sliding.service.EstimateBatch(batch);
+      row.batch_seconds[run] += batch_timer.ElapsedSeconds();
+    }
+    row.hit_rate = sliding.service.cache().stats().HitRate();
+  }
+  return row;
+}
+
+/// `count` events per second, from a row's per-run times: the fastest
+/// run's rate (reported as the value) and the rate at the median time.
+vsj::bench::Timing Rates(double count, vsj::bench::Timing seconds) {
+  return {count / seconds.min, count / seconds.median};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -109,40 +148,32 @@ int main(int argc, char** argv) {
   options.num_tables = tables;
   options.family_seed = scale.seed ^ 0x5eedULL;
 
+  // Each row runs VSJ_ITERS times; a rate is reported for the fastest run
+  // and at the median run time.
   for (const size_t churn : {size_t{0}, size_t{16}, size_t{128}, window / 4}) {
-    SlidingWindow sliding(config, options, window);
-    double mutation_seconds = 0.0;
-    double batch_seconds = 0.0;
-    size_t estimates = 0;
-    for (size_t round = 0; round < rounds; ++round) {
-      vsj::Timer mutation_timer;
-      sliding.Churn(churn);
-      mutation_seconds += mutation_timer.ElapsedSeconds();
-
-      vsj::Timer batch_timer;
-      const auto responses = sliding.service.EstimateBatch(batch);
-      batch_seconds += batch_timer.ElapsedSeconds();
-      estimates += responses.size();
-    }
-
-    const double mutation_rate =
-        static_cast<double>(churn * rounds) / mutation_seconds;
-    const double estimate_rate =
-        static_cast<double>(estimates) / batch_seconds;
+    const RowRuns row =
+        RunRow(config, options, window, churn, batch, rounds, scale.iters);
+    const vsj::bench::Timing batch_time =
+        vsj::bench::MinMedian(row.batch_seconds);
+    const vsj::bench::Timing estimate_rate =
+        Rates(static_cast<double>(batch.size() * rounds), batch_time);
+    std::string mutation_cell = "-";
     if (churn > 0) {
+      const vsj::bench::Timing mutation_rate =
+          Rates(static_cast<double>(churn * rounds),
+                vsj::bench::MinMedian(row.mutation_seconds));
       json.Add("mutations_per_sec_churn" + std::to_string(churn),
-               "mutations_per_sec", mutation_rate, rounds);
+               "mutations_per_sec", mutation_rate, scale.iters);
+      mutation_cell = vsj::TablePrinter::Fmt(mutation_rate.median, 0);
     }
     json.Add("estimates_per_sec_churn" + std::to_string(churn),
-             "estimates_per_sec", estimate_rate, rounds);
-    report.AddRow(
-        {std::to_string(churn),
-         churn == 0 ? "-" : vsj::TablePrinter::Fmt(mutation_rate, 0),
-         vsj::TablePrinter::Fmt(batch_seconds * 1e3 /
-                                    static_cast<double>(rounds),
-                                1),
-         vsj::TablePrinter::Fmt(estimate_rate, 1),
-         vsj::TablePrinter::Pct(sliding.service.cache().stats().HitRate())});
+             "estimates_per_sec", estimate_rate, scale.iters);
+    report.AddRow({std::to_string(churn), mutation_cell,
+                   vsj::TablePrinter::Fmt(batch_time.median * 1e3 /
+                                              static_cast<double>(rounds),
+                                          1),
+                   vsj::TablePrinter::Fmt(estimate_rate.median, 1),
+                   vsj::TablePrinter::Pct(row.hit_rate)});
   }
 
   // Client fan-out: every round churns 16 documents (so the cleared cache
@@ -152,36 +183,29 @@ int main(int argc, char** argv) {
   // ride along.
   const size_t fan_churn = 16;
   {
-    SlidingWindow sliding(config, options, window);
     std::vector<vsj::EstimateRequest> fan_batch;
     fan_batch.reserve(clients * batch.size());
     for (size_t c = 0; c < clients; ++c) {
       fan_batch.insert(fan_batch.end(), batch.begin(), batch.end());
     }
 
-    double batch_seconds = 0.0;
-    size_t estimates = 0;
-    for (size_t round = 0; round < rounds; ++round) {
-      sliding.Churn(fan_churn);
-      vsj::Timer batch_timer;
-      const auto responses = sliding.service.EstimateBatch(fan_batch);
-      batch_seconds += batch_timer.ElapsedSeconds();
-      estimates += responses.size();
-    }
-
-    const double estimate_rate =
-        static_cast<double>(estimates) / batch_seconds;
+    const RowRuns row = RunRow(config, options, window, fan_churn, fan_batch,
+                               rounds, scale.iters);
+    const vsj::bench::Timing batch_time =
+        vsj::bench::MinMedian(row.batch_seconds);
+    const vsj::bench::Timing estimate_rate =
+        Rates(static_cast<double>(fan_batch.size() * rounds), batch_time);
     json.Add("estimates_per_sec_fanout" + std::to_string(clients) + "_dedup",
-             "estimates_per_sec", estimate_rate, rounds);
+             "estimates_per_sec", estimate_rate, scale.iters);
     report.AddRow(
         {std::to_string(fan_churn) + " x" + std::to_string(clients) +
              " clients",
          "-",
-         vsj::TablePrinter::Fmt(batch_seconds * 1e3 /
+         vsj::TablePrinter::Fmt(batch_time.median * 1e3 /
                                     static_cast<double>(rounds),
                                 1),
-         vsj::TablePrinter::Fmt(estimate_rate, 1),
-         vsj::TablePrinter::Pct(sliding.service.cache().stats().HitRate())});
+         vsj::TablePrinter::Fmt(estimate_rate.median, 1),
+         vsj::TablePrinter::Pct(row.hit_rate)});
   }
   report.Print(std::cout);
   json.AddMetricsSnapshot();

@@ -165,6 +165,10 @@ void Server::OnAcceptable() {
     if (!loop_.Add(fd, EPOLLIN | EPOLLRDHUP | EPOLLET,
                    [this, id](uint32_t events) {
                      OnConnectionEvent(id, events);
+                     // After the event's last use of its connection (this
+                     // may close it): workers' answers go out while the
+                     // loop reads the next connection's burst.
+                     DrainCompletions();
                    })) {
       ::close(fd);
       continue;
@@ -183,10 +187,21 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
   bool peer_closed = false;
   if (events & EPOLLIN) {
     char buffer[65536];
+    std::vector<Pending> admitted;
     while (true) {
       const ssize_t n = ::read(conn.fd, buffer, sizeof(buffer));
       if (n > 0) {
+        // A dying connection's further bytes are read and dropped.
+        if (conn.close_after_flush) continue;
         conn.decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
+        // Each read is decoded and handed off before the next, so the
+        // decoder holds at most one read plus one partial frame. Before
+        // the next read: drain detection relies on every admitted request
+        // being counted in inflight_ once the loop pass ends.
+        DecodeFrames(conn, &admitted);
+        HandOff(&admitted);
+        VSJ_HIST_RECORD("server.input_buffered_bytes",
+                        conn.decoder.buffered_bytes());
         continue;
       }
       if (n == 0) {
@@ -196,34 +211,8 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
       }
       break;
     }
-    std::string_view payload;
-    std::vector<Pending> admitted;
-    while (!conn.close_after_flush) {
-      const FrameDecoder::Status status = conn.decoder.Next(&payload);
-      if (status == FrameDecoder::Status::kFrame) {
-        HandleFrame(conn, payload, &admitted);
-        if (admitted.size() >= options_.max_batch) HandOff(&admitted);
-        continue;
-      }
-      if (status == FrameDecoder::Status::kTooLarge) {
-        // The prefix was rejected before any payload buffering; the
-        // stream cannot be resynchronized, so answer and hang up.
-        VSJ_COUNTER_ADD("server.bad_frames", 1);
-        Respond(conn,
-                MakeErrorPayload(
-                    0, RpcError::kBadFrame,
-                    "frame length exceeds the " +
-                        std::to_string(options_.max_frame_bytes) +
-                        " byte limit"));
-        conn.close_after_flush = true;
-      }
-      break;
-    }
-    // Before returning: drain detection relies on every admitted request
-    // being counted in inflight_ once the loop pass ends.
-    HandOff(&admitted);
   }
-  // One write for everything this pass staged, and before the reaping
+  // One write for everything this event staged, and before the reaping
   // below, so inline replies reach a peer that has already hung up.
   FlushWrites(conn);
   if (peer_closed || (events & (EPOLLHUP | EPOLLERR))) {
@@ -235,6 +224,30 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
   if (events & EPOLLRDHUP) conn.close_after_flush = true;
   if (conn.close_after_flush && conn.out_offset == conn.out.size()) {
     CloseConnection(conn_id);
+  }
+}
+
+void Server::DecodeFrames(Connection& conn, std::vector<Pending>* admitted) {
+  std::string_view payload;
+  while (!conn.close_after_flush) {
+    const FrameDecoder::Status status = conn.decoder.Next(&payload);
+    if (status == FrameDecoder::Status::kFrame) {
+      HandleFrame(conn, payload, admitted);
+      if (admitted->size() >= options_.max_batch) HandOff(admitted);
+      continue;
+    }
+    if (status == FrameDecoder::Status::kTooLarge) {
+      // The prefix was rejected before any payload buffering; the
+      // stream cannot be resynchronized, so answer and hang up.
+      VSJ_COUNTER_ADD("server.bad_frames", 1);
+      Respond(conn,
+              MakeErrorPayload(0, RpcError::kBadFrame,
+                               "frame length exceeds the " +
+                                   std::to_string(options_.max_frame_bytes) +
+                                   " byte limit"));
+      conn.close_after_flush = true;
+    }
+    break;
   }
 }
 
@@ -454,11 +467,14 @@ void Server::DrainCompletions() {
   if (batch.empty()) return;
   if (obs::MetricsEnabled()) {
     const uint64_t now_ns = obs::MonotonicNowNs();
+    size_t backlog_bytes = 0;
     for (const Completion& completion : batch) {
+      backlog_bytes += completion.frames.size();
       if (completion.published_ns == 0) continue;  // published with it off
       VSJ_HIST_RECORD("server.completion_wait_ns",
                       now_ns - completion.published_ns);
     }
+    VSJ_HIST_RECORD("server.completion_backlog_bytes", backlog_bytes);
   }
   std::vector<uint64_t> touched;
   for (Completion& completion : batch) {

@@ -6,10 +6,12 @@
 // ---------------
 // One *loop thread* owns every socket: it accepts, reads, splits frames
 // (net/wire), decodes each request in one pass (DecodeRpcRequest: no JSON
-// DOM), writes responses, and never touches an estimation engine. The
-// requests admitted from one read burst go into per-tenant FIFO queues
-// together (one lock per hand-off of at most max_batch requests, one
-// wakeup per tenant it readies); N *worker
+// DOM), writes responses, and never touches an estimation engine. Each
+// read(2) of at most 64 KiB is decoded before the next, so a connection's
+// decoder holds at most one read plus one partial frame. The requests
+// admitted from one read go into per-tenant FIFO queues together (one
+// lock per hand-off of at most max_batch requests, one wakeup per tenant
+// it readies); N *worker
 // threads* drain them. A worker takes one tenant's pending run (up to
 // max_batch requests, order preserved), resolves the tenant through the
 // registry (lazily opening snapshots), groups the consecutive estimate
@@ -31,10 +33,12 @@
 // (eventfd); while requests are in flight the loop looks at the queue
 // every kPublishInterval on its own. It appends each buffer to its
 // connection's output in one copy, with no per-response string or
-// re-framing, and hands the buffers back for the workers to reuse.
-// Responses are staged per connection and written once per connection per
-// loop pass (or as soon as a connection stages kEagerFlushBytes), not once
-// per response.
+// re-framing, and hands the buffers back for the workers to reuse. The
+// loop takes the queue after every connection event as well as after each
+// poll, so answers go out while the loop reads the next connection's
+// burst. Responses are staged per connection and written once per
+// connection event or queue take (or as soon as a connection stages
+// kEagerFlushBytes), not once per response.
 //
 // Per-tenant metrics (server.tenant.<name>.*) are resolved to registry
 // handles once per tenant, at hand-off, and carried by each request; with
@@ -240,6 +244,9 @@ class Server {
   void LoopThread();
   void OnAcceptable();
   void OnConnectionEvent(uint64_t conn_id, uint32_t events);
+  /// Handles every complete frame `conn`'s decoder holds, handing off
+  /// each max_batch admitted; stops once the connection is dying.
+  void DecodeFrames(Connection& conn, std::vector<Pending>* admitted);
   /// Answers `payload` inline, or appends its admitted request to
   /// `admitted` for the next HandOff.
   void HandleFrame(Connection& conn, std::string_view payload,

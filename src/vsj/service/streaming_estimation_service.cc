@@ -43,7 +43,6 @@ void StreamingEstimationService::BuildProjectionCache() {
 
 void StreamingEstimationService::BumpEpoch() {
   ++epoch_;
-  cache().Clear();
   // One counter per mutation — the only per-mutation instrumentation on
   // the streaming path, protecting the sub-µs mutation budget.
   VSJ_COUNTER_ADD("service.mutations", 1);
@@ -51,6 +50,7 @@ void StreamingEstimationService::BumpEpoch() {
 
 VectorId StreamingEstimationService::AddVector(const SparseVector& vector) {
   const VectorId id = store_.Append(vector.ref());
+  // The cache stays: the new vector is not live until Insert.
   BumpEpoch();
   return id;
 }
@@ -58,17 +58,20 @@ VectorId StreamingEstimationService::AddVector(const SparseVector& vector) {
 void StreamingEstimationService::Insert(VectorId id) {
   VSJ_CHECK_MSG(store_.Contains(id), "vector %u not in backing store", id);
   index_.Insert(id, store_.Ref(id));
+  cache().Clear();
   BumpEpoch();
 }
 
 void StreamingEstimationService::Remove(VectorId id) {
   index_.Remove(id);
+  cache().Clear();
   BumpEpoch();
 }
 
 void StreamingEstimationService::Erase(VectorId id) {
   if (index_.Contains(id)) index_.Remove(id);
   store_.Remove(id);
+  cache().Clear();
   BumpEpoch();
 }
 

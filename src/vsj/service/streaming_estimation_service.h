@@ -11,9 +11,12 @@
 // *live* subset; Insert/Remove maintain every table in O(ℓ log n) and bump
 // a monotone epoch.
 //
-// Cache invalidation: every mutation bumps the epoch and clears the cache,
+// Cache invalidation: every mutation bumps the epoch, and every mutation
+// that can change the live set (Insert, Remove, Erase) clears the cache,
 // so a cached answer always describes the current live set and its key is
-// the request's ExactKey alone. epoch() counts the mutations.
+// the request's ExactKey alone. AddVector keeps the cache: an appended
+// vector is not live, and no answer reads the store's size. epoch()
+// counts the mutations.
 //
 // Determinism (estimation_engine.h) carries over with the live set as the
 // dataset state: trial t runs against table (t mod ℓ), and a response is a
@@ -133,9 +136,9 @@ class StreamingEstimationService final : public EstimationEngine {
                              const StreamingEstimationServiceOptions& options,
                              uint64_t epoch);
 
-  /// Records a mutation: advances the epoch and clears the cache, whose
-  /// answers described the live set before it. Every mutating method ends
-  /// here.
+  /// Records a mutation: advances the epoch. Every mutating method ends
+  /// here; those that can change the live set clear the cache first, as
+  /// its answers described the live set before them.
   void BumpEpoch();
 
   /// Builds and attaches the sealed Gaussian projection cache over the

@@ -464,6 +464,143 @@ TEST_F(ServerTest, PipelinedBurstAnswersEveryFrameOnce) {
             0u);
 }
 
+TEST_F(ServerTest, MultiMegabyteBurstsStreamThroughTheDecoder) {
+  // Two connections each send one write of over 4 MiB: pings and estimates
+  // padded with JSON whitespace to sizes whose ends fall all over the
+  // server's 64 KiB reads. Each read is decoded and handed off before the
+  // next, so a decoder never holds more than one read plus one partial
+  // frame. Every frame is still answered exactly once: the pongs in
+  // request order, each tenant's estimates in request order, and every
+  // estimate (a fresh seed each, so never a cache hit) byte-equal to its
+  // cold in-process answer.
+  constexpr uint32_t kMaxFrameBytes = 1u << 20;
+  StartServer(/*workers=*/2, /*max_inflight=*/8192, /*debug_ops=*/true,
+              kMaxFrameBytes);
+  obs::MetricRegistry::Global().ResetValues();
+  obs::EnableMetrics(true);
+  struct MetricsOff {
+    ~MetricsOff() { obs::EnableMetrics(false); }
+  } metrics_off;
+
+  std::unique_ptr<StreamingEstimationService> churn_engine;
+  ASSERT_TRUE(StreamingEstimationService::Restore(root_ + "/churn.vsjs",
+                                                  &churn_engine,
+                                                  StreamingOptions())
+                  .ok());
+  EstimationService wiki_engine(GenerateCorpus(DblpLikeConfig(kCorpusSize, 4)),
+                                StaticOptions());
+
+  // What a request must be answered with, and the lane whose answers keep
+  // request order on one connection: 0 pongs, 1 churn, 2 wiki.
+  struct Expected {
+    size_t position = 0;
+    int lane = 0;
+    std::string payload;
+  };
+  constexpr size_t kClients = 2;
+  constexpr size_t kMinBurstBytes = 4u << 20;
+  std::vector<std::string> bursts(kClients);
+  std::vector<std::map<uint64_t, Expected>> expected(kClients);
+  uint64_t id = 1;
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t frame = 0; bursts[c].size() < kMinBurstBytes; ++frame, ++id) {
+      Expected& want = expected[c][id];
+      want.position = frame;
+      std::string json;
+      if (frame % 4 == 1) {
+        const bool churn = frame % 8 == 1;
+        json = EstimateJson(id, churn ? "churn" : "wiki", 0.7, /*trials=*/2,
+                            /*seed=*/id);
+        const EstimateRequest request = Request(0.7, 2, id);
+        want.lane = churn ? 1 : 2;
+        want.payload = MakeEstimatePayload(
+            id, churn ? churn_engine->Estimate(request)
+                      : wiki_engine.Estimate(request));
+      } else {
+        json = PingJson(id);
+        want.payload = PongPayload(id);
+      }
+      // 0 to 4092 spaces, stepping by a prime: about 2 KiB per frame.
+      json.insert(1, std::string(frame * 7919 % 4093, ' '));
+      AppendFrame(&bursts[c], json);
+    }
+  }
+
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.push_back(std::make_unique<TestClient>());
+    ASSERT_TRUE(clients.back()->Connect(port()));
+  }
+  bool sent[kClients] = {};
+  std::vector<std::thread> senders;
+  for (size_t c = 0; c < kClients; ++c) {
+    senders.emplace_back(
+        [&, c] { sent[c] = clients[c]->SendRaw(bursts[c]); });
+  }
+  for (std::thread& sender : senders) sender.join();
+
+  size_t frames = 0;
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_TRUE(sent[c]) << "client " << c;
+    std::map<uint64_t, size_t> seen;
+    long last_position[3] = {-1, -1, -1};
+    for (size_t i = 0; i < expected[c].size(); ++i) {
+      const std::string payload = clients[c]->ReadPayload();
+      ASSERT_FALSE(payload.empty())
+          << "client " << c << " after " << i << " responses";
+      JsonValue doc;
+      std::string error;
+      ASSERT_TRUE(ParseJson(payload, &doc, &error)) << payload;
+      const uint64_t got = static_cast<uint64_t>(doc.Find("id")->AsNumber());
+      const auto want = expected[c].find(got);
+      ASSERT_NE(want, expected[c].end()) << "client " << c << ": " << payload;
+      ++seen[got];
+      EXPECT_EQ(payload, want->second.payload) << "id " << got;
+      long& last = last_position[want->second.lane];
+      EXPECT_GT(static_cast<long>(want->second.position), last)
+          << "id " << got << " overtook an earlier request of its lane";
+      last = static_cast<long>(want->second.position);
+    }
+    EXPECT_EQ(seen.size(), expected[c].size()) << "client " << c;
+    for (const auto& [got, count] : seen) EXPECT_EQ(count, 1u) << got;
+    frames += expected[c].size();
+  }
+
+  obs::MetricRegistry& registry = obs::MetricRegistry::Global();
+  EXPECT_EQ(registry.GetCounter("server.responses").Value(), frames);
+  const obs::HistogramSnapshot buffered =
+      registry.GetHistogram("server.input_buffered_bytes").Snapshot();
+  EXPECT_GT(buffered.count, 0u);
+  EXPECT_LE(buffered.max, 65536u + kMaxFrameBytes);
+  EXPECT_GT(
+      registry.GetHistogram("server.completion_backlog_bytes").Snapshot().count,
+      0u);
+}
+
+TEST_F(ServerTest, FramesBeforeAnOversizedPrefixAreAnsweredFirst) {
+  // One write: pings filling more than one 64 KiB read, an oversized
+  // length prefix, then a ping the server must never answer. The pings
+  // are answered in order, then bad_frame, then the server hangs up.
+  StartServer(/*workers=*/1, /*max_inflight=*/1024, /*debug_ops=*/false,
+              /*max_frame_bytes=*/4096);
+  constexpr uint64_t kPings = 4000;
+  std::string burst;
+  for (uint64_t id = 1; id <= kPings; ++id) AppendFrame(&burst, PingJson(id));
+  ASSERT_GT(burst.size(), 65536u);
+  burst.append("\xff\xff\xff\xff", 4);
+  AppendFrame(&burst, PingJson(kPings + 1));
+
+  TestClient client;
+  ASSERT_TRUE(client.Connect(port()));
+  ASSERT_TRUE(client.SendRaw(burst));
+  for (uint64_t id = 1; id <= kPings; ++id) {
+    ASSERT_EQ(client.ReadPayload(), PongPayload(id));
+  }
+  const std::string payload = client.ReadPayload();
+  EXPECT_EQ(ErrorCode(payload), "bad_frame") << payload;
+  EXPECT_EQ(client.ReadPayload(), "");
+}
+
 TEST_F(ServerTest, OneBurstPastMaxInflightRefusesExactlyTheExcess) {
   // The sleep and the first three estimates fill max_inflight = 4 even
   // though they arrive in one burst and are handed off together: requests

