@@ -18,6 +18,8 @@
 // default 3 — CI smoke runs set 1), VSJ_SEED. `--json <path>` writes the
 // headline numbers as JSON.
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -25,6 +27,7 @@
 
 #include "bench/bench_common.h"
 #include "vsj/util/cpu.h"
+#include "vsj/util/hash.h"
 #include "vsj/util/rng.h"
 #include "vsj/vector/csr_storage.h"
 #include "vsj/vector/dataset_view.h"
@@ -104,20 +107,38 @@ BatchArena BuildBatchArena(size_t small_size, size_t large_size, size_t vocab,
 }
 
 /// ns/pair of CountPairsAtOrAbove over `pairs` of `view` at the
-/// *currently installed* SIMD level over `iters` runs, plus the hit count
-/// (the cross-level bit-identity check of the batched section).
-std::pair<vsj::bench::Timing, uint64_t> MeasureBatched(vsj::DatasetView view,
-                                                       const PairList& pairs,
-                                                       size_t iters,
-                                                       double tau) {
-  uint64_t hits = 0;
+/// *currently installed* SIMD level over `iters` runs.
+vsj::bench::Timing MeasureBatched(vsj::DatasetView view,
+                                  const PairList& pairs, size_t iters,
+                                  double tau) {
   const vsj::bench::Timing timing = vsj::bench::TimeRuns(iters, [&] {
-    hits = vsj::CountPairsAtOrAbove(
-        vsj::SimilarityMeasure::kCosine, view, pairs.first.data(),
-        pairs.second.data(), pairs.first.size(), tau,
-        vsj::kPairPrefetchDistance);
+    vsj::CountPairsAtOrAbove(vsj::SimilarityMeasure::kCosine, view,
+                             pairs.first.data(), pairs.second.data(),
+                             pairs.first.size(), tau,
+                             vsj::kPairPrefetchDistance);
   });
-  return {timing.Scaled(1e9 / static_cast<double>(pairs.first.size())), hits};
+  return timing.Scaled(1e9 / static_cast<double>(pairs.first.size()));
+}
+
+/// A hash of the bit patterns of every pair's cosine at the currently
+/// installed SIMD level, in pair order: the cross-level bit-identity check
+/// of the batched section (equal hit counts alone would let a last-bit
+/// difference through).
+uint64_t SimilarityBitsHash(vsj::DatasetView view, const PairList& pairs) {
+  uint64_t hash = 0;
+  for (size_t off = 0; off < pairs.first.size(); off += vsj::kPairEvalBatch) {
+    const size_t count = std::min<size_t>(vsj::kPairEvalBatch,
+                                          pairs.first.size() - off);
+    double similarities[vsj::kPairEvalBatch];
+    vsj::EvaluatePairSimilarities(
+        vsj::SimilarityMeasure::kCosine, view, pairs.first.data() + off,
+        pairs.second.data() + off, count, vsj::kPairPrefetchDistance,
+        similarities);
+    for (size_t i = 0; i < count; ++i) {
+      hash = vsj::HashCombine(hash, std::bit_cast<uint64_t>(similarities[i]));
+    }
+  }
+  return hash;
 }
 
 /// The SIMD levels this host can run, widest-first for the table.
@@ -223,8 +244,9 @@ int main(int argc, char** argv) {
   // (long side > 32 dims). len_220 is the served regime: random pairs of a
   // NYT-like TF-IDF corpus (~220 features a vector, an arena far larger
   // than L2), and len_120 the same over a PubMed-like corpus, next to the
-  // cache-resident synthetic rows. Hit counts must agree across levels —
-  // bit-identity is what makes the level a pure throughput knob.
+  // cache-resident synthetic rows. Every pair's similarity must have the
+  // same bits at every level — bit-identity is what makes the level a pure
+  // throughput knob.
   struct BatchedRow {
     const char* name;
     size_t small, large, vocab;
@@ -253,21 +275,22 @@ int main(int argc, char** argv) {
                                vsj::DatasetView view, const PairList& pairs) {
     std::vector<std::string> cells = {name, shape};
     double scalar_ns = 0.0, best_ns = 0.0;
-    uint64_t reference_hits = 0;
+    uint64_t reference_bits = 0;
     bool first_level = true;
     for (const vsj::SimdLevel level : levels) {
       vsj::SetSimdLevel(level);
-      const auto [timing, hits] = MeasureBatched(view, pairs, iters, 0.5);
+      const vsj::bench::Timing timing =
+          MeasureBatched(view, pairs, iters, 0.5);
+      const uint64_t bits = SimilarityBitsHash(view, pairs);
       vsj::ResetSimdLevel();
       const double ns = timing.min;
       if (first_level) {
-        reference_hits = hits;
+        reference_bits = bits;
         best_ns = ns;
         first_level = false;
-      } else if (hits != reference_hits) {
-        std::cerr << "FATAL: batched hit counts diverge across levels ("
-                  << name << ": " << hits << " vs " << reference_hits
-                  << ")\n";
+      } else if (bits != reference_bits) {
+        std::cerr << "FATAL: batched similarities differ across levels ("
+                  << name << ")\n";
         return false;
       }
       if (level == vsj::SimdLevel::kScalar) scalar_ns = ns;

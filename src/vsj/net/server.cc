@@ -20,6 +20,13 @@
 
 namespace vsj::net {
 
+namespace {
+
+// Most bytes one read(2) takes from a connection.
+constexpr size_t kReadBytes = 64 << 10;
+
+}  // namespace
+
 Server::Server(ServerOptions options) : options_(std::move(options)) {
   if (options_.num_workers == 0) options_.num_workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
@@ -186,14 +193,16 @@ void Server::OnConnectionEvent(uint64_t conn_id, uint32_t events) {
 
   bool peer_closed = false;
   if (events & EPOLLIN) {
-    char buffer[65536];
     std::vector<Pending> admitted;
     while (true) {
-      const ssize_t n = ::read(conn.fd, buffer, sizeof(buffer));
+      // read(2) fills the decoder's own tail: no copy, and no room beyond
+      // this read plus the partial frame the last one left.
+      const ssize_t n =
+          ::read(conn.fd, conn.decoder.Reserve(kReadBytes), kReadBytes);
       if (n > 0) {
         // A dying connection's further bytes are read and dropped.
         if (conn.close_after_flush) continue;
-        conn.decoder.Feed(std::string_view(buffer, static_cast<size_t>(n)));
+        conn.decoder.Commit(static_cast<size_t>(n));
         // Each read is decoded and handed off before the next, so the
         // decoder holds at most one read plus one partial frame. Before
         // the next read: drain detection relies on every admitted request

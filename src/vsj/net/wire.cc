@@ -1,10 +1,23 @@
 #include "vsj/net/wire.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "vsj/util/check.h"
 
 namespace vsj::net {
+
+namespace {
+
+// The little-endian frame length in the 4 bytes at p.
+uint32_t PrefixLength(const char* p) {
+  const auto* u = reinterpret_cast<const unsigned char*>(p);
+  return static_cast<uint32_t>(u[0]) | (static_cast<uint32_t>(u[1]) << 8) |
+         (static_cast<uint32_t>(u[2]) << 16) |
+         (static_cast<uint32_t>(u[3]) << 24);
+}
+
+}  // namespace
 
 size_t BeginFrame(std::string* out) {
   const size_t start = out->size();
@@ -35,25 +48,57 @@ FrameDecoder::FrameDecoder(uint32_t max_frame_bytes)
 
 void FrameDecoder::Feed(std::string_view bytes) {
   if (poisoned_) return;  // stream is dead; don't accumulate
-  // Compact before growing when the live remainder is small — O(1)
-  // amortized, and pipelined streams mostly append to an empty buffer.
-  if (consumed_ > 0 && consumed_ * 2 >= buffer_.size()) {
-    buffer_.erase(0, consumed_);
+  std::copy_n(bytes.data(), bytes.size(), Reserve(bytes.size()));
+  Commit(bytes.size());
+}
+
+char* FrameDecoder::Reserve(size_t max_bytes) {
+  // Drop the returned frames. What moves is the partial frame after the
+  // last one returned, which began in the latest read when the decoder is
+  // drained after every read, so each move is at most one read's bytes.
+  if (consumed_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + consumed_, end_ - consumed_);
+    end_ -= consumed_;
     consumed_ = 0;
   }
-  buffer_.append(bytes.data(), bytes.size());
+  size_t need = end_ + max_bytes;
+  if (need > buffer_.size()) {
+    // The first buffered frame's size once its prefix is in (an oversized
+    // prefix is Next's to reject and sizes nothing here).
+    size_t frame = 0;
+    if (end_ >= 4) {
+      const uint32_t length = PrefixLength(buffer_.data());
+      if (length <= max_frame_bytes_) frame = 4 + static_cast<size_t>(length);
+    }
+    if (frame != 0 && end_ > frame) {
+      // A whole frame waits undrained: the caller feeds several reads
+      // before draining, so grow geometrically.
+      need = std::max(need, 2 * buffer_.size());
+    } else {
+      need = std::max(need, frame + max_bytes);
+    }
+    std::vector<char> grown(need);
+    std::copy_n(buffer_.data(), end_, grown.data());
+    buffer_.swap(grown);
+  }
+  reserved_ = max_bytes;
+  return buffer_.data() + end_;
+}
+
+void FrameDecoder::Commit(size_t bytes) {
+  VSJ_CHECK_MSG(bytes <= reserved_,
+                "committing %zu bytes past a reserve of %zu", bytes,
+                reserved_);
+  reserved_ = 0;
+  if (poisoned_) return;  // stream is dead; don't accumulate
+  end_ += bytes;
 }
 
 FrameDecoder::Status FrameDecoder::Next(std::string_view* payload) {
   if (poisoned_) return Status::kTooLarge;
-  const size_t available = buffer_.size() - consumed_;
+  const size_t available = end_ - consumed_;
   if (available < 4) return Status::kNeedMore;
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(buffer_.data() + consumed_);
-  const uint32_t length = static_cast<uint32_t>(p[0]) |
-                          (static_cast<uint32_t>(p[1]) << 8) |
-                          (static_cast<uint32_t>(p[2]) << 16) |
-                          (static_cast<uint32_t>(p[3]) << 24);
+  const uint32_t length = PrefixLength(buffer_.data() + consumed_);
   // The limit check happens on the prefix alone: a hostile length never
   // causes payload-sized accumulation, because the caller stops feeding a
   // poisoned decoder and closes the connection.

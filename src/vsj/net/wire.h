@@ -13,10 +13,10 @@
 //   * Truncated input is simply kNeedMore — a peer that disconnects
 //     mid-frame leaves no partial frame visible to the protocol layer.
 //
-// The decoder owns one contiguous buffer and compacts lazily (consumed
-// bytes are dropped only when the unread remainder is small relative to
-// the buffer), so steady-state pipelined traffic does not memmove per
-// frame.
+// The decoder owns one contiguous buffer that read(2) can fill in place
+// (Reserve, then Commit). Each Reserve first drops the frames already
+// returned, so a decoder drained after every read holds at most that read
+// plus one partial frame.
 
 #ifndef VSJ_NET_WIRE_H_
 #define VSJ_NET_WIRE_H_
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace vsj::net {
 
@@ -62,23 +63,42 @@ class FrameDecoder {
   /// it is clamped to kAbsoluteMaxFrameBytes.
   explicit FrameDecoder(uint32_t max_frame_bytes = kAbsoluteMaxFrameBytes);
 
-  /// Appends raw bytes from the stream to the internal buffer.
+  /// Appends raw bytes from the stream to the internal buffer: Reserve,
+  /// copy, Commit.
   void Feed(std::string_view bytes);
 
+  /// Returns room for up to `max_bytes` more stream bytes at the buffer's
+  /// tail, for a read(2) to fill in place; Commit then appends what
+  /// arrived. First moves the unreturned bytes to the front, dropping every
+  /// frame Next has returned (which ends the view of the last payload).
+  /// Grows the buffer only to this read plus the buffered bytes, or plus
+  /// the whole buffered frame once its prefix is known, so a large frame
+  /// grows it once, not once a read.
+  char* Reserve(size_t max_bytes);
+
+  /// Appends the first `bytes` of the tail the last Reserve returned;
+  /// `bytes` must not exceed its `max_bytes`. A poisoned decoder drops them.
+  void Commit(size_t bytes);
+
   /// Extracts the next complete frame. On kFrame, *payload views the
-  /// payload bytes; the view stays valid until the next Feed/Next call.
+  /// payload bytes; the view stays valid until the next Feed/Reserve call.
   /// Once kTooLarge is returned every further call returns kTooLarge.
   Status Next(std::string_view* payload);
 
   /// Bytes buffered but not yet returned as frames.
-  size_t buffered_bytes() const { return buffer_.size() - consumed_; }
+  size_t buffered_bytes() const { return end_ - consumed_; }
+
+  /// Bytes the buffer has room for.
+  size_t capacity() const { return buffer_.size(); }
 
   uint32_t max_frame_bytes() const { return max_frame_bytes_; }
 
  private:
   uint32_t max_frame_bytes_;
-  std::string buffer_;
+  std::vector<char> buffer_;  // [consumed_, end_) is unreturned stream
+  size_t end_ = 0;
   size_t consumed_ = 0;
+  size_t reserved_ = 0;  // room the last Reserve promised past end_
   bool poisoned_ = false;
 };
 

@@ -7,15 +7,18 @@
 //  * AVX2 rungs: full-residency broadcast-compare for long sides <= 16 and
 //    17..32 dims, and the 4-wide window search for any longer balanced
 //    pair the scatter-probe declines;
-//  * scatter-probe for long balanced pairs (long side > 32 dims), plain
-//    C++ shared by both levels: the short side's positions scattered into a
-//    per-thread table indexed by dim, the long side probed against it.
+//  * scatter-probe for long balanced pairs (long side > 32 dims) at both
+//    levels: the short side's positions scattered into a per-thread,
+//    epoch-tagged table indexed by dim, the long side probed against it —
+//    a gather and a left-pack 8 dims a step at AVX2, a scalar loop at the
+//    scalar level.
 //
 // Bit-identity rules of this file (DESIGN.md "Batch pair evaluation"):
 //
 //  * Matched products are accumulated with one IEEE double multiply + add
 //    per match, in increasing-dimension order, by every strategy. The SIMD
-//    and scatter-probe code only *finds* match positions; the accumulation
+//    and scatter-probe code only *finds* match positions (the gather probe
+//    packs them in lane order, which is long-side order); the accumulation
 //    runs over them in the merge's order.
 //  * This translation unit compiles with -ffp-contract=off (CMakeLists) so
 //    `sum += wa * wb` can never contract into an FMA on targets that have
@@ -292,43 +295,142 @@ __attribute__((target("avx2"))) DotAccum DotAvx2(VectorRef small,
 // vectors of a few hundred dims; this kernel has no data-dependent branch
 // in its inner loop:
 //
-//  1. scatter: slot[dim - first short dim] = short-side position + 1;
+//  1. scatter: slot[dim - first short dim] = tag | (short position + 1),
+//     where the tag is the thread's epoch, bumped once per call;
 //  2. probe: walk the long side in increasing-dim order, reading each dim's
-//     slot and compacting the hits (long position, short position + 1)
-//     branchlessly into a chunk buffer;
+//     slot and compacting the hits — slots carrying this call's tag — as
+//     (long position, short position + 1) into a chunk buffer: 8 dims per
+//     step with a gather and a left-pack at the AVX2 level, one at a time
+//     at the scalar level;
 //  3. accumulate double(w_short) * w_long over the chunk's matches in that
-//     order, then clear the slots the scatter wrote.
+//     order.
+//
+// No pass clears the slots: a slot written by an earlier call carries an
+// older epoch and never matches. The table is zeroed only when it grows or
+// when the 16-bit epoch wraps, so every epoch is used once between zeroings.
 //
 // On sorted input the matches of step 3 are exactly the merge's matches in
 // the merge's (increasing-dim) order, so the rounded sum is bit-identical.
 // Slot indices are bounded to the table on *any* input: a dim outside the
-// short side's span reads the always-zero sentinel slot at index `span`,
-// and a short-side dim outside it is not scattered — unsorted dims give a
-// finite (meaningless) result, never an out-of-bounds access.
+// short side's span reads the sentinel slot at index `span`, written 0 on
+// every call, and a short-side dim outside it is not scattered — unsorted
+// dims give a finite (meaningless) result, never an out-of-bounds access.
 //
-// Positions are stored +1 in uint16_t, so a short side of 65535 or more
-// entries, or one whose dims span more than 2^16 ids, is declined and the
-// caller's level kernel serves the pair.
+// Positions are stored +1 in the slot's low 16 bits, so a short side of
+// 65535 or more entries, or one whose dims span more than 2^16 ids, is
+// declined and the caller's level kernel serves the pair.
 constexpr size_t kScatterMinLong = 32;
 constexpr uint64_t kScatterMaxSpan = uint64_t{1} << 16;
 constexpr size_t kScatterMaxShort = 65535;
 constexpr size_t kScatterChunk = 128;
+constexpr uint32_t kScatterMaxEpoch = 0xffff;
 
-// The per-thread slot table, all zero between calls. DotScatterProbe grows
-// it lazily to the largest span seen (rounded up to a power of two, plus
-// the sentinel), so a thread that only ever sees short vectors never
-// allocates it.
-using ScatterTable = std::vector<uint16_t>;
+// The per-thread slot table. ScatterProbe grows it lazily to the largest
+// span seen (rounded up to a power of two, plus the sentinel): 32 KB on
+// nyt-like vectors, at most 256 KB + 4 B, and never allocated by a thread
+// that only sees short vectors. `epoch` is the tag of the current call, in
+// [1, kScatterMaxEpoch]; 0 is never a live tag, so zeroed slots never match.
+struct ScatterTable {
+  std::vector<uint32_t> slots;
+  uint32_t epoch = 0;
+};
 
 ScatterTable& ThreadScatterTable() {
   thread_local ScatterTable table;
   return table;
 }
 
+// Probes long-side positions [j, j1) against the table, appending each hit's
+// long position and short position + 1 at hit_long/hit_short[hits]; returns
+// the new hit count. Branchless: every position is written, and only a hit
+// advances the count.
+inline size_t ProbeScalar(const DimId* b, size_t j, size_t j1, DimId base,
+                          uint32_t span, const uint32_t* slots,
+                          uint32_t epoch, uint32_t* hit_long,
+                          uint32_t* hit_short, size_t hits) {
+  for (; j < j1; ++j) {
+    const uint32_t s = b[j] - base;
+    const uint32_t slot = slots[s < span ? s : span];
+    hit_long[hits] = static_cast<uint32_t>(j);
+    hit_short[hits] = slot & 0xffffu;
+    hits += (slot >> 16) == epoch;
+  }
+  return hits;
+}
+
+#if VSJ_PAIR_EVAL_X86
+
+// kLeftPack[m] lists the set lanes of the 8-bit mask m in increasing order,
+// so a permute by it moves the hit lanes to the front, in lane order.
+struct LeftPackTable {
+  uint8_t lanes[256][8];
+};
+
+constexpr LeftPackTable MakeLeftPackTable() {
+  LeftPackTable t{};
+  for (int m = 0; m < 256; ++m) {
+    int k = 0;
+    for (int lane = 0; lane < 8; ++lane) {
+      if (m & (1 << lane)) t.lanes[m][k++] = static_cast<uint8_t>(lane);
+    }
+  }
+  return t;
+}
+
+alignas(64) constexpr LeftPackTable kLeftPack = MakeLeftPackTable();
+
+// ProbeScalar 8 dims at a time: clamp the 8 slot indices to the sentinel,
+// gather the slots, compare their tags with the epoch, and left-pack the
+// hit lanes' positions into the buffers. A full 8-lane store is always
+// made; only the hit count says which entries are live. The caller's chunk
+// of at most kScatterChunk positions bounds every store to the buffers.
+__attribute__((target("avx2"))) inline size_t ProbeAvx2(
+    const DimId* b, size_t j, size_t j1, DimId base, uint32_t span,
+    const uint32_t* slots, uint32_t epoch, uint32_t* hit_long,
+    uint32_t* hit_short, size_t hits) {
+  const __m256i vbase = _mm256_set1_epi32(static_cast<int>(base));
+  const __m256i vspan = _mm256_set1_epi32(static_cast<int>(span));
+  const __m256i vepoch = _mm256_set1_epi32(static_cast<int>(epoch));
+  const __m256i low16 = _mm256_set1_epi32(0xffff);
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (; j + 8 <= j1; j += 8) {
+    const __m256i dims =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
+    const __m256i index =
+        _mm256_min_epu32(_mm256_sub_epi32(dims, vbase), vspan);
+    const __m256i slot = _mm256_i32gather_epi32(
+        reinterpret_cast<const int*>(slots), index, 4);
+    const auto mask = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(_mm256_srli_epi32(slot, 16),
+                                               vepoch))));
+    const __m256i pack = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+        reinterpret_cast<const __m128i*>(kLeftPack.lanes[mask])));
+    const __m256i positions = _mm256_add_epi32(
+        _mm256_set1_epi32(static_cast<int>(j)), lane);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hit_long + hits),
+                        _mm256_permutevar8x32_epi32(positions, pack));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(hit_short + hits),
+        _mm256_permutevar8x32_epi32(_mm256_and_si256(slot, low16), pack));
+    hits += static_cast<size_t>(__builtin_popcount(mask));
+  }
+  return ProbeScalar(b, j, j1, base, span, slots, epoch, hit_long, hit_short,
+                     hits);
+}
+
+#endif  // VSJ_PAIR_EVAL_X86
+
 // Returns false, touching nothing, when the pair is outside the kernel's
-// range (see above); *acc is the pair's result otherwise.
-bool DotScatterProbe(VectorRef small, VectorRef large, ScatterTable& table,
-                     DotAccum* acc) {
+// range (see above); *acc is the pair's result otherwise. `Probe` is the
+// level's probe step (ProbeScalar or ProbeAvx2); each level's Scatter below
+// inlines this body, so the probe inlines into it.
+template <size_t (*Probe)(const DimId*, size_t, size_t, DimId, uint32_t,
+                          const uint32_t*, uint32_t, uint32_t*, uint32_t*,
+                          size_t)>
+__attribute__((always_inline)) inline bool ScatterProbe(VectorRef small,
+                                                        VectorRef large,
+                                                        ScatterTable& table,
+                                                        DotAccum* acc) {
   const size_t an = small.size();
   const size_t bn = large.size();
   const DimId* a = small.dims();
@@ -339,55 +441,74 @@ bool DotScatterProbe(VectorRef small, VectorRef large, ScatterTable& table,
   const DimId base = a[0];
   if (uint64_t{a[an - 1]} - base + 1 > kScatterMaxSpan) return false;
   const auto span = static_cast<uint32_t>(a[an - 1] - base + 1);
-  if (table.size() <= span) table.assign(std::bit_ceil(span) + size_t{1}, 0);
-  uint16_t* slots = table.data();
+  if (table.slots.size() <= span) {
+    table.slots.assign(std::bit_ceil(span) + size_t{1}, 0);
+  }
+  if (++table.epoch > kScatterMaxEpoch) {
+    std::fill(table.slots.begin(), table.slots.end(), 0u);
+    table.epoch = 1;
+  }
+  const uint32_t epoch = table.epoch;
+  uint32_t* slots = table.slots.data();
 
+  const uint32_t tag = epoch << 16;
   for (size_t i = 0; i < an; ++i) {
     const uint32_t s = a[i] - base;
-    if (s < span) slots[s] = static_cast<uint16_t>(i + 1);
+    if (s < span) slots[s] = tag | static_cast<uint32_t>(i + 1);
   }
+  slots[span] = 0;
 
   DotAccum out;
   uint32_t hit_long[kScatterChunk];
-  uint16_t hit_short[kScatterChunk];
+  uint32_t hit_short[kScatterChunk];
   for (size_t j0 = 0; j0 < bn; j0 += kScatterChunk) {
     const size_t j1 = std::min(bn, j0 + kScatterChunk);
-    size_t hits = 0;
-    for (size_t j = j0; j < j1; ++j) {
-      const uint32_t s = b[j] - base;
-      const uint16_t pos = slots[s < span ? s : span];
-      hit_long[hits] = static_cast<uint32_t>(j);
-      hit_short[hits] = pos;
-      hits += pos != 0;
-    }
+    const size_t hits =
+        Probe(b, j0, j1, base, span, slots, epoch, hit_long, hit_short, 0);
     for (size_t h = 0; h < hits; ++h) {
       out.sum += static_cast<double>(wa[hit_short[h] - 1]) * wb[hit_long[h]];
     }
     out.matches += static_cast<uint32_t>(hits);
   }
-
-  for (size_t i = 0; i < an; ++i) {
-    const uint32_t s = a[i] - base;
-    if (s < span) slots[s] = 0;
-  }
   *acc = out;
   return true;
 }
 
+// One dispatch level: `Dot` is its kernel for the pairs the scatter-probe
+// does not take, `Scatter` its scatter-probe.
+struct ScalarKernels {
+  static DotAccum Dot(VectorRef s, VectorRef l) { return DotScalar(s, l); }
+  static bool Scatter(VectorRef s, VectorRef l, ScatterTable& table,
+                      DotAccum* acc) {
+    return ScatterProbe<ProbeScalar>(s, l, table, acc);
+  }
+};
+
+#if VSJ_PAIR_EVAL_X86
+struct Avx2Kernels {
+  static DotAccum Dot(VectorRef s, VectorRef l) { return DotAvx2(s, l); }
+  __attribute__((target("avx2"))) static bool Scatter(VectorRef s,
+                                                      VectorRef l,
+                                                      ScatterTable& table,
+                                                      DotAccum* acc) {
+    return ScatterProbe<ProbeAvx2>(s, l, table, acc);
+  }
+};
+#endif
+
 // The short-circuits, the small/large swap, and the choice between gallop,
-// scatter-probe and the level kernel, templated on the level kernel so the
-// batch loop below can bind the dispatched level ONCE per batch instead of
-// re-reading it per pair (ActiveSimdLevel() is an out-of-line call; at
+// scatter-probe and the level kernel, templated on the level's kernels so
+// the batch loop below can bind the dispatched level ONCE per batch instead
+// of re-reading it per pair (ActiveSimdLevel() is an out-of-line call; at
 // ~14-dim dblp vectors it was measurable in the estimate profile). The
 // caller looks the thread's scatter table up once, too. Degenerate pairs
 // (either side empty, or dimension ranges fully disjoint) return {0, 0}
 // before any kernel runs, so every level is indistinguishable on them;
 // pair_eval_test pins this. Ordered so no dims pointer is dereferenced
 // until both sides are known non-empty.
-template <typename KernelFn>
+template <typename Kernels>
 inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
-                                      KernelFn kernel,
-                                      ScatterTable& table) {
+                                      Kernels kernels, ScatterTable& table) {
   if (a.empty() || b.empty()) return {};
   if (a.dim(a.size() - 1) < b.dim(0) || b.dim(b.size() - 1) < a.dim(0)) {
     return {};
@@ -403,23 +524,21 @@ inline PairDotResult PairDotCountWith(VectorRef a, VectorRef b,
   if (large.size() >= kGallopRatio * small.size()) {
     acc = DotScalar(small, large);
   } else if (large.size() <= kScatterMinLong ||
-             !DotScatterProbe(small, large, table, &acc)) {
-    acc = kernel(small, large);
+             !kernels.Scatter(small, large, table, &acc)) {
+    acc = kernels.Dot(small, large);
   }
   return PairDotResult{acc.sum, acc.matches};
 }
 
-// Calls body(kernel) with `level`'s kernel — DotAvx2 or DotScalar — as a
-// lambda, so each level instantiates its own inlined loop and the level is
-// read once per call, not per pair.
+// Calls body(kernels) with `level`'s kernels — Avx2Kernels or ScalarKernels
+// — so each level instantiates its own inlined loop and the level is read
+// once per call, not per pair.
 template <typename Body>
 inline auto WithLevelKernel([[maybe_unused]] SimdLevel level, Body&& body) {
 #if VSJ_PAIR_EVAL_X86
-  if (level == SimdLevel::kAvx2) {
-    return body([](VectorRef s, VectorRef l) { return DotAvx2(s, l); });
-  }
+  if (level == SimdLevel::kAvx2) return body(Avx2Kernels{});
 #endif
-  return body([](VectorRef s, VectorRef l) { return DotScalar(s, l); });
+  return body(ScalarKernels{});
 }
 
 // CosineSimilarity() with the Dot already in hand — term-for-term the same
@@ -439,10 +558,10 @@ struct BatchStats {
 
 // The cosine batch loop, templated on the kernel: dispatch resolved by the
 // caller, per-pair work is just prefetch + traversal + CosineFromDot.
-template <typename KernelFn>
+template <typename Kernels>
 inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
                            const uint8_t* order, size_t count,
-                           size_t prefetch_distance, KernelFn kernel,
+                           size_t prefetch_distance, Kernels kernels,
                            double* similarities, BatchStats* stats) {
   ScatterTable& table = ThreadScatterTable();
   for (size_t k = 0; k < count; ++k) {
@@ -451,7 +570,7 @@ inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
       PrefetchFeatures(v[order[k + prefetch_distance]]);
     }
     const size_t i = order[k];
-    const PairDotResult r = PairDotCountWith(u[i], v[i], kernel, table);
+    const PairDotResult r = PairDotCountWith(u[i], v[i], kernels, table);
     stats->matches += r.matches;
     stats->min_len += std::min(u[i].size(), v[i].size());
     similarities[i] = CosineFromDot(r.dot, u[i], v[i]);
@@ -464,8 +583,8 @@ PairDotResult PairDotCount(VectorRef a, VectorRef b) {
   // Single-pair entry (VectorRef::Dot/OverlapSize): one dispatch per call.
   // Batch callers go through EvaluatePairBatch, which hoists the dispatch.
   ScatterTable& table = ThreadScatterTable();
-  return WithLevelKernel(ActiveSimdLevel(), [&](auto kernel) {
-    return PairDotCountWith(a, b, kernel, table);
+  return WithLevelKernel(ActiveSimdLevel(), [&](auto kernels) {
+    return PairDotCountWith(a, b, kernels, table);
   });
 }
 
@@ -540,8 +659,8 @@ __attribute__((aligned(64))) void EvaluatePairSimilarities(
   const SimdLevel level = ActiveSimdLevel();
   BatchStats stats;
   if (measure == SimilarityMeasure::kCosine) {
-    WithLevelKernel(level, [&](auto kernel) {
-      RunCosineBatch(u, v, order, count, prefetch_distance, kernel,
+    WithLevelKernel(level, [&](auto kernels) {
+      RunCosineBatch(u, v, order, count, prefetch_distance, kernels,
                      similarities, &stats);
     });
   } else {

@@ -15,9 +15,10 @@
 //        in registers (at most 32 dims), and a 4-wide window search for
 //        longer pairs the scatter-probe declines;
 //      - scatter-probe for long balanced pairs: the short side's positions
-//        scattered into a per-thread table indexed by dim, the long side
-//        probed against it without a data-dependent branch (plain C++,
-//        both levels).
+//        scattered into a per-thread table indexed by dim and tagged with
+//        a per-call epoch (so the table is never cleared), the long side
+//        probed against it without a data-dependent branch — 8 dims a
+//        step with a gather at AVX2, one at a time at scalar.
 //    Every strategy only *finds* matches; the FP accumulation of matched
 //    products stays scalar, in increasing-dimension order, so every
 //    strategy and level returns bit-identical doubles (DESIGN.md "Batch

@@ -128,11 +128,12 @@ class VectorRef {
 /// picks the cheaper traversal.
 inline constexpr size_t kGallopRatio = 8;
 
-/// Hints the cache hierarchy to start loading the head of both feature
-/// columns of `v`. Used by batched pair evaluation (stratified sampling
-/// draws pairs ahead of evaluating them): typical corpus vectors fit their
-/// dims and weights in one or two cache lines each, so two prefetches
-/// hide most of the pointer-chase latency of a random pair.
+/// Hints the cache hierarchy to start loading the first cache line of both
+/// feature columns of `v`. Used by batched pair evaluation (stratified
+/// sampling draws pairs ahead of evaluating them). A dblp-like vector
+/// (~14 dims) fits each column in one line, so this hides most of a random
+/// pair's pointer-chase latency there; a nyt-like vector's dims span about
+/// 15 lines, and only the first is hinted.
 inline void PrefetchFeatures(VectorRef v) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(v.dims());

@@ -31,6 +31,8 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -414,6 +416,99 @@ TEST(PairEvalTest, UnsortedDimsStayInBoundsAndFinite) {
     }
     return 0;
   });
+}
+
+// ---------------------------------------------------------------------------
+// The scatter-probe's table is never cleared: each call tags its slots with
+// the thread's 16-bit epoch, and the table is zeroed only when it grows or
+// the epoch wraps (every 65535 calls). These cases make a stale slot able to
+// match if either rule broke, and cover the 8-wide probe's tails and chunks.
+
+TEST(PairEvalTest, ScatterProbeEpochWrapAndGrowthMatchReference) {
+  // Call c pairs the short side S(k), k = (c + 7) mod 65536, with a long
+  // side that also holds S(k + 1)'s own dim. All short sides span dims 0 to
+  // a shared top dim, so their spans overlap and share slot indices; S(k)'s
+  // own dim 5 + k is in no other short side, so its slot keeps the tag of
+  // S(k)'s last call, 65535 calls back: the same epoch value after one
+  // wrap. A probe that skipped the zeroing at the wrap, or reused an epoch,
+  // would count that slot as a match. The top dim moves from 8191 to 65535
+  // at call 4096, so the table grows mid-run. Each level runs on a fresh
+  // thread — a fresh table and epoch — for two wraps' worth of calls, every
+  // call checked bitwise.
+  constexpr size_t kCalls = 2 * 65536 + 64;
+  constexpr size_t kUnique = 65530;  // own dims 5 .. 65534
+  const auto short_side = [](size_t c, size_t k) {
+    std::vector<DimId> dims = {0, 1, 2, 3, 4};
+    if (k < kUnique) dims.push_back(static_cast<DimId>(5 + k));
+    dims.push_back(c < 4096 ? 8191 : 65535);
+    return dims;
+  };
+  const auto long_side = [&](size_t c, size_t k) {
+    std::vector<DimId> dims = short_side(c, k);
+    const size_t next = (k + 1) % 65536;
+    if (next < kUnique) dims.push_back(static_cast<DimId>(5 + next));
+    // Past every short side's span: these probe the sentinel slot.
+    for (DimId d = 0; d < 30; ++d) dims.push_back(70000 + d);
+    std::sort(dims.begin(), dims.end());
+    return dims;
+  };
+  const auto weighted = [](const std::vector<DimId>& dims, float scale) {
+    std::vector<Feature> features;
+    for (const DimId d : dims) {
+      features.push_back(
+          Feature{d, scale + static_cast<float>(d % 97) * 0.01f});
+    }
+    return SparseVector(std::move(features));
+  };
+  for (const SimdLevel level : SupportedLevels()) {
+    ASSERT_EQ(SetSimdLevel(level), level);
+    size_t mismatches = 0;
+    size_t first_mismatch = kCalls;
+    std::thread worker([&] {
+      for (size_t c = 0; c < kCalls; ++c) {
+        const size_t k = (c + 7) % 65536;
+        const SparseVector a = weighted(short_side(c, k), 1.0f);
+        const SparseVector b = weighted(long_side(c, k), 0.5f);
+        const PairDotResult want = ReferenceDotCount(a, b);
+        const PairDotResult got = PairDotCount(a, b);
+        if (std::bit_cast<uint64_t>(got.dot) !=
+                std::bit_cast<uint64_t>(want.dot) ||
+            got.matches != want.matches) {
+          if (mismatches++ == 0) first_mismatch = c;
+        }
+      }
+    });
+    worker.join();
+    EXPECT_EQ(mismatches, 0u) << SimdLevelName(level) << ", first at call "
+                              << first_mismatch;
+  }
+  ResetSimdLevel();
+}
+
+TEST(PairEvalTest, ScatterProbeTailsAndChunksMatchReference) {
+  // Long sides of 33..48 dims leave every tail length mod 8 after the
+  // 8-wide steps; long sides past 128 dims (the probe's chunk) cross one or
+  // more chunk ends. Short sides stay within the gallop ratio, and a tight
+  // dim range makes hits dense, so every left-pack mask shape occurs.
+  Rng rng(kSeed ^ 0x7a11);
+  std::vector<size_t> long_lengths;
+  for (size_t len = 33; len <= 48; ++len) long_lengths.push_back(len);
+  for (const size_t len : {127u, 128u, 129u, 135u, 255u, 256u, 257u, 700u}) {
+    long_lengths.push_back(len);
+  }
+  for (const size_t long_len : long_lengths) {
+    for (const size_t short_len : {long_len / 7 + 1, long_len / 2, long_len}) {
+      for (const uint32_t range_factor : {1u, 2u, 8u}) {
+        const auto range = static_cast<uint32_t>(long_len * range_factor);
+        const SparseVector a = RandomSortedVector(rng, short_len, range);
+        const SparseVector b = RandomSortedVector(rng, long_len, range);
+        ExpectMatchesReferenceAtEveryLevel(
+            a, b,
+            std::to_string(short_len) + "x" + std::to_string(long_len) +
+                " range " + std::to_string(range));
+      }
+    }
+  }
 }
 
 TEST(PairEvalTest, DenseIdenticalVectorsMatchEveryLane) {
