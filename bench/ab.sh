@@ -4,11 +4,15 @@
 # (sweep_cold, point_hot), PAIRS times each, alternating which checkout
 # runs first, and writes OUT_DIR/ab.json. Per workload and end-to-end
 # metric it holds each side's median and quartiles, how many of the pairs
-# the change won (ties count for neither side) and a verdict: "separates"
-# when the change wins at least nine tenths of the pairs and the medians
-# differ by more than the parent's interquartile range, otherwise "does
-# not separate". Which direction is better comes from the change's
-# BENCHMARK.json. Each run's result line is kept under OUT_DIR/runs/.
+# the change won and lost (ties count for neither side) and a verdict:
+# "separates" when the change wins at least nine tenths of the pairs and
+# its median is better by more than the parent's interquartile range,
+# "regresses" when the parent wins at least nine tenths of the pairs and
+# its median is better by more than the change's interquartile range,
+# otherwise "does not separate". Below 10 pairs nine tenths is not a
+# majority a verdict can rest on, so every row reads "too few pairs".
+# Which direction is better comes from the change's BENCHMARK.json. Each
+# run's result line is kept under OUT_DIR/runs/.
 #
 # Usage: bench/ab.sh PARENT_TREE CHANGE_TREE OUT_DIR [PAIRS] [-- run.py args]
 #   PAIRS defaults to 10; run.py gets --seconds 40 (BENCHMARK.json's run
@@ -105,26 +109,39 @@ for workload in ("sweep_cold", "point_hot"):
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (c - p) > 0
                    for p, c in zip(values["parent"], values["change"]))
+        losses = sum(sign * (c - p) < 0
+                     for p, c in zip(values["parent"], values["change"]))
         summary = {}
         for side, vals in values.items():
             q1, q3 = quartiles(vals)
             summary[side] = {"median": statistics.median(vals), "q1": q1,
                              "q3": q3, "runs": vals}
         gap = sign * (summary["change"]["median"] - summary["parent"]["median"])
-        iqr = summary["parent"]["q3"] - summary["parent"]["q1"]
-        separates = wins >= math.ceil(0.9 * pairs) and gap > iqr
+        iqr = {side: summary[side]["q3"] - summary[side]["q1"]
+               for side in summary}
+        majority = math.ceil(0.9 * pairs)
+        if pairs < 10:
+            verdict = "too few pairs"
+        elif wins >= majority and gap > iqr["parent"]:
+            verdict = "separates"
+        elif losses >= majority and -gap > iqr["change"]:
+            verdict = "regresses"
+        else:
+            verdict = "does not separate"
         metrics[name] = dict(summary, better=direction, wins=wins,
-                             median_gap=gap, parent_iqr=iqr,
-                             verdict="separates" if separates
-                             else "does not separate")
+                             losses=losses, median_gap=gap,
+                             parent_iqr=iqr["parent"],
+                             change_iqr=iqr["change"], verdict=verdict)
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     attempted = {side: sum(r["attempted"] for r in runs[side]) for side in runs}
     result["workloads"][workload] = {"metrics": metrics, "failed": failed,
                                      "attempted": attempted}
     for name, m in metrics.items():
-        print("ab: %-10s %-16s parent %-12.6g change %-12.6g wins %d/%d  %s"
+        print("ab: %-10s %-16s parent %-12.6g change %-12.6g "
+              "wins %d/%d losses %d/%d  %s"
               % (workload, name, m["parent"]["median"], m["change"]["median"],
-                 m["wins"], pairs, m["verdict"]), file=sys.stderr)
+                 m["wins"], pairs, m["losses"], pairs, m["verdict"]),
+              file=sys.stderr)
 with open(os.path.join(out, "ab.json"), "w") as f:
     json.dump(result, f, indent=1, sort_keys=True)
     f.write("\n")

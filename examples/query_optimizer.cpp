@@ -15,9 +15,9 @@
 // The optimizer-facing statistics object here is CardinalityProvider: a
 // facade over the EstimationService that owns the corpus and its LSH index,
 // answers EstimateJoin(τ) with a JoinSizeSummary (cardinality, selectivity,
-// error bar), and serves repeated probes at nearby thresholds from its
-// cache. The example costs both plans from the summaries and validates the
-// choices against exact join sizes.
+// the interval of J), and serves repeated probes at nearby thresholds from
+// its cache. The example costs both plans from the summaries and validates
+// the choices against exact join sizes.
 
 #include <iostream>
 
@@ -72,8 +72,8 @@ int main() {
 
   vsj::TablePrinter report("Plan choice per similarity threshold "
                            "(filter selectivity 10%)");
-  report.SetHeader({"tau", "estimated J", "±err", "true J", "chosen plan",
-                    "oracle plan", "agreement"});
+  report.SetHeader({"tau", "estimated J", "95% interval", "true J",
+                    "chosen plan", "oracle plan", "agreement"});
 
   int agreements = 0;
   int rows = 0;
@@ -98,7 +98,8 @@ int main() {
 
     report.AddRow({vsj::TablePrinter::Fmt(summary.tau, 1),
                    vsj::TablePrinter::Count(summary.cardinality),
-                   vsj::TablePrinter::Count(summary.std_error),
+                   "[" + vsj::TablePrinter::Count(summary.lower) + ", " +
+                       vsj::TablePrinter::Count(summary.upper) + "]",
                    vsj::TablePrinter::Count(true_j),
                    pick_filter_first ? "filter->join" : "join->filter",
                    oracle_filter_first ? "filter->join" : "join->filter",

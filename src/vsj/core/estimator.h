@@ -25,14 +25,20 @@
 namespace vsj {
 
 /// What one stratum of a stratified estimate (core/stratified_sampling.h)
-/// drew for one τ in one trial. Pooled over a request's trials, the counts
-/// are sums over those trials and `size` stays N_s.
+/// drew for one τ in one trial. Pooled over a request's trials, every count
+/// is the sum over those trials, `size` included: the streaming engine's
+/// trial t samples table t mod ℓ, whose N_s is its own, so the pooled N_s
+/// is Σ_t N_s and its mean over the trials is what an interval scales by.
 struct StratumTally {
   uint64_t size = 0;       ///< N_s, the pairs in the stratum
   uint64_t draws = 0;      ///< pairs drawn for this τ: m_H, or SampleL's i
   uint64_t evaluated = 0;  ///< similarity evaluations those draws cost
   uint64_t hits = 0;       ///< draws at or above τ, repeats included
-  uint64_t reached = 0;    ///< 1 when SampleL met δ (pooled: such trials)
+  /// 1 when SampleL met δ (pooled: such trials), and whether the stratum
+  /// is SampleL's rather than SampleH's; one word, as a response holds two
+  /// tallies and a server holds many responses.
+  uint64_t reached : 63 = 0;
+  uint64_t adaptive : 1 = 0;
 
   bool operator==(const StratumTally&) const = default;
 };
@@ -54,8 +60,9 @@ class StratumTallies {
     for (size_t s = 0; s < size_; ++s) {
       const StratumTally& add = other.tallies_[s];
       StratumTally& sum = tallies_[s];
-      sum = {add.size, sum.draws + add.draws, sum.evaluated + add.evaluated,
-             sum.hits + add.hits, sum.reached + add.reached};
+      sum = {sum.size + add.size,         sum.draws + add.draws,
+             sum.evaluated + add.evaluated, sum.hits + add.hits,
+             sum.reached + add.reached,     add.adaptive};
     }
     return *this;
   }

@@ -144,6 +144,84 @@ inline double StratumEstimate(const StratumTally& tally,
   return hits * cs * size / static_cast<double>(rule.m);
 }
 
+/// The confidence of an estimate's interval of J (EstimateInterval).
+inline constexpr double kIntervalConfidence = 0.95;
+
+/// The normal quantile each stratum's interval is taken at, by the number
+/// of strata S: the z with P(Z > z) = (1 − kIntervalConfidence) / (2S) for
+/// a standard normal Z. Each of the S strata then misses its J_s with
+/// probability at most (1 − kIntervalConfidence) / S, split evenly between
+/// its two ends, so the sum of the strata's intervals holds J with
+/// probability at least kIntervalConfidence (Bonferroni).
+inline constexpr double kIntervalZ[kMaxStrata] = {
+    1.959963984540054,   // S = 1: tail 0.025
+    2.2414027276049446,  // S = 2: tail 0.0125
+};
+
+/// A closed interval [lower, upper].
+struct Interval {
+  double lower = 0.0;
+  double upper = 0.0;
+};
+
+/// The Wilson score bounds of a binomial proportion from `hits` of `draws`
+/// at normal quantile `z`, within [0, 1]; [0, 1] when nothing was drawn.
+inline Interval WilsonInterval(uint64_t hits, uint64_t draws, double z) {
+  if (draws == 0) return {0.0, 1.0};
+  const auto n = static_cast<double>(draws);
+  const double p = static_cast<double>(hits) / n;
+  const double z2 = z * z;
+  const double center = (p + z2 / (2.0 * n)) / (1.0 + z2 / n);
+  const double half = z / (1.0 + z2 / n) *
+                      std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n));
+  return {std::max(0.0, center - half), std::min(1.0, center + half)};
+}
+
+/// J_s's interval from its stratum's tally pooled over `trials` trials, at
+/// normal quantile `z` on each side: the Wilson interval on the pooled
+/// hits / draws, scaled by the mean N_s over the trials (StratumTally pools
+/// N_s as a sum). For SampleL that reached δ in every trial this stands in
+/// for Lipton et al.'s bound: δ hits per trial, pooled over the trials,
+/// are the binomial count Wilson reads. A SampleL that missed δ in any
+/// trial answers Theorem 1's safe lower bound, the mean n_L, which can lie
+/// below the Wilson lower end; the lower end drops to it then. It cannot
+/// stand in for the Wilson end: n_L counts repeated hits, so it can pass
+/// J_L.
+inline Interval StratumInterval(const StratumTally& pooled, uint64_t trials,
+                                double z) {
+  if (pooled.size == 0 || trials == 0) return {};
+  const auto n = static_cast<double>(trials);
+  const double mean_size = static_cast<double>(pooled.size) / n;
+  const Interval p = WilsonInterval(pooled.hits, pooled.draws, z);
+  Interval j = {p.lower * mean_size, p.upper * mean_size};
+  if (pooled.adaptive && pooled.reached < trials) {
+    j.lower = std::min(j.lower, static_cast<double>(pooled.hits) / n);
+  }
+  return j;
+}
+
+/// The interval of J from a response's strata pooled over `trials` trials:
+/// the sum of the strata's intervals at kIntervalZ, rounded outward to
+/// whole pairs — J is a count, so [⌊lower⌋, ⌈upper⌉] holds every J the
+/// unrounded interval holds — and clamped to [0, M] for M the mean Σ_s N_s.
+inline Interval EstimateInterval(const StratumTallies& pooled,
+                                 uint64_t trials) {
+  if (pooled.size() == 0 || trials == 0) return {};
+  const double z = kIntervalZ[pooled.size() - 1];
+  Interval sum;
+  uint64_t total_size = 0;
+  for (size_t s = 0; s < pooled.size(); ++s) {
+    const Interval stratum = StratumInterval(pooled[s], trials, z);
+    sum.lower += stratum.lower;
+    sum.upper += stratum.upper;
+    total_size += pooled[s].size;
+  }
+  const double max_pairs =
+      static_cast<double>(total_size) / static_cast<double>(trials);
+  return {std::clamp(std::floor(sum.lower), 0.0, max_pairs),
+          std::clamp(std::ceil(sum.upper), 0.0, max_pairs)};
+}
+
 /// One stratum of Algorithm 1: N_s = `size` pairs, sampled by `rule`
 /// through `draw` (any callable Rng& -> VectorPair-like with .first/.second
 /// positions into the dataset, drawing uniformly from the stratum).
@@ -353,7 +431,8 @@ std::vector<StratumTally> SampleStratumL(DatasetView dataset,
                                          Rng& rng) {
   const uint64_t m_l = stratum.rule.m;
   const uint64_t delta = stratum.rule.delta;
-  std::vector<StratumTally> tallies(taus.size(), {.size = stratum.size});
+  std::vector<StratumTally> tallies(taus.size(),
+                                    {.size = stratum.size, .adaptive = true});
   if (stratum.size == 0 || m_l == 0 || delta == 0) return tallies;
 
   // Per τ, n_L and i of Algorithm 1 are its tally's hits and draws. A τ is

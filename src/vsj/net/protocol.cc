@@ -5,6 +5,7 @@
 #include <optional>
 #include <string_view>
 
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/util/decimal.h"
 
 namespace vsj::net {
@@ -441,6 +442,16 @@ void AppendEstimateFields(std::string* out,
     out->append(",\"std_error\":");
     JsonValue::AppendDouble(out, response.std_error);
   }
+  // The interval's ends are whole pairs: as integers they print the bytes
+  // %.17g would, for less work.
+  if (response.strata.size() > 0) {
+    const Interval interval =
+        EstimateInterval(response.strata, response.trials);
+    out->append(",\"lower\":");
+    AppendDecimal(out, static_cast<uint64_t>(interval.lower));
+    out->append(",\"upper\":");
+    AppendDecimal(out, static_cast<uint64_t>(interval.upper));
+  }
   out->append(",\"pairs_evaluated\":");
   AppendDecimal(out, response.pairs_evaluated);
   out->append(",\"num_unguaranteed\":");
@@ -460,10 +471,10 @@ void AppendEstimatePayload(std::string* out, uint64_t id,
 
 std::string MakeEstimatePayload(uint64_t id,
                                 const EstimateResponse& response) {
-  // Room for a typical payload (about 240 bytes with the std fields), so
-  // it is built without regrowing.
+  // Room for a typical payload (about 270 bytes with the std and interval
+  // fields), so it is built without regrowing.
   std::string out;
-  out.reserve(256 + response.estimator_name.size());
+  out.reserve(288 + response.estimator_name.size());
   AppendEstimatePayload(&out, id, response);
   return out;
 }

@@ -29,8 +29,9 @@
 // (the "1e999" regression), which the server maps to kBadRequest.
 //
 // Estimate responses reuse the vsjoin_estimate --json field conventions
-// (%.17g doubles, std_dev/std_error omitted below two trials) so the
-// loopback smoke test can diff server output against the CLI's golden.
+// (%.17g doubles, std_dev/std_error omitted below two trials, lower/upper
+// only from a stratified estimator) so the loopback smoke test can diff
+// server output against the CLI's golden.
 
 #ifndef VSJ_NET_PROTOCOL_H_
 #define VSJ_NET_PROTOCOL_H_
@@ -141,9 +142,11 @@ std::string MakeErrorPayload(uint64_t id, RpcError error,
 /// "from_cache", comma-separated, no enclosing braces — to `*out`. The one
 /// serializer of an estimate: the wire payload and vsjoin_estimate --json
 /// both wrap it. std_dev/std_error appear only when the response
-/// aggregated at least two trials (one draw has no measurable spread);
-/// doubles print through JsonValue::AppendDouble (%.17g form, non-finite
-/// as null), counts as exact integers.
+/// aggregated at least two trials (one draw has no measurable spread), and
+/// lower/upper, after them, only when it carries strata (a stratified
+/// estimator's interval of J); doubles print through
+/// JsonValue::AppendDouble (%.17g form, non-finite as null), counts and
+/// the interval's whole-pair ends as exact integers.
 void AppendEstimateFields(std::string* out, const EstimateResponse& response);
 
 /// Appends the "ok":true payload for an estimate response to `*out`: the

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "vsj/core/stratified_sampling.h"
+
 namespace vsj {
 
 CardinalityProvider::CardinalityProvider(EstimationService& service,
@@ -45,8 +47,10 @@ JoinSizeSummary CardinalityProvider::Summarize(
       summary.max_pairs == 0
           ? 0.0
           : summary.cardinality / static_cast<double>(summary.max_pairs);
-  summary.std_error = response.std_error;
-  summary.guaranteed = response.num_unguaranteed == 0;
+  const Interval interval =
+      EstimateInterval(response.strata, response.trials);
+  summary.lower = interval.lower;
+  summary.upper = interval.upper;
   summary.from_cache = response.from_cache;
   summary.estimator_name = response.estimator_name;
   return summary;

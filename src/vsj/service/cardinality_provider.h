@@ -6,8 +6,9 @@
 // summary-object idiom of cardinality estimators in cost-based optimizers)
 // and exposes a single call, EstimateJoin(τ), returning a JoinSizeSummary
 // with the cardinality, its selectivity relative to the M = C(n,2) pair
-// universe, and an error bar. Repeated probes at nearby thresholds are
-// served from the service's cache without re-sampling.
+// universe, and the interval the join size lies in. Repeated probes at
+// nearby thresholds are served from the service's cache without
+// re-sampling.
 
 #ifndef VSJ_SERVICE_CARDINALITY_PROVIDER_H_
 #define VSJ_SERVICE_CARDINALITY_PROVIDER_H_
@@ -30,15 +31,14 @@ struct JoinSizeSummary {
   /// Ĵ / M: the predicate's selectivity over the C(n, 2) pair universe.
   double selectivity = 0.0;
 
-  /// Standard error of the cardinality across the provider's trials.
-  double std_error = 0.0;
+  /// The interval of the join size at 95% (EstimateInterval): what a plan
+  /// cost should be robust across. Both 0 for an estimator that states no
+  /// interval.
+  double lower = 0.0;
+  double upper = 0.0;
 
   /// M = C(n, 2), the join's worst-case output.
   uint64_t max_pairs = 0;
-
-  /// False when any trial returned a conservative fallback (treat the
-  /// cardinality as a lower bound when costing plans).
-  bool guaranteed = true;
 
   /// True when the summary was served from the estimate cache.
   bool from_cache = false;

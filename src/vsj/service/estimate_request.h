@@ -3,8 +3,9 @@
 // A request names an estimator and a threshold; the service owns the
 // dataset and the LSH index, so callers never touch those directly. The
 // response aggregates the requested number of independent trials — mean,
-// spread, and sampling cost — which is the unit a query optimizer consumes
-// (one cardinality with an error bar), not a single noisy draw.
+// spread, an interval of J, and sampling cost — which is the unit a query
+// optimizer consumes (one cardinality with an error bar), not a single
+// noisy draw.
 
 #ifndef VSJ_SERVICE_ESTIMATE_REQUEST_H_
 #define VSJ_SERVICE_ESTIMATE_REQUEST_H_
@@ -32,15 +33,14 @@ struct EstimateRequest {
   /// thread count (see estimation_engine.h).
   uint64_t seed = 1;
 
-  /// Any-τ early exit: when > 0, the service stops running trials as soon
-  /// as at least two have completed and the running standard error of the
-  /// mean is within `max_rel_error · |mean|`. `trials` becomes the budget
-  /// rather than the exact count; the trials that do run are unchanged
-  /// (each draws from its own value-derived stream), so an early-exited
-  /// response is a prefix of the full-budget response's trial sequence.
-  /// 0 disables (all `trials` always run). The bound is on the trials'
-  /// agreement (EstimateResponse::std_error), not on the distance to the
-  /// true J: trials that share a bias stop early with a wrong answer.
+  /// Any-τ early exit: when > 0, `trials` becomes a budget. At each trial
+  /// checkpoint 2, 4, 8, … (capped at `trials`), the response stops once
+  /// its interval's half-width, (upper − lower) / 2, is at most
+  /// `max_rel_error · estimate`; otherwise it runs the whole budget, as an
+  /// estimator without an interval always does. The checkpoints do not
+  /// depend on the thread count, and the trials that run are those of the
+  /// full budget (each draws from its own value-derived stream), so a
+  /// stopped response is a prefix of the full one. 0 disables.
   double max_rel_error = 0.0;
 
   /// Per-request overrides of the estimator's sampling budgets (m_H, m_L,
@@ -107,7 +107,10 @@ struct EstimateResponse {
   /// LSH-SS's safe lower bound when SampleL ran dry).
   size_t num_unguaranteed = 0;
   /// A stratified estimator's StratumTallies, pooled over the trials; empty
-  /// for the other estimators. Not on the wire.
+  /// for the other estimators, whose responses carry no interval. Not on
+  /// the wire; the interval of J that is, and that the early stop reads,
+  /// is EstimateInterval(strata, trials) (core/stratified_sampling.h), a
+  /// function of what the response holds, so a cache hit states the same.
   StratumTallies strata;
   /// True when the response was served from the EstimateCache rather than
   /// computed.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <span>
@@ -12,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/obs/obs.h"
 #include "vsj/util/check.h"
 
@@ -55,53 +57,69 @@ double SampleStdDevOf(std::span<const double> estimates, double mean) {
   return std::sqrt(sq / static_cast<double>(estimates.size() - 1));
 }
 
-/// Any-τ early exit: `trials` is a budget, not a mandate. Once at least two
-/// trials bound the spread and the running standard error of the mean is
-/// inside the requested relative band, further trials buy precision nobody
-/// asked for. Completed trials are untouched (each drew from its own
-/// Fork(t) stream), so the early-exited response is a prefix of the
-/// full-budget trial sequence — deterministic, just shorter.
-bool WithinErrorBound(const EstimateRequest& request,
-                      std::span<const double> estimates) {
-  if (request.max_rel_error <= 0.0 || estimates.size() < 2 ||
-      estimates.size() >= request.trials) {
-    return false;
-  }
-  const double mean = MeanOf(estimates);
-  const double std_error = SampleStdDevOf(estimates, mean) /
-                           std::sqrt(static_cast<double>(estimates.size()));
-  return std_error <= request.max_rel_error * std::abs(mean);
-}
-
-/// `request`'s response from its `trials` (mean, sample std-dev, standard
-/// error, sampling cost). Its `estimate.latency_ns.*` histogram records the
-/// time from `start_ns` (obs::MonotonicNowNs when the group's first task
-/// started) until now, when the group's last chunk finished — not the
-/// whole batch.
-EstimateResponse FinishTrials(const EstimateRequest& request,
-                              const MemberTrials& trials, uint64_t start_ns) {
+/// `request`'s response from its first `trials` trials: the mean, sample
+/// std-dev and standard error of their estimates, their sampling cost and
+/// pooled strata.
+EstimateResponse Aggregate(const EstimateRequest& request,
+                           const MemberTrials& member, size_t trials) {
   EstimateResponse response;
   response.tau = request.tau;
   response.estimator_name = request.estimator_name;
-  const std::vector<double>& estimates = trials.estimates;
-  response.trials = estimates.size();
+  const std::span<const double> estimates =
+      std::span(member.estimates).first(trials);
+  response.trials = trials;
   response.mean_estimate = MeanOf(estimates);
-  if (estimates.size() > 1) {
+  if (trials > 1) {
     response.std_dev = SampleStdDevOf(estimates, response.mean_estimate);
     response.std_error =
-        response.std_dev / std::sqrt(static_cast<double>(estimates.size()));
+        response.std_dev / std::sqrt(static_cast<double>(trials));
   }
-  response.pairs_evaluated = trials.pairs_evaluated;
-  response.num_unguaranteed = trials.num_unguaranteed;
-  response.strata = trials.strata;
+  response.pairs_evaluated = member.pairs_evaluated;
+  response.num_unguaranteed = member.num_unguaranteed;
+  response.strata = member.strata;
+  return response;
+}
+
+/// The early stop: an error-bounded response whose interval's half-width
+/// is within max_rel_error of its estimate. A response without an interval
+/// never meets it, so its estimator runs the whole budget.
+bool MeetsErrorTarget(const EstimateRequest& request,
+                      const EstimateResponse& response) {
+  if (request.max_rel_error <= 0.0 || response.strata.size() == 0) {
+    return false;
+  }
+  const Interval interval =
+      EstimateInterval(response.strata, response.trials);
+  return (interval.upper - interval.lower) / 2.0 <=
+         request.max_rel_error * response.mean_estimate;
+}
+
+/// The trials a group has run at its checkpoint after `done`: the whole
+/// budget, or for an error-bounded group the next of 2, 4, 8, … capped at
+/// the budget. The checkpoints depend on nothing but the request, so where
+/// a response stops does not depend on the thread count.
+size_t NextCheckpoint(const EstimateRequest& leader, size_t done) {
+  if (leader.max_rel_error <= 0.0) return leader.trials;
+  return std::min(leader.trials, std::max<size_t>(2, 2 * done));
+}
+
+/// Counts a finished response, and records its `estimate.latency_ns.*`
+/// histogram: the time from `start_ns` (obs::MonotonicNowNs when the
+/// group's first task started) until now, when the response exists — not
+/// the whole batch.
+void RecordFinished(const EstimateRequest& request,
+                    const EstimateResponse& response, uint64_t start_ns) {
   VSJ_COUNTER_ADD("estimate.requests", 1);
-  VSJ_COUNTER_ADD("estimate.trials", estimates.size());
+  VSJ_COUNTER_ADD("estimate.trials", response.trials);
+  if (response.trials < request.trials) {
+    VSJ_COUNTER_ADD("estimate.early_exit", 1);
+    VSJ_COUNTER_ADD("estimate.trials_saved", request.trials - response.trials);
+  }
   if (obs::MetricsEnabled()) {
     obs::MetricRegistry::Global()
         .GetHistogram(LatencyMetricName(request.estimator_name, request.tau))
         .Record(obs::MonotonicNowNs() - start_ns);
   }
-  return response;
 }
 
 }  // namespace
@@ -198,12 +216,16 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
     }
   }
 
-  // Pool tasks, one per chunk of consecutive trials of one group (step 3
-  // in estimation_engine.h). A chunk writes trial t's estimates into slot t
-  // of the group's MemberTrials — the batch holds one double per trial per
-  // τ, what in-order aggregation keeps anyway — and its integer totals into
-  // its own row, so chunks share no lock. One flat ParallelFor — nesting
-  // one per group would add no concurrency (thread_pool.h).
+  // Pool tasks, one per chunk of consecutive trials of one group's stage
+  // (step 3 in estimation_engine.h). A chunk writes trial t's estimates
+  // into slot t of the group's MemberTrials — the batch holds one double
+  // per trial per τ, what in-order aggregation keeps anyway — and its
+  // integer totals into its own row, so chunks share no lock. Every
+  // group's first stage runs in one flat ParallelFor — nesting one per
+  // group would add no concurrency (thread_pool.h). A group without
+  // max_rel_error has one stage, its whole budget; an error-bounded group
+  // runs one stage per checkpoint, and the task that finishes a stage
+  // dispatches the group's next one itself, so no group waits on another.
   //
   // A group's tasks are consecutive and groups follow one another, and
   // ParallelFor claims indices in increasing order and runs each claim's
@@ -214,121 +236,156 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   struct Task {
     size_t group;
     size_t begin, end;
-    std::vector<MemberTrials> totals;  // integer parts only, per member
+    std::vector<MemberTrials> totals;  // integer parts, per running member
     uint64_t start_ns = 0;
   };
-  std::vector<Task> tasks;
-  std::vector<size_t> first_task(groups.size() + 1, 0);
-  std::vector<std::atomic<size_t>> chunks_left(groups.size());
+  // Per group: its members still running, in group order, the trials they
+  // have run, its current stage's tasks and how many of them are left,
+  // and when its first task started.
+  struct GroupRun {
+    std::vector<size_t> running;
+    size_t done = 0;
+    std::span<Task> stage;
+    std::atomic<size_t> chunks_left{0};
+    uint64_t start_ns = ~uint64_t{0};
+  };
   std::vector<std::vector<MemberTrials>> trials(groups.size());
+  std::vector<GroupRun> runs(groups.size());
+  // Appends group g's next stage to `tasks`: the trials from those it has
+  // run to its next checkpoint, in up to 4 × num_threads chunks.
+  const auto add_stage = [&](size_t g, std::vector<Task>* tasks) {
+    GroupRun& run = runs[g];
+    const size_t stage =
+        NextCheckpoint(requests[groups[g].front()], run.done) - run.done;
+    // num_threads 0 runs inline, like 1.
+    const size_t chunks =
+        std::min(stage, kChunksPerThread * std::max<size_t>(num_threads_, 1));
+    for (size_t c = 0; c < chunks; ++c) {
+      tasks->push_back({g, run.done + stage * c / chunks,
+                        run.done + stage * (c + 1) / chunks,
+                        std::vector<MemberTrials>(run.running.size())});
+    }
+    run.chunks_left.store(chunks, std::memory_order_relaxed);
+  };
+  std::vector<Task> first_stages;
+  std::vector<size_t> first_task(groups.size() + 1, 0);
   for (size_t g = 0; g < groups.size(); ++g) {
     const EstimateRequest& leader = requests[groups[g].front()];
     trials[g].assign(groups[g].size(),
                      {.estimates = std::vector<double>(leader.trials)});
-    // An error-bounded group (max_rel_error is part of SweepKey, so shared
-    // by every member) is one chunk: its later trials may never be needed.
-    // num_threads 0 runs inline, like 1.
-    const size_t chunks =
-        leader.max_rel_error > 0.0
-            ? 1
-            : std::min(leader.trials,
-                       kChunksPerThread * std::max<size_t>(num_threads_, 1));
-    for (size_t c = 0; c < chunks; ++c) {
-      tasks.push_back({g, leader.trials * c / chunks,
-                       leader.trials * (c + 1) / chunks,
-                       std::vector<MemberTrials>(groups[g].size())});
-    }
-    first_task[g + 1] = tasks.size();
-    chunks_left[g].store(chunks, std::memory_order_relaxed);
+    runs[g].running.resize(groups[g].size());
+    std::iota(runs[g].running.begin(), runs[g].running.end(), size_t{0});
+    add_stage(g, &first_stages);
+    first_task[g + 1] = first_stages.size();
+  }
+  for (size_t g = 0; g < groups.size(); ++g) {
+    runs[g].stage = std::span(first_stages)
+                        .subspan(first_task[g], first_task[g + 1] -
+                                                    first_task[g]);
   }
 
-  // Runs in the task that finished group g's last chunk, so every slot and
-  // total of g is written: add the chunks' totals, aggregate each member
-  // once, copy it to its followers and report them all. Latency runs from
-  // the group's first task start to here, when its responses exist.
+  // Runs `tasks` on the pool; the task that finishes a group's stage calls
+  // finish_stage on it.
+  std::function<void(std::vector<Task>&)> dispatch;
+
+  // Runs in the task that finished group g's last chunk of its stage, so
+  // every slot and total of it is written: add the chunks' totals, then
+  // finish each running member whose budget is spent or whose interval
+  // meets its target, copy it to its followers and report them all. The
+  // others run on: this task dispatches their next stage, and returns once
+  // the group has finished. Latency runs from the group's first task start
+  // to here, when a response exists.
   std::mutex sink_mutex;  // on_ready calls never overlap
-  const auto finish_group = [&](size_t g) {
+  const auto finish_stage = [&](size_t g) {
+    GroupRun& run = runs[g];
     std::vector<MemberTrials>& members = trials[g];
-    uint64_t start_ns = ~uint64_t{0};
-    for (size_t k = first_task[g]; k < first_task[g + 1]; ++k) {
-      const Task& task = tasks[k];
-      start_ns = std::min(start_ns, task.start_ns);
-      for (size_t m = 0; m < members.size(); ++m) {
-        members[m].pairs_evaluated += task.totals[m].pairs_evaluated;
-        members[m].num_unguaranteed += task.totals[m].num_unguaranteed;
-        members[m].strata += task.totals[m].strata;
+    for (const Task& task : run.stage) {
+      run.start_ns = std::min(run.start_ns, task.start_ns);
+      for (size_t a = 0; a < run.running.size(); ++a) {
+        MemberTrials& member = members[run.running[a]];
+        member.pairs_evaluated += task.totals[a].pairs_evaluated;
+        member.num_unguaranteed += task.totals[a].num_unguaranteed;
+        member.strata += task.totals[a].strata;
       }
     }
-    for (size_t m = 0; m < members.size(); ++m) {
-      responses[groups[g][m]] =
-          FinishTrials(requests[groups[g][m]], members[m], start_ns);
+    run.done = run.stage.back().end;
+    std::vector<size_t> ready;  // finished members, then their followers
+    size_t still_running = 0;
+    for (const size_t m : run.running) {
+      const size_t i = groups[g][m];
+      EstimateResponse response = Aggregate(requests[i], members[m], run.done);
+      if (run.done < requests[i].trials &&
+          !MeetsErrorTarget(requests[i], response)) {
+        run.running[still_running++] = m;
+        continue;
+      }
+      RecordFinished(requests[i], response, run.start_ns);
+      responses[i] = std::move(response);
+      ready.push_back(i);
     }
-    std::vector<size_t> ready = groups[g];
+    run.running.resize(still_running);
+    const size_t finished = ready.size();
     for (const auto& [follower, leader] : group_followers[g]) {
-      responses[follower] = responses[leader];
-      ready.push_back(follower);
+      const auto members_end = ready.begin() + finished;
+      if (std::find(ready.begin(), members_end, leader) != members_end) {
+        responses[follower] = responses[leader];
+        ready.push_back(follower);
+      }
     }
-    if (on_ready) {
+    if (on_ready && !ready.empty()) {
       std::lock_guard<std::mutex> lock(sink_mutex);
       on_ready(ready, responses);
     }
+    if (run.running.empty()) return;
+    // run.stage views this vector until the stage after it is dispatched.
+    std::vector<Task> next;
+    add_stage(g, &next);
+    run.stage = next;
+    dispatch(next);
   };
 
-  // Dispatch timestamp for the queue-wait histogram: how long a task sat
-  // between batch dispatch and a pool worker picking it up, vs. how long
-  // the task itself took. Both histograms record once per task. Timing
-  // only — work order is untouched.
-  const uint64_t dispatch_ns = obs::MonotonicNowNs();
-  pool_.ParallelFor(tasks.size(), [&](size_t k) {
-    Task& task = tasks[k];
-    task.start_ns = obs::MonotonicNowNs();
-    VSJ_HIST_RECORD("estimate.queue_wait_ns", task.start_ns - dispatch_ns);
-    VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
-    const std::vector<size_t>& group = groups[task.group];
-    const EstimateRequest& leader = requests[group.front()];
-    std::vector<MemberTrials>& members = trials[task.group];
-    // Members still running, in group order; trial t asks for their τ only.
-    std::vector<size_t> running(group.size());
-    std::iota(running.begin(), running.end(), size_t{0});
-    std::vector<double> taus;
-    for (size_t t = task.begin; t < task.end && !running.empty(); ++t) {
-      taus.clear();
+  dispatch = [&](std::vector<Task>& tasks) {
+    // Dispatch timestamp for the queue-wait histogram: how long a task sat
+    // between dispatch and a pool worker picking it up, vs. how long the
+    // task itself took. Both histograms record once per task. Timing only
+    // — work order is untouched.
+    const uint64_t dispatch_ns = obs::MonotonicNowNs();
+    pool_.ParallelFor(tasks.size(), [&](size_t k) {
+      Task& task = tasks[k];
+      task.start_ns = obs::MonotonicNowNs();
+      VSJ_HIST_RECORD("estimate.queue_wait_ns", task.start_ns - dispatch_ns);
+      VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
+      const std::vector<size_t>& group = groups[task.group];
+      const EstimateRequest& leader = requests[group.front()];
+      const std::vector<size_t>& running = runs[task.group].running;
+      std::vector<MemberTrials>& members = trials[task.group];
+      // Trial t asks for the running members' τ only.
+      std::vector<double> taus;
       for (const size_t m : running) taus.push_back(requests[group[m]].tau);
-      std::vector<EstimationResult> results;
-      {
-        VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
-        results =
-            run_trial(group.front(), t, taus, TrialStream(leader.seed, t));
-      }
-      size_t still_running = 0;
-      for (size_t a = 0; a < running.size(); ++a) {
-        const size_t m = running[a];
-        std::vector<double>& estimates = members[m].estimates;
-        estimates[t] = results[a].estimate;
-        task.totals[m].pairs_evaluated += results[a].pairs_evaluated;
-        if (!results[a].guaranteed) ++task.totals[m].num_unguaranteed;
-        task.totals[m].strata += results[a].strata;
-        // Only an error-bounded group reads its earlier slots, and it is
-        // one chunk, so this task wrote every one of them.
-        if (leader.max_rel_error > 0.0 &&
-            WithinErrorBound(requests[group[m]],
-                             std::span(estimates).first(t + 1))) {
-          VSJ_COUNTER_ADD("estimate.early_exit", 1);
-          VSJ_COUNTER_ADD("estimate.trials_saved", leader.trials - (t + 1));
-          estimates.resize(t + 1);
-        } else {
-          running[still_running++] = m;
+      for (size_t t = task.begin; t < task.end; ++t) {
+        std::vector<EstimationResult> results;
+        {
+          VSJ_TRACE_SPAN(trial_span, "estimate.trial_ns");
+          results =
+              run_trial(group.front(), t, taus, TrialStream(leader.seed, t));
+        }
+        for (size_t a = 0; a < running.size(); ++a) {
+          members[running[a]].estimates[t] = results[a].estimate;
+          MemberTrials& total = task.totals[a];
+          total.pairs_evaluated += results[a].pairs_evaluated;
+          if (!results[a].guaranteed) ++total.num_unguaranteed;
+          total.strata += results[a].strata;
         }
       }
-      running.resize(still_running);
-    }
-    execute_span.End();
-    // acq_rel: the last chunk to finish sees every other chunk's writes.
-    if (chunks_left[task.group].fetch_sub(1, std::memory_order_acq_rel) ==
-        1) {
-      finish_group(task.group);
-    }
-  });
+      execute_span.End();
+      // acq_rel: the last chunk to finish sees every other chunk's writes.
+      if (runs[task.group].chunks_left.fetch_sub(
+              1, std::memory_order_acq_rel) == 1) {
+        finish_stage(task.group);
+      }
+    });
+  };
+  dispatch(first_stages);
 
   // Nothing reads the keys after this (leader_of's views into them
   // included), so the cache takes them.

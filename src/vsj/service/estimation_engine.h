@@ -156,16 +156,18 @@ class EstimationEngine {
   ///      work across τ;
   ///   2. sharing leaders with equal SweepKeys form one sweep group;
   ///   3. the groups compute on the pool, one task per chunk of
-  ///      consecutive trials: up to 4 × num_threads chunks per group, or
-  ///      one chunk [0, trials) for a group with max_rel_error > 0, whose
-  ///      τs drop out as their error bounds hold (its later trials may
-  ///      never be needed). Trial t writes `run_trial(leader, t, group τs,
-  ///      TrialStream(leader.seed, t))`'s estimates to slot t of each member;
-  ///      the task that finishes a group's last chunk aggregates each
-  ///      member once, in trial order — so chunking never shows in the
-  ///      bytes — copies it to the member's followers (what a cache hit on
-  ///      it would serve) and hands them all to `on_ready`; the cache hits
-  ///      went there at the end of step 1;
+  ///      consecutive trials of a stage: up to 4 × num_threads chunks per
+  ///      stage. A group runs its whole budget as one stage, or with
+  ///      max_rel_error > 0 one stage per checkpoint (2, 4, 8, …, capped at
+  ///      trials; estimate_request.h). Trial t writes `run_trial(leader, t,
+  ///      running τs, TrialStream(leader.seed, t))`'s estimates to slot t
+  ///      of each running member; the task that finishes a stage's last
+  ///      chunk aggregates each running member in trial order — so
+  ///      chunking never shows in the bytes — finishes those whose budget
+  ///      is spent or whose interval meets the target, copies them to their
+  ///      followers (what a cache hit would serve) and hands them all to
+  ///      `on_ready`; the cache hits went there at the end of step 1. The
+  ///      rest run on: that task dispatches their next stage itself;
   ///   4. sequential post-pass — leaders publish to the cache in request
   ///      order, so cache state never depends on which group finished
   ///      first.

@@ -16,9 +16,15 @@
 #               --load-snapshot (both stdouts concatenated)
 #   single-trial  a --trials 1 batch (std error column must read "n/a" —
 #               one draw has no measurable spread) plus a --trials 6 batch
-#               with --max-rel-error 0.5 (any-τ early exit); both emit
-#               --json lines, concatenated after each table, which pin the
-#               omitted std_error fields and the early-exited trial counts
+#               with --max-rel-error 0.5 (any-τ early exit on the interval,
+#               at checkpoints 2, 4, 6); both emit --json lines,
+#               concatenated after each table, which pin the omitted
+#               std_error fields and the trial counts that ran
+#   honest-stop  LSH-SS on a generated 4000-vector nyt corpus, asked for
+#               --max-rel-error 0.05 within 32 trials, with --exact. Its
+#               SampleL misses δ in every trial, so the interval stays wide:
+#               all 32 trials run (the --json line's "trials"), and the
+#               interval holds exact J = 125
 #   exact       a nine-τ --batch-taus sweep with --exact — pins the exact
 #               join sizes of the one-pass ground-truth oracle
 #   vbucket     the batch over three tables with --estimator
@@ -111,6 +117,16 @@ case "$mode" in
              --max-rel-error 0.5 --json cli_early_exit.json 2>/dev/null
       cat cli_early_exit.json
       rm -f cli_single_trial.json cli_early_exit.json
+    }
+    ;;
+  honest-stop)
+    run() {
+      rm -f cli_honest_stop.json
+      "$bin" --synthetic nyt --n 4000 --k 20 --tables 1 --trials 32 \
+             --seed 1 --tau 0.5 --max-rel-error 0.05 --exact \
+             --json cli_honest_stop.json 2>/dev/null
+      cat cli_honest_stop.json
+      rm -f cli_honest_stop.json
     }
     ;;
   vbucket)

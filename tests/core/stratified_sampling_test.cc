@@ -3,14 +3,15 @@
 // budget-boundary semantics of the dampening modes, SampleH's collapse to
 // distinct pairs (and its bounded table) against a naive per-draw loop,
 // the stratum tallies against hand counts, the sampling counters they
-// derive, and the batched pair evaluation kernel's equivalence with the
-// scalar Similarity loop.
+// derive, the batched pair evaluation kernel's equivalence with the
+// scalar Similarity loop, and the interval rules of a pooled tally.
 
 #include "vsj/core/stratified_sampling.h"
 
 #include <array>
 #include <cmath>
 #include <cstddef>
+#include <numbers>
 #include <span>
 #include <utility>
 #include <vector>
@@ -76,7 +77,7 @@ TEST(StratifiedSamplingTest, SampleLZeroDeltaIsGuardedNotNaN) {
   EXPECT_EQ(result.estimate, 0.0);
   EXPECT_FALSE(result.guaranteed);
   EXPECT_EQ(result.pairs_evaluated, 0u);
-  EXPECT_EQ(result.strata[0], (StratumTally{.size = 6}));
+  EXPECT_EQ(result.strata[0], (StratumTally{.size = 6, .adaptive = true}));
 }
 
 TEST(StratifiedSamplingTest, SampleLZeroBudgetIsGuardedNotNaN) {
@@ -227,7 +228,8 @@ TEST(StratifiedSamplingTest, TalliesMatchHandCountsOfAScriptedSweep) {
                                          .draws = 3,
                                          .evaluated = 64,
                                          .hits = 2,
-                                         .reached = 1}));
+                                         .reached = 1,
+                                         .adaptive = true}));
   EXPECT_EQ(low.pairs_evaluated, 9u);
   EXPECT_TRUE(low.guaranteed);
   EXPECT_EQ(low.estimate, 5.0 * 5.0 / 6.0 + 2.0 * 100.0 / 3.0);
@@ -241,7 +243,8 @@ TEST(StratifiedSamplingTest, TalliesMatchHandCountsOfAScriptedSweep) {
   EXPECT_EQ(high.strata[1], (StratumTally{.size = 100,
                                           .draws = 70,
                                           .evaluated = 70,
-                                          .hits = 1}));
+                                          .hits = 1,
+                                          .adaptive = true}));
   EXPECT_EQ(high.pairs_evaluated, 76u);
   EXPECT_FALSE(high.guaranteed);
   EXPECT_EQ(high.estimate, 2.0 * 5.0 / 6.0 + 1.0);  // safe lower bound n_L
@@ -535,6 +538,97 @@ TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {
       }
     }
   }
+}
+
+TEST(StratumIntervalTest, QuantilesAndWilsonBoundsMatchClosedForms) {
+  // Over S strata each z leaves (1 − kIntervalConfidence) / (2S) above it.
+  for (size_t s = 1; s <= kMaxStrata; ++s) {
+    const double tail = (1.0 - kIntervalConfidence) / (2.0 * s);
+    EXPECT_NEAR(0.5 * std::erfc(kIntervalZ[s - 1] / std::numbers::sqrt2),
+                tail, 1e-14 * tail)
+        << "S = " << s;
+  }
+  const double z = 1.96;
+  const Interval none = WilsonInterval(0, 0, z);
+  EXPECT_EQ(none.lower, 0.0);
+  EXPECT_EQ(none.upper, 1.0);
+  // No hit: [0, z² / (n + z²)]; every draw a hit: [n / (n + z²), 1].
+  const Interval zero = WilsonInterval(0, 100, z);
+  EXPECT_EQ(zero.lower, 0.0);
+  EXPECT_NEAR(zero.upper, z * z / (100 + z * z), 1e-15);
+  const Interval all = WilsonInterval(100, 100, z);
+  EXPECT_NEAR(all.lower, 100 / (100 + z * z), 1e-15);
+  EXPECT_NEAR(all.upper, 1.0, 1e-15);
+  // The textbook 95% Wilson interval of 50 / 100.
+  const Interval half = WilsonInterval(50, 100, z);
+  EXPECT_NEAR(half.lower, 0.4038, 1e-4);
+  EXPECT_NEAR(half.upper, 0.5962, 1e-4);
+}
+
+TEST(StratumIntervalTest, EachStratumRuleAndTheSum) {
+  const double z = kIntervalZ[1];
+  // SampleH over two trials of N_H = 100 (pooled N_s is their sum).
+  const StratumTally h{.size = 200, .draws = 100, .hits = 30};
+  const Interval h_interval = StratumInterval(h, 2, z);
+  EXPECT_EQ(h_interval.lower, WilsonInterval(30, 100, z).lower * 100);
+  EXPECT_EQ(h_interval.upper, WilsonInterval(30, 100, z).upper * 100);
+  // SampleL that reached δ in both trials: the same rule.
+  const StratumTally reached{
+      .size = 2000, .draws = 400, .hits = 20, .reached = 2, .adaptive = true};
+  const Interval l_reached = StratumInterval(reached, 2, z);
+  EXPECT_EQ(l_reached.lower, WilsonInterval(20, 400, z).lower * 1000);
+  EXPECT_EQ(l_reached.upper, WilsonInterval(20, 400, z).upper * 1000);
+  // Missed δ in one trial: the lower end drops to Theorem 1's safe lower
+  // bound, the mean n_L, below the Wilson end.
+  StratumTally missed = reached;
+  missed.reached = 1;
+  const Interval l_missed = StratumInterval(missed, 2, z);
+  EXPECT_LT(10.0, WilsonInterval(20, 400, z).lower * 1000);
+  EXPECT_EQ(l_missed.lower, 10.0);
+  EXPECT_EQ(l_missed.upper, WilsonInterval(20, 400, z).upper * 1000);
+  EXPECT_EQ(StratumInterval({.adaptive = true}, 2, z).upper, 0.0);
+  // n_L counts repeats, so it can pass J_L: on N_L = 2 pairs, 10 hits of
+  // 10 draws keep the Wilson lower end, within N_L.
+  const StratumTally repeats{
+      .size = 2, .draws = 10, .hits = 10, .adaptive = true};
+  const Interval l_repeats = StratumInterval(repeats, 1, z);
+  EXPECT_EQ(l_repeats.lower, WilsonInterval(10, 10, z).lower * 2);
+  EXPECT_LE(l_repeats.lower, 2.0);
+
+  // The sum of the strata at kIntervalZ[S − 1] (Bonferroni), rounded
+  // outward to whole pairs.
+  StratumTallies pooled;
+  pooled.push_back(h);
+  pooled.push_back(missed);
+  const Interval sum = EstimateInterval(pooled, 2);
+  EXPECT_EQ(sum.lower, std::floor(StratumInterval(h, 2, z).lower +
+                                  StratumInterval(missed, 2, z).lower));
+  EXPECT_EQ(sum.upper, std::ceil(StratumInterval(h, 2, z).upper +
+                                 StratumInterval(missed, 2, z).upper));
+  StratumTallies one;
+  one.push_back(h);
+  EXPECT_EQ(EstimateInterval(one, 2).upper,
+            std::ceil(StratumInterval(h, 2, kIntervalZ[0]).upper));
+  StratumTallies tiny;
+  tiny.push_back(repeats);
+  EXPECT_EQ(EstimateInterval(tiny, 1).lower, 1.0);
+  EXPECT_EQ(EstimateInterval(tiny, 1).upper, 2.0);
+  EXPECT_EQ(EstimateInterval(StratumTallies{}, 1).upper, 0.0);
+}
+
+TEST(StratumIntervalTest, PoolingSumsEachTrialsStratumSize) {
+  // The streaming engine's trials sample different tables, each with its
+  // own N_s: pooling keeps their sum, so the mean N_s is well defined.
+  StratumTallies pooled;
+  for (const uint64_t size : {100u, 300u}) {
+    StratumTallies trial;
+    trial.push_back({.size = size, .draws = 10, .hits = 1, .adaptive = true});
+    pooled += trial;
+  }
+  EXPECT_EQ(pooled[0], (StratumTally{.size = 400,
+                                     .draws = 20,
+                                     .hits = 2,
+                                     .adaptive = true}));
 }
 
 }  // namespace

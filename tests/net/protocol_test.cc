@@ -1,8 +1,9 @@
 // Response payload bytes, pinned as checked-in literals. The server smoke
 // test and server_test compare a build's wire bytes with the same build's
 // serializer; these literals hold the bytes themselves fixed across builds,
-// so a change to the number writer, the field order or the std-field rule
-// shows up here as a diff against text, not as two builds agreeing.
+// so a change to the number writer, the field order, the std-field rule or
+// the interval rule shows up here as a diff against text, not as two
+// builds agreeing.
 //
 // Request decoding has two entry points, the one-pass DecodeRpcRequest the
 // server runs and ParseJson + ParseRpcRequest; the differential test below
@@ -16,12 +17,17 @@
 #include <limits>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+#include "vsj/core/estimator_registry.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/net/protocol.h"
+#include "vsj/service/estimation_service.h"
 
 namespace vsj::net {
 namespace {
@@ -75,6 +81,95 @@ TEST(EstimatePayloadTest, NonFiniteFieldsAreNullAndZeroKeepsItsSign) {
             "\"tau\":0.69999999999999996,\"trials\":4,\"estimate\":-0,"
             "\"std_dev\":null,\"std_error\":null,\"pairs_evaluated\":0,"
             "\"num_unguaranteed\":4,\"from_cache\":false}");
+}
+
+TEST(EstimatePayloadTest, StrataAddTheIntervalAfterTheStdFields) {
+  // A stratified estimator's response carries "lower" and "upper" after
+  // "estimate" (and the std fields, from two trials) and before
+  // "pairs_evaluated", as the integers its whole-pair ends are
+  // (EstimateInterval of the strata over the trials); every other member
+  // keeps its bytes and place.
+  EstimateResponse response = Response("LSH-SS", 0.5, 4);
+  response.mean_estimate = 42.75;
+  response.std_dev = 0.5;
+  response.std_error = 0.25;
+  response.pairs_evaluated = 32000;
+  response.num_unguaranteed = 4;
+  // Four trials of N_H = 90 and N_L = 7997910; SampleL missed δ in each.
+  response.strata.push_back(
+      {.size = 360, .draws = 360, .evaluated = 360, .hits = 171});
+  response.strata.push_back({.size = 31991640,
+                             .draws = 31640,
+                             .evaluated = 31640,
+                             .hits = 0,
+                             .adaptive = true});
+  EXPECT_EQ(MakeEstimatePayload(9, response),
+            "{\"id\":9,\"ok\":true,\"estimator\":\"LSH-SS\","
+            "\"tau\":0.5,\"trials\":4,\"estimate\":42.75,"
+            "\"std_dev\":0.5,\"std_error\":0.25,"
+            "\"lower\":37,\"upper\":1318,"
+            "\"pairs_evaluated\":32000,\"num_unguaranteed\":4,"
+            "\"from_cache\":false}");
+  response.trials = 1;
+  EXPECT_EQ(MakeEstimatePayload(9, response),
+            "{\"id\":9,\"ok\":true,\"estimator\":\"LSH-SS\","
+            "\"tau\":0.5,\"trials\":1,\"estimate\":42.75,"
+            "\"lower\":150,\"upper\":5272,"
+            "\"pairs_evaluated\":32000,\"num_unguaranteed\":4,"
+            "\"from_cache\":false}");
+}
+
+/// The members of `payload` from "lower" up to "pairs_evaluated", or ""
+/// when it carries no interval.
+std::string IntervalBytes(const std::string& payload) {
+  const size_t begin = payload.find(",\"lower\":");
+  if (begin == std::string::npos) return "";
+  return payload.substr(begin, payload.find(",\"pairs_evaluated\":") - begin);
+}
+
+TEST(EstimatePayloadTest, ServedLayoutKeepsServebenchsScanAndTheInterval) {
+  // servebench's load generator reads a served estimate without a JSON
+  // tree (servebench/load.cc, ScanEstimateReply): the payload must start
+  // {"id":N,"ok":true,"estimator": and end ,"from_cache":true} or false}.
+  // Served end to end here, on every estimator of the registry: the
+  // stratified ones (LSH-SS, LSH-SS(D), RS(pop), Adaptive,
+  // LSH-SS(vbucket)) carry the interval, the rest do not, and a cache hit
+  // serves the computed answer's interval bytes.
+  EstimationServiceOptions options;
+  options.k = 8;
+  options.num_threads = 2;
+  EstimationService service(testing::SmallClusteredCorpus(300, 3), options);
+  const std::set<std::string> stratified = {
+      "LSH-SS", "LSH-SS(D)", "RS(pop)", "Adaptive", "LSH-SS(vbucket)"};
+  for (const std::string& name : AllEstimatorNames()) {
+    SCOPED_TRACE(name);
+    EstimateRequest request;
+    request.estimator_name = name;
+    request.tau = 0.6;
+    request.trials = 2;
+    const EstimateResponse computed = service.Estimate(request);
+    const EstimateResponse hit = service.Estimate(request);
+    ASSERT_TRUE(hit.from_cache);
+    const std::string computed_bytes = MakeEstimatePayload(5, computed);
+    const std::string hit_bytes = MakeEstimatePayload(5, hit);
+    for (const std::string& payload : {computed_bytes, hit_bytes}) {
+      EXPECT_EQ(payload.rfind("{\"id\":5,\"ok\":true,\"estimator\":", 0), 0u);
+    }
+    EXPECT_TRUE(computed_bytes.ends_with(",\"from_cache\":false}"));
+    EXPECT_TRUE(hit_bytes.ends_with(",\"from_cache\":true}"));
+    const std::string interval = IntervalBytes(computed_bytes);
+    EXPECT_EQ(interval.empty(), stratified.count(name) == 0);
+    EXPECT_EQ(IntervalBytes(hit_bytes), interval);
+    if (!interval.empty()) {
+      // Right after the std fields, right before pairs_evaluated.
+      EXPECT_NE(computed_bytes.find(",\"std_error\":"), std::string::npos);
+      EXPECT_LT(computed_bytes.find(",\"std_error\":"),
+                computed_bytes.find(",\"lower\":"));
+      const Interval bounds =
+          EstimateInterval(computed.strata, computed.trials);
+      EXPECT_LE(bounds.lower, bounds.upper);
+    }
+  }
 }
 
 TEST(ErrorPayloadTest, CarriesCodeRetryabilityAndEscapedMessage) {
@@ -318,7 +413,7 @@ TEST(DecodeRpcRequestTest, MatchesParseJsonThenParseRpcRequest) {
 
     EXPECT_EQ(Describe(decode_code, decode_error, decoded),
               Describe(parse_code, parse_error, parsed))
-        << "frame: " << testing::PrintToString(frame);
+        << "frame: " << ::testing::PrintToString(frame);
     ++codes[decode_code];
   }
   // The corpus reaches every outcome the decoder has.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/net/protocol.h"
 #include "vsj/service/cardinality_provider.h"
 
@@ -352,6 +353,15 @@ TEST(CardinalityProviderTest, SummaryFieldsAreConsistent) {
   EXPECT_NEAR(summary.selectivity,
               summary.cardinality / static_cast<double>(summary.max_pairs),
               1e-12);
+  EXPECT_LE(summary.lower, summary.upper);
+  EXPECT_LE(summary.upper, static_cast<double>(summary.max_pairs));
+  EstimateRequest request;
+  request.tau = 0.6;
+  request.trials = 4;
+  request.seed = 5;
+  const EstimateResponse response = service.Estimate(request);
+  EXPECT_EQ(summary.lower,
+            EstimateInterval(response.strata, response.trials).lower);
 }
 
 TEST(CardinalityProviderTest, BatchSweepAndCachedReprobe) {

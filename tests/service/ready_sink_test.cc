@@ -56,7 +56,7 @@ std::vector<EstimateRequest> RandomBatch(Rng& rng,
     request.seed = 1 + rng.Below(3);
     request.trials = 1 + rng.Below(6);
     if (rng.Below(4) == 0) {
-      request.max_rel_error = 0.05;
+      request.max_rel_error = 6.0;  // met at a checkpoint, or never
       request.trials = 2 + rng.Below(7);
     }
     if (request.estimator_name == "LSH-SS" && rng.Below(4) == 0) {

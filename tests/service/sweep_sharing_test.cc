@@ -10,8 +10,9 @@
 // non-sharing estimator and LSH-SS(vbucket) sweeps, a cached answer
 // that must not depend on the batch that filled the cache, 1 vs N pool
 // threads, one group's trials spread over the pool in chunks (aggregated
-// once, and an error-bound group kept whole, so it still exits early —
-// also when both task shapes share one batch),
+// once, and an error-bound group run as chunks one checkpoint at a time,
+// so it stops on checkpoints only — also when the task shapes share one
+// batch),
 // overrides folded per batch (independent of override history and equal
 // to configured budgets, on both engines), the estimator-level
 // sweep entry points (cosine and Jaccard), the stratum tallies a response
@@ -246,21 +247,25 @@ TEST_P(SweepSharingTest, OverridesAreFoldedPerBatchOnBothEngines) {
 TEST_P(SweepSharingTest, ErrorBoundExitsEachTauAtItsOwnTrial) {
   std::vector<EstimateRequest> sweep =
       Sweep("LSH-SS", StandardThresholds(), /*trials=*/16);
-  for (EstimateRequest& request : sweep) request.max_rel_error = 0.1;
+  for (EstimateRequest& request : sweep) request.max_rel_error = 0.3;
   EstimationService service(testing::SmallClusteredCorpus(600, 7),
                             StaticOptions(threads()));
   ExpectMatchesSingles(service, sweep);
   const auto stream = ChurnedStream(threads());
   ExpectMatchesSingles(*stream, sweep);
 
-  // The case must actually exercise per-τ exits: some τ stop early, and
-  // not all at the same trial.
+  // The case must actually exercise per-τ exits: some τ stop early, not
+  // all at the same trial, and each on a checkpoint.
   std::set<size_t> trial_counts;
   for (const EstimateResponse& r : service.EstimateBatch(sweep)) {
     trial_counts.insert(r.trials);
   }
   EXPECT_GE(trial_counts.size(), 2u);
   EXPECT_LT(*trial_counts.begin(), 16u);
+  for (const size_t trials : trial_counts) {
+    EXPECT_TRUE(trials == 2 || trials == 4 || trials == 8 || trials == 16)
+        << trials;
+  }
 }
 
 TEST_P(SweepSharingTest, DuplicateAndUnitTauMatchPerTauAnswers) {
@@ -461,12 +466,26 @@ TEST(SweepSharingTrialTasksTest, ChunkedGroupIsAggregatedOnce) {
   ExpectMatchesSingles(two, sweep);
 }
 
-TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
-  // A group with max_rel_error stays one task running its trials in order,
-  // so it stops as soon as each τ's band is met — on any thread count.
+/// Pool tasks an error-bounded group of `trials` trials runs on `threads`
+/// pool threads when its last member stops after `run` trials: one stage
+/// per checkpoint 2, 4, 8, …, each split into at most 4 × threads chunks.
+size_t BoundedGroupTasks(size_t trials, size_t run, size_t threads) {
+  size_t tasks = 0;
+  for (size_t done = 0; done < run;) {
+    const size_t checkpoint = std::min(trials, std::max<size_t>(2, 2 * done));
+    tasks += std::min(checkpoint - done, 4 * threads);
+    done = checkpoint;
+  }
+  return tasks;
+}
+
+TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStopsOnCheckpoints) {
+  // An error-bounded group runs each stage between checkpoints as parallel
+  // chunks, and its τs stop on the checkpoints 2, 4, 8, 16 only, so the
+  // bytes do not depend on the thread count.
   std::vector<EstimateRequest> sweep =
       Sweep("LSH-SS", NineTaus(), /*trials=*/16);
-  for (EstimateRequest& request : sweep) request.max_rel_error = 0.1;
+  for (EstimateRequest& request : sweep) request.max_rel_error = 3.0;
   EstimationService one(testing::SmallClusteredCorpus(600, 7),
                         StaticOptions(1));
   EstimationService four(testing::SmallClusteredCorpus(600, 7),
@@ -476,24 +495,32 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
   obs::MetricRegistry& registry = obs::MetricRegistry::Global();
   registry.ResetValues();
   const auto b = four.EstimateBatch(sweep);
-  size_t early = 0;
+  std::set<size_t> stops;
   size_t trials_run = 0;  // the group runs until its last τ stops
   for (size_t i = 0; i < sweep.size(); ++i) {
     EXPECT_EQ(a[i].trials, b[i].trials) << "tau=" << sweep[i].tau;
     EXPECT_EQ(Bytes(a[i]), Bytes(b[i])) << "tau=" << sweep[i].tau;
-    if (b[i].trials < 16) ++early;
+    stops.insert(b[i].trials);
     trials_run = std::max(trials_run, b[i].trials);
   }
-  EXPECT_GT(early, 0u);
   const uint64_t saved = registry.GetCounter("estimate.trials_saved").Value();
+  const uint64_t tasks =
+      registry.GetHistogram("estimate.execute_ns").Snapshot().count;
   const uint64_t trials_timed =
       registry.GetHistogram("estimate.trial_ns").Snapshot().count;
   obs::EnableMetrics(false);
+  EXPECT_GE(stops.size(), 2u);
+  for (const size_t stop : stops) {
+    EXPECT_TRUE(stop == 2 || stop == 4 || stop == 8) << stop;
+  }
   EXPECT_GT(saved, 0u);
-  // Trials past the group's last exit are never computed, not merely
-  // ignored: one estimate.trial_ns span per trial actually run.
+  // Trials past the group's last stop are never computed, not merely
+  // ignored: one estimate.trial_ns span per trial actually run, and the
+  // stages before it ran as chunks.
   EXPECT_LT(trials_run, 16u);
   EXPECT_EQ(trials_timed, trials_run);
+  EXPECT_EQ(tasks, BoundedGroupTasks(16, trials_run, 4));
+  EXPECT_GT(tasks, 2u);
   const auto stream_one = ChurnedStream(1);
   const auto stream_four = ChurnedStream(4);
   const auto c = stream_one->EstimateBatch(sweep);
@@ -503,10 +530,10 @@ TEST(SweepSharingTrialTasksTest, ErrorBoundGroupStillExitsEarly) {
   }
 }
 
-TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
-  // One batch on four threads puts both task shapes into one pool pass: a
-  // chunked 9-τ LSH-SS group (six one-trial chunks), an error-bounded
-  // group kept as one chunk, and RS(cross), which groups with nothing (three
+TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareThePool) {
+  // One batch on four threads mixes the task shapes: a chunked 9-τ LSH-SS
+  // group (six one-trial chunks), an error-bounded group run as chunks one
+  // checkpoint at a time, and RS(cross), which groups with nothing (three
   // one-trial chunks per τ). Every response matches the same request asked
   // alone on one thread, every trial actually run is timed once, and every
   // response records one latency sample.
@@ -514,7 +541,7 @@ TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
       Sweep("LSH-SS", NineTaus(), /*trials=*/6);
   std::vector<EstimateRequest> bounded =
       Sweep("LSH-SS", NineTaus(), /*trials=*/16);
-  for (EstimateRequest& request : bounded) request.max_rel_error = 0.1;
+  for (EstimateRequest& request : bounded) request.max_rel_error = 3.0;
   batch.insert(batch.end(), bounded.begin(), bounded.end());
   const std::vector<double> rs_taus = {0.3, 0.7};
   for (double tau : rs_taus) batch.push_back(Request("RS(cross)", tau, 3));
@@ -555,7 +582,8 @@ TEST(SweepSharingTrialTasksTest, MixedTaskShapesShareOnePoolPass) {
     }
   }
   EXPECT_LT(bounded_run, 16u);
-  EXPECT_EQ(tasks, 6u + 1u + 3u * rs_taus.size());
+  EXPECT_EQ(tasks, 6u + BoundedGroupTasks(16, bounded_run, 4) +
+                       3u * rs_taus.size());
   EXPECT_EQ(trials_timed, 6u + bounded_run + 3u * rs_taus.size());
   EXPECT_EQ(latencies, expected_latencies);
 }

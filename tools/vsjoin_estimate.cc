@@ -12,14 +12,16 @@
 // estimated as one concurrent batch, and --repeat re-submits the batch to
 // exercise the estimate cache (repeats are served without re-sampling).
 // Each row reports the mean over --trials runs, the standard error of that
-// mean (n/a below two trials — a single draw has no measurable spread), and
-// the number of pair-similarity evaluations performed. --max-rel-error E
-// lets every request stop early once the running standard error of the mean
-// falls to E · |mean| (any-τ early exit; the row then shows the trials that
-// actually ran). --json FILE mirrors every report row as one JSON object
-// per line. With --exact it also computes the exact join size of every τ
-// for comparison, in one inverted-index pass with --threads workers
-// (eval/ground_truth.h).
+// mean (n/a below two trials — a single draw has no measurable spread; it
+// is the trials' disagreement, not an error bound), the 95% interval of J
+// (n/a for an estimator that states none; see DESIGN.md "One interval"),
+// and the number of pair-similarity evaluations performed. --max-rel-error
+// E lets every request stop at the first of the trial checkpoints 2, 4,
+// 8, … where the interval's half-width is within E · estimate (the row
+// then shows the trials that actually ran). --json FILE mirrors every
+// report row as one JSON object per line. With --exact it also computes
+// the exact join size of every τ for comparison, in one inverted-index
+// pass with --threads workers (eval/ground_truth.h).
 //
 // --stream OPFILE switches to the StreamingEstimationService: the dataset
 // becomes the backing store (no vector starts live) and OPFILE is replayed
@@ -68,6 +70,7 @@
 #include <fstream>
 
 #include "vsj/core/estimator_registry.h"
+#include "vsj/core/stratified_sampling.h"
 #include "vsj/eval/ground_truth.h"
 #include "vsj/io/dataset_io.h"
 #include "vsj/vector/mapped_csr_storage.h"
@@ -385,6 +388,16 @@ std::string FmtStdError(const vsj::EstimateResponse& response) {
   return vsj::TablePrinter::Fmt(response.std_error, 1);
 }
 
+/// interval column: [lower, upper] of J, or n/a for an estimator that
+/// states none (the wire omits the fields alike).
+std::string FmtInterval(const vsj::EstimateResponse& response) {
+  if (response.strata.size() == 0) return "n/a";
+  const vsj::Interval interval =
+      vsj::EstimateInterval(response.strata, response.trials);
+  return "[" + vsj::TablePrinter::Fmt(interval.lower, 0) + ", " +
+         vsj::TablePrinter::Fmt(interval.upper, 0) + "]";
+}
+
 /// One response as a JSON-lines object for --json: the row prefix `extra`
 /// and the fields of the wire payload (net::AppendEstimateFields), so the
 /// server smoke test can diff served bytes against these lines.
@@ -505,7 +518,7 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
   vsj::TablePrinter report("streaming estimates (LSH-SS, " +
                            std::to_string(args.trials) + " trial(s) each)");
   report.SetHeader({"line", "epoch", "live", "tau", "estimate", "std error",
-                    "pairs eval", "unguaranteed", "cached"});
+                    "interval", "pairs eval", "unguaranteed", "cached"});
 
   size_t line_number = 0;
   size_t mutations = 0;
@@ -603,7 +616,7 @@ int RunStreamMode(std::unique_ptr<vsj::StreamingEstimationService> service,
                        std::to_string(service->num_live()),
                        vsj::TablePrinter::Fmt(response.tau, 2),
                        vsj::TablePrinter::Fmt(response.mean_estimate, 1),
-                       FmtStdError(response),
+                       FmtStdError(response), FmtInterval(response),
                        std::to_string(response.pairs_evaluated),
                        std::to_string(response.num_unguaranteed),
                        response.from_cache ? "yes" : "no"});
@@ -784,8 +797,8 @@ int main(int argc, char** argv) {
 
   vsj::TablePrinter report("estimates (" + args.estimator + ", " +
                            std::to_string(args.trials) + " trial(s) each)");
-  report.SetHeader({"pass", "tau", "estimate", "std error", "pairs eval",
-                    "unguaranteed", "cached"});
+  report.SetHeader({"pass", "tau", "estimate", "std error", "interval",
+                    "pairs eval", "unguaranteed", "cached"});
   for (size_t pass = 0; pass < args.repeat; ++pass) {
     vsj::Timer timer;
     const std::vector<vsj::EstimateResponse> responses =
@@ -795,7 +808,7 @@ int main(int argc, char** argv) {
       report.AddRow({std::to_string(pass + 1),
                      vsj::TablePrinter::Fmt(response.tau, 2),
                      vsj::TablePrinter::Fmt(response.mean_estimate, 1),
-                     FmtStdError(response),
+                     FmtStdError(response), FmtInterval(response),
                      std::to_string(response.pairs_evaluated),
                      std::to_string(response.num_unguaranteed),
                      response.from_cache ? "yes" : "no"});
