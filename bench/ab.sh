@@ -20,6 +20,9 @@
 #   bench/ab.sh ../parent . ab-out 2 -- --scale tiny --seconds 1
 # Each tree is a full checkout; run.py builds into the tree's own
 # .bench_build/. Exits 1 when a run fails or reports a failed check.
+# Each run.py runs in a process group of its own; on SIGINT or SIGTERM
+# the script signals that group (run.py, its server, its load generator
+# or build), waits until all of it has exited, and exits 130 or 143.
 set -eu
 usage() {
   echo "usage: $0 PARENT_TREE CHANGE_TREE OUT_DIR [PAIRS] [-- run.py args]" >&2
@@ -50,13 +53,40 @@ for tree in "$parent" "$change"; do
 done
 mkdir -p "$out/runs"
 
+child=  # the running run.py, which leads its process group
+stop() {  # stop STATUS
+  trap - INT TERM
+  if [ -n "$child" ]; then
+    kill -TERM -- "-$child" 2>/dev/null || true
+    wait "$child" 2>/dev/null || true
+    # The server drains after run.py has gone; give the group 30 s.
+    tries=0
+    while kill -0 -- "-$child" 2>/dev/null; do
+      tries=$((tries + 1))
+      [ "$tries" -le 300 ] || kill -KILL -- "-$child" 2>/dev/null || true
+      sleep 0.1
+    done
+  fi
+  echo "ab: interrupted" >&2
+  exit "$1"
+}
+trap 'stop 130' INT
+trap 'stop 143' TERM
+
 run() {  # run SIDE TREE WORKLOAD PAIR [run.py args]
   side=$1 tree=$2 workload=$3 pair=$4
   shift 4
   log="$out/runs/$workload-$pair-$side.log"
   echo "ab: pair $pair/$pairs $workload $side" >&2
-  if ! python3 "$tree/servebench/run.py" --workload "$workload" --trace 0 \
-      --seconds 40 "$@" > "$log.out" 2> "$log"; then
+  # A background job of this shell is no group leader, so setsid makes
+  # run.py (same pid) the leader of a new group rather than forking.
+  setsid python3 "$tree/servebench/run.py" --workload "$workload" \
+    --trace 0 --seconds 40 "$@" > "$log.out" 2> "$log" < /dev/null &
+  child=$!
+  status=0
+  wait "$child" || status=$?
+  child=
+  if [ "$status" -ne 0 ]; then
     echo "ab: $side run failed on $workload (see $log)" >&2
     exit 1
   fi

@@ -114,8 +114,7 @@ vsj::bench::Timing MeasureBatched(vsj::DatasetView view,
   const vsj::bench::Timing timing = vsj::bench::TimeRuns(iters, [&] {
     vsj::CountPairsAtOrAbove(vsj::SimilarityMeasure::kCosine, view,
                              pairs.first.data(), pairs.second.data(),
-                             pairs.first.size(), tau,
-                             vsj::kPairPrefetchDistance);
+                             pairs.first.size(), tau);
   });
   return timing.Scaled(1e9 / static_cast<double>(pairs.first.size()));
 }
@@ -132,8 +131,7 @@ uint64_t SimilarityBitsHash(vsj::DatasetView view, const PairList& pairs) {
     double similarities[vsj::kPairEvalBatch];
     vsj::EvaluatePairSimilarities(
         vsj::SimilarityMeasure::kCosine, view, pairs.first.data() + off,
-        pairs.second.data() + off, count, vsj::kPairPrefetchDistance,
-        similarities);
+        pairs.second.data() + off, count, similarities);
     for (size_t i = 0; i < count; ++i) {
       hash = vsj::HashCombine(hash, std::bit_cast<uint64_t>(similarities[i]));
     }

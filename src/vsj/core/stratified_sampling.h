@@ -344,7 +344,7 @@ std::vector<StratumTally> SampleStratumH(DatasetView dataset,
   uint64_t evaluated = 0;
   const auto evaluate = [&] {
     EvaluatePairSimilarities(measure, dataset, firsts, seconds, pending,
-                             kPairPrefetchDistance, similarities);
+                             similarities);
     for (size_t j = 0; j < taus.size(); ++j) {
       for (uint64_t mask = SimilarityHitMask(similarities, pending, taus[j]);
            mask != 0; mask &= mask - 1) {
@@ -454,7 +454,7 @@ std::vector<StratumTally> SampleStratumL(DatasetView dataset,
       seconds[i] = pair.second;
     }
     EvaluatePairSimilarities(measure, dataset, firsts, seconds, want,
-                             kPairPrefetchDistance, similarities);
+                             similarities);
     uint64_t used = 0;  // draws of this batch some τ consumed
     size_t still_active = 0;
     for (const size_t j : active) {

@@ -22,13 +22,13 @@ uint64_t BruteForceJoinSize(DatasetView dataset,
       seconds[fill] = static_cast<VectorId>(j);
       if (++fill == kPairEvalBatch) {
         count += EvaluatePairBatch(measure, dataset, firsts, seconds, fill,
-                                   tau, kPairPrefetchDistance, nullptr);
+                                   tau, nullptr);
         fill = 0;
       }
     }
   }
   count += EvaluatePairBatch(measure, dataset, firsts, seconds, fill, tau,
-                             kPairPrefetchDistance, nullptr);
+                             nullptr);
   return count;
 }
 

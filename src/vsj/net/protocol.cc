@@ -327,7 +327,7 @@ RpcError ReadRequest(const FieldTable& fields, RpcRequest* request,
         return RpcError::kBadRequest;
       }
       uint64_t trials = 1;
-      if (!TakeUint(fields, kTrials, 1u << 20, &trials, error)) {
+      if (!TakeUint(fields, kTrials, kMaxTrials, &trials, error)) {
         return RpcError::kBadRequest;
       }
       e.trials = static_cast<size_t>(trials);

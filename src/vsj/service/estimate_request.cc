@@ -21,6 +21,10 @@ const char* ValidateEstimateRequest(const EstimateRequest& request) {
   if (request.trials == 0) {
     return "trials must be > 0";
   }
+  static_assert(kMaxTrials == 65536, "the message below names the cap");
+  if (request.trials > kMaxTrials) {
+    return "trials must be <= 65536";
+  }
   // τ is a similarity threshold: a non-finite value (which the network
   // layer can produce from JSON like 1e999) or anything outside (0, 1]
   // reaches the sampling loops as nonsense — τ ≤ 0 selects every pair,

@@ -21,6 +21,15 @@ namespace vsj {
 
 struct SamplingBudget;
 
+/// Most trials one request may ask for. Until a request's response is
+/// final the engine keeps one EstimationResult per trial of it
+/// (RunCachedBatch's ledger), so this bounds that ledger:
+/// 2^16 × 112 B = 7.3 MB per request, within a budget of 2^20 doubles
+/// (8.4 MB). No in-tree caller asks for more than 100.
+inline constexpr size_t kMaxTrials = size_t{1} << 16;
+static_assert(kMaxTrials * sizeof(EstimationResult) <=
+              (size_t{1} << 20) * sizeof(double));
+
 /// One batched estimation question: "what is J(tau) according to
 /// `estimator_name`, averaged over `trials` independent runs?"
 struct EstimateRequest {
@@ -64,8 +73,9 @@ struct EstimateRequest {
 /// network server, which routes every parsed RPC through it before the
 /// request can reach an engine): returns nullptr when `request` is
 /// servable, else a static description of the first violated rule.
-/// Rejected: zero trials, NaN/±inf or out-of-(0,1] τ (JSON like 1e999
-/// parses to +inf and must die here, not in a sampling loop), NaN/±inf or
+/// Rejected: zero trials or more than kMaxTrials, NaN/±inf or
+/// out-of-(0,1] τ (JSON like 1e999 parses to +inf and must die here, not
+/// in a sampling loop), NaN/±inf or
 /// negative budgets of the error-bound knob, and engaged-zero sampling
 /// overrides
 /// (a zero m_H, m_L, or δ would hit the degenerate-budget edges of the

@@ -21,16 +21,6 @@ namespace vsj {
 
 namespace {
 
-/// One group member's trials: every estimate in trial order, and the
-/// integer totals, stratum tallies included (order-insensitive, so chunks
-/// may add them in any order).
-struct MemberTrials {
-  std::vector<double> estimates;
-  uint64_t pairs_evaluated = 0;
-  uint64_t num_unguaranteed = 0;
-  StratumTallies strata{};
-};
-
 /// Runtime-composed histogram name for per-request latency at
 /// estimator × τ-bucket granularity (τ rounded to one decimal, so a sweep's
 /// latencies land in a bounded set of histograms). Composed only when
@@ -42,41 +32,35 @@ std::string LatencyMetricName(const std::string& estimator_name, double tau) {
   return "estimate.latency_ns." + estimator_name + suffix;
 }
 
-double MeanOf(std::span<const double> estimates) {
-  double sum = 0.0;
-  for (double e : estimates) sum += e;
-  return sum / static_cast<double>(estimates.size());
-}
-
-double SampleStdDevOf(std::span<const double> estimates, double mean) {
-  double sq = 0.0;
-  for (double e : estimates) {
-    const double d = e - mean;
-    sq += d * d;
-  }
-  return std::sqrt(sq / static_cast<double>(estimates.size() - 1));
-}
-
-/// `request`'s response from its first `trials` trials: the mean, sample
-/// std-dev and standard error of their estimates, their sampling cost and
-/// pooled strata.
+/// `request`'s response from the first `done` trials of its ledger, taken
+/// in trial order: the mean, sample std-dev and standard error of their
+/// estimates, their sampling cost and pooled strata.
 EstimateResponse Aggregate(const EstimateRequest& request,
-                           const MemberTrials& member, size_t trials) {
+                           std::span<const EstimationResult> ledger,
+                           size_t done) {
   EstimateResponse response;
   response.tau = request.tau;
   response.estimator_name = request.estimator_name;
-  const std::span<const double> estimates =
-      std::span(member.estimates).first(trials);
-  response.trials = trials;
-  response.mean_estimate = MeanOf(estimates);
-  if (trials > 1) {
-    response.std_dev = SampleStdDevOf(estimates, response.mean_estimate);
-    response.std_error =
-        response.std_dev / std::sqrt(static_cast<double>(trials));
+  response.trials = done;
+  const std::span<const EstimationResult> trials = ledger.first(done);
+  double sum = 0.0;
+  for (const EstimationResult& trial : trials) {
+    sum += trial.estimate;
+    response.pairs_evaluated += trial.pairs_evaluated;
+    if (!trial.guaranteed) ++response.num_unguaranteed;
+    response.strata += trial.strata;
   }
-  response.pairs_evaluated = member.pairs_evaluated;
-  response.num_unguaranteed = member.num_unguaranteed;
-  response.strata = member.strata;
+  response.mean_estimate = sum / static_cast<double>(done);
+  if (done > 1) {
+    double sq = 0.0;
+    for (const EstimationResult& trial : trials) {
+      const double d = trial.estimate - response.mean_estimate;
+      sq += d * d;
+    }
+    response.std_dev = std::sqrt(sq / static_cast<double>(done - 1));
+    response.std_error =
+        response.std_dev / std::sqrt(static_cast<double>(done));
+  }
   return response;
 }
 
@@ -217,10 +201,9 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   }
 
   // Pool tasks, one per chunk of consecutive trials of one group's stage
-  // (step 3 in estimation_engine.h). A chunk writes trial t's estimates
-  // into slot t of the group's MemberTrials — the batch holds one double
-  // per trial per τ, what in-order aggregation keeps anyway — and its
-  // integer totals into its own row, so chunks share no lock. Every
+  // (step 3 in estimation_engine.h). A chunk moves trial t's result into
+  // slot t of each running member's ledger, which add_stage grew to the
+  // stage's checkpoint before dispatch, so chunks share no lock. Every
   // group's first stage runs in one flat ParallelFor — nesting one per
   // group would add no concurrency (thread_pool.h). A group without
   // max_rel_error has one stage, its whole budget; an error-bounded group
@@ -236,43 +219,43 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   struct Task {
     size_t group;
     size_t begin, end;
-    std::vector<MemberTrials> totals;  // integer parts, per running member
     uint64_t start_ns = 0;
   };
   // Per group: its members still running, in group order, the trials they
-  // have run, its current stage's tasks and how many of them are left,
-  // and when its first task started.
+  // have run, each member's ledger (its results by trial), its current
+  // stage's tasks and how many of them are left, and when its first task
+  // started.
   struct GroupRun {
     std::vector<size_t> running;
     size_t done = 0;
+    std::vector<std::vector<EstimationResult>> ledgers;
     std::span<Task> stage;
     std::atomic<size_t> chunks_left{0};
     uint64_t start_ns = ~uint64_t{0};
   };
-  std::vector<std::vector<MemberTrials>> trials(groups.size());
   std::vector<GroupRun> runs(groups.size());
   // Appends group g's next stage to `tasks`: the trials from those it has
-  // run to its next checkpoint, in up to 4 × num_threads chunks.
+  // run to its next checkpoint, in up to 4 × num_threads chunks, and grows
+  // each running member's ledger to that checkpoint.
   const auto add_stage = [&](size_t g, std::vector<Task>* tasks) {
     GroupRun& run = runs[g];
-    const size_t stage =
-        NextCheckpoint(requests[groups[g].front()], run.done) - run.done;
+    const size_t checkpoint =
+        NextCheckpoint(requests[groups[g].front()], run.done);
+    for (const size_t m : run.running) run.ledgers[m].resize(checkpoint);
+    const size_t stage = checkpoint - run.done;
     // num_threads 0 runs inline, like 1.
     const size_t chunks =
         std::min(stage, kChunksPerThread * std::max<size_t>(num_threads_, 1));
     for (size_t c = 0; c < chunks; ++c) {
       tasks->push_back({g, run.done + stage * c / chunks,
-                        run.done + stage * (c + 1) / chunks,
-                        std::vector<MemberTrials>(run.running.size())});
+                        run.done + stage * (c + 1) / chunks});
     }
     run.chunks_left.store(chunks, std::memory_order_relaxed);
   };
   std::vector<Task> first_stages;
   std::vector<size_t> first_task(groups.size() + 1, 0);
   for (size_t g = 0; g < groups.size(); ++g) {
-    const EstimateRequest& leader = requests[groups[g].front()];
-    trials[g].assign(groups[g].size(),
-                     {.estimates = std::vector<double>(leader.trials)});
+    runs[g].ledgers.resize(groups[g].size());
     runs[g].running.resize(groups[g].size());
     std::iota(runs[g].running.begin(), runs[g].running.end(), size_t{0});
     add_stage(g, &first_stages);
@@ -289,31 +272,24 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
   std::function<void(std::vector<Task>&)> dispatch;
 
   // Runs in the task that finished group g's last chunk of its stage, so
-  // every slot and total of it is written: add the chunks' totals, then
-  // finish each running member whose budget is spent or whose interval
-  // meets its target, copy it to its followers and report them all. The
-  // others run on: this task dispatches their next stage, and returns once
-  // the group has finished. Latency runs from the group's first task start
-  // to here, when a response exists.
+  // every slot of it is written: finish each running member whose budget
+  // is spent or whose interval meets its target, copy it to its followers
+  // and report them all. The others run on: this task dispatches their
+  // next stage, and returns once the group has finished. Latency runs from
+  // the group's first task start to here, when a response exists.
   std::mutex sink_mutex;  // on_ready calls never overlap
   const auto finish_stage = [&](size_t g) {
     GroupRun& run = runs[g];
-    std::vector<MemberTrials>& members = trials[g];
     for (const Task& task : run.stage) {
       run.start_ns = std::min(run.start_ns, task.start_ns);
-      for (size_t a = 0; a < run.running.size(); ++a) {
-        MemberTrials& member = members[run.running[a]];
-        member.pairs_evaluated += task.totals[a].pairs_evaluated;
-        member.num_unguaranteed += task.totals[a].num_unguaranteed;
-        member.strata += task.totals[a].strata;
-      }
     }
     run.done = run.stage.back().end;
     std::vector<size_t> ready;  // finished members, then their followers
     size_t still_running = 0;
     for (const size_t m : run.running) {
       const size_t i = groups[g][m];
-      EstimateResponse response = Aggregate(requests[i], members[m], run.done);
+      EstimateResponse response =
+          Aggregate(requests[i], run.ledgers[m], run.done);
       if (run.done < requests[i].trials &&
           !MeetsErrorTarget(requests[i], response)) {
         run.running[still_running++] = m;
@@ -357,8 +333,8 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
       VSJ_TRACE_SPAN(execute_span, "estimate.execute_ns");
       const std::vector<size_t>& group = groups[task.group];
       const EstimateRequest& leader = requests[group.front()];
-      const std::vector<size_t>& running = runs[task.group].running;
-      std::vector<MemberTrials>& members = trials[task.group];
+      GroupRun& run = runs[task.group];
+      const std::vector<size_t>& running = run.running;
       // Trial t asks for the running members' τ only.
       std::vector<double> taus;
       for (const size_t m : running) taus.push_back(requests[group[m]].tau);
@@ -370,16 +346,12 @@ std::vector<EstimateResponse> EstimationEngine::RunCachedBatch(
               run_trial(group.front(), t, taus, TrialStream(leader.seed, t));
         }
         for (size_t a = 0; a < running.size(); ++a) {
-          members[running[a]].estimates[t] = results[a].estimate;
-          MemberTrials& total = task.totals[a];
-          total.pairs_evaluated += results[a].pairs_evaluated;
-          if (!results[a].guaranteed) ++total.num_unguaranteed;
-          total.strata += results[a].strata;
+          run.ledgers[running[a]][t] = std::move(results[a]);
         }
       }
       execute_span.End();
       // acq_rel: the last chunk to finish sees every other chunk's writes.
-      if (runs[task.group].chunks_left.fetch_sub(
+      if (run.chunks_left.fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         finish_stage(task.group);
       }

@@ -159,15 +159,17 @@ class EstimationEngine {
   ///      consecutive trials of a stage: up to 4 × num_threads chunks per
   ///      stage. A group runs its whole budget as one stage, or with
   ///      max_rel_error > 0 one stage per checkpoint (2, 4, 8, …, capped at
-  ///      trials; estimate_request.h). Trial t writes `run_trial(leader, t,
-  ///      running τs, TrialStream(leader.seed, t))`'s estimates to slot t
-  ///      of each running member; the task that finishes a stage's last
-  ///      chunk aggregates each running member in trial order — so
-  ///      chunking never shows in the bytes — finishes those whose budget
-  ///      is spent or whose interval meets the target, copies them to their
-  ///      followers (what a cache hit would serve) and hands them all to
-  ///      `on_ready`; the cache hits went there at the end of step 1. The
-  ///      rest run on: that task dispatches their next stage itself;
+  ///      trials; estimate_request.h). Trial t moves `run_trial(leader, t,
+  ///      running τs, TrialStream(leader.seed, t))`'s results into slot t
+  ///      of each running member's ledger, grown to the stage's checkpoint
+  ///      before dispatch; the task that finishes a stage's last chunk
+  ///      derives each running member's response from its ledger's prefix
+  ///      in trial order — so chunking never shows in the bytes — finishes
+  ///      those whose budget is spent or whose interval meets the target,
+  ///      copies them to their followers (what a cache hit would serve) and
+  ///      hands them all to `on_ready`; the cache hits went there at the
+  ///      end of step 1. The rest run on: that task dispatches their next
+  ///      stage itself;
   ///   4. sequential post-pass — leaders publish to the cache in request
   ///      order, so cache state never depends on which group finished
   ///      first.

@@ -561,13 +561,13 @@ struct BatchStats {
 template <typename Kernels>
 inline void RunCosineBatch(const VectorRef* u, const VectorRef* v,
                            const uint8_t* order, size_t count,
-                           size_t prefetch_distance, Kernels kernels,
-                           double* similarities, BatchStats* stats) {
+                           Kernels kernels, double* similarities,
+                           BatchStats* stats) {
   ScatterTable& table = ThreadScatterTable();
   for (size_t k = 0; k < count; ++k) {
-    if (k + prefetch_distance < count) {
-      PrefetchFeatures(u[order[k + prefetch_distance]]);
-      PrefetchFeatures(v[order[k + prefetch_distance]]);
+    if (k + kPairPrefetchDistance < count) {
+      PrefetchFeatures(u[order[k + kPairPrefetchDistance]]);
+      PrefetchFeatures(v[order[k + kPairPrefetchDistance]]);
     }
     const size_t i = order[k];
     const PairDotResult r = PairDotCountWith(u[i], v[i], kernels, table);
@@ -595,8 +595,7 @@ PairDotResult PairDotCount(VectorRef a, VectorRef b) {
 // cost sweep_cold about 10% of its estimates/s.
 __attribute__((aligned(64))) void EvaluatePairSimilarities(
     SimilarityMeasure measure, DatasetView dataset, const VectorId* firsts,
-    const VectorId* seconds, size_t count, size_t prefetch_distance,
-    double* similarities) {
+    const VectorId* seconds, size_t count, double* similarities) {
   VSJ_CHECK(count <= kPairEvalBatch);
   if (count == 0) return;
 
@@ -645,7 +644,7 @@ __attribute__((aligned(64))) void EvaluatePairSimilarities(
     }
   }
 
-  const size_t lead = std::min(count, prefetch_distance);
+  const size_t lead = std::min<size_t>(count, kPairPrefetchDistance);
   for (size_t k = 0; k < lead; ++k) {
     PrefetchFeatures(u[order[k]]);
     PrefetchFeatures(v[order[k]]);
@@ -660,14 +659,13 @@ __attribute__((aligned(64))) void EvaluatePairSimilarities(
   BatchStats stats;
   if (measure == SimilarityMeasure::kCosine) {
     WithLevelKernel(level, [&](auto kernels) {
-      RunCosineBatch(u, v, order, count, prefetch_distance, kernels,
-                     similarities, &stats);
+      RunCosineBatch(u, v, order, count, kernels, similarities, &stats);
     });
   } else {
     for (size_t k = 0; k < count; ++k) {
-      if (k + prefetch_distance < count) {
-        PrefetchFeatures(u[order[k + prefetch_distance]]);
-        PrefetchFeatures(v[order[k + prefetch_distance]]);
+      if (k + kPairPrefetchDistance < count) {
+        PrefetchFeatures(u[order[k + kPairPrefetchDistance]]);
+        PrefetchFeatures(v[order[k + kPairPrefetchDistance]]);
       }
       const size_t i = order[k];
       similarities[i] = JaccardSimilarity(u[i], v[i]);
@@ -703,11 +701,10 @@ uint64_t SimilarityHitMask(const double* similarities, size_t count,
 
 uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
                            const VectorId* firsts, const VectorId* seconds,
-                           size_t count, double tau, size_t prefetch_distance,
-                           uint64_t* hit_mask) {
+                           size_t count, double tau, uint64_t* hit_mask) {
   double similarities[kPairEvalBatch];
   EvaluatePairSimilarities(measure, dataset, firsts, seconds, count,
-                           prefetch_distance, similarities);
+                           similarities);
   const uint64_t mask = SimilarityHitMask(similarities, count, tau);
   if (hit_mask != nullptr) *hit_mask = mask;
   return static_cast<uint64_t>(__builtin_popcountll(mask));
@@ -715,13 +712,12 @@ uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
 
 uint64_t CountPairsAtOrAbove(SimilarityMeasure measure, DatasetView dataset,
                              const VectorId* firsts, const VectorId* seconds,
-                             size_t count, double tau,
-                             size_t prefetch_distance) {
+                             size_t count, double tau) {
   uint64_t hits = 0;
   for (size_t off = 0; off < count; off += kPairEvalBatch) {
     const size_t chunk = std::min<size_t>(kPairEvalBatch, count - off);
     hits += EvaluatePairBatch(measure, dataset, firsts + off, seconds + off,
-                              chunk, tau, prefetch_distance, nullptr);
+                              chunk, tau, nullptr);
   }
   return hits;
 }

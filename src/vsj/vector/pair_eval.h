@@ -49,7 +49,7 @@ namespace vsj {
 
 /// Pairs evaluated per batch by the sampling loops and the brute-force
 /// joins, and how many pairs ahead of the (locality-ordered) evaluation
-/// cursor the feature columns are prefetched. Tuning knobs only: neither
+/// cursor the feature columns are prefetched. Tuning constants: neither
 /// changes any draw or result. kPairEvalBatch must stay <= 64 so a batch's
 /// hit set fits one uint64_t mask.
 inline constexpr uint64_t kPairEvalBatch = 64;
@@ -97,8 +97,7 @@ inline size_t PairOverlap(VectorRef a, VectorRef b) {
 /// Requires count <= kPairEvalBatch.
 void EvaluatePairSimilarities(SimilarityMeasure measure, DatasetView dataset,
                               const VectorId* firsts, const VectorId* seconds,
-                              size_t count, size_t prefetch_distance,
-                              double* similarities);
+                              size_t count, double* similarities);
 
 /// Bit i set iff similarities[i] >= tau: one τ's hits over a batch of
 /// EvaluatePairSimilarities output. Requires count <= kPairEvalBatch.
@@ -111,16 +110,25 @@ uint64_t SimilarityHitMask(const double* similarities, size_t count,
 /// reconstruct the exact draw its unbatched loop would have stopped on.
 uint64_t EvaluatePairBatch(SimilarityMeasure measure, DatasetView dataset,
                            const VectorId* firsts, const VectorId* seconds,
-                           size_t count, double tau, size_t prefetch_distance,
-                           uint64_t* hit_mask);
+                           size_t count, double tau, uint64_t* hit_mask);
+
+/// The same, in the form that still names a prefetch distance, which it
+/// ignores: servebench/layers.cc calls this form. Goes with that argument.
+inline uint64_t EvaluatePairBatch(SimilarityMeasure measure,
+                                  DatasetView dataset, const VectorId* firsts,
+                                  const VectorId* seconds, size_t count,
+                                  double tau, size_t /*prefetch_distance*/,
+                                  uint64_t* hit_mask) {
+  return EvaluatePairBatch(measure, dataset, firsts, seconds, count, tau,
+                           hit_mask);
+}
 
 /// Counts how many of the `count` pairs have similarity >= tau, chunking
 /// through EvaluatePairBatch. Order-independent by construction: any
 /// permutation of the pair list returns the same count.
 uint64_t CountPairsAtOrAbove(SimilarityMeasure measure, DatasetView dataset,
                              const VectorId* firsts, const VectorId* seconds,
-                             size_t count, double tau,
-                             size_t prefetch_distance);
+                             size_t count, double tau);
 
 }  // namespace vsj
 

@@ -33,7 +33,8 @@
 #   reject      invalid flag values (--batch-taus out of range / duplicate /
 #               unparsable, negative --max-rel-error, --tau out of range /
 #               unparsable / trailing garbage, a negative --trials, zero
-#               --trials / --threads / --repeat / --tables / --k, a --k
+#               --trials / --threads / --repeat / --tables / --k, --trials
+#               above kMaxTrials (65536), a --k
 #               above 4096 hash functions, a --k × --tables product above
 #               it, an unknown --estimator) — captures the first stderr diagnostic of
 #               each, which must name the offending token; then three
@@ -180,9 +181,9 @@ case "$mode" in
       for flags in "--batch-taus 0.5,1.5" "--batch-taus 0.5,0.5" \
                    "--batch-taus 0.5,abc" "--max-rel-error -0.5" \
                    "--tau 1.5" "--tau abc" "--tau 0.5x" "--trials -1" \
-                   "--trials 0" "--threads 0" "--repeat 0" \
-                   "--tables 0" "--k 0" "--k 4097" "--k 64 --tables 65" \
-                   "--estimator Foo"; do
+                   "--trials 0" "--trials 65537" "--threads 0" \
+                   "--repeat 0" "--tables 0" "--k 0" "--k 4097" \
+                   "--k 64 --tables 65" "--estimator Foo"; do
         "$bin" --synthetic dblp --n 50 $flags 2>&1 >/dev/null | head -1
       done
       # Hostile files: each claims far more bytes than it holds and must

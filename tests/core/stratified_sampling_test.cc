@@ -507,8 +507,8 @@ TEST(StratifiedSamplingTest, SamplingCountersOfOneSweepEach) {
 
 TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {
   // The batched kernel must count exactly what the unbatched Similarity
-  // loop counts — same arithmetic per pair, any count, any prefetch
-  // distance (bit-identity contract of the batched pipeline).
+  // loop counts — same arithmetic per pair, any count (bit-identity
+  // contract of the batched pipeline).
   const VectorDataset dataset = testing::SmallClusteredCorpus(200, 3);
   const DatasetView view(dataset);
   Rng rng(99);
@@ -528,13 +528,10 @@ TEST(StratifiedSamplingTest, CountPairsAtOrAboveMatchesScalarLoop) {
             ++expected;
           }
         }
-        for (size_t prefetch : {size_t{0}, size_t{8}, size_t{1000}}) {
-          EXPECT_EQ(CountPairsAtOrAbove(measure, view, firsts.data(),
-                                        seconds.data(), count, tau, prefetch),
-                    expected)
-              << "count=" << count << " tau=" << tau
-              << " prefetch=" << prefetch;
-        }
+        EXPECT_EQ(CountPairsAtOrAbove(measure, view, firsts.data(),
+                                      seconds.data(), count, tau),
+                  expected)
+            << "count=" << count << " tau=" << tau;
       }
     }
   }

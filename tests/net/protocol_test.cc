@@ -265,6 +265,7 @@ std::vector<std::string> DecodeCorpus() {
       R"("id":9007199254740992,"tau":0.5)",
       R"("id":9007199254740991,"tau":0.5)",
       R"("tau":0.5,"trials":1048577)",
+      R"("tau":0.5,"trials":65537)",
       R"("tau":0.5,"trials":1.5)",
       R"("tau":0.5,"seed":-0,"sample_size_h":0,"sample_size_l":-0,"delta":0)",
       R"("tau":0.5,"sample_size_h":1e999)",
@@ -421,6 +422,21 @@ TEST(DecodeRpcRequestTest, MatchesParseJsonThenParseRpcRequest) {
   EXPECT_GT(codes[RpcError::kBadJson], 500u);
   EXPECT_GT(codes[RpcError::kBadRequest], 50u);
   EXPECT_GT(codes[RpcError::kUnknownOp], 5u);
+}
+
+TEST(DecodeRpcRequestTest, CapsTrialsAtTheValidationCap) {
+  RpcRequest request;
+  std::string error;
+  EXPECT_EQ(DecodeRpcRequest(
+                R"({"op":"estimate","tenant":"w","tau":0.5,"trials":65537})",
+                &request, &error),
+            RpcError::kBadRequest);
+  EXPECT_EQ(error, "trials is out of range");
+  EXPECT_EQ(DecodeRpcRequest(
+                R"({"op":"estimate","tenant":"w","tau":0.5,"trials":65536})",
+                &request, &error),
+            RpcError::kNone);
+  EXPECT_EQ(request.estimate.trials, kMaxTrials);
 }
 
 TEST(DecodeRpcRequestTest, FillsTheIdOfARejectedRequest) {

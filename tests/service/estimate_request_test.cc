@@ -31,6 +31,14 @@ TEST(EstimateRequestTest, RejectsZeroTrials) {
   EXPECT_NE(ValidateEstimateRequest(request), nullptr);
 }
 
+TEST(EstimateRequestTest, RejectsTrialsAboveTheCap) {
+  EstimateRequest request;
+  request.trials = kMaxTrials;
+  EXPECT_EQ(ValidateEstimateRequest(request), nullptr);
+  request.trials = kMaxTrials + 1;
+  EXPECT_STREQ(ValidateEstimateRequest(request), "trials must be <= 65536");
+}
+
 TEST(EstimateRequestTest, RejectsNonFiniteTau) {
   EstimateRequest request;
   request.tau = std::numeric_limits<double>::infinity();

@@ -16,6 +16,7 @@
 #include "vsj/core/stratified_sampling.h"
 #include "vsj/net/protocol.h"
 #include "vsj/service/cardinality_provider.h"
+#include "vsj/service/streaming_estimation_service.h"
 
 namespace vsj {
 namespace {
@@ -221,6 +222,21 @@ TEST(EstimationServiceTest, DuplicateRequestsComputeOnceAndAgree) {
             responses[0].mean_estimate);
 }
 
+/// The prefix contract of an error-bounded stop: `request` with a sloppy
+/// bound stops at the first checkpoint, trial 2, and its answer is byte for
+/// byte the same request's with a budget of 2 and no bound, because a
+/// response derives from its first trials alone, in trial order.
+void ExpectStopIsTwoTrialAnswer(EstimationEngine& engine,
+                                EstimateRequest request) {
+  request.max_rel_error = 1e6;
+  const EstimateResponse stopped = engine.Estimate(request);
+  ASSERT_EQ(stopped.trials, 2u);
+  request.max_rel_error = 0.0;
+  request.trials = 2;
+  EXPECT_EQ(net::MakeEstimatePayload(0, stopped),
+            net::MakeEstimatePayload(0, engine.Estimate(request)));
+}
+
 TEST(EstimationServiceTest, EarlyExitStopsWithinTrialBudget) {
   EstimateRequest request;
   request.estimator_name = "LSH-SS";
@@ -247,6 +263,21 @@ TEST(EstimationServiceTest, EarlyExitStopsWithinTrialBudget) {
   EXPECT_EQ(tight.trials, 8u);
   EXPECT_EQ(tight.mean_estimate, full.mean_estimate);
   EXPECT_EQ(tight.pairs_evaluated, full.pairs_evaluated);
+
+  ExpectStopIsTwoTrialAnswer(service, request);
+
+  // The same on a streaming engine after churn, over two tables, so the
+  // two trials sample different tables.
+  StreamingEstimationServiceOptions streaming_options;
+  streaming_options.k = 8;
+  streaming_options.num_tables = 2;
+  streaming_options.num_threads = 2;
+  streaming_options.cache_capacity = 0;
+  StreamingEstimationService streaming(TestCorpus(), streaming_options);
+  for (VectorId id = 0; id < 500; ++id) streaming.Insert(id);
+  for (VectorId id = 0; id < 120; ++id) streaming.Remove(id);
+  for (VectorId id = 500; id < 580; ++id) streaming.Insert(id);
+  ExpectStopIsTwoTrialAnswer(streaming, request);
 }
 
 TEST(EstimationServiceTest, SamplingOverridesShrinkTheSample) {

@@ -236,7 +236,7 @@ TEST(PairEvalTest, BatchWithEmptyVectorsMatchesUnbatchedLoop) {
        {SimilarityMeasure::kCosine, SimilarityMeasure::kJaccard}) {
     const auto counts = RunAtEveryLevel([&] {
       return CountPairsAtOrAbove(measure, view, firsts.data(), seconds.data(),
-                                 firsts.size(), 0.3, kPairPrefetchDistance);
+                                 firsts.size(), 0.3);
     });
     uint64_t expected = 0;
     for (size_t p = 0; p < firsts.size(); ++p) {
@@ -409,7 +409,7 @@ TEST(PairEvalTest, UnsortedDimsStayInBoundsAndFinite) {
       double similarities[kPairEvalBatch];
       EvaluatePairSimilarities(SimilarityMeasure::kCosine, view,
                                firsts.data() + off, seconds.data() + off,
-                               count, kPairPrefetchDistance, similarities);
+                               count, similarities);
       for (size_t i = 0; i < count; ++i) {
         EXPECT_TRUE(std::isfinite(similarities[i])) << "pair " << off + i;
       }
@@ -562,7 +562,7 @@ TEST(PairEvalTest, BatchHitMaskMatchesUnbatchedSimilarityLoop) {
         uint64_t mask = 0;
         const uint64_t hits =
             EvaluatePairBatch(measure, view, firsts, seconds, kCount, tau,
-                              kPairPrefetchDistance, &mask);
+                              &mask);
         EXPECT_EQ(hits, static_cast<uint64_t>(__builtin_popcountll(mask)));
         return mask;
       });
@@ -579,11 +579,11 @@ TEST(PairEvalTest, EmptyBatchIsANoOp) {
   const DatasetView view(dataset);
   uint64_t mask = ~uint64_t{0};
   EXPECT_EQ(EvaluatePairBatch(SimilarityMeasure::kCosine, view, nullptr,
-                              nullptr, 0, 0.5, kPairPrefetchDistance, &mask),
+                              nullptr, 0, 0.5, &mask),
             0u);
   EXPECT_EQ(mask, 0u);
   EXPECT_EQ(CountPairsAtOrAbove(SimilarityMeasure::kCosine, view, nullptr,
-                                nullptr, 0, 0.5, kPairPrefetchDistance),
+                                nullptr, 0, 0.5),
             0u);
 }
 
@@ -600,7 +600,7 @@ TEST(PairEvalTest, CountPairsIsReorderInvariant) {
   }
   const uint64_t baseline =
       CountPairsAtOrAbove(SimilarityMeasure::kCosine, view, firsts.data(),
-                          seconds.data(), kCount, 0.4, kPairPrefetchDistance);
+                          seconds.data(), kCount, 0.4);
   for (int round = 0; round < 3; ++round) {
     // Deterministic Fisher–Yates, pairs kept aligned.
     for (size_t i = kCount - 1; i > 0; --i) {
@@ -610,8 +610,7 @@ TEST(PairEvalTest, CountPairsIsReorderInvariant) {
     }
     const auto counts = RunAtEveryLevel([&] {
       return CountPairsAtOrAbove(SimilarityMeasure::kCosine, view,
-                                 firsts.data(), seconds.data(), kCount, 0.4,
-                                 kPairPrefetchDistance);
+                                 firsts.data(), seconds.data(), kCount, 0.4);
     });
     for (const uint64_t c : counts) EXPECT_EQ(c, baseline);
   }
@@ -661,11 +660,9 @@ TEST(PairEvalTest, SimilarityIsBitSymmetricUnderSwappedArguments) {
     const auto levels = RunAtEveryLevel([&] {
       std::vector<double> forward(num_pairs), swapped(num_pairs);
       EvaluatePairSimilarities(measure, view, firsts.data(), seconds.data(),
-                               num_pairs, kPairPrefetchDistance,
-                               forward.data());
+                               num_pairs, forward.data());
       EvaluatePairSimilarities(measure, view, seconds.data(), firsts.data(),
-                               num_pairs, kPairPrefetchDistance,
-                               swapped.data());
+                               num_pairs, swapped.data());
       for (size_t p = 0; p < num_pairs; ++p) {
         const double uv = Similarity(measure, view[firsts[p]],
                                      view[seconds[p]]);

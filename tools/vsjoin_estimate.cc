@@ -231,7 +231,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       }
       args->tables = static_cast<uint32_t>(count);
     } else if (flag == "--trials") {
-      if (!next_u64("--trials", &count, 1)) return false;
+      if (!next_u64("--trials", &count, 1, vsj::kMaxTrials)) return false;
       args->trials = count;
     } else if (flag == "--seed") {
       if (!next_u64("--seed", &args->seed)) return false;
